@@ -6,13 +6,15 @@ Every structural check in the toolkit reduces to sweeping margins
 
   certified    all margins <= tol           (tol = 1e-9 + 1e-7 * scale + slack)
   falsified    some margin >  tol + 3 * std-error
-  inconclusive anything in between, or a scope problem (e.g. a sampled
-               supremum used where a true supremum is required)
+  inconclusive anything in between, a scope problem (e.g. a sampled
+               supremum used where a true supremum is required), a NaN
+               margin or std-error, or an empty sweep
 
 Certificates only ever speak for the sampled domain; the domain label is
 part of the record.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +69,7 @@ class MarginSweep:
         self._worst = -np.inf
         self._worst_info = None
         self._violation = None
+        self._nan = None
         self._ok = True
         self._count = 0
 
@@ -74,6 +77,14 @@ class MarginSweep:
             extra_slack=0.0):
         margin = float(margin)
         self._count += 1
+        if math.isnan(margin) or math.isnan(std_error):
+            # every comparison with NaN is false, so it would pass as "within
+            # tolerance"; the first such point becomes the witness
+            if self._nan is None:
+                self._nan = {"point": _jsonable(point), "margin": margin,
+                             "std_error": float(std_error),
+                             "info": _jsonable(info)}
+            return
         tol = base_tolerance(scale) + self.slack + float(extra_slack)
         if margin > self._worst:
             self._worst = margin
@@ -92,7 +103,9 @@ class MarginSweep:
     def finalize(self, notes=(), force_inconclusive=False) -> Certificate:
         if self._violation is not None:
             status, witness = "falsified", self._violation[1]
-        elif self._ok and not force_inconclusive:
+        elif self._nan is not None:
+            status, witness = "inconclusive", self._nan
+        elif self._ok and self._count and not force_inconclusive:
             status, witness = "certified", None
         else:
             status, witness = "inconclusive", self._worst_info

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Certificate, MarginSweep, base_tolerance
-from .dynamics import (AffineSystem, ControlledSystem, LinearSystem,
+from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
 from .errors import ConfigurationError, DivergenceError, PreconditionError
 from .noise import (Estimate, derive_seed, expect, expected_affine_power,
@@ -43,26 +43,11 @@ def sym_eig_max(X) -> float:
     return float(np.linalg.eigvalsh(0.5 * (X + X.T))[-1])
 
 
-def _as_affine(system) -> AffineSystem:
-    if isinstance(system, LinearSystem):
-        return system.as_affine()
-    if isinstance(system, AffineSystem):
-        return system
-    raise ConfigurationError(
-        f"expected an affine or linear system, got {type(system).__name__}"
-    )
-
-
-def _gain_view(system):
-    """The disturbance channel (g, m1) is tier independent: the controlled
-    tier is accepted as-is for the gain functionals."""
-    if isinstance(system, LinearSystem):
-        return system.as_affine()
-    if isinstance(system, (AffineSystem, ControlledSystem)):
-        return system
-    raise ConfigurationError(
-        f"expected a system with a disturbance gain, got {type(system).__name__}"
-    )
+def _require(system, tier):
+    if not isinstance(system, tier):
+        raise ConfigurationError(
+            f"expected {tier.__name__}, got {type(system).__name__}"
+        )
 
 
 def _closed_form_expectation(V, noise, c0, cs, scale):
@@ -142,14 +127,14 @@ def expected_storage(V, system, x, scheme, scale=1.0, v=None) -> Estimate:
 
 def delta_v(V, system, x, v, scheme) -> Estimate:
     """One-step expected change of V along the disturbed dynamics."""
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     ev = expected_storage(V, system, x, scheme, scale=1.0, v=v)
     return Estimate(ev.value - V.evaluate(x), ev.std_error)
 
 
 def h0(V, system, x, scheme) -> Estimate:
     """Internal-stability functional: delta_0 V(x) + |m(x)|^2."""
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     dv = delta_v(V, system, x, np.zeros(system.n_v), scheme)
     m = np.atleast_1d(np.asarray(system.m(np.asarray(x, dtype=float)), dtype=float))
     return Estimate(dv.value + float(m @ m), dv.std_error)
@@ -159,7 +144,7 @@ def h1(V, system, x, beta, scheme) -> Estimate:
     """Convexity-split internal functional (1/b) E[V(b f)] - V + |m|^2."""
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     ev = expected_storage(V, system, x, scheme, scale=beta)
     x = np.asarray(x, dtype=float)
     m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
@@ -216,9 +201,23 @@ def g_beta(V, system, x, beta, scheme, v_search=None) -> Estimate:
     """
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    system = _gain_view(system)
-    x = np.asarray(x, dtype=float)
-    c = beta / (beta - 1.0)
+    # the channel (g, m1) is tier independent: controlled plants qualify
+    _require(system, GainChannelSystem)
+    return _gain_sup(V, system, np.asarray(x, dtype=float), beta / (beta - 1.0),
+                     scheme, v_search)
+
+
+def g0(V, system, scheme, v_search=None) -> Estimate:
+    """Origin gain functional G0(V) from the necessity direction.
+
+    The same supremum as G_beta, taken at x = 0 with scale 1.
+    """
+    _require(system, GainChannelSystem)
+    return _gain_sup(V, system, np.zeros(system.n), 1.0, scheme, v_search)
+
+
+def _gain_sup(V, system, x, c, scheme, v_search):
+    """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2."""
     m1m1 = _m1_gram(system, x)
 
     if isinstance(V, QuadraticStorage):
@@ -246,7 +245,6 @@ def g_beta(V, system, x, beta, scheme, v_search=None) -> Estimate:
     for direction in _sphere_directions(system.n_v, count, seed):
         for r in radii:
             vv = r * direction
-            # objective: ((b-1)/b) E[V(c g v)] / |v|^2 + |m1 v|^2 / |v|^2
             ev = _expected_gain_term(V, system, x, vv, c, scheme)
             obj = (ev.value / c + float(vv @ m1m1 @ vv)) / (r * r)
             if obj > best.value:
@@ -256,55 +254,21 @@ def g_beta(V, system, x, beta, scheme, v_search=None) -> Estimate:
 
 
 def _expected_gain_term(V, system, x, v, scale, scheme) -> Estimate:
-    """E[V(scale * g(x,w) v)] for the sampled G_beta / G0 paths."""
+    """E[V(scale * g(x,w) v)] for the sampled gain-supremum path."""
     if scheme.mode == "closed-form":
         if system.g_parts is None:
             raise ConfigurationError("closed-form gain term needs g_parts")
-        G0, Gs = system.g_parts(np.asarray(x, dtype=float))
+        G0, Gs = system.g_parts(x)
         vv = np.asarray(v, dtype=float)
         c0 = np.asarray(G0, dtype=float) @ vv
         cs = [np.asarray(G, dtype=float) @ vv for G in Gs]
         return Estimate(_closed_form_expectation(V, system.noise, c0, cs, scale))
 
     def integrand(draws):
-        y = system.gain_times_v_batch(np.asarray(x, dtype=float),
-                                      np.asarray(v, dtype=float), draws)
+        y = system.gain_times_v_batch(x, np.asarray(v, dtype=float), draws)
         return V.evaluate_batch(scale * y)
 
     return expect(system.noise, scheme, integrand)
-
-
-def g0(V, system, scheme, v_search=None) -> Estimate:
-    """Origin gain functional G0(V) from the necessity direction."""
-    system = _gain_view(system)
-    zero = np.zeros(system.n)
-    m1m1 = _m1_gram(system, zero)
-
-    if isinstance(V, QuadraticStorage):
-        gram, gram_se = _gram_estimate(system, zero, V.P, scheme)
-        return Estimate(sym_eig_max(gram + m1m1), gram_se)
-
-    if isinstance(V, SeparableStorage) and system.g_parts is not None:
-        G0, Gs = system.g_parts(zero)
-        G0 = np.atleast_2d(np.asarray(G0, dtype=float))
-        if all(np.allclose(np.asarray(G, dtype=float), 0.0) for G in Gs):
-            quad_rows = np.array([d == 2 for d in V.d])
-            if np.any(np.abs(G0[~quad_rows]) > 0.0):
-                return Estimate(np.inf, 0.0)
-            P2 = np.diag([p if d == 2 else 0.0 for p, d in zip(V.p, V.d)])
-            return Estimate(sym_eig_max(G0.T @ P2 @ G0 + m1m1), 0.0)
-
-    spec = v_search if v_search is not None else _default_v_search(system.n_v)
-    _, count, radii, seed = spec
-    best = Estimate(-np.inf, 0.0, lower_bound_only=True)
-    for direction in _sphere_directions(system.n_v, count, seed):
-        for r in radii:
-            vv = r * direction
-            ev = _expected_gain_term(V, system, zero, vv, 1.0, scheme)
-            obj = (ev.value + float(vv @ m1m1 @ vv)) / (r * r)
-            if obj > best.value:
-                best = Estimate(obj, ev.std_error / (r * r), lower_bound_only=True)
-    return best
 
 
 def _point_scheme(scheme, x):
@@ -323,7 +287,7 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     """
     if c2 <= 0:
         raise ConfigurationError("c2 must be positive")
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     qb = quad_bound(V, domain)
     sweep = MarginSweep(
         "V(x) <= c2 |x|^2 and H0(V(x)) <= 0",
@@ -374,7 +338,7 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
     v0 = V.evaluate(np.zeros(V.dim))
     if abs(v0) > 1e-12:
         raise PreconditionError(f"V(0) = {v0:g}, expected 0")
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     gamma_sq = gamma * gamma
     sweep = MarginSweep(
         "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2",
@@ -453,7 +417,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     Ties are broken towards the smallest beta.  The returned value is an
     upper bound on the squared gain, scoped to the sampled domain.
     """
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     points = domain.points()
     best = None
     checked = 0
@@ -533,7 +497,7 @@ def estimate_c1_c2(system, Vbar, beta_grid, domain: DomainBox, scheme,
     Vbar(x) <= exclude_below are dropped.  Also reports whether
     C1-hat(1) < 1 and the first grid beta > 1 with beta - C1-hat(beta) > 0.
     """
-    system = _as_affine(system)
+    _require(system, AffineSystem)
     points = [x for x in domain.points() if Vbar.evaluate(x) > exclude_below]
     if not points:
         raise ConfigurationError("no samples with Vbar(x) above the exclusion level")
@@ -842,7 +806,7 @@ class GainReport:
 
 
 def empirical_gain(system, ensemble, horizon, count, gamma_sq, seed,
-                   policy_u=None, threads=1) -> GainReport:
+                   policy_u=None) -> GainReport:
     """Seeded Monte Carlo falsification of a claimed squared gain.
 
     Simulates ``count`` disturbance realisations from the zero initial
@@ -853,11 +817,9 @@ def empirical_gain(system, ensemble, horizon, count, gamma_sq, seed,
     """
     if horizon < 1 or count < 1:
         raise ConfigurationError("horizon and count must be >= 1")
-    if isinstance(system, LinearSystem):
-        system = system.as_affine()
     x0 = np.zeros(system.n)
     results = simulate_ensemble(system, x0, ensemble, horizon, count, seed,
-                                policy_u=policy_u, threads=threads)
+                                policy_u=policy_u)
     z_energy = np.zeros(count)
     v_energy = np.zeros(count)
     diverged = 0
@@ -907,8 +869,6 @@ def dissipation_profile(system, V, gamma_sq, ensemble, horizon, count, seed,
     every step's mean nonpositive up to Monte Carlo error.  Returns
     (means, standard_errors), each of length ``horizon``.
     """
-    if isinstance(system, LinearSystem):
-        system = system.as_affine()
     x0 = np.zeros(system.n)
     results = simulate_ensemble(system, x0, ensemble, horizon, count, seed,
                                 policy_u=policy_u)

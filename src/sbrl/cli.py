@@ -665,8 +665,6 @@ def build_parser():
             p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (must not change results)")
         p.add_argument("--format", choices=["csv", "svg", "both"],
                        default=None, help="output format override")
 
@@ -684,10 +682,6 @@ def _apply_overrides(resolved, args):
     if args.format:
         fmts = ["csv", "svg"] if args.format == "both" else [args.format]
         resolved["output"]["formats"] = fmts
-    resolved["output"].setdefault("threads", 1)
-    if args.threads:
-        # recorded for provenance; results are required not to depend on it
-        resolved["output"]["threads"] = int(args.threads)
     return resolved
 
 
@@ -718,6 +712,13 @@ def main(argv=None):
             return cmd_certify(resolved)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except Exception as exc:
+        # exit 1 is reserved for falsified/violated: an internal failure must
+        # never read as a verdict
+        log.debug("internal failure", exc_info=True)
+        print(" ".join(f"error: {type(exc).__name__}: {exc}".split()),
+              file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_INCONCLUSIVE
 

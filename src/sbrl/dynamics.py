@@ -1,9 +1,10 @@
 """System tiers, trajectory simulation and energy bookkeeping.
 
-Three tiers are supported: affine-in-disturbance systems
-x+ = f(x,w) + g(x,w) v with output z = (m(x); m1(x) v), controlled systems
-x+ = f(x,u,w) + g(x,w) v, and linear multiplicative-noise systems
-x+ = A x + A0 x w + B v with z = (C x; D v).  A general time-varying tier
+Two tiers share one disturbance-channel core: affine-in-disturbance
+systems x+ = f(x,w) + g(x,w) v with output z = (m(x); m1(x) v), and
+controlled systems x+ = f(x,u,w) + g(x,w) v.  Linear multiplicative-noise
+systems x+ = A x + A0 x w + B v with z = (C x; D v) are affine systems
+built from their matrices.  A general time-varying tier
 x+ = F(k,x,u,v,w), z = m(k,x,u,v) covers everything else.
 
 Systems may optionally declare structure used by the exact expectation
@@ -13,7 +14,6 @@ and similarly ``g_parts``.  Vectorised hooks ``f_batch(x, omegas)`` and
 are used when they are absent.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +33,56 @@ def _as_vec(x, n, what):
     return x
 
 
-class _GainChannelOps:
-    """Shared vectorised access to the disturbance gain g(x, w)."""
+class GainChannelSystem:
+    """Core shared by the affine and controlled tiers.
+
+    Both are x+ = f(x,[u,]w) + g(x,w) v with z = (m(x[,u]); m1(x) v); this
+    class owns the disturbance channel (g, m1), the declared hooks, the
+    output block and the equilibrium spot check.
+    """
+
+    def __init__(self, n, n_v, f, g, m, m1, noise, *, f_parts=None,
+                 g_parts=None, f_batch=None, gv_batch=None, g_batch=None, name=""):
+        self.n = int(n)
+        self.n_v = int(n_v)
+        self.f = f
+        self.g = g
+        self.m = m
+        self.m1 = m1
+        self.noise = noise
+        self.f_parts = f_parts
+        self.g_parts = g_parts
+        self.f_batch = f_batch
+        self.gv_batch = gv_batch
+        self.g_batch = g_batch
+        self.name = name
+        zero = np.zeros(self.n)
+        u0 = self._origin_controls()
+        origin = ",".join(["0"] * (1 + len(u0)))
+        m0 = np.atleast_1d(np.asarray(m(zero, *u0), dtype=float))
+        self.n_m = m0.shape[0]
+        m10 = np.atleast_2d(np.asarray(m1(zero), dtype=float))
+        if m10.size == 0:
+            m10 = m10.reshape(0, self.n_v)
+        if m10.shape[1] != self.n_v:
+            raise ConfigurationError(
+                f"m1(0) has {m10.shape[1]} columns, expected n_v={self.n_v}"
+            )
+        self.n_z = self.n_m + m10.shape[0]
+        # Equilibrium is only required for the undriven system; controlled
+        # drifts generally move the origin for u != 0.
+        if np.any(np.abs(m0) > 1e-12):
+            raise ConfigurationError(
+                f"m({origin}) != 0: origin is not an output equilibrium")
+        for w in noise.sample(_EQ_CHECK_SEED, 4):
+            fx = _as_vec(f(zero, *u0, w), self.n, f"f({origin},w)")
+            if np.any(np.abs(fx) > 1e-9):
+                raise ConfigurationError(
+                    f"f({origin},w) != 0 at a sampled noise point")
+
+    def _origin_controls(self):
+        """Control arguments f and m take at the origin: none here."""
+        return ()
 
     def gain_times_v_batch(self, x, v, omegas):
         if self.gv_batch is not None:
@@ -49,46 +97,21 @@ class _GainChannelOps:
         return np.stack([np.atleast_2d(np.asarray(self.g(x, w), dtype=float))
                          for w in omegas])
 
+    def _output(self, x, u, v):
+        m = np.atleast_1d(np.asarray(self.m(x, *u), dtype=float))
+        m1v = np.atleast_2d(np.asarray(self.m1(x), dtype=float))
+        if m1v.size == 0:
+            return m
+        return np.concatenate([m, m1v @ v])
 
-class AffineSystem(_GainChannelOps):
+    def _step(self, x, u, v, omega):
+        x_next = _as_vec(self.f(x, *u, omega), self.n, "f(x,[u,]w)") + \
+            np.asarray(self.g(x, omega), dtype=float) @ v
+        return x_next, self._output(x, u, v)
+
+
+class AffineSystem(GainChannelSystem):
     """Disturbance-driven tier: x+ = f(x,w) + g(x,w) v, z = (m(x); m1(x) v)."""
-
-    def __init__(self, n, n_v, f, g, m, m1, noise, *, f_parts=None, g_parts=None,
-                 f_batch=None, gv_batch=None, g_batch=None, name=""):
-        self.n = int(n)
-        self.n_v = int(n_v)
-        self.f = f
-        self.g = g
-        self.m = m
-        self.m1 = m1
-        self.noise = noise
-        self.f_parts = f_parts
-        self.g_parts = g_parts
-        self.f_batch = f_batch
-        self.gv_batch = gv_batch
-        self.g_batch = g_batch
-        self.name = name
-        zero = np.zeros(self.n)
-        m0 = np.atleast_1d(np.asarray(m(zero), dtype=float))
-        self.n_m = m0.shape[0]
-        m10 = np.atleast_2d(np.asarray(m1(zero), dtype=float))
-        if m10.size == 0:
-            m10 = m10.reshape(0, self.n_v)
-        if m10.shape[1] != self.n_v:
-            raise ConfigurationError(
-                f"m1(0) has {m10.shape[1]} columns, expected n_v={self.n_v}"
-            )
-        self.n_z = self.n_m + m10.shape[0]
-        self._spot_check_equilibrium(m0)
-
-    def _spot_check_equilibrium(self, m0):
-        if np.any(np.abs(m0) > 1e-12):
-            raise ConfigurationError("m(0) != 0: origin is not an output equilibrium")
-        zero = np.zeros(self.n)
-        for w in self.noise.sample(_EQ_CHECK_SEED, 4):
-            fx = _as_vec(self.f(zero, w), self.n, "f(0,w)")
-            if np.any(np.abs(fx) > 1e-9):
-                raise ConfigurationError("f(0,w) != 0 at a sampled noise point")
 
     def drift_batch(self, x, omegas):
         if self.f_batch is not None:
@@ -96,70 +119,32 @@ class AffineSystem(_GainChannelOps):
         return np.stack([_as_vec(self.f(x, w), self.n, "f") for w in omegas])
 
     def output(self, x, v):
-        m = np.atleast_1d(np.asarray(self.m(x), dtype=float))
-        m1v = np.atleast_2d(np.asarray(self.m1(x), dtype=float))
-        if m1v.size == 0:
-            return m
-        return np.concatenate([m, m1v @ v])
+        return self._output(x, (), v)
 
     def step(self, x, v, omega):
         x = _as_vec(x, self.n, "state")
         v = _as_vec(v, self.n_v, "disturbance")
-        x_next = _as_vec(self.f(x, omega), self.n, "f(x,w)") + \
-            np.asarray(self.g(x, omega), dtype=float) @ v
-        return x_next, self.output(x, v)
+        return self._step(x, (), v, omega)
 
 
-class ControlledSystem(_GainChannelOps):
+class ControlledSystem(GainChannelSystem):
     """Controlled tier: x+ = f(x,u,w) + g(x,w) v, z = (m(x,u); m1(x) v)."""
 
-    def __init__(self, n, n_u, n_v, f, g, m, m1, noise, *, f_parts=None,
-                 g_parts=None, f_batch=None, gv_batch=None, g_batch=None, name=""):
-        self.n = int(n)
+    def __init__(self, n, n_u, n_v, f, g, m, m1, noise, **hooks):
         self.n_u = int(n_u)
-        self.n_v = int(n_v)
-        self.f = f
-        self.g = g
-        self.m = m
-        self.m1 = m1
-        self.noise = noise
-        self.f_parts = f_parts
-        self.g_parts = g_parts
-        self.f_batch = f_batch
-        self.gv_batch = gv_batch
-        self.g_batch = g_batch
-        self.name = name
-        zero = np.zeros(self.n)
-        zu = np.zeros(self.n_u)
-        m0 = np.atleast_1d(np.asarray(m(zero, zu), dtype=float))
-        self.n_m = m0.shape[0]
-        m10 = np.atleast_2d(np.asarray(m1(zero), dtype=float))
-        if m10.size == 0:
-            m10 = m10.reshape(0, self.n_v)
-        self.n_z = self.n_m + m10.shape[0]
-        # Equilibrium is only required for the undriven system; controlled
-        # drifts generally move the origin for u != 0.
-        if np.any(np.abs(m0) > 1e-12):
-            raise ConfigurationError("m(0,0) != 0")
-        for w in noise.sample(_EQ_CHECK_SEED, 4):
-            fx = _as_vec(f(zero, zu, w), self.n, "f(0,0,w)")
-            if np.any(np.abs(fx) > 1e-9):
-                raise ConfigurationError("f(0,0,w) != 0 at a sampled noise point")
+        super().__init__(n, n_v, f, g, m, m1, noise, **hooks)
+
+    def _origin_controls(self):
+        return (np.zeros(self.n_u),)
 
     def output(self, x, u, v):
-        m = np.atleast_1d(np.asarray(self.m(x, u), dtype=float))
-        m1v = np.atleast_2d(np.asarray(self.m1(x), dtype=float))
-        if m1v.size == 0:
-            return m
-        return np.concatenate([m, m1v @ v])
+        return self._output(x, (u,), v)
 
     def step(self, x, u, v, omega):
         x = _as_vec(x, self.n, "state")
         u = _as_vec(u, self.n_u, "control")
         v = _as_vec(v, self.n_v, "disturbance")
-        x_next = _as_vec(self.f(x, u, omega), self.n, "f(x,u,w)") + \
-            np.asarray(self.g(x, omega), dtype=float) @ v
-        return x_next, self.output(x, u, v)
+        return self._step(x, (u,), v, omega)
 
 
 class GeneralSystem:
@@ -195,34 +180,34 @@ class GeneralSystem:
         return x_next, z
 
 
-class LinearSystem:
-    """Linear tier x+ = A x + A0 x w + B v, z = (C x; D v), scalar noise."""
+class LinearSystem(AffineSystem):
+    """Linear tier x+ = A x + A0 x w + B v, z = (C x; D v), scalar noise.
+
+    An affine system whose f, g, m, m1 and exact-structure hooks are built
+    once from the matrices.
+    """
 
     def __init__(self, A, A0, B, C, D, noise=None):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.A0 = np.atleast_2d(np.asarray(A0, dtype=float))
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(C, dtype=float))
-        self.D = np.atleast_2d(np.asarray(D, dtype=float))
-        self.n = self.A.shape[0]
-        if self.A.shape != (self.n, self.n) or self.A0.shape != (self.n, self.n):
+        self.A = A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.A0 = A0 = np.atleast_2d(np.asarray(A0, dtype=float))
+        self.B = B = np.atleast_2d(np.asarray(B, dtype=float))
+        self.C = C = np.atleast_2d(np.asarray(C, dtype=float))
+        self.D = D = np.atleast_2d(np.asarray(D, dtype=float))
+        n = A.shape[0]
+        if A.shape != (n, n) or A0.shape != (n, n):
             raise ConfigurationError("A and A0 must be square of the same size")
-        if self.B.shape[0] != self.n:
+        if B.shape[0] != n:
             raise ConfigurationError("B must have n rows")
-        self.n_v = self.B.shape[1]
-        if self.C.shape[1] != self.n:
+        n_v = B.shape[1]
+        if C.shape[1] != n:
             raise ConfigurationError("C must have n columns")
-        if self.D.shape[1] != self.n_v:
+        if D.shape[1] != n_v:
             raise ConfigurationError("D must have n_v columns")
-        self.noise = noise if noise is not None else gaussian_noise(0.0, 1.0, 1)
-        if self.noise.dim != 1:
+        noise = noise if noise is not None else gaussian_noise(0.0, 1.0, 1)
+        if noise.dim != 1:
             raise ConfigurationError("linear tier needs 1-dimensional noise")
-        if abs(self.noise.moment(0, 1)) > 1e-12 or abs(self.noise.moment(0, 2) - 1.0) > 1e-12:
+        if abs(noise.moment(0, 1)) > 1e-12 or abs(noise.moment(0, 2) - 1.0) > 1e-12:
             raise ConfigurationError("linear tier needs E[w]=0 and E[w^2]=1")
-        self.n_z = self.C.shape[0] + self.D.shape[0]
-
-    def as_affine(self) -> AffineSystem:
-        A, A0, B, C, D = self.A, self.A0, self.B, self.C, self.D
 
         def f(x, w):
             return A @ x + (A0 @ x) * float(np.atleast_1d(w)[0])
@@ -234,15 +219,15 @@ class LinearSystem:
             return (A @ x)[None, :] + np.atleast_2d(omegas)[:, :1] * (A0 @ x)[None, :]
 
         def gv_batch(x, v, omegas):
-            return np.broadcast_to(B @ v, (np.atleast_2d(omegas).shape[0], self.n)).copy()
+            return np.broadcast_to(B @ v, (np.atleast_2d(omegas).shape[0], n)).copy()
 
-        return AffineSystem(
-            self.n, self.n_v,
+        super().__init__(
+            n, n_v,
             f=f,
             g=lambda x, w: B,
             m=lambda x: C @ x,
             m1=lambda x: D,
-            noise=self.noise,
+            noise=noise,
             f_parts=f_parts,
             g_parts=lambda x: (B, [np.zeros_like(B)]),
             f_batch=f_batch,
@@ -252,9 +237,6 @@ class LinearSystem:
             ),
             name="linear",
         )
-
-    def step(self, x, v, omega):
-        return self.as_affine().step(x, v, omega)
 
 
 class DisturbancePolicy:
@@ -349,13 +331,12 @@ class DisturbanceEnsemble:
 
         def factory(sub_seed):
             rng = np.random.default_rng(int(sub_seed))
-            cache = {}
+            draws = []
 
             def fn(x, k):
-                if k not in cache:
-                    for j in sorted(set(range(k + 1)) - set(cache)):
-                        cache[j] = std * rng.standard_normal(n_v)
-                return cache[k]
+                while len(draws) <= k:
+                    draws.append(std * rng.standard_normal(n_v))
+                return draws[k]
 
             return DisturbancePolicy("white", fn, n_v)
 
@@ -411,8 +392,6 @@ def simulate(system, x0, policy_v, horizon, seed, policy_u=None,
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    if isinstance(system, LinearSystem):
-        system = system.as_affine()
     controlled = isinstance(system, (ControlledSystem, GeneralSystem))
     if controlled and policy_u is None:
         policy_u = lambda x, k: np.zeros(system.n_u)  # noqa: E731
@@ -470,32 +449,23 @@ def simulate(system, x0, policy_v, horizon, seed, policy_u=None,
 
 
 def simulate_ensemble(system, x0, ensemble, horizon, count, seed,
-                      policy_u=None, threads=1, overflow=OVERFLOW_BOUND):
+                      policy_u=None, overflow=OVERFLOW_BOUND):
     """Simulate ``count`` trajectories with derived per-member sub-seeds.
 
-    Results are placed by member index, so they are identical for any
-    thread count.  Divergent members are returned as DivergenceError
-    entries instead of trajectories.
+    Member i depends only on (seed, i).  Divergent members are returned as
+    DivergenceError entries instead of trajectories.
     """
-    results = [None] * count
-
-    def run(i):
+    results = []
+    for i in range(count):
         sub = derive_seed(seed, i)
         policy = ensemble.make_policy(derive_seed(sub, 2))
         try:
-            results[i] = simulate(
+            results.append(simulate(
                 system, x0, policy, horizon, derive_seed(sub, 1),
                 policy_u=policy_u, overflow=overflow,
-            )
+            ))
         except DivergenceError as err:
-            results[i] = err
-
-    if threads <= 1:
-        for i in range(count):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(count)))
+            results.append(err)
     return results
 
 
@@ -510,7 +480,7 @@ class LasalleReport:
 
 
 def lasalle_probe(system, x0, horizon, count, seed, tail_fraction=0.25,
-                  threshold=1e-3, policy_u=None, threads=1):
+                  threshold=1e-3, policy_u=None):
     """Zero-disturbance almost-sure-convergence probe.
 
     Simulates an ensemble with v = 0 and reports, per member, the maximum
@@ -522,7 +492,7 @@ def lasalle_probe(system, x0, horizon, count, seed, tail_fraction=0.25,
     n_v = system.n_v
     ens = DisturbanceEnsemble.fixed(DisturbancePolicy.zero(n_v))
     results = simulate_ensemble(
-        system, x0, ens, horizon, count, seed, policy_u=policy_u, threads=threads
+        system, x0, ens, horizon, count, seed, policy_u=policy_u
     )
     start = int(np.floor((1.0 - tail_fraction) * horizon))
     tail_max = np.empty(count)

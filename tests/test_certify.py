@@ -206,6 +206,34 @@ def test_g0_scalar_and_zero_storage():
     assert est0.lower_bound_only
 
 
+def test_g0_rejects_unknown_v_search():
+    sys_b = AffineSystem(
+        1, 1,
+        f=lambda x, w: 0.5 * x,
+        g=lambda x, w: np.array([[1.0]]),
+        m=lambda x: x,
+        m1=lambda x: np.zeros((0, 1)),
+        noise=point_mass_noise(0.0, 1),
+        g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
+    )
+    V = CustomStorage(lambda x: float(x[0] ** 2), 1, claims_convex=True)
+    mc = ExpectationScheme(samples=8, seed=1)
+    with pytest.raises(ConfigurationError):
+        certify.g0(V, sys_b, mc, v_search=("grid", 8, (1.0,), 0))
+
+
+def test_linear_system_is_an_affine_system():
+    sys_l = LinearSystem([[0.5]], [[0.3]], [[1.0]], [[0.5]], [[0.2]])
+    assert isinstance(sys_l, AffineSystem)
+    V = QuadraticStorage([[2.0]])
+    beta, x = 1.5, np.array([1.2])
+    # H1 = (b (A'PA + A0'PA0) - P + C'C) x^2,  G0 = B'PB + D'D
+    h1_exact = (beta * (0.25 * 2.0 + 0.09 * 2.0) - 2.0 + 0.25) * 1.44
+    assert certify.h1(V, sys_l, x, beta, CF).value == pytest.approx(
+        h1_exact, abs=1e-12)
+    assert certify.g0(V, sys_l, CF).value == pytest.approx(2.04, abs=1e-12)
+
+
 # ----------------------------------------------------------------- checks
 
 def test_check_internal_example1_certified():
@@ -256,6 +284,17 @@ def test_check_external_zero_system_any_gamma():
     for gamma in (0.01, 1.0, 100.0):
         cert = certify.check_external(zero_system(), V, 2.0, gamma, box, CF)
         assert cert.status == "certified"
+
+
+def test_check_external_overflow_is_inconclusive():
+    # at |x| = 1e200 the closed-form H1 overflows to inf - inf = NaN, and
+    # every tolerance comparison with NaN is false
+    sys1 = library.example1_system()
+    V = library.example1_storage(4.0)
+    box = DomainBox((-1e200,), (1e200,), ("grid", 5))
+    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, CF)
+    assert cert.status == "inconclusive"
+    assert math.isnan(cert.witness["margin"])
 
 
 def test_check_external_requires_convexity_claim():

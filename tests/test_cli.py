@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sbrl import cli
 
@@ -235,22 +240,43 @@ def test_rerun_with_emitted_resolved_config_reproduces(tmp_path):
     assert a == b
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    cfg = {
-        "seed": 5,
-        "system": {"builtin": "example1"},
-        "ensemble": {"horizon": 60, "count": 20, "gamma_sq": 0.08,
-                     "disturbance": {"kind": "white"}},
-        "output": {"dir": None, "formats": ["csv"]},
-    }
-    outs = []
-    for i, threads in enumerate(("1", "4")):
-        cfg["output"]["dir"] = str(tmp_path / f"out{i}")
-        path = write_config(tmp_path, cfg, f"c{i}.json")
-        assert run(["gain", "--config", path, "--threads", threads]) == 0
-        outs.append(json.loads(
-            (tmp_path / f"out{i}" / "gain_reports.json").read_text()))
-    assert outs[0] == outs[1]
+INTERNAL_FAILURES = {
+    "scheme-not-object": ("certify", {"certificate": {"scheme": "mc"}}),
+    "disturbance-not-object": ("gain", {"ensemble": {"disturbance": "white"}}),
+    "ragged-P": ("linear-brl", {
+        "system": {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
+                              "C": [[0.5]], "D": [[0.0]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 1.0,
+                        "P": [[1.0], [1.0, 2.0]]},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERNAL_FAILURES))
+def test_internal_failure_exits_two_with_one_line(tmp_path, capsys,
+                                                  monkeypatch, name):
+    monkeypatch.delenv("SBRL_LOG", raising=False)
+    command, cfg = INTERNAL_FAILURES[name]
+    cfg = dict(cfg, output={"dir": str(tmp_path / "out")})
+    assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_internal_failure_traceback_under_debug_log(tmp_path):
+    command, cfg = INTERNAL_FAILURES["scheme-not-object"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SBRL_LOG="DEBUG",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sbrl.cli", command,
+         "--config", write_config(tmp_path, cfg)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" in proc.stderr
 
 
 def test_config_hash_matches_resolved_config(tmp_path):

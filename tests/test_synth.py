@@ -279,6 +279,17 @@ def test_certify_controller_general_gamma04_falsified():
     assert cert.witness is not None
 
 
+def test_certify_controller_general_empty_window_inconclusive():
+    # gamma = 0.4 is falsified with k_window=1; no k at all checks nothing
+    plant = deterministic_general_plant()
+    V = QuadraticStorage([[1.0]])
+    box = DomainBox((-3.0,), (3.0,), ("grid", 7))
+    cert = synth.certify_controller_general(
+        plant, lambda x: np.array([0.0]), V, 0.4, box, box, MC8, k_window=0)
+    assert cert.status == "inconclusive"
+    assert cert.provenance["samples_checked"] == 0
+
+
 def test_certify_controller_general_zero_plant():
     plant = GeneralSystem(
         1, 1, 1,
