@@ -294,16 +294,17 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
         domain.label(),
         {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
     )
-    for x in domain.points():
-        vx = V.evaluate(x)
-        nx2 = float(x @ x)
-        sweep.add(vx - c2 * nx2, scale=max(abs(vx), c2 * nx2),
-                  point=x, info={"inequality": "growth"})
-        est = h0(V, system, x, _point_scheme(scheme, x))
-        m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
-        sweep.add(est.value, std_error=est.std_error,
-                  scale=abs(est.value) + vx + float(m @ m),
-                  point=x, info={"inequality": "H0"})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in domain.points():
+            vx = V.evaluate(x)
+            nx2 = float(x @ x)
+            sweep.add(vx - c2 * nx2, scale=max(abs(vx), c2 * nx2),
+                      point=x, info={"inequality": "growth"})
+            est = h0(V, system, x, _point_scheme(scheme, x))
+            m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
+            sweep.add(est.value, std_error=est.std_error,
+                      scale=abs(est.value) + vx + float(m @ m),
+                      point=x, info={"inequality": "H0"})
     notes = []
     force = False
     if qb.boundary_attained:
@@ -348,21 +349,23 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
     lower_bound_used = False
     g_sup = -np.inf
     h1_worst = -np.inf
-    for x in domain.points():
-        pt_scheme = _point_scheme(scheme, x)
-        est1 = h1(V, system, x, beta, pt_scheme)
-        m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
-        h1_worst = max(h1_worst, est1.value)
-        sweep.add(est1.value, std_error=est1.std_error,
-                  scale=abs(est1.value) + V.evaluate(x) + float(m @ m),
-                  point=x, info={"inequality": "H1"})
-        estg = g_beta(V, system, x, beta, pt_scheme, v_search)
-        g_sup = max(g_sup, estg.value)
-        if estg.lower_bound_only:
-            lower_bound_used = True
-        sweep.add(estg.value - gamma_sq, std_error=estg.std_error,
-                  scale=max(abs(estg.value), gamma_sq),
-                  point=x, info={"inequality": "G_beta"})
+    # MarginSweep records an overflowing point's non-finite margin as witness
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in domain.points():
+            pt_scheme = _point_scheme(scheme, x)
+            est1 = h1(V, system, x, beta, pt_scheme)
+            m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
+            h1_worst = max(h1_worst, est1.value)
+            sweep.add(est1.value, std_error=est1.std_error,
+                      scale=abs(est1.value) + V.evaluate(x) + float(m @ m),
+                      point=x, info={"inequality": "H1"})
+            estg = g_beta(V, system, x, beta, pt_scheme, v_search)
+            g_sup = max(g_sup, estg.value)
+            if estg.lower_bound_only:
+                lower_bound_used = True
+            sweep.add(estg.value - gamma_sq, std_error=estg.std_error,
+                      scale=max(abs(estg.value), gamma_sq),
+                      point=x, info={"inequality": "G_beta"})
     notes = [f"certified only on {domain.label()}"]
     force = False
     if lower_bound_used:
@@ -423,33 +426,34 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     checked = 0
     feasible = 0
     lower_bound_used = False
-    for beta in sorted(float(b) for b in beta_grid):
-        if beta <= 1.0:
-            continue
-        for params, V in candidates:
-            checked += 1
-            ok = True
-            for x in points:
-                est = h1(V, system, x, beta, _point_scheme(scheme, x))
-                m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
-                tol = base_tolerance(abs(est.value) + V.evaluate(x) + float(m @ m))
-                if est.value > tol:
-                    ok = False
-                    break
-            if not ok:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for beta in sorted(float(b) for b in beta_grid):
+            if beta <= 1.0:
                 continue
-            feasible += 1
-            sup_val = -np.inf
-            sup_pt = None
-            for x in points:
-                estg = g_beta(V, system, x, beta, _point_scheme(scheme, x), v_search)
-                if estg.lower_bound_only:
-                    lower_bound_used = True
-                if estg.value > sup_val:
-                    sup_val = estg.value
-                    sup_pt = x
-            if best is None or sup_val < best[0] - 1e-15:
-                best = (sup_val, beta, params, sup_pt)
+            for params, V in candidates:
+                checked += 1
+                ok = True
+                for x in points:
+                    est = h1(V, system, x, beta, _point_scheme(scheme, x))
+                    m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
+                    tol = base_tolerance(abs(est.value) + V.evaluate(x) + float(m @ m))
+                    if not est.value <= tol:  # a NaN H1 is not feasible
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                feasible += 1
+                sup_val = -np.inf
+                sup_pt = None
+                for x in points:
+                    estg = g_beta(V, system, x, beta, _point_scheme(scheme, x), v_search)
+                    if estg.lower_bound_only:
+                        lower_bound_used = True
+                    if estg.value > sup_val:
+                        sup_val = estg.value
+                        sup_pt = x
+                if best is None or sup_val < best[0] - 1e-15:
+                    best = (sup_val, beta, params, sup_pt)
     if best is None:
         return GammaStarResult(
             status="infeasible", gamma_star_sq=None, beta=None, params=None,

@@ -15,6 +15,7 @@ SBRL_LOG=DEBUG|INFO|WARNING for log verbosity.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -58,80 +59,84 @@ def _setup_logging():
 
 # ---------------------------------------------------------------- config
 
-_TOP_LEVEL_KEYS = {"seed", "system", "noise", "storage", "law", "certificate",
-                   "ensemble", "output"}
+@functools.cache
+def _schema():
+    """config_schema.json, the one statement of the config format."""
+    path = Path(__file__).with_name("config_schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _err(errors, path, msg):
-    errors.append(f"{path}: {msg}")
+# draft-07: a boolean is not a number, and an integral float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: _TYPES["number"](v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _violations(schema, value, path=""):
+    """Violations of ``value`` against a draft-07 subschema, as 'path: msg'.
+
+    Interprets the keywords config_schema.json uses; the rest annotate,
+    but a failed ``oneOf`` quotes the ``description`` beside it.
+    """
+    where = path or "<root>"
+    if isinstance(schema, bool):
+        return [] if schema else [f"{where}: not allowed"]
+    if "$ref" in schema:  # draft-07 ignores the keywords beside $ref
+        node = _schema()
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            node = node[part]
+        return _violations(node, value, path)
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return [f"{where}: must be of type {kind}"]
+    errors = []
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{where}: expected one of {schema['enum']}, got {value!r}")
+    if "const" in schema and value != schema["const"]:
+        errors.append(f"{where}: expected {schema['const']!r}, got {value!r}")
+    if "oneOf" in schema:
+        matched = sum(not _violations(alt, value, path) for alt in schema["oneOf"])
+        if matched != 1:
+            expected = schema.get("description", "exactly one alternative")
+            errors.append(f"{where}: expected {expected}, matched {matched}")
+    if isinstance(value, dict):
+        child = (path + ".").lstrip(".")
+        errors += [f"{child}{key}: required"
+                   for key in schema.get("required", ()) if key not in value]
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            sub = props.get(key, schema.get("additionalProperties", True))
+            name = key if key.isprintable() else repr(key)  # keep one line
+            errors += _violations(sub, item, child + name)
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{where}: needs at least {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            errors.append(f"{where}: allows at most {schema['maxItems']} items")
+        for i, item in enumerate(value):
+            errors += _violations(schema.get("items", True), item, f"{where}[{i}]")
+    if _TYPES["number"](value):
+        if value < schema.get("minimum", value):
+            errors.append(f"{where}: must be >= {schema['minimum']}, got {value!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            errors.append(
+                f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
+    return errors
 
 
 def validate_config(cfg):
-    """Structural validation mirroring config_schema.json.
+    """Check a parsed config against config_schema.json.
 
     Returns a list of 'field.path: message' strings; empty means valid.
     Semantic validation (dimensions, definiteness, ...) happens in the
     builders.
     """
-    errors = []
-    if not isinstance(cfg, dict):
-        return ["<root>: configuration must be a JSON object"]
-    for key in cfg:
-        if key not in _TOP_LEVEL_KEYS:
-            _err(errors, key, "unknown section")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        _err(errors, "seed", "must be an integer")
-    system = cfg.get("system")
-    if system is not None:
-        if not isinstance(system, dict):
-            _err(errors, "system", "must be an object")
-        elif not ({"builtin", "linear"} & set(system)):
-            _err(errors, "system", "expected 'builtin' or 'linear'")
-        elif "builtin" in system and system["builtin"] not in ("example1", "example2"):
-            _err(errors, "system.builtin", f"unknown builtin {system['builtin']!r}")
-    storage = cfg.get("storage")
-    if storage is not None and isinstance(storage, dict):
-        if not ({"quadratic", "separable", "builtin"} & set(storage)):
-            _err(errors, "storage", "expected 'quadratic', 'separable' or 'builtin'")
-    cert = cfg.get("certificate")
-    if cert is not None:
-        if not isinstance(cert, dict):
-            _err(errors, "certificate", "must be an object")
-        else:
-            kind = cert.get("kind")
-            if kind not in ("internal", "external", "controller", "linear-brl"):
-                _err(errors, "certificate.kind",
-                     f"expected one of internal/external/controller/linear-brl, got {kind!r}")
-            dom = cert.get("domain")
-            if dom is not None:
-                if not isinstance(dom, dict) or "lo" not in dom or "hi" not in dom:
-                    _err(errors, "certificate.domain", "needs 'lo' and 'hi'")
-                elif len(dom["lo"]) != len(dom["hi"]):
-                    _err(errors, "certificate.domain", "'lo' and 'hi' lengths differ")
-            scheme = cert.get("scheme")
-            if scheme is not None:
-                mode = scheme.get("mode", "monte-carlo")
-                if mode not in ("monte-carlo", "closed-form"):
-                    _err(errors, "certificate.scheme.mode", f"unknown mode {mode!r}")
-                if "samples" in scheme and (not isinstance(scheme["samples"], int)
-                                            or scheme["samples"] < 1):
-                    _err(errors, "certificate.scheme.samples", "must be an integer >= 1")
-    ens = cfg.get("ensemble")
-    if ens is not None and isinstance(ens, dict):
-        for key in ("horizon", "count"):
-            if key in ens and (not isinstance(ens[key], int) or ens[key] < 1):
-                _err(errors, f"ensemble.{key}", "must be an integer >= 1")
-        dist = ens.get("disturbance")
-        if dist is not None and dist.get("kind") not in (
-                "decaying-sine", "white", "zero", "recorded", "impulse"):
-            _err(errors, "ensemble.disturbance.kind",
-                 f"unknown kind {dist.get('kind')!r}")
-    out = cfg.get("output")
-    if out is not None and isinstance(out, dict):
-        for fmt in out.get("formats", []):
-            if fmt not in ("csv", "svg"):
-                _err(errors, "output.formats", f"unknown format {fmt!r}")
-    return errors
+    return _violations(_schema(), cfg)
 
 
 def load_config(path):
@@ -142,9 +147,7 @@ def load_config(path):
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     errors = validate_config(cfg)
     if errors:
-        raise ConfigurationError(
-            "config schema violations:\n  " + "\n  ".join(errors)
-        )
+        raise ConfigurationError("config schema violations: " + "; ".join(errors))
     return cfg
 
 
@@ -162,10 +165,10 @@ def resolve_config(cfg, seed_override=None, out_override=None):
     cert = resolved.get("certificate")
     if cert is not None:
         scheme = cert.setdefault("scheme", {})
-        scheme.setdefault("mode", "monte-carlo")
+        scheme.setdefault("mode", ExpectationScheme.mode)
         if scheme["mode"] == "monte-carlo":
-            scheme.setdefault("samples", 10_000)
-            scheme.setdefault("antithetic", False)
+            scheme.setdefault("samples", ExpectationScheme.samples)
+            scheme.setdefault("antithetic", ExpectationScheme.antithetic)
     ens = resolved.get("ensemble")
     if ens is not None:
         ens.setdefault("horizon", 200)
@@ -183,14 +186,12 @@ def config_hash(resolved):
 
 
 def _scheme_from(cert_block, seed):
-    block = cert_block.get("scheme", {"mode": "monte-carlo"})
-    mode = block.get("mode", "monte-carlo")
-    return ExpectationScheme(
-        mode=mode,
-        samples=int(block.get("samples", 10_000)),
-        seed=derive_seed(seed, 0x5C0),
-        antithetic=bool(block.get("antithetic", False)),
-    )
+    """The ExpectationScheme of a certificate block; absent keys default."""
+    block = cert_block.get("scheme", {})
+    given = {key: cast(block[key]) for key, cast in
+             (("mode", str), ("samples", int), ("antithetic", bool))
+             if key in block}
+    return ExpectationScheme(seed=derive_seed(seed, 0x5C0), **given)
 
 
 def _gamma_sq_from(block):
@@ -264,11 +265,9 @@ class RunWriter:
         return report
 
 
-def _domain_from(cert_block, default=None):
+def _domain_from(cert_block):
     if "domain" in cert_block:
         return DomainBox.from_spec(cert_block["domain"])
-    if default is not None:
-        return default
     raise ConfigurationError("certificate.domain: required")
 
 
@@ -411,9 +410,9 @@ def cmd_simulate(resolved):
         else:
             policy_u = lambda x, k: np.zeros(system.n_u)  # noqa: E731
     x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
-    dist = ens_block.get("disturbance", {"kind": "zero"})
+    dist = ens_block["disturbance"]
     horizon = int(ens_block["horizon"])
-    count = int(ens_block.get("count", 1))
+    count = int(ens_block["count"])
     status = "consistent"
     t0 = time.perf_counter()
     for i in range(count):
@@ -650,6 +649,10 @@ def cmd_example(which, out_dir, seed, formats=None):
 
 # ---------------------------------------------------------------- main
 
+# --format value -> output.formats
+_FORMATS = {"csv": ["csv"], "svg": ["svg"], "both": ["csv", "svg"]}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sbrl",
@@ -665,7 +668,7 @@ def build_parser():
             p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--format", choices=["csv", "svg", "both"],
+        p.add_argument("--format", choices=_FORMATS,
                        default=None, help="output format override")
 
     common(sub.add_parser("certify", help="run the configured certificate check"))
@@ -678,27 +681,19 @@ def build_parser():
     return parser
 
 
-def _apply_overrides(resolved, args):
-    if args.format:
-        fmts = ["csv", "svg"] if args.format == "both" else [args.format]
-        resolved["output"]["formats"] = fmts
-    return resolved
-
-
 def main(argv=None):
     _setup_logging()
     args = build_parser().parse_args(argv)
+    formats = _FORMATS.get(args.format)
     try:
         if args.command == "example":
             out = args.out or f"example{args.which}_out"
-            formats = None
-            if args.format:
-                formats = ["csv", "svg"] if args.format == "both" else [args.format]
             return cmd_example(args.which, out, args.seed or 0, formats)
         cfg = load_config(args.config)
         resolved = resolve_config(cfg, seed_override=args.seed,
                                   out_override=args.out)
-        resolved = _apply_overrides(resolved, args)
+        if formats:
+            resolved["output"]["formats"] = formats
         if args.command == "certify":
             return cmd_certify(resolved)
         if args.command == "gain":

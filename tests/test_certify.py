@@ -286,6 +286,7 @@ def test_check_external_zero_system_any_gamma():
         assert cert.status == "certified"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_external_overflow_is_inconclusive():
     # at |x| = 1e200 the closed-form H1 overflows to inf - inf = NaN, and
     # every tolerance comparison with NaN is false
@@ -295,6 +296,27 @@ def test_check_external_overflow_is_inconclusive():
     cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, CF)
     assert cert.status == "inconclusive"
     assert math.isnan(cert.witness["margin"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_internal_overflow_is_inconclusive():
+    box = DomainBox((-1e200,), (1e200,), ("grid", 5))
+    cert = certify.check_internal(library.example1_system(),
+                                  library.example1_storage(4.0), 4.0, box, CF)
+    assert cert.status == "inconclusive"
+    assert math.isnan(cert.witness["margin"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_star_search_overflow_is_infeasible():
+    # a NaN H1 must not count as feasible, or the one finite point x = 0
+    # yields a "bound" of 0.0406, below the true gamma*^2 = 0.08
+    box = DomainBox((-1e200,), (1e200,), ("grid", 5))
+    candidates = [(p, library.example1_storage(p)) for p in (2.0, 4.0)]
+    res = certify.gamma_star_search(library.example1_system(), candidates,
+                                    [BETA1, 1.5], box, CF)
+    assert res.status == "infeasible"
+    assert res.feasible_count == 0
 
 
 def test_check_external_requires_convexity_claim():

@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbrl import cli
 
@@ -63,8 +71,29 @@ def test_schema_violation_reports_field_path(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert run(["certify", "--config", path]) == 2
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert "system.builtin" in err
     assert "certificate.kind" in err
+
+
+SCHEMA_VIOLATIONS = {
+    "scheme-not-object": ("certify", {"certificate": {"scheme": "mc"}},
+                          "certificate.scheme"),
+    "disturbance-not-object": ("gain", {"ensemble": {"disturbance": "white"}},
+                               "ensemble.disturbance"),
+    "key-with-line-break": ("certify", {"a\nb": 1}, "'a\\nb'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_VIOLATIONS))
+def test_schema_violation_exits_two_with_one_line(tmp_path, capsys, name):
+    command, cfg, field = SCHEMA_VIOLATIONS[name]
+    cfg = dict(cfg, output={"dir": str(tmp_path / "out")})
+    assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config schema violations: ")
+    assert len(err.splitlines()) == 1
+    assert f"{field}: " in err
 
 
 def test_gain_example1_consistent(tmp_path):
@@ -241,8 +270,6 @@ def test_rerun_with_emitted_resolved_config_reproduces(tmp_path):
 
 
 INTERNAL_FAILURES = {
-    "scheme-not-object": ("certify", {"certificate": {"scheme": "mc"}}),
-    "disturbance-not-object": ("gain", {"ensemble": {"disturbance": "white"}}),
     "ragged-P": ("linear-brl", {
         "system": {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
                               "C": [[0.5]], "D": [[0.0]]}},
@@ -265,18 +292,34 @@ def test_internal_failure_exits_two_with_one_line(tmp_path, capsys,
     assert err.startswith("error: ")
 
 
-def test_internal_failure_traceback_under_debug_log(tmp_path):
-    command, cfg = INTERNAL_FAILURES["scheme-not-object"]
+def run_process(args, log_level):
+    """Run the CLI in a fresh interpreter, so stderr shows every warning."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, SBRL_LOG="DEBUG",
+    env = dict(os.environ, SBRL_LOG=log_level,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sbrl.cli", command,
-         "--config", write_config(tmp_path, cfg)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "sbrl.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_internal_failure_traceback_under_debug_log(tmp_path):
+    command, cfg = INTERNAL_FAILURES["ragged-P"]
+    cfg = dict(cfg, output={"dir": str(tmp_path / "out")})
+    proc = run_process([command, "--config", write_config(tmp_path, cfg)],
+                       "DEBUG")
     assert proc.returncode == 2
     assert "Traceback" in proc.stderr
+
+
+def test_certify_overflow_box_is_inconclusive_without_warnings(tmp_path):
+    cfg = example1_external_config(tmp_path / "out")
+    cfg["certificate"]["domain"] = {"lo": [-1e200], "hi": [1e200], "grid": 5}
+    proc = run_process(["certify", "--config", write_config(tmp_path, cfg)],
+                       "WARNING")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "inconclusive"
 
 
 def test_config_hash_matches_resolved_config(tmp_path):
@@ -331,3 +374,122 @@ def test_svg_output_deterministic(tmp_path):
     line_plot(b, [("s", xs, ys)], title="t")
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("<svg")
+
+
+# ------------------------------------------------- exit-code contract
+
+SCALAR_LINEAR = {"A": [[0.5]], "A0": [[0.1]], "B": [[1.0]], "C": [[0.5]],
+                 "D": [[0.0]]}
+SMALL_CONFIGS = {
+    "certify": {
+        "seed": 1,
+        "system": {"builtin": "example1"},
+        "storage": {"builtin": "example1", "p": 4.0},
+        "certificate": {"kind": "external", "beta": 1.0 / 0.99, "gamma_sq": 0.1,
+                        "domain": {"lo": [-2.0], "hi": [2.0], "grid": 5},
+                        "scheme": {"mode": "closed-form"}},
+    },
+    "gain": {
+        "seed": 1,
+        "system": {"builtin": "example1"},
+        "ensemble": {"horizon": 5, "count": 3, "gamma_sq": 0.1,
+                     "disturbance": {"kind": "decaying-sine", "freqs": [0.3]}},
+    },
+    "simulate": {
+        "seed": 1,
+        "system": {"linear": SCALAR_LINEAR},
+        "ensemble": {"horizon": 5, "count": 2, "x0": [1.0],
+                     "disturbance": {"kind": "white", "std": 0.5}},
+    },
+    "linear-brl": {
+        "system": {"linear": SCALAR_LINEAR},
+        "certificate": {"kind": "linear-brl", "P": [[0.5]], "beta": 2.0,
+                        "gamma_sq": 2.0},
+    },
+}
+DELETE = object()
+# small enough that no mutated size can allocate much memory
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-3, 3)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def mutated(cfg, path, value):
+    """``cfg`` with the node at ``path`` deleted or replaced by ``value``."""
+    if not path:
+        return {} if value is DELETE else value
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def mutated_configs(draw, command):
+    base = SMALL_CONFIGS[command]
+    path = draw(st.sampled_from(list(node_paths(base))))
+    return mutated(base, path, draw(st.just(DELETE) | SMALL_JSON))
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_config_exits_zero_one_or_two(command, data):
+    # exit 1 means falsified/violated, so it must never come from a bad
+    # config; every failure is one stderr line and never a traceback
+    cfg = data.draw(mutated_configs(command))
+    records = _Records()
+    log = logging.getLogger("sbrl")
+    log.addHandler(records)
+    stderr = io.StringIO()
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+            report = out / "report.json"
+            status = json.loads(report.read_text())["status"] \
+                if report.exists() else None
+    finally:
+        log.removeHandler(records)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    lines = err.splitlines() + [str(w.message) for w in caught] \
+        + [r.getMessage() for r in records.records]
+    assert len(lines) <= 1, lines
+    if code == 1:
+        assert status in ("falsified", "violated")
