@@ -117,10 +117,10 @@ def expected_storage(V, system, x, scheme, scale=1.0, v=None) -> Estimate:
             return c0, cs
 
     def batch_fn(draws):
-        y = system.drift_batch(x, draws)
         if use_v:
-            y = y + system.gain_times_v_batch(x, np.asarray(v, dtype=float), draws)
-        return y
+            v_row = np.asarray(v, dtype=float)[None]
+            return system.transition(0, x[None], None, v_row, draws)
+        return system.drift(x[None], None, draws)
 
     return expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, scale)
 
@@ -136,8 +136,7 @@ def h0(V, system, x, scheme) -> Estimate:
     """Internal-stability functional: delta_0 V(x) + |m(x)|^2."""
     _require(system, AffineSystem)
     dv = delta_v(V, system, x, np.zeros(system.n_v), scheme)
-    m = np.atleast_1d(np.asarray(system.m(np.asarray(x, dtype=float)), dtype=float))
-    return Estimate(dv.value + float(m @ m), dv.std_error)
+    return Estimate(dv.value + _m_sq(system, x), dv.std_error)
 
 
 def h1(V, system, x, beta, scheme) -> Estimate:
@@ -146,16 +145,20 @@ def h1(V, system, x, beta, scheme) -> Estimate:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
     _require(system, AffineSystem)
     ev = expected_storage(V, system, x, scheme, scale=beta)
-    x = np.asarray(x, dtype=float)
-    m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
-    value = ev.value / beta - V.evaluate(x) + float(m @ m)
+    value = ev.value / beta - V.evaluate(x) + _m_sq(system, x)
     return Estimate(value, ev.std_error / beta)
 
 
+def _m_sq(system, x):
+    """|m(x)|^2 at one state."""
+    m = system.output_m(np.asarray(x, dtype=float)[None])[0]
+    return float(m @ m)
+
+
 def _m1_gram(system, x):
-    M1 = np.atleast_2d(np.asarray(system.m1(np.asarray(x, dtype=float)), dtype=float))
-    if M1.size == 0:
-        return np.zeros((system.n_v, system.n_v))
+    M1 = np.atleast_2d(np.asarray(system.m1(np.asarray(x, dtype=float)[None]),
+                                  dtype=float))
+    M1 = M1.reshape(M1.shape[-2:]) if M1.size else np.zeros((0, system.n_v))
     return M1.T @ M1
 
 
@@ -167,7 +170,7 @@ def _gram_estimate(system, x, P, scheme):
         G0, Gs = system.g_parts(np.asarray(x, dtype=float))
         return expected_gram(P, G0, Gs, system.noise), 0.0
     draws = system.noise.sample(scheme.seed, scheme.samples, scheme.antithetic)
-    gs = system.gain_batch(np.asarray(x, dtype=float), draws)
+    gs = system.gain(np.asarray(x, dtype=float)[None], draws)
     grams = np.einsum("kij,il,klm->kjm", gs, np.asarray(P, dtype=float), gs)
     mean = grams.mean(axis=0)
     n = grams.shape[0]
@@ -265,8 +268,8 @@ def _expected_gain_term(V, system, x, v, scale, scheme) -> Estimate:
         return Estimate(_closed_form_expectation(V, system.noise, c0, cs, scale))
 
     def integrand(draws):
-        y = system.gain_times_v_batch(x, np.asarray(v, dtype=float), draws)
-        return V.evaluate_batch(scale * y)
+        gv = system.gain(x[None], draws) @ np.asarray(v, dtype=float)[:, None]
+        return V.evaluate_batch(scale * gv[..., 0])
 
     return expect(system.noise, scheme, integrand)
 
@@ -301,9 +304,8 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
             sweep.add(vx - c2 * nx2, scale=max(abs(vx), c2 * nx2),
                       point=x, info={"inequality": "growth"})
             est = h0(V, system, x, _point_scheme(scheme, x))
-            m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
             sweep.add(est.value, std_error=est.std_error,
-                      scale=abs(est.value) + vx + float(m @ m),
+                      scale=abs(est.value) + vx + _m_sq(system, x),
                       point=x, info={"inequality": "H0"})
     notes = []
     force = False
@@ -354,10 +356,9 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
         for x in domain.points():
             pt_scheme = _point_scheme(scheme, x)
             est1 = h1(V, system, x, beta, pt_scheme)
-            m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
             h1_worst = max(h1_worst, est1.value)
             sweep.add(est1.value, std_error=est1.std_error,
-                      scale=abs(est1.value) + V.evaluate(x) + float(m @ m),
+                      scale=abs(est1.value) + V.evaluate(x) + _m_sq(system, x),
                       point=x, info={"inequality": "H1"})
             estg = g_beta(V, system, x, beta, pt_scheme, v_search)
             g_sup = max(g_sup, estg.value)
@@ -435,8 +436,8 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
                 ok = True
                 for x in points:
                     est = h1(V, system, x, beta, _point_scheme(scheme, x))
-                    m = np.atleast_1d(np.asarray(system.m(x), dtype=float))
-                    tol = base_tolerance(abs(est.value) + V.evaluate(x) + float(m @ m))
+                    tol = base_tolerance(abs(est.value) + V.evaluate(x)
+                                         + _m_sq(system, x))
                     if not est.value <= tol:  # a NaN H1 is not feasible
                         ok = False
                         break

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, certify, library, synth
-from .dynamics import simulate, trajectory_csv_rows
+from .dynamics import simulate, simulate_ensemble, trajectory_csv_rows
 from .errors import ConfigurationError, DivergenceError, ToolkitError
 from .noise import ExpectationScheme, derive_seed
 from .storage import DomainBox, check_convex
@@ -81,7 +81,9 @@ def _violations(schema, value, path=""):
     """Violations of ``value`` against a draft-07 subschema, as 'path: msg'.
 
     Interprets the keywords config_schema.json uses; the rest annotate,
-    but a failed ``oneOf`` quotes the ``description`` beside it.
+    but a failed ``oneOf`` quotes the ``description`` beside it.  A node
+    reports its ``oneOf`` only when its other keywords hold, so one fault
+    names one path.
     """
     where = path or "<root>"
     if isinstance(schema, bool):
@@ -99,11 +101,6 @@ def _violations(schema, value, path=""):
         errors.append(f"{where}: expected one of {schema['enum']}, got {value!r}")
     if "const" in schema and value != schema["const"]:
         errors.append(f"{where}: expected {schema['const']!r}, got {value!r}")
-    if "oneOf" in schema:
-        matched = sum(not _violations(alt, value, path) for alt in schema["oneOf"])
-        if matched != 1:
-            expected = schema.get("description", "exactly one alternative")
-            errors.append(f"{where}: expected {expected}, matched {matched}")
     if isinstance(value, dict):
         child = (path + ".").lstrip(".")
         errors += [f"{child}{key}: required"
@@ -126,6 +123,11 @@ def _violations(schema, value, path=""):
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             errors.append(
                 f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
+    if "oneOf" in schema and not errors:
+        matched = sum(not _violations(alt, value, path) for alt in schema["oneOf"])
+        if matched != 1:
+            expected = schema.get("description", "exactly one alternative")
+            errors.append(f"{where}: expected {expected}, matched {matched}")
     return errors
 
 
@@ -207,7 +209,7 @@ def _gamma_sq_from(block):
 class RunWriter:
     """Collects result artifacts and writes the run report."""
 
-    def __init__(self, out_dir, resolved):
+    def __init__(self, out_dir, resolved, started=None):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         # the emitted config describes the experiment, not its placement:
@@ -219,7 +221,8 @@ class RunWriter:
         self.gain_reports = []
         self.timings = {}
         self.extra = {}
-        self._t0 = time.perf_counter()
+        # total_s spans the command from ``started`` when it began earlier
+        self._t0 = time.perf_counter() if started is None else started
         self.write_json("resolved_config.json", self.resolved)
 
     def path(self, name):
@@ -404,28 +407,19 @@ def cmd_simulate(resolved):
         raise ConfigurationError("ensemble: required for 'simulate'")
     system, tier = _resolved_system(resolved)
     policy_u = None
-    if tier == "controlled":
-        if "law" in resolved:
-            policy_u = library.law_from_config(resolved["law"])
-        else:
-            policy_u = lambda x, k: np.zeros(system.n_u)  # noqa: E731
+    if tier == "controlled" and "law" in resolved:
+        policy_u = library.law_from_config(resolved["law"])
     x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
-    dist = ens_block["disturbance"]
-    horizon = int(ens_block["horizon"])
-    count = int(ens_block["count"])
+    ensemble = library.ensemble_from_config(ens_block["disturbance"], system.n_v)
     status = "consistent"
     t0 = time.perf_counter()
-    for i in range(count):
-        sub = derive_seed(seed, i)
-        policy = library.ensemble_from_config(dist, system.n_v) \
-            .make_policy(derive_seed(sub, 2))
-        try:
-            traj = simulate(system, x0, policy, horizon, derive_seed(sub, 1),
-                            policy_u=policy_u)
-        except DivergenceError as err:
-            traj = err.trajectory
-            status = f"divergence at step {err.step}"
-            log.warning("trajectory %d diverged at step %d", i, err.step)
+    results = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
+                                int(ens_block["count"]), seed, policy_u=policy_u)
+    for i, traj in enumerate(results):
+        if isinstance(traj, DivergenceError):
+            status = f"divergence at step {traj.step}"
+            log.warning("trajectory %d diverged at step %d", i, traj.step)
+            traj = traj.trajectory
         header, rows = trajectory_csv_rows(traj)
         writer.write_csv(f"trajectory_{i:03d}.csv", header, rows)
         if status != "consistent":
@@ -461,6 +455,7 @@ def _example1_defaults(seed, out_dir):
 
 
 def cmd_example1(out_dir, seed, formats=None):
+    t_start = time.perf_counter()
     resolved = _example1_defaults(seed, out_dir)
     if formats:
         resolved["output"]["formats"] = formats
@@ -477,13 +472,16 @@ def cmd_example1(out_dir, seed, formats=None):
         raise ToolkitError(f"gamma-star search failed: {search.notes}")
     gamma_star_sq = search.gamma_star_sq
     resolved["certificate"]["gamma_sq"] = gamma_star_sq
-    writer = RunWriter(out_dir, resolved)
+    # the emitted config needs gamma*^2, so the writer starts late
+    writer = RunWriter(out_dir, resolved, started=t_start)
     writer.timings["gamma_star_s"] = time.perf_counter() - t0
     writer.extra["gamma_star"] = search.to_dict()
 
     V = library.example1_storage(search.params)
+    t0 = time.perf_counter()
     cert = certify.check_external(
         system, V, search.beta, float(np.sqrt(gamma_star_sq)), domain, scheme)
+    writer.timings["certify_s"] = time.perf_counter() - t0
     writer.add_certificate(cert)
 
     ens_block = resolved["ensemble"]
@@ -597,7 +595,7 @@ def cmd_example2(out_dir, seed, formats=None):
     sub = derive_seed(seed, 0)
     policy = ensemble.make_policy(derive_seed(sub, 2))
     traj = simulate(loop, x0, policy, ens_block["horizon"], derive_seed(sub, 1))
-    us = np.array([law(x) for x in traj.states[:-1]])
+    us = law(traj.states[:-1])
     ks = list(range(traj.horizon))
     formats = resolved["output"]["formats"]
     if "csv" in formats:

@@ -7,11 +7,17 @@ systems x+ = A x + A0 x w + B v with z = (C x; D v) are affine systems
 built from their matrices.  A general time-varying tier
 x+ = F(k,x,u,v,w), z = m(k,x,u,v) covers everything else.
 
+Every map takes rows: X is (N, n), U (N, n_u), V (N, n_v) and W (N, n_w),
+where any argument may carry one row against N of the others (one state
+against N noise draws, or one row per simulated member).  A map returns
+rows, or any value that broadcasts to them, so ``g=lambda X, W: B`` is a
+constant gain.  Each tier exposes ``transition(k, X, U, V, W)`` and
+``output(k, X, U, V)``; the disturbance tiers also give the two halves
+``drift`` and ``gain`` that the certificate functionals need.
+
 Systems may optionally declare structure used by the exact expectation
-paths: ``f_parts(x) -> (F0, [F_d])`` meaning f(x,w) = F0 + sum_d F_d w_d,
-and similarly ``g_parts``.  Vectorised hooks ``f_batch(x, omegas)`` and
-``gv_batch(x, v, omegas)`` speed up Monte Carlo sweeps; row-wise fallbacks
-are used when they are absent.
+paths, per point: ``f_parts(x) -> (F0, [F_d])`` meaning
+f(x,w) = F0 + sum_d F_d w_d, and similarly ``g_parts``.
 """
 
 from dataclasses import dataclass, field
@@ -33,16 +39,38 @@ def _as_vec(x, n, what):
     return x
 
 
+def _rows(value, rows, shape, what):
+    """A map's return value broadcast to ``rows`` rows of ``shape``.
+
+    The result is a fresh array unless the map already returned full rows;
+    either way numpy may reuse it in place as a temporary.
+    """
+    value = np.asarray(value, dtype=float)
+    if value.shape == (rows, *shape):
+        return value
+    out = np.empty((rows, *shape))
+    try:
+        out[...] = value  # faster than np.broadcast_to for small maps
+    except ValueError:
+        raise ConfigurationError(
+            f"{what} returned shape {value.shape}, expected rows of {shape}"
+        ) from None
+    return out
+
+
 class GainChannelSystem:
     """Core shared by the affine and controlled tiers.
 
     Both are x+ = f(x,[u,]w) + g(x,w) v with z = (m(x[,u]); m1(x) v); this
-    class owns the disturbance channel (g, m1), the declared hooks, the
-    output block and the equilibrium spot check.
+    class owns the maps, the declared structure, the output block and the
+    equilibrium spot check.  ``n_u`` is 0 on the affine tier, whose maps
+    take no control argument.
     """
 
+    n_u = 0
+
     def __init__(self, n, n_v, f, g, m, m1, noise, *, f_parts=None,
-                 g_parts=None, f_batch=None, gv_batch=None, g_batch=None, name=""):
+                 g_parts=None, name=""):
         self.n = int(n)
         self.n_v = int(n_v)
         self.f = f
@@ -52,139 +80,107 @@ class GainChannelSystem:
         self.noise = noise
         self.f_parts = f_parts
         self.g_parts = g_parts
-        self.f_batch = f_batch
-        self.gv_batch = gv_batch
-        self.g_batch = g_batch
         self.name = name
-        zero = np.zeros(self.n)
-        u0 = self._origin_controls()
-        origin = ",".join(["0"] * (1 + len(u0)))
-        m0 = np.atleast_1d(np.asarray(m(zero, *u0), dtype=float))
-        self.n_m = m0.shape[0]
+        zero = np.zeros((1, self.n))
+        u0 = np.zeros((1, self.n_u))
+        origin = "0,0" if self.n_u else "0"
+        m0 = np.atleast_1d(np.asarray(m(*self._args(zero, u0)), dtype=float))
+        self.n_m = m0.shape[-1]
         m10 = np.atleast_2d(np.asarray(m1(zero), dtype=float))
         if m10.size == 0:
             m10 = m10.reshape(0, self.n_v)
-        if m10.shape[1] != self.n_v:
+        if m10.shape[-1] != self.n_v:
             raise ConfigurationError(
-                f"m1(0) has {m10.shape[1]} columns, expected n_v={self.n_v}"
+                f"m1(0) has {m10.shape[-1]} columns, expected n_v={self.n_v}"
             )
-        self.n_z = self.n_m + m10.shape[0]
+        self.n_z = self.n_m + m10.shape[-2]
         # Equilibrium is only required for the undriven system; controlled
         # drifts generally move the origin for u != 0.
         if np.any(np.abs(m0) > 1e-12):
             raise ConfigurationError(
                 f"m({origin}) != 0: origin is not an output equilibrium")
-        for w in noise.sample(_EQ_CHECK_SEED, 4):
-            fx = _as_vec(f(zero, *u0, w), self.n, f"f({origin},w)")
-            if np.any(np.abs(fx) > 1e-9):
-                raise ConfigurationError(
-                    f"f({origin},w) != 0 at a sampled noise point")
+        fx = self.drift(zero, u0, noise.sample(_EQ_CHECK_SEED, 4))
+        if np.any(np.abs(fx) > 1e-9):
+            raise ConfigurationError(
+                f"f({origin},w) != 0 at a sampled noise point")
 
-    def _origin_controls(self):
-        """Control arguments f and m take at the origin: none here."""
-        return ()
+    def _args(self, X, U):
+        return (X, U) if self.n_u else (X,)
 
-    def gain_times_v_batch(self, x, v, omegas):
-        if self.gv_batch is not None:
-            return np.asarray(self.gv_batch(x, v, omegas), dtype=float)
-        return np.stack(
-            [np.asarray(self.g(x, w), dtype=float) @ v for w in omegas]
-        )
+    def drift(self, X, U, W):
+        """f(X,[U,]W) as (N, n) rows."""
+        rows = max(len(X), len(W), 0 if U is None else len(U))
+        return _rows(self.f(*self._args(X, U), W), rows, (self.n,), "f")
 
-    def gain_batch(self, x, omegas):
-        if self.g_batch is not None:
-            return np.asarray(self.g_batch(x, omegas), dtype=float)
-        return np.stack([np.atleast_2d(np.asarray(self.g(x, w), dtype=float))
-                         for w in omegas])
+    def gain(self, X, W):
+        """g(X,W) as (N, n, n_v) rows."""
+        return _rows(self.g(X, W), max(len(X), len(W)), (self.n, self.n_v), "g")
 
-    def _output(self, x, u, v):
-        m = np.atleast_1d(np.asarray(self.m(x, *u), dtype=float))
-        m1v = np.atleast_2d(np.asarray(self.m1(x), dtype=float))
-        if m1v.size == 0:
-            return m
-        return np.concatenate([m, m1v @ v])
+    def transition(self, k, X, U, V, W):
+        """x+ = f(x,[u,]w) + g(x,w) v over rows; k is unused."""
+        return self.drift(X, U, W) + (self.gain(X, W) @ V[..., None])[..., 0]
 
-    def _step(self, x, u, v, omega):
-        x_next = _as_vec(self.f(x, *u, omega), self.n, "f(x,[u,]w)") + \
-            np.asarray(self.g(x, omega), dtype=float) @ v
-        return x_next, self._output(x, u, v)
+    def output_m(self, X, U=None):
+        """The undisturbed output block m(X[,U]) as (N, n_m) rows."""
+        rows = len(X) if U is None else max(len(X), len(U))
+        return _rows(self.m(*self._args(X, U)), rows, (self.n_m,), "m")
+
+    def output(self, k, X, U, V):
+        """z = (m(x[,u]); m1(x) v) over rows; k is unused."""
+        z = self.output_m(X, U)
+        if self.n_z == self.n_m:
+            return z
+        m1v = (np.asarray(self.m1(X), dtype=float) @ V[..., None])[..., 0]
+        rows = max(len(z), len(V))
+        return np.concatenate([_rows(z, rows, (self.n_m,), "m"),
+                               _rows(m1v, rows, (self.n_z - self.n_m,), "m1")],
+                              axis=1)
 
 
 class AffineSystem(GainChannelSystem):
     """Disturbance-driven tier: x+ = f(x,w) + g(x,w) v, z = (m(x); m1(x) v)."""
 
-    def drift_batch(self, x, omegas):
-        if self.f_batch is not None:
-            return np.asarray(self.f_batch(x, omegas), dtype=float)
-        return np.stack([_as_vec(self.f(x, w), self.n, "f") for w in omegas])
-
-    def output(self, x, v):
-        return self._output(x, (), v)
-
-    def step(self, x, v, omega):
-        x = _as_vec(x, self.n, "state")
-        v = _as_vec(v, self.n_v, "disturbance")
-        return self._step(x, (), v, omega)
-
 
 class ControlledSystem(GainChannelSystem):
     """Controlled tier: x+ = f(x,u,w) + g(x,w) v, z = (m(x,u); m1(x) v)."""
 
-    def __init__(self, n, n_u, n_v, f, g, m, m1, noise, **hooks):
+    def __init__(self, n, n_u, n_v, f, g, m, m1, noise, **parts):
         self.n_u = int(n_u)
-        super().__init__(n, n_v, f, g, m, m1, noise, **hooks)
-
-    def _origin_controls(self):
-        return (np.zeros(self.n_u),)
-
-    def output(self, x, u, v):
-        return self._output(x, (u,), v)
-
-    def step(self, x, u, v, omega):
-        x = _as_vec(x, self.n, "state")
-        u = _as_vec(u, self.n_u, "control")
-        v = _as_vec(v, self.n_v, "disturbance")
-        return self._step(x, (u,), v, omega)
+        super().__init__(n, n_v, f, g, m, m1, noise, **parts)
 
 
 class GeneralSystem:
     """General tier: x+ = F(k,x,u,v,w), z = m(k,x,u,v); k explicit."""
 
-    def __init__(self, n, n_u, n_v, F, m, noise, *, F_batch=None, name=""):
+    def __init__(self, n, n_u, n_v, F, m, noise, *, name=""):
         self.n = int(n)
         self.n_u = int(n_u)
         self.n_v = int(n_v)
         self.F = F
         self.m = m
         self.noise = noise
-        self.F_batch = F_batch
         self.name = name
-        zero = np.zeros(self.n)
-        zu, zv = np.zeros(self.n_u), np.zeros(self.n_v)
-        for w in noise.sample(_EQ_CHECK_SEED, 4):
-            fx = _as_vec(F(0, zero, zu, zv, w), self.n, "F(0,0,0,0,w)")
-            if np.any(np.abs(fx) > 1e-9):
-                raise ConfigurationError("F(k,0,0,0,w) != 0 at a sampled noise point")
-        self.n_z = np.atleast_1d(np.asarray(m(0, zero, zu, zv), dtype=float)).shape[0]
+        zero = np.zeros((1, self.n))
+        zu, zv = np.zeros((1, self.n_u)), np.zeros((1, self.n_v))
+        fx = self.transition(0, zero, zu, zv, noise.sample(_EQ_CHECK_SEED, 4))
+        if np.any(np.abs(fx) > 1e-9):
+            raise ConfigurationError("F(k,0,0,0,w) != 0 at a sampled noise point")
+        self.n_z = np.atleast_1d(np.asarray(m(0, zero, zu, zv), dtype=float)).shape[-1]
 
-    def transition_batch(self, k, x, u, v, omegas):
-        if self.F_batch is not None:
-            return np.asarray(self.F_batch(k, x, u, v, omegas), dtype=float)
-        return np.stack(
-            [_as_vec(self.F(k, x, u, v, w), self.n, "F") for w in omegas]
-        )
+    def transition(self, k, X, U, V, W):
+        rows = max(len(X), len(U), len(V), len(W))
+        return _rows(self.F(k, X, U, V, W), rows, (self.n,), "F")
 
-    def step(self, k, x, u, v, omega):
-        x_next = _as_vec(self.F(k, x, u, v, omega), self.n, "F(k,x,u,v,w)")
-        z = np.atleast_1d(np.asarray(self.m(k, x, u, v), dtype=float))
-        return x_next, z
+    def output(self, k, X, U, V):
+        rows = max(len(X), len(U), len(V))
+        return _rows(self.m(k, X, U, V), rows, (self.n_z,), "m")
 
 
 class LinearSystem(AffineSystem):
     """Linear tier x+ = A x + A0 x w + B v, z = (C x; D v), scalar noise.
 
-    An affine system whose f, g, m, m1 and exact-structure hooks are built
-    once from the matrices.
+    An affine system whose maps and exact structure are built once from
+    the matrices.
     """
 
     def __init__(self, A, A0, B, C, D, noise=None):
@@ -209,52 +205,42 @@ class LinearSystem(AffineSystem):
         if abs(noise.moment(0, 1)) > 1e-12 or abs(noise.moment(0, 2) - 1.0) > 1e-12:
             raise ConfigurationError("linear tier needs E[w]=0 and E[w^2]=1")
 
-        def f(x, w):
-            return A @ x + (A0 @ x) * float(np.atleast_1d(w)[0])
-
-        def f_parts(x):
-            return A @ x, [A0 @ x]
-
-        def f_batch(x, omegas):
-            return (A @ x)[None, :] + np.atleast_2d(omegas)[:, :1] * (A0 @ x)[None, :]
-
-        def gv_batch(x, v, omegas):
-            return np.broadcast_to(B @ v, (np.atleast_2d(omegas).shape[0], n)).copy()
+        def f(X, W):
+            # stacked mat-vecs: bit-equal to A @ x row by row
+            return (A @ X[..., None])[..., 0] + (A0 @ X[..., None])[..., 0] * W[:, :1]
 
         super().__init__(
             n, n_v,
             f=f,
-            g=lambda x, w: B,
-            m=lambda x: C @ x,
-            m1=lambda x: D,
+            g=lambda X, W: B,
+            m=lambda X: (C @ X[..., None])[..., 0],
+            m1=lambda X: D,
             noise=noise,
-            f_parts=f_parts,
+            f_parts=lambda x: (A @ x, [A0 @ x]),
             g_parts=lambda x: (B, [np.zeros_like(B)]),
-            f_batch=f_batch,
-            gv_batch=gv_batch,
-            g_batch=lambda x, omegas: np.broadcast_to(
-                B, (np.atleast_2d(omegas).shape[0],) + B.shape
-            ),
             name="linear",
         )
 
 
 class DisturbancePolicy:
-    """Disturbance signal: zero, recorded, state feedback, or an impulse."""
+    """Open-loop disturbance signal v_0, v_1, ...: zero, recorded or impulse.
 
-    def __init__(self, kind, fn, n_v, label=""):
+    ``sequence(K)`` is the (K, n_v) array of the first K values.
+    """
+
+    def __init__(self, kind, sequence, n_v, label=""):
         self.kind = kind
-        self._fn = fn
+        self.sequence = sequence
         self.n_v = n_v
         self.label = label or kind
 
-    def value(self, x, k):
-        return self._fn(x, k)
+    def value(self, k):
+        """v_k alone."""
+        return self.sequence(k + 1)[k]
 
     @staticmethod
     def zero(n_v):
-        z = np.zeros(n_v)
-        return DisturbancePolicy("zero", lambda x, k: z, n_v)
+        return DisturbancePolicy("zero", lambda K: np.zeros((K, n_v)), n_v)
 
     @staticmethod
     def recorded(values):
@@ -263,24 +249,25 @@ class DisturbancePolicy:
             raise ConfigurationError("recorded disturbance must have finite energy")
         n_v = values.shape[1]
 
-        def fn(x, k):
-            return values[k] if k < values.shape[0] else np.zeros(n_v)
+        def sequence(K):
+            out = np.zeros((K, n_v))
+            out[: values.shape[0]] = values[:K]
+            return out
 
-        return DisturbancePolicy("recorded", fn, n_v)
-
-    @staticmethod
-    def feedback(fn, n_v):
-        return DisturbancePolicy("state-feedback", lambda x, k: np.atleast_1d(fn(x, k)), n_v)
+        return DisturbancePolicy("recorded", sequence, n_v)
 
     @staticmethod
     def impulse(at_step, vector):
         vector = np.atleast_1d(np.asarray(vector, dtype=float))
-        zero = np.zeros_like(vector)
 
-        def fn(x, k):
-            return vector if k == at_step else zero
+        def sequence(K):
+            out = np.zeros((K, vector.shape[0]))
+            if 0 <= at_step < K:
+                out[at_step] = vector
+            return out
 
-        return DisturbancePolicy("impulse", fn, vector.shape[0], f"impulse@{at_step}")
+        return DisturbancePolicy("impulse", sequence, vector.shape[0],
+                                 f"impulse@{at_step}")
 
 
 class DisturbanceEnsemble:
@@ -314,10 +301,14 @@ class DisturbanceEnsemble:
             rng = np.random.default_rng(int(sub_seed))
             amp = rng.uniform(*amp_range)
 
-            def fn(x, k):
-                return amp * decay ** k * np.sin(freqs * k + phases)
+            def sequence(K):
+                # decay ** k stays a Python float (libm pow): numpy's
+                # array power differs from it in the last bit
+                envelope = np.array([amp * decay ** k for k in range(K)])
+                ks = np.arange(K, dtype=float)[:, None]
+                return envelope[:, None] * np.sin(freqs * ks + phases)
 
-            return DisturbancePolicy("decaying-sine", fn, n_v)
+            return DisturbancePolicy("decaying-sine", sequence, n_v)
 
         return DisturbanceEnsemble(
             "decaying-sine", factory, n_v,
@@ -331,14 +322,17 @@ class DisturbanceEnsemble:
 
         def factory(sub_seed):
             rng = np.random.default_rng(int(sub_seed))
-            draws = []
+            draws = np.empty((0, n_v))
 
-            def fn(x, k):
-                while len(draws) <= k:
-                    draws.append(std * rng.standard_normal(n_v))
-                return draws[k]
+            def sequence(K):
+                # one stream in step order, however the horizon grows
+                nonlocal draws
+                if K > draws.shape[0]:
+                    more = std * rng.standard_normal((K - draws.shape[0], n_v))
+                    draws = np.concatenate([draws, more])
+                return draws[:K]
 
-            return DisturbancePolicy("white", fn, n_v)
+            return DisturbancePolicy("white", sequence, n_v)
 
         return DisturbanceEnsemble(
             "white", factory, n_v, {"kind": "white", "std": std}
@@ -382,70 +376,97 @@ def energy_ratio(traj: Trajectory):
     return traj.total_output_energy() / denom
 
 
+def rollout(system, x0, policies, seeds, horizon, policy_u=None,
+            overflow=OVERFLOW_BOUND):
+    """Step one member per (policy, seed) pair, all members together.
+
+    Member i starts at x0 and is driven by ``policies[i]`` and the noise
+    drawn from ``seeds[i]``; rows never mix, so member i is the same for
+    any member count.  ``policy_u(X, k)`` must return one (n_u,) control
+    row per member.  Returns one Trajectory per member, or a
+    DivergenceError carrying the partial trajectory of a member whose
+    |x_k| exceeded ``overflow``; a diverged member stops being stepped.
+    """
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
+    if not system.n_u and policy_u is not None:
+        raise ConfigurationError("this tier takes no control input")
+    n, n_u, K, M = system.n, system.n_u, horizon, len(seeds)
+    x0 = _as_vec(x0, n, "x0")
+    if not M:
+        return []
+    vs = np.empty((M, K, system.n_v))
+    ws = np.empty((M, K, system.noise.dim))
+    for i, (policy, s) in enumerate(zip(policies, seeds)):
+        v = policy.sequence(K)
+        if v.shape != (K, system.n_v):
+            raise ConfigurationError(
+                f"v has shape {v.shape[1:]}, expected ({system.n_v},)")
+        vs[i] = v
+        ws[i] = system.noise.sample(s, K)
+    states = np.empty((M, K + 1, n))
+    outputs = np.empty((M, K, system.n_z))
+    us = np.empty((M, K, n_u)) if n_u else None
+    states[:, 0] = x0
+    X = states[:, 0].copy()
+    U = np.zeros((M, n_u))
+    live = np.ones(M, dtype=bool)
+    ends = np.full(M, K)
+    for k in range(K):
+        if policy_u is not None:
+            U = np.asarray(policy_u(X, k), dtype=float)
+            if U.shape != (M, n_u):  # no broadcasting: u must match the plant
+                raise ConfigurationError(
+                    f"u has shape {U.shape[1:]}, expected ({n_u},)")
+        if n_u:
+            us[:, k] = U
+        outputs[:, k] = system.output(k, X, U, vs[:, k])
+        X = system.transition(k, X, U, vs[:, k], ws[:, k])
+        states[:, k + 1] = X
+        with np.errstate(over="ignore"):
+            dead = live & (~np.isfinite(X).all(axis=1)
+                           | (np.linalg.norm(X, axis=1) > overflow))
+        if dead.any():
+            ends[dead] = k + 1
+            live &= ~dead
+            X = np.where(live[:, None], X, 0.0)  # keep dead rows finite
+    results = []
+    for i in range(M):
+        end = int(ends[i])
+        out, v = outputs[i, :end], vs[i, :end]
+        traj = Trajectory(
+            states=states[i, : end + 1],
+            outputs=out,
+            disturbances=v,
+            controls=us[i, :end] if n_u else None,
+            z_sq=np.einsum("ij,ij->i", out, out),
+            v_sq=np.einsum("ij,ij->i", v, v),
+            seed=int(seeds[i]),
+        )
+        if live[i]:
+            results.append(traj)
+        else:
+            results.append(DivergenceError(
+                f"state overflow at step {end}", step=end, trajectory=traj))
+    return results
+
+
 def simulate(system, x0, policy_v, horizon, seed, policy_u=None,
              overflow=OVERFLOW_BOUND):
     """Roll the system forward ``horizon`` steps under seeded noise.
 
-    ``policy_u`` is a callable u(x, k) (or None for the disturbance-only
-    tiers); ``policy_v`` a DisturbancePolicy.  Raises DivergenceError with
-    the partial trajectory when |x_k| exceeds ``overflow``.
+    ``policy_u`` is a feedback u(X, k) over rows, zero when None on the
+    controlled tiers and not allowed on the affine tier; ``policy_v`` a
+    DisturbancePolicy, zero when None.  Raises DivergenceError with the
+    partial trajectory when |x_k| exceeds ``overflow``.
     """
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    controlled = isinstance(system, (ControlledSystem, GeneralSystem))
-    if controlled and policy_u is None:
-        policy_u = lambda x, k: np.zeros(system.n_u)  # noqa: E731
-    if not controlled and policy_u is not None:
-        raise ConfigurationError("this tier takes no control input")
     if policy_v is None:
         policy_v = DisturbancePolicy.zero(system.n_v)
-
-    x = _as_vec(x0, system.n, "x0")
-    draws = system.noise.sample(seed, horizon)
-    states = np.empty((horizon + 1, system.n))
-    outputs = np.empty((horizon, system.n_z))
-    vs = np.empty((horizon, system.n_v))
-    us = np.empty((horizon, system.n_u)) if controlled else None
-    states[0] = x
-
-    for k in range(horizon):
-        v = _as_vec(policy_v.value(x, k), system.n_v, "v")
-        vs[k] = v
-        if isinstance(system, GeneralSystem):
-            u = _as_vec(policy_u(x, k), system.n_u, "u")
-            us[k] = u
-            x, z = system.step(k, x, u, v, draws[k])
-        elif isinstance(system, ControlledSystem):
-            u = _as_vec(policy_u(x, k), system.n_u, "u")
-            us[k] = u
-            x, z = system.step(x, u, v, draws[k])
-        else:
-            x, z = system.step(x, v, draws[k])
-        outputs[k] = z
-        states[k + 1] = x
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > overflow:
-            partial = Trajectory(
-                states=states[: k + 2].copy(),
-                outputs=outputs[: k + 1].copy(),
-                disturbances=vs[: k + 1].copy(),
-                controls=us[: k + 1].copy() if us is not None else None,
-                z_sq=np.einsum("ij,ij->i", outputs[: k + 1], outputs[: k + 1]),
-                v_sq=np.einsum("ij,ij->i", vs[: k + 1], vs[: k + 1]),
-                seed=int(seed),
-            )
-            raise DivergenceError(
-                f"state overflow at step {k + 1}", step=k + 1, trajectory=partial
-            )
-
-    return Trajectory(
-        states=states,
-        outputs=outputs,
-        disturbances=vs,
-        controls=us,
-        z_sq=np.einsum("ij,ij->i", outputs, outputs),
-        v_sq=np.einsum("ij,ij->i", vs, vs),
-        seed=int(seed),
-    )
+    (result,) = rollout(system, x0, [policy_v], [seed], horizon, policy_u,
+                        overflow)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 def simulate_ensemble(system, x0, ensemble, horizon, count, seed,
@@ -455,18 +476,10 @@ def simulate_ensemble(system, x0, ensemble, horizon, count, seed,
     Member i depends only on (seed, i).  Divergent members are returned as
     DivergenceError entries instead of trajectories.
     """
-    results = []
-    for i in range(count):
-        sub = derive_seed(seed, i)
-        policy = ensemble.make_policy(derive_seed(sub, 2))
-        try:
-            results.append(simulate(
-                system, x0, policy, horizon, derive_seed(sub, 1),
-                policy_u=policy_u, overflow=overflow,
-            ))
-        except DivergenceError as err:
-            results.append(err)
-    return results
+    subs = [derive_seed(seed, i) for i in range(count)]
+    policies = [ensemble.make_policy(derive_seed(sub, 2)) for sub in subs]
+    return rollout(system, x0, policies, [derive_seed(sub, 1) for sub in subs],
+                   horizon, policy_u, overflow)
 
 
 @dataclass

@@ -11,8 +11,8 @@ Two nonlinear benchmarks ship with the toolkit:
   gain matrix feeding states 1 and 3, a mixed quadratic/quartic separable
   storage V = p1 x1^2 + p2 x2^4 + p3 x3^2 and an explicit stabilising law.
 
-Both declare affine-in-noise structure and vectorised evaluators, so the
-exact expectation paths and fast Monte Carlo sweeps apply.  The linear
+Both write each map once over rows and declare their affine-in-noise
+structure, so the exact expectation paths apply.  The linear
 tier is built directly from config matrices.
 """
 
@@ -40,27 +40,19 @@ def example1_system(a=0.99, b=0.01, c=0.2, c1=0.2, noise=None) -> AffineSystem:
         raise ConfigurationError("example1 requires |a| < 1")
     noise = noise if noise is not None else gaussian_noise(0.0, 1.0, 1)
 
-    def f(x, w):
-        return np.array([a * x[0]])
-
-    def g(x, w):
-        return np.array([[b * np.cos(x[0]) * np.atleast_1d(w)[0]]])
+    def g(X, W):
+        return (b * np.cos(X[:, 0]) * W[:, 0])[:, None, None]
 
     return AffineSystem(
         1, 1,
-        f=f, g=g,
-        m=lambda x: np.array([c * x[0]]),
-        m1=lambda x: np.array([[c1]]),
+        f=lambda X, W: a * X,
+        g=g,
+        m=lambda X: c * X,
+        m1=lambda X: np.array([[c1]]),
         noise=noise,
         f_parts=lambda x: (np.array([a * x[0]]), [np.zeros(1)]),
         g_parts=lambda x: (np.zeros((1, 1)),
                            [np.array([[b * np.cos(x[0])]])]),
-        f_batch=lambda x, omegas: np.full((np.atleast_2d(omegas).shape[0], 1),
-                                          a * x[0]),
-        gv_batch=lambda x, v, omegas: (b * np.cos(x[0]) * v[0])
-        * np.atleast_2d(omegas)[:, :1],
-        g_batch=lambda x, omegas: (b * np.cos(x[0]))
-        * np.atleast_2d(omegas)[:, :1, None],
         name="example1",
     )
 
@@ -100,56 +92,43 @@ def _saturation(t):
 def example2_plant() -> ControlledSystem:
     """Three-state controlled benchmark driven by five uniform coefficients."""
 
-    def f(x, u, w):
-        w = np.asarray(w, dtype=float)
-        s3 = _saturation(x[2])
-        return np.array([
-            w[0] * x[0] + w[1] * x[1] ** 2 + u[0],
-            w[2] * x[1] + w[3] * s3 + u[1],
-            w[4] * x[2] * np.cos(x[1]) + u[0],
-        ])
+    def f(X, U, W):
+        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        # columns written in place: a 1e5-draw sweep holds one (N, 3) block
+        out = np.empty((max(len(X), len(U), len(W)), 3))
+        out[:, 0] = W[:, 0] * x1 + W[:, 1] * x2 ** 2 + U[:, 0]
+        out[:, 1] = W[:, 2] * x2 + W[:, 3] * _saturation(x3) + U[:, 1]
+        out[:, 2] = W[:, 4] * x3 * np.cos(x2) + U[:, 0]
+        return out
 
     def f_parts(x, u):
         s3 = _saturation(x[2])
         F0 = np.array([u[0], u[1], u[0]])
         return F0, [
             np.array([x[0], 0.0, 0.0]),
-            np.array([x[1] ** 2, 0.0, 0.0]),
+            np.array([x[1] * x[1], 0.0, 0.0]),
             np.array([0.0, x[1], 0.0]),
             np.array([0.0, s3, 0.0]),
             np.array([0.0, 0.0, x[2] * np.cos(x[1])]),
         ]
 
-    def f_batch(x, u, omegas):
-        omegas = np.atleast_2d(omegas)
-        s3 = _saturation(x[2])
-        out = np.empty((omegas.shape[0], 3))
-        out[:, 0] = omegas[:, 0] * x[0] + omegas[:, 1] * x[1] ** 2 + u[0]
-        out[:, 1] = omegas[:, 2] * x[1] + omegas[:, 3] * s3 + u[1]
-        out[:, 2] = omegas[:, 4] * x[2] * np.cos(x[1]) + u[0]
-        return out
-
-    def m(x, u):
-        return np.array([
-            0.1 * x[0] + 0.1 * x[2] * np.cos(x[1]),
-            x[1] ** 2 / 7.0,
-            u[0],
-        ])
+    def m(X, U):
+        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        return np.stack([
+            0.1 * x1 + 0.1 * x3 * np.cos(x2),
+            x2 ** 2 / 7.0,
+            U[:, 0],
+        ], axis=-1)
 
     return ControlledSystem(
         3, 2, 2,
         f=f,
-        g=lambda x, w: _E2_G,
+        g=lambda X, W: _E2_G,
         m=m,
-        m1=lambda x: np.zeros((0, 2)),
+        m1=lambda X: np.zeros((0, 2)),
         noise=_E2_NOISE,
         f_parts=f_parts,
         g_parts=lambda x: (_E2_G, [np.zeros((3, 2))] * 5),
-        f_batch=f_batch,
-        gv_batch=lambda x, v, omegas: np.broadcast_to(
-            _E2_G @ v, (np.atleast_2d(omegas).shape[0], 3)).copy(),
-        g_batch=lambda x, omegas: np.broadcast_to(
-            _E2_G, (np.atleast_2d(omegas).shape[0], 3, 2)),
         name="example2",
     )
 
@@ -169,11 +148,12 @@ def example2_law(beta=EXAMPLE2_BETA, p=EXAMPLE2_P) -> FeedbackLaw:
     b3p = beta ** 3 * p
     coef = b3p / (4.0 * b3p + 2.0)
 
-    def fn(x, k):
-        return np.array([
-            -coef * (x[0] + x[2] * np.cos(x[1])),
-            -0.5 * (x[1] + _saturation(x[2])),
-        ])
+    def fn(X, k):
+        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        return np.stack([
+            -coef * (x1 + x3 * np.cos(x2)),
+            -0.5 * (x2 + _saturation(x3)),
+        ], axis=-1)
 
     return FeedbackLaw(fn, 2, kind="builtin-example2",
                        spec={"kind": "builtin-example2",

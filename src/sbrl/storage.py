@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, MarginSweep
-from .dynamics import DisturbancePolicy, simulate
-from .errors import ConfigurationError, EvaluationError
+from .dynamics import DisturbancePolicy, rollout
+from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .noise import derive_seed, hash_point
 
 NEAR_ZERO_RADIUS = 1e-9
@@ -266,17 +266,16 @@ class EstimatedStorage(StorageFunction):
         sub = derive_seed(self.seed, hash_point(x))
         K = self.horizon
         zero_v = DisturbancePolicy.zero(self.system.n_v)
-        totals = np.empty(self.ensemble)
-        profile = np.zeros(K + 1)
-        for i in range(self.ensemble):
-            traj = simulate(self.system, x, zero_v, K, derive_seed(sub, i))
-            m_sq = np.array(
-                [float(np.sum(np.atleast_1d(self.system.m(s)) ** 2))
-                 for s in traj.states]
-            )
-            totals[i] = m_sq.sum()
-            profile += m_sq
-        profile /= self.ensemble
+        runs = rollout(self.system, x, [zero_v] * self.ensemble,
+                       [derive_seed(sub, i) for i in range(self.ensemble)], K)
+        for run in runs:
+            if isinstance(run, DivergenceError):
+                raise run
+        states = np.stack([run.states for run in runs])
+        m = self.system.output_m(states.reshape(-1, self.system.n))
+        m_sq = np.sum(m * m, axis=1).reshape(self.ensemble, K + 1)
+        totals = m_sq.sum(axis=1)
+        profile = m_sq.sum(axis=0) / self.ensemble
         value = float(totals.mean())
         se = 0.0 if self.ensemble < 2 else float(totals.std(ddof=1) / np.sqrt(self.ensemble))
         total = profile.sum()

@@ -28,7 +28,10 @@ from .storage import DomainBox, StorageFunction
 
 
 class FeedbackLaw:
-    """State-feedback map u = alpha(x, k); time invariant unless k is used."""
+    """State-feedback map u = alpha(x, k); time invariant unless k is used.
+
+    ``law(X, k)`` maps (N, n) states to (N, n_u) controls.
+    """
 
     def __init__(self, fn, n_u, kind="custom", spec=None):
         self._fn = fn
@@ -36,9 +39,10 @@ class FeedbackLaw:
         self.kind = kind
         self._spec = spec or {"kind": kind}
 
-    def __call__(self, x, k=0):
-        return np.atleast_1d(np.asarray(self._fn(np.asarray(x, dtype=float), k),
-                                        dtype=float))
+    def __call__(self, X, k=0):
+        X = np.asarray(X, dtype=float)
+        return np.broadcast_to(np.asarray(self._fn(X, k), dtype=float),
+                               (len(X), self.n_u))
 
     def spec(self):
         return dict(self._spec)
@@ -46,54 +50,43 @@ class FeedbackLaw:
     @staticmethod
     def zero(n_u):
         z = np.zeros(n_u)
-        return FeedbackLaw(lambda x, k: z, n_u, kind="zero")
+        return FeedbackLaw(lambda X, k: z, n_u, kind="zero")
 
     @staticmethod
     def linear_gain(K):
         K = np.atleast_2d(np.asarray(K, dtype=float))
-        return FeedbackLaw(lambda x, k: K @ x, K.shape[0], kind="linear-gain",
+        return FeedbackLaw(lambda X, k: (K @ X[..., None])[..., 0], K.shape[0],
+                           kind="linear-gain",
                            spec={"kind": "linear-gain", "K": K.tolist()})
 
     @staticmethod
     def custom(fn, n_u, label="custom"):
-        return FeedbackLaw(lambda x, k: fn(x), n_u, kind=label)
+        return FeedbackLaw(lambda X, k: fn(X), n_u, kind=label)
 
 
 def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
     """Fold u = alpha(x) into the plant, yielding the disturbance-driven loop."""
     if not isinstance(plant, ControlledSystem):
         raise ConfigurationError("closed_loop needs a controlled-tier plant")
-    u0 = law(np.zeros(plant.n))
-    if u0.shape != (plant.n_u,):
+    if law.n_u != plant.n_u:
         raise ConfigurationError(
-            f"law returns shape {u0.shape}, plant expects ({plant.n_u},)"
+            f"law returns {law.n_u} controls, plant expects {plant.n_u}"
         )
-
-    def alpha(x):
-        return law(x, 0)
 
     f_parts = None
     if plant.f_parts is not None:
         def f_parts(x):
-            return plant.f_parts(x, alpha(x))
-
-    f_batch = None
-    if plant.f_batch is not None:
-        def f_batch(x, omegas):
-            return plant.f_batch(x, alpha(x), omegas)
+            return plant.f_parts(x, law(x[None])[0])
 
     return AffineSystem(
         plant.n, plant.n_v,
-        f=lambda x, w: plant.f(x, alpha(x), w),
+        f=lambda X, W: plant.f(X, law(X), W),
         g=plant.g,
-        m=lambda x: plant.m(x, alpha(x)),
+        m=lambda X: plant.m(X, law(X)),
         m1=plant.m1,
         noise=plant.noise,
         f_parts=f_parts,
         g_parts=plant.g_parts,
-        f_batch=f_batch,
-        gv_batch=plant.gv_batch,
-        g_batch=plant.g_batch,
         name=f"{plant.name or 'plant'}<{law.kind}>",
     )
 
@@ -113,13 +106,10 @@ def h_design(V, plant: ControlledSystem, x, u, beta, scheme) -> Estimate:
                     [np.asarray(c, dtype=float) for c in Fs])
 
     def batch_fn(draws):
-        if plant.f_batch is not None:
-            return np.asarray(plant.f_batch(x, u, draws), dtype=float)
-        return np.stack([np.asarray(plant.f(x, u, w), dtype=float)
-                         for w in draws])
+        return plant.drift(x[None], u[None], draws)
 
     ev = expected_value_of(V, plant.noise, scheme, parts_fn, batch_fn, scale=beta)
-    m = np.atleast_1d(np.asarray(plant.m(x, u), dtype=float))
+    m = plant.output_m(x[None], u[None])[0]
     return Estimate(ev.value / beta - V.evaluate(x) + float(m @ m),
                     ev.std_error / beta)
 
@@ -215,7 +205,7 @@ def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
     v = np.atleast_1d(np.asarray(v, dtype=float))
 
     def integrand(draws):
-        return Vk1.evaluate_batch(plant.transition_batch(k, x, u, v, draws))
+        return Vk1.evaluate_batch(plant.transition(k, x[None], u[None], v[None], draws))
 
     if scheme.mode == "closed-form":
         raise ConfigurationError(
@@ -223,7 +213,7 @@ def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
             "(a point-mass noise model makes it exact)"
         )
     ev = expect(plant.noise, scheme, integrand)
-    z = np.atleast_1d(np.asarray(plant.m(k, x, u, v), dtype=float))
+    z = plant.output(k, x[None], u[None], v[None])[0]
     return Estimate(ev.value - Vk.evaluate(x) + float(z @ z), ev.std_error)
 
 

@@ -192,8 +192,8 @@ def test_criterion_10_oracle_agreement_suite():
 def test_criterion_11_taylor_worked_instance():
     plant = GeneralSystem(
         1, 1, 1,
-        F=lambda k, x, u, v, w: np.array([0.5 * x[0] + u[0] + v[0]]),
-        m=lambda k, x, u, v: np.array([u[0]]),
+        F=lambda k, X, U, V, W: 0.5 * X + U + V,
+        m=lambda k, X, U, V: U,
         noise=point_mass_noise(0.0, 1),
     )
     V = QuadraticStorage([[1.0]])

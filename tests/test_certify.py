@@ -17,10 +17,10 @@ BETA1 = 1.0 / 0.99
 def unstable_scalar(a=1.1, c=0.0):
     return AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([a * x[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.array([c * x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: a * X,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: c * X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x: (np.array([a * x[0]]), [np.zeros(1)]),
         g_parts=lambda x: (np.zeros((1, 1)), [np.zeros((1, 1))]),
@@ -30,10 +30,10 @@ def unstable_scalar(a=1.1, c=0.0):
 def zero_system():
     return AffineSystem(
         1, 1,
-        f=lambda x, w: np.zeros(1),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.zeros(1),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: np.zeros(1),
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: np.zeros(1),
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x: (np.zeros(1), [np.zeros(1)]),
         g_parts=lambda x: (np.zeros((1, 1)), [np.zeros((1, 1))]),
@@ -170,10 +170,10 @@ def test_g0_quadratic_against_sphere_oracle():
     M1 = rng.normal(size=(2, 2))
     sys_b = AffineSystem(
         3, 2,
-        f=lambda x, w: 0.5 * x,
-        g=lambda x, w: B,
-        m=lambda x: x[:1],
-        m1=lambda x: M1,
+        f=lambda X, W: 0.5 * X,
+        g=lambda X, W: B,
+        m=lambda X: X[:, :1],
+        m1=lambda X: M1,
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x: (0.5 * x, [np.zeros(3)]),
         g_parts=lambda x: (B, [np.zeros((3, 2))]),
@@ -190,10 +190,10 @@ def test_g0_quadratic_against_sphere_oracle():
 def test_g0_scalar_and_zero_storage():
     sys_b = AffineSystem(
         1, 1,
-        f=lambda x, w: 0.5 * x,
-        g=lambda x, w: np.array([[1.0]]),
-        m=lambda x: x,
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: 0.5 * X,
+        g=lambda X, W: np.array([[1.0]]),
+        m=lambda X: X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
     )
@@ -209,10 +209,10 @@ def test_g0_scalar_and_zero_storage():
 def test_g0_rejects_unknown_v_search():
     sys_b = AffineSystem(
         1, 1,
-        f=lambda x, w: 0.5 * x,
-        g=lambda x, w: np.array([[1.0]]),
-        m=lambda x: x,
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: 0.5 * X,
+        g=lambda X, W: np.array([[1.0]]),
+        m=lambda X: X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
     )

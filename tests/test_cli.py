@@ -164,6 +164,24 @@ def test_simulate_example2_open_loop_row_count(tmp_path):
     assert len(lines) == 14
 
 
+def test_simulate_law_with_wrong_control_count_exits_two(tmp_path, capsys,
+                                                         monkeypatch):
+    # a one-row gain on the two-input plant must not broadcast u1 onto u2
+    monkeypatch.delenv("SBRL_LOG", raising=False)
+    cfg = {
+        "seed": 2,
+        "system": {"builtin": "example2"},
+        "law": {"linear_gain": {"K": [[-0.1, 0.0, 0.0]]}},
+        "ensemble": {"horizon": 12, "count": 2, "x0": [1.0, 1.0, 0.5],
+                     "disturbance": {"kind": "zero"}},
+        "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
+    }
+    assert run(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "u " in err[0]
+    assert not list((tmp_path / "out").glob("trajectory_*.csv"))
+
+
 def test_simulate_divergence_partial_csv_exit_two(tmp_path):
     cfg = {
         "seed": 1,
@@ -214,6 +232,10 @@ def test_example_one_summary(tmp_path):
     assert summary["certificate_status"] == "certified"
     assert (out / "example1_series.csv").exists()
     assert (out / "example1_series.svg").exists()
+    # total_s spans the whole command, search and external check included
+    timings = json.loads((out / "report.json").read_text())["timings"]
+    assert timings["total_s"] >= (timings["gamma_star_s"] + timings["certify_s"]
+                                  + timings["gain_s"])
 
 
 def test_example_two_summary(tmp_path):

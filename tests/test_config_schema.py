@@ -90,6 +90,24 @@ PROBES = {
                                "ensemble.disturbance"),
     "disturbance-unknown-kind": (edit("ensemble.disturbance", {"kind": "pink"}),
                                  "ensemble.disturbance.kind"),
+    "disturbance-without-kind": (edit("ensemble.disturbance.kind", ...),
+                                 "ensemble.disturbance.kind"),
+    "impulse-without-step": (
+        edit("ensemble.disturbance", {"kind": "impulse", "vector": [1.0]}),
+        "ensemble.disturbance"),
+    "impulse-without-vector": (
+        edit("ensemble.disturbance", {"kind": "impulse", "step": 2}),
+        "ensemble.disturbance"),
+    "impulse-complete": (
+        edit("ensemble.disturbance", {"kind": "impulse", "step": 2, "vector": [1.0]}),
+        None),
+    "recorded-without-values": (edit("ensemble.disturbance", {"kind": "recorded"}),
+                                "ensemble.disturbance"),
+    "recorded-complete": (
+        edit("ensemble.disturbance", {"kind": "recorded", "values": [[1.0]]}), None),
+    "law-two-forms": (dict(BASE, law={"builtin": "example2", "zero": 2}), "law"),
+    "law-empty": (dict(BASE, law={}), "law"),
+    "law-linear-gain": (dict(BASE, law={"linear_gain": {"K": [[-0.5]]}}), None),
     "count-boolean": (edit("ensemble.count", True), "ensemble.count"),
     "horizon-zero": (edit("ensemble.horizon", 0), "ensemble.horizon"),
     "format-unknown": (edit("output.formats", ["pdf"]), "output.formats[0]"),

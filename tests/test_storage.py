@@ -15,10 +15,10 @@ from sbrl.storage import (CustomStorage, DomainBox, QuadraticStorage,
 def scalar_output_system(a=0.99, c=0.2, noise=None):
     return AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([a * x[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.array([c * x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: a * X,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: c * X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=noise if noise is not None else point_mass_noise(0.0, 1),
     )
 
@@ -182,10 +182,10 @@ def test_construct_storage_matches_geometric_series():
 def test_construct_storage_zero_output_and_origin():
     sys_z = AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([0.5 * x[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.zeros(1),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: 0.5 * X,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: np.zeros(1),
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
     Vhat = construct_storage(sys_z, horizon=50, ensemble=2, seed=1)
@@ -199,10 +199,10 @@ def test_constructed_storage_dominates_output_square():
     noise = NoiseModel((Rademacher(),))
     sys_r = AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([(0.6 + 0.2 * w[0]) * x[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.array([0.5 * x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: (0.6 + 0.2 * W) * X,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: 0.5 * X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=noise,
     )
     Vhat = construct_storage(sys_r, horizon=80, ensemble=16, seed=5)
@@ -214,10 +214,10 @@ def test_constructed_storage_dominates_output_square():
 def test_constructed_storage_tail_diagnostic_flags_instability():
     sys_u = AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([1.05 * x[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.array([x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: 1.05 * X,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
     probe = construct_storage(sys_u, horizon=100, ensemble=1, seed=2).probe([1.0])
@@ -230,15 +230,15 @@ def test_constructed_storage_convex_for_h_convex_outputs():
     noise = NoiseModel((Rademacher(),))
     sys_r = AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([(0.6 + 0.3 * w[0]) * x[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x: np.array([0.5 * x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: (0.6 + 0.3 * W) * X,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: 0.5 * X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=noise,
     )
     box = DomainBox((-2.0,), (2.0,))
     for w in (-1.0, 1.0):
-        cert = check_h_convex(lambda x: sys_r.m(sys_r.f(x, np.array([w]))),
+        cert = check_h_convex(lambda x: sys_r.m(sys_r.f(x[None], np.array([[w]])))[0],
                               box, pairs=32, seed=2)
         assert cert.status == "certified"
     Vhat = construct_storage(sys_r, horizon=60, ensemble=128, seed=9)

@@ -19,8 +19,8 @@ def deterministic_general_plant():
     """x+ = 0.5 x + u + v with z = u; noise enters nowhere."""
     return GeneralSystem(
         1, 1, 1,
-        F=lambda k, x, u, v, w: np.array([0.5 * x[0] + u[0] + v[0]]),
-        m=lambda k, x, u, v: np.array([u[0]]),
+        F=lambda k, X, U, V, W: 0.5 * X + U + V,
+        m=lambda k, X, U, V: U,
         noise=point_mass_noise(0.0, 1),
     )
 
@@ -29,10 +29,10 @@ def integrator_plant():
     """x+ = x + u with z = (x; u); disturbance channel absent."""
     return ControlledSystem(
         1, 1, 1,
-        f=lambda x, u, w: np.array([x[0] + u[0]]),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x, u: np.array([x[0], u[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, U, W: X + U,
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X, U: np.concatenate([X, U], axis=1),
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x, u: (np.array([x[0] + u[0]]), [np.zeros(1)]),
     )
@@ -60,16 +60,19 @@ def test_zero_law_reproduces_open_loop():
     loop = synth.closed_loop(plant, synth.FeedbackLaw.zero(2))
     x = np.array([0.7, -1.2, 0.4])
     v = np.array([0.3, -0.1])
-    w = plant.noise.sample(5, 1)[0]
-    x_open, z_open = plant.step(x, np.zeros(2), v, w)
-    x_loop, z_loop = loop.step(x, v, w)
+    X, V, W = x[None], v[None], plant.noise.sample(5, 1)
+    U = np.zeros((1, 2))
+    x_open = plant.transition(0, X, U, V, W)
+    z_open = plant.output(0, X, U, V)
+    x_loop = loop.transition(0, X, None, V, W)
+    z_loop = loop.output(0, X, None, V)
     assert np.allclose(x_open, x_loop, atol=0)
     assert np.allclose(z_open, z_loop, atol=0)
 
 
 def test_builtin_law_values():
     law = library.example2_law()
-    u = law(np.array([1.0, 1.0, 1.0]))
+    u = law(np.array([[1.0, 1.0, 1.0]]))[0]
     assert u[0] == pytest.approx(-(1.0 / 24.0) * (1.0 + math.cos(1.0)), rel=1e-12)
     assert u[1] == pytest.approx(-0.75, abs=1e-15)
     assert law.spec()["u1_coef"] == pytest.approx(1.0 / 24.0, rel=1e-12)
@@ -80,17 +83,17 @@ def test_linear_gain_composition():
     Bu = np.array([[0.0], [1.0]])
     plant = ControlledSystem(
         2, 1, 1,
-        f=lambda x, u, w: A @ x + Bu @ u,
-        g=lambda x, w: np.zeros((2, 1)),
-        m=lambda x, u: np.array([x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, U, W: X @ A.T + U @ Bu.T,
+        g=lambda X, W: np.zeros((2, 1)),
+        m=lambda X, U: X[:, :1],
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
     K = np.array([[-0.3, -0.5]])
     loop = synth.closed_loop(plant, synth.FeedbackLaw.linear_gain(K))
     x = np.array([1.0, -2.0])
-    x_next, _ = loop.step(x, np.zeros(1), np.zeros(1))
-    assert np.allclose(x_next, (A + Bu @ K) @ x, atol=1e-15)
+    x_next = loop.transition(0, x[None], None, np.zeros((1, 1)), np.zeros((1, 1)))
+    assert np.allclose(x_next[0], (A + Bu @ K) @ x, atol=1e-15)
 
 
 def test_closed_loop_dimension_mismatch():
@@ -115,7 +118,7 @@ def test_h_design_under_builtin_law_nonpositive():
     law = library.example2_law()
     x = np.array([1.0, 1.0, 1.0])
     mc = ExpectationScheme(samples=100_000, seed=41)
-    est = synth.h_design(V, plant, x, law(x), library.EXAMPLE2_BETA, mc)
+    est = synth.h_design(V, plant, x, law(x[None])[0], library.EXAMPLE2_BETA, mc)
     assert est.value <= 3.0 * est.std_error
 
 
@@ -124,7 +127,8 @@ def test_h_design_law_improves_on_zero_control():
     V = library.example2_storage()
     law = library.example2_law()
     x = np.array([0.0, 2.0, 0.0])
-    with_law = synth.h_design(V, plant, x, law(x), library.EXAMPLE2_BETA, CF)
+    with_law = synth.h_design(V, plant, x, law(x[None])[0], library.EXAMPLE2_BETA,
+                              CF)
     without = synth.h_design(V, plant, x, np.zeros(2), library.EXAMPLE2_BETA, CF)
     assert with_law.value <= without.value + 1e-12
 
@@ -156,10 +160,10 @@ def test_certify_controller_tight_gamma_falsified():
 def test_certify_controller_zero_plant_any_gamma():
     plant = ControlledSystem(
         1, 1, 1,
-        f=lambda x, u, w: np.zeros(1),
-        g=lambda x, w: np.zeros((1, 1)),
-        m=lambda x, u: np.zeros(1),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, U, W: np.zeros(1),
+        g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X, U: np.zeros(1),
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x, u: (np.zeros(1), [np.zeros(1)]),
         g_parts=lambda x: (np.zeros((1, 1)), [np.zeros((1, 1))]),
@@ -213,9 +217,10 @@ def test_argmin_improve_never_worse_than_builtin_law():
     V = library.example2_storage()
     law = library.example2_law()
     x = np.array([1.0, 0.0, 1.0])
-    u = synth.argmin_improve(plant, V, library.EXAMPLE2_BETA, x, law(x), CF)
+    u_law = law(x[None])[0]
+    u = synth.argmin_improve(plant, V, library.EXAMPLE2_BETA, x, u_law, CF)
     h_found = synth.h_design(V, plant, x, u, library.EXAMPLE2_BETA, CF)
-    h_law = synth.h_design(V, plant, x, law(x), library.EXAMPLE2_BETA, CF)
+    h_law = synth.h_design(V, plant, x, u_law, library.EXAMPLE2_BETA, CF)
     assert h_found.value <= h_law.value + 1e-6
 
 
@@ -293,8 +298,8 @@ def test_certify_controller_general_empty_window_inconclusive():
 def test_certify_controller_general_zero_plant():
     plant = GeneralSystem(
         1, 1, 1,
-        F=lambda k, x, u, v, w: np.zeros(1),
-        m=lambda k, x, u, v: np.zeros(1),
+        F=lambda k, X, U, V, W: np.zeros(1),
+        m=lambda k, X, U, V: np.zeros(1),
         noise=point_mass_noise(0.0, 1),
     )
     V = QuadraticStorage([[1.0]])
@@ -366,8 +371,8 @@ def test_stationarity_richardson_order():
     # central differences on a smooth non-quadratic functional show order >= 1.9
     plant = GeneralSystem(
         1, 1, 1,
-        F=lambda k, x, u, v, w: np.array([0.5 * x[0] + math.sin(u[0]) + v[0]]),
-        m=lambda k, x, u, v: np.array([u[0]]),
+        F=lambda k, X, U, V, W: 0.5 * X + np.sin(U) + V,
+        m=lambda k, X, U, V: U,
         noise=point_mass_noise(0.0, 1),
     )
     V = QuadraticStorage([[1.0]])
@@ -392,10 +397,10 @@ def test_taylor_gain_consistency_on_worked_instance():
     from sbrl.dynamics import AffineSystem
     loop = AffineSystem(
         1, 1,
-        f=lambda x, w: np.array([0.5 * x[0]]),
-        g=lambda x, w: np.array([[1.0]]),
-        m=lambda x: np.zeros(1),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, W: 0.5 * X,
+        g=lambda X, W: np.array([[1.0]]),
+        m=lambda X: np.zeros(1),
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
     ens = DisturbanceEnsemble.white(1, std=1.0)
@@ -422,10 +427,10 @@ def test_closed_loop_usable_by_linear_certifier():
     K = np.array([[-0.5]])
     plant = ControlledSystem(
         1, 1, 1,
-        f=lambda x, u, w: A @ x + Bu @ u,
-        g=lambda x, w: np.array([[1.0]]),
-        m=lambda x, u: np.array([0.5 * x[0]]),
-        m1=lambda x: np.zeros((0, 1)),
+        f=lambda X, U, W: X @ A.T + U @ Bu.T,
+        g=lambda X, W: np.array([[1.0]]),
+        m=lambda X, U: 0.5 * X,
+        m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x, u: (A @ x + Bu @ u, [np.zeros(1)]),
         g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
