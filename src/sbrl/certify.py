@@ -26,8 +26,8 @@ from .certificates import Certificate, MarginSweep, base_tolerance
 from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
 from .errors import ConfigurationError, DivergenceError, PreconditionError
-from .noise import (Estimate, derive_seed, expect, expected_affine_power,
-                    expected_gram, expected_quad_form, hash_point)
+from .noise import (Estimate, expect, expected_affine_power, expected_gram,
+                    sample_values)
 from .storage import (DomainBox, QuadraticStorage, SeparableStorage,
                       quad_bound)
 
@@ -53,10 +53,11 @@ def _require(system, tier):
 def _closed_form_expectation(V, noise, c0, cs, scale):
     """Exact E[V(scale * (c0 + sum_d cs[d] w_d))] for quadratic/separable V."""
     if isinstance(V, QuadraticStorage):
-        return expected_quad_form(
-            V.P, scale * np.asarray(c0, dtype=float),
-            [scale * np.asarray(c, dtype=float) for c in cs], noise,
-        )
+        # E[y' P y] is the one-column case of E[g' P g]
+        return expected_gram(
+            V.P, scale * np.asarray(c0, dtype=float)[:, None],
+            [scale * np.asarray(c, dtype=float)[:, None] for c in cs], noise,
+        )[0, 0]
     if isinstance(V, SeparableStorage):
         if max(V.d) > 4:
             raise ConfigurationError(
@@ -97,15 +98,20 @@ def expected_value_of(V, noise, scheme, parts_fn, batch_fn, scale=1.0) -> Estima
     return expect(noise, scheme, integrand)
 
 
-def expected_storage(V, system, x, scheme, scale=1.0, v=None) -> Estimate:
-    """E[V(scale * (f(x,w) + g(x,w) v))] under the given scheme."""
+def expected_storage(V, system, x, u, scheme, scale=1.0, v=None) -> Estimate:
+    """E[V(scale * (f(x,[u,]w) + g(x,w) v))] under the given scheme.
+
+    ``u`` is the control row on the controlled tier and None on the affine
+    tier, as in ``drift``.
+    """
     x = np.asarray(x, dtype=float)
     use_v = v is not None and np.any(np.asarray(v) != 0.0)
+    u_row = None if u is None else u[None]
 
     parts_fn = None
     if system.f_parts is not None and (not use_v or system.g_parts is not None):
         def parts_fn():
-            F0, Fs = system.f_parts(x)
+            F0, Fs = system.f_parts(x) if u is None else system.f_parts(x, u)
             c0 = np.asarray(F0, dtype=float)
             cs = [np.asarray(c, dtype=float) for c in Fs]
             if use_v:
@@ -119,8 +125,8 @@ def expected_storage(V, system, x, scheme, scale=1.0, v=None) -> Estimate:
     def batch_fn(draws):
         if use_v:
             v_row = np.asarray(v, dtype=float)[None]
-            return system.transition(0, x[None], None, v_row, draws)
-        return system.drift(x[None], None, draws)
+            return system.transition(0, x[None], u_row, v_row, draws)
+        return system.drift(x[None], u_row, draws)
 
     return expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, scale)
 
@@ -128,7 +134,7 @@ def expected_storage(V, system, x, scheme, scale=1.0, v=None) -> Estimate:
 def delta_v(V, system, x, v, scheme) -> Estimate:
     """One-step expected change of V along the disturbed dynamics."""
     _require(system, AffineSystem)
-    ev = expected_storage(V, system, x, scheme, scale=1.0, v=v)
+    ev = expected_storage(V, system, x, None, scheme, scale=1.0, v=v)
     return Estimate(ev.value - V.evaluate(x), ev.std_error)
 
 
@@ -141,17 +147,25 @@ def h0(V, system, x, scheme) -> Estimate:
 
 def h1(V, system, x, beta, scheme) -> Estimate:
     """Convexity-split internal functional (1/b) E[V(b f)] - V + |m|^2."""
+    _require(system, AffineSystem)
+    return convexity_split(V, system, x, None, beta, scheme)
+
+
+def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
+    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2: H1, and at a fixed
+    control row ``u`` the design functional H."""
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    _require(system, AffineSystem)
-    ev = expected_storage(V, system, x, scheme, scale=beta)
-    value = ev.value / beta - V.evaluate(x) + _m_sq(system, x)
+    x = np.asarray(x, dtype=float)
+    ev = expected_storage(V, system, x, u, scheme, scale=beta)
+    value = ev.value / beta - V.evaluate(x) + _m_sq(system, x, u)
     return Estimate(value, ev.std_error / beta)
 
 
-def _m_sq(system, x):
-    """|m(x)|^2 at one state."""
-    m = system.output_m(np.asarray(x, dtype=float)[None])[0]
+def _m_sq(system, x, u=None):
+    """|m(x[,u])|^2 at one state."""
+    m = system.output_m(np.asarray(x, dtype=float)[None],
+                        None if u is None else u[None])[0]
     return float(m @ m)
 
 
@@ -164,14 +178,19 @@ def _m1_gram(system, x):
 
 def _gram_estimate(system, x, P, scheme):
     """E[g(x,w)' P g(x,w)] with an entrywise standard-error matrix."""
+    x = np.asarray(x, dtype=float)
+    P = np.asarray(P, dtype=float)
     if scheme.mode == "closed-form":
         if system.g_parts is None:
             raise ConfigurationError("closed-form gram needs g_parts")
-        G0, Gs = system.g_parts(np.asarray(x, dtype=float))
+        G0, Gs = system.g_parts(x)
         return expected_gram(P, G0, Gs, system.noise), 0.0
-    draws = system.noise.sample(scheme.seed, scheme.samples, scheme.antithetic)
-    gs = system.gain(np.asarray(x, dtype=float)[None], draws)
-    grams = np.einsum("kij,il,klm->kjm", gs, np.asarray(P, dtype=float), gs)
+
+    def grams(draws):
+        gs = system.gain(x[None], draws)
+        return np.einsum("kij,il,klm->kjm", gs, P, gs)
+
+    grams = sample_values(system.noise, scheme, grams)
     mean = grams.mean(axis=0)
     n = grams.shape[0]
     if n < 2:
@@ -180,8 +199,8 @@ def _gram_estimate(system, x, P, scheme):
     return mean, float(np.linalg.norm(se, 2))
 
 
-def _default_v_search(n_v):
-    return ("sphere", 64, (0.5, 1.0, 2.0), 0)
+# (kind, directions, radii, seed) of the sampled v-supremum
+_DEFAULT_V_SEARCH = ("sphere", 64, (0.5, 1.0, 2.0), 0)
 
 
 def _sphere_directions(n_v, count, seed):
@@ -240,7 +259,7 @@ def _gain_sup(V, system, x, c, scheme, v_search):
             M = c * (G0.T @ P2 @ G0) + m1m1
             return Estimate(sym_eig_max(M), 0.0)
 
-    spec = v_search if v_search is not None else _default_v_search(system.n_v)
+    spec = v_search if v_search is not None else _DEFAULT_V_SEARCH
     if spec[0] != "sphere":
         raise ConfigurationError(f"unknown v-search spec {spec!r}")
     _, count, radii, seed = spec
@@ -258,27 +277,17 @@ def _gain_sup(V, system, x, c, scheme, v_search):
 
 def _expected_gain_term(V, system, x, v, scale, scheme) -> Estimate:
     """E[V(scale * g(x,w) v)] for the sampled gain-supremum path."""
-    if scheme.mode == "closed-form":
-        if system.g_parts is None:
-            raise ConfigurationError("closed-form gain term needs g_parts")
-        G0, Gs = system.g_parts(x)
-        vv = np.asarray(v, dtype=float)
-        c0 = np.asarray(G0, dtype=float) @ vv
-        cs = [np.asarray(G, dtype=float) @ vv for G in Gs]
-        return Estimate(_closed_form_expectation(V, system.noise, c0, cs, scale))
+    parts_fn = None
+    if system.g_parts is not None:
+        def parts_fn():
+            G0, Gs = system.g_parts(x)
+            return (np.asarray(G0, dtype=float) @ v,
+                    [np.asarray(G, dtype=float) @ v for G in Gs])
 
-    def integrand(draws):
-        gv = system.gain(x[None], draws) @ np.asarray(v, dtype=float)[:, None]
-        return V.evaluate_batch(scale * gv[..., 0])
+    def batch_fn(draws):
+        return (system.gain(x[None], draws) @ v[:, None])[..., 0]
 
-    return expect(system.noise, scheme, integrand)
-
-
-def _point_scheme(scheme, x):
-    """Derive a per-point seed so sweeps are order independent."""
-    if scheme.mode == "closed-form":
-        return scheme
-    return scheme.with_seed(derive_seed(scheme.seed, hash_point(x)))
+    return expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, scale)
 
 
 def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
@@ -303,7 +312,7 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
             nx2 = float(x @ x)
             sweep.add(vx - c2 * nx2, scale=max(abs(vx), c2 * nx2),
                       point=x, info={"inequality": "growth"})
-            est = h0(V, system, x, _point_scheme(scheme, x))
+            est = h0(V, system, x, scheme.at(x))
             sweep.add(est.value, std_error=est.std_error,
                       scale=abs(est.value) + vx + _m_sq(system, x),
                       point=x, info={"inequality": "H0"})
@@ -354,7 +363,7 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
     # MarginSweep records an overflowing point's non-finite margin as witness
     with np.errstate(over="ignore", invalid="ignore"):
         for x in domain.points():
-            pt_scheme = _point_scheme(scheme, x)
+            pt_scheme = scheme.at(x)
             est1 = h1(V, system, x, beta, pt_scheme)
             h1_worst = max(h1_worst, est1.value)
             sweep.add(est1.value, std_error=est1.std_error,
@@ -435,7 +444,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
                 checked += 1
                 ok = True
                 for x in points:
-                    est = h1(V, system, x, beta, _point_scheme(scheme, x))
+                    est = h1(V, system, x, beta, scheme.at(x))
                     tol = base_tolerance(abs(est.value) + V.evaluate(x)
                                          + _m_sq(system, x))
                     if not est.value <= tol:  # a NaN H1 is not feasible
@@ -447,7 +456,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
                 sup_val = -np.inf
                 sup_pt = None
                 for x in points:
-                    estg = g_beta(V, system, x, beta, _point_scheme(scheme, x), v_search)
+                    estg = g_beta(V, system, x, beta, scheme.at(x), v_search)
                     if estg.lower_bound_only:
                         lower_bound_used = True
                     if estg.value > sup_val:
@@ -510,7 +519,7 @@ def estimate_c1_c2(system, Vbar, beta_grid, domain: DomainBox, scheme,
     def envelope(beta):
         ratios = []
         for x in points:
-            ev = expected_storage(Vbar, system, x, _point_scheme(scheme, x),
+            ev = expected_storage(Vbar, system, x, None, scheme.at(x),
                                   scale=beta)
             ratios.append(ev.value / Vbar.evaluate(x))
         return float(max(ratios)), float(min(ratios))

@@ -178,26 +178,15 @@ class NoiseModel:
     def moment(self, coord: int, k: int) -> float:
         return self.components[coord].moment(k)
 
-    def mean_vector(self):
-        return np.array([c.moment(1) for c in self.components])
-
-    def sample(self, seed: int, count: int, antithetic: bool = False):
+    def sample(self, seed: int, count: int):
         """Draw ``count`` i.i.d. vectors as a (count, dim) matrix.
 
-        Deterministic in (model, seed, count, antithetic).  Antithetic mode
-        draws ceil(count/2) vectors and mirrors each about its coordinate
-        symmetry point.
+        Deterministic in (model, seed, count).
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
         rng = np.random.default_rng(int(seed) & _MASK64)
-        if not antithetic:
-            cols = [c.draw(rng, count) for c in self.components]
-            return np.column_stack(cols)
-        half = (count + 1) // 2
-        cols = [c.draw(rng, half) for c in self.components]
-        base = np.column_stack(cols)
-        return np.concatenate([base, self.mirror(base)], axis=0)[:count]
+        return np.column_stack([c.draw(rng, count) for c in self.components])
 
     def mirror(self, draws):
         """Reflect draws about each coordinate's symmetry point."""
@@ -244,6 +233,13 @@ class ExpectationScheme:
     def with_seed(self, seed: int) -> "ExpectationScheme":
         return ExpectationScheme(self.mode, self.samples, int(seed) & _MASK64, self.antithetic)
 
+    def at(self, point) -> "ExpectationScheme":
+        """The scheme at one sweep point: Monte Carlo gets a seed derived
+        from the point, so sweeps do not depend on their order."""
+        if self.mode == "closed-form":
+            return self
+        return self.with_seed(derive_seed(self.seed, hash_point(point)))
+
     def spec(self):
         return {
             "mode": self.mode,
@@ -251,9 +247,6 @@ class ExpectationScheme:
             "seed": self.seed,
             "antithetic": self.antithetic,
         }
-
-
-CLOSED_FORM = ExpectationScheme(mode="closed-form")
 
 
 @dataclass(frozen=True)
@@ -337,19 +330,27 @@ def expect(noise: NoiseModel, scheme: ExpectationScheme, integrand) -> Estimate:
             )
         return Estimate(integrand.expectation(noise), 0.0)
 
-    if scheme.antithetic:
-        # antithetic estimator: average each (draw, mirrored draw) pair first,
-        # which keeps odd integrands at exactly zero and reduces variance
-        half = (scheme.samples + 1) // 2
-        base = noise.sample(scheme.seed, half)
-        vals = 0.5 * (_eval_integrand(integrand, base)
-                      + _eval_integrand(integrand, noise.mirror(base)))
-    else:
-        vals = _eval_integrand(integrand,
-                               noise.sample(scheme.seed, scheme.samples))
+    vals = sample_values(noise, scheme,
+                         lambda draws: _eval_integrand(integrand, draws))
     n = vals.shape[0]
     se = 0.0 if n < 2 else float(vals.std(ddof=1) / math.sqrt(n))
     return Estimate(float(vals.mean()), se)
+
+
+def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
+    """One value of ``fn`` per independent Monte Carlo sample.
+
+    ``fn`` maps an (N, dim) draw matrix to N values of any shape.  An
+    antithetic scheme draws ceil(samples/2) vectors and returns the mean of
+    each (draw, mirrored draw) pair: the pair means are the independent
+    samples, so their spread gives the standard error, and an integrand
+    that is odd bit for bit (a linear one; numpy's ``w ** 3`` is not)
+    averages to exactly zero.
+    """
+    if not scheme.antithetic:
+        return fn(noise.sample(scheme.seed, scheme.samples))
+    base = noise.sample(scheme.seed, (scheme.samples + 1) // 2)
+    return 0.5 * (fn(base) + fn(noise.mirror(base)))
 
 
 def _eval_integrand(integrand, draws):
@@ -400,26 +401,6 @@ def expected_affine_power(c0: float, coeffs, power: int, noise: NoiseModel) -> f
             if e:
                 term *= coeffs[j] ** e * noise.moment(j, e)
         total += term
-    return total
-
-
-def expected_quad_form(P, c0, cs, noise: NoiseModel) -> float:
-    """Exact E[y^T P y] for y = c0 + sum_j cs[j] * omega_j."""
-    P = np.asarray(P, dtype=float)
-    c0 = np.asarray(c0, dtype=float)
-    d = noise.dim
-    if len(cs) != d:
-        raise ConfigurationError(f"need {d} direction vectors, got {len(cs)}")
-    m1 = [noise.moment(j, 1) for j in range(d)]
-    m2 = [noise.moment(j, 2) for j in range(d)]
-    total = float(c0 @ P @ c0)
-    for j in range(d):
-        cj = np.asarray(cs[j], dtype=float)
-        total += m1[j] * float(c0 @ P @ cj + cj @ P @ c0)
-        total += m2[j] * float(cj @ P @ cj)
-        for i in range(j):
-            ci = np.asarray(cs[i], dtype=float)
-            total += m1[i] * m1[j] * float(ci @ P @ cj + cj @ P @ ci)
     return total
 
 

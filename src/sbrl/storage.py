@@ -71,9 +71,7 @@ class DomainBox:
             ppa = int(self.plan[1])
             axes = [np.linspace(lo[j], hi[j], ppa) for j in range(self.dim)]
             return np.array(list(itertools.product(*axes)))
-        count, seed = int(self.plan[1]), int(self.plan[2])
-        rng = np.random.default_rng(seed)
-        return rng.uniform(lo, hi, size=(count, self.dim))
+        return self.random_points(int(self.plan[1]), int(self.plan[2]))
 
     def random_points(self, count, seed):
         rng = np.random.default_rng(int(seed))

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, MarginSweep
-from .certify import check_external, expected_value_of
+from .certify import check_external, convexity_split, expected_value_of
 from .dynamics import AffineSystem, ControlledSystem, GeneralSystem
 from .errors import ConfigurationError, PreconditionError
-from .noise import Estimate, derive_seed, expect, hash_point
+from .noise import Estimate, derive_seed
 from .storage import DomainBox, StorageFunction
 
 
@@ -92,26 +92,9 @@ def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
 
 
 def h_design(V, plant: ControlledSystem, x, u, beta, scheme) -> Estimate:
-    """Design functional H(V(x), u, beta) at a candidate control value."""
-    if beta <= 1.0:
-        raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    parts_fn = None
-    if plant.f_parts is not None:
-        def parts_fn():
-            F0, Fs = plant.f_parts(x, u)
-            return (np.asarray(F0, dtype=float),
-                    [np.asarray(c, dtype=float) for c in Fs])
-
-    def batch_fn(draws):
-        return plant.drift(x[None], u[None], draws)
-
-    ev = expected_value_of(V, plant.noise, scheme, parts_fn, batch_fn, scale=beta)
-    m = plant.output_m(x[None], u[None])[0]
-    return Estimate(ev.value / beta - V.evaluate(x) + float(m @ m),
-                    ev.std_error / beta)
+    """Design functional H(V(x), u, beta): H1's body at the control u."""
+    return convexity_split(V, plant, x, np.atleast_1d(np.asarray(u, dtype=float)),
+                           beta, scheme)
 
 
 def certify_controller(plant, law, V, beta, gamma, domain: DomainBox,
@@ -137,7 +120,7 @@ def argmin_improve(plant, V, beta, x, u0, scheme, step=0.5, shrink_tol=1e-6,
     """
     x = np.asarray(x, dtype=float)
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    fixed = scheme.with_seed(derive_seed(scheme.seed, hash_point(np.concatenate([x, u]))))
+    fixed = scheme.at(np.concatenate([x, u]))
 
     def value(uu):
         return h_design(V, plant, x, uu, beta, fixed).value
@@ -204,15 +187,12 @@ def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
 
-    def integrand(draws):
-        return Vk1.evaluate_batch(plant.transition(k, x[None], u[None], v[None], draws))
+    def batch_fn(draws):
+        return plant.transition(k, x[None], u[None], v[None], draws)
 
-    if scheme.mode == "closed-form":
-        raise ConfigurationError(
-            "the general tier declares no noise structure; use monte-carlo "
-            "(a point-mass noise model makes it exact)"
-        )
-    ev = expect(plant.noise, scheme, integrand)
+    # the general tier declares no noise structure: Monte Carlo only (a
+    # point-mass noise model makes it exact)
+    ev = expected_value_of(Vk1, plant.noise, scheme, None, batch_fn)
     z = plant.output(k, x[None], u[None], v[None])[0]
     return Estimate(ev.value - Vk.evaluate(x) + float(z @ z), ev.std_error)
 
@@ -246,9 +226,7 @@ def certify_controller_general(plant, alpha_seq, V_seq, gamma,
             u = np.atleast_1d(np.asarray(alpha_k(x), dtype=float))
             for v in v_box.points():
                 pt = np.concatenate([x, v, [k]])
-                est = h_k_general(V_seq, plant, x, u, v, k,
-                                  scheme.with_seed(derive_seed(scheme.seed,
-                                                               hash_point(pt))))
+                est = h_k_general(V_seq, plant, x, u, v, k, scheme.at(pt))
                 margin = est.value - gamma_sq * float(v @ v)
                 sweep.add(margin, std_error=est.std_error,
                           scale=abs(est.value) + gamma_sq * float(v @ v),
@@ -383,8 +361,7 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         for x in domain.points():
             u_star = np.atleast_1d(np.asarray(alpha_k(x), dtype=float))
             v_star = np.atleast_1d(np.asarray(eta_k(x), dtype=float))
-            base_seed = derive_seed(scheme.seed,
-                                    hash_point(np.concatenate([x, [k]])))
+            base_seed = scheme.at(np.concatenate([x, [k]])).seed
 
             def H_at(uv, reps=1):
                 u, v = uv[: plant.n_u], uv[plant.n_u:]

@@ -134,6 +134,20 @@ def test_g_beta_example1_at_origin():
     assert est.value == pytest.approx(0.08, abs=1e-12)
 
 
+def test_g_beta_antithetic_std_error_matches_seed_spread():
+    # the antithetic standard error comes from the pair means, so it must
+    # match the spread of G_beta over independent seeds
+    sys1 = library.example1_system()
+    V = library.example1_storage(4.0)
+    ests = [certify.g_beta(V, sys1, [0.3], BETA1,
+                           ExpectationScheme(samples=2000, seed=s,
+                                             antithetic=True))
+            for s in range(200)]
+    spread = np.std([e.value for e in ests], ddof=1)
+    mean_se = np.mean([e.std_error for e in ests])
+    assert mean_se == pytest.approx(spread, rel=0.10)
+
+
 def test_g_beta_example2_value_and_sphere_oracle():
     V = library.example2_storage()
     beta = library.EXAMPLE2_BETA

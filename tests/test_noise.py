@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbrl import certify, library
 from sbrl.errors import ConfigurationError, EvaluationError
 from sbrl.noise import (ExpectationScheme, Gaussian, NoiseModel,
                         OmegaPolynomial, PointMass, Rademacher, Uniform,
                         derive_seed, expect, expected_affine_power,
-                        expected_gram, expected_quad_form, splitmix64)
+                        expected_gram, sample_values, splitmix64)
+from sbrl.storage import QuadraticStorage
 
 
 def uniform_moment_quadrature(lo, hi, k, panels=200_001):
@@ -144,12 +146,34 @@ def test_determinism_bit_identical():
     assert a.value == b.value and a.std_error == b.std_error
 
 
-def test_sampling_deterministic_and_antithetic_shape():
+def test_sampling_deterministic_and_shape():
     model = NoiseModel((Uniform(0.0, 1.0), Rademacher()))
-    a = model.sample(3, 101, antithetic=True)
-    b = model.sample(3, 101, antithetic=True)
+    a = model.sample(3, 101)
+    b = model.sample(3, 101)
     assert a.shape == (101, 2)
     assert np.array_equal(a, b)
+
+
+def test_antithetic_pair_means_on_scalar_and_gram_paths():
+    # an odd sample count gives ceil(n/2) pair means, the last pair included
+    model = NoiseModel((Gaussian(0.0, 1.0),))
+    scheme = ExpectationScheme(samples=101, seed=5, antithetic=True)
+    base = model.sample(scheme.seed, 51)
+    odd = sample_values(model, scheme, lambda draws: draws[:, 0])
+    assert odd.shape == (51,)
+    assert np.all(odd == 0.0)
+    even = sample_values(model, scheme, lambda draws: draws[:, 0] ** 2)
+    assert np.array_equal(even, 0.5 * (base[:, 0] ** 2 + (-base[:, 0]) ** 2))
+
+    system = library.example1_system(noise=model)
+    x = np.array([0.3])
+    gram, se = certify._gram_estimate(system, x, [[4.0]], scheme)
+    pairs = sample_values(
+        model, scheme,
+        lambda draws: 4.0 * system.gain(x[None], draws)[:, 0, 0] ** 2)
+    assert pairs.shape == (51,)
+    assert gram[0, 0] == pytest.approx(pairs.mean(), rel=1e-12)
+    assert se == pytest.approx(pairs.std(ddof=1) / math.sqrt(51), rel=1e-12)
 
 
 def test_invalid_parameters_raise():
@@ -186,12 +210,13 @@ def test_closed_form_rejects_degree_over_four():
         expect(model, ExpectationScheme(mode="closed-form"), poly)
 
 
-def test_expected_quad_form_against_monte_carlo():
+def test_quadratic_closed_form_against_monte_carlo():
     model = NoiseModel((Uniform(0.0, 1.0), Gaussian(0.5, 2.0)))
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
     c0 = np.array([0.4, -1.0])
     cs = [np.array([1.0, 0.0]), np.array([-0.5, 2.0])]
-    exact = expected_quad_form(P, c0, cs, model)
+    exact = certify._closed_form_expectation(QuadraticStorage(P), model, c0, cs,
+                                             1.0)
     draws = model.sample(31, 400_000)
     ys = c0[None, :] + draws[:, [0]] * cs[0][None, :] + draws[:, [1]] * cs[1][None, :]
     mc = np.einsum("ni,ij,nj->n", ys, P, ys)

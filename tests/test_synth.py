@@ -133,6 +133,21 @@ def test_h_design_law_improves_on_zero_control():
     assert with_law.value <= without.value + 1e-12
 
 
+def test_h_design_under_law_is_h1_of_closed_loop():
+    plant = library.example2_plant()
+    V = library.example2_storage()
+    law = library.example2_law()
+    loop = synth.closed_loop(plant, law)
+    beta = library.EXAMPLE2_BETA
+    mc = ExpectationScheme(samples=2000, seed=17)
+    for x in ([1.0, 1.0, 1.0], [0.0, 2.0, 0.0], [-1.5, 0.3, 0.7]):
+        x = np.array(x)
+        for scheme in (CF, mc):
+            design = synth.h_design(V, plant, x, law(x[None])[0], beta, scheme)
+            h1 = certify.h1(V, loop, x, beta, scheme)
+            assert (design.value, design.std_error) == (h1.value, h1.std_error)
+
+
 # -------------------------------------------------------------- controller
 
 def test_certify_controller_example2():
