@@ -1,23 +1,31 @@
-"""Sampled-inequality certificates.
+"""Sampled-inequality certificates and the one sweep engine.
 
-Every structural check in the toolkit reduces to sweeping margins
-(left-hand side minus right-hand side of an inequality that should be
-<= 0) over a declared sample set.  The decision rule is three-valued:
+Every sampled check is a family of inequalities lhs <= rhs over a point
+set, and ``sweep`` is the only loop that runs one.  Each inequality is a
+function ``fn(point, scheme.at(point)) -> Row | [Row, ...]``, evaluated in
+the declared order under one ``np.errstate(over="ignore", invalid="ignore")``.
+The margins lhs - rhs decide one status:
 
-  certified    all margins <= tol           (tol = 1e-9 + 1e-7 * scale + slack)
-  falsified    some margin >  tol + 3 * std-error
-  inconclusive anything in between, a scope problem (e.g. a sampled
-               supremum used where a true supremum is required), a NaN
-               margin or std-error, or an empty sweep
+  certified    every margin <= tol      (tol = 1e-9 + 1e-7 * scale + slack)
+  falsified    some margin >  tol + 3 * std-error (wins over the rest)
+  inconclusive anything else: a margin above tol within 3 std-errors, a
+               NaN margin or std-error, an empty sweep, a lower-bound-only
+               lhs (a sampled supremum) or a scope the caller flags
 
-Certificates only ever speak for the sampled domain; the domain label is
-part of the record.
+A function raising ``EvaluationError`` (a non-finite Monte Carlo integrand)
+or ``FloatingPointError`` (a finite-difference step underflow) at a point
+gives its inequality a NaN row there, with the message in its info.  Per
+inequality the engine records the largest lhs and its first point.
+Certificates speak only for the sampled domain, whose label they carry.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import EvaluationError
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
@@ -46,87 +54,120 @@ class Certificate:
         return self.status == "certified"
 
     def to_dict(self):
-        return {
-            "status": self.status,
-            "inequality": self.inequality,
-            "domain": self.domain,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-            "provenance": self.provenance,
-            "tolerance": self.tolerance,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
-class MarginSweep:
-    """Accumulates (margin, std-error, scale) triples and decides status."""
+class Row(NamedTuple):
+    """One sampled ``lhs <= rhs``; ``point`` overrides the sweep point as
+    witness, and a ``lower_bound_only`` lhs can falsify but never certify."""
 
-    def __init__(self, inequality, domain_label, provenance, slack=0.0):
-        self.inequality = inequality
-        self.domain_label = domain_label
-        self.provenance = dict(provenance)
-        self.slack = float(slack)
-        self._worst = -np.inf
-        self._worst_info = None
-        self._violation = None
-        self._nan = None
-        self._ok = True
-        self._count = 0
+    lhs: float
+    rhs: float = 0.0
+    std_error: float = 0.0
+    scale: float = 1.0
+    info: object = None
+    slack: float = 0.0
+    point: object = None
+    lower_bound_only: bool = False
 
-    def add(self, margin, std_error=0.0, scale=1.0, point=None, info=None,
-            extra_slack=0.0):
-        margin = float(margin)
-        self._count += 1
-        if math.isnan(margin) or math.isnan(std_error):
+
+@dataclass
+class Record:
+    """Per inequality: largest lhs, its first point, lower-bound, NaN seen."""
+
+    lhs: float = -math.inf
+    point: list | None = None
+    lower_bound_only: bool = False
+    nan: bool = False
+
+
+def sweep(points, scheme, inequalities, statement="", domain="",
+          provenance=None, notes=(), force_inconclusive=False,
+          early_exit=False):
+    """Run ``inequalities`` ({name: fn}) over ``points``; ``scheme`` is None
+    for checks without expectations.  ``early_exit`` stops after the first
+    point that rules out certification.  Returns (Certificate, {name: Record}).
+    """
+    acc = _MarginSweep()
+    records = {name: Record() for name in inequalities}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pt in points:
+            pt_scheme = None if scheme is None else scheme.at(pt)
+            for name, fn in inequalities.items():
+                try:
+                    rows = fn(pt, pt_scheme)
+                except (EvaluationError, FloatingPointError) as exc:
+                    rows = Row(math.nan, std_error=math.nan,
+                               info={"inequality": name, "error": str(exc)})
+                for row in [rows] if isinstance(rows, Row) else rows:
+                    acc.add(row, pt if row.point is None else row.point,
+                            records[name])
+            if early_exit and not acc.may_certify:
+                break
+    return acc.finalize(statement, domain, provenance or {}, notes,
+                        force_inconclusive), records
+
+
+class _MarginSweep:
+    """Accumulates rows and applies the status rule above."""
+
+    def __init__(self):
+        self.worst, self.worst_info = -np.inf, None
+        self.violation = self.nan = None
+        self.ok, self.lower_bound, self.count = True, False, 0
+
+    @property
+    def may_certify(self):
+        return self.ok and self.nan is None and not self.lower_bound
+
+    def add(self, row, point, record):
+        margin, se = float(row.lhs - row.rhs), float(row.std_error)
+        self.count += 1
+        if row.lower_bound_only:
+            self.lower_bound = record.lower_bound_only = True
+        if row.lhs > record.lhs:
+            record.lhs, record.point = float(row.lhs), _jsonable(point)
+        if math.isnan(margin) or math.isnan(se):
             # every comparison with NaN is false, so it would pass as "within
             # tolerance"; the first such point becomes the witness
-            if self._nan is None:
-                self._nan = {"point": _jsonable(point), "margin": margin,
-                             "std_error": float(std_error),
-                             "info": _jsonable(info)}
+            record.nan = True
+            if self.nan is None:
+                self.nan = _witness(point, row, margin, se)
             return
-        tol = base_tolerance(scale) + self.slack + float(extra_slack)
-        if margin > self._worst:
-            self._worst = margin
-            self._worst_info = {"point": _jsonable(point), "info": _jsonable(info)}
-        if margin > tol + 3.0 * float(std_error):
-            excess = margin - (tol + 3.0 * std_error)
-            if self._violation is None or excess > self._violation[0]:
-                self._violation = (
-                    excess,
-                    {"point": _jsonable(point), "margin": margin,
-                     "std_error": float(std_error), "info": _jsonable(info)},
-                )
-        if margin > tol:
-            self._ok = False
+        tol = base_tolerance(row.scale) + float(row.slack)
+        if margin > self.worst:
+            self.worst = margin
+            self.worst_info = {"point": _jsonable(point),
+                               "info": _jsonable(row.info)}
+        excess = margin - (tol + 3.0 * se)
+        if excess > 0.0 and (self.violation is None
+                             or excess > self.violation[0]):
+            self.violation = (excess, _witness(point, row, margin, se))
+        self.ok = self.ok and margin <= tol
 
-    def finalize(self, notes=(), force_inconclusive=False) -> Certificate:
-        if self._violation is not None:
-            status, witness = "falsified", self._violation[1]
-        elif self._nan is not None:
-            status, witness = "inconclusive", self._nan
-        elif self._ok and self._count and not force_inconclusive:
+    def finalize(self, statement, domain, provenance, notes,
+                 force_inconclusive) -> Certificate:
+        if self.violation is not None:
+            status, witness = "falsified", self.violation[1]
+        elif self.nan is not None:
+            status, witness = "inconclusive", self.nan
+        elif self.may_certify and self.count and not force_inconclusive:
             status, witness = "certified", None
         else:
-            status, witness = "inconclusive", self._worst_info
-        prov = dict(self.provenance)
-        prov["samples_checked"] = self._count
-        prov["slack"] = self.slack
+            status, witness = "inconclusive", self.worst_info
         return Certificate(
-            status=status,
-            inequality=self.inequality,
-            domain=self.domain_label,
-            worst_margin=float(self._worst) if self._count else 0.0,
-            witness=witness,
-            provenance=prov,
-            tolerance=ABS_TOL,
-            notes=list(notes),
-        )
+            status, statement, domain,
+            float(self.worst) if self.count else 0.0, witness,
+            dict(provenance, samples_checked=self.count, slack=0.0),
+            ABS_TOL, list(notes))
+
+
+def _witness(point, row, margin, std_error):
+    return {"point": _jsonable(point), "margin": margin,
+            "std_error": std_error, "info": _jsonable(row.info)}
 
 
 def _jsonable(obj):
-    if obj is None:
-        return None
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

@@ -18,14 +18,15 @@ closed-form route through the same functional stay genuinely independent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, MarginSweep, base_tolerance
+from .certificates import Certificate, Row, sweep
 from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
-from .errors import ConfigurationError, DivergenceError, PreconditionError
+from .errors import (ConfigurationError, DivergenceError, EvaluationError,
+                     PreconditionError)
 from .noise import (Estimate, expect, expected_affine_power, expected_gram,
                     sample_values)
 from .storage import (DomainBox, QuadraticStorage, SeparableStorage,
@@ -193,9 +194,10 @@ def _gram_estimate(system, x, P, scheme):
     grams = sample_values(system.noise, scheme, grams)
     mean = grams.mean(axis=0)
     n = grams.shape[0]
-    if n < 2:
-        return mean, 0.0
-    se = grams.std(axis=0, ddof=1) / math.sqrt(n)
+    se = (grams.std(axis=0, ddof=1) / math.sqrt(n) if n >= 2
+          else np.zeros_like(mean))
+    if not (np.isfinite(mean).all() and np.isfinite(se).all()):
+        raise EvaluationError("gain gram non-finite", point=x)
     return mean, float(np.linalg.norm(se, 2))
 
 
@@ -301,31 +303,46 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
         raise ConfigurationError("c2 must be positive")
     _require(system, AffineSystem)
     qb = quad_bound(V, domain)
-    sweep = MarginSweep(
-        "V(x) <= c2 |x|^2 and H0(V(x)) <= 0",
-        domain.label(),
-        {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in domain.points():
-            vx = V.evaluate(x)
-            nx2 = float(x @ x)
-            sweep.add(vx - c2 * nx2, scale=max(abs(vx), c2 * nx2),
-                      point=x, info={"inequality": "growth"})
-            est = h0(V, system, x, scheme.at(x))
-            sweep.add(est.value, std_error=est.std_error,
-                      scale=abs(est.value) + vx + _m_sq(system, x),
-                      point=x, info={"inequality": "H0"})
-    notes = []
-    force = False
+
+    def growth(x, s):
+        vx, bound = V.evaluate(x), c2 * float(x @ x)
+        return Row(vx, bound, scale=max(abs(vx), bound),
+                   info={"inequality": "growth"})
+
+    notes = [f"certified only on {domain.label()}"]
     if qb.boundary_attained:
-        force = True
-        notes.append(
-            "growth-bound ratio attains its maximum on the box boundary; "
-            "the c2 claim does not extrapolate beyond the sampled domain"
-        )
-    notes.append(f"certified only on {domain.label()}")
-    return sweep.finalize(notes=notes, force_inconclusive=force)
+        notes.insert(0, "growth-bound ratio attains its maximum on the box "
+                     "boundary; the c2 claim does not extrapolate beyond "
+                     "the sampled domain")
+    cert, _ = sweep(
+        domain.points(), scheme,
+        {"growth": growth,
+         "H0": lambda x, s: _zero_row("H0", h0(V, system, x, s), V, system, x)},
+        "V(x) <= c2 |x|^2 and H0(V(x)) <= 0", domain.label(),
+        {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
+        notes, force_inconclusive=qb.boundary_attained)
+    return cert
+
+
+def _zero_row(name, est, V, system, x):
+    """H0 or H1 <= 0, with tolerance scale |H| + V(x) + |m(x)|^2."""
+    return Row(est.value, std_error=est.std_error,
+               scale=abs(est.value) + V.evaluate(x) + _m_sq(system, x),
+               info={"inequality": name})
+
+
+def _h1_row(V, system, beta):
+    return lambda x, s: _zero_row("H1", h1(V, system, x, beta, s), V, system, x)
+
+
+def _g_beta_row(V, system, beta, v_search, gamma_sq=0.0):
+    """The G_beta <= gamma^2 row; a sampled supremum is a lower bound."""
+    def row(x, s):
+        est = g_beta(V, system, x, beta, s, v_search)
+        return Row(est.value, gamma_sq, est.std_error,
+                   max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
+                   lower_bound_only=est.lower_bound_only)
+    return row
 
 
 def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
@@ -352,46 +369,21 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
         raise PreconditionError(f"V(0) = {v0:g}, expected 0")
     _require(system, AffineSystem)
     gamma_sq = gamma * gamma
-    sweep = MarginSweep(
-        "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2",
-        domain.label(),
-        {"scheme": scheme.spec(), "beta": beta, "gamma_sq": gamma_sq},
-    )
-    lower_bound_used = False
-    g_sup = -np.inf
-    h1_worst = -np.inf
-    # MarginSweep records an overflowing point's non-finite margin as witness
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in domain.points():
-            pt_scheme = scheme.at(x)
-            est1 = h1(V, system, x, beta, pt_scheme)
-            h1_worst = max(h1_worst, est1.value)
-            sweep.add(est1.value, std_error=est1.std_error,
-                      scale=abs(est1.value) + V.evaluate(x) + _m_sq(system, x),
-                      point=x, info={"inequality": "H1"})
-            estg = g_beta(V, system, x, beta, pt_scheme, v_search)
-            g_sup = max(g_sup, estg.value)
-            if estg.lower_bound_only:
-                lower_bound_used = True
-            sweep.add(estg.value - gamma_sq, std_error=estg.std_error,
-                      scale=max(abs(estg.value), gamma_sq),
-                      point=x, info={"inequality": "G_beta"})
-    notes = [f"certified only on {domain.label()}"]
-    force = False
-    if lower_bound_used:
-        force = True
-        notes.append(
-            "G_beta evaluated by sphere sampling (lower bound on the "
-            "supremum); cannot certify the upper-bound claim"
-        )
+    cert, rec = sweep(
+        domain.points(), scheme,
+        {"H1": _h1_row(V, system, beta),
+         "G_beta": _g_beta_row(V, system, beta, v_search, gamma_sq)},
+        "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2", domain.label(),
+        {"scheme": scheme.spec(), "beta": beta, "gamma_sq": gamma_sq})
+    cert.notes.append(f"certified only on {domain.label()}")
+    if rec["G_beta"].lower_bound_only:
+        cert.notes.append("G_beta evaluated by sphere sampling (lower bound on "
+                          "the supremum); cannot certify the upper-bound claim")
     if isinstance(V, QuadraticStorage):
-        notes.append(
-            f"V <= {V.lambda_max:g} |x|^2, so certification also implies "
-            "internal stability on this domain"
-        )
-    cert = sweep.finalize(notes=notes, force_inconclusive=force)
-    cert.provenance["g_beta_sup"] = float(g_sup)
-    cert.provenance["h1_worst"] = float(h1_worst)
+        cert.notes.append(f"V <= {V.lambda_max:g} |x|^2, so certification "
+                          "also implies internal stability on this domain")
+    cert.provenance["g_beta_sup"] = rec["G_beta"].lhs
+    cert.provenance["h1_worst"] = rec["H1"].lhs
     return cert
 
 
@@ -409,16 +401,7 @@ class GammaStarResult:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "status": self.status,
-            "gamma_star_sq": self.gamma_star_sq,
-            "beta": self.beta,
-            "params": self.params,
-            "sup_point": self.sup_point,
-            "candidates_checked": self.candidates_checked,
-            "feasible_count": self.feasible_count,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
@@ -426,63 +409,43 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     """Minimise the sampled sup of G_beta over (beta, V) with H1 feasible.
 
     ``candidates`` is a finite family of (params, StorageFunction) pairs.
-    Feasibility means the sampled H1 margins all stay below tolerance.
-    Ties are broken towards the smallest beta.  The returned value is an
-    upper bound on the squared gain, scoped to the sampled domain.
+    Feasibility means the sampled H1 sweep certifies (it stops at the first
+    point that rules that out) and G_beta is known at every point.  Ties
+    are broken towards the smallest beta.  The returned value is an upper
+    bound on the squared gain, scoped to the sampled domain.
     """
     _require(system, AffineSystem)
     points = domain.points()
     best = None
-    checked = 0
-    feasible = 0
+    checked = feasible = 0
     lower_bound_used = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for beta in sorted(float(b) for b in beta_grid):
-            if beta <= 1.0:
+    for beta in sorted(float(b) for b in beta_grid):
+        if beta <= 1.0:
+            continue
+        for params, V in candidates:
+            checked += 1
+            h1_cert, _ = sweep(points, scheme, {"H1": _h1_row(V, system, beta)},
+                               early_exit=True)
+            if not h1_cert.certified:
                 continue
-            for params, V in candidates:
-                checked += 1
-                ok = True
-                for x in points:
-                    est = h1(V, system, x, beta, scheme.at(x))
-                    tol = base_tolerance(abs(est.value) + V.evaluate(x)
-                                         + _m_sq(system, x))
-                    if not est.value <= tol:  # a NaN H1 is not feasible
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                feasible += 1
-                sup_val = -np.inf
-                sup_pt = None
-                for x in points:
-                    estg = g_beta(V, system, x, beta, scheme.at(x), v_search)
-                    if estg.lower_bound_only:
-                        lower_bound_used = True
-                    if estg.value > sup_val:
-                        sup_val = estg.value
-                        sup_pt = x
-                if best is None or sup_val < best[0] - 1e-15:
-                    best = (sup_val, beta, params, sup_pt)
+            _, rec = sweep(points, scheme,
+                           {"G_beta": _g_beta_row(V, system, beta, v_search)})
+            sup = rec["G_beta"]
+            if sup.nan:
+                continue
+            feasible += 1
+            lower_bound_used |= sup.lower_bound_only
+            if best is None or sup.lhs < best[0] - 1e-15:
+                best = (sup.lhs, beta, params, sup.point)
     if best is None:
         return GammaStarResult(
-            status="infeasible", gamma_star_sq=None, beta=None, params=None,
-            sup_point=None, candidates_checked=checked, feasible_count=0,
-            notes=["no (beta, V) candidate satisfied the sampled H1 inequality"],
-        )
+            "infeasible", None, None, None, None, checked, 0,
+            ["no (beta, V) candidate satisfied the sampled H1 inequality"])
     notes = [f"upper bound on the squared l2-gain, scoped to {domain.label()}"]
     if lower_bound_used:
         notes.append("sampled v-supremum used; value may understate G_beta")
-    return GammaStarResult(
-        status="ok",
-        gamma_star_sq=float(best[0]),
-        beta=float(best[1]),
-        params=best[2],
-        sup_point=None if best[3] is None else [float(t) for t in best[3]],
-        candidates_checked=checked,
-        feasible_count=feasible,
-        notes=notes,
-    )
+    # best = (gamma_star_sq, beta, params, sup_point)
+    return GammaStarResult("ok", *best, checked, feasible, notes)
 
 
 @dataclass

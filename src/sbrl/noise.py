@@ -296,8 +296,9 @@ class OmegaPolynomial:
         for exps, coef in self.terms.items():
             term = np.full(draws.shape[0], coef)
             for j, e in enumerate(exps):
-                if e:
-                    term = term * draws[:, j] ** e
+                # repeated products, so an odd power of -w is exactly -(w^e)
+                for _ in range(e):
+                    term = term * draws[:, j]
             out += term
         return out
 

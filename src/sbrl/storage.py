@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, MarginSweep
+from .certificates import Certificate, Row, sweep
 from .dynamics import DisturbancePolicy, rollout
 from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .noise import derive_seed, hash_point
@@ -302,7 +302,7 @@ def construct_storage(system, horizon=DEFAULT_CONSTRUCTION_HORIZON,
 _ALPHAS = (0.25, 0.5, 0.75)
 
 
-def _midpoint_sweep(eval_fn, box, pairs, seed, inequality, provenance, slack):
+def _midpoint_sweep(eval_fn, box, pairs, seed, inequality, slack, **provenance):
     """Shared quarter/mid/three-quarter-point convexity sweep.
 
     ``eval_fn(x) -> (value, std_error)``; margin is
@@ -310,28 +310,30 @@ def _midpoint_sweep(eval_fn, box, pairs, seed, inequality, provenance, slack):
     """
     if pairs < 1:
         raise ConfigurationError("pairs must be >= 1")
-    xs = box.random_points(pairs, seed)
-    ys = box.random_points(pairs, derive_seed(seed, 1))
-    prov = dict(provenance)
-    prov["noise_slack"] = slack
-    sweep = MarginSweep(inequality, box.label(), prov)
-    for x, y in zip(xs, ys):
-        fx, sx = eval_fn(x)
-        fy, sy = eval_fn(y)
+    d = box.dim
+
+    def rows(pt, _):
+        x, y = pt[:d], pt[d:]
+        (fx, sx), (fy, sy) = eval_fn(x), eval_fn(y)
+        out = []
         for a in _ALPHAS:
             mid = a * x + (1.0 - a) * y
             fm, sm = eval_fn(mid)
             rhs = a * fx + (1.0 - a) * fy
             se = sm + a * sx + (1.0 - a) * sy
-            sweep.add(
-                fm - rhs,
-                std_error=se,
-                scale=max(abs(fm), abs(rhs)),
-                point=mid,
-                info={"x": x, "y": y, "alpha": a, "lhs": fm, "rhs": rhs},
-                extra_slack=3.0 * se if slack == "auto" else float(slack),
-            )
-    return sweep.finalize()
+            out.append(Row(
+                fm, rhs, se, max(abs(fm), abs(rhs)),
+                {"x": x, "y": y, "alpha": a, "lhs": fm, "rhs": rhs},
+                slack=3.0 * se if slack == "auto" else float(slack), point=mid))
+        return out
+
+    pairs_xy = np.hstack([box.random_points(pairs, seed),
+                          box.random_points(pairs, derive_seed(seed, 1))])
+    prov = dict(provenance, pairs=pairs, seed=seed, alphas=list(_ALPHAS),
+                noise_slack=slack)
+    cert, _ = sweep(pairs_xy, None, {"midpoint": rows}, inequality,
+                    box.label(), prov)
+    return cert
 
 
 def check_convex(V: StorageFunction, box: DomainBox, pairs: int, seed: int,
@@ -341,10 +343,9 @@ def check_convex(V: StorageFunction, box: DomainBox, pairs: int, seed: int,
     ``noise_slack`` widens the accept band for estimator-backed candidates;
     "auto" uses three propagated standard errors per sample.
     """
-    prov = {"check": "convexity", "pairs": pairs, "seed": seed,
-            "alphas": list(_ALPHAS), "storage": V.describe()}
     return _midpoint_sweep(V.evaluate_with_error, box, pairs, seed,
-                           "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", prov, noise_slack)
+                           "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", noise_slack,
+                           check="convexity", storage=V.describe())
 
 
 def check_h_convex(map_fn, box: DomainBox, pairs: int, seed: int) -> Certificate:
@@ -361,11 +362,9 @@ def check_h_convex(map_fn, box: DomainBox, pairs: int, seed: int) -> Certificate
             raise EvaluationError("map returned non-finite value", point=x)
         return float(y @ y), 0.0
 
-    prov = {"check": "h-convexity", "pairs": pairs, "seed": seed,
-            "alphas": list(_ALPHAS)}
     return _midpoint_sweep(eval_sq, box, pairs, seed,
                            "|map(ax+(1-a)y)|^2 <= a |map(x)|^2 + (1-a) |map(y)|^2",
-                           prov, 0.0)
+                           0.0, check="h-convexity")
 
 
 @dataclass

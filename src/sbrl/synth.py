@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, MarginSweep
+from .certificates import Certificate, Row, sweep
 from .certify import check_external, convexity_split, expected_value_of
 from .dynamics import AffineSystem, ControlledSystem, GeneralSystem
 from .errors import ConfigurationError, PreconditionError
@@ -215,26 +215,25 @@ def certify_controller_general(plant, alpha_seq, V_seq, gamma,
         if abs(v0) > 1e-12:
             raise PreconditionError(f"V_{k}(0) = {v0:g}, expected 0")
     gamma_sq = gamma * gamma
-    sweep = MarginSweep(
+
+    def row(pt, s):
+        x, v, k = pt[:plant.n], pt[plant.n:-1], int(pt[-1])
+        u = np.atleast_1d(np.asarray(alpha_of(k)(x), dtype=float))
+        est = h_k_general(V_seq, plant, x, u, v, k, s)
+        bound = gamma_sq * float(v @ v)
+        return Row(est.value, bound, est.std_error, abs(est.value) + bound,
+                   {"k": k})
+
+    points = [np.concatenate([x, v, [k]]) for k in range(k_window)
+              for x in domain.points() for v in v_box.points()]
+    cert, _ = sweep(
+        points, scheme, {"H_k": row},
         "H_k(x, alpha_k(x), v) - gamma^2 |v|^2 <= 0",
         f"{domain.label()} x v:{v_box.label()} x k<{k_window}",
         {"scheme": scheme.spec(), "gamma_sq": gamma_sq},
-    )
-    for k in range(k_window):
-        for x in domain.points():
-            alpha_k = alpha_of(k)
-            u = np.atleast_1d(np.asarray(alpha_k(x), dtype=float))
-            for v in v_box.points():
-                pt = np.concatenate([x, v, [k]])
-                est = h_k_general(V_seq, plant, x, u, v, k, scheme.at(pt))
-                margin = est.value - gamma_sq * float(v @ v)
-                sweep.add(margin, std_error=est.std_error,
-                          scale=abs(est.value) + gamma_sq * float(v @ v),
-                          point=pt, info={"k": k})
-    return sweep.finalize(notes=[
-        "certified only on the sampled (x, v, k) scope",
-        "internal stability of the loop is a separate check",
-    ])
+        ["certified only on the sampled (x, v, k) scope",
+         "internal stability of the loop is a separate check"])
+    return cert
 
 
 @dataclass
@@ -334,7 +333,8 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
 
     Stochastic plants average each Hessian stencil value over
     ``hessian_reps`` derived Monte Carlo replications with common random
-    numbers across stencil points.
+    numbers across stencil points.  A finite-difference step underflow at
+    a point makes that sub-check's margin NaN there (inconclusive).
     """
     if not isinstance(plant, GeneralSystem):
         raise ConfigurationError("taylor_certify needs the general tier")
@@ -348,72 +348,66 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         [saddle.M, np.zeros((plant.n_u, n_v))],
         [np.zeros((n_v, plant.n_u)), saddle.N],
     ])
-    sweep = MarginSweep(
+    uv_grid = None
+    if u_box is not None and v_box is not None:
+        uv_grid = [np.concatenate([u, v])
+                   for u in u_box.points() for v in v_box.points()]
+
+    def at(pt, s):
+        """x, k, (alpha_k(x), eta_k(x)) and H_k(uv) averaged over ``reps``."""
+        x, k = pt[:-1], int(pt[-1])
+        u = np.atleast_1d(np.asarray(alpha_of(k)(x), dtype=float))
+        v = np.atleast_1d(np.asarray(eta_of(k)(x), dtype=float))
+
+        def H(uv, reps=1):
+            return sum(h_k_general(
+                V_seq, plant, x, uv[: plant.n_u], uv[plant.n_u:], k,
+                s.with_seed(derive_seed(s.seed, r))).value
+                for r in range(reps)) / reps
+
+        return x, k, np.concatenate([u, v]), H
+
+    def stationarity(pt, s):
+        x, k, p0, H = at(pt, s)
+        grad = central_gradient(H, p0, grad_step)
+        norms = {"u": float(np.linalg.norm(grad[: plant.n_u])),
+                 "v": float(np.linalg.norm(grad[plant.n_u:]))}
+        return [Row(norm, stationarity_tol, point=x,
+                    info={"check": f"stationarity_{name}", "norm": norm, "k": k})
+                for name, norm in norms.items()]
+
+    def hessian(pt, s):
+        x, k, p0, H = at(pt, s)
+        rows = []
+        for uv in uv_grid or [p0]:
+            hess = central_hessian(lambda p: H(p, reps=hessian_reps), uv,
+                                   hess_step)
+            dom = np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1]
+            rows.append(Row(dom, scale=float(np.linalg.norm(blk, 2)), point=x,
+                            info={"check": "hessian_domination", "k": k,
+                                  "uv": uv.tolist()}))
+        return rows
+
+    def completed_square(pt, s):
+        x, k, p0, _ = at(pt, s)
+        v_star = p0[plant.n_u:]
+        est = h_k_general(V_seq, plant, x, p0[: plant.n_u], v_star, k,
+                          s.with_seed(derive_seed(s.seed, 0)))
+        square = 0.5 * float(v_star @ W @ v_star)
+        return Row(est.value + square, std_error=est.std_error,
+                   scale=abs(est.value) + abs(square), point=x,
+                   info={"check": "completed_square", "k": k})
+
+    points = [np.concatenate([x, [k]]) for k in range(k_window)
+              for x in domain.points()]
+    cert, _ = sweep(
+        points, scheme,
+        {"stationarity": stationarity, "hessian_domination": hessian,
+         "completed_square": completed_square},
         "saddle stationarity, Hessian domination, completed-square <= 0",
         f"{domain.label()} x k<{k_window}",
         {"scheme": scheme.spec(), "gamma": saddle.gamma,
          "stationarity_tol": stationarity_tol,
          "inverse_condition_number": float(cond)},
-    )
-    underflow = False
-    for k in range(k_window):
-        alpha_k, eta_k = alpha_of(k), eta_of(k)
-        for x in domain.points():
-            u_star = np.atleast_1d(np.asarray(alpha_k(x), dtype=float))
-            v_star = np.atleast_1d(np.asarray(eta_k(x), dtype=float))
-            base_seed = scheme.at(np.concatenate([x, [k]])).seed
-
-            def H_at(uv, reps=1):
-                u, v = uv[: plant.n_u], uv[plant.n_u:]
-                total = 0.0
-                for r in range(reps):
-                    total += h_k_general(
-                        V_seq, plant, x, u, v, k,
-                        scheme.with_seed(derive_seed(base_seed, r)),
-                    ).value
-                return total / reps
-
-            p0 = np.concatenate([u_star, v_star])
-            try:
-                grad = central_gradient(lambda p: H_at(p), p0, grad_step)
-            except FloatingPointError:
-                underflow = True
-                break
-            gu = float(np.linalg.norm(grad[: plant.n_u]))
-            gv = float(np.linalg.norm(grad[plant.n_u:]))
-            sweep.add(gu - stationarity_tol, point=x,
-                      info={"check": "stationarity_u", "norm": gu, "k": k})
-            sweep.add(gv - stationarity_tol, point=x,
-                      info={"check": "stationarity_v", "norm": gv, "k": k})
-
-            uv_points = [p0]
-            if u_box is not None and v_box is not None:
-                uv_points = [np.concatenate([u, v])
-                             for u in u_box.points() for v in v_box.points()]
-            for uv in uv_points:
-                try:
-                    hess = central_hessian(
-                        lambda p: H_at(p, reps=hessian_reps), uv, hess_step)
-                except FloatingPointError:
-                    underflow = True
-                    break
-                dom = np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1]
-                sweep.add(dom, point=x,
-                          info={"check": "hessian_domination", "k": k,
-                                "uv": uv.tolist()},
-                          scale=float(np.linalg.norm(blk, 2)))
-            if underflow:
-                break
-
-            est = h_k_general(V_seq, plant, x, u_star, v_star, k,
-                              scheme.with_seed(derive_seed(base_seed, 0)))
-            script = est.value + 0.5 * float(v_star @ W @ v_star)
-            sweep.add(script, std_error=est.std_error, point=x,
-                      scale=abs(est.value) + abs(0.5 * float(v_star @ W @ v_star)),
-                      info={"check": "completed_square", "k": k})
-        if underflow:
-            break
-    notes = ["finite-difference verification on the sampled scope"]
-    if underflow:
-        notes.append("finite-difference step underflow; scope incomplete")
-    return sweep.finalize(notes=notes, force_inconclusive=underflow)
+        ["finite-difference verification on the sampled scope"])
+    return cert

@@ -6,9 +6,10 @@ import pytest
 from sbrl import certify, library
 from sbrl.dynamics import AffineSystem, DisturbanceEnsemble, LinearSystem
 from sbrl.errors import ConfigurationError, PreconditionError
-from sbrl.noise import ExpectationScheme, point_mass_noise
+from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
+from sbrl.certificates import base_tolerance
 from sbrl.storage import (CustomStorage, DomainBox, QuadraticStorage,
-                          SeparableStorage)
+                          SeparableStorage, quad_bound)
 
 CF = ExpectationScheme(mode="closed-form")
 BETA1 = 1.0 / 0.99
@@ -333,6 +334,68 @@ def test_gamma_star_search_overflow_is_infeasible():
     assert res.feasible_count == 0
 
 
+MC100 = ExpectationScheme(samples=100, seed=7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_external_monte_carlo_overflow_is_inconclusive():
+    # the Monte Carlo H1 integrand overflows at |x| = 1e200: that point gets
+    # a NaN margin carrying the message, as the closed form's inf - inf does
+    box = DomainBox((-1e200,), (1e200,), ("grid", 3))
+    cert = certify.check_external(library.example1_system(),
+                                  library.example1_storage(4.0), BETA1,
+                                  math.sqrt(0.08), box, MC100)
+    assert cert.status == "inconclusive"
+    assert cert.witness["point"] == [-1e200]
+    assert math.isnan(cert.witness["margin"])
+    assert cert.witness["info"] == {
+        "inequality": "H1", "error": "integrand non-finite at sample 0"}
+    assert cert.provenance["samples_checked"] == 6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bound", [1e100, 1e200])
+def test_monte_carlo_gain_gram_overflow_is_inconclusive(bound):
+    # g(x, w) = x (1 + w) overflows the sampled gram E[g' P g] at 1e200 and
+    # its standard error at 1e100, while H1 = -V(x) stays a number there
+    growing_gain = AffineSystem(
+        1, 1,
+        f=lambda X, W: 0.0 * X,
+        g=lambda X, W: X[:, :, None] * (1.0 + W[:, :, None]),
+        m=lambda X: 0.0 * X,
+        m1=lambda X: np.zeros((0, 1)),
+        noise=gaussian_noise(),
+    )
+    box = DomainBox((-bound,), (bound,), ("grid", 3))
+    cert = certify.check_external(growing_gain, QuadraticStorage([[1.0]]),
+                                  2.0, 1.0, box, MC100)
+    assert cert.status == "inconclusive"
+    assert cert.witness["info"] == {"inequality": "G_beta",
+                                    "error": "gain gram non-finite"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_internal_monte_carlo_overflow_is_inconclusive():
+    box = DomainBox((-1e200,), (1e200,), ("grid", 3))
+    cert = certify.check_internal(library.example1_system(),
+                                  library.example1_storage(4.0), 4.0, box,
+                                  MC100)
+    assert cert.status == "inconclusive"
+    assert math.isnan(cert.witness["margin"])
+    assert cert.provenance["samples_checked"] == 6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_star_search_monte_carlo_overflow_is_infeasible():
+    box = DomainBox((-1e200,), (1e200,), ("grid", 3))
+    candidates = [(p, library.example1_storage(p)) for p in (2.0, 4.0)]
+    res = certify.gamma_star_search(library.example1_system(), candidates,
+                                    [BETA1, 1.5], box, MC100)
+    assert res.status == "infeasible"
+    assert res.candidates_checked == 4
+    assert res.feasible_count == 0
+
+
 def test_check_external_requires_convexity_claim():
     V = CustomStorage(lambda x: float(x[0] ** 2), 1, claims_convex=False)
     box = DomainBox((-1.0,), (1.0,))
@@ -348,6 +411,158 @@ def test_certificates_are_deterministic():
     a = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, mc)
     b = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, mc)
     assert a.to_dict() == b.to_dict()
+
+
+# ------------------------------------------------ sweep engine guards
+
+def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
+    """The per-point loop as written before the sweep engine: margins against
+    1e-9 + 1e-7 * scale, falsified beyond 3 standard errors, NaN witness."""
+    worst, worst_info, violation, nan_witness, ok, count = (
+        -math.inf, None, None, None, True, 0)
+    sups = {}
+    for x in points:
+        for name, lhs, rhs, se, scale in rows_at(x, scheme.at(x)):
+            sups[name] = max(sups.get(name, -math.inf), lhs)
+            margin, count = lhs - rhs, count + 1
+            witness = {"point": x.tolist(), "margin": margin,
+                       "std_error": se, "info": {"inequality": name}}
+            if math.isnan(margin) or math.isnan(se):
+                nan_witness = nan_witness or witness
+                continue
+            tol = base_tolerance(scale)
+            if margin > worst:
+                worst, worst_info = margin, {"point": x.tolist(),
+                                             "info": {"inequality": name}}
+            if margin > tol + 3.0 * se:
+                excess = margin - (tol + 3.0 * se)
+                if violation is None or excess > violation[0]:
+                    violation = (excess, witness)
+            ok = ok and margin <= tol
+    if violation is not None:
+        status, witness = "falsified", violation[1]
+    elif nan_witness is not None:
+        status, witness = "inconclusive", nan_witness
+    elif ok and count and not force_inconclusive:
+        status, witness = "certified", None
+    else:
+        status, witness = "inconclusive", worst_info
+    return status, witness, worst, count, sups
+
+
+def _m_sq(system, x):
+    m = system.output_m(x[None])[0]
+    return float(m @ m)
+
+
+def reference_external(system, V, beta, gamma_sq, domain, scheme):
+    def rows_at(x, s):
+        e1 = certify.h1(V, system, x, beta, s)
+        eg = certify.g_beta(V, system, x, beta, s)
+        yield ("H1", e1.value, 0.0, e1.std_error,
+               abs(e1.value) + V.evaluate(x) + _m_sq(system, x))
+        yield ("G_beta", eg.value, gamma_sq, eg.std_error,
+               max(abs(eg.value), gamma_sq))
+
+    status, witness, worst, count, sups = reference_sweep(
+        domain.points(), scheme, rows_at)
+    notes = [f"certified only on {domain.label()}"]
+    if isinstance(V, QuadraticStorage):
+        notes.append(f"V <= {V.lambda_max:g} |x|^2, so certification also "
+                     "implies internal stability on this domain")
+    return {
+        "status": status,
+        "inequality": "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2",
+        "domain": domain.label(), "worst_margin": worst, "witness": witness,
+        "provenance": {"scheme": scheme.spec(), "beta": beta,
+                       "gamma_sq": gamma_sq, "samples_checked": count,
+                       "slack": 0.0, "g_beta_sup": sups["G_beta"],
+                       "h1_worst": sups["H1"]},
+        "tolerance": 1e-9, "notes": notes,
+    }
+
+
+def reference_internal(system, V, c2, domain, scheme):
+    def rows_at(x, s):
+        vx, e0 = V.evaluate(x), certify.h0(V, system, x, s)
+        yield ("growth", vx, c2 * float(x @ x), 0.0,
+               max(abs(vx), c2 * float(x @ x)))
+        yield ("H0", e0.value, 0.0, e0.std_error,
+               abs(e0.value) + vx + _m_sq(system, x))
+
+    qb = quad_bound(V, domain)
+    status, witness, worst, count, _ = reference_sweep(
+        domain.points(), scheme, rows_at, qb.boundary_attained)
+    notes = [f"certified only on {domain.label()}"]
+    if qb.boundary_attained:
+        notes.insert(0, "growth-bound ratio attains its maximum on the box "
+                     "boundary; the c2 claim does not extrapolate beyond "
+                     "the sampled domain")
+    return {
+        "status": status,
+        "inequality": "V(x) <= c2 |x|^2 and H0(V(x)) <= 0",
+        "domain": domain.label(), "worst_margin": worst, "witness": witness,
+        "provenance": {"scheme": scheme.spec(), "c2": c2,
+                       "quad_bound": qb.to_dict(), "samples_checked": count,
+                       "slack": 0.0},
+        "tolerance": 1e-9, "notes": notes,
+    }
+
+
+EX1_BOX = DomainBox((-10.0,), (10.0,), ("grid", 41))
+EX2_BOX = DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3))
+MC200 = ExpectationScheme(samples=200, seed=11)
+
+
+@pytest.mark.parametrize("scheme", [CF, MC200], ids=["closed-form", "mc200"])
+@pytest.mark.parametrize("gamma_sq", [0.08, 0.0799])
+def test_engine_matches_reference_loop_example1(scheme, gamma_sq):
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    cert = certify.check_external(sys1, V, BETA1, math.sqrt(gamma_sq),
+                                  EX1_BOX, scheme)
+    assert cert.to_dict() == reference_external(
+        sys1, V, BETA1, math.sqrt(gamma_sq) ** 2, EX1_BOX, scheme)
+    cert = certify.check_internal(sys1, V, 4.0, EX1_BOX, scheme)
+    assert cert.to_dict() == reference_internal(sys1, V, 4.0, EX1_BOX, scheme)
+
+
+@pytest.mark.parametrize("scheme", [CF, MC200], ids=["closed-form", "mc200"])
+def test_engine_matches_reference_loop_example2_closed_loop(scheme):
+    from sbrl import synth
+    loop = synth.closed_loop(library.example2_plant(), library.example2_law())
+    V = library.example2_storage()
+    beta, gamma = library.EXAMPLE2_BETA, library.EXAMPLE2_GAMMA
+    cert = certify.check_external(loop, V, beta, gamma, EX2_BOX, scheme)
+    assert cert.to_dict() == reference_external(loop, V, beta, gamma * gamma,
+                                                EX2_BOX, scheme)
+    cert = certify.check_internal(loop, V, 1.0, EX2_BOX, scheme)
+    assert cert.to_dict() == reference_internal(loop, V, 1.0, EX2_BOX, scheme)
+
+
+def test_sweeps_call_public_functionals_through_module_lookup(monkeypatch):
+    # bench/trace_cli.py counts work by rebinding sbrl.certify.h1/g_beta;
+    # 2848 h1 calls are the early exits of example 1's gamma-star search
+    calls = {"h1": 0, "g_beta": 0}
+    for name in calls:
+        original = getattr(certify, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(certify, name, counted)
+    box = DomainBox((-10.0,), (10.0,), ("grid", 201))
+    candidates = [(p, library.example1_storage(p))
+                  for p in (2.0, 3.0, 4.0, 5.0, 6.0, 8.0)]
+    betas = [1.002, 1.005, BETA1, 1.02, 1.05, 1.1, 1.5, 2.0]
+    res = certify.gamma_star_search(library.example1_system(), candidates,
+                                    betas, box, CF)
+    assert res.candidates_checked == 48
+    assert calls == {"h1": 2848, "g_beta": 2814}
+    certify.check_external(library.example1_system(),
+                           library.example1_storage(4.0), BETA1,
+                           math.sqrt(0.08), EX1_BOX, CF)
+    assert calls == {"h1": 2848 + 41, "g_beta": 2814 + 41}
 
 
 # ------------------------------------------------------------- gamma star

@@ -164,6 +164,10 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
     assert np.all(odd == 0.0)
     even = sample_values(model, scheme, lambda draws: draws[:, 0] ** 2)
     assert np.array_equal(even, 0.5 * (base[:, 0] ** 2 + (-base[:, 0]) ** 2))
+    # an odd monomial is odd bit for bit, so its pair means vanish exactly
+    cube = OmegaPolynomial(1, {(3,): 1.0})
+    assert np.all(sample_values(model, scheme, cube) == 0.0)
+    assert expect(model, scheme, cube).value == 0.0
 
     system = library.example1_system(noise=model)
     x = np.array([0.3])

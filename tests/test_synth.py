@@ -325,6 +325,23 @@ def test_certify_controller_general_zero_plant():
         assert cert.status == "certified"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certify_controller_general_monte_carlo_overflow_is_inconclusive():
+    # V(F) overflows at |x| = 1e200: a NaN margin there, not an exception
+    plant = deterministic_general_plant()
+    box = DomainBox((-1e200,), (1e200,), ("grid", 3))
+    vbox = DomainBox((-1.0,), (1.0,), ("grid", 3))
+    cert = synth.certify_controller_general(
+        plant, lambda x: np.array([0.0]), QuadraticStorage([[1.0]]), 3.0,
+        box, vbox, MC8)
+    assert cert.status == "inconclusive"
+    assert cert.witness["point"] == [-1e200, -1.0, 0.0]
+    assert math.isnan(cert.witness["margin"])
+    assert cert.witness["info"] == {
+        "inequality": "H_k", "error": "integrand non-finite at sample 0"}
+    assert cert.provenance["samples_checked"] == 9
+
+
 # ----------------------------------------------------------- saddle data
 
 def test_saddle_functional_worked_values():
@@ -350,6 +367,22 @@ def test_taylor_certify_falsifies_small_gamma():
     box = DomainBox((-2.0,), (2.0,), ("grid", 9))
     cert = synth.taylor_certify(plant, worked_saddle(2.1), V, box, MC8)
     assert cert.status == "falsified"
+
+
+def test_taylor_certify_step_underflow_is_inconclusive():
+    # a gradient step below 1e-12 cannot be formed: NaN stationarity margins
+    plant = deterministic_general_plant()
+    box = DomainBox((-2.0,), (2.0,), ("grid", 3))
+    cert = synth.taylor_certify(plant, worked_saddle(3.0),
+                                QuadraticStorage([[1.0]]), box, MC8,
+                                grad_step=1e-13)
+    assert cert.status == "inconclusive"
+    assert math.isnan(cert.witness["margin"])
+    assert cert.witness["info"] == {
+        "inequality": "stationarity",
+        "error": "finite-difference step underflow"}
+    # the Hessian and completed-square rows are still checked at every point
+    assert cert.provenance["samples_checked"] == 9
 
 
 def test_taylor_hessian_domination_margin():
