@@ -382,8 +382,8 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
     if isinstance(V, QuadraticStorage):
         cert.notes.append(f"V <= {V.lambda_max:g} |x|^2, so certification "
                           "also implies internal stability on this domain")
-    cert.provenance["g_beta_sup"] = rec["G_beta"].lhs
-    cert.provenance["h1_worst"] = rec["H1"].lhs
+    for key, r in (("g_beta_sup", rec["G_beta"]), ("h1_worst", rec["H1"])):
+        cert.provenance[key] = None if r.nan else r.lhs  # NaN point: unknown
     return cert
 
 

@@ -94,8 +94,8 @@ def example2_plant() -> ControlledSystem:
 
     def f(X, U, W):
         x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-        # columns written in place: a 1e5-draw sweep holds one (N, 3) block
-        out = np.empty((max(len(X), len(U), len(W)), 3))
+        # one column-major (N, 3) block: written and read by whole columns
+        out = np.empty((max(len(X), len(U), len(W)), 3), order="F")
         out[:, 0] = W[:, 0] * x1 + W[:, 1] * x2 ** 2 + U[:, 0]
         out[:, 1] = W[:, 2] * x2 + W[:, 3] * _saturation(x3) + U[:, 1]
         out[:, 2] = W[:, 4] * x3 * np.cos(x2) + U[:, 0]

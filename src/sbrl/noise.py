@@ -13,7 +13,7 @@ that ensemble results do not depend on evaluation order or worker count.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,14 +44,13 @@ def hash_point(x) -> int:
 class _Distribution:
     """One scalar noise coordinate: sampling, mirroring and raw moments."""
 
+    mirror_sum = 0.0  # twice the symmetry point: a draw w mirrors to it - w
+
     def moment(self, k: int) -> float:
         raise NotImplementedError
 
-    def draw(self, rng, count):
-        raise NotImplementedError
-
-    def mirror(self, values):
-        """Antithetic reflection about the distribution's symmetry point."""
+    def fill(self, rng, out):
+        """Draw len(out) values into the 1-D array ``out``, in place."""
         raise NotImplementedError
 
     def spec(self):
@@ -60,21 +59,22 @@ class _Distribution:
 
 class Uniform(_Distribution):
     def __init__(self, lo, hi):
-        if not lo < hi:
-            raise ConfigurationError(f"uniform requires lo < hi, got [{lo}, {hi}]")
+        if not (lo < hi and math.isfinite(hi - lo)):  # rng.uniform's bounds
+            raise ConfigurationError(f"uniform requires finite lo < hi, got [{lo}, {hi}]")
         self.lo = float(lo)
         self.hi = float(hi)
+        self.mirror_sum = self.lo + self.hi
 
     def moment(self, k):
         if k == 0:
             return 1.0
         return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
 
-    def draw(self, rng, count):
-        return rng.uniform(self.lo, self.hi, count)
-
-    def mirror(self, values):
-        return (self.lo + self.hi) - values
+    def fill(self, rng, out):
+        # lo + (hi - lo) * u, the arithmetic of rng.uniform
+        rng.random(out=out)
+        out *= self.hi - self.lo
+        out += self.lo
 
     def spec(self):
         return {"uniform": [self.lo, self.hi]}
@@ -86,6 +86,7 @@ class Gaussian(_Distribution):
             raise ConfigurationError(f"gaussian requires variance >= 0, got {variance}")
         self.mean = float(mean)
         self.variance = float(variance)
+        self.mirror_sum = 2.0 * self.mean
 
     def moment(self, k):
         mu, s2 = self.mean, self.variance
@@ -101,11 +102,10 @@ class Gaussian(_Distribution):
             return mu ** 4 + 6 * mu * mu * s2 + 3 * s2 * s2
         raise ConfigurationError(f"gaussian raw moment of order {k} not supported")
 
-    def draw(self, rng, count):
-        return self.mean + math.sqrt(self.variance) * rng.standard_normal(count)
-
-    def mirror(self, values):
-        return 2.0 * self.mean - values
+    def fill(self, rng, out):
+        rng.standard_normal(out=out)
+        out *= math.sqrt(self.variance)
+        out += self.mean
 
     def spec(self):
         return {"gaussian": [self.mean, self.variance]}
@@ -114,15 +114,13 @@ class Gaussian(_Distribution):
 class PointMass(_Distribution):
     def __init__(self, value):
         self.value = float(value)
+        self.mirror_sum = 2.0 * self.value  # 2v - v is v exactly
 
     def moment(self, k):
         return self.value ** k
 
-    def draw(self, rng, count):
-        return np.full(count, self.value)
-
-    def mirror(self, values):
-        return values
+    def fill(self, rng, out):
+        out.fill(self.value)
 
     def spec(self):
         return {"point_mass": self.value}
@@ -132,11 +130,9 @@ class Rademacher(_Distribution):
     def moment(self, k):
         return 1.0 if k % 2 == 0 else 0.0
 
-    def draw(self, rng, count):
-        return rng.integers(0, 2, count) * 2.0 - 1.0
-
-    def mirror(self, values):
-        return -values
+    def fill(self, rng, out):
+        np.multiply(rng.integers(0, 2, len(out)), 2.0, out=out)
+        out -= 1.0
 
     def spec(self):
         return "rademacher"
@@ -179,20 +175,24 @@ class NoiseModel:
         return self.components[coord].moment(k)
 
     def sample(self, seed: int, count: int):
-        """Draw ``count`` i.i.d. vectors as a (count, dim) matrix.
+        """Draw ``count`` i.i.d. vectors as a read-only (count, dim) matrix.
 
         Deterministic in (model, seed, count).
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
         rng = np.random.default_rng(int(seed) & _MASK64)
-        return np.column_stack([c.draw(rng, count) for c in self.components])
+        out = np.empty((count, self.dim), order="F")
+        for j, c in enumerate(self.components):
+            c.fill(rng, out[:, j])
+        out.flags.writeable = False
+        return out
 
     def mirror(self, draws):
-        """Reflect draws about each coordinate's symmetry point."""
-        return np.column_stack(
-            [c.mirror(draws[:, j]) for j, c in enumerate(self.components)]
-        )
+        """Reflect draws about each coordinate's symmetry point (read-only)."""
+        out = np.subtract([c.mirror_sum for c in self.components], draws)
+        out.flags.writeable = False
+        return out
 
     def spec(self):
         return {"dim": self.dim, "components": [c.spec() for c in self.components]}
@@ -223,6 +223,7 @@ class ExpectationScheme:
     samples: int = 10_000
     seed: int = 0
     antithetic: bool = False
+    _draws: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("monte-carlo", "closed-form"):
@@ -238,7 +239,18 @@ class ExpectationScheme:
         from the point, so sweeps do not depend on their order."""
         if self.mode == "closed-form":
             return self
-        return self.with_seed(derive_seed(self.seed, hash_point(point)))
+        scheme = self.with_seed(derive_seed(self.seed, hash_point(point)))
+        object.__setattr__(scheme, "_draws", {})
+        return scheme
+
+    def _draw(self, noise, count):
+        """``noise.sample(self.seed, count)``.  A scheme from ``at`` keeps its
+        draws for as long as its point lives, so H1 and G_beta there share
+        one read-only matrix."""
+        kept = {} if self._draws is None else self._draws
+        if (noise, count) not in kept:
+            kept[noise, count] = noise.sample(self.seed, count)
+        return kept[noise, count]
 
     def spec(self):
         return {
@@ -349,8 +361,8 @@ def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
     averages to exactly zero.
     """
     if not scheme.antithetic:
-        return fn(noise.sample(scheme.seed, scheme.samples))
-    base = noise.sample(scheme.seed, (scheme.samples + 1) // 2)
+        return fn(scheme._draw(noise, scheme.samples))
+    base = scheme._draw(noise, (scheme.samples + 1) // 2)
     return 0.5 * (fn(base) + fn(noise.mirror(base)))
 
 

@@ -183,14 +183,27 @@ class SeparableStorage(StorageFunction):
         super().__init__(len(p), claims_convex=True, claims_V0_zero=True)
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(sum(pi * x[i] ** di for i, (pi, di) in enumerate(zip(self.p, self.d))))
+        return float(self._power_sum(x)[0])
 
     def evaluate_batch(self, X):
+        return self._power_sum(X)
+
+    def _power_sum(self, X):
+        """sum_i p_i X[:, i]^d_i, x^d = (x*x)^(d/2) by repeated squaring in
+        place: numpy's ``x ** 4`` calls libm pow, 10x slower on mixed signs."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros(X.shape[0])
+        sq, term = np.empty_like(out), np.empty_like(out)
         for i, (pi, di) in enumerate(zip(self.p, self.d)):
-            out += pi * X[:, i] ** di
+            np.multiply(X[:, i], X[:, i], out=sq)
+            term.fill(1.0)
+            for k in range((di // 2).bit_length()):  # bits of d/2, lowest first
+                if k:
+                    sq *= sq
+                if di >> (k + 1) & 1:
+                    term *= sq
+            term *= pi
+            out += term
         return out
 
     def describe(self):

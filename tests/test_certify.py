@@ -6,7 +6,8 @@ import pytest
 from sbrl import certify, library
 from sbrl.dynamics import AffineSystem, DisturbanceEnsemble, LinearSystem
 from sbrl.errors import ConfigurationError, PreconditionError
-from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
+from sbrl.noise import (ExpectationScheme, NoiseModel, gaussian_noise,
+                        point_mass_noise)
 from sbrl.certificates import base_tolerance
 from sbrl.storage import (CustomStorage, DomainBox, QuadraticStorage,
                           SeparableStorage, quad_bound)
@@ -311,6 +312,9 @@ def test_check_external_overflow_is_inconclusive():
     cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, CF)
     assert cert.status == "inconclusive"
     assert math.isnan(cert.witness["margin"])
+    # H1 is finite only at x = 0: its worst value is unknown, not 0.0
+    assert cert.provenance["h1_worst"] is None
+    assert math.isfinite(cert.provenance["g_beta_sup"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -455,10 +459,12 @@ def _m_sq(system, x):
     return float(m @ m)
 
 
-def reference_external(system, V, beta, gamma_sq, domain, scheme):
+def reference_external(system, V, beta, gamma_sq, domain, scheme,
+                       fresh=False):
+    # fresh: each functional gets its own scheme.at(x), hence its own draw
     def rows_at(x, s):
-        e1 = certify.h1(V, system, x, beta, s)
-        eg = certify.g_beta(V, system, x, beta, s)
+        e1 = certify.h1(V, system, x, beta, scheme.at(x) if fresh else s)
+        eg = certify.g_beta(V, system, x, beta, scheme.at(x) if fresh else s)
         yield ("H1", e1.value, 0.0, e1.std_error,
                abs(e1.value) + V.evaluate(x) + _m_sq(system, x))
         yield ("G_beta", eg.value, gamma_sq, eg.std_error,
@@ -537,6 +543,24 @@ def test_engine_matches_reference_loop_example2_closed_loop(scheme):
                                                 EX2_BOX, scheme)
     cert = certify.check_internal(loop, V, 1.0, EX2_BOX, scheme)
     assert cert.to_dict() == reference_internal(loop, V, 1.0, EX2_BOX, scheme)
+
+
+def test_check_external_draws_once_per_point(monkeypatch):
+    # H1 and the sampled gram of G_beta share the point's one draw matrix
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    box = DomainBox((-10.0,), (10.0,), ("grid", 11))
+    seeds, sample = [], NoiseModel.sample
+
+    def spy(self, seed, count):
+        seeds.append(seed)
+        return sample(self, seed, count)
+
+    monkeypatch.setattr(NoiseModel, "sample", spy)
+    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.1), box, MC200)
+    assert seeds == [MC200.at(x).seed for x in box.points()]
+    assert cert.to_dict() == reference_external(
+        sys1, V, BETA1, math.sqrt(0.1) ** 2, box, MC200, fresh=True)
+    assert len(seeds) == 2 * 11 + 11  # the reference draws twice per point
 
 
 def test_sweeps_call_public_functionals_through_module_lookup(monkeypatch):

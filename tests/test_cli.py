@@ -344,6 +344,19 @@ def test_certify_overflow_box_is_inconclusive_without_warnings(tmp_path):
     assert report["status"] == "inconclusive"
 
 
+def test_certify_nan_points_write_null_worst_value(tmp_path):
+    # H1 overflows to NaN at +-1e200 and is finite only at 0, so no finite
+    # maximum may stand for its worst value
+    cfg = example1_external_config(tmp_path / "out")
+    cfg["certificate"]["domain"] = {"lo": [-1e200], "hi": [1e200], "grid": 3}
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+    margins = json.loads((tmp_path / "out" / "margins.json").read_text())
+    assert margins["h1_worst"] is None
+    assert margins["g_beta_sup"] == pytest.approx(0.08, abs=1e-12)
+    certs = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert certs[-1]["provenance"]["h1_worst"] is None
+
+
 def test_config_hash_matches_resolved_config(tmp_path):
     cfg = write_config(tmp_path, example1_external_config(tmp_path / "out"))
     assert run(["certify", "--config", cfg]) == 0

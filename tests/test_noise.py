@@ -257,3 +257,74 @@ def test_derived_seeds_stay_in_range_and_spread(seed, index):
     sub = derive_seed(seed, index)
     assert 0 <= sub < 2 ** 64
     assert sub != derive_seed(seed, index + 1) or splitmix64(sub) != sub
+
+
+# ------------------------------------------------ sampling-stream guard
+
+def reference_sample(model, seed, count):
+    """The draw path as first written: one generator, one array per
+    coordinate from the per-kind generator call, then np.column_stack."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for c in model.components:
+        if isinstance(c, Uniform):
+            cols.append(rng.uniform(c.lo, c.hi, count))
+        elif isinstance(c, Gaussian):
+            cols.append(c.mean + math.sqrt(c.variance)
+                        * rng.standard_normal(count))
+        elif isinstance(c, Rademacher):
+            cols.append(rng.integers(0, 2, count) * 2.0 - 1.0)
+        else:
+            cols.append(np.full(count, c.value))
+    return np.column_stack(cols)
+
+
+def reference_mirror(model, draws):
+    cols = []
+    for j, c in enumerate(model.components):
+        w = draws[:, j]
+        if isinstance(c, Uniform):
+            cols.append((c.lo + c.hi) - w)
+        elif isinstance(c, Gaussian):
+            cols.append(2.0 * c.mean - w)
+        elif isinstance(c, Rademacher):
+            cols.append(-w)
+        else:
+            cols.append(w)
+    return np.column_stack(cols)
+
+
+STREAM_MODELS = [
+    NoiseModel((Uniform(0.0, 1.0),)),
+    NoiseModel((Uniform(-0.5, 0.5), Uniform(-3.0, 7.25))),
+    NoiseModel((Gaussian(0.0, 1.0),)),
+    NoiseModel((Gaussian(-1.5, 0.3),)),
+    NoiseModel((PointMass(0.7),)),
+    NoiseModel((Rademacher(),)),
+    NoiseModel((Uniform(0.0, 1.0), Gaussian(2.0, 0.5), PointMass(-0.25),
+                Rademacher(), Uniform(-2.0, 1e-3))),
+    library.example2_plant().noise,
+]
+
+
+def test_uniform_rejects_a_width_that_overflows():
+    # rng.uniform raised OverflowError mid-run for these bounds
+    for lo, hi in ((-1e308, 1e308), (0.0, math.inf)):
+        with pytest.raises(ConfigurationError):
+            Uniform(lo, hi)
+
+
+@pytest.mark.parametrize("model", STREAM_MODELS,
+                         ids=[str(m.spec()["components"]) for m in STREAM_MODELS])
+def test_sample_and_mirror_match_reference_stream(model):
+    for seed in (0, 7, 2**63 + 5, derive_seed(11, 3)):
+        for count in (1, 2, 1001):
+            draws = model.sample(seed, count)
+            expected = reference_sample(model, seed, count)
+            assert draws.shape == expected.shape
+            assert draws.tobytes() == expected.tobytes()
+            assert not draws.flags.writeable
+            mirrored = model.mirror(draws)
+            assert (mirrored.tobytes()
+                    == reference_mirror(model, expected).tobytes())
+            assert not mirrored.flags.writeable

@@ -47,6 +47,21 @@ def test_example2_storage_value():
     assert V.evaluate([1.0, 1.0, 1.0]) == pytest.approx(3.0 / 16.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_separable_squaring_kernel(d):
+    # evaluate and evaluate_batch share one kernel, so they agree bit for bit;
+    # against numpy's p * x**d (libm pow) a d-fold product may differ by the
+    # rounding bound d * eps, and a square (d = 2) not at all
+    rng = np.random.default_rng(d)
+    X = rng.uniform(-3.0, 3.0, (1001, 2)) * 10.0 ** rng.integers(-5, 5, (1001, 2))
+    V = SeparableStorage((1.0 / 16.0, 0.7), (d, d))
+    batch = V.evaluate_batch(X)
+    assert [V.evaluate(x) for x in X] == batch.tolist()
+    reference = 1.0 / 16.0 * X[:, 0] ** d + 0.7 * X[:, 1] ** d
+    rel = np.abs(batch - reference) / reference
+    assert rel.max() <= (0.0 if d == 2 else d * np.finfo(float).eps)
+
+
 def test_storage_vanishes_at_origin():
     for V in (QuadraticStorage(np.eye(3)),
               SeparableStorage((1.0, 2.0), (2, 4)),

@@ -8,7 +8,7 @@ from sbrl import certify, library, synth
 from sbrl.dynamics import (ControlledSystem, DisturbanceEnsemble,
                            GeneralSystem, LinearSystem)
 from sbrl.errors import ConfigurationError, PreconditionError
-from sbrl.noise import ExpectationScheme, point_mass_noise
+from sbrl.noise import ExpectationScheme, NoiseModel, point_mass_noise
 from sbrl.storage import CustomStorage, DomainBox, QuadraticStorage
 
 CF = ExpectationScheme(mode="closed-form")
@@ -237,6 +237,49 @@ def test_argmin_improve_never_worse_than_builtin_law():
     h_found = synth.h_design(V, plant, x, u, library.EXAMPLE2_BETA, CF)
     h_law = synth.h_design(V, plant, x, u_law, library.EXAMPLE2_BETA, CF)
     assert h_found.value <= h_law.value + 1e-6
+
+
+def reference_argmin(plant, V, beta, x, u0, scheme, step=0.5,
+                     shrink_tol=1e-6, max_iter=500):
+    """The compass search with a fresh scheme.at, so a fresh draw, per trial."""
+    point = np.concatenate([x, u0])
+
+    def value(uu):
+        return synth.h_design(V, plant, x, uu, beta, scheme.at(point)).value
+
+    u, best = np.array(u0, dtype=float), value(u0)
+    for _ in range(max_iter):
+        if step < shrink_tol:
+            break
+        improved = False
+        for i in range(len(u)):
+            for sign in (1.0, -1.0):
+                trial = u.copy()
+                trial[i] += sign * step
+                val = value(trial)
+                if val < best:
+                    u, best, improved = trial, val, True
+        if not improved:
+            step *= 0.5
+    return u
+
+
+def test_argmin_improve_draws_once_for_the_whole_search(monkeypatch):
+    plant, V = library.example2_plant(), library.example2_storage()
+    x = np.array([1.0, -0.5, 0.8])
+    u0 = library.example2_law()(x[None])[0]
+    mc = ExpectationScheme(samples=300, seed=5)
+    expected = reference_argmin(plant, V, library.EXAMPLE2_BETA, x, u0, mc)
+    counts, sample = [], NoiseModel.sample
+
+    def spy(self, seed, count):
+        counts.append(count)
+        return sample(self, seed, count)
+
+    monkeypatch.setattr(NoiseModel, "sample", spy)
+    u = synth.argmin_improve(plant, V, library.EXAMPLE2_BETA, x, u0, mc)
+    assert counts == [300]
+    assert np.array_equal(u, expected)
 
 
 # ----------------------------------------------------------- general tier
