@@ -479,19 +479,21 @@ def estimate_c1_c2(system, Vbar, beta_grid, domain: DomainBox, scheme,
     if not points:
         raise ConfigurationError("no samples with Vbar(x) above the exclusion level")
 
-    def envelope(beta):
-        ratios = []
-        for x in points:
-            ev = expected_storage(Vbar, system, x, None, scheme.at(x),
-                                  scale=beta)
-            ratios.append(ev.value / Vbar.evaluate(x))
-        return float(max(ratios)), float(min(ratios))
+    # points outside, betas inside: each point draws once for every beta;
+    # each beta's ratios stay in point order
+    betas = [1.0] + sorted(float(b) for b in beta_grid)
+    ratios = [[] for _ in betas]
+    for x in points:
+        x_scheme = scheme.at(x)
+        for beta, beta_ratios in zip(betas, ratios):
+            ev = expected_storage(Vbar, system, x, None, x_scheme, scale=beta)
+            beta_ratios.append(ev.value / Vbar.evaluate(x))
+    envelopes = [(float(max(r)), float(min(r))) for r in ratios]
 
-    c1_at_one, _ = envelope(1.0 + 0.0)
+    c1_at_one, _ = envelopes[0]
     rows = []
     beta0 = None
-    for beta in sorted(float(b) for b in beta_grid):
-        c1_hat, c2_hat = envelope(beta)
+    for beta, (c1_hat, c2_hat) in zip(betas[1:], envelopes[1:]):
         rows.append((beta, c1_hat, c2_hat))
         if beta0 is None and beta > 1.0 and beta - c1_hat > 0.0:
             beta0 = beta

@@ -416,12 +416,14 @@ def cmd_simulate(resolved):
     results = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
                                 int(ens_block["count"]), seed, policy_u=policy_u)
     for i, traj in enumerate(results):
+        results[i] = None  # each member is released once its CSV is written
         if isinstance(traj, DivergenceError):
             status = f"divergence at step {traj.step}"
             log.warning("trajectory %d diverged at step %d", i, traj.step)
             traj = traj.trajectory
         header, rows = trajectory_csv_rows(traj)
         writer.write_csv(f"trajectory_{i:03d}.csv", header, rows)
+        del traj, rows
         if status != "consistent":
             break
     writer.timings["simulate_s"] = time.perf_counter() - t0

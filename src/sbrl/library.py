@@ -94,11 +94,22 @@ def example2_plant() -> ControlledSystem:
 
     def f(X, U, W):
         x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-        # one column-major (N, 3) block: written and read by whole columns
-        out = np.empty((max(len(X), len(U), len(W)), 3), order="F")
-        out[:, 0] = W[:, 0] * x1 + W[:, 1] * x2 ** 2 + U[:, 0]
-        out[:, 1] = W[:, 2] * x2 + W[:, 3] * _saturation(x3) + U[:, 1]
-        out[:, 2] = W[:, 4] * x3 * np.cos(x2) + U[:, 0]
+        # one column-major (N, 3) block, written in place column by column
+        # with one scratch column, in the operation order
+        # (W0 x1 + W1 x2^2) + u1, (W2 x2 + W3 sat(x3)) + u2, (W4 x3) cos(x2) + u1
+        n = max(len(X), len(U), len(W))
+        out = np.empty((n, 3), order="F")
+        c0, c1, c2 = out[:, 0], out[:, 1], out[:, 2]
+        tmp = np.empty(n)
+        np.multiply(W[:, 0], x1, out=c0)
+        c0 += np.multiply(W[:, 1], x2 ** 2, out=tmp)
+        c0 += U[:, 0]
+        np.multiply(W[:, 2], x2, out=c1)
+        c1 += np.multiply(W[:, 3], _saturation(x3), out=tmp)
+        c1 += U[:, 1]
+        np.multiply(W[:, 4], x3, out=c2)
+        c2 *= np.cos(x2)
+        c2 += U[:, 0]
         return out
 
     def f_parts(x, u):

@@ -174,19 +174,28 @@ class NoiseModel:
     def moment(self, coord: int, k: int) -> float:
         return self.components[coord].moment(k)
 
-    def sample(self, seed: int, count: int):
+    def sample(self, seed: int, count: int, out=None):
         """Draw ``count`` i.i.d. vectors as a read-only (count, dim) matrix.
 
-        Deterministic in (model, seed, count).
+        Deterministic in (model, seed, count).  ``out``, a writable
+        column-major float (count, dim) buffer, is filled in place and a
+        read-only view of it returned.
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
+        if out is None:
+            out = np.empty((count, self.dim), order="F")
+        elif (out.shape != (count, self.dim) or out.dtype != float
+              or not (out.flags.f_contiguous and out.flags.writeable)):
+            raise ConfigurationError(
+                f"out must be a writable column-major float "
+                f"({count}, {self.dim}) array")
         rng = np.random.default_rng(int(seed) & _MASK64)
-        out = np.empty((count, self.dim), order="F")
         for j, c in enumerate(self.components):
             c.fill(rng, out[:, j])
-        out.flags.writeable = False
-        return out
+        view = out.view()
+        view.flags.writeable = False
+        return view
 
     def mirror(self, draws):
         """Reflect draws about each coordinate's symmetry point (read-only)."""
@@ -215,6 +224,36 @@ def point_mass_noise(value=0.0, dim=1) -> NoiseModel:
     return NoiseModel(tuple(PointMass(value) for _ in range(dim)))
 
 
+class Workspace:
+    """Monte Carlo buffers shared by the schemes ``ExpectationScheme.at``
+    derives for one sweep, freed with it.
+
+    Per (noise, count) it keeps one draw matrix tagged with the seed that
+    filled it; a scheme with another seed draws again into the same memory,
+    so a point never reads another point's draws.  Per shape it keeps one
+    output buffer for ``sample_values``, valid until its next call.  An
+    integrand must not itself sample through the workspace it runs under.
+    """
+
+    def __init__(self):
+        self._draws = {}
+        self._outputs = {}
+
+    def draw(self, noise, seed, count):
+        tag, buf, draws = self._draws.pop((noise, count), (None, None, None))
+        if buf is None:
+            buf = np.empty((count, noise.dim), order="F")
+        if tag != seed:
+            draws = noise.sample(seed, count, out=buf)
+        self._draws[noise, count] = (seed, buf, draws)
+        return draws
+
+    def output(self, shape):
+        if shape not in self._outputs:
+            self._outputs[shape] = np.empty(shape)
+        return self._outputs[shape]
+
+
 @dataclass(frozen=True)
 class ExpectationScheme:
     """How E[.] is evaluated: seeded Monte Carlo or exact moments."""
@@ -223,7 +262,8 @@ class ExpectationScheme:
     samples: int = 10_000
     seed: int = 0
     antithetic: bool = False
-    _draws: dict | None = field(default=None, init=False, compare=False, repr=False)
+    _workspace: Workspace | None = field(default=None, init=False,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("monte-carlo", "closed-form"):
@@ -234,23 +274,28 @@ class ExpectationScheme:
     def with_seed(self, seed: int) -> "ExpectationScheme":
         return ExpectationScheme(self.mode, self.samples, int(seed) & _MASK64, self.antithetic)
 
-    def at(self, point) -> "ExpectationScheme":
+    def at(self, point, workspace=None) -> "ExpectationScheme":
         """The scheme at one sweep point: Monte Carlo gets a seed derived
-        from the point, so sweeps do not depend on their order."""
+        from the point, so sweeps do not depend on their order.  It draws
+        through ``workspace`` (the sweep's), or a private one of its own,
+        so H1 and G_beta at a point draw once."""
         if self.mode == "closed-form":
             return self
         scheme = self.with_seed(derive_seed(self.seed, hash_point(point)))
-        object.__setattr__(scheme, "_draws", {})
+        object.__setattr__(scheme, "_workspace",
+                           Workspace() if workspace is None else workspace)
         return scheme
 
     def _draw(self, noise, count):
-        """``noise.sample(self.seed, count)``.  A scheme from ``at`` keeps its
-        draws for as long as its point lives, so H1 and G_beta there share
-        one read-only matrix."""
-        kept = {} if self._draws is None else self._draws
-        if (noise, count) not in kept:
-            kept[noise, count] = noise.sample(self.seed, count)
-        return kept[noise, count]
+        """``noise.sample(self.seed, count)``, kept in the workspace."""
+        if self._workspace is None:
+            return noise.sample(self.seed, count)
+        return self._workspace.draw(noise, self.seed, count)
+
+    def _output(self, shape):
+        if self._workspace is None:
+            return np.empty(shape)
+        return self._workspace.output(shape)
 
     def spec(self):
         return {
@@ -333,8 +378,9 @@ class OmegaPolynomial:
 def expect(noise: NoiseModel, scheme: ExpectationScheme, integrand) -> Estimate:
     """Evaluate E[integrand(omega)] under the given scheme.
 
-    Monte Carlo integrands receive the full (N, dim) draw matrix and must
-    return an (N,) vector.  Closed-form mode requires an OmegaPolynomial.
+    Monte Carlo integrands receive row blocks of the (N, dim) draw matrix
+    and must return one value per row.  Closed-form mode requires an
+    OmegaPolynomial.
     """
     if scheme.mode == "closed-form":
         if not isinstance(integrand, OmegaPolynomial):
@@ -346,24 +392,53 @@ def expect(noise: NoiseModel, scheme: ExpectationScheme, integrand) -> Estimate:
     vals = sample_values(noise, scheme,
                          lambda draws: _eval_integrand(integrand, draws))
     n = vals.shape[0]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationError(f"integrand non-finite at sample {i}",
+                              point=scheme._draw(noise, n)[i].copy())
     se = 0.0 if n < 2 else float(vals.std(ddof=1) / math.sqrt(n))
     return Estimate(float(vals.mean()), se)
+
+
+# Rows per ``fn`` call in ``sample_values``: blocks this size keep every
+# temporary of an integrand cache-sized instead of draw-matrix-sized.
+BLOCK_ROWS = 8192
 
 
 def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
     """One value of ``fn`` per independent Monte Carlo sample.
 
-    ``fn`` maps an (N, dim) draw matrix to N values of any shape.  An
+    ``fn`` maps a row block of the (N, dim) draw matrix to one value of any
+    shape per row; it must be row-wise, so blocks change no bit.  N is split
+    into ceil(N / BLOCK_ROWS) near-equal blocks, never a small remainder,
+    and N <= BLOCK_ROWS gives one call whose result is returned as is;
+    otherwise the values land in the scheme's workspace output.  An
     antithetic scheme draws ceil(samples/2) vectors and returns the mean of
     each (draw, mirrored draw) pair: the pair means are the independent
     samples, so their spread gives the standard error, and an integrand
     that is odd bit for bit (a linear one; numpy's ``w ** 3`` is not)
     averages to exactly zero.
     """
-    if not scheme.antithetic:
-        return fn(scheme._draw(noise, scheme.samples))
-    base = scheme._draw(noise, (scheme.samples + 1) // 2)
-    return 0.5 * (fn(base) + fn(noise.mirror(base)))
+    n = (scheme.samples + 1) // 2 if scheme.antithetic else scheme.samples
+    draws = scheme._draw(noise, n)
+
+    def values(block):
+        if not scheme.antithetic:
+            return fn(block)
+        return 0.5 * (fn(block) + fn(noise.mirror(block)))
+
+    blocks = -(-n // BLOCK_ROWS)
+    if blocks == 1:
+        return values(draws)
+    out = None
+    for b in range(blocks):
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        vals = values(draws[lo:hi])
+        if out is None:
+            out = scheme._output((n,) + np.shape(vals)[1:])
+        out[lo:hi] = vals
+    return out
 
 
 def _eval_integrand(integrand, draws):
@@ -371,12 +446,6 @@ def _eval_integrand(integrand, draws):
     if vals.shape != (draws.shape[0],):
         raise ConfigurationError(
             f"integrand returned shape {vals.shape}, expected ({draws.shape[0]},)"
-        )
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(
-            f"integrand non-finite at sample {i}", point=draws[i].copy()
         )
     return vals
 

@@ -551,9 +551,9 @@ def test_check_external_draws_once_per_point(monkeypatch):
     box = DomainBox((-10.0,), (10.0,), ("grid", 11))
     seeds, sample = [], NoiseModel.sample
 
-    def spy(self, seed, count):
+    def spy(self, seed, count, out=None):
         seeds.append(seed)
-        return sample(self, seed, count)
+        return sample(self, seed, count, out=out)
 
     monkeypatch.setattr(NoiseModel, "sample", spy)
     cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.1), box, MC200)
@@ -660,6 +660,42 @@ def test_estimate_c1_c2_expansion_flag():
     table = certify.estimate_c1_c2(sys_l, Vbar, [1.2], box, CF)
     assert table.c1_at_one == pytest.approx(1.21, rel=1e-12)
     assert not table.c1_at_one_below_one
+
+
+def reference_envelopes(system, Vbar, beta_grid, domain, scheme):
+    # the loop over betas outside points, deriving each point's scheme anew
+    points = [x for x in domain.points() if Vbar.evaluate(x) > 1e-8]
+
+    def envelope(beta):
+        ratios = [certify.expected_storage(Vbar, system, x, None,
+                                           scheme.at(x), scale=beta).value
+                  / Vbar.evaluate(x) for x in points]
+        return float(max(ratios)), float(min(ratios))
+
+    rows = [(b, *envelope(b)) for b in sorted(float(b) for b in beta_grid)]
+    c1_at_one = envelope(1.0)[0]
+    beta0 = next((b for b, c1, _ in rows if b > 1.0 and b - c1 > 0.0), None)
+    return {"rows": [list(r) for r in rows], "c1_at_one": c1_at_one,
+            "c1_at_one_below_one": bool(c1_at_one < 1.0), "beta0": beta0}
+
+
+def test_estimate_c1_c2_draws_once_per_point(monkeypatch):
+    box = DomainBox((-10.0,), (10.0,), ("grid", 11))
+    Vbar, betas = QuadraticStorage([[1.0]]), [1.5, 1.01, 2.0, 1.2]
+    seeds, sample = [], NoiseModel.sample
+
+    def spy(self, seed, count, out=None):
+        seeds.append(seed)
+        return sample(self, seed, count, out=out)
+
+    monkeypatch.setattr(NoiseModel, "sample", spy)
+    sys1 = library.example1_system()  # one draw: the equilibrium check
+    table = certify.estimate_c1_c2(sys1, Vbar, betas, box, MC200)
+    kept = [x for x in box.points() if x[0] != 0.0]
+    assert seeds[1:] == [MC200.at(x).seed for x in kept]
+    assert len(seeds) == 11  # 51 when each beta derived its own schemes
+    assert table.to_dict() == reference_envelopes(sys1, Vbar, betas, box,
+                                                  MC200)
 
 
 def test_derive_p0_q0_gamma0_worked_numbers():

@@ -357,3 +357,20 @@ def test_declared_parts_agree_with_row_maps(case):
         G0, Gs = system.g_parts(x)
         gains = G0 + sum(w[:, None, None] * Gd for w, Gd in zip(W.T, Gs))
         assert np.allclose(gains, system.gain(x[None], W), rtol=0.0, atol=1e-12)
+
+
+def test_example2_drift_keeps_its_operation_order():
+    # the in-place drift against the expression it replaced, bit for bit,
+    # on one state against many draws and on one row per member
+    plant = library.example2_plant()
+    rng = np.random.default_rng(5)
+    W = plant.noise.sample(3, 257)
+    for X, U in ((rng.uniform(-2, 2, (1, 3)), rng.uniform(-1, 1, (1, 2))),
+                 (rng.uniform(-2, 2, (257, 3)), rng.uniform(-1, 1, (257, 2)))):
+        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        expected = np.stack([
+            W[:, 0] * x1 + W[:, 1] * x2 ** 2 + U[:, 0],
+            W[:, 2] * x2 + W[:, 3] * (x3 / (1.0 + np.abs(x3))) + U[:, 1],
+            W[:, 4] * x3 * np.cos(x2) + U[:, 0],
+        ], axis=-1)
+        assert plant.f(X, U, W).tobytes(order="C") == expected.tobytes()

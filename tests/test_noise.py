@@ -1,18 +1,20 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbrl import certify, library
+from sbrl import certify, library, noise, synth
+from sbrl.dynamics import LinearSystem
 from sbrl.errors import ConfigurationError, EvaluationError
 from sbrl.noise import (ExpectationScheme, Gaussian, NoiseModel,
                         OmegaPolynomial, PointMass, Rademacher, Uniform,
-                        derive_seed, expect, expected_affine_power,
+                        Workspace, derive_seed, expect, expected_affine_power,
                         expected_gram, sample_values, splitmix64)
-from sbrl.storage import QuadraticStorage
+from sbrl.storage import DomainBox, QuadraticStorage
 
 
 def uniform_moment_quadrature(lo, hi, k, panels=200_001):
@@ -324,7 +326,143 @@ def test_sample_and_mirror_match_reference_stream(model):
             assert draws.shape == expected.shape
             assert draws.tobytes() == expected.tobytes()
             assert not draws.flags.writeable
+            buf = np.full((count, model.dim), np.nan, order="F")
+            filled = model.sample(seed, count, out=buf)
+            assert filled.tobytes() == expected.tobytes()
+            assert buf.tobytes() == expected.tobytes()
+            assert not filled.flags.writeable and buf.flags.writeable
             mirrored = model.mirror(draws)
             assert (mirrored.tobytes()
                     == reference_mirror(model, expected).tobytes())
             assert not mirrored.flags.writeable
+
+
+def test_sample_rejects_an_unusable_out_buffer():
+    model = NoiseModel((Uniform(0.0, 1.0), Rademacher()))
+    for bad in (np.empty((5, 2)),               # row-major
+                np.empty((4, 2), order="F"),    # wrong count
+                np.empty((5, 2), order="F", dtype=np.float32)):
+        with pytest.raises(ConfigurationError):
+            model.sample(3, 5, out=bad)
+    frozen = np.empty((5, 2), order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ConfigurationError):
+        model.sample(3, 5, out=frozen)
+
+
+# ------------------------------------------------ row blocks and workspaces
+
+def block_cases():
+    """(name, fn(scheme) -> per-point estimates) on the three block systems."""
+    lin = LinearSystem([[0.5, 0.1], [-0.2, 0.4]], [[0.1, 0.0], [0.05, 0.2]],
+                       [[1.0, 0.3], [0.2, 0.7]], [[1.0, 0.0]], [[0.1, 0.2]])
+    P = QuadraticStorage([[2.0, 0.3], [0.3, 1.0]])
+    loop = synth.closed_loop(library.example2_plant(), library.example2_law())
+    V2 = library.example2_storage()
+    ex1, V1 = library.example1_system(), library.example1_storage(4.0)
+    beta = 1.2
+    return {
+        "linear": lambda x, s: (certify.h1(P, lin, x[:2], beta, s),
+                                certify.g_beta(P, lin, x[:2], beta, s)),
+        "example2-closed-loop": lambda x, s: (
+            certify.h1(V2, loop, x, library.EXAMPLE2_BETA, s),),
+        "example1": lambda x, s: (certify.h1(V1, ex1, x[:1], beta, s),
+                                  certify.g_beta(V1, ex1, x[:1], beta, s)),
+    }
+
+
+@pytest.mark.parametrize("block", [5, 7, noise.BLOCK_ROWS])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("case", ["linear", "example2-closed-loop",
+                                  "example1"])
+def test_row_blocks_change_no_bit(monkeypatch, block, antithetic, case):
+    fn = block_cases()[case]
+    x = np.array([0.7, -1.1, 0.4])
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        # an antithetic scheme of 2n samples draws n base rows
+        scheme = ExpectationScheme(samples=2 * n if antithetic else n,
+                                   seed=13, antithetic=antithetic)
+        monkeypatch.setattr(noise, "BLOCK_ROWS", n)
+        whole = fn(x, scheme.at(x))
+        monkeypatch.setattr(noise, "BLOCK_ROWS", block)
+        blocked = fn(x, scheme.at(x))
+        assert [(e.value, e.std_error) for e in blocked] \
+            == [(e.value, e.std_error) for e in whole], n
+
+
+@pytest.mark.parametrize("block", [5, 7])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_row_blocks_change_no_sample_value(monkeypatch, block, antithetic):
+    # per sample, not only per mean: a 1-2 row block would move the last
+    # bit of some quadratic-form values (the einsum is not size stable)
+    lin = LinearSystem([[0.5, 0.1], [-0.2, 0.4]], [[0.1, 0.0], [0.05, 0.2]],
+                       [[1.0], [0.2]], [[1.0, 0.0]], [[0.1]])
+    P = QuadraticStorage([[2.0, 0.3], [0.3, 1.0]])
+    x = np.array([3.7, -2.9])
+
+    def integrand(draws):
+        return P.evaluate_batch(1.3 * lin.drift(x[None], None, draws))
+
+    for n in range(1, 6 * block):
+        scheme = ExpectationScheme(samples=2 * n if antithetic else n,
+                                   seed=n, antithetic=antithetic).at(x)
+        monkeypatch.setattr(noise, "BLOCK_ROWS", n)
+        whole = sample_values(lin.noise, scheme, integrand).copy()
+        monkeypatch.setattr(noise, "BLOCK_ROWS", block)
+        blocked = sample_values(lin.noise, scheme, integrand)
+        assert blocked.tobytes() == whole.tobytes(), n
+
+
+def test_non_finite_sample_past_the_first_block_keeps_its_index(monkeypatch):
+    monkeypatch.setattr(noise, "BLOCK_ROWS", 5)
+    model = NoiseModel((Gaussian(0.0, 1.0), Uniform(0.0, 1.0)))
+    scheme = ExpectationScheme(samples=13, seed=4).at([0.5])  # blocks 4, 4, 5
+    draws = model.sample(scheme.seed, 13)
+    bad = draws[9, 0]
+
+    def integrand(block):
+        return np.where(block[:, 0] == bad, np.inf, block[:, 1])
+
+    with pytest.raises(EvaluationError, match="non-finite at sample 9$") as err:
+        expect(model, scheme, integrand)
+    assert np.array_equal(err.value.point, draws[9])
+
+
+def test_interleaved_schemes_in_one_workspace_keep_their_own_draws(
+        monkeypatch):
+    model = NoiseModel((Gaussian(0.0, 1.0), Uniform(-1.0, 2.0)))
+    workspace = Workspace()
+    base = ExpectationScheme(samples=50, seed=21)
+    a, b = base.at([0.0], workspace), base.at([1.0], workspace)
+    seeds, sample = [], NoiseModel.sample
+
+    def spy(self, seed, count, out=None):
+        seeds.append(seed)
+        return sample(self, seed, count, out=out)
+
+    monkeypatch.setattr(NoiseModel, "sample", spy)
+    for s in (a, a, b, a, b, b):
+        got = sample_values(model, s, lambda d: d.copy())
+        assert np.array_equal(got, sample(model, s.seed, 50))
+    # a point draws again only after the other point took the buffer
+    assert seeds == [a.seed, b.seed, a.seed, b.seed]
+
+
+def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    buffers, ids, sample = [], set(), NoiseModel.sample
+
+    def spy(self, seed, count, out=None):
+        buffers.append(weakref.ref(out))
+        ids.add(id(out))
+        return sample(self, seed, count, out=out)
+
+    monkeypatch.setattr(NoiseModel, "sample", spy)
+    box = DomainBox((-10.0,), (10.0,), ("grid", 5))
+    scheme = ExpectationScheme(samples=300, seed=3)
+    cert = certify.check_external(sys1, V, 1.0 / 0.99, math.sqrt(0.1), box,
+                                  scheme)
+    assert cert.certified
+    assert len(buffers) == 5 and len(ids) == 1  # one buffer, reused
+    assert all(ref() is None for ref in buffers)
+    assert scheme._workspace is None

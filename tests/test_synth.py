@@ -272,9 +272,9 @@ def test_argmin_improve_draws_once_for_the_whole_search(monkeypatch):
     expected = reference_argmin(plant, V, library.EXAMPLE2_BETA, x, u0, mc)
     counts, sample = [], NoiseModel.sample
 
-    def spy(self, seed, count):
+    def spy(self, seed, count, out=None):
         counts.append(count)
-        return sample(self, seed, count)
+        return sample(self, seed, count, out=out)
 
     monkeypatch.setattr(NoiseModel, "sample", spy)
     u = synth.argmin_improve(plant, V, library.EXAMPLE2_BETA, x, u0, mc)
