@@ -6,21 +6,19 @@ __version__ = "0.1.0"
 from .certificates import Certificate
 from .dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
                        DisturbancePolicy, GeneralSystem, LinearSystem,
-                       Trajectory, energy_ratio, lasalle_probe, simulate,
-                       simulate_ensemble)
+                       Trajectory, energy_ratio, simulate, simulate_ensemble)
 from .noise import (Estimate, ExpectationScheme, NoiseModel, OmegaPolynomial,
                     derive_seed, expect)
 from .storage import (CustomStorage, DomainBox, EstimatedStorage,
                       QuadraticStorage, SeparableStorage, StorageFunction,
-                      check_convex, check_h_convex, construct_storage,
-                      quad_bound)
+                      check_convex, construct_storage, quad_bound)
 
 __all__ = [
     "AffineSystem", "Certificate", "ControlledSystem", "CustomStorage",
     "DisturbanceEnsemble", "DisturbancePolicy", "DomainBox", "Estimate",
     "EstimatedStorage", "ExpectationScheme", "GeneralSystem", "LinearSystem",
     "NoiseModel", "OmegaPolynomial", "QuadraticStorage", "SeparableStorage",
-    "StorageFunction", "Trajectory", "check_convex", "check_h_convex",
-    "construct_storage", "derive_seed", "energy_ratio", "expect",
-    "lasalle_probe", "quad_bound", "simulate", "simulate_ensemble",
+    "StorageFunction", "Trajectory", "check_convex", "construct_storage",
+    "derive_seed", "energy_ratio", "expect", "quad_bound", "simulate",
+    "simulate_ensemble",
 ]

@@ -303,10 +303,13 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
         raise ConfigurationError("c2 must be positive")
     _require(system, AffineSystem)
     qb = quad_bound(V, domain)
+    # sweep runs the growth row first at each point; its V(x) equals the one
+    # H0 subtracts, so the H0 row's tolerance scale reuses it
+    vx = [0.0]
 
     def growth(x, s):
-        vx, bound = V.evaluate(x), c2 * float(x @ x)
-        return Row(vx, bound, scale=max(abs(vx), bound),
+        vx[0], bound = V.evaluate(x), c2 * float(x @ x)
+        return Row(vx[0], bound, scale=max(abs(vx[0]), bound),
                    info={"inequality": "growth"})
 
     notes = [f"certified only on {domain.label()}"]
@@ -317,22 +320,23 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     cert, _ = sweep(
         domain.points(), scheme,
         {"growth": growth,
-         "H0": lambda x, s: _zero_row("H0", h0(V, system, x, s), V, system, x)},
+         "H0": lambda x, s: _zero_row("H0", h0(V, system, x, s), vx[0], system, x)},
         "V(x) <= c2 |x|^2 and H0(V(x)) <= 0", domain.label(),
         {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
         notes, force_inconclusive=qb.boundary_attained)
     return cert
 
 
-def _zero_row(name, est, V, system, x):
+def _zero_row(name, est, vx, system, x):
     """H0 or H1 <= 0, with tolerance scale |H| + V(x) + |m(x)|^2."""
     return Row(est.value, std_error=est.std_error,
-               scale=abs(est.value) + V.evaluate(x) + _m_sq(system, x),
+               scale=abs(est.value) + vx + _m_sq(system, x),
                info={"inequality": name})
 
 
 def _h1_row(V, system, beta):
-    return lambda x, s: _zero_row("H1", h1(V, system, x, beta, s), V, system, x)
+    return lambda x, s: _zero_row("H1", h1(V, system, x, beta, s),
+                                  V.evaluate(x), system, x)
 
 
 def _g_beta_row(V, system, beta, v_search, gamma_sq=0.0):
@@ -446,87 +450,6 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
         notes.append("sampled v-supremum used; value may understate G_beta")
     # best = (gamma_star_sq, beta, params, sup_point)
     return GammaStarResult("ok", *best, checked, feasible, notes)
-
-
-@dataclass
-class EnvelopeTable:
-    """Empirical C1/C2 ratio envelopes over a beta grid."""
-
-    rows: list                  # (beta, c1_hat, c2_hat)
-    c1_at_one: float
-    c1_at_one_below_one: bool
-    beta0: float | None
-
-    def to_dict(self):
-        return {
-            "rows": [[b, c1, c2] for b, c1, c2 in self.rows],
-            "c1_at_one": self.c1_at_one,
-            "c1_at_one_below_one": self.c1_at_one_below_one,
-            "beta0": self.beta0,
-        }
-
-
-def estimate_c1_c2(system, Vbar, beta_grid, domain: DomainBox, scheme,
-                   exclude_below=1e-8) -> EnvelopeTable:
-    """Sampled envelopes of the ratio E[Vbar(beta f(x,w))] / Vbar(x).
-
-    C1-hat is the sampled sup, C2-hat the sampled inf; samples with
-    Vbar(x) <= exclude_below are dropped.  Also reports whether
-    C1-hat(1) < 1 and the first grid beta > 1 with beta - C1-hat(beta) > 0.
-    """
-    _require(system, AffineSystem)
-    points = [x for x in domain.points() if Vbar.evaluate(x) > exclude_below]
-    if not points:
-        raise ConfigurationError("no samples with Vbar(x) above the exclusion level")
-
-    # points outside, betas inside: each point draws once for every beta;
-    # each beta's ratios stay in point order
-    betas = [1.0] + sorted(float(b) for b in beta_grid)
-    ratios = [[] for _ in betas]
-    for x in points:
-        x_scheme = scheme.at(x)
-        for beta, beta_ratios in zip(betas, ratios):
-            ev = expected_storage(Vbar, system, x, None, x_scheme, scale=beta)
-            beta_ratios.append(ev.value / Vbar.evaluate(x))
-    envelopes = [(float(max(r)), float(min(r))) for r in ratios]
-
-    c1_at_one, _ = envelopes[0]
-    rows = []
-    beta0 = None
-    for beta, (c1_hat, c2_hat) in zip(betas[1:], envelopes[1:]):
-        rows.append((beta, c1_hat, c2_hat))
-        if beta0 is None and beta > 1.0 and beta - c1_hat > 0.0:
-            beta0 = beta
-    return EnvelopeTable(
-        rows=rows,
-        c1_at_one=c1_at_one,
-        c1_at_one_below_one=bool(c1_at_one < 1.0),
-        beta0=beta0,
-    )
-
-
-def derive_p0_q0_gamma0(C1, C2, beta0, c2, sigma_max_g, sigma_max_m1):
-    """Scaling constants turning a constructed storage into a gain certificate.
-
-    q0 = C1(b0)(1 - C2(1)) / (b0 - C1(b0)),  p0 = q0 b0 / C1(b0),
-    gamma0^2 = c2 b0^2 sigma_max_g / (b0 - 1) + sigma_max_m1.
-    """
-    if beta0 <= 1.0:
-        raise ConfigurationError(f"beta0 must exceed 1, got {beta0}")
-    c1_b0 = float(C1(beta0))
-    c2_1 = float(C2(1.0))
-    if beta0 - c1_b0 <= 0.0:
-        raise ConfigurationError(
-            f"need beta0 - C1(beta0) > 0, got {beta0} - {c1_b0:g}"
-        )
-    if c2_1 >= 1.0:
-        raise ConfigurationError(f"need C2(1) < 1, got {c2_1:g}")
-    if c1_b0 <= 0.0:
-        raise ConfigurationError(f"need C1(beta0) > 0, got {c1_b0:g}")
-    q0 = c1_b0 * (1.0 - c2_1) / (beta0 - c1_b0)
-    p0 = q0 * beta0 / c1_b0
-    gamma0_sq = c2 * beta0 ** 2 * sigma_max_g / (beta0 - 1.0) + sigma_max_m1
-    return q0, p0, gamma0_sq
 
 
 def _require_spd(P, what="P"):

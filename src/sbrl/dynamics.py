@@ -482,53 +482,6 @@ def simulate_ensemble(system, x0, ensemble, horizon, count, seed,
                    horizon, policy_u, overflow)
 
 
-@dataclass
-class LasalleReport:
-    tail_max: np.ndarray
-    converged: np.ndarray
-    fraction_converged: float
-    diverged: int
-    threshold: float
-    tail_fraction: float
-
-
-def lasalle_probe(system, x0, horizon, count, seed, tail_fraction=0.25,
-                  threshold=1e-3, policy_u=None):
-    """Zero-disturbance almost-sure-convergence probe.
-
-    Simulates an ensemble with v = 0 and reports, per member, the maximum
-    state norm over the final ``tail_fraction`` of the horizon; converged
-    means that maximum falls below ``threshold``.
-    """
-    if not 0.0 < tail_fraction < 1.0:
-        raise ConfigurationError("tail_fraction must be in (0,1)")
-    n_v = system.n_v
-    ens = DisturbanceEnsemble.fixed(DisturbancePolicy.zero(n_v))
-    results = simulate_ensemble(
-        system, x0, ens, horizon, count, seed, policy_u=policy_u
-    )
-    start = int(np.floor((1.0 - tail_fraction) * horizon))
-    tail_max = np.empty(count)
-    converged = np.zeros(count, dtype=bool)
-    diverged = 0
-    for i, res in enumerate(results):
-        if isinstance(res, DivergenceError):
-            tail_max[i] = np.inf
-            diverged += 1
-            continue
-        tail = np.linalg.norm(res.states[start:], axis=1)
-        tail_max[i] = float(tail.max())
-        converged[i] = tail_max[i] < threshold
-    return LasalleReport(
-        tail_max=tail_max,
-        converged=converged,
-        fraction_converged=float(converged.mean()),
-        diverged=diverged,
-        threshold=threshold,
-        tail_fraction=tail_fraction,
-    )
-
-
 def trajectory_csv_header(n, n_u, n_v):
     cols = ["k"]
     cols += [f"x_{i + 1}" for i in range(n)]

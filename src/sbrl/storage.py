@@ -2,9 +2,9 @@
 
 Three candidate forms are supported: quadratic x'Px with P symmetric
 positive definite, separable sums of positive-weighted even powers, and
-arbitrary user scalar fields.  Convexity and h-convexity are checked by
-sampled quarter/mid/three-quarter-point inequalities so that non-smooth
-candidates are admissible; the quadratic growth bound V(x) <= c2 |x|^2 is
+arbitrary user scalar fields.  Convexity is checked by sampled
+quarter/mid/three-quarter-point inequalities so that non-smooth candidates
+are admissible; the quadratic growth bound V(x) <= c2 |x|^2 is
 probed by ratio sampling with an exact eigenvalue path for quadratics.
 
 The constructive storage function sums expected squared output norms along
@@ -315,11 +315,13 @@ def construct_storage(system, horizon=DEFAULT_CONSTRUCTION_HORIZON,
 _ALPHAS = (0.25, 0.5, 0.75)
 
 
-def _midpoint_sweep(eval_fn, box, pairs, seed, inequality, slack, **provenance):
-    """Shared quarter/mid/three-quarter-point convexity sweep.
+def check_convex(V: StorageFunction, box: DomainBox, pairs: int, seed: int,
+                 noise_slack=0.0) -> Certificate:
+    """Sampled quarter/mid/three-quarter-point convexity check for V.
 
-    ``eval_fn(x) -> (value, std_error)``; margin is
-    f(a x + (1-a) y) - a f(x) - (1-a) f(y) which must stay <= 0.
+    The margin V(a x + (1-a) y) - a V(x) - (1-a) V(y) must stay <= 0.
+    ``noise_slack`` widens the accept band for estimator-backed candidates;
+    "auto" uses three propagated standard errors per sample.
     """
     if pairs < 1:
         raise ConfigurationError("pairs must be >= 1")
@@ -327,57 +329,27 @@ def _midpoint_sweep(eval_fn, box, pairs, seed, inequality, slack, **provenance):
 
     def rows(pt, _):
         x, y = pt[:d], pt[d:]
-        (fx, sx), (fy, sy) = eval_fn(x), eval_fn(y)
+        (fx, sx), (fy, sy) = V.evaluate_with_error(x), V.evaluate_with_error(y)
         out = []
         for a in _ALPHAS:
             mid = a * x + (1.0 - a) * y
-            fm, sm = eval_fn(mid)
+            fm, sm = V.evaluate_with_error(mid)
             rhs = a * fx + (1.0 - a) * fy
             se = sm + a * sx + (1.0 - a) * sy
             out.append(Row(
                 fm, rhs, se, max(abs(fm), abs(rhs)),
                 {"x": x, "y": y, "alpha": a, "lhs": fm, "rhs": rhs},
-                slack=3.0 * se if slack == "auto" else float(slack), point=mid))
+                slack=3.0 * se if noise_slack == "auto" else float(noise_slack),
+                point=mid))
         return out
 
     pairs_xy = np.hstack([box.random_points(pairs, seed),
                           box.random_points(pairs, derive_seed(seed, 1))])
-    prov = dict(provenance, pairs=pairs, seed=seed, alphas=list(_ALPHAS),
-                noise_slack=slack)
-    cert, _ = sweep(pairs_xy, None, {"midpoint": rows}, inequality,
-                    box.label(), prov)
+    prov = {"check": "convexity", "storage": V.describe(), "pairs": pairs,
+            "seed": seed, "alphas": list(_ALPHAS), "noise_slack": noise_slack}
+    cert, _ = sweep(pairs_xy, None, {"midpoint": rows},
+                    "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", box.label(), prov)
     return cert
-
-
-def check_convex(V: StorageFunction, box: DomainBox, pairs: int, seed: int,
-                 noise_slack=0.0) -> Certificate:
-    """Sampled midpoint convexity check for a storage candidate.
-
-    ``noise_slack`` widens the accept band for estimator-backed candidates;
-    "auto" uses three propagated standard errors per sample.
-    """
-    return _midpoint_sweep(V.evaluate_with_error, box, pairs, seed,
-                           "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", noise_slack,
-                           check="convexity", storage=V.describe())
-
-
-def check_h_convex(map_fn, box: DomainBox, pairs: int, seed: int) -> Certificate:
-    """Sampled h-convexity of a vector field, h(y) = |y|^2.
-
-    Certifies midpoint convexity of x -> |map_fn(x)|^2.  For the structural
-    assumption on outputs, pass m(.) and, per sampled noise value w,
-    x -> m(f(x, w)).
-    """
-
-    def eval_sq(x):
-        y = np.atleast_1d(np.asarray(map_fn(np.asarray(x, dtype=float)), dtype=float))
-        if not np.all(np.isfinite(y)):
-            raise EvaluationError("map returned non-finite value", point=x)
-        return float(y @ y), 0.0
-
-    return _midpoint_sweep(eval_sq, box, pairs, seed,
-                           "|map(ax+(1-a)y)|^2 <= a |map(x)|^2 + (1-a) |map(y)|^2",
-                           0.0, check="h-convexity")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, Row, sweep
-from .certify import check_external, convexity_split, expected_value_of
+from .certify import check_external, expected_value_of
 from .dynamics import AffineSystem, ControlledSystem, GeneralSystem
 from .errors import ConfigurationError, PreconditionError
 from .noise import Estimate, derive_seed
@@ -91,12 +91,6 @@ def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
     )
 
 
-def h_design(V, plant: ControlledSystem, x, u, beta, scheme) -> Estimate:
-    """Design functional H(V(x), u, beta): H1's body at the control u."""
-    return convexity_split(V, plant, x, np.atleast_1d(np.asarray(u, dtype=float)),
-                           beta, scheme)
-
-
 def certify_controller(plant, law, V, beta, gamma, domain: DomainBox,
                        scheme, v_search=None) -> Certificate:
     """Certify a law via the closed loop's external-stability check.
@@ -108,40 +102,6 @@ def certify_controller(plant, law, V, beta, gamma, domain: DomainBox,
     cert = check_external(loop, V, beta, gamma, domain, scheme, v_search)
     cert.notes.append(f"controller certificate for law '{law.kind}'")
     return cert
-
-
-def argmin_improve(plant, V, beta, x, u0, scheme, step=0.5, shrink_tol=1e-6,
-                   max_iter=500) -> np.ndarray:
-    """Pointwise compass search decreasing the design functional in u.
-
-    A derivative-free heuristic: evaluates H with common random numbers
-    (one derived seed for the whole search) and only ever accepts strict
-    improvements, so the result is never worse than u0 on that estimate.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    fixed = scheme.at(np.concatenate([x, u]))
-
-    def value(uu):
-        return h_design(V, plant, x, uu, beta, fixed).value
-
-    best = value(u)
-    n_u = u.shape[0]
-    for _ in range(max_iter):
-        if step < shrink_tol:
-            break
-        improved = False
-        for i in range(n_u):
-            for sign in (1.0, -1.0):
-                trial = u.copy()
-                trial[i] += sign * step
-                val = value(trial)
-                if val < best:
-                    u, best = trial, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return u
 
 
 def _indexed(items, what):

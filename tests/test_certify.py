@@ -545,6 +545,25 @@ def test_engine_matches_reference_loop_example2_closed_loop(scheme):
     assert cert.to_dict() == reference_internal(loop, V, 1.0, EX2_BOX, scheme)
 
 
+@pytest.mark.parametrize("scheme", [CF, MC200], ids=["closed-form", "mc200"])
+def test_check_internal_evaluates_storage_twice_per_point(monkeypatch, scheme):
+    # the growth row and H0 each evaluate V(x) once; H0's tolerance scale
+    # reuses that value instead of evaluating a third time
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    box = DomainBox((-10.0,), (10.0,), ("grid", 11))
+    expected = reference_internal(sys1, V, 4.0, box, scheme)
+    calls, evaluate = [], type(V).evaluate
+
+    def spy(self, x):
+        calls.append(np.array(x, dtype=float))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(type(V), "evaluate", spy)
+    cert = certify.check_internal(sys1, V, 4.0, box, scheme)
+    assert len(calls) / len(box.points()) == 2.0
+    assert cert.to_dict() == expected
+
+
 def test_check_external_draws_once_per_point(monkeypatch):
     # H1 and the sampled gram of G_beta share the point's one draw matrix
     sys1, V = library.example1_system(), library.example1_storage(4.0)
@@ -636,81 +655,6 @@ def test_gamma_star_search_infeasible_family():
         sys_u, [(1.0, QuadraticStorage([[1.0]]))], [1.5, 2.0], box, CF)
     assert res.status == "infeasible"
     assert res.gamma_star_sq is None
-
-
-# ------------------------------------------------- envelopes and scalings
-
-def test_estimate_c1_c2_scalar_contraction():
-    sys_l = LinearSystem([[0.5]], [[0.0]], [[1.0]], [[0.1]], [[0.0]])
-    Vbar = QuadraticStorage([[1.0]])
-    box = DomainBox((-4.0,), (4.0,), ("grid", 33))
-    table = certify.estimate_c1_c2(sys_l, Vbar, [1.5, 2.0], box, CF)
-    for beta, c1_hat, c2_hat in table.rows:
-        assert c1_hat == pytest.approx(0.25 * beta ** 2, rel=1e-12)
-        assert c2_hat == pytest.approx(0.25 * beta ** 2, rel=1e-12)
-    assert table.c1_at_one == pytest.approx(0.25, rel=1e-12)
-    assert table.c1_at_one_below_one
-    assert table.beta0 == 1.5
-
-
-def test_estimate_c1_c2_expansion_flag():
-    sys_l = LinearSystem([[1.1]], [[0.0]], [[1.0]], [[0.1]], [[0.0]])
-    Vbar = QuadraticStorage([[1.0]])
-    box = DomainBox((-4.0,), (4.0,), ("grid", 17))
-    table = certify.estimate_c1_c2(sys_l, Vbar, [1.2], box, CF)
-    assert table.c1_at_one == pytest.approx(1.21, rel=1e-12)
-    assert not table.c1_at_one_below_one
-
-
-def reference_envelopes(system, Vbar, beta_grid, domain, scheme):
-    # the loop over betas outside points, deriving each point's scheme anew
-    points = [x for x in domain.points() if Vbar.evaluate(x) > 1e-8]
-
-    def envelope(beta):
-        ratios = [certify.expected_storage(Vbar, system, x, None,
-                                           scheme.at(x), scale=beta).value
-                  / Vbar.evaluate(x) for x in points]
-        return float(max(ratios)), float(min(ratios))
-
-    rows = [(b, *envelope(b)) for b in sorted(float(b) for b in beta_grid)]
-    c1_at_one = envelope(1.0)[0]
-    beta0 = next((b for b, c1, _ in rows if b > 1.0 and b - c1 > 0.0), None)
-    return {"rows": [list(r) for r in rows], "c1_at_one": c1_at_one,
-            "c1_at_one_below_one": bool(c1_at_one < 1.0), "beta0": beta0}
-
-
-def test_estimate_c1_c2_draws_once_per_point(monkeypatch):
-    box = DomainBox((-10.0,), (10.0,), ("grid", 11))
-    Vbar, betas = QuadraticStorage([[1.0]]), [1.5, 1.01, 2.0, 1.2]
-    seeds, sample = [], NoiseModel.sample
-
-    def spy(self, seed, count, out=None):
-        seeds.append(seed)
-        return sample(self, seed, count, out=out)
-
-    monkeypatch.setattr(NoiseModel, "sample", spy)
-    sys1 = library.example1_system()  # one draw: the equilibrium check
-    table = certify.estimate_c1_c2(sys1, Vbar, betas, box, MC200)
-    kept = [x for x in box.points() if x[0] != 0.0]
-    assert seeds[1:] == [MC200.at(x).seed for x in kept]
-    assert len(seeds) == 11  # 51 when each beta derived its own schemes
-    assert table.to_dict() == reference_envelopes(sys1, Vbar, betas, box,
-                                                  MC200)
-
-
-def test_derive_p0_q0_gamma0_worked_numbers():
-    C = lambda beta: 0.25 * beta ** 2  # noqa: E731
-    q0, p0, gamma0_sq = certify.derive_p0_q0_gamma0(C, C, 1.5, 1.0, 1.0, 0.0)
-    assert q0 == pytest.approx(0.45, abs=1e-12)
-    assert p0 == pytest.approx(1.2, abs=1e-12)
-    assert p0 > q0 > 0
-    assert gamma0_sq == pytest.approx(1.0 * 1.5 ** 2 * 1.0 / 0.5, abs=1e-12)
-
-
-def test_derive_p0_rejects_bad_beta0():
-    C = lambda beta: beta ** 2  # noqa: E731  (beta0 <= C1(beta0) for all beta0 > 1)
-    with pytest.raises(ConfigurationError):
-        certify.derive_p0_q0_gamma0(C, C, 1.5, 1.0, 1.0, 0.0)
 
 
 # ------------------------------------------------------------- linear BRL

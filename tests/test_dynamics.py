@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from sbrl import library
 from sbrl.dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
                            DisturbancePolicy, LinearSystem, energy_ratio,
-                           lasalle_probe, simulate, simulate_ensemble,
-                           trajectory_csv_rows)
+                           simulate, simulate_ensemble, trajectory_csv_rows)
 from sbrl.errors import ConfigurationError, DivergenceError
 from sbrl.noise import (NoiseModel, PointMass, Uniform, derive_seed,
                         gaussian_noise, point_mass_noise)
@@ -133,32 +132,6 @@ def test_divergence_error_carries_step_and_partial():
                  seed=0, overflow=1e6)
     assert err.value.step == 20  # 2^20 = 1048576 > 1e6
     assert err.value.trajectory.states.shape[0] == err.value.step + 1
-
-
-def test_lasalle_contraction_converges():
-    rep = lasalle_probe(scalar_contraction(0.5), np.array([1.0]), 100, 16,
-                        seed=5, threshold=1e-3)
-    assert rep.fraction_converged == 1.0
-
-
-def test_lasalle_expansion_fails():
-    sys_e = AffineSystem(
-        1, 1,
-        f=lambda X, W: 1.1 * X,
-        g=lambda X, W: np.zeros((1, 1)),
-        m=lambda X: X,
-        m1=lambda X: np.zeros((0, 1)),
-        noise=point_mass_noise(0.0, 1),
-    )
-    rep = lasalle_probe(sys_e, np.array([1.0]), 100, 16, seed=5, threshold=1e-3)
-    assert rep.fraction_converged == 0.0
-
-
-def test_lasalle_example2_closed_loop():
-    loop = closed_loop(library.example2_plant(), library.example2_law())
-    rep = lasalle_probe(loop, np.array([1.0, 1.0, 0.5]), 500, 100, seed=21,
-                        threshold=1e-3)
-    assert rep.fraction_converged == 1.0
 
 
 def test_seed_determinism_and_thread_independence():

@@ -8,8 +8,8 @@ from sbrl.dynamics import AffineSystem
 from sbrl.errors import ConfigurationError
 from sbrl.noise import NoiseModel, Rademacher, point_mass_noise
 from sbrl.storage import (CustomStorage, DomainBox, QuadraticStorage,
-                          SeparableStorage, check_convex, check_h_convex,
-                          construct_storage, quad_bound)
+                          SeparableStorage, check_convex, construct_storage,
+                          quad_bound)
 
 
 def scalar_output_system(a=0.99, c=0.2, noise=None):
@@ -21,18 +21,6 @@ def scalar_output_system(a=0.99, c=0.2, noise=None):
         m1=lambda X: np.zeros((0, 1)),
         noise=noise if noise is not None else point_mass_noise(0.0, 1),
     )
-
-
-def brute_force_midpoint_violation(fn, lo, hi, grid=1000):
-    """Independent scan for a midpoint-convexity violation of fn."""
-    xs = np.linspace(lo, hi, grid)
-    worst = -np.inf
-    for i in range(0, grid, 7):
-        for j in range(0, grid, 7):
-            x, y = xs[i], xs[j]
-            mid = 0.5 * (x + y)
-            worst = max(worst, fn(mid) - 0.5 * (fn(x) + fn(y)))
-    return worst
 
 
 # ------------------------------------------------------------- evaluation
@@ -103,31 +91,6 @@ def test_check_convex_certifies_example2_storage():
     box = DomainBox((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
     cert = check_convex(V, box, pairs=128, seed=7)
     assert cert.status == "certified"
-
-
-def test_h_convex_linear_map():
-    C = np.array([[1.0, -0.5], [0.2, 2.0]])
-    box = DomainBox((-3.0, -3.0), (3.0, 3.0))
-    cert = check_h_convex(lambda x: C @ x, box, pairs=64, seed=3)
-    assert cert.status == "certified"
-
-
-def test_h_convex_sqrt_abs():
-    box = DomainBox((0.0,), (4.0,))
-    cert = check_h_convex(lambda x: np.array([np.sqrt(abs(x[0]))]), box,
-                          pairs=64, seed=3)
-    assert cert.status == "certified"
-
-
-def test_h_convex_sine_falsified():
-    # oracle: a violation really exists on the interval
-    worst = brute_force_midpoint_violation(lambda t: np.sin(3 * t) ** 2,
-                                           -2.0, 2.0)
-    assert worst > 1e-3
-    box = DomainBox((-2.0,), (2.0,))
-    cert = check_h_convex(lambda x: np.array([np.sin(3 * x[0])]), box,
-                          pairs=128, seed=3)
-    assert cert.status == "falsified"
 
 
 @settings(max_examples=25, deadline=None)
@@ -240,8 +203,10 @@ def test_constructed_storage_tail_diagnostic_flags_instability():
 
 
 def test_constructed_storage_convex_for_h_convex_outputs():
-    # linear stable system with multiplicative noise: outputs are h-convex,
-    # so the constructed storage passes the convexity check at its noise level
+    # linear stable system with multiplicative noise: the output map
+    # x -> m(f(x, w)) = 0.5 (0.6 + 0.3 w) x is linear in x, so h-convex by
+    # construction, and the constructed storage passes the convexity check
+    # at its noise level
     noise = NoiseModel((Rademacher(),))
     sys_r = AffineSystem(
         1, 1,
@@ -252,10 +217,6 @@ def test_constructed_storage_convex_for_h_convex_outputs():
         noise=noise,
     )
     box = DomainBox((-2.0,), (2.0,))
-    for w in (-1.0, 1.0):
-        cert = check_h_convex(lambda x: sys_r.m(sys_r.f(x[None], np.array([[w]])))[0],
-                              box, pairs=32, seed=2)
-        assert cert.status == "certified"
     Vhat = construct_storage(sys_r, horizon=60, ensemble=128, seed=9)
     cert = check_convex(Vhat, box, pairs=3, seed=13, noise_slack="auto")
     assert cert.status == "certified"

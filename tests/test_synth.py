@@ -8,7 +8,7 @@ from sbrl import certify, library, synth
 from sbrl.dynamics import (ControlledSystem, DisturbanceEnsemble,
                            GeneralSystem, LinearSystem)
 from sbrl.errors import ConfigurationError, PreconditionError
-from sbrl.noise import ExpectationScheme, NoiseModel, point_mass_noise
+from sbrl.noise import ExpectationScheme, point_mass_noise
 from sbrl.storage import CustomStorage, DomainBox, QuadraticStorage
 
 CF = ExpectationScheme(mode="closed-form")
@@ -22,19 +22,6 @@ def deterministic_general_plant():
         F=lambda k, X, U, V, W: 0.5 * X + U + V,
         m=lambda k, X, U, V: U,
         noise=point_mass_noise(0.0, 1),
-    )
-
-
-def integrator_plant():
-    """x+ = x + u with z = (x; u); disturbance channel absent."""
-    return ControlledSystem(
-        1, 1, 1,
-        f=lambda X, U, W: X + U,
-        g=lambda X, W: np.zeros((1, 1)),
-        m=lambda X, U: np.concatenate([X, U], axis=1),
-        m1=lambda X: np.zeros((0, 1)),
-        noise=point_mass_noise(0.0, 1),
-        f_parts=lambda x, u: (np.array([x[0] + u[0]]), [np.zeros(1)]),
     )
 
 
@@ -104,36 +91,38 @@ def test_closed_loop_dimension_mismatch():
 
 # -------------------------------------------------------- design functional
 
-def test_h_design_zero_at_origin():
+def test_design_functional_zero_at_origin():
     plant = library.example2_plant()
     V = library.example2_storage()
-    est = synth.h_design(V, plant, np.zeros(3), np.zeros(2),
-                         library.EXAMPLE2_BETA, CF)
+    est = certify.convexity_split(V, plant, np.zeros(3), np.zeros(2),
+                                  library.EXAMPLE2_BETA, CF)
     assert est.value == 0.0
 
 
-def test_h_design_under_builtin_law_nonpositive():
+def test_design_functional_under_builtin_law_nonpositive():
     plant = library.example2_plant()
     V = library.example2_storage()
     law = library.example2_law()
     x = np.array([1.0, 1.0, 1.0])
     mc = ExpectationScheme(samples=100_000, seed=41)
-    est = synth.h_design(V, plant, x, law(x[None])[0], library.EXAMPLE2_BETA, mc)
+    est = certify.convexity_split(V, plant, x, law(x[None])[0],
+                                  library.EXAMPLE2_BETA, mc)
     assert est.value <= 3.0 * est.std_error
 
 
-def test_h_design_law_improves_on_zero_control():
+def test_design_functional_law_improves_on_zero_control():
     plant = library.example2_plant()
     V = library.example2_storage()
     law = library.example2_law()
     x = np.array([0.0, 2.0, 0.0])
-    with_law = synth.h_design(V, plant, x, law(x[None])[0], library.EXAMPLE2_BETA,
-                              CF)
-    without = synth.h_design(V, plant, x, np.zeros(2), library.EXAMPLE2_BETA, CF)
+    with_law = certify.convexity_split(V, plant, x, law(x[None])[0],
+                                       library.EXAMPLE2_BETA, CF)
+    without = certify.convexity_split(V, plant, x, np.zeros(2),
+                                      library.EXAMPLE2_BETA, CF)
     assert with_law.value <= without.value + 1e-12
 
 
-def test_h_design_under_law_is_h1_of_closed_loop():
+def test_design_functional_under_law_is_h1_of_closed_loop():
     plant = library.example2_plant()
     V = library.example2_storage()
     law = library.example2_law()
@@ -143,7 +132,8 @@ def test_h_design_under_law_is_h1_of_closed_loop():
     for x in ([1.0, 1.0, 1.0], [0.0, 2.0, 0.0], [-1.5, 0.3, 0.7]):
         x = np.array(x)
         for scheme in (CF, mc):
-            design = synth.h_design(V, plant, x, law(x[None])[0], beta, scheme)
+            design = certify.convexity_split(V, plant, x, law(x[None])[0],
+                                             beta, scheme)
             h1 = certify.h1(V, loop, x, beta, scheme)
             assert (design.value, design.std_error) == (h1.value, h1.std_error)
 
@@ -205,81 +195,6 @@ def test_controller_certificate_matches_external_check_on_loop():
     assert via_controller.worst_margin == via_loop.worst_margin
     assert (via_controller.provenance["g_beta_sup"]
             == via_loop.provenance["g_beta_sup"])
-
-
-# -------------------------------------------------------------- argmin
-
-def test_argmin_improve_matches_quadratic_minimiser():
-    plant = integrator_plant()
-    V = QuadraticStorage([[1.0]])
-    # h(u) = 2 (x + u)^2 + u^2 has the unique minimiser u = -2x/3
-    for x0 in (1.5, -0.8, 0.0):
-        u = synth.argmin_improve(plant, V, 2.0, np.array([x0]), [0.0], CF)
-        assert u[0] == pytest.approx(-2.0 * x0 / 3.0, abs=1e-4)
-
-
-def test_argmin_improve_idempotent_at_optimum():
-    plant = integrator_plant()
-    V = QuadraticStorage([[1.0]])
-    x0 = 1.5
-    u_star = -2.0 * x0 / 3.0
-    u = synth.argmin_improve(plant, V, 2.0, np.array([x0]), [u_star], CF)
-    assert u[0] == pytest.approx(u_star, abs=1e-4)
-
-
-def test_argmin_improve_never_worse_than_builtin_law():
-    plant = library.example2_plant()
-    V = library.example2_storage()
-    law = library.example2_law()
-    x = np.array([1.0, 0.0, 1.0])
-    u_law = law(x[None])[0]
-    u = synth.argmin_improve(plant, V, library.EXAMPLE2_BETA, x, u_law, CF)
-    h_found = synth.h_design(V, plant, x, u, library.EXAMPLE2_BETA, CF)
-    h_law = synth.h_design(V, plant, x, u_law, library.EXAMPLE2_BETA, CF)
-    assert h_found.value <= h_law.value + 1e-6
-
-
-def reference_argmin(plant, V, beta, x, u0, scheme, step=0.5,
-                     shrink_tol=1e-6, max_iter=500):
-    """The compass search with a fresh scheme.at, so a fresh draw, per trial."""
-    point = np.concatenate([x, u0])
-
-    def value(uu):
-        return synth.h_design(V, plant, x, uu, beta, scheme.at(point)).value
-
-    u, best = np.array(u0, dtype=float), value(u0)
-    for _ in range(max_iter):
-        if step < shrink_tol:
-            break
-        improved = False
-        for i in range(len(u)):
-            for sign in (1.0, -1.0):
-                trial = u.copy()
-                trial[i] += sign * step
-                val = value(trial)
-                if val < best:
-                    u, best, improved = trial, val, True
-        if not improved:
-            step *= 0.5
-    return u
-
-
-def test_argmin_improve_draws_once_for_the_whole_search(monkeypatch):
-    plant, V = library.example2_plant(), library.example2_storage()
-    x = np.array([1.0, -0.5, 0.8])
-    u0 = library.example2_law()(x[None])[0]
-    mc = ExpectationScheme(samples=300, seed=5)
-    expected = reference_argmin(plant, V, library.EXAMPLE2_BETA, x, u0, mc)
-    counts, sample = [], NoiseModel.sample
-
-    def spy(self, seed, count, out=None):
-        counts.append(count)
-        return sample(self, seed, count, out=out)
-
-    monkeypatch.setattr(NoiseModel, "sample", spy)
-    u = synth.argmin_improve(plant, V, library.EXAMPLE2_BETA, x, u0, mc)
-    assert counts == [300]
-    assert np.array_equal(u, expected)
 
 
 # ----------------------------------------------------------- general tier
