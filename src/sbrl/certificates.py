@@ -3,9 +3,7 @@
 Every sampled check is a family of inequalities lhs <= rhs over a point
 set, and ``sweep`` is the only loop that runs one.  Each inequality is a
 function ``fn(point, scheme.at(point)) -> Row | [Row, ...]``, evaluated in
-the declared order under one ``np.errstate(over="ignore", invalid="ignore")``;
-the per-point schemes share one Monte Carlo workspace (``noise.Workspace``)
-that lives exactly as long as the sweep.
+the declared order under one ``np.errstate(over="ignore", invalid="ignore")``.
 The margins lhs - rhs decide one status:
 
   certified    every margin <= tol      (tol = 1e-9 + 1e-7 * scale + slack)
@@ -28,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError
-from .noise import Workspace
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
@@ -93,10 +90,9 @@ def sweep(points, scheme, inequalities, statement="", domain="",
     """
     acc = _MarginSweep()
     records = {name: Record() for name in inequalities}
-    workspace = Workspace()  # Monte Carlo buffers for this sweep only
     with np.errstate(over="ignore", invalid="ignore"):
         for pt in points:
-            pt_scheme = None if scheme is None else scheme.at(pt, workspace)
+            pt_scheme = None if scheme is None else scheme.at(pt)
             for name, fn in inequalities.items():
                 try:
                     rows = fn(pt, pt_scheme)

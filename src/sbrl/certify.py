@@ -687,24 +687,8 @@ class GainReport:
     diverged: int = 0
     ensemble_spec: dict = field(default_factory=dict)
 
-    @property
-    def consistent(self):
-        return self.verdict == "consistent"
-
     def to_dict(self):
-        return {
-            "count": self.count,
-            "ratios": [None if r is None else float(r) for r in self.ratios],
-            "max_ratio": self.max_ratio,
-            "mean_energy_ratio": self.mean_energy_ratio,
-            "ratio_std_error": self.ratio_std_error,
-            "gamma_sq": self.gamma_sq,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "diverged": self.diverged,
-            "ensemble_spec": dict(self.ensemble_spec),
-        }
+        return asdict(self)
 
 
 def empirical_gain(system, ensemble, horizon, count, gamma_sq, seed,

@@ -321,16 +321,10 @@ class DisturbanceEnsemble:
         """i.i.d. gaussian disturbance, finite energy over any finite horizon."""
 
         def factory(sub_seed):
-            rng = np.random.default_rng(int(sub_seed))
-            draws = np.empty((0, n_v))
-
             def sequence(K):
-                # one stream in step order, however the horizon grows
-                nonlocal draws
-                if K > draws.shape[0]:
-                    more = std * rng.standard_normal((K - draws.shape[0], n_v))
-                    draws = np.concatenate([draws, more])
-                return draws[:K]
+                # one stream in step order: a longer horizon extends a shorter one
+                rng = np.random.default_rng(int(sub_seed))
+                return std * rng.standard_normal((K, n_v))
 
             return DisturbancePolicy("white", sequence, n_v)
 

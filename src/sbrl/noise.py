@@ -174,28 +174,20 @@ class NoiseModel:
     def moment(self, coord: int, k: int) -> float:
         return self.components[coord].moment(k)
 
-    def sample(self, seed: int, count: int, out=None):
+    def sample(self, seed: int, count: int):
         """Draw ``count`` i.i.d. vectors as a read-only (count, dim) matrix.
 
-        Deterministic in (model, seed, count).  ``out``, a writable
-        column-major float (count, dim) buffer, is filled in place and a
-        read-only view of it returned.
+        Deterministic in (model, seed, count); each coordinate is filled in
+        place as one column of a column-major matrix.
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        if out is None:
-            out = np.empty((count, self.dim), order="F")
-        elif (out.shape != (count, self.dim) or out.dtype != float
-              or not (out.flags.f_contiguous and out.flags.writeable)):
-            raise ConfigurationError(
-                f"out must be a writable column-major float "
-                f"({count}, {self.dim}) array")
+        out = np.empty((count, self.dim), order="F")
         rng = np.random.default_rng(int(seed) & _MASK64)
         for j, c in enumerate(self.components):
             c.fill(rng, out[:, j])
-        view = out.view()
-        view.flags.writeable = False
-        return view
+        out.flags.writeable = False
+        return out
 
     def mirror(self, draws):
         """Reflect draws about each coordinate's symmetry point (read-only)."""
@@ -224,36 +216,6 @@ def point_mass_noise(value=0.0, dim=1) -> NoiseModel:
     return NoiseModel(tuple(PointMass(value) for _ in range(dim)))
 
 
-class Workspace:
-    """Monte Carlo buffers shared by the schemes ``ExpectationScheme.at``
-    derives for one sweep, freed with it.
-
-    Per (noise, count) it keeps one draw matrix tagged with the seed that
-    filled it; a scheme with another seed draws again into the same memory,
-    so a point never reads another point's draws.  Per shape it keeps one
-    output buffer for ``sample_values``, valid until its next call.  An
-    integrand must not itself sample through the workspace it runs under.
-    """
-
-    def __init__(self):
-        self._draws = {}
-        self._outputs = {}
-
-    def draw(self, noise, seed, count):
-        tag, buf, draws = self._draws.pop((noise, count), (None, None, None))
-        if buf is None:
-            buf = np.empty((count, noise.dim), order="F")
-        if tag != seed:
-            draws = noise.sample(seed, count, out=buf)
-        self._draws[noise, count] = (seed, buf, draws)
-        return draws
-
-    def output(self, shape):
-        if shape not in self._outputs:
-            self._outputs[shape] = np.empty(shape)
-        return self._outputs[shape]
-
-
 @dataclass(frozen=True)
 class ExpectationScheme:
     """How E[.] is evaluated: seeded Monte Carlo or exact moments."""
@@ -262,8 +224,8 @@ class ExpectationScheme:
     samples: int = 10_000
     seed: int = 0
     antithetic: bool = False
-    _workspace: Workspace | None = field(default=None, init=False,
-                                         compare=False, repr=False)
+    _draws: dict | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         if self.mode not in ("monte-carlo", "closed-form"):
@@ -274,28 +236,23 @@ class ExpectationScheme:
     def with_seed(self, seed: int) -> "ExpectationScheme":
         return ExpectationScheme(self.mode, self.samples, int(seed) & _MASK64, self.antithetic)
 
-    def at(self, point, workspace=None) -> "ExpectationScheme":
+    def at(self, point) -> "ExpectationScheme":
         """The scheme at one sweep point: Monte Carlo gets a seed derived
-        from the point, so sweeps do not depend on their order.  It draws
-        through ``workspace`` (the sweep's), or a private one of its own,
-        so H1 and G_beta at a point draw once."""
+        from the point, so sweeps do not depend on their order, and keeps
+        its draws, so H1 and G_beta at a point draw once."""
         if self.mode == "closed-form":
             return self
         scheme = self.with_seed(derive_seed(self.seed, hash_point(point)))
-        object.__setattr__(scheme, "_workspace",
-                           Workspace() if workspace is None else workspace)
+        object.__setattr__(scheme, "_draws", {})
         return scheme
 
     def _draw(self, noise, count):
-        """``noise.sample(self.seed, count)``, kept in the workspace."""
-        if self._workspace is None:
+        """``noise.sample(self.seed, count)``, kept if the scheme is a point's."""
+        if self._draws is None:
             return noise.sample(self.seed, count)
-        return self._workspace.draw(noise, self.seed, count)
-
-    def _output(self, shape):
-        if self._workspace is None:
-            return np.empty(shape)
-        return self._workspace.output(shape)
+        if (noise, count) not in self._draws:
+            self._draws[noise, count] = noise.sample(self.seed, count)
+        return self._draws[noise, count]
 
     def spec(self):
         return {
@@ -412,8 +369,7 @@ def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
     ``fn`` maps a row block of the (N, dim) draw matrix to one value of any
     shape per row; it must be row-wise, so blocks change no bit.  N is split
     into ceil(N / BLOCK_ROWS) near-equal blocks, never a small remainder,
-    and N <= BLOCK_ROWS gives one call whose result is returned as is;
-    otherwise the values land in the scheme's workspace output.  An
+    and N <= BLOCK_ROWS gives one call whose result is returned as is.  An
     antithetic scheme draws ceil(samples/2) vectors and returns the mean of
     each (draw, mirrored draw) pair: the pair means are the independent
     samples, so their spread gives the standard error, and an integrand
@@ -431,14 +387,8 @@ def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
     blocks = -(-n // BLOCK_ROWS)
     if blocks == 1:
         return values(draws)
-    out = None
-    for b in range(blocks):
-        lo, hi = n * b // blocks, n * (b + 1) // blocks
-        vals = values(draws[lo:hi])
-        if out is None:
-            out = scheme._output((n,) + np.shape(vals)[1:])
-        out[lo:hi] = vals
-    return out
+    return np.concatenate([values(draws[n * b // blocks:n * (b + 1) // blocks])
+                           for b in range(blocks)])
 
 
 def _eval_integrand(integrand, draws):

@@ -59,10 +59,6 @@ class FeedbackLaw:
                            kind="linear-gain",
                            spec={"kind": "linear-gain", "K": K.tolist()})
 
-    @staticmethod
-    def custom(fn, n_u, label="custom"):
-        return FeedbackLaw(lambda X, k: fn(X), n_u, kind=label)
-
 
 def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
     """Fold u = alpha(x) into the plant, yielding the disturbance-driven loop."""

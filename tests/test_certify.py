@@ -570,9 +570,9 @@ def test_check_external_draws_once_per_point(monkeypatch):
     box = DomainBox((-10.0,), (10.0,), ("grid", 11))
     seeds, sample = [], NoiseModel.sample
 
-    def spy(self, seed, count, out=None):
+    def spy(self, seed, count):
         seeds.append(seed)
-        return sample(self, seed, count, out=out)
+        return sample(self, seed, count)
 
     monkeypatch.setattr(NoiseModel, "sample", spy)
     cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.1), box, MC200)

@@ -12,7 +12,7 @@ from sbrl.dynamics import LinearSystem
 from sbrl.errors import ConfigurationError, EvaluationError
 from sbrl.noise import (ExpectationScheme, Gaussian, NoiseModel,
                         OmegaPolynomial, PointMass, Rademacher, Uniform,
-                        Workspace, derive_seed, expect, expected_affine_power,
+                        derive_seed, expect, expected_affine_power,
                         expected_gram, sample_values, splitmix64)
 from sbrl.storage import DomainBox, QuadraticStorage
 
@@ -326,31 +326,13 @@ def test_sample_and_mirror_match_reference_stream(model):
             assert draws.shape == expected.shape
             assert draws.tobytes() == expected.tobytes()
             assert not draws.flags.writeable
-            buf = np.full((count, model.dim), np.nan, order="F")
-            filled = model.sample(seed, count, out=buf)
-            assert filled.tobytes() == expected.tobytes()
-            assert buf.tobytes() == expected.tobytes()
-            assert not filled.flags.writeable and buf.flags.writeable
             mirrored = model.mirror(draws)
             assert (mirrored.tobytes()
                     == reference_mirror(model, expected).tobytes())
             assert not mirrored.flags.writeable
 
 
-def test_sample_rejects_an_unusable_out_buffer():
-    model = NoiseModel((Uniform(0.0, 1.0), Rademacher()))
-    for bad in (np.empty((5, 2)),               # row-major
-                np.empty((4, 2), order="F"),    # wrong count
-                np.empty((5, 2), order="F", dtype=np.float32)):
-        with pytest.raises(ConfigurationError):
-            model.sample(3, 5, out=bad)
-    frozen = np.empty((5, 2), order="F")
-    frozen.flags.writeable = False
-    with pytest.raises(ConfigurationError):
-        model.sample(3, 5, out=frozen)
-
-
-# ------------------------------------------------ row blocks and workspaces
+# ------------------------------------------- row blocks and per-point draws
 
 def block_cases():
     """(name, fn(scheme) -> per-point estimates) on the three block systems."""
@@ -428,34 +410,32 @@ def test_non_finite_sample_past_the_first_block_keeps_its_index(monkeypatch):
     assert np.array_equal(err.value.point, draws[9])
 
 
-def test_interleaved_schemes_in_one_workspace_keep_their_own_draws(
-        monkeypatch):
+def test_interleaved_point_schemes_keep_their_own_draws(monkeypatch):
     model = NoiseModel((Gaussian(0.0, 1.0), Uniform(-1.0, 2.0)))
-    workspace = Workspace()
     base = ExpectationScheme(samples=50, seed=21)
-    a, b = base.at([0.0], workspace), base.at([1.0], workspace)
+    a, b = base.at([0.0]), base.at([1.0])
     seeds, sample = [], NoiseModel.sample
 
-    def spy(self, seed, count, out=None):
+    def spy(self, seed, count):
         seeds.append(seed)
-        return sample(self, seed, count, out=out)
+        return sample(self, seed, count)
 
     monkeypatch.setattr(NoiseModel, "sample", spy)
     for s in (a, a, b, a, b, b):
         got = sample_values(model, s, lambda d: d.copy())
         assert np.array_equal(got, sample(model, s.seed, 50))
-    # a point draws again only after the other point took the buffer
-    assert seeds == [a.seed, b.seed, a.seed, b.seed]
+    # each point draws once, however the two interleave
+    assert seeds == [a.seed, b.seed]
 
 
 def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
     sys1, V = library.example1_system(), library.example1_storage(4.0)
-    buffers, ids, sample = [], set(), NoiseModel.sample
+    draws, sample = [], NoiseModel.sample
 
-    def spy(self, seed, count, out=None):
-        buffers.append(weakref.ref(out))
-        ids.add(id(out))
-        return sample(self, seed, count, out=out)
+    def spy(self, seed, count):
+        out = sample(self, seed, count)
+        draws.append(weakref.ref(out))
+        return out
 
     monkeypatch.setattr(NoiseModel, "sample", spy)
     box = DomainBox((-10.0,), (10.0,), ("grid", 5))
@@ -463,6 +443,6 @@ def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
     cert = certify.check_external(sys1, V, 1.0 / 0.99, math.sqrt(0.1), box,
                                   scheme)
     assert cert.certified
-    assert len(buffers) == 5 and len(ids) == 1  # one buffer, reused
-    assert all(ref() is None for ref in buffers)
-    assert scheme._workspace is None
+    assert len(draws) == 5  # one draw per point
+    assert all(ref() is None for ref in draws)
+    assert scheme._draws is None
