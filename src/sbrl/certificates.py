@@ -13,9 +13,9 @@ The margins lhs - rhs decide one status:
                lhs (a sampled supremum) or a scope the caller flags
 
 A function raising ``EvaluationError`` (a non-finite Monte Carlo integrand)
-or ``FloatingPointError`` (a finite-difference step underflow) at a point
-gives its inequality a NaN row there, with the message in its info.  Per
-inequality the engine records the largest lhs and its first point.
+or ``FloatingPointError`` (numpy under a user map's own ``np.errstate``) at
+a point gives its inequality a NaN row there, with the message in its info.
+Per inequality the engine records the largest lhs and its first point.
 Certificates speak only for the sampled domain, whose label they carry.
 """
 

@@ -3,8 +3,7 @@
 Implements the one-step difference functionals used throughout the
 analysis:
 
-  delta_v V(x) = E[V(f(x,w) + g(x,w) v)] - V(x)
-  H0(V(x))     = delta_0 V(x) + |m(x)|^2
+  H0(V(x))     = E[V(f(x,w))] - V(x) + |m(x)|^2
   H1(V(x),b)   = (1/b) E[V(b f(x,w))] - V(x) + |m(x)|^2          (b > 1)
   G_b(V(x))    = sup_{v != 0} {((b-1)/b) E[V((b/(b-1)) g(x,w) v)] / |v|^2
                                + |m1(x) v|^2 / |v|^2}
@@ -99,51 +98,34 @@ def expected_value_of(V, noise, scheme, parts_fn, batch_fn, scale=1.0) -> Estima
     return expect(noise, scheme, integrand)
 
 
-def expected_storage(V, system, x, u, scheme, scale=1.0, v=None) -> Estimate:
-    """E[V(scale * (f(x,[u,]w) + g(x,w) v))] under the given scheme.
+def _split(V, system, x, u, beta, scheme) -> Estimate:
+    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme.
 
     ``u`` is the control row on the controlled tier and None on the affine
     tier, as in ``drift``.
     """
     x = np.asarray(x, dtype=float)
-    use_v = v is not None and np.any(np.asarray(v) != 0.0)
     u_row = None if u is None else u[None]
 
     parts_fn = None
-    if system.f_parts is not None and (not use_v or system.g_parts is not None):
+    if system.f_parts is not None:
         def parts_fn():
             F0, Fs = system.f_parts(x) if u is None else system.f_parts(x, u)
-            c0 = np.asarray(F0, dtype=float)
-            cs = [np.asarray(c, dtype=float) for c in Fs]
-            if use_v:
-                G0, Gs = system.g_parts(x)
-                vv = np.asarray(v, dtype=float)
-                c0 = c0 + np.asarray(G0, dtype=float) @ vv
-                cs = [c + np.asarray(G, dtype=float) @ vv
-                      for c, G in zip(cs, Gs)]
-            return c0, cs
+            return (np.asarray(F0, dtype=float),
+                    [np.asarray(c, dtype=float) for c in Fs])
 
     def batch_fn(draws):
-        if use_v:
-            v_row = np.asarray(v, dtype=float)[None]
-            return system.transition(0, x[None], u_row, v_row, draws)
         return system.drift(x[None], u_row, draws)
 
-    return expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, scale)
-
-
-def delta_v(V, system, x, v, scheme) -> Estimate:
-    """One-step expected change of V along the disturbed dynamics."""
-    _require(system, AffineSystem)
-    ev = expected_storage(V, system, x, None, scheme, scale=1.0, v=v)
-    return Estimate(ev.value - V.evaluate(x), ev.std_error)
+    ev = expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, beta)
+    value = ev.value / beta - V.evaluate(x) + _m_sq(system, x, u)
+    return Estimate(value, ev.std_error / beta)
 
 
 def h0(V, system, x, scheme) -> Estimate:
-    """Internal-stability functional: delta_0 V(x) + |m(x)|^2."""
+    """Internal-stability functional E[V(f(x,w))] - V(x) + |m(x)|^2."""
     _require(system, AffineSystem)
-    dv = delta_v(V, system, x, np.zeros(system.n_v), scheme)
-    return Estimate(dv.value + _m_sq(system, x), dv.std_error)
+    return _split(V, system, x, None, 1.0, scheme)
 
 
 def h1(V, system, x, beta, scheme) -> Estimate:
@@ -157,10 +139,7 @@ def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
     control row ``u`` the design functional H."""
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    x = np.asarray(x, dtype=float)
-    ev = expected_storage(V, system, x, u, scheme, scale=beta)
-    value = ev.value / beta - V.evaluate(x) + _m_sq(system, x, u)
-    return Estimate(value, ev.std_error / beta)
+    return _split(V, system, x, u, beta, scheme)
 
 
 def _m_sq(system, x, u=None):
@@ -201,19 +180,22 @@ def _gram_estimate(system, x, P, scheme):
     return mean, float(np.linalg.norm(se, 2))
 
 
-# (kind, directions, radii, seed) of the sampled v-supremum
-_DEFAULT_V_SEARCH = ("sphere", 64, (0.5, 1.0, 2.0), 0)
+# the sampled v-supremum: the axes and _SPHERE_COUNT seeded unit
+# directions, each at every radius in _SPHERE_RADII
+_SPHERE_COUNT = 64
+_SPHERE_RADII = (0.5, 1.0, 2.0)
+_SPHERE_SEED = 0
 
 
-def _sphere_directions(n_v, count, seed):
-    rng = np.random.default_rng(int(seed))
-    dirs = rng.standard_normal((count, n_v))
+def _sphere_directions(n_v):
+    rng = np.random.default_rng(_SPHERE_SEED)
+    dirs = rng.standard_normal((_SPHERE_COUNT, n_v))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     axes = np.concatenate([np.eye(n_v), -np.eye(n_v)])
     return np.concatenate([axes, dirs])
 
 
-def g_beta(V, system, x, beta, scheme, v_search=None) -> Estimate:
+def g_beta(V, system, x, beta, scheme) -> Estimate:
     """Disturbance-channel gain functional G_beta(V(x)).
 
     Quadratic storage takes the exact Rayleigh-quotient path
@@ -228,19 +210,19 @@ def g_beta(V, system, x, beta, scheme, v_search=None) -> Estimate:
     # the channel (g, m1) is tier independent: controlled plants qualify
     _require(system, GainChannelSystem)
     return _gain_sup(V, system, np.asarray(x, dtype=float), beta / (beta - 1.0),
-                     scheme, v_search)
+                     scheme)
 
 
-def g0(V, system, scheme, v_search=None) -> Estimate:
+def g0(V, system, scheme) -> Estimate:
     """Origin gain functional G0(V) from the necessity direction.
 
     The same supremum as G_beta, taken at x = 0 with scale 1.
     """
     _require(system, GainChannelSystem)
-    return _gain_sup(V, system, np.zeros(system.n), 1.0, scheme, v_search)
+    return _gain_sup(V, system, np.zeros(system.n), 1.0, scheme)
 
 
-def _gain_sup(V, system, x, c, scheme, v_search):
+def _gain_sup(V, system, x, c, scheme):
     """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2."""
     m1m1 = _m1_gram(system, x)
 
@@ -261,13 +243,9 @@ def _gain_sup(V, system, x, c, scheme, v_search):
             M = c * (G0.T @ P2 @ G0) + m1m1
             return Estimate(sym_eig_max(M), 0.0)
 
-    spec = v_search if v_search is not None else _DEFAULT_V_SEARCH
-    if spec[0] != "sphere":
-        raise ConfigurationError(f"unknown v-search spec {spec!r}")
-    _, count, radii, seed = spec
     best = Estimate(-np.inf, 0.0, lower_bound_only=True)
-    for direction in _sphere_directions(system.n_v, count, seed):
-        for r in radii:
+    for direction in _sphere_directions(system.n_v):
+        for r in _SPHERE_RADII:
             vv = r * direction
             ev = _expected_gain_term(V, system, x, vv, c, scheme)
             obj = (ev.value / c + float(vv @ m1m1 @ vv)) / (r * r)
@@ -339,18 +317,18 @@ def _h1_row(V, system, beta):
                                   V.evaluate(x), system, x)
 
 
-def _g_beta_row(V, system, beta, v_search, gamma_sq=0.0):
+def _g_beta_row(V, system, beta, gamma_sq=0.0):
     """The G_beta <= gamma^2 row; a sampled supremum is a lower bound."""
     def row(x, s):
-        est = g_beta(V, system, x, beta, s, v_search)
+        est = g_beta(V, system, x, beta, s)
         return Row(est.value, gamma_sq, est.std_error,
                    max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
                    lower_bound_only=est.lower_bound_only)
     return row
 
 
-def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
-                   v_search=None) -> Certificate:
+def check_external(system, V, beta, gamma, domain: DomainBox,
+                   scheme) -> Certificate:
     """External-stability certificate: H1 <= 0 and G_beta <= gamma^2 sampled.
 
     Requires a storage candidate that carries a convexity claim (run
@@ -376,7 +354,7 @@ def check_external(system, V, beta, gamma, domain: DomainBox, scheme,
     cert, rec = sweep(
         domain.points(), scheme,
         {"H1": _h1_row(V, system, beta),
-         "G_beta": _g_beta_row(V, system, beta, v_search, gamma_sq)},
+         "G_beta": _g_beta_row(V, system, beta, gamma_sq)},
         "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2", domain.label(),
         {"scheme": scheme.spec(), "beta": beta, "gamma_sq": gamma_sq})
     cert.notes.append(f"certified only on {domain.label()}")
@@ -409,7 +387,7 @@ class GammaStarResult:
 
 
 def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
-                      scheme, v_search=None) -> GammaStarResult:
+                      scheme) -> GammaStarResult:
     """Minimise the sampled sup of G_beta over (beta, V) with H1 feasible.
 
     ``candidates`` is a finite family of (params, StorageFunction) pairs.
@@ -433,7 +411,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
             if not h1_cert.certified:
                 continue
             _, rec = sweep(points, scheme,
-                           {"G_beta": _g_beta_row(V, system, beta, v_search)})
+                           {"G_beta": _g_beta_row(V, system, beta)})
             sup = rec["G_beta"]
             if sup.nan:
                 continue
@@ -571,8 +549,11 @@ def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
     )
 
 
-def series_storage_matrix(linsys: LinearSystem, rhs=None, tol=1e-14,
-                          max_terms=100_000):
+_SERIES_TOL = 1e-14
+_SERIES_TERMS = 100_000
+
+
+def series_storage_matrix(linsys: LinearSystem, rhs=None):
     """Truncated series solution of A'XA + A0'XA0 - X + rhs = 0.
 
     This is the linear instance of the constructive storage function: the
@@ -588,10 +569,11 @@ def series_storage_matrix(linsys: LinearSystem, rhs=None, tol=1e-14,
     A, A0, C = linsys.A, linsys.A0, linsys.C
     term = C.T @ C if rhs is None else np.asarray(rhs, dtype=float)
     total = term.copy()
-    for _ in range(max_terms):
+    for _ in range(_SERIES_TERMS):
         term = A.T @ term @ A + A0.T @ term @ A0
         total += term
-        if np.linalg.norm(term, 2) <= tol * (1.0 + np.linalg.norm(total, 2)):
+        if (np.linalg.norm(term, 2)
+                <= _SERIES_TOL * (1.0 + np.linalg.norm(total, 2))):
             break
     return 0.5 * (total + total.T)
 
@@ -603,8 +585,12 @@ def _pencil_max(numerator, denominator):
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
 
 
-def linear_brl_search(linsys: LinearSystem, gamma_sq, beta_grid=None,
-                      grid_size=40, slack=1e-2) -> LinearBRLReport:
+_BETA_GRID_POINTS = 40
+_BRL_SLACK = 1e-2
+
+
+def linear_brl_search(linsys: LinearSystem, gamma_sq,
+                      beta_grid=None) -> LinearBRLReport:
     """Constructive bounded-real search: series storage scaled per beta.
 
     Builds the series matrix for C'C + slack*I (the slack keeps the
@@ -631,7 +617,7 @@ def linear_brl_search(linsys: LinearSystem, gamma_sq, beta_grid=None,
         )
         return base
     CtC = linsys.C.T @ linsys.C
-    eps = slack * (1.0 + np.linalg.norm(CtC, 2))
+    eps = _BRL_SLACK * (1.0 + np.linalg.norm(CtC, 2))
     Pbar = series_storage_matrix(linsys, rhs=CtC + eps * np.eye(linsys.n))
     T = linsys.A.T @ Pbar @ linsys.A + linsys.A0.T @ Pbar @ linsys.A0
     rho_max = _pencil_max(T, Pbar)
@@ -640,7 +626,8 @@ def linear_brl_search(linsys: LinearSystem, gamma_sq, beta_grid=None,
         return base
     cap = 1.0 / rho_max
     if beta_grid is None:
-        beta_grid = 1.0 + (cap - 1.0) * np.geomspace(1e-4, 0.9999, grid_size)
+        beta_grid = 1.0 + (cap - 1.0) * np.geomspace(1e-4, 0.9999,
+                                                     _BETA_GRID_POINTS)
     best = None
     ordered = sorted((float(b) for b in beta_grid),
                      key=lambda b: b * b / (b - 1.0) if b > 1.0 else np.inf)
@@ -691,8 +678,8 @@ class GainReport:
         return asdict(self)
 
 
-def empirical_gain(system, ensemble, horizon, count, gamma_sq, seed,
-                   policy_u=None) -> GainReport:
+def empirical_gain(system, ensemble, horizon, count, gamma_sq,
+                   seed) -> GainReport:
     """Seeded Monte Carlo falsification of a claimed squared gain.
 
     Simulates ``count`` disturbance realisations from the zero initial
@@ -704,8 +691,7 @@ def empirical_gain(system, ensemble, horizon, count, gamma_sq, seed,
     if horizon < 1 or count < 1:
         raise ConfigurationError("horizon and count must be >= 1")
     x0 = np.zeros(system.n)
-    results = simulate_ensemble(system, x0, ensemble, horizon, count, seed,
-                                policy_u=policy_u)
+    results = simulate_ensemble(system, x0, ensemble, horizon, count, seed)
     z_energy = np.zeros(count)
     v_energy = np.zeros(count)
     diverged = 0
@@ -747,8 +733,7 @@ def empirical_gain(system, ensemble, horizon, count, gamma_sq, seed,
     )
 
 
-def dissipation_profile(system, V, gamma_sq, ensemble, horizon, count, seed,
-                        policy_u=None):
+def dissipation_profile(system, V, gamma_sq, ensemble, horizon, count, seed):
     """Per-step ensemble means of V(x+) - V(x) + |z|^2 - gamma^2 |v|^2.
 
     For a certified (V, beta, gamma) tuple the supply-rate inequality makes
@@ -756,8 +741,7 @@ def dissipation_profile(system, V, gamma_sq, ensemble, horizon, count, seed,
     (means, standard_errors), each of length ``horizon``.
     """
     x0 = np.zeros(system.n)
-    results = simulate_ensemble(system, x0, ensemble, horizon, count, seed,
-                                policy_u=policy_u)
+    results = simulate_ensemble(system, x0, ensemble, horizon, count, seed)
     D = np.empty((count, horizon))
     for i, res in enumerate(results):
         if isinstance(res, DivergenceError):

@@ -228,11 +228,10 @@ class DisturbancePolicy:
     ``sequence(K)`` is the (K, n_v) array of the first K values.
     """
 
-    def __init__(self, kind, sequence, n_v, label=""):
+    def __init__(self, kind, sequence, n_v):
         self.kind = kind
         self.sequence = sequence
         self.n_v = n_v
-        self.label = label or kind
 
     def value(self, k):
         """v_k alone."""
@@ -266,8 +265,7 @@ class DisturbancePolicy:
                 out[at_step] = vector
             return out
 
-        return DisturbancePolicy("impulse", sequence, vector.shape[0],
-                                 f"impulse@{at_step}")
+        return DisturbancePolicy("impulse", sequence, vector.shape[0])
 
 
 class DisturbanceEnsemble:
@@ -445,19 +443,18 @@ def rollout(system, x0, policies, seeds, horizon, policy_u=None,
     return results
 
 
-def simulate(system, x0, policy_v, horizon, seed, policy_u=None,
-             overflow=OVERFLOW_BOUND):
+def simulate(system, x0, policy_v, horizon, seed, overflow=OVERFLOW_BOUND):
     """Roll the system forward ``horizon`` steps under seeded noise.
 
-    ``policy_u`` is a feedback u(X, k) over rows, zero when None on the
-    controlled tiers and not allowed on the affine tier; ``policy_v`` a
-    DisturbancePolicy, zero when None.  Raises DivergenceError with the
-    partial trajectory when |x_k| exceeds ``overflow``.
+    ``policy_v`` is a DisturbancePolicy, zero when None.  A controlled tier
+    runs at u = 0; simulate a feedback law as ``closed_loop(plant, law)``.
+    Raises DivergenceError with the partial trajectory when |x_k| exceeds
+    ``overflow``.
     """
     if policy_v is None:
         policy_v = DisturbancePolicy.zero(system.n_v)
-    (result,) = rollout(system, x0, [policy_v], [seed], horizon, policy_u,
-                        overflow)
+    (result,) = rollout(system, x0, [policy_v], [seed], horizon,
+                        overflow=overflow)
     if isinstance(result, DivergenceError):
         raise result
     return result

@@ -144,8 +144,8 @@ def example2_plant() -> ControlledSystem:
     )
 
 
-def example2_storage(p1=EXAMPLE2_P, p2=EXAMPLE2_P, p3=EXAMPLE2_P) -> SeparableStorage:
-    return SeparableStorage((p1, p2, p3), (2, 4, 2))
+def example2_storage() -> SeparableStorage:
+    return SeparableStorage((EXAMPLE2_P,) * 3, (2, 4, 2))
 
 
 def example2_law(beta=EXAMPLE2_BETA, p=EXAMPLE2_P) -> FeedbackLaw:

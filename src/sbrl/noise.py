@@ -53,9 +53,6 @@ class _Distribution:
         """Draw len(out) values into the 1-D array ``out``, in place."""
         raise NotImplementedError
 
-    def spec(self):
-        raise NotImplementedError
-
 
 class Uniform(_Distribution):
     def __init__(self, lo, hi):
@@ -75,9 +72,6 @@ class Uniform(_Distribution):
         rng.random(out=out)
         out *= self.hi - self.lo
         out += self.lo
-
-    def spec(self):
-        return {"uniform": [self.lo, self.hi]}
 
 
 class Gaussian(_Distribution):
@@ -107,9 +101,6 @@ class Gaussian(_Distribution):
         out *= math.sqrt(self.variance)
         out += self.mean
 
-    def spec(self):
-        return {"gaussian": [self.mean, self.variance]}
-
 
 class PointMass(_Distribution):
     def __init__(self, value):
@@ -122,9 +113,6 @@ class PointMass(_Distribution):
     def fill(self, rng, out):
         out.fill(self.value)
 
-    def spec(self):
-        return {"point_mass": self.value}
-
 
 class Rademacher(_Distribution):
     def moment(self, k):
@@ -133,9 +121,6 @@ class Rademacher(_Distribution):
     def fill(self, rng, out):
         np.multiply(rng.integers(0, 2, len(out)), 2.0, out=out)
         out -= 1.0
-
-    def spec(self):
-        return "rademacher"
 
 
 def _parse_component(entry):
@@ -194,9 +179,6 @@ class NoiseModel:
         out = np.subtract([c.mirror_sum for c in self.components], draws)
         out.flags.writeable = False
         return out
-
-    def spec(self):
-        return {"dim": self.dim, "components": [c.spec() for c in self.components]}
 
     @staticmethod
     def from_spec(block):
@@ -275,9 +257,6 @@ class Estimate:
     value: float
     std_error: float = 0.0
     lower_bound_only: bool = False
-
-    def __float__(self):
-        return self.value
 
 
 MAX_POLY_DEGREE = 4

@@ -23,6 +23,7 @@ from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .noise import derive_seed, hash_point
 
 NEAR_ZERO_RADIUS = 1e-9
+BOUNDARY_FRACTION = 1e-9  # a point this close, relative to the span, is on it
 DEFAULT_CONSTRUCTION_HORIZON = 400
 
 
@@ -78,26 +79,18 @@ class DomainBox:
         return rng.uniform(np.asarray(self.lo), np.asarray(self.hi),
                            size=(count, self.dim))
 
-    def on_boundary(self, x, frac=1e-9):
+    def on_boundary(self, x):
         x = np.asarray(x, dtype=float)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        span = hi - lo
-        return bool(np.any((x - lo) <= frac * span) or np.any((hi - x) <= frac * span))
+        tol = BOUNDARY_FRACTION * (hi - lo)
+        return bool(np.any((x - lo) <= tol) or np.any((hi - x) <= tol))
 
     def label(self):
         box = " x ".join(f"[{a:g},{b:g}]" for a, b in zip(self.lo, self.hi))
         if self.plan[0] == "grid":
             return f"{box} grid({self.plan[1]}/axis)"
         return f"{box} random(n={self.plan[1]}, seed={self.plan[2]})"
-
-    def spec(self):
-        out = {"lo": list(self.lo), "hi": list(self.hi)}
-        if self.plan[0] == "grid":
-            out["grid"] = int(self.plan[1])
-        else:
-            out["random"] = {"count": int(self.plan[1]), "seed": int(self.plan[2])}
-        return out
 
     @staticmethod
     def from_spec(block):
@@ -111,14 +104,13 @@ class DomainBox:
 
 
 class StorageFunction:
-    """Base candidate V with convexity / V(0)=0 metadata."""
+    """Base candidate V with its convexity claim."""
 
     form = "custom"
 
-    def __init__(self, dim, claims_convex=False, claims_V0_zero=True):
+    def __init__(self, dim, claims_convex=False):
         self.dim = int(dim)
         self.claims_convex = bool(claims_convex)
-        self.claims_V0_zero = bool(claims_V0_zero)
 
     def evaluate(self, x) -> float:
         raise NotImplementedError
@@ -150,7 +142,7 @@ class QuadraticStorage(StorageFunction):
             raise ConfigurationError(f"P must be positive definite, min eig {eigs[0]:g}")
         self.P = 0.5 * (P + P.T)
         self.lambda_max = float(eigs[-1])
-        super().__init__(P.shape[0], claims_convex=True, claims_V0_zero=True)
+        super().__init__(P.shape[0], claims_convex=True)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -180,7 +172,7 @@ class SeparableStorage(StorageFunction):
             raise ConfigurationError("all powers d_i must be even integers >= 2")
         self.p = p
         self.d = d
-        super().__init__(len(p), claims_convex=True, claims_V0_zero=True)
+        super().__init__(len(p), claims_convex=True)
 
     def evaluate(self, x):
         return float(self._power_sum(x)[0])
@@ -217,7 +209,7 @@ class CustomStorage(StorageFunction):
 
     def __init__(self, fn, dim, batch_fn=None, claims_convex=False,
                  claims_V0_zero=True, label="custom"):
-        super().__init__(dim, claims_convex, claims_V0_zero)
+        super().__init__(dim, claims_convex)
         self._fn = fn
         self._batch_fn = batch_fn
         self.label = label
@@ -266,7 +258,7 @@ class EstimatedStorage(StorageFunction):
     def __init__(self, system, horizon, ensemble, seed):
         if horizon < 1 or ensemble < 1:
             raise ConfigurationError("horizon and ensemble must be >= 1")
-        super().__init__(system.n, claims_convex=False, claims_V0_zero=True)
+        super().__init__(system.n)
         self.system = system
         self.horizon = int(horizon)
         self.ensemble = int(ensemble)

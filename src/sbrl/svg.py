@@ -11,9 +11,9 @@ def _fmt(v):
     return format(float(v), ".6g")
 
 
-def line_plot(path, series, title="", xlabel="k", ylabel="", width=720,
-              height=420):
-    """Write a line plot; ``series`` is a list of (label, xs, ys)."""
+def line_plot(path, series, title=""):
+    """Write a line plot over k; ``series`` is a list of (label, xs, ys)."""
+    width, height = 720, 420
     margin_l, margin_r, margin_t, margin_b = 60, 20, 34, 40
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -75,17 +75,10 @@ def line_plot(path, series, title="", xlabel="k", ylabel="", width=720,
             f'<text x="{margin_l - 6}" y="{gy}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>'
         )
-    if xlabel:
-        out.append(
-            f'<text x="{margin_l + plot_w // 2}" y="{height - 6}" '
-            f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="11">{xlabel}</text>'
-        )
-    if ylabel:
-        out.append(
-            f'<text x="14" y="{margin_t - 8}" font-family="sans-serif" '
-            f'font-size="11">{ylabel}</text>'
-        )
+    out.append(
+        f'<text x="{margin_l + plot_w // 2}" y="{height - 6}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="11">k</text>'
+    )
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))

@@ -88,14 +88,14 @@ def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
 
 
 def certify_controller(plant, law, V, beta, gamma, domain: DomainBox,
-                       scheme, v_search=None) -> Certificate:
+                       scheme) -> Certificate:
     """Certify a law via the closed loop's external-stability check.
 
     By construction this returns exactly the statuses and margins of
     check_external on closed_loop(plant, law) with the same seeds.
     """
     loop = closed_loop(plant, law)
-    cert = check_external(loop, V, beta, gamma, domain, scheme, v_search)
+    cert = check_external(loop, V, beta, gamma, domain, scheme)
     cert.notes.append(f"controller certificate for law '{law.kind}'")
     return cert
 
@@ -272,25 +272,31 @@ def central_hessian(fn, p0, rel_step):
     return H
 
 
+# taylor_certify's gradient bound, relative finite-difference steps and
+# Monte Carlo replications per Hessian stencil value
+_STATIONARITY_TOL = 1e-4
+_GRAD_STEP = 1e-4
+_HESS_STEP = 1e-3
+_HESS_REPS = 16
+
+
 def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
-                   scheme, k_window=1, stationarity_tol=1e-4,
-                   grad_step=1e-4, hess_step=1e-3, hessian_reps=16,
-                   u_box=None, v_box=None) -> Certificate:
+                   scheme, k_window=1) -> Certificate:
     """Verify supplied saddle data for the second-order design theorem.
 
     Three sampled sub-checks per (x, k):
       (i)   finite-difference gradients of H_k in (u, v) vanish at
-            (alpha(x), eta(x)) within stationarity_tol;
-      (ii)  the finite-difference (u, v) Hessian is dominated by
-            blockdiag(M, N) at the sampled points (and gamma^2 I - N > 0,
-            enforced at construction);
+            (alpha(x), eta(x)) within _STATIONARITY_TOL;
+      (ii)  the finite-difference (u, v) Hessian at (alpha(x), eta(x)) is
+            dominated by blockdiag(M, N) (and gamma^2 I - N > 0, enforced
+            at construction);
       (iii) H_k(x, alpha, eta) + (1/2) eta' [N + N (gamma^2 I - N)^{-1} N'] eta
             stays nonpositive.
 
-    Stochastic plants average each Hessian stencil value over
-    ``hessian_reps`` derived Monte Carlo replications with common random
-    numbers across stencil points.  A finite-difference step underflow at
-    a point makes that sub-check's margin NaN there (inconclusive).
+    Stochastic plants average each Hessian stencil value over _HESS_REPS
+    derived Monte Carlo replications with common random numbers across
+    stencil points.  A functional that cannot be evaluated at a point makes
+    that sub-check's margin NaN there (inconclusive).
     """
     if not isinstance(plant, GeneralSystem):
         raise ConfigurationError("taylor_certify needs the general tier")
@@ -304,10 +310,6 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         [saddle.M, np.zeros((plant.n_u, n_v))],
         [np.zeros((n_v, plant.n_u)), saddle.N],
     ])
-    uv_grid = None
-    if u_box is not None and v_box is not None:
-        uv_grid = [np.concatenate([u, v])
-                   for u in u_box.points() for v in v_box.points()]
 
     def at(pt, s):
         """x, k, (alpha_k(x), eta_k(x)) and H_k(uv) averaged over ``reps``."""
@@ -325,24 +327,20 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
 
     def stationarity(pt, s):
         x, k, p0, H = at(pt, s)
-        grad = central_gradient(H, p0, grad_step)
+        grad = central_gradient(H, p0, _GRAD_STEP)
         norms = {"u": float(np.linalg.norm(grad[: plant.n_u])),
                  "v": float(np.linalg.norm(grad[plant.n_u:]))}
-        return [Row(norm, stationarity_tol, point=x,
+        return [Row(norm, _STATIONARITY_TOL, point=x,
                     info={"check": f"stationarity_{name}", "norm": norm, "k": k})
                 for name, norm in norms.items()]
 
     def hessian(pt, s):
         x, k, p0, H = at(pt, s)
-        rows = []
-        for uv in uv_grid or [p0]:
-            hess = central_hessian(lambda p: H(p, reps=hessian_reps), uv,
-                                   hess_step)
-            dom = np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1]
-            rows.append(Row(dom, scale=float(np.linalg.norm(blk, 2)), point=x,
-                            info={"check": "hessian_domination", "k": k,
-                                  "uv": uv.tolist()}))
-        return rows
+        hess = central_hessian(lambda p: H(p, reps=_HESS_REPS), p0, _HESS_STEP)
+        dom = np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1]
+        return Row(dom, scale=float(np.linalg.norm(blk, 2)), point=x,
+                   info={"check": "hessian_domination", "k": k,
+                         "uv": p0.tolist()})
 
     def completed_square(pt, s):
         x, k, p0, _ = at(pt, s)
@@ -363,7 +361,7 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         "saddle stationarity, Hessian domination, completed-square <= 0",
         f"{domain.label()} x k<{k_window}",
         {"scheme": scheme.spec(), "gamma": saddle.gamma,
-         "stationarity_tol": stationarity_tol,
+         "stationarity_tol": _STATIONARITY_TOL,
          "inverse_condition_number": float(cond)},
         ["finite-difference verification on the sampled scope"])
     return cert

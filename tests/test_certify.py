@@ -70,25 +70,18 @@ def sphere_scan_sup(fn, n_v, count=720, seed=0):
 
 # ------------------------------------------------------------ functionals
 
-def test_delta_v_zero_at_equilibrium():
+def test_h0_zero_at_equilibrium():
     sys1 = library.example1_system()
     V = library.example1_storage(4.0)
-    est = certify.delta_v(V, sys1, [0.0], [0.0], CF)
+    est = certify.h0(V, sys1, [0.0], CF)
     assert est.value == 0.0
 
 
-def test_delta_v_example1_drift_only():
-    sys1 = library.example1_system()
-    V = library.example1_storage(4.0)
-    est = certify.delta_v(V, sys1, [1.0], [0.0], CF)
-    assert est.value == pytest.approx(4.0 * 0.99 ** 2 - 4.0, abs=1e-12)
-
-
-def test_delta_v_linear_multiplicative_noise():
-    # E[(0.5 + w)^2] - 1 = 0.25 + 1 - 1 by the moment expansion
+def test_h0_linear_multiplicative_noise():
+    # E[(0.5 + w)^2] - 1 = 0.25 + 1 - 1 by the moment expansion; C = 0
     sys_lin = LinearSystem([[0.5]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
     V = QuadraticStorage([[1.0]])
-    est = certify.delta_v(V, sys_lin, [1.0], [0.0], CF)
+    est = certify.h0(V, sys_lin, [1.0], CF)
     assert est.value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -220,22 +213,6 @@ def test_g0_scalar_and_zero_storage():
     est0 = certify.g0(zero_V, sys_b, mc)
     assert est0.value == 0.0
     assert est0.lower_bound_only
-
-
-def test_g0_rejects_unknown_v_search():
-    sys_b = AffineSystem(
-        1, 1,
-        f=lambda X, W: 0.5 * X,
-        g=lambda X, W: np.array([[1.0]]),
-        m=lambda X: X,
-        m1=lambda X: np.zeros((0, 1)),
-        noise=point_mass_noise(0.0, 1),
-        g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
-    )
-    V = CustomStorage(lambda x: float(x[0] ** 2), 1, claims_convex=True)
-    mc = ExpectationScheme(samples=8, seed=1)
-    with pytest.raises(ConfigurationError):
-        certify.g0(V, sys_b, mc, v_search=("grid", 8, (1.0,), 0))
 
 
 def test_linear_system_is_an_affine_system():

@@ -296,17 +296,21 @@ def reference_mirror(model, draws):
     return np.column_stack(cols)
 
 
-STREAM_MODELS = [
-    NoiseModel((Uniform(0.0, 1.0),)),
-    NoiseModel((Uniform(-0.5, 0.5), Uniform(-3.0, 7.25))),
-    NoiseModel((Gaussian(0.0, 1.0),)),
-    NoiseModel((Gaussian(-1.5, 0.3),)),
-    NoiseModel((PointMass(0.7),)),
-    NoiseModel((Rademacher(),)),
-    NoiseModel((Uniform(0.0, 1.0), Gaussian(2.0, 0.5), PointMass(-0.25),
-                Rademacher(), Uniform(-2.0, 1e-3))),
-    library.example2_plant().noise,
+STREAM_COMPONENTS = [
+    [{"uniform": [0.0, 1.0]}],
+    [{"uniform": [-0.5, 0.5]}, {"uniform": [-3.0, 7.25]}],
+    [{"gaussian": [0.0, 1.0]}],
+    [{"gaussian": [-1.5, 0.3]}],
+    [{"point_mass": 0.7}],
+    ["rademacher"],
+    [{"uniform": [0.0, 1.0]}, {"gaussian": [2.0, 0.5]}, {"point_mass": -0.25},
+     "rademacher", {"uniform": [-2.0, 1e-3]}],
+    # example 2's five coefficients
+    [{"uniform": [0.0, 1.0]}, {"uniform": [-0.5, 0.5]}, {"uniform": [0.0, 1.0]},
+     {"uniform": [0.0, 1.0]}, {"uniform": [0.0, 1.0]}],
 ]
+STREAM_MODELS = [NoiseModel.from_spec({"components": c})
+                 for c in STREAM_COMPONENTS]
 
 
 def test_uniform_rejects_a_width_that_overflows():
@@ -317,7 +321,7 @@ def test_uniform_rejects_a_width_that_overflows():
 
 
 @pytest.mark.parametrize("model", STREAM_MODELS,
-                         ids=[str(m.spec()["components"]) for m in STREAM_MODELS])
+                         ids=[str(c) for c in STREAM_COMPONENTS])
 def test_sample_and_mirror_match_reference_stream(model):
     for seed in (0, 7, 2**63 + 5, derive_seed(11, 3)):
         for count in (1, 2, 1001):

@@ -327,20 +327,21 @@ def test_taylor_certify_falsifies_small_gamma():
     assert cert.status == "falsified"
 
 
-def test_taylor_certify_step_underflow_is_inconclusive():
-    # a gradient step below 1e-12 cannot be formed: NaN stationarity margins
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_taylor_certify_non_finite_point_is_inconclusive():
+    # V(F) overflows at |x| = 1e200: NaN margins there, not an exception
     plant = deterministic_general_plant()
-    box = DomainBox((-2.0,), (2.0,), ("grid", 3))
+    box = DomainBox((-1e200,), (1e200,), ("grid", 3))
     cert = synth.taylor_certify(plant, worked_saddle(3.0),
-                                QuadraticStorage([[1.0]]), box, MC8,
-                                grad_step=1e-13)
+                                QuadraticStorage([[1.0]]), box, MC8)
     assert cert.status == "inconclusive"
     assert math.isnan(cert.witness["margin"])
     assert cert.witness["info"] == {
         "inequality": "stationarity",
-        "error": "finite-difference step underflow"}
-    # the Hessian and completed-square rows are still checked at every point
-    assert cert.provenance["samples_checked"] == 9
+        "error": "integrand non-finite at sample 0"}
+    # every sub-check still runs at every point: one NaN row for each
+    # sub-check at the two overflowing points, four rows at the origin
+    assert cert.provenance["samples_checked"] == 10
 
 
 def test_taylor_hessian_domination_margin():
