@@ -17,6 +17,14 @@ or ``FloatingPointError`` (numpy under a user map's own ``np.errstate``) at
 a point gives its inequality a NaN row there, with the message in its info.
 Per inequality the engine records the largest lhs and its first point.
 Certificates speak only for the sampled domain, whose label they carry.
+
+The engine visits the points in blocks of ``scheme.points_per_block()``
+(one without a scheme or in closed form).  An inequality given as
+``Batched(fn, block)`` also has a block form ``block(X, schemes) -> [Row]``,
+one row per point of the (B, n) block X, that must give the bits of ``fn``
+at each point.  It is used for blocks of two or more points; a block form
+that raises or yields a non-finite row has that block run through ``fn``
+point by point, so NaN rows, witnesses and messages stay those of ``fn``.
 """
 
 import math
@@ -81,24 +89,26 @@ class Record:
     nan: bool = False
 
 
+class Batched(NamedTuple):
+    """A per-point inequality ``fn(point, scheme)`` with its block form."""
+
+    fn: object
+    block: object
+
+
 def sweep(points, scheme, inequalities, statement="", domain="",
           provenance=None, notes=(), force_inconclusive=False,
           early_exit=False):
-    """Run ``inequalities`` ({name: fn}) over ``points``; ``scheme`` is None
-    for checks without expectations.  ``early_exit`` stops after the first
-    point that rules out certification.  Returns (Certificate, {name: Record}).
+    """Run ``inequalities`` ({name: fn or Batched}) over ``points``;
+    ``scheme`` is None for checks without expectations.  ``early_exit``
+    stops after the first point that rules out certification.  Returns
+    (Certificate, {name: Record}).
     """
     acc = _MarginSweep()
     records = {name: Record() for name in inequalities}
     with np.errstate(over="ignore", invalid="ignore"):
-        for pt in points:
-            pt_scheme = None if scheme is None else scheme.at(pt)
-            for name, fn in inequalities.items():
-                try:
-                    rows = fn(pt, pt_scheme)
-                except (EvaluationError, FloatingPointError) as exc:
-                    rows = Row(math.nan, std_error=math.nan,
-                               info={"inequality": name, "error": str(exc)})
+        for pt, rows_by_name in _evaluated(points, scheme, inequalities):
+            for name, rows in zip(inequalities, rows_by_name):
                 for row in [rows] if isinstance(rows, Row) else rows:
                     acc.add(row, pt if row.point is None else row.point,
                             records[name])
@@ -106,6 +116,41 @@ def sweep(points, scheme, inequalities, statement="", domain="",
                 break
     return acc.finalize(statement, domain, provenance or {}, notes,
                         force_inconclusive), records
+
+
+def _evaluated(points, scheme, inequalities):
+    """(point, its rows per inequality) in point order, block by block."""
+    forms = [(name, *fn) if isinstance(fn, Batched) else (name, fn, None)
+             for name, fn in inequalities.items()]
+    size = 1 if scheme is None else scheme.points_per_block()
+    count = len(points)
+    for start in range(0, count, size):
+        block = [points[i] for i in range(start, min(start + size, count))]
+        schemes = [None if scheme is None else scheme.at(pt) for pt in block]
+        found = [_block_rows(form, block, schemes) for form in forms]
+        yield from zip(block, zip(*found))
+
+
+def _block_rows(form, block, schemes):
+    """One inequality's rows at each point of a block."""
+    name, fn, batch = form
+    if batch is not None and len(block) > 1:
+        try:
+            rows = batch(np.array(block), schemes)
+        except (EvaluationError, FloatingPointError):
+            rows = None
+        if rows is not None and all(
+                math.isfinite(r.lhs) and math.isfinite(r.std_error)
+                and math.isfinite(r.scale) for r in rows):
+            return rows
+    rows = []
+    for pt, scheme in zip(block, schemes):
+        try:
+            rows.append(fn(pt, scheme))
+        except (EvaluationError, FloatingPointError) as exc:
+            rows.append(Row(math.nan, std_error=math.nan,
+                            info={"inequality": name, "error": str(exc)}))
+    return rows
 
 
 class _MarginSweep:

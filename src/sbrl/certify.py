@@ -21,13 +21,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, Row, sweep
+from .certificates import Batched, Certificate, Row, sweep
 from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      PreconditionError)
 from .noise import (Estimate, expect, expected_affine_power, expected_gram,
-                    sample_values)
+                    mean_and_error, sample_block, sample_values)
 from .storage import (DomainBox, QuadraticStorage, SeparableStorage,
                       quad_bound)
 
@@ -98,7 +98,16 @@ def expected_value_of(V, noise, scheme, parts_fn, batch_fn, scale=1.0) -> Estima
     return expect(noise, scheme, integrand)
 
 
-def _split(V, system, x, u, beta, scheme) -> Estimate:
+@dataclass(frozen=True)
+class SplitEstimate(Estimate):
+    """H0, H1 or H with the V(x) and |m(x[,u])|^2 it was formed from: with
+    |H| they make the tolerance scale of the inequality H <= 0."""
+
+    storage: float = 0.0
+    output_sq: float = 0.0
+
+
+def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme.
 
     ``u`` is the control row on the controlled tier and None on the affine
@@ -118,23 +127,36 @@ def _split(V, system, x, u, beta, scheme) -> Estimate:
         return system.drift(x[None], u_row, draws)
 
     ev = expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, beta)
-    value = ev.value / beta - V.evaluate(x) + _m_sq(system, x, u)
-    return Estimate(value, ev.std_error / beta)
+    vx, m_sq = V.evaluate(x), float(_m_sq(system, x[None], u_row)[0])
+    return SplitEstimate(ev.value / beta - vx + m_sq, ev.std_error / beta,
+                         storage=vx, output_sq=m_sq)
 
 
-def h0(V, system, x, scheme) -> Estimate:
+def _split_block(V, system, X, beta, schemes):
+    """``_split`` on the affine tier at each row of X, Monte Carlo: the
+    values, standard errors, V(x) and |m(x)|^2 as arrays of the same bits."""
+    vals = sample_block(
+        system.noise, schemes, X,
+        lambda rows, draws: V.evaluate_batch(
+            beta * system.drift(rows, None, draws)))
+    mean, se = mean_and_error(vals, 1)
+    vx, m_sq = V.evaluate_batch(X), _m_sq(system, X)
+    return mean / beta - vx + m_sq, se / beta, vx, m_sq
+
+
+def h0(V, system, x, scheme) -> SplitEstimate:
     """Internal-stability functional E[V(f(x,w))] - V(x) + |m(x)|^2."""
     _require(system, AffineSystem)
     return _split(V, system, x, None, 1.0, scheme)
 
 
-def h1(V, system, x, beta, scheme) -> Estimate:
+def h1(V, system, x, beta, scheme) -> SplitEstimate:
     """Convexity-split internal functional (1/b) E[V(b f)] - V + |m|^2."""
     _require(system, AffineSystem)
     return convexity_split(V, system, x, None, beta, scheme)
 
 
-def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
+def convexity_split(V, system, x, u, beta, scheme) -> SplitEstimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2: H1, and at a fixed
     control row ``u`` the design functional H."""
     if beta <= 1.0:
@@ -142,18 +164,35 @@ def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
     return _split(V, system, x, u, beta, scheme)
 
 
-def _m_sq(system, x, u=None):
-    """|m(x[,u])|^2 at one state."""
-    m = system.output_m(np.asarray(x, dtype=float)[None],
-                        None if u is None else u[None])[0]
-    return float(m @ m)
+def _m_sq(system, X, U=None):
+    """|m(x[,u])|^2 at each row: one dot product per row, so a row has the
+    bits of ``m @ m`` at that state alone."""
+    M = np.ascontiguousarray(system.output_m(X, U))
+    return (M[:, None, :] @ M[:, :, None])[:, 0, 0]
 
 
-def _m1_gram(system, x):
-    M1 = np.atleast_2d(np.asarray(system.m1(np.asarray(x, dtype=float)[None]),
-                                  dtype=float))
-    M1 = M1.reshape(M1.shape[-2:]) if M1.size else np.zeros((0, system.n_v))
-    return M1.T @ M1
+def _m1_gram(system, X):
+    """m1(x)' m1(x) at the rows of X: (rows, n_v, n_v), or one (n_v, n_v)
+    product for a constant m1, which broadcasts against the rows."""
+    M1 = np.atleast_2d(np.asarray(system.m1(X), dtype=float))
+    if not M1.size:
+        M1 = np.zeros((0, system.n_v))
+    return M1.swapaxes(-1, -2) @ M1
+
+
+def _gram_rows(G, P):
+    """g' P g for each (n, n_v) gain row of G, as the sum over (i, l) of
+    (g_i' P_il) g_l in column ufuncs: a row has the same bits in a call of
+    any size (an einsum does not)."""
+    out = None
+    for i, p_row in enumerate(P):
+        for l, p in enumerate(p_row):
+            term = (G[:, i, :, None] * p) * G[:, l, None, :]
+            if out is None:
+                out = term
+            else:
+                out += term
+    return out
 
 
 def _gram_estimate(system, x, P, scheme):
@@ -166,18 +205,28 @@ def _gram_estimate(system, x, P, scheme):
         G0, Gs = system.g_parts(x)
         return expected_gram(P, G0, Gs, system.noise), 0.0
 
-    def grams(draws):
-        gs = system.gain(x[None], draws)
-        return np.einsum("kij,il,klm->kjm", gs, P, gs)
-
-    grams = sample_values(system.noise, scheme, grams)
-    mean = grams.mean(axis=0)
-    n = grams.shape[0]
-    se = (grams.std(axis=0, ddof=1) / math.sqrt(n) if n >= 2
-          else np.zeros_like(mean))
+    grams = sample_values(
+        system.noise, scheme,
+        lambda draws: _gram_rows(system.gain(x[None], draws), P))
+    mean, se = mean_and_error(grams, 0)
     if not (np.isfinite(mean).all() and np.isfinite(se).all()):
         raise EvaluationError("gain gram non-finite", point=x)
     return mean, float(np.linalg.norm(se, 2))
+
+
+def _gram_sup_block(system, X, P, c, schemes):
+    """The quadratic-storage supremum of ``_gain_sup`` at each row of X,
+    Monte Carlo: values and standard errors as arrays of the same bits,
+    from one stacked eigvalsh and one stacked norm."""
+    grams = sample_block(
+        system.noise, schemes, X,
+        lambda rows, draws: _gram_rows(system.gain(rows, draws), P))
+    mean, se = mean_and_error(grams, 1)
+    M = c * mean + _m1_gram(system, X)
+    if not (np.isfinite(M).all() and np.isfinite(se).all()):
+        raise EvaluationError("gain gram non-finite")
+    sup = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))[:, -1]
+    return sup, c * np.linalg.norm(se, 2, axis=(-2, -1))
 
 
 # the sampled v-supremum: the axes and _SPHERE_COUNT seeded unit
@@ -224,7 +273,7 @@ def g0(V, system, scheme) -> Estimate:
 
 def _gain_sup(V, system, x, c, scheme):
     """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2."""
-    m1m1 = _m1_gram(system, x)
+    m1m1 = _m1_gram(system, x[None]).reshape(system.n_v, system.n_v)
 
     if isinstance(V, QuadraticStorage):
         gram, gram_se = _gram_estimate(system, x, V.P, scheme)
@@ -281,13 +330,10 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
         raise ConfigurationError("c2 must be positive")
     _require(system, AffineSystem)
     qb = quad_bound(V, domain)
-    # sweep runs the growth row first at each point; its V(x) equals the one
-    # H0 subtracts, so the H0 row's tolerance scale reuses it
-    vx = [0.0]
 
     def growth(x, s):
-        vx[0], bound = V.evaluate(x), c2 * float(x @ x)
-        return Row(vx[0], bound, scale=max(abs(vx[0]), bound),
+        vx, bound = V.evaluate(x), c2 * float(x @ x)
+        return Row(vx, bound, scale=max(abs(vx), bound),
                    info={"inequality": "growth"})
 
     notes = [f"certified only on {domain.label()}"]
@@ -298,23 +344,36 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     cert, _ = sweep(
         domain.points(), scheme,
         {"growth": growth,
-         "H0": lambda x, s: _zero_row("H0", h0(V, system, x, s), vx[0], system, x)},
+         "H0": _split_rows("H0", V, system, 1.0,
+                           lambda x, s: h0(V, system, x, s))},
         "V(x) <= c2 |x|^2 and H0(V(x)) <= 0", domain.label(),
         {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
         notes, force_inconclusive=qb.boundary_attained)
     return cert
 
 
-def _zero_row(name, est, vx, system, x):
-    """H0 or H1 <= 0, with tolerance scale |H| + V(x) + |m(x)|^2."""
-    return Row(est.value, std_error=est.std_error,
-               scale=abs(est.value) + vx + _m_sq(system, x),
-               info={"inequality": name})
+def _split_rows(name, V, system, beta, functional):
+    """H0 (b = 1) or H1 <= 0, with tolerance scale |H| + V(x) + |m(x)|^2;
+    ``functional(x, scheme)`` is the public per-point H0 or H1."""
+    def row(x, s):
+        est = functional(x, s)
+        return Row(est.value, std_error=est.std_error,
+                   scale=abs(est.value) + est.storage + est.output_sq,
+                   info={"inequality": name})
+
+    def block(X, schemes):
+        value, se, vx, m_sq = _split_block(V, system, X, beta, schemes)
+        scale = np.abs(value) + vx + m_sq
+        return [Row(v, std_error=e, scale=sc, info={"inequality": name})
+                for v, e, sc in zip(value.tolist(), se.tolist(),
+                                    scale.tolist())]
+
+    return Batched(row, block)
 
 
 def _h1_row(V, system, beta):
-    return lambda x, s: _zero_row("H1", h1(V, system, x, beta, s),
-                                  V.evaluate(x), system, x)
+    return _split_rows("H1", V, system, beta,
+                       lambda x, s: h1(V, system, x, beta, s))
 
 
 def _g_beta_row(V, system, beta, gamma_sq=0.0):
@@ -324,7 +383,18 @@ def _g_beta_row(V, system, beta, gamma_sq=0.0):
         return Row(est.value, gamma_sq, est.std_error,
                    max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
                    lower_bound_only=est.lower_bound_only)
-    return row
+
+    if not isinstance(V, QuadraticStorage):
+        return row
+
+    def block(X, schemes):
+        sup, se = _gram_sup_block(system, X, V.P, beta / (beta - 1.0),
+                                  schemes)
+        return [Row(v, gamma_sq, e, max(abs(v), gamma_sq),
+                    {"inequality": "G_beta"})
+                for v, e in zip(sup.tolist(), se.tolist())]
+
+    return Batched(row, block)
 
 
 def check_external(system, V, beta, gamma, domain: DomainBox,

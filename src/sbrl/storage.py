@@ -141,16 +141,28 @@ class QuadraticStorage(StorageFunction):
         if eigs[0] <= 0:
             raise ConfigurationError(f"P must be positive definite, min eig {eigs[0]:g}")
         self.P = 0.5 * (P + P.T)
+        self._p_rows = self.P.tolist()
         self.lambda_max = float(eigs[-1])
         super().__init__(P.shape[0], claims_convex=True)
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.P @ x)
+        return float(self.evaluate_batch(x)[0])
 
     def evaluate_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.einsum("ni,ij,nj->n", X, self.P, X)
+        """sum_i x_i (sum_j P_ij x_j) per row, in column ufuncs only: a row
+        gets the same bits in a call of any size (an einsum does not)."""
+        cols = np.atleast_2d(np.asarray(X, dtype=float)).T
+        out = None
+        for i, p_row in enumerate(self._p_rows):
+            inner = p_row[0] * cols[0]
+            for j in range(1, self.dim):
+                inner += p_row[j] * cols[j]
+            inner *= cols[i]
+            if out is None:
+                out = inner
+            else:
+                out += inner
+        return out
 
     def describe(self):
         return f"quadratic(P {self.P.shape[0]}x{self.P.shape[0]})"

@@ -522,23 +522,65 @@ def test_engine_matches_reference_loop_example2_closed_loop(scheme):
     assert cert.to_dict() == reference_internal(loop, V, 1.0, EX2_BOX, scheme)
 
 
+def spy_on_storage(monkeypatch, V):
+    """Record each V(x) at a state: the point of every ``evaluate`` call
+    and the rows of every other ``evaluate_batch`` call on at most
+    ``STATE_ROWS`` rows (a Monte Carlo integrand gets one row per draw)."""
+    states, inside, cls = [], [], type(V)
+    evaluate, evaluate_batch = cls.evaluate, cls.evaluate_batch
+
+    def spy(self, x):
+        states.append(np.array(x, dtype=float))
+        inside.append(x)
+        try:
+            return evaluate(self, x)
+        finally:
+            inside.pop()
+
+    def batch_spy(self, X):
+        if not inside and len(X) <= STATE_ROWS:
+            states.extend(np.array(X, dtype=float))
+        return evaluate_batch(self, X)
+
+    monkeypatch.setattr(cls, "evaluate", spy)
+    monkeypatch.setattr(cls, "evaluate_batch", batch_spy)
+    return states
+
+
+STATE_ROWS = 11
+
+
 @pytest.mark.parametrize("scheme", [CF, MC200], ids=["closed-form", "mc200"])
 def test_check_internal_evaluates_storage_twice_per_point(monkeypatch, scheme):
     # the growth row and H0 each evaluate V(x) once; H0's tolerance scale
-    # reuses that value instead of evaluating a third time
+    # reuses that value instead of evaluating a third time (a Monte Carlo
+    # H0 takes V(x) for a block of points from one evaluate_batch call)
     sys1, V = library.example1_system(), library.example1_storage(4.0)
-    box = DomainBox((-10.0,), (10.0,), ("grid", 11))
+    box = DomainBox((-10.0,), (10.0,), ("grid", STATE_ROWS))
     expected = reference_internal(sys1, V, 4.0, box, scheme)
-    calls, evaluate = [], type(V).evaluate
-
-    def spy(self, x):
-        calls.append(np.array(x, dtype=float))
-        return evaluate(self, x)
-
-    monkeypatch.setattr(type(V), "evaluate", spy)
+    states = spy_on_storage(monkeypatch, V)
     cert = certify.check_internal(sys1, V, 4.0, box, scheme)
-    assert len(calls) / len(box.points()) == 2.0
+    assert len(states) / len(box.points()) == 2.0
     assert cert.to_dict() == expected
+
+
+@pytest.mark.parametrize("scheme", [CF, MC200], ids=["closed-form", "mc200"])
+def test_h1_sweeps_evaluate_storage_once_per_point(monkeypatch, scheme):
+    # H1's tolerance scale reuses the V(x) that H1 itself subtracted
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    box = DomainBox((-10.0,), (10.0,), ("grid", STATE_ROWS))
+    expected = reference_external(sys1, V, BETA1, math.sqrt(0.1) ** 2, box,
+                                  scheme)
+    states = spy_on_storage(monkeypatch, V)
+    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.1), box, scheme)
+    # one more V(0) for the V(0) = 0 precondition
+    assert len(states) == len(box.points()) + 1
+    assert cert.to_dict() == expected
+    states.clear()
+    res = certify.gamma_star_search(sys1, [(4.0, V)], [BETA1], box, scheme)
+    assert res.status == "ok"
+    # one H1 sweep; G_beta on quadratic storage never evaluates V
+    assert len(states) == len(box.points())
 
 
 def test_check_external_draws_once_per_point(monkeypatch):

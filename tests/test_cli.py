@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbrl import cli
+from sbrl import cli, noise
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -278,6 +278,21 @@ def test_byte_determinism_across_runs(tmp_path):
             assert ra == rb
         else:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_certify_bytes_do_not_depend_on_point_blocks(tmp_path, monkeypatch):
+    # a small sweep-mc: the default blocks of points against one point per
+    # block, which is the per-point path
+    cfg = example1_external_config(tmp_path / "blocked", gamma_sq=0.1)
+    cfg["certificate"]["scheme"] = {"mode": "monte-carlo", "samples": 200}
+    path = write_config(tmp_path, cfg)
+    assert run(["certify", "--config", path]) == 0
+    monkeypatch.setattr(noise, "SWEEP_ROWS", 1)
+    assert run(["certify", "--config", path,
+                "--out", str(tmp_path / "pointwise")]) == 0
+    for name in ("certificates.json", "margins.json"):
+        assert (tmp_path / "blocked" / name).read_bytes() \
+            == (tmp_path / "pointwise" / name).read_bytes()
 
 
 def test_rerun_with_emitted_resolved_config_reproduces(tmp_path):
