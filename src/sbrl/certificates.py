@@ -22,9 +22,11 @@ The engine visits the points in blocks of ``scheme.points_per_block()``
 (one without a scheme or in closed form).  An inequality given as
 ``Batched(fn, block)`` also has a block form ``block(X, schemes) -> [Row]``,
 one row per point of the (B, n) block X, that must give the bits of ``fn``
-at each point.  It is used for blocks of two or more points; a block form
-that raises or yields a non-finite row has that block run through ``fn``
-point by point, so NaN rows, witnesses and messages stay those of ``fn``.
+at each point and raise wherever ``fn`` would raise at some point of X
+(``fn`` under Monte Carlo is the block body at one point).  It is used for
+blocks of two or more points; a block form that raises has that block run
+through ``fn`` point by point, so NaN rows, witnesses and messages stay
+those of ``fn``.
 """
 
 import math
@@ -46,7 +48,8 @@ def base_tolerance(scale: float) -> float:
 
 @dataclass
 class Certificate:
-    """Outcome of one sampled inequality check."""
+    """Outcome of one sampled inequality check; ``tolerance`` is the one
+    ``worst_margin`` was judged against (1e-9 when no margin is a number)."""
 
     status: str
     inequality: str
@@ -136,13 +139,9 @@ def _block_rows(form, block, schemes):
     name, fn, batch = form
     if batch is not None and len(block) > 1:
         try:
-            rows = batch(np.array(block), schemes)
+            return batch(np.array(block), schemes)
         except (EvaluationError, FloatingPointError):
-            rows = None
-        if rows is not None and all(
-                math.isfinite(r.lhs) and math.isfinite(r.std_error)
-                and math.isfinite(r.scale) for r in rows):
-            return rows
+            pass  # found point by point below
     rows = []
     for pt, scheme in zip(block, schemes):
         try:
@@ -157,7 +156,7 @@ class _MarginSweep:
     """Accumulates rows and applies the status rule above."""
 
     def __init__(self):
-        self.worst, self.worst_info = -np.inf, None
+        self.worst, self.worst_info, self.worst_tol = -np.inf, None, ABS_TOL
         self.violation = self.nan = None
         self.ok, self.lower_bound, self.count = True, False, 0
 
@@ -181,7 +180,7 @@ class _MarginSweep:
             return
         tol = base_tolerance(row.scale) + float(row.slack)
         if margin > self.worst:
-            self.worst = margin
+            self.worst, self.worst_tol = margin, tol
             self.worst_info = {"point": _jsonable(point),
                                "info": _jsonable(row.info)}
         excess = margin - (tol + 3.0 * se)
@@ -204,7 +203,7 @@ class _MarginSweep:
             status, statement, domain,
             float(self.worst) if self.count else 0.0, witness,
             dict(provenance, samples_checked=self.count, slack=0.0),
-            ABS_TOL, list(notes))
+            self.worst_tol, list(notes))
 
 
 def _witness(point, row, margin, std_error):

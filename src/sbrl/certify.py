@@ -27,7 +27,7 @@ from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      PreconditionError)
 from .noise import (Estimate, expect, expected_affine_power, expected_gram,
-                    mean_and_error, sample_block, sample_values)
+                    mean_and_error, require_finite, sample_block)
 from .storage import (DomainBox, QuadraticStorage, SeparableStorage,
                       quad_bound)
 
@@ -111,37 +111,39 @@ def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme.
 
     ``u`` is the control row on the controlled tier and None on the affine
-    tier, as in ``drift``.
+    tier, as in ``drift``.  Monte Carlo is ``_split_block`` at one point.
     """
     x = np.asarray(x, dtype=float)
     u_row = None if u is None else u[None]
+    if scheme.mode != "closed-form":
+        return _split_block(V, system, x[None], u_row, beta, [scheme])[0]
 
     parts_fn = None
     if system.f_parts is not None:
         def parts_fn():
-            F0, Fs = system.f_parts(x) if u is None else system.f_parts(x, u)
-            return (np.asarray(F0, dtype=float),
-                    [np.asarray(c, dtype=float) for c in Fs])
+            return system.f_parts(x) if u is None else system.f_parts(x, u)
 
-    def batch_fn(draws):
-        return system.drift(x[None], u_row, draws)
-
-    ev = expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, beta)
+    ev = expected_value_of(V, system.noise, scheme, parts_fn, None, beta)
     vx, m_sq = V.evaluate(x), float(_m_sq(system, x[None], u_row)[0])
     return SplitEstimate(ev.value / beta - vx + m_sq, ev.std_error / beta,
                          storage=vx, output_sq=m_sq)
 
 
-def _split_block(V, system, X, beta, schemes):
-    """``_split`` on the affine tier at each row of X, Monte Carlo: the
-    values, standard errors, V(x) and |m(x)|^2 as arrays of the same bits."""
+def _split_block(V, system, X, u_row, beta, schemes):
+    """``_split`` under Monte Carlo at each row of X, with ``u_row`` one
+    control row or None: one ``SplitEstimate`` per row.  A non-finite
+    sample raises as in ``expect``."""
     vals = sample_block(
         system.noise, schemes, X,
         lambda rows, draws: V.evaluate_batch(
-            beta * system.drift(rows, None, draws)))
+            beta * system.drift(rows, u_row, draws)))
+    require_finite(system.noise, schemes, vals)
     mean, se = mean_and_error(vals, 1)
-    vx, m_sq = V.evaluate_batch(X), _m_sq(system, X)
-    return mean / beta - vx + m_sq, se / beta, vx, m_sq
+    vx, m_sq = V.evaluate_batch(X), _m_sq(system, X, u_row)
+    return [SplitEstimate(v, e, storage=s, output_sq=m)
+            for v, e, s, m in zip((mean / beta - vx + m_sq).tolist(),
+                                  (se / beta).tolist(), vx.tolist(),
+                                  m_sq.tolist())]
 
 
 def h0(V, system, x, scheme) -> SplitEstimate:
@@ -195,29 +197,11 @@ def _gram_rows(G, P):
     return out
 
 
-def _gram_estimate(system, x, P, scheme):
-    """E[g(x,w)' P g(x,w)] with an entrywise standard-error matrix."""
-    x = np.asarray(x, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if scheme.mode == "closed-form":
-        if system.g_parts is None:
-            raise ConfigurationError("closed-form gram needs g_parts")
-        G0, Gs = system.g_parts(x)
-        return expected_gram(P, G0, Gs, system.noise), 0.0
-
-    grams = sample_values(
-        system.noise, scheme,
-        lambda draws: _gram_rows(system.gain(x[None], draws), P))
-    mean, se = mean_and_error(grams, 0)
-    if not (np.isfinite(mean).all() and np.isfinite(se).all()):
-        raise EvaluationError("gain gram non-finite", point=x)
-    return mean, float(np.linalg.norm(se, 2))
-
-
-def _gram_sup_block(system, X, P, c, schemes):
-    """The quadratic-storage supremum of ``_gain_sup`` at each row of X,
-    Monte Carlo: values and standard errors as arrays of the same bits,
-    from one stacked eigvalsh and one stacked norm."""
+def _gram_sup(system, X, P, c, schemes):
+    """lambda_max(c E[g'Pg] + m1'm1) and c ||SE||_2, SE the entrywise
+    standard-error matrix of E[g'Pg], at each row of X under Monte Carlo:
+    the quadratic-storage supremum of ``_gain_sup`` as two arrays, from one
+    stacked eigvalsh and one stacked norm."""
     grams = sample_block(
         system.noise, schemes, X,
         lambda rows, draws: _gram_rows(system.gain(rows, draws), P))
@@ -273,12 +257,18 @@ def g0(V, system, scheme) -> Estimate:
 
 def _gain_sup(V, system, x, c, scheme):
     """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2."""
-    m1m1 = _m1_gram(system, x[None]).reshape(system.n_v, system.n_v)
+    quadratic = isinstance(V, QuadraticStorage)
+    if quadratic and scheme.mode != "closed-form":
+        sup, se = _gram_sup(system, x[None], V.P, c, [scheme])
+        return Estimate(float(sup[0]), float(se[0]))
 
-    if isinstance(V, QuadraticStorage):
-        gram, gram_se = _gram_estimate(system, x, V.P, scheme)
-        M = c * gram + m1m1
-        return Estimate(sym_eig_max(M), c * gram_se)
+    m1m1 = _m1_gram(system, x[None]).reshape(system.n_v, system.n_v)
+    if quadratic:
+        if system.g_parts is None:
+            raise ConfigurationError("closed-form gram needs g_parts")
+        G0, Gs = system.g_parts(x)
+        M = c * expected_gram(V.P, G0, Gs, system.noise) + m1m1
+        return Estimate(sym_eig_max(M), 0.0)
 
     if isinstance(V, SeparableStorage) and system.g_parts is not None:
         G0, Gs = system.g_parts(x)
@@ -355,20 +345,15 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 def _split_rows(name, V, system, beta, functional):
     """H0 (b = 1) or H1 <= 0, with tolerance scale |H| + V(x) + |m(x)|^2;
     ``functional(x, scheme)`` is the public per-point H0 or H1."""
-    def row(x, s):
-        est = functional(x, s)
+    def row(est):
         return Row(est.value, std_error=est.std_error,
                    scale=abs(est.value) + est.storage + est.output_sq,
                    info={"inequality": name})
 
-    def block(X, schemes):
-        value, se, vx, m_sq = _split_block(V, system, X, beta, schemes)
-        scale = np.abs(value) + vx + m_sq
-        return [Row(v, std_error=e, scale=sc, info={"inequality": name})
-                for v, e, sc in zip(value.tolist(), se.tolist(),
-                                    scale.tolist())]
-
-    return Batched(row, block)
+    return Batched(
+        lambda x, s: row(functional(x, s)),
+        lambda X, schemes: [row(est) for est in _split_block(
+            V, system, X, None, beta, schemes)])
 
 
 def _h1_row(V, system, beta):
@@ -378,23 +363,22 @@ def _h1_row(V, system, beta):
 
 def _g_beta_row(V, system, beta, gamma_sq=0.0):
     """The G_beta <= gamma^2 row; a sampled supremum is a lower bound."""
-    def row(x, s):
-        est = g_beta(V, system, x, beta, s)
+    def row(est):
         return Row(est.value, gamma_sq, est.std_error,
                    max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
                    lower_bound_only=est.lower_bound_only)
 
+    def fn(x, s):
+        return row(g_beta(V, system, x, beta, s))
+
     if not isinstance(V, QuadraticStorage):
-        return row
+        return fn
 
     def block(X, schemes):
-        sup, se = _gram_sup_block(system, X, V.P, beta / (beta - 1.0),
-                                  schemes)
-        return [Row(v, gamma_sq, e, max(abs(v), gamma_sq),
-                    {"inequality": "G_beta"})
-                for v, e in zip(sup.tolist(), se.tolist())]
+        sup, se = _gram_sup(system, X, V.P, beta / (beta - 1.0), schemes)
+        return [row(Estimate(v, e)) for v, e in zip(sup.tolist(), se.tolist())]
 
-    return Batched(row, block)
+    return Batched(fn, block)
 
 
 def check_external(system, V, beta, gamma, domain: DomainBox,

@@ -339,13 +339,21 @@ def expect(noise: NoiseModel, scheme: ExpectationScheme, integrand) -> Estimate:
 
     vals = sample_values(noise, scheme,
                          lambda draws: _eval_integrand(integrand, draws))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(f"integrand non-finite at sample {i}",
-                              point=scheme._draw(noise, len(vals))[i].copy())
+    require_finite(noise, [scheme], vals[None])
     mean, se = mean_and_error(vals, 0)
     return Estimate(float(mean), float(se))
+
+
+def require_finite(noise, schemes, values):
+    """Raise ``EvaluationError`` at the first non-finite sample of the
+    (points, N) values that ``sample_block`` gave, in point order, with
+    that sample's draw as ``point``."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        p, i = divmod(int(np.argmax(bad)), values.shape[1])
+        raise EvaluationError(
+            f"integrand non-finite at sample {i}",
+            point=schemes[p]._draw(noise, values.shape[1])[i].copy())
 
 
 def mean_and_error(values, axis):
@@ -359,59 +367,59 @@ def mean_and_error(values, axis):
     return mean, values.std(axis=axis, ddof=1) / math.sqrt(n)
 
 
-# Rows per ``fn`` call in ``sample_values``: blocks this size keep every
-# temporary of an integrand cache-sized instead of draw-matrix-sized.
-BLOCK_ROWS = 8192
-
-# Draw rows of one block of sweep points (``ExpectationScheme.
-# points_per_block``): a block pays its Python and numpy call overhead
-# once for all its points.  On the sweep-mc check (8001 points x 2000
-# draws, 2-vCPU x86-64 host, medians of 5 alternating in-process runs)
-# blocks of 8192, 16384 and 24576 rows took 2.03, 1.60 and 1.86 s; every
-# block row also costs peak memory (64 points of 2000 draws: +4.3 MB).
+# Draw rows per ``fn`` call in ``sample_block``: a block of sweep points
+# (``ExpectationScheme.points_per_block``) pays its Python and numpy call
+# overhead once for all its points, and a point with more draws is split
+# into near-equal row chunks of at most this many, which keeps every
+# temporary of an integrand cache-sized instead of draw-matrix-sized.  On
+# the sweep-mc check (8001 points x 2000 draws, 2-vCPU x86-64 host,
+# medians of 5 alternating in-process runs) blocks of 8192, 16384 and
+# 24576 rows took 2.03, 1.60 and 1.86 s; every block row also costs peak
+# memory (64 points of 2000 draws: +4.3 MB).
 SWEEP_ROWS = 16384
 
 
 def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
-    """One value of ``fn`` per independent Monte Carlo sample.
+    """One value of ``fn(draws)`` per independent sample: ``sample_block``
+    at one point."""
+    return sample_block(noise, [scheme], None, lambda _, draws: fn(draws))[0]
 
-    ``fn`` maps a row block of the (N, dim) draw matrix to one value of any
-    shape per row; it must be row-wise, so blocks change no bit.  N is split
-    into ceil(N / BLOCK_ROWS) near-equal blocks, never a small remainder,
-    and N <= BLOCK_ROWS gives one call whose result is returned as is.  An
-    antithetic scheme draws ceil(samples/2) vectors and returns the mean of
+
+def sample_block(noise: NoiseModel, schemes, states, fn):
+    """One value of ``fn`` per independent Monte Carlo sample of each point
+    of a block, as a C-order (points, N, ...) array, so
+    ``mean_and_error(values, 1)`` reduces each point as it would alone.
+
+    ``schemes[i]`` is point i's scheme (all alike but for their seeds) and
+    ``states[i]`` its row of per-point data.  ``fn`` maps (state rows, draw
+    rows) to one value of any shape per row; it must be row-wise, so the
+    split into calls changes no bit.  One point passes its draw matrix as
+    it is with its single state row to broadcast; two or more stack their
+    draws point-major with each state row repeated once per draw, and the
+    caller keeps them within SWEEP_ROWS rows.  The rows are split into
+    ceil(rows / SWEEP_ROWS) near-equal chunks, never a small remainder, and
+    one chunk is one call whose result is returned as is.  An antithetic
+    scheme draws ceil(samples/2) vectors per point and returns the mean of
     each (draw, mirrored draw) pair: the pair means are the independent
     samples, so their spread gives the standard error, and an integrand
     that is odd bit for bit (a linear one; numpy's ``w ** 3`` is not)
     averages to exactly zero.
     """
-    n = scheme.draws_per_point()
-    draws = scheme._draw(noise, n)
-    blocks = -(-n // BLOCK_ROWS)
-    if blocks == 1:
-        return _paired(noise, scheme, fn, draws)
-    return np.concatenate([
-        _paired(noise, scheme, fn, draws[n * b // blocks:n * (b + 1) // blocks])
-        for b in range(blocks)])
-
-
-def sample_block(noise: NoiseModel, schemes, states, fn):
-    """``sample_values`` at a block of points in one call of ``fn``.
-
-    ``schemes[i]`` is point i's scheme (all alike but for their seeds) and
-    ``states[i]`` its row of per-point data.  Each point draws its own
-    matrix, in point order; the draws are stacked point-major and ``fn``
-    maps (the state rows, each repeated once per draw, the stacked draw
-    rows) to one value per row.  Returns the values as a C-order
-    (points, N, ...) array, so ``mean_and_error(values, 1)`` reduces
-    each point as ``sample_values`` and ``expect`` would alone.  The
-    caller keeps the block within SWEEP_ROWS draw rows.
-    """
     n = schemes[0].draws_per_point()
-    draws = np.stack([s._draw(noise, n) for s in schemes])
-    draws = draws.reshape(-1, noise.dim)
-    rows = np.repeat(states, n, axis=0)
-    vals = _paired(noise, schemes[0], lambda w: fn(rows, w), draws)
+    one = len(schemes) == 1
+    if one:
+        draws, rows = schemes[0]._draw(noise, n), states
+    else:
+        draws = np.stack([s._draw(noise, n) for s in schemes])
+        draws = draws.reshape(-1, noise.dim)
+        rows = np.repeat(states, n, axis=0)
+    chunks = -(-len(draws) // SWEEP_ROWS)
+    cuts = [len(draws) * c // chunks for c in range(chunks + 1)]
+    parts = [_paired(noise, schemes[0],
+                     lambda w: fn(rows if one else rows[lo:hi], w),
+                     draws[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    vals = parts[0] if chunks == 1 else np.concatenate(parts)
     return vals.reshape(len(schemes), n, *vals.shape[1:])
 
 

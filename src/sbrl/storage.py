@@ -238,10 +238,15 @@ class CustomStorage(StorageFunction):
         return val
 
     def evaluate_batch(self, X):
-        if self._batch_fn is not None:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return np.asarray(self._batch_fn(X), dtype=float)
-        return super().evaluate_batch(X)
+        if self._batch_fn is None:
+            return super().evaluate_batch(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        vals = np.asarray(self._batch_fn(X), dtype=float)
+        bad = ~np.isfinite(vals)
+        if bad.any():  # as ``evaluate`` does at each row
+            raise EvaluationError("storage candidate returned a non-finite value",
+                                  point=X[int(np.argmax(bad))].copy())
+        return vals
 
     def describe(self):
         return self.label

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbrl import certify, library
 from sbrl.dynamics import AffineSystem, DisturbanceEnsemble, LinearSystem
@@ -377,6 +379,33 @@ def test_gamma_star_search_monte_carlo_overflow_is_infeasible():
     assert res.feasible_count == 0
 
 
+def test_vectorised_custom_storage_non_finite_state_is_inconclusive():
+    # V(x) is not finite at x = +-10 while E[V(b f(x, w))] is, so H1 there
+    # must be a NaN row with the storage message, not -inf within tolerance
+    def field(x):
+        return float(x[0] ** 2) if abs(x[0]) < 9.0 else math.inf
+
+    V = CustomStorage(field, 1, claims_convex=True, batch_fn=lambda X: np.where(
+        np.abs(X[:, 0]) < 9.0, X[:, 0] ** 2, np.inf))
+    contracting = AffineSystem(
+        1, 1,
+        f=lambda X, W: 0.1 * X,
+        g=lambda X, W: np.full((len(X), 1, 1), 0.1),
+        m=lambda X: 0.0 * X,
+        m1=lambda X: np.array([[0.1]]),
+        noise=gaussian_noise(),
+    )
+    cert = certify.check_external(contracting, V, 2.0, 1.0,
+                                  DomainBox((-10.0,), (10.0,), ("grid", 3)),
+                                  MC100)
+    assert cert.status == "inconclusive"
+    assert cert.witness["point"] == [-10.0]
+    assert cert.witness["info"] == {
+        "inequality": "H1",
+        "error": "storage candidate returned a non-finite value"}
+    assert cert.provenance["h1_worst"] is None
+
+
 def test_check_external_requires_convexity_claim():
     V = CustomStorage(lambda x: float(x[0] ** 2), 1, claims_convex=False)
     box = DomainBox((-1.0,), (1.0,))
@@ -394,13 +423,54 @@ def test_certificates_are_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
+def test_certificate_records_the_tolerance_of_its_worst_margin():
+    # gamma^2 just below the exact 0.08: the worst G_beta margin, 5e-9,
+    # passes only against 1e-9 + 1e-7 * G_beta, not against 1e-9
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    box = DomainBox((-10.0,), (10.0,), ("grid", 201))
+    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.079999995),
+                                  box, CF)
+    assert cert.status == "certified"
+    assert cert.worst_margin == pytest.approx(5e-9, rel=1e-6)
+    assert cert.tolerance == base_tolerance(cert.provenance["g_beta_sup"])
+    assert cert.worst_margin <= cert.tolerance
+
+
+def test_all_nan_sweep_keeps_the_absolute_tolerance():
+    V = CustomStorage(lambda x: 0.0 if not np.any(x) else math.nan, 1,
+                      claims_convex=True)
+    cert = certify.check_external(library.example1_system(), V, BETA1, 0.3,
+                                  DomainBox((1.0,), (2.0,), ("grid", 3)),
+                                  ExpectationScheme(samples=20, seed=1))
+    assert cert.status == "inconclusive"
+    assert cert.tolerance == 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(3.5, 4.5), gamma_sq=st.floats(0.0799, 0.0801),
+       c2=st.floats(3.5, 5.0), grid=st.integers(1, 41), mc=st.booleans())
+def test_certified_worst_margin_is_within_the_recorded_tolerance(
+        p, gamma_sq, c2, grid, mc):
+    sys1, V = library.example1_system(), library.example1_storage(p)
+    box = DomainBox((-10.0,), (10.0,), ("grid", grid))
+    scheme = ExpectationScheme(samples=50, seed=3) if mc else CF
+    for cert in (certify.check_external(sys1, V, BETA1, math.sqrt(gamma_sq),
+                                        box, scheme),
+                 certify.check_internal(sys1, V, c2, box, scheme)):
+        assert cert.tolerance >= 1e-9
+        if cert.certified:
+            assert cert.worst_margin <= cert.tolerance
+
+
 # ------------------------------------------------ sweep engine guards
 
 def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
     """The per-point loop as written before the sweep engine: margins against
-    1e-9 + 1e-7 * scale, falsified beyond 3 standard errors, NaN witness."""
+    1e-9 + 1e-7 * scale, falsified beyond 3 standard errors, NaN witness;
+    the worst margin keeps the tolerance it was judged against."""
     worst, worst_info, violation, nan_witness, ok, count = (
         -math.inf, None, None, None, True, 0)
+    worst_tol = 1e-9
     sups = {}
     for x in points:
         for name, lhs, rhs, se, scale in rows_at(x, scheme.at(x)):
@@ -413,8 +483,9 @@ def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
                 continue
             tol = base_tolerance(scale)
             if margin > worst:
-                worst, worst_info = margin, {"point": x.tolist(),
-                                             "info": {"inequality": name}}
+                worst, worst_tol = margin, tol
+                worst_info = {"point": x.tolist(),
+                              "info": {"inequality": name}}
             if margin > tol + 3.0 * se:
                 excess = margin - (tol + 3.0 * se)
                 if violation is None or excess > violation[0]:
@@ -428,7 +499,7 @@ def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
         status, witness = "certified", None
     else:
         status, witness = "inconclusive", worst_info
-    return status, witness, worst, count, sups
+    return status, witness, worst, worst_tol, count, sups
 
 
 def _m_sq(system, x):
@@ -447,7 +518,7 @@ def reference_external(system, V, beta, gamma_sq, domain, scheme,
         yield ("G_beta", eg.value, gamma_sq, eg.std_error,
                max(abs(eg.value), gamma_sq))
 
-    status, witness, worst, count, sups = reference_sweep(
+    status, witness, worst, tol, count, sups = reference_sweep(
         domain.points(), scheme, rows_at)
     notes = [f"certified only on {domain.label()}"]
     if isinstance(V, QuadraticStorage):
@@ -461,7 +532,7 @@ def reference_external(system, V, beta, gamma_sq, domain, scheme,
                        "gamma_sq": gamma_sq, "samples_checked": count,
                        "slack": 0.0, "g_beta_sup": sups["G_beta"],
                        "h1_worst": sups["H1"]},
-        "tolerance": 1e-9, "notes": notes,
+        "tolerance": tol, "notes": notes,
     }
 
 
@@ -474,7 +545,7 @@ def reference_internal(system, V, c2, domain, scheme):
                abs(e0.value) + vx + _m_sq(system, x))
 
     qb = quad_bound(V, domain)
-    status, witness, worst, count, _ = reference_sweep(
+    status, witness, worst, tol, count, _ = reference_sweep(
         domain.points(), scheme, rows_at, qb.boundary_attained)
     notes = [f"certified only on {domain.label()}"]
     if qb.boundary_attained:
@@ -488,7 +559,7 @@ def reference_internal(system, V, c2, domain, scheme):
         "provenance": {"scheme": scheme.spec(), "c2": c2,
                        "quad_bound": qb.to_dict(), "samples_checked": count,
                        "slack": 0.0},
-        "tolerance": 1e-9, "notes": notes,
+        "tolerance": tol, "notes": notes,
     }
 
 

@@ -173,13 +173,16 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
 
     system = library.example1_system(noise=model)
     x = np.array([0.3])
-    gram, se = certify._gram_estimate(system, x, [[4.0]], scheme)
+    # the gram body's lambda_max(E[g'Pg] + m1'm1) at c = 1, scalar here
+    sup, se = certify._gram_sup(system, x[None], [[4.0]], 1.0, [scheme])
+    m1m1 = certify._m1_gram(system, x[None]).item()
     pairs = sample_values(
         model, scheme,
         lambda draws: 4.0 * system.gain(x[None], draws)[:, 0, 0] ** 2)
     assert pairs.shape == (51,)
-    assert gram[0, 0] == pytest.approx(pairs.mean(), rel=1e-12)
-    assert se == pytest.approx(pairs.std(ddof=1) / math.sqrt(51), rel=1e-12)
+    assert sup[0] - m1m1 == pytest.approx(pairs.mean(), rel=1e-12)
+    assert se[0] == pytest.approx(pairs.std(ddof=1) / math.sqrt(51),
+                                  rel=1e-12)
 
 
 def test_invalid_parameters_raise():
@@ -357,7 +360,7 @@ def block_cases():
     }
 
 
-@pytest.mark.parametrize("block", [5, 7, noise.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [5, 7, 8192])
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("case", ["linear", "example2-closed-loop",
                                   "example1"])
@@ -368,9 +371,9 @@ def test_row_blocks_change_no_bit(monkeypatch, block, antithetic, case):
         # an antithetic scheme of 2n samples draws n base rows
         scheme = ExpectationScheme(samples=2 * n if antithetic else n,
                                    seed=13, antithetic=antithetic)
-        monkeypatch.setattr(noise, "BLOCK_ROWS", n)
+        monkeypatch.setattr(noise, "SWEEP_ROWS", n)
         whole = fn(x, scheme.at(x))
-        monkeypatch.setattr(noise, "BLOCK_ROWS", block)
+        monkeypatch.setattr(noise, "SWEEP_ROWS", block)
         blocked = fn(x, scheme.at(x))
         assert [(e.value, e.std_error) for e in blocked] \
             == [(e.value, e.std_error) for e in whole], n
@@ -392,15 +395,15 @@ def test_row_blocks_change_no_sample_value(monkeypatch, block, antithetic):
     for n in range(1, 6 * block):
         scheme = ExpectationScheme(samples=2 * n if antithetic else n,
                                    seed=n, antithetic=antithetic).at(x)
-        monkeypatch.setattr(noise, "BLOCK_ROWS", n)
+        monkeypatch.setattr(noise, "SWEEP_ROWS", n)
         whole = sample_values(lin.noise, scheme, integrand).copy()
-        monkeypatch.setattr(noise, "BLOCK_ROWS", block)
+        monkeypatch.setattr(noise, "SWEEP_ROWS", block)
         blocked = sample_values(lin.noise, scheme, integrand)
         assert blocked.tobytes() == whole.tobytes(), n
 
 
 def test_non_finite_sample_past_the_first_block_keeps_its_index(monkeypatch):
-    monkeypatch.setattr(noise, "BLOCK_ROWS", 5)
+    monkeypatch.setattr(noise, "SWEEP_ROWS", 5)
     model = NoiseModel((Gaussian(0.0, 1.0), Uniform(0.0, 1.0)))
     scheme = ExpectationScheme(samples=13, seed=4).at([0.5])  # blocks 4, 4, 5
     draws = model.sample(scheme.seed, 13)

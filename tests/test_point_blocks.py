@@ -156,13 +156,20 @@ def signature(result):
 
 
 def at_block_sizes(monkeypatch, scheme, run):
-    """``run()`` with 1, 2, 3 and 7 points per block, as canonical bytes."""
+    """``run()`` with 1, 2, 3 and 7 points per block, as canonical bytes.
+
+    One budget drives both kinds of block, so a run at the default budget
+    and one at a budget of 7 draw rows must give the same bytes; below N
+    the latter runs one point per block in several row chunks."""
+    default = signature(run())
     out = []
     for points in (1, 2, 3, 7):
         monkeypatch.setattr(noise, "SWEEP_ROWS",
                             points * scheme.draws_per_point())
         assert scheme.points_per_block() == points
         out.append(signature(run()))
+    monkeypatch.setattr(noise, "SWEEP_ROWS", 7)
+    assert signature(run()) == default
     return out
 
 

@@ -18,6 +18,10 @@ A defaulted parameter of a public function or method counts as passed when
 some call of that name in the library or the acceptance suite gives it by
 keyword or by position; a call with ``*`` or ``**`` passes everything.  The
 parameters that are never passed are exactly the pinned set below.
+
+A module-level UPPER_CASE constant (leading underscore or not) counts as
+read when library code loads it outside its own assignment; a constant
+only a test sets or monkeypatches is a knob with no effect, and fails.
 """
 
 import ast
@@ -180,3 +184,30 @@ def unpassed_options():
 
 def test_every_option_is_passed_by_some_caller():
     assert unpassed_options() == UNPASSED_OPTIONS
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*\Z")
+
+
+def unread_constants():
+    library = {path.name: ast.parse(path.read_text())
+               for path in sorted(LIBRARY.glob("*.py"))
+               if path.name != "__init__.py"}
+    reads = Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in library.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load))
+    constants = {
+        (module, target.id)
+        for module, tree in library.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name) and CONSTANT.match(target.id)}
+    assert len(constants) > 30  # the walk found the module constants
+    return {f"{module}:{name}" for module, name in constants
+            if not reads[name]}
+
+
+def test_every_module_constant_is_read_by_the_library():
+    assert unread_constants() == set()
