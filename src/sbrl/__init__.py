@@ -11,14 +11,13 @@ from .noise import (Estimate, ExpectationScheme, NoiseModel, OmegaPolynomial,
                     derive_seed, expect)
 from .storage import (CustomStorage, DomainBox, EstimatedStorage,
                       QuadraticStorage, SeparableStorage, StorageFunction,
-                      check_convex, construct_storage, quad_bound)
+                      check_convex, quad_bound)
 
 __all__ = [
     "AffineSystem", "Certificate", "ControlledSystem", "CustomStorage",
     "DisturbanceEnsemble", "DisturbancePolicy", "DomainBox", "Estimate",
     "EstimatedStorage", "ExpectationScheme", "GeneralSystem", "LinearSystem",
     "NoiseModel", "OmegaPolynomial", "QuadraticStorage", "SeparableStorage",
-    "StorageFunction", "Trajectory", "check_convex", "construct_storage",
-    "derive_seed", "energy_ratio", "expect", "quad_bound", "simulate",
-    "simulate_ensemble",
+    "StorageFunction", "Trajectory", "check_convex", "derive_seed",
+    "energy_ratio", "expect", "quad_bound", "simulate", "simulate_ensemble",
 ]

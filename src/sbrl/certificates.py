@@ -9,8 +9,9 @@ The margins lhs - rhs decide one status:
   certified    every margin <= tol      (tol = 1e-9 + 1e-7 * scale + slack)
   falsified    some margin >  tol + 3 * std-error (wins over the rest)
   inconclusive anything else: a margin above tol within 3 std-errors, a
-               NaN margin or std-error, an empty sweep, a lower-bound-only
-               lhs (a sampled supremum) or a scope the caller flags
+               NaN or -inf margin (an overflowed side), a NaN std-error, an
+               empty sweep, a lower-bound-only lhs (a sampled supremum) or a
+               scope the caller flags
 
 A function raising ``EvaluationError`` (a non-finite Monte Carlo integrand)
 or ``FloatingPointError`` (numpy under a user map's own ``np.errstate``) at
@@ -84,7 +85,8 @@ class Row(NamedTuple):
 
 @dataclass
 class Record:
-    """Per inequality: largest lhs, its first point, lower-bound, NaN seen."""
+    """Per inequality: largest lhs, its first point, lower-bound, NaN or
+    -inf margin seen."""
 
     lhs: float = -math.inf
     point: list | None = None
@@ -171,9 +173,10 @@ class _MarginSweep:
             self.lower_bound = record.lower_bound_only = True
         if row.lhs > record.lhs:
             record.lhs, record.point = float(row.lhs), _jsonable(point)
-        if math.isnan(margin) or math.isnan(se):
+        if math.isnan(margin) or math.isnan(se) or margin == -math.inf:
             # every comparison with NaN is false, so it would pass as "within
-            # tolerance"; the first such point becomes the witness
+            # tolerance", and so would a -inf margin, which only an overflowed
+            # side gives; the first such point becomes the witness
             record.nan = True
             if self.nan is None:
                 self.nan = _witness(point, row, margin, se)

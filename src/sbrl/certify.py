@@ -381,7 +381,7 @@ def _g_beta_row(V, system, beta, gamma_sq=0.0):
     return Batched(fn, block)
 
 
-def check_external(system, V, beta, gamma, domain: DomainBox,
+def check_external(system, V, beta, gamma_sq, domain: DomainBox,
                    scheme) -> Certificate:
     """External-stability certificate: H1 <= 0 and G_beta <= gamma^2 sampled.
 
@@ -393,8 +393,8 @@ def check_external(system, V, beta, gamma, domain: DomainBox,
     """
     if beta <= 1.0:
         raise ConfigurationError("beta must exceed 1")
-    if gamma <= 0.0:
-        raise ConfigurationError("gamma must be positive")
+    if gamma_sq <= 0.0:
+        raise ConfigurationError("gamma_sq must be positive")
     if not V.claims_convex:
         raise PreconditionError(
             "external-stability check needs a convexity-certified storage; "
@@ -404,7 +404,6 @@ def check_external(system, V, beta, gamma, domain: DomainBox,
     if abs(v0) > 1e-12:
         raise PreconditionError(f"V(0) = {v0:g}, expected 0")
     _require(system, AffineSystem)
-    gamma_sq = gamma * gamma
     cert, rec = sweep(
         domain.points(), scheme,
         {"H1": _h1_row(V, system, beta),

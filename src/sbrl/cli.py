@@ -327,19 +327,17 @@ def cmd_certify(resolved):
             writer.add_certificate(conv)
             if conv.certified:
                 storage.claims_convex = True
-        gamma = np.sqrt(_gamma_sq_from(cert_block))
         system, _ = _maybe_close_loop(system, tier, resolved)
         cert = certify.check_external(
-            system, storage, float(cert_block["beta"]), float(gamma),
-            domain, scheme)
+            system, storage, float(cert_block["beta"]),
+            _gamma_sq_from(cert_block), domain, scheme)
     elif kind == "controller":
         if tier != "controlled":
             raise ConfigurationError("certificate.kind controller needs a controlled system")
         law = library.law_from_config(resolved["law"])
-        gamma = np.sqrt(_gamma_sq_from(cert_block))
         cert = synth.certify_controller(
-            system, law, storage, float(cert_block["beta"]), float(gamma),
-            domain, scheme)
+            system, law, storage, float(cert_block["beta"]),
+            _gamma_sq_from(cert_block), domain, scheme)
     else:
         raise ConfigurationError(f"certificate.kind: unhandled kind {kind!r}")
 
@@ -482,7 +480,7 @@ def cmd_example1(out_dir, seed, formats=None):
     V = library.example1_storage(search.params)
     t0 = time.perf_counter()
     cert = certify.check_external(
-        system, V, search.beta, float(np.sqrt(gamma_star_sq)), domain, scheme)
+        system, V, search.beta, gamma_star_sq, domain, scheme)
     writer.timings["certify_s"] = time.perf_counter() - t0
     writer.add_certificate(cert)
 
@@ -574,9 +572,10 @@ def cmd_example2(out_dir, seed, formats=None):
     domain = DomainBox.from_spec(cert_block["domain"])
     scheme = _scheme_from(cert_block, seed)
 
+    gamma_sq = cert_block["gamma"] ** 2
     t0 = time.perf_counter()
     cert = synth.certify_controller(
-        plant, law, V, cert_block["beta"], cert_block["gamma"], domain, scheme)
+        plant, law, V, cert_block["beta"], gamma_sq, domain, scheme)
     writer.timings["certify_s"] = time.perf_counter() - t0
     writer.add_certificate(cert)
     g_beta_sup = cert.provenance.get("g_beta_sup")
@@ -584,7 +583,6 @@ def cmd_example2(out_dir, seed, formats=None):
     loop = synth.closed_loop(plant, law)
     ens_block = resolved["ensemble"]
     ensemble = library.ensemble_from_config(ens_block["disturbance"], 2)
-    gamma_sq = cert_block["gamma"] ** 2
     t0 = time.perf_counter()
     gain = certify.empirical_gain(
         loop, ensemble, ens_block["horizon"], ens_block["count"], gamma_sq,

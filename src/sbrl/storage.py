@@ -2,10 +2,11 @@
 
 Three candidate forms are supported: quadratic x'Px with P symmetric
 positive definite, separable sums of positive-weighted even powers, and
-arbitrary user scalar fields.  Convexity is checked by sampled
-quarter/mid/three-quarter-point inequalities so that non-smooth candidates
-are admissible; the quadratic growth bound V(x) <= c2 |x|^2 is
-probed by ratio sampling with an exact eigenvalue path for quadratics.
+arbitrary user scalar fields; each is one map over (N, dim) rows.
+Convexity is checked by sampled quarter/mid/three-quarter-point
+inequalities so that non-smooth candidates are admissible; the quadratic
+growth bound V(x) <= c2 |x|^2 is probed by ratio sampling with an exact
+eigenvalue path for quadratics.
 
 The constructive storage function sums expected squared output norms along
 zero-disturbance trajectories, truncated at a configurable horizon with a
@@ -24,7 +25,6 @@ from .noise import derive_seed, hash_point
 
 NEAR_ZERO_RADIUS = 1e-9
 BOUNDARY_FRACTION = 1e-9  # a point this close, relative to the span, is on it
-DEFAULT_CONSTRUCTION_HORIZON = 400
 
 
 @dataclass(frozen=True)
@@ -104,32 +104,28 @@ class DomainBox:
 
 
 class StorageFunction:
-    """Base candidate V with its convexity claim."""
+    """Base candidate V with its convexity claim.
 
-    form = "custom"
+    ``evaluate_batch(X)`` maps (N, dim) rows to N values and is the one
+    body of a candidate; V(x) at one point is its one-row call.
+    """
 
     def __init__(self, dim, claims_convex=False):
         self.dim = int(dim)
         self.claims_convex = bool(claims_convex)
 
-    def evaluate(self, x) -> float:
+    def evaluate_batch(self, X):
         raise NotImplementedError
 
-    def evaluate_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.evaluate(x) for x in X])
+    def evaluate(self, x) -> float:
+        return float(self.evaluate_batch(np.atleast_2d(x))[0])
 
     def evaluate_with_error(self, x):
         return self.evaluate(x), 0.0
 
-    def describe(self):
-        return self.form
-
 
 class QuadraticStorage(StorageFunction):
     """V(x) = x' P x, P symmetric positive definite."""
-
-    form = "quadratic"
 
     def __init__(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -144,9 +140,6 @@ class QuadraticStorage(StorageFunction):
         self._p_rows = self.P.tolist()
         self.lambda_max = float(eigs[-1])
         super().__init__(P.shape[0], claims_convex=True)
-
-    def evaluate(self, x):
-        return float(self.evaluate_batch(x)[0])
 
     def evaluate_batch(self, X):
         """sum_i x_i (sum_j P_ij x_j) per row, in column ufuncs only: a row
@@ -171,8 +164,6 @@ class QuadraticStorage(StorageFunction):
 class SeparableStorage(StorageFunction):
     """V(x) = sum_i p_i * x_i^{d_i}, p_i > 0 and d_i even integers >= 2."""
 
-    form = "separable"
-
     def __init__(self, p, d):
         p = tuple(float(v) for v in p)
         d = tuple(int(v) for v in d)
@@ -186,13 +177,7 @@ class SeparableStorage(StorageFunction):
         self.d = d
         super().__init__(len(p), claims_convex=True)
 
-    def evaluate(self, x):
-        return float(self._power_sum(x)[0])
-
     def evaluate_batch(self, X):
-        return self._power_sum(X)
-
-    def _power_sum(self, X):
         """sum_i p_i X[:, i]^d_i, x^d = (x*x)^(d/2) by repeated squaring in
         place: numpy's ``x ** 4`` calls libm pow, 10x slower on mixed signs."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -215,35 +200,24 @@ class SeparableStorage(StorageFunction):
 
 
 class CustomStorage(StorageFunction):
-    """User-supplied scalar field, optionally with a vectorised evaluator."""
+    """User-supplied scalar field ``fn``, a map from (N, dim) rows to N
+    values or to anything that broadcasts to them."""
 
-    form = "custom"
-
-    def __init__(self, fn, dim, batch_fn=None, claims_convex=False,
-                 claims_V0_zero=True, label="custom"):
+    def __init__(self, fn, dim, claims_convex=False, claims_V0_zero=True,
+                 label="custom"):
         super().__init__(dim, claims_convex)
         self._fn = fn
-        self._batch_fn = batch_fn
         self.label = label
         if claims_V0_zero:
-            v0 = float(fn(np.zeros(dim)))
+            v0 = self.evaluate(np.zeros(dim))
             if abs(v0) > 1e-12:
                 raise ConfigurationError(f"V(0) = {v0:g}, expected 0")
 
-    def evaluate(self, x):
-        val = float(self._fn(np.asarray(x, dtype=float)))
-        if not np.isfinite(val):
-            raise EvaluationError("storage candidate returned a non-finite value",
-                                  point=np.asarray(x, dtype=float))
-        return val
-
     def evaluate_batch(self, X):
-        if self._batch_fn is None:
-            return super().evaluate_batch(X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        vals = np.asarray(self._batch_fn(X), dtype=float)
+        vals = np.broadcast_to(np.asarray(self._fn(X), dtype=float), len(X))
         bad = ~np.isfinite(vals)
-        if bad.any():  # as ``evaluate`` does at each row
+        if bad.any():
             raise EvaluationError("storage candidate returned a non-finite value",
                                   point=X[int(np.argmax(bad))].copy())
         return vals
@@ -261,16 +235,16 @@ class StorageProbe:
 
 
 class EstimatedStorage(StorageFunction):
-    """Monte Carlo estimator of the constructive storage function.
+    """Monte Carlo estimator of the constructive storage function of an
+    internally stable system.
 
     V(x) is the truncated sum over k = 0..K of E |m(x_k)|^2 along
-    zero-disturbance trajectories started at x.  Each evaluation derives
-    its sub-seed from (seed, hash(x)), so concurrent use is deterministic
-    and order-independent.  A non-decaying tail (final-quarter mass above
-    10% of the total) flags possible internal instability.
+    zero-disturbance trajectories started at x.  Each row is probed with
+    its own sub-seed from (seed, hash(x)), so a row's value does not depend
+    on the other rows of a call, or on the order of calls.  A non-decaying
+    tail (final-quarter mass above 10% of the total) flags possible
+    internal instability.
     """
-
-    form = "estimated"
 
     def __init__(self, system, horizon, ensemble, seed):
         if horizon < 1 or ensemble < 1:
@@ -303,8 +277,9 @@ class EstimatedStorage(StorageFunction):
         tail_mass = 0.0 if total == 0.0 else float(tail / total)
         return StorageProbe(value, se, tail_mass, tail_mass <= 0.10)
 
-    def evaluate(self, x):
-        return self.probe(x).value
+    def evaluate_batch(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.array([self.probe(x).value for x in X])
 
     def evaluate_with_error(self, x):
         p = self.probe(x)
@@ -313,12 +288,6 @@ class EstimatedStorage(StorageFunction):
     def describe(self):
         return (f"estimated(K={self.horizon}, N={self.ensemble}, "
                 f"seed={self.seed}, system={self.system.name or 'anon'})")
-
-
-def construct_storage(system, horizon=DEFAULT_CONSTRUCTION_HORIZON,
-                      ensemble=32, seed=0) -> EstimatedStorage:
-    """Estimator-backed storage candidate for an internally stable system."""
-    return EstimatedStorage(system, horizon, ensemble, seed)
 
 
 _ALPHAS = (0.25, 0.5, 0.75)

@@ -30,7 +30,8 @@ from .storage import DomainBox, StorageFunction
 class FeedbackLaw:
     """State-feedback map u = alpha(x, k); time invariant unless k is used.
 
-    ``law(X, k)`` maps (N, n) states to (N, n_u) controls.
+    ``law(X, k)`` maps (N, n) states to (N, n_u) controls.  The general
+    tier's worst-case disturbance map eta is one too, with n_u = n_v.
     """
 
     def __init__(self, fn, n_u, kind="custom", spec=None):
@@ -87,7 +88,7 @@ def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
     )
 
 
-def certify_controller(plant, law, V, beta, gamma, domain: DomainBox,
+def certify_controller(plant, law, V, beta, gamma_sq, domain: DomainBox,
                        scheme) -> Certificate:
     """Certify a law via the closed loop's external-stability check.
 
@@ -95,42 +96,18 @@ def certify_controller(plant, law, V, beta, gamma, domain: DomainBox,
     check_external on closed_loop(plant, law) with the same seeds.
     """
     loop = closed_loop(plant, law)
-    cert = check_external(loop, V, beta, gamma, domain, scheme)
+    cert = check_external(loop, V, beta, gamma_sq, domain, scheme)
     cert.notes.append(f"controller certificate for law '{law.kind}'")
     return cert
 
 
-def _indexed(items, what):
-    items = list(items)
-
-    def at(k):
-        if k >= len(items):
-            raise ConfigurationError(
-                f"{what} sequence has {len(items)} entries, index {k} requested"
-            )
-        return items[k]
-
-    return at
-
-
 def _storage_sequence(obj):
-    """StorageFunction -> constant; list -> indexed; callable -> k-indexed."""
+    """StorageFunction -> the same V for every k; callable -> V_k = obj(k)."""
     if isinstance(obj, StorageFunction):
         return lambda k: obj
-    if isinstance(obj, (list, tuple)):
-        return _indexed(obj, "storage")
     if callable(obj):
         return obj
     raise ConfigurationError(f"cannot interpret {obj!r} as a storage sequence")
-
-
-def _map_sequence(obj, what):
-    """list -> indexed maps; any callable -> the same map for every k."""
-    if isinstance(obj, (list, tuple)):
-        return _indexed(obj, what)
-    if callable(obj):
-        return lambda k: obj
-    raise ConfigurationError(f"cannot interpret {obj!r} as a {what} sequence")
 
 
 def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
@@ -153,7 +130,7 @@ def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
     return Estimate(ev.value - Vk.evaluate(x) + float(z @ z), ev.std_error)
 
 
-def certify_controller_general(plant, alpha_seq, V_seq, gamma,
+def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
                                domain: DomainBox, v_box: DomainBox, scheme,
                                k_window=1) -> Certificate:
     """Sampled check of H_k(x, alpha_k(x), v) - gamma^2 |v|^2 <= 0.
@@ -162,20 +139,17 @@ def certify_controller_general(plant, alpha_seq, V_seq, gamma,
     k < k_window.  Certification makes alpha an attenuating feedback on the
     sampled scope; internal stability is reported separately.
     """
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
-    alpha_of = _map_sequence(alpha_seq, "law")
+    if gamma_sq <= 0:
+        raise ConfigurationError("gamma_sq must be positive")
     V_of = _storage_sequence(V_seq)
     for k in range(k_window + 1):
         v0 = V_of(k).evaluate(np.zeros(plant.n))
         if abs(v0) > 1e-12:
             raise PreconditionError(f"V_{k}(0) = {v0:g}, expected 0")
-    gamma_sq = gamma * gamma
 
     def row(pt, s):
         x, v, k = pt[:plant.n], pt[plant.n:-1], int(pt[-1])
-        u = np.atleast_1d(np.asarray(alpha_of(k)(x), dtype=float))
-        est = h_k_general(V_seq, plant, x, u, v, k, s)
+        est = h_k_general(V_seq, plant, x, alpha(x[None], k)[0], v, k, s)
         bound = gamma_sq * float(v @ v)
         return Row(est.value, bound, est.std_error, abs(est.value) + bound,
                    {"k": k})
@@ -196,8 +170,8 @@ def certify_controller_general(plant, alpha_seq, V_seq, gamma,
 class SaddleData:
     """Stationary maps and Hessian dominators for the second-order theorem."""
 
-    alpha: object          # x -> u
-    eta: object            # x -> v (worst-case disturbance map)
+    alpha: FeedbackLaw     # (X, k) -> U
+    eta: FeedbackLaw       # (X, k) -> V, the worst-case disturbance map
     M: np.ndarray          # symmetric positive definite, n_u x n_u
     N: np.ndarray          # symmetric, n_v x n_v, gamma^2 I - N > 0
     gamma: float
@@ -227,11 +201,8 @@ def square_completion_matrix(saddle: SaddleData):
 
 def saddle_functional(plant, saddle: SaddleData, V_seq, x, k, scheme) -> Estimate:
     """Completed-square functional H_k(x, alpha, eta) + (1/2) eta' W eta."""
-    alpha_k = _map_sequence(saddle.alpha, "alpha")(k)
-    eta_k = _map_sequence(saddle.eta, "eta")(k)
     x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(alpha_k(x), dtype=float))
-    v = np.atleast_1d(np.asarray(eta_k(x), dtype=float))
+    u, v = saddle.alpha(x[None], k)[0], saddle.eta(x[None], k)[0]
     W = square_completion_matrix(saddle)
     est = h_k_general(V_seq, plant, x, u, v, k, scheme)
     return Estimate(est.value + 0.5 * float(v @ W @ v), est.std_error)
@@ -300,8 +271,6 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
     """
     if not isinstance(plant, GeneralSystem):
         raise ConfigurationError("taylor_certify needs the general tier")
-    alpha_of = _map_sequence(saddle.alpha, "alpha")
-    eta_of = _map_sequence(saddle.eta, "eta")
     n_v = plant.n_v
     gap = saddle.gamma ** 2 * np.eye(n_v) - saddle.N
     cond = np.linalg.cond(gap)
@@ -314,8 +283,7 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
     def at(pt, s):
         """x, k, (alpha_k(x), eta_k(x)) and H_k(uv) averaged over ``reps``."""
         x, k = pt[:-1], int(pt[-1])
-        u = np.atleast_1d(np.asarray(alpha_of(k)(x), dtype=float))
-        v = np.atleast_1d(np.asarray(eta_of(k)(x), dtype=float))
+        u, v = saddle.alpha(x[None], k)[0], saddle.eta(x[None], k)[0]
 
         def H(uv, reps=1):
             return sum(h_k_general(

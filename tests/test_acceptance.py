@@ -11,7 +11,7 @@ from sbrl import certify, library, synth
 from sbrl.cli import canonical_json
 from sbrl.dynamics import GeneralSystem, LinearSystem
 from sbrl.noise import ExpectationScheme, point_mass_noise
-from sbrl.storage import DomainBox, QuadraticStorage, construct_storage
+from sbrl.storage import DomainBox, EstimatedStorage, QuadraticStorage
 
 CF = ExpectationScheme(mode="closed-form")
 BETA1 = 1.0 / 0.99
@@ -82,7 +82,7 @@ def test_criterion_04_example2_controller_certificate():
     t0 = time.perf_counter()
     cert = synth.certify_controller(
         plant, library.example2_law(), library.example2_storage(),
-        beta, 0.75, box, scheme)
+        beta, 0.5625, box, scheme)
     elapsed = time.perf_counter() - t0
     g_sup = cert.provenance["g_beta_sup"]
     expected = beta / (beta - 1.0) / 16.0  # = 0.430998734648594
@@ -133,7 +133,7 @@ def test_criterion_07_linear_brl_scalar_boundary():
 
 def test_criterion_08_storage_construction_oracle():
     sys_s = library.example1_system(a=0.99, b=0.0, c=0.2, c1=0.0)
-    Vhat = construct_storage(sys_s, horizon=2000, ensemble=1, seed=SEED)
+    Vhat = EstimatedStorage(sys_s, horizon=2000, ensemble=1, seed=SEED)
     coef = 0.2 ** 2 / (1.0 - 0.99 ** 2)
     worst = 0.0
     for x in (0.5, 1.0, 2.0):
@@ -200,8 +200,8 @@ def test_criterion_11_taylor_worked_instance():
     scheme = ExpectationScheme(samples=8, seed=SEED)
 
     def saddle(gamma):
-        return synth.SaddleData(alpha=lambda x: np.array([0.0]),
-                                eta=lambda x: np.array([-0.5 * x[0]]),
+        return synth.SaddleData(alpha=synth.FeedbackLaw.zero(1),
+                                eta=synth.FeedbackLaw(lambda X, k: -0.5 * X, 1),
                                 M=[[8.0]], N=[[4.0]], gamma=gamma)
 
     box = DomainBox((-2.0,), (2.0,), ("grid", 9))
@@ -236,7 +236,7 @@ def test_criterion_12_determinism():
     certs = [
         synth.certify_controller(
             plant, library.example2_law(), library.example2_storage(),
-            library.EXAMPLE2_BETA, 0.75,
+            library.EXAMPLE2_BETA, 0.5625,
             DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3)), scheme).to_dict()
         for _ in range(2)
     ]

@@ -260,7 +260,7 @@ def test_check_external_example1_certified_and_tight():
     sys1 = library.example1_system()
     V = library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", 201))
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, CF)
+    cert = certify.check_external(sys1, V, BETA1, 0.08, box, CF)
     assert cert.status == "certified"
     assert cert.provenance["g_beta_sup"] == pytest.approx(0.08, abs=1e-12)
 
@@ -269,7 +269,7 @@ def test_check_external_smaller_gamma_falsified():
     sys1 = library.example1_system()
     V = library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", 201))
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.05), box, CF)
+    cert = certify.check_external(sys1, V, BETA1, 0.05, box, CF)
     assert cert.status == "falsified"
 
 
@@ -277,7 +277,8 @@ def test_check_external_zero_system_any_gamma():
     V = QuadraticStorage([[1.0]])
     box = DomainBox((-5.0,), (5.0,), ("grid", 21))
     for gamma in (0.01, 1.0, 100.0):
-        cert = certify.check_external(zero_system(), V, 2.0, gamma, box, CF)
+        cert = certify.check_external(zero_system(), V, 2.0, gamma ** 2, box,
+                                      CF)
         assert cert.status == "certified"
 
 
@@ -288,7 +289,7 @@ def test_check_external_overflow_is_inconclusive():
     sys1 = library.example1_system()
     V = library.example1_storage(4.0)
     box = DomainBox((-1e200,), (1e200,), ("grid", 5))
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, CF)
+    cert = certify.check_external(sys1, V, BETA1, 0.08, box, CF)
     assert cert.status == "inconclusive"
     assert math.isnan(cert.witness["margin"])
     # H1 is finite only at x = 0: its worst value is unknown, not 0.0
@@ -327,7 +328,7 @@ def test_check_external_monte_carlo_overflow_is_inconclusive():
     box = DomainBox((-1e200,), (1e200,), ("grid", 3))
     cert = certify.check_external(library.example1_system(),
                                   library.example1_storage(4.0), BETA1,
-                                  math.sqrt(0.08), box, MC100)
+                                  0.08, box, MC100)
     assert cert.status == "inconclusive"
     assert cert.witness["point"] == [-1e200]
     assert math.isnan(cert.witness["margin"])
@@ -340,7 +341,8 @@ def test_check_external_monte_carlo_overflow_is_inconclusive():
 @pytest.mark.parametrize("bound", [1e100, 1e200])
 def test_monte_carlo_gain_gram_overflow_is_inconclusive(bound):
     # g(x, w) = x (1 + w) overflows the sampled gram E[g' P g] at 1e200 and
-    # its standard error at 1e100, while H1 = -V(x) stays a number there
+    # its standard error at 1e100; H1 = -V(x) stays a number at 1e100, but
+    # at 1e200 V(x) overflows too, and that -inf H1 row is found first
     growing_gain = AffineSystem(
         1, 1,
         f=lambda X, W: 0.0 * X,
@@ -353,8 +355,39 @@ def test_monte_carlo_gain_gram_overflow_is_inconclusive(bound):
     cert = certify.check_external(growing_gain, QuadraticStorage([[1.0]]),
                                   2.0, 1.0, box, MC100)
     assert cert.status == "inconclusive"
-    assert cert.witness["info"] == {"inequality": "G_beta",
-                                    "error": "gain gram non-finite"}
+    assert cert.provenance["g_beta_sup"] is None
+    if bound == 1e100:
+        assert cert.witness["info"] == {"inequality": "G_beta",
+                                        "error": "gain gram non-finite"}
+    else:
+        assert cert.witness["margin"] == -math.inf
+        assert cert.witness["info"] == {"inequality": "H1"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", [MC100, CF], ids=["mc100", "closed-form"])
+def test_overflowed_storage_value_is_inconclusive(scheme):
+    # f = 0, so E[V(b f)] = 0 while V(x) = x^2 overflows at |x| = 1e200:
+    # H1 = -inf there, and a -inf margin counts like NaN, not as within
+    # tolerance
+    system = AffineSystem(
+        1, 1,
+        f=lambda X, W: 0.0 * X,
+        g=lambda X, W: np.full((len(X), 1, 1), 0.1),
+        m=lambda X: 0.0 * X,
+        m1=lambda X: np.array([[0.1]]),
+        noise=gaussian_noise(),
+        f_parts=lambda x: (np.zeros(1), [np.zeros(1)]),
+        g_parts=lambda x: (np.array([[0.1]]), [np.zeros((1, 1))]),
+    )
+    cert = certify.check_external(system, QuadraticStorage([[1.0]]), 2.0,
+                                  1.0, DomainBox((-1e200,), (1e200,),
+                                                 ("grid", 3)), scheme)
+    assert cert.status == "inconclusive"
+    assert cert.provenance["h1_worst"] is None
+    assert cert.witness["point"] == [-1e200]
+    assert cert.witness["margin"] == -math.inf
+    assert cert.witness["info"] == {"inequality": "H1"}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -382,11 +415,8 @@ def test_gamma_star_search_monte_carlo_overflow_is_infeasible():
 def test_vectorised_custom_storage_non_finite_state_is_inconclusive():
     # V(x) is not finite at x = +-10 while E[V(b f(x, w))] is, so H1 there
     # must be a NaN row with the storage message, not -inf within tolerance
-    def field(x):
-        return float(x[0] ** 2) if abs(x[0]) < 9.0 else math.inf
-
-    V = CustomStorage(field, 1, claims_convex=True, batch_fn=lambda X: np.where(
-        np.abs(X[:, 0]) < 9.0, X[:, 0] ** 2, np.inf))
+    V = CustomStorage(lambda X: np.where(np.abs(X[:, 0]) < 9.0, X[:, 0] ** 2,
+                                         np.inf), 1, claims_convex=True)
     contracting = AffineSystem(
         1, 1,
         f=lambda X, W: 0.1 * X,
@@ -407,7 +437,7 @@ def test_vectorised_custom_storage_non_finite_state_is_inconclusive():
 
 
 def test_check_external_requires_convexity_claim():
-    V = CustomStorage(lambda x: float(x[0] ** 2), 1, claims_convex=False)
+    V = CustomStorage(lambda X: X[:, 0] ** 2, 1, claims_convex=False)
     box = DomainBox((-1.0,), (1.0,))
     with pytest.raises(PreconditionError):
         certify.check_external(zero_system(), V, 2.0, 1.0, box, CF)
@@ -418,8 +448,8 @@ def test_certificates_are_deterministic():
     V = library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", 51))
     mc = ExpectationScheme(samples=2000, seed=11)
-    a = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, mc)
-    b = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, mc)
+    a = certify.check_external(sys1, V, BETA1, 0.08, box, mc)
+    b = certify.check_external(sys1, V, BETA1, 0.08, box, mc)
     assert a.to_dict() == b.to_dict()
 
 
@@ -428,8 +458,7 @@ def test_certificate_records_the_tolerance_of_its_worst_margin():
     # passes only against 1e-9 + 1e-7 * G_beta, not against 1e-9
     sys1, V = library.example1_system(), library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", 201))
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.079999995),
-                                  box, CF)
+    cert = certify.check_external(sys1, V, BETA1, 0.079999995, box, CF)
     assert cert.status == "certified"
     assert cert.worst_margin == pytest.approx(5e-9, rel=1e-6)
     assert cert.tolerance == base_tolerance(cert.provenance["g_beta_sup"])
@@ -437,9 +466,9 @@ def test_certificate_records_the_tolerance_of_its_worst_margin():
 
 
 def test_all_nan_sweep_keeps_the_absolute_tolerance():
-    V = CustomStorage(lambda x: 0.0 if not np.any(x) else math.nan, 1,
-                      claims_convex=True)
-    cert = certify.check_external(library.example1_system(), V, BETA1, 0.3,
+    V = CustomStorage(lambda X: np.where(np.any(X, axis=1), math.nan, 0.0),
+                      1, claims_convex=True)
+    cert = certify.check_external(library.example1_system(), V, BETA1, 0.09,
                                   DomainBox((1.0,), (2.0,), ("grid", 3)),
                                   ExpectationScheme(samples=20, seed=1))
     assert cert.status == "inconclusive"
@@ -454,8 +483,8 @@ def test_certified_worst_margin_is_within_the_recorded_tolerance(
     sys1, V = library.example1_system(), library.example1_storage(p)
     box = DomainBox((-10.0,), (10.0,), ("grid", grid))
     scheme = ExpectationScheme(samples=50, seed=3) if mc else CF
-    for cert in (certify.check_external(sys1, V, BETA1, math.sqrt(gamma_sq),
-                                        box, scheme),
+    for cert in (certify.check_external(sys1, V, BETA1, gamma_sq, box,
+                                        scheme),
                  certify.check_internal(sys1, V, c2, box, scheme)):
         assert cert.tolerance >= 1e-9
         if cert.certified:
@@ -572,10 +601,9 @@ MC200 = ExpectationScheme(samples=200, seed=11)
 @pytest.mark.parametrize("gamma_sq", [0.08, 0.0799])
 def test_engine_matches_reference_loop_example1(scheme, gamma_sq):
     sys1, V = library.example1_system(), library.example1_storage(4.0)
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(gamma_sq),
-                                  EX1_BOX, scheme)
+    cert = certify.check_external(sys1, V, BETA1, gamma_sq, EX1_BOX, scheme)
     assert cert.to_dict() == reference_external(
-        sys1, V, BETA1, math.sqrt(gamma_sq) ** 2, EX1_BOX, scheme)
+        sys1, V, BETA1, gamma_sq, EX1_BOX, scheme)
     cert = certify.check_internal(sys1, V, 4.0, EX1_BOX, scheme)
     assert cert.to_dict() == reference_internal(sys1, V, 4.0, EX1_BOX, scheme)
 
@@ -586,7 +614,8 @@ def test_engine_matches_reference_loop_example2_closed_loop(scheme):
     loop = synth.closed_loop(library.example2_plant(), library.example2_law())
     V = library.example2_storage()
     beta, gamma = library.EXAMPLE2_BETA, library.EXAMPLE2_GAMMA
-    cert = certify.check_external(loop, V, beta, gamma, EX2_BOX, scheme)
+    cert = certify.check_external(loop, V, beta, gamma * gamma, EX2_BOX,
+                                  scheme)
     assert cert.to_dict() == reference_external(loop, V, beta, gamma * gamma,
                                                 EX2_BOX, scheme)
     cert = certify.check_internal(loop, V, 1.0, EX2_BOX, scheme)
@@ -640,10 +669,10 @@ def test_h1_sweeps_evaluate_storage_once_per_point(monkeypatch, scheme):
     # H1's tolerance scale reuses the V(x) that H1 itself subtracted
     sys1, V = library.example1_system(), library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", STATE_ROWS))
-    expected = reference_external(sys1, V, BETA1, math.sqrt(0.1) ** 2, box,
+    expected = reference_external(sys1, V, BETA1, 0.1, box,
                                   scheme)
     states = spy_on_storage(monkeypatch, V)
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.1), box, scheme)
+    cert = certify.check_external(sys1, V, BETA1, 0.1, box, scheme)
     # one more V(0) for the V(0) = 0 precondition
     assert len(states) == len(box.points()) + 1
     assert cert.to_dict() == expected
@@ -665,10 +694,10 @@ def test_check_external_draws_once_per_point(monkeypatch):
         return sample(self, seed, count)
 
     monkeypatch.setattr(NoiseModel, "sample", spy)
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.1), box, MC200)
+    cert = certify.check_external(sys1, V, BETA1, 0.1, box, MC200)
     assert seeds == [MC200.at(x).seed for x in box.points()]
     assert cert.to_dict() == reference_external(
-        sys1, V, BETA1, math.sqrt(0.1) ** 2, box, MC200, fresh=True)
+        sys1, V, BETA1, 0.1, box, MC200, fresh=True)
     assert len(seeds) == 2 * 11 + 11  # the reference draws twice per point
 
 
@@ -694,7 +723,7 @@ def test_sweeps_call_public_functionals_through_module_lookup(monkeypatch):
     assert calls == {"h1": 2848, "g_beta": 2814}
     certify.check_external(library.example1_system(),
                            library.example1_storage(4.0), BETA1,
-                           math.sqrt(0.08), EX1_BOX, CF)
+                           0.08, EX1_BOX, CF)
     assert calls == {"h1": 2848 + 41, "g_beta": 2814 + 41}
 
 
@@ -900,7 +929,7 @@ def test_certified_tuple_never_violated_empirically():
     sys1 = library.example1_system()
     V = library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", 51))
-    cert = certify.check_external(sys1, V, BETA1, math.sqrt(0.08), box, CF)
+    cert = certify.check_external(sys1, V, BETA1, 0.08, box, CF)
     assert cert.certified
     for name, ens in library.example1_ensembles().items():
         rep = certify.empirical_gain(sys1, ens, 120, 60, 0.08, seed=17)

@@ -374,6 +374,15 @@ def test_certify_nan_points_write_null_worst_value(tmp_path):
     assert certs[-1]["provenance"]["h1_worst"] is None
 
 
+def test_certificate_records_the_configured_gamma_sq(tmp_path):
+    # 0.11 is judged and written as given: sqrt(0.11) ** 2 would be
+    # 0.10999999999999999
+    cfg = example1_external_config(tmp_path / "out", gamma_sq=0.11)
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+    certs = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert certs[-1]["provenance"]["gamma_sq"] == 0.11
+
+
 def test_config_hash_matches_resolved_config(tmp_path):
     cfg = write_config(tmp_path, example1_external_config(tmp_path / "out"))
     assert run(["certify", "--config", cfg]) == 0

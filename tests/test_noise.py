@@ -447,8 +447,7 @@ def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
     monkeypatch.setattr(NoiseModel, "sample", spy)
     box = DomainBox((-10.0,), (10.0,), ("grid", 5))
     scheme = ExpectationScheme(samples=300, seed=3)
-    cert = certify.check_external(sys1, V, 1.0 / 0.99, math.sqrt(0.1), box,
-                                  scheme)
+    cert = certify.check_external(sys1, V, 1.0 / 0.99, 0.1, box, scheme)
     assert cert.certified
     assert len(draws) == 5  # one draw per point
     assert all(ref() is None for ref in draws)

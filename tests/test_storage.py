@@ -8,7 +8,7 @@ from sbrl.dynamics import AffineSystem
 from sbrl.errors import ConfigurationError
 from sbrl.noise import NoiseModel, Rademacher, point_mass_noise
 from sbrl.storage import (CustomStorage, DomainBox, QuadraticStorage,
-                          SeparableStorage, check_convex, construct_storage,
+                          EstimatedStorage, SeparableStorage, check_convex,
                           quad_bound)
 
 
@@ -53,7 +53,7 @@ def test_separable_squaring_kernel(d):
 def test_storage_vanishes_at_origin():
     for V in (QuadraticStorage(np.eye(3)),
               SeparableStorage((1.0, 2.0), (2, 4)),
-              CustomStorage(lambda x: float(np.sum(np.abs(x))), 2)):
+              CustomStorage(lambda X: np.sum(np.abs(X), axis=1), 2)):
         assert V.evaluate(np.zeros(V.dim)) == 0.0
 
 
@@ -78,7 +78,7 @@ def test_check_convex_certifies_square():
 
 
 def test_check_convex_falsifies_concave():
-    V = CustomStorage(lambda x: -float(x[0] ** 2), 1)
+    V = CustomStorage(lambda X: -X[:, 0] ** 2, 1)
     box = DomainBox((-5.0,), (5.0,))
     cert = check_convex(V, box, pairs=64, seed=1)
     assert cert.status == "falsified"
@@ -141,7 +141,7 @@ def test_quad_bound_sampled_never_exceeds_eigenvalue_bound():
     P = np.array([[2.0, 0.7], [0.7, 1.0]])
     lam_max = np.linalg.eigvalsh(P)[-1]
     # same field through the sampled path (custom form, no eigen shortcut)
-    V = CustomStorage(lambda x: float(x @ P @ x), 2)
+    V = CustomStorage(lambda X: np.einsum("ni,ij,nj->n", X, P, X), 2)
     rep = quad_bound(V, DomainBox((-3.0, -3.0), (3.0, 3.0), ("grid", 41)))
     assert rep.c2 <= lam_max + 1e-9
 
@@ -150,7 +150,7 @@ def test_quad_bound_sampled_never_exceeds_eigenvalue_bound():
 
 def test_construct_storage_matches_geometric_series():
     sys_s = scalar_output_system(a=0.99, c=0.2)
-    Vhat = construct_storage(sys_s, horizon=2000, ensemble=1, seed=0)
+    Vhat = EstimatedStorage(sys_s, horizon=2000, ensemble=1, seed=0)
     a2, c2 = 0.99 ** 2, 0.2 ** 2
     for x in (0.5, 1.0, 2.0):
         closed = c2 * x * x * (1.0 - a2 ** 2001) / (1.0 - a2)
@@ -166,10 +166,10 @@ def test_construct_storage_zero_output_and_origin():
         m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
-    Vhat = construct_storage(sys_z, horizon=50, ensemble=2, seed=1)
+    Vhat = EstimatedStorage(sys_z, horizon=50, ensemble=2, seed=1)
     assert Vhat.evaluate([1.7]) == 0.0
     sys_s = scalar_output_system()
-    Vhat2 = construct_storage(sys_s, horizon=50, ensemble=2, seed=1)
+    Vhat2 = EstimatedStorage(sys_s, horizon=50, ensemble=2, seed=1)
     assert Vhat2.evaluate([0.0]) == 0.0
 
 
@@ -183,7 +183,7 @@ def test_constructed_storage_dominates_output_square():
         m1=lambda X: np.zeros((0, 1)),
         noise=noise,
     )
-    Vhat = construct_storage(sys_r, horizon=80, ensemble=16, seed=5)
+    Vhat = EstimatedStorage(sys_r, horizon=80, ensemble=16, seed=5)
     for x in (-2.0, -0.5, 0.3, 1.0):
         value, se = Vhat.evaluate_with_error([x])
         assert value + 3.0 * se >= (0.5 * x) ** 2
@@ -198,7 +198,7 @@ def test_constructed_storage_tail_diagnostic_flags_instability():
         m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
-    probe = construct_storage(sys_u, horizon=100, ensemble=1, seed=2).probe([1.0])
+    probe = EstimatedStorage(sys_u, horizon=100, ensemble=1, seed=2).probe([1.0])
     assert not probe.tail_ok
 
 
@@ -217,7 +217,7 @@ def test_constructed_storage_convex_for_h_convex_outputs():
         noise=noise,
     )
     box = DomainBox((-2.0,), (2.0,))
-    Vhat = construct_storage(sys_r, horizon=60, ensemble=128, seed=9)
+    Vhat = EstimatedStorage(sys_r, horizon=60, ensemble=128, seed=9)
     cert = check_convex(Vhat, box, pairs=3, seed=13, noise_slack="auto")
     assert cert.status == "certified"
 

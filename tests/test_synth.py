@@ -27,8 +27,8 @@ def deterministic_general_plant():
 
 def worked_saddle(gamma):
     return synth.SaddleData(
-        alpha=lambda x: np.array([0.0]),
-        eta=lambda x: np.array([-0.5 * x[0]]),
+        alpha=synth.FeedbackLaw.zero(1),
+        eta=synth.FeedbackLaw(lambda X, k: -0.5 * X, 1),
         M=[[8.0]], N=[[4.0]], gamma=gamma,
     )
 
@@ -144,7 +144,7 @@ def test_certify_controller_example2():
     plant = library.example2_plant()
     cert = synth.certify_controller(
         plant, library.example2_law(), library.example2_storage(),
-        library.EXAMPLE2_BETA, 0.75,
+        library.EXAMPLE2_BETA, 0.5625,
         DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 5)),
         ExpectationScheme(samples=20_000, seed=6))
     assert cert.status == "certified"
@@ -156,7 +156,7 @@ def test_certify_controller_tight_gamma_falsified():
     plant = library.example2_plant()
     cert = synth.certify_controller(
         plant, library.example2_law(), library.example2_storage(),
-        library.EXAMPLE2_BETA, math.sqrt(0.40),
+        library.EXAMPLE2_BETA, 0.40,
         DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3)),
         ExpectationScheme(samples=5_000, seed=6))
     assert cert.status == "falsified"
@@ -176,7 +176,7 @@ def test_certify_controller_zero_plant_any_gamma():
     for gamma in (0.05, 1.0, 50.0):
         cert = synth.certify_controller(
             plant, synth.FeedbackLaw.zero(1), QuadraticStorage([[1.0]]),
-            2.0, gamma, DomainBox((-3.0,), (3.0,), ("grid", 11)), CF)
+            2.0, gamma ** 2, DomainBox((-3.0,), (3.0,), ("grid", 11)), CF)
         assert cert.status == "certified"
 
 
@@ -187,9 +187,9 @@ def test_controller_certificate_matches_external_check_on_loop():
     box = DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3))
     scheme = ExpectationScheme(samples=4_000, seed=9)
     via_controller = synth.certify_controller(
-        plant, law, V, library.EXAMPLE2_BETA, 0.75, box, scheme)
+        plant, law, V, library.EXAMPLE2_BETA, 0.5625, box, scheme)
     via_loop = certify.check_external(
-        synth.closed_loop(plant, law), V, library.EXAMPLE2_BETA, 0.75,
+        synth.closed_loop(plant, law), V, library.EXAMPLE2_BETA, 0.5625,
         box, scheme)
     assert via_controller.status == via_loop.status
     assert via_controller.worst_margin == via_loop.worst_margin
@@ -218,7 +218,7 @@ def test_h_k_general_time_varying_storage():
 
     def V_seq(k):
         scale = 1.0 + 2.0 ** (-k)
-        return CustomStorage(lambda x, s=scale: s * float(x[0] ** 2), 1)
+        return CustomStorage(lambda X, s=scale: s * X[:, 0] ** 2, 1)
 
     h0_val = synth.h_k_general(V_seq, plant, [1.0], [0.0], [0.0], 0, MC8)
     h1_val = synth.h_k_general(V_seq, plant, [1.0], [0.0], [0.0], 1, MC8)
@@ -240,7 +240,7 @@ def test_certify_controller_general_gamma3():
     box = DomainBox((-3.0,), (3.0,), ("grid", 7))
     vbox = DomainBox((-3.0,), (3.0,), ("grid", 7))
     cert = synth.certify_controller_general(
-        plant, lambda x: np.array([0.0]), V, 3.0, box, vbox, MC8)
+        plant, synth.FeedbackLaw.zero(1), V, 9.0, box, vbox, MC8)
     assert cert.status == "certified"
 
 
@@ -252,7 +252,7 @@ def test_certify_controller_general_gamma04_falsified():
     box = DomainBox((-3.0,), (3.0,), ("grid", 7))
     vbox = DomainBox((-3.0,), (3.0,), ("grid", 7))
     cert = synth.certify_controller_general(
-        plant, lambda x: np.array([0.0]), V, 0.4, box, vbox, MC8)
+        plant, synth.FeedbackLaw.zero(1), V, 0.16, box, vbox, MC8)
     assert cert.status == "falsified"
     assert cert.witness is not None
 
@@ -263,7 +263,7 @@ def test_certify_controller_general_empty_window_inconclusive():
     V = QuadraticStorage([[1.0]])
     box = DomainBox((-3.0,), (3.0,), ("grid", 7))
     cert = synth.certify_controller_general(
-        plant, lambda x: np.array([0.0]), V, 0.4, box, box, MC8, k_window=0)
+        plant, synth.FeedbackLaw.zero(1), V, 0.16, box, box, MC8, k_window=0)
     assert cert.status == "inconclusive"
     assert cert.provenance["samples_checked"] == 0
 
@@ -279,7 +279,7 @@ def test_certify_controller_general_zero_plant():
     box = DomainBox((-1.0,), (1.0,), ("grid", 5))
     for gamma in (0.01, 10.0):
         cert = synth.certify_controller_general(
-            plant, lambda x: np.array([0.0]), V, gamma, box, box, MC8)
+            plant, synth.FeedbackLaw.zero(1), V, gamma ** 2, box, box, MC8)
         assert cert.status == "certified"
 
 
@@ -290,7 +290,7 @@ def test_certify_controller_general_monte_carlo_overflow_is_inconclusive():
     box = DomainBox((-1e200,), (1e200,), ("grid", 3))
     vbox = DomainBox((-1.0,), (1.0,), ("grid", 3))
     cert = synth.certify_controller_general(
-        plant, lambda x: np.array([0.0]), QuadraticStorage([[1.0]]), 3.0,
+        plant, synth.FeedbackLaw.zero(1), QuadraticStorage([[1.0]]), 9.0,
         box, vbox, MC8)
     assert cert.status == "inconclusive"
     assert cert.witness["point"] == [-1e200, -1.0, 0.0]
@@ -298,6 +298,29 @@ def test_certify_controller_general_monte_carlo_overflow_is_inconclusive():
     assert cert.witness["info"] == {
         "inequality": "H_k", "error": "integrand non-finite at sample 0"}
     assert cert.provenance["samples_checked"] == 9
+
+
+def test_general_tier_maps_are_honoured_at_every_k():
+    # FeedbackLaws over (X, k): zero (the certified worked law, and the
+    # stationary eta = -x/2) at k = 0, u = x and eta = 0 at k = 1, which
+    # only a window of two steps reaches
+    plant = deterministic_general_plant()
+    V = QuadraticStorage([[1.0]])
+    box = DomainBox((-2.0,), (2.0,), ("grid", 5))
+    alpha = synth.FeedbackLaw(lambda X, k: X if k else 0.0 * X, 1)
+    for k_window, status in ((1, "certified"), (2, "falsified")):
+        cert = synth.certify_controller_general(
+            plant, alpha, V, 9.0, box, box, MC8, k_window=k_window)
+        assert cert.status == status
+    assert cert.witness["info"] == {"k": 1}
+    eta = synth.FeedbackLaw(lambda X, k: 0.0 * X if k else -0.5 * X, 1)
+    saddle = synth.SaddleData(alpha=synth.FeedbackLaw.zero(1), eta=eta,
+                              M=[[8.0]], N=[[4.0]], gamma=3.0)
+    for k_window, status in ((1, "certified"), (2, "falsified")):
+        cert = synth.taylor_certify(plant, saddle, V, box, MC8,
+                                    k_window=k_window)
+        assert cert.status == status
+    assert cert.witness["info"]["k"] == 1
 
 
 # ----------------------------------------------------------- saddle data
@@ -370,7 +393,8 @@ def test_saddle_conditions_hold_with_equality_at_origin():
 
 def test_saddle_data_requires_gamma_gap():
     with pytest.raises(PreconditionError):
-        synth.SaddleData(alpha=lambda x: np.zeros(1), eta=lambda x: np.zeros(1),
+        synth.SaddleData(alpha=synth.FeedbackLaw.zero(1),
+                         eta=synth.FeedbackLaw.zero(1),
                          M=[[1.0]], N=[[4.0]], gamma=2.0)  # gamma^2 = N
 
 
