@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -30,7 +31,7 @@ from . import __version__, certify, library, synth
 from .dynamics import simulate, simulate_ensemble, trajectory_csv_rows
 from .errors import ConfigurationError, DivergenceError, ToolkitError
 from .noise import ExpectationScheme, derive_seed
-from .storage import DomainBox, check_convex
+from .storage import DomainBox
 from .svg import line_plot
 
 log = logging.getLogger("sbrl")
@@ -141,11 +142,19 @@ def validate_config(cfg):
     return _violations(_schema(), cfg)
 
 
+def _finite(text):
+    """json number hook: NaN, Infinity and overflowing literals are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     errors = validate_config(cfg)
     if errors:
@@ -321,25 +330,17 @@ def cmd_certify(resolved):
         cert = certify.check_internal(
             system, storage, float(cert_block["c2"]), domain, scheme)
     elif kind == "external":
-        if not storage.claims_convex:
-            conv = check_convex(storage, domain, pairs=256,
-                                seed=derive_seed(seed, 0xC0), noise_slack="auto")
-            writer.add_certificate(conv)
-            if conv.certified:
-                storage.claims_convex = True
         system, _ = _maybe_close_loop(system, tier, resolved)
         cert = certify.check_external(
             system, storage, float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
-    elif kind == "controller":
+    else:  # controller
         if tier != "controlled":
             raise ConfigurationError("certificate.kind controller needs a controlled system")
         law = library.law_from_config(resolved["law"])
         cert = synth.certify_controller(
             system, law, storage, float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
-    else:
-        raise ConfigurationError(f"certificate.kind: unhandled kind {kind!r}")
 
     writer.add_certificate(cert)
     writer.timings["certify_s"] = time.perf_counter() - t0
@@ -376,9 +377,11 @@ def cmd_gain(resolved):
     ens_block = resolved.get("ensemble")
     if ens_block is None:
         raise ConfigurationError("ensemble: required for 'gain'")
+    if "gamma_sq" not in ens_block and "certificate" not in resolved:
+        raise ConfigurationError(
+            "ensemble.gamma_sq: required for 'gain' without a certificate")
     gamma_sq = _gamma_sq_from(
-        ens_block if ("gamma_sq" in ens_block or "gamma" in ens_block)
-        else resolved.get("certificate", {}))
+        ens_block if "gamma_sq" in ens_block else resolved["certificate"])
     system, tier = _resolved_system(resolved)
     system, _ = _maybe_close_loop(system, tier, resolved)
     ensemble = library.ensemble_from_config(ens_block["disturbance"], system.n_v)
@@ -679,8 +682,22 @@ def build_parser():
     return parser
 
 
+def _reuse_freed_memory():
+    """Keep glibc from handing freed Monte Carlo blocks back to the kernel:
+    under its adaptive thresholds whether it did hung on the heap layout
+    (sweep-mc certify: 5.9e3 or 2.2e5 minor faults, 2.3 s or 3.4 s)."""
+    if os.name != "posix":
+        return
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: never shrink the heap top
+        mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD: blocks under 32 MiB from the heap
+
+
 def main(argv=None):
     _setup_logging()
+    _reuse_freed_memory()
     args = build_parser().parse_args(argv)
     formats = _FORMATS.get(args.format)
     try:

@@ -134,8 +134,6 @@ def _parse_component(entry):
             return Gaussian(*params)
         if kind == "point_mass":
             return PointMass(params)
-        if kind == "rademacher":
-            return Rademacher()
     raise ConfigurationError(f"unknown noise component spec: {entry!r}")
 
 

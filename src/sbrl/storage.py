@@ -293,13 +293,12 @@ class EstimatedStorage(StorageFunction):
 _ALPHAS = (0.25, 0.5, 0.75)
 
 
-def check_convex(V: StorageFunction, box: DomainBox, pairs: int, seed: int,
-                 noise_slack=0.0) -> Certificate:
+def check_convex(V: StorageFunction, box: DomainBox, pairs: int,
+                 seed: int) -> Certificate:
     """Sampled quarter/mid/three-quarter-point convexity check for V.
 
-    The margin V(a x + (1-a) y) - a V(x) - (1-a) V(y) must stay <= 0.
-    ``noise_slack`` widens the accept band for estimator-backed candidates;
-    "auto" uses three propagated standard errors per sample.
+    The margin V(a x + (1-a) y) - a V(x) - (1-a) V(y) must stay <= 0, up to
+    three propagated standard errors per sample: none for an exact candidate.
     """
     if pairs < 1:
         raise ConfigurationError("pairs must be >= 1")
@@ -317,14 +316,14 @@ def check_convex(V: StorageFunction, box: DomainBox, pairs: int, seed: int,
             out.append(Row(
                 fm, rhs, se, max(abs(fm), abs(rhs)),
                 {"x": x, "y": y, "alpha": a, "lhs": fm, "rhs": rhs},
-                slack=3.0 * se if noise_slack == "auto" else float(noise_slack),
+                slack=3.0 * se,
                 point=mid))
         return out
 
     pairs_xy = np.hstack([box.random_points(pairs, seed),
                           box.random_points(pairs, derive_seed(seed, 1))])
     prov = {"check": "convexity", "storage": V.describe(), "pairs": pairs,
-            "seed": seed, "alphas": list(_ALPHAS), "noise_slack": noise_slack}
+            "seed": seed, "alphas": list(_ALPHAS)}
     cert, _ = sweep(pairs_xy, None, {"midpoint": rows},
                     "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", box.label(), prov)
     return cert

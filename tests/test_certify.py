@@ -175,6 +175,29 @@ def test_g_beta_infinite_when_quartic_coordinate_excited():
     assert est.value == np.inf
 
 
+def test_tiny_gain_noise_part_is_not_the_exact_separable_path():
+    # g = G0 + G1 w with |G1| = 1e-9: the quartic coordinate sees
+    # (c 1e-9 w v)^4, so the supremum over v is +inf and no exact value
+    # may certify
+    G0, G1 = np.array([[1.0], [0.0]]), np.array([[0.0], [1e-9]])
+    sys_t = AffineSystem(
+        2, 1,
+        f=lambda X, W: 0.1 * X,
+        g=lambda X, W: G0 + G1 * W[:, 0, None, None],
+        m=lambda X: np.zeros((len(X), 1)),
+        m1=lambda X: np.zeros((0, 1)),
+        noise=gaussian_noise(0.0, 1.0, 1),
+        f_parts=lambda x: (0.1 * x, [np.zeros(2)]),
+        g_parts=lambda x: (G0, [G1]),
+    )
+    V = SeparableStorage((1.0, 1.0), (2, 4))
+    assert certify.g_beta(V, sys_t, [0.0, 0.0], 2.0, CF).lower_bound_only
+    box = DomainBox((-1.0, -1.0), (1.0, 1.0), ("grid", 3))
+    cert = certify.check_external(sys_t, V, 2.0, 4.5, box, CF)
+    assert cert.status == "inconclusive"
+    assert any("lower bound" in note for note in cert.notes)
+
+
 def test_g0_quadratic_against_sphere_oracle():
     rng = np.random.default_rng(8)
     B = rng.normal(size=(3, 2))

@@ -505,6 +505,43 @@ def mutated(cfg, path, value):
     return cfg
 
 
+# command, config (or its JSON text), a fragment of the one stderr line
+REFUSED_CONFIGS = {
+    "ensemble-gamma-only": (
+        "gain", mutated(SMALL_CONFIGS["gain"], ("ensemble",),
+                        {"gamma": 2.0, "disturbance": {"kind": "white"}}),
+        "ensemble.gamma_sq: required"),
+    "gamma-sq-nan": (
+        "gain", mutated(SMALL_CONFIGS["gain"], ("ensemble", "gamma_sq"),
+                        float("nan")), "NaN"),
+    "gamma-sq-infinity": (
+        "gain", mutated(SMALL_CONFIGS["gain"], ("ensemble", "gamma_sq"),
+                        float("inf")), "Infinity"),
+    "gamma-sq-minus-infinity": (
+        "certify", mutated(SMALL_CONFIGS["certify"], ("certificate", "gamma_sq"),
+                           float("-inf")), "-Infinity"),
+    "gamma-sq-overflowing-literal": (
+        "certify", json.dumps(SMALL_CONFIGS["certify"]).replace(
+            '"gamma_sq": 0.1', '"gamma_sq": 1e999'), "1e999"),
+    "params-noise": (
+        "certify", mutated(SMALL_CONFIGS["certify"], ("system", "params"),
+                           {"noise": 1}), "system.params.noise: not allowed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_CONFIGS))
+def test_refused_config_exits_two_before_computing(tmp_path, capsys, name):
+    command, cfg, fragment = REFUSED_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert fragment in err
+    assert not (out / "report.json").exists()
+
+
 @st.composite
 def mutated_configs(draw, command):
     base = SMALL_CONFIGS[command]

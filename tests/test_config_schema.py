@@ -2,7 +2,9 @@
 
 jsonschema's Draft7Validator is the reference: for every config in the
 corpus below the interpreter in sbrl.cli must reach the same verdict, and
-every keyword the schema uses must be one the interpreter handles.
+every keyword the schema uses must be one the interpreter handles.  The
+commands read no config key that the schema does not declare, and every
+benchmark workload config builds as bench/setup_probe.py builds it.
 """
 
 import copy
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sbrl import cli
+from sbrl import cli, library
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -108,6 +110,10 @@ PROBES = {
     "law-two-forms": (dict(BASE, law={"builtin": "example2", "zero": 2}), "law"),
     "law-empty": (dict(BASE, law={}), "law"),
     "law-linear-gain": (dict(BASE, law={"linear_gain": {"K": [[-0.5]]}}), None),
+    "params-declared": (edit("system.params", {"a": 0.5, "c1": 0.1}), None),
+    "params-unknown-key": (edit("system.params", {"noise": 1}),
+                           "system.params.noise"),
+    "params-not-number": (edit("system.params", {"a": "0.5"}), "system.params.a"),
     "count-boolean": (edit("ensemble.count", True), "ensemble.count"),
     "horizon-zero": (edit("ensemble.horizon", 0), "ensemble.horizon"),
     "format-unknown": (edit("output.formats", ["pdf"]), "output.formats[0]"),
@@ -128,17 +134,22 @@ def example_resolved_configs():
     return {"example1-resolved": ex1, "example2-resolved": ex2}
 
 
-def bench_workload_configs():
+def bench_module(filename):
     bench = ROOT / "bench"
     sys.path.insert(0, str(bench))  # run.py does `import layers`
     try:
-        spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{Path(filename).stem}", bench / filename)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(bench))
+    return module
+
+
+def bench_workload_configs():
     return {f"workload-{name}": wl.config(7)
-            for name, wl in module.WORKLOADS.items()}
+            for name, wl in bench_module("run.py").WORKLOADS.items()}
 
 
 WORKLOAD_CONFIGS = bench_workload_configs()
@@ -193,6 +204,14 @@ def test_workload_configs_load(tmp_path, name):
     assert cli.load_config(str(path)) == WORKLOAD_CONFIGS[name]
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_workload_configs_build_as_the_setup_probe_does(name):
+    # the benchmark times this build for every workload, so a change to the
+    # library's *_from_config functions that breaks it fails here first
+    probe = bench_module("setup_probe.py")
+    probe.build(cli.resolve_config(WORKLOAD_CONFIGS[name]), library)
+
+
 def test_integral_floats_run_like_integers(tmp_path):
     outputs = []
     for label, number in (("int", int), ("float", float)):
@@ -207,3 +226,147 @@ def test_integral_floats_run_like_integers(tmp_path):
         assert cli.main(["certify", "--config", str(path)]) == 0
         outputs.append((tmp_path / label / "certificates.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# ------------------------------------------ the commands read declared keys
+
+class ReadLog(dict):
+    """A config object that records the path of every key read from it
+    through ``[]``, ``get`` or ``in``; nested objects record their own."""
+
+    def __init__(self, node, path, reads):
+        super().__init__({key: traced(value, path + (key,), reads)
+                          for key, value in node.items()})
+        self.path, self.reads = path, reads
+
+    def __getitem__(self, key):
+        self.reads.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(self.path + (key,))
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.add(self.path + (key,))
+        return super().__contains__(key)
+
+
+def traced(node, path, reads):
+    if isinstance(node, dict):
+        return ReadLog(node, path, reads)
+    if isinstance(node, list):
+        return [traced(item, path + (i,), reads) for i, item in enumerate(node)]
+    return node
+
+
+def declared(schema, path):
+    """Whether the schema declares the config node at ``path`` (keys, and
+    ints for list items), following ``properties``, ``items``, ``$ref`` and
+    ``oneOf``."""
+    if "$ref" in schema:
+        node = SCHEMA
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            node = node[part]
+        return declared(node, path)
+    if not path:
+        return True
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        subs = [schema["items"]] if "items" in schema else []
+    else:
+        subs = [schema["properties"][key]] if key in schema.get("properties", {}) else []
+    return (any(declared(sub, rest) for sub in subs)
+            or any(declared(alt, path) for alt in schema.get("oneOf", ())))
+
+
+def dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+CUBE = {"lo": [-1.0] * 3, "hi": [1.0] * 3, "grid": 2}
+FEW_DRAWS = {"mode": "monte-carlo", "samples": 64, "antithetic": True}
+EXAMPLE2 = {"system": {"builtin": "example2"}, "storage": {"builtin": "example2"},
+            "law": {"builtin": "example2"}}
+# command -> configs that between them give every optional key a reader
+READ_RUNS = {
+    "certify-internal": ("certify", {
+        "seed": 3,
+        "system": {"builtin": "example1",
+                   "params": {"a": 0.9, "b": 0.01, "c": 0.2, "c1": 0.2}},
+        "noise": {"dim": 1, "components": [{"point_mass": 0.0}]},
+        "storage": {"builtin": "example1", "p": 4.0},
+        "certificate": {"kind": "internal", "c2": 4.0,
+                        "domain": {"lo": [-1.0], "hi": [1.0],
+                                   "random": {"count": 3, "seed": 1}},
+                        "scheme": FEW_DRAWS}}),
+    "certify-external": ("certify", {
+        "system": {"linear": dict(LINEAR, noise={"components": ["rademacher"]})},
+        "storage": {"quadratic": {"P": [[1.0]]}},
+        "certificate": {"kind": "external", "beta": 1.5, "gamma": 2.0,
+                        "domain": {"lo": [-1.0], "hi": [1.0], "grid": 3}}}),
+    "certify-external-closed-loop": ("certify", {
+        **EXAMPLE2,
+        "storage": {"separable": {"p": [1.0, 1.0, 1.0], "d": [2, 2, 2]}},
+        "certificate": {"kind": "external", "beta": 1.2, "gamma_sq": 4.0,
+                        "domain": CUBE, "scheme": {"mode": "closed-form"}}}),
+    "certify-controller": ("certify", {
+        **EXAMPLE2,
+        "certificate": {"kind": "controller", "beta": 1.2, "gamma": 0.75,
+                        "domain": CUBE, "scheme": FEW_DRAWS}}),
+    "certify-linear-brl": ("certify", {
+        "system": {"linear": LINEAR},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0,
+                        "P": [[0.5]]}}),
+    "certify-linear-brl-storage": ("certify", {
+        "system": {"linear": LINEAR},
+        "noise": {"components": [{"gaussian": [0.0, 1.0]}]},
+        "storage": {"quadratic": {"P": [[0.5]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0}}),
+    "certify-linear-brl-search": ("certify", {
+        "system": {"linear": LINEAR},
+        "certificate": {"kind": "linear-brl", "gamma_sq": 2.0, "search": True,
+                        "beta_grid": [1.5, 2.0]}}),
+    "gain-certificate-gamma": ("gain", {
+        **EXAMPLE2,
+        "certificate": {"kind": "controller", "gamma": 0.75},
+        "ensemble": {"horizon": 5, "count": 2, "disturbance": {
+            "kind": "decaying-sine", "decay": 0.9, "freqs": [0.3, 0.4],
+            "phases": [0.0, 0.1], "amp_range": [0.5, 1.0]}}}),
+    "gain-ensemble-gamma-sq": ("gain", {
+        "system": {"linear": LINEAR},
+        "ensemble": {"horizon": 5, "count": 2, "gamma_sq": 1.0,
+                     "disturbance": {"kind": "impulse", "step": 1,
+                                     "vector": [1.0]}}}),
+    "simulate-recorded": ("simulate", {
+        "system": {"builtin": "example2"},
+        "law": {"linear_gain": {"K": [[-0.1, 0.0, 0.0], [0.0, -0.1, 0.0]]}},
+        "ensemble": {"horizon": 3, "count": 2, "x0": [1.0, 0.0, 0.5],
+                     "disturbance": {"kind": "recorded",
+                                     "values": [[0.1, 0.0]]}}}),
+    "simulate-white": ("simulate", {
+        "system": {"linear": LINEAR},
+        "noise": {"components": [{"uniform": [-3 ** 0.5, 3 ** 0.5]}]},
+        "ensemble": {"horizon": 3, "count": 2,
+                     "disturbance": {"kind": "white", "std": 0.5}}}),
+    "simulate-zero": ("simulate", {
+        "system": {"builtin": "example2"}, "law": {"zero": 2},
+        "ensemble": {"horizon": 3, "count": 1,
+                     "disturbance": {"kind": "zero"}}}),
+}
+COMMANDS = {"certify": cli.cmd_certify, "gain": cli.cmd_gain,
+            "simulate": cli.cmd_simulate}
+
+
+@pytest.mark.parametrize("name", sorted(READ_RUNS))
+def test_commands_read_only_declared_keys(tmp_path, name):
+    command, cfg = READ_RUNS[name]
+    assert cli.validate_config(cfg) == []
+    resolved = cli.resolve_config(cfg, out_override=tmp_path)
+    reads = set()
+    assert COMMANDS[command](traced(resolved, (), reads)) in (0, 1, 2)
+    assert (tmp_path / "report.json").exists() and reads
+    undeclared = sorted(dotted(path) for path in reads
+                        if not declared(SCHEMA, path))
+    assert undeclared == []

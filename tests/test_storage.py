@@ -218,7 +218,7 @@ def test_constructed_storage_convex_for_h_convex_outputs():
     )
     box = DomainBox((-2.0,), (2.0,))
     Vhat = EstimatedStorage(sys_r, horizon=60, ensemble=128, seed=9)
-    cert = check_convex(Vhat, box, pairs=3, seed=13, noise_slack="auto")
+    cert = check_convex(Vhat, box, pairs=3, seed=13)
     assert cert.status == "certified"
 
 
