@@ -4,7 +4,7 @@ Commands:
   certify     run the configured certificate check
   gain        empirical l2-gain ensemble against a claimed gamma^2
   simulate    write trajectory CSVs for the configured ensemble
-  example     one-command reproduction of the two built-in benchmarks
+  example     run a shipped example config through certify, gain and simulate
   linear-brl  algebraic bounded-real verification / constructive search
 
 Exit codes: 0 certified/consistent, 1 falsified/violated, 2 inconclusive
@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, certify, library, synth
-from .dynamics import simulate, simulate_ensemble, trajectory_csv_rows
+from .dynamics import simulate_ensemble, trajectory_csv_rows
 from .errors import ConfigurationError, DivergenceError, ToolkitError
 from .noise import ExpectationScheme, derive_seed
-from .storage import DomainBox
+from .storage import DomainBox, QuadraticStorage
 from .svg import line_plot
 
 log = logging.getLogger("sbrl")
@@ -78,22 +78,27 @@ _TYPES = {
 }
 
 
+def _deref(schema):
+    """The subschema a ``$ref`` names; draft-07 ignores the keywords beside it."""
+    while isinstance(schema, dict) and "$ref" in schema:
+        parts = schema["$ref"].removeprefix("#/").split("/")
+        schema = functools.reduce(dict.__getitem__, parts, _schema())
+    return schema
+
+
 def _violations(schema, value, path=""):
     """Violations of ``value`` against a draft-07 subschema, as 'path: msg'.
 
     Interprets the keywords config_schema.json uses; the rest annotate,
     but a failed ``oneOf`` quotes the ``description`` beside it.  A node
     reports its ``oneOf`` only when its other keywords hold, so one fault
-    names one path.
+    names one path; a ``oneOf`` whose alternatives all declare a ``type``
+    reports the violations of the one alternative the value's type picks.
     """
     where = path or "<root>"
+    schema = _deref(schema)
     if isinstance(schema, bool):
         return [] if schema else [f"{where}: not allowed"]
-    if "$ref" in schema:  # draft-07 ignores the keywords beside $ref
-        node = _schema()
-        for part in schema["$ref"].removeprefix("#/").split("/"):
-            node = node[part]
-        return _violations(node, value, path)
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
         return [f"{where}: must be of type {kind}"]
@@ -125,7 +130,12 @@ def _violations(schema, value, path=""):
             errors.append(
                 f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
     if "oneOf" in schema and not errors:
-        matched = sum(not _violations(alt, value, path) for alt in schema["oneOf"])
+        alts = [_deref(alt) for alt in schema["oneOf"]]
+        if all("type" in alt for alt in alts):
+            picked = [alt for alt in alts if _TYPES[alt["type"]](value)]
+            if len(picked) == 1:
+                return _violations(picked[0], value, path)
+        matched = sum(not _violations(alt, value, path) for alt in alts)
         if matched != 1:
             expected = schema.get("description", "exactly one alternative")
             errors.append(f"{where}: expected {expected}, matched {matched}")
@@ -156,10 +166,14 @@ def load_config(path):
             cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    _require_valid(cfg)
+    return cfg
+
+
+def _require_valid(cfg):
     errors = validate_config(cfg)
     if errors:
         raise ConfigurationError("config schema violations: " + "; ".join(errors))
-    return cfg
 
 
 def resolve_config(cfg, seed_override=None, out_override=None):
@@ -218,7 +232,7 @@ def _gamma_sq_from(block):
 class RunWriter:
     """Collects result artifacts and writes the run report."""
 
-    def __init__(self, out_dir, resolved, started=None):
+    def __init__(self, out_dir, resolved):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         # the emitted config describes the experiment, not its placement:
@@ -229,13 +243,8 @@ class RunWriter:
         self.certificates = []
         self.gain_reports = []
         self.timings = {}
-        self.extra = {}
-        # total_s spans the command from ``started`` when it began earlier
-        self._t0 = time.perf_counter() if started is None else started
+        self._t0 = time.perf_counter()
         self.write_json("resolved_config.json", self.resolved)
-
-    def path(self, name):
-        return self.out / name
 
     def write_json(self, name, obj):
         data = json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -272,9 +281,7 @@ class RunWriter:
             "files": sorted(self.files),
             "timings": self.timings,
         }
-        report.update(self.extra)
         self.write_json("report.json", report)
-        return report
 
 
 def _domain_from(cert_block):
@@ -292,55 +299,91 @@ def _resolved_system(resolved):
     return library.system_from_config(resolved["system"], noise=noise)
 
 
-def _maybe_close_loop(system, tier, resolved):
+def _closed_loop(system, tier, resolved):
+    """``system``, closed by the configured law when it is controlled."""
     if tier != "controlled":
-        return system, None
+        return system
     if "law" not in resolved:
         raise ConfigurationError("law: required for a controlled system")
-    law = library.law_from_config(resolved["law"])
-    return synth.closed_loop(system, law), law
+    return synth.closed_loop(system, library.law_from_config(resolved["law"]))
+
+
+def _gamma_star(system, resolved):
+    """gamma_star_search over p * P for p in certificate.p_grid, P the
+    configured quadratic storage; returns the search and its chosen V."""
+    cert_block = resolved["certificate"]
+    domain = _domain_from(cert_block)
+    scheme = _scheme_from(cert_block, resolved["seed"])
+    storage = library.storage_from_config(resolved["storage"])
+    if not isinstance(storage, QuadraticStorage):
+        raise ConfigurationError(
+            "certificate.kind gamma-star needs a quadratic storage")
+    candidates = [(p, QuadraticStorage(p * storage.P))
+                  for p in cert_block["p_grid"]]
+    search = certify.gamma_star_search(
+        system, candidates, cert_block["beta_grid"], domain, scheme)
+    if search.status != "ok":
+        raise ToolkitError(f"gamma-star search failed: {search.notes}")
+    return search, QuadraticStorage(search.params * storage.P)
+
+
+def _disturbances(ens_block):
+    """ensemble.disturbance as a list of blocks, no kind given twice."""
+    blocks = ens_block["disturbance"]
+    blocks = blocks if isinstance(blocks, list) else [blocks]
+    kinds = [block["kind"] for block in blocks]
+    if len(set(kinds)) < len(kinds):
+        raise ConfigurationError(f"ensemble.disturbance: a kind given twice in {kinds}")
+    return blocks
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_certify(resolved):
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    seed = resolved["seed"]
-    cert_block = resolved.get("certificate")
-    if cert_block is None:
+    if "certificate" not in resolved:
         raise ConfigurationError("certificate: required for 'certify'")
+    if resolved["certificate"]["kind"] == "linear-brl":
+        status = _run_linear_brl(resolved, writer)
+    else:
+        status = _certificate(resolved, writer).status
+    writer.finish(status)
+    return status_exit_code(status)
+
+
+def _certificate(resolved, writer):
+    """Run the configured sampled certificate into ``writer``; returns it."""
+    cert_block = resolved["certificate"]
     kind = cert_block["kind"]
-    scheme = _scheme_from(cert_block, seed)
+    scheme = _scheme_from(cert_block, resolved["seed"])
     t0 = time.perf_counter()
-
-    if kind == "linear-brl":
-        system, tier = _resolved_system(resolved)
-        if tier != "linear":
-            raise ConfigurationError("certificate.kind linear-brl needs a linear system")
-        report, status = _run_linear_brl(system, cert_block, resolved, writer)
-        writer.timings["certify_s"] = time.perf_counter() - t0
-        writer.finish(status)
-        return status_exit_code(status)
-
     system, tier = _resolved_system(resolved)
+    if "storage" not in resolved:
+        raise ConfigurationError(f"storage: required for certificate kind {kind}")
     storage = library.storage_from_config(resolved["storage"])
     domain = _domain_from(cert_block)
 
     if kind == "internal":
         cert = certify.check_internal(
             system, storage, float(cert_block["c2"]), domain, scheme)
-    elif kind == "external":
-        system, _ = _maybe_close_loop(system, tier, resolved)
-        cert = certify.check_external(
-            system, storage, float(cert_block["beta"]),
-            _gamma_sq_from(cert_block), domain, scheme)
-    else:  # controller
+    elif kind == "controller":
         if tier != "controlled":
             raise ConfigurationError("certificate.kind controller needs a controlled system")
         law = library.law_from_config(resolved["law"])
         cert = synth.certify_controller(
             system, law, storage, float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
+    else:
+        system = _closed_loop(system, tier, resolved)
+        if kind == "external":
+            cert = certify.check_external(
+                system, storage, float(cert_block["beta"]),
+                _gamma_sq_from(cert_block), domain, scheme)
+        else:  # gamma-star: the external check at the searched optimum
+            search, V = _gamma_star(system, resolved)
+            cert = certify.check_external(
+                system, V, search.beta, search.gamma_star_sq, domain, scheme)
+            cert.provenance["gamma_star"] = search.to_dict()
 
     writer.add_certificate(cert)
     writer.timings["certify_s"] = time.perf_counter() - t0
@@ -348,12 +391,16 @@ def cmd_certify(resolved):
                "g_beta_sup": cert.provenance.get("g_beta_sup"),
                "h1_worst": cert.provenance.get("h1_worst")}
     writer.write_json("margins.json", margins)
-    writer.finish(cert.status)
     log.info("certificate %s: %s", kind, cert.status)
-    return status_exit_code(cert.status)
+    return cert
 
 
-def _run_linear_brl(linsys, cert_block, resolved, writer):
+def _run_linear_brl(resolved, writer):
+    t0 = time.perf_counter()
+    linsys, tier = _resolved_system(resolved)
+    if tier != "linear":
+        raise ConfigurationError("certificate.kind linear-brl needs a linear system")
+    cert_block = resolved["certificate"]
     gamma_sq = _gamma_sq_from(cert_block)
     if cert_block.get("search", False) or "beta" not in cert_block:
         rep = certify.linear_brl_search(
@@ -367,285 +414,156 @@ def _run_linear_brl(linsys, cert_block, resolved, writer):
             raise ConfigurationError(
                 "certificate.P: required for linear-brl verification")
         rep = certify.linear_brl(linsys, P, float(cert_block["beta"]), gamma_sq)
-    writer.write_json("linear_brl.json", rep.to_dict())
-    return rep, rep.status
+    report = rep.to_dict()
+    report["g0"] = report["internal"] = None
+    if rep.P is not None:  # the necessity quantity and the internal test at P
+        report["g0"] = certify.g0(QuadraticStorage(rep.P), linsys,
+                                  ExpectationScheme(mode="closed-form")).value
+        internal = certify.linear_internal(linsys, rep.P)
+        report["internal"] = {"status": internal.status,
+                              "margin": internal.worst_margin}
+    writer.write_json("linear_brl.json", report)
+    writer.timings["certify_s"] = time.perf_counter() - t0
+    return rep.status
 
 
 def cmd_gain(resolved):
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    seed = resolved["seed"]
     ens_block = resolved.get("ensemble")
     if ens_block is None:
         raise ConfigurationError("ensemble: required for 'gain'")
-    if "gamma_sq" not in ens_block and "certificate" not in resolved:
+    system = _closed_loop(*_resolved_system(resolved), resolved)
+    if "gamma_sq" in ens_block:
+        gamma_sq = float(ens_block["gamma_sq"])
+    elif "certificate" not in resolved:
         raise ConfigurationError(
             "ensemble.gamma_sq: required for 'gain' without a certificate")
-    gamma_sq = _gamma_sq_from(
-        ens_block if "gamma_sq" in ens_block else resolved["certificate"])
-    system, tier = _resolved_system(resolved)
-    system, _ = _maybe_close_loop(system, tier, resolved)
-    ensemble = library.ensemble_from_config(ens_block["disturbance"], system.n_v)
+    elif resolved["certificate"]["kind"] == "gamma-star":
+        gamma_sq = _gamma_star(system, resolved)[0].gamma_star_sq
+    else:
+        gamma_sq = _gamma_sq_from(resolved["certificate"])
+    _, verdict = _gain(resolved, writer, system, gamma_sq, True)
+    writer.finish(verdict)
+    return status_exit_code(verdict)
+
+
+def _gain(resolved, writer, system, gamma_sq, csv):
+    """Judge gamma_sq against each configured disturbance ensemble, all
+    with the same member seeds; returns {kind: verdict} and the verdict of
+    them all, 'consistent' only if every one is."""
+    ens_block = resolved["ensemble"]
     t0 = time.perf_counter()
-    report = certify.empirical_gain(
-        system, ensemble, int(ens_block["horizon"]), int(ens_block["count"]),
-        gamma_sq, derive_seed(seed, 0x9A1))
+    verdicts, rows = {}, []
+    for block in _disturbances(ens_block):
+        report = certify.empirical_gain(
+            system, library.ensemble_from_config(block, system.n_v),
+            int(ens_block["horizon"]), int(ens_block["count"]), gamma_sq,
+            derive_seed(resolved["seed"], 0x9A1))
+        writer.add_gain_report(report)
+        verdicts[block["kind"]] = report.verdict
+        rows += [[block["kind"], i, "" if r is None else repr(float(r))]
+                 for i, r in enumerate(report.ratios)]
+        log.info("empirical gain verdict (%s): %s (mean ratio %.6g)",
+                 block["kind"], report.verdict, report.mean_energy_ratio)
     writer.timings["gain_s"] = time.perf_counter() - t0
-    writer.add_gain_report(report)
-    rows = [[i, "" if r is None else repr(float(r))]
-            for i, r in enumerate(report.ratios)]
-    writer.write_csv("gain_ratios.csv", ["trajectory", "energy_ratio"], rows)
-    writer.finish(report.verdict)
-    log.info("empirical gain verdict: %s (mean ratio %.6g)",
-             report.verdict, report.mean_energy_ratio)
-    return status_exit_code(report.verdict)
+    if csv:
+        writer.write_csv("gain_ratios.csv",
+                         ["disturbance", "trajectory", "energy_ratio"], rows)
+    consistent = all(v == "consistent" for v in verdicts.values())
+    return verdicts, "consistent" if consistent else "violated"
 
 
 def cmd_simulate(resolved):
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    seed = resolved["seed"]
     ens_block = resolved.get("ensemble")
     if ens_block is None:
         raise ConfigurationError("ensemble: required for 'simulate'")
+    status, _ = _simulate(resolved, writer, int(ens_block["count"]), True)
+    writer.finish(status)
+    return EXIT_CERTIFIED if status == "consistent" else EXIT_INCONCLUSIVE
+
+
+def _simulate(resolved, writer, count, csv):
+    """Members 0..count-1 of the ensemble under its first disturbance, each
+    CSV written as its member is released; returns the status and the last
+    member's trajectory."""
+    ens_block = resolved["ensemble"]
     system, tier = _resolved_system(resolved)
     policy_u = None
     if tier == "controlled" and "law" in resolved:
         policy_u = library.law_from_config(resolved["law"])
     x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
-    ensemble = library.ensemble_from_config(ens_block["disturbance"], system.n_v)
+    ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
+                                            system.n_v)
     status = "consistent"
     t0 = time.perf_counter()
     results = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
-                                int(ens_block["count"]), seed, policy_u=policy_u)
+                                count, resolved["seed"], policy_u=policy_u)
     for i, traj in enumerate(results):
         results[i] = None  # each member is released once its CSV is written
         if isinstance(traj, DivergenceError):
             status = f"divergence at step {traj.step}"
             log.warning("trajectory %d diverged at step %d", i, traj.step)
             traj = traj.trajectory
-        header, rows = trajectory_csv_rows(traj)
-        writer.write_csv(f"trajectory_{i:03d}.csv", header, rows)
-        del traj, rows
+        if csv:
+            header, rows = trajectory_csv_rows(traj)
+            writer.write_csv(f"trajectory_{i:03d}.csv", header, rows)
+            del rows
         if status != "consistent":
             break
     writer.timings["simulate_s"] = time.perf_counter() - t0
-    writer.finish(status)
-    return EXIT_CERTIFIED if status == "consistent" else EXIT_INCONCLUSIVE
+    return status, traj
 
 
-# ------------------------------------------------------------- examples
-
-def _example1_defaults(seed, out_dir):
-    return {
-        "seed": seed,
-        "system": {"builtin": "example1",
-                   "params": {"a": 0.99, "b": 0.01, "c": 0.2, "c1": 0.2}},
-        "certificate": {
-            "kind": "external",
-            "beta": 1.0 / 0.99,
-            "gamma_sq": None,  # filled from the search
-            "domain": {"lo": [-10.0], "hi": [10.0], "grid": 201},
-            "scheme": {"mode": "closed-form"},
-            "p_grid": [2.0, 3.0, 4.0, 5.0, 6.0, 8.0],
-            "beta_grid": [1.002, 1.005, 1.0 / 0.99, 1.02, 1.05, 1.1, 1.5, 2.0],
-        },
-        "ensemble": {"horizon": 200, "count": 200,
-                     "disturbance": {"kind": "decaying-sine", "decay": 0.98,
-                                     "freqs": [0.3], "phases": [0.0],
-                                     "amp_range": [0.5, 1.5]},
-                     "second_disturbance": {"kind": "white", "std": 0.5}},
-        "output": {"dir": str(out_dir), "formats": ["csv", "svg"]},
-    }
-
-
-def cmd_example1(out_dir, seed, formats=None):
-    t_start = time.perf_counter()
-    resolved = _example1_defaults(seed, out_dir)
-    if formats:
-        resolved["output"]["formats"] = formats
-    system = library.example1_system()
-    cert_block = resolved["certificate"]
-    domain = DomainBox.from_spec(cert_block["domain"])
-    scheme = ExpectationScheme(mode="closed-form")
-
-    t0 = time.perf_counter()
-    candidates = [(p, library.example1_storage(p)) for p in cert_block["p_grid"]]
-    search = certify.gamma_star_search(
-        system, candidates, cert_block["beta_grid"], domain, scheme)
-    if search.status != "ok":
-        raise ToolkitError(f"gamma-star search failed: {search.notes}")
-    gamma_star_sq = search.gamma_star_sq
-    resolved["certificate"]["gamma_sq"] = gamma_star_sq
-    # the emitted config needs gamma*^2, so the writer starts late
-    writer = RunWriter(out_dir, resolved, started=t_start)
-    writer.timings["gamma_star_s"] = time.perf_counter() - t0
-    writer.extra["gamma_star"] = search.to_dict()
-
-    V = library.example1_storage(search.params)
-    t0 = time.perf_counter()
-    cert = certify.check_external(
-        system, V, search.beta, gamma_star_sq, domain, scheme)
-    writer.timings["certify_s"] = time.perf_counter() - t0
-    writer.add_certificate(cert)
-
-    ens_block = resolved["ensemble"]
-    ensembles = {
-        "decaying-sine": library.ensemble_from_config(
-            ens_block["disturbance"], 1),
-        "white": library.ensemble_from_config(
-            ens_block["second_disturbance"], 1),
-    }
-    verdicts = {}
-    t0 = time.perf_counter()
-    for name, ens in ensembles.items():
-        rep = certify.empirical_gain(
-            system, ens, ens_block["horizon"], ens_block["count"],
-            gamma_star_sq, derive_seed(seed, 0x9A1))
-        writer.add_gain_report(rep)
-        verdicts[name] = rep.verdict
-    writer.timings["gain_s"] = time.perf_counter() - t0
-
-    # representative trajectory for the |z|^2 / gamma*^2 v^2 / v^2 series
-    sub = derive_seed(seed, 0)
-    policy = ensembles["decaying-sine"].make_policy(derive_seed(sub, 2))
-    traj = simulate(system, np.zeros(1), policy, ens_block["horizon"],
-                    derive_seed(sub, 1))
-    ks = list(range(traj.horizon))
-    z_sq = traj.z_sq.tolist()
-    v_sq = traj.v_sq.tolist()
-    gv_sq = (gamma_star_sq * traj.v_sq).tolist()
-    formats = resolved["output"]["formats"]
-    if "csv" in formats:
-        writer.write_csv(
-            "example1_series.csv",
-            ["k", "z_sq", "gamma_star_sq_v_sq", "v_sq"],
-            [[k, repr(z_sq[k]), repr(gv_sq[k]), repr(v_sq[k])] for k in ks],
-        )
-    if "svg" in formats:
-        line_plot(writer.path("example1_series.svg"),
-                  [("|z|^2", ks, z_sq),
-                   ("gamma*^2 v^2", ks, gv_sq),
-                   ("v^2", ks, v_sq)],
-                  title="scalar benchmark: output vs weighted disturbance energy")
-        writer.files.append("example1_series.svg")
-
-    writer.write_json("summary.json", {
-        "gamma_star_sq": gamma_star_sq,
-        "best_beta": search.beta,
-        "best_p": search.params,
-        "certificate_status": cert.status,
-        "gain_verdicts": verdicts,
-    })
-    status = cert.status if all(v == "consistent" for v in verdicts.values()) \
-        else "violated"
+def cmd_example(resolved):
+    """A shipped example config: its certificate, the gain ensembles at the
+    certificate's gamma^2, member 0 of its simulate ensemble, and last
+    summary.json and the member's plots."""
+    writer = RunWriter(resolved["output"]["dir"], resolved)
+    csv = "csv" in resolved["output"]["formats"]
+    cert = _certificate(resolved, writer)
+    gamma_sq = cert.provenance["gamma_sq"]
+    system = _closed_loop(*_resolved_system(resolved), resolved)
+    verdicts, gain_verdict = _gain(resolved, writer, system, gamma_sq, csv)
+    sim_status, traj = _simulate(resolved, writer, 1, csv)
+    if "svg" in resolved["output"]["formats"]:
+        _plot_member(writer, traj, gamma_sq)
+    summary = {"certificate_status": cert.status, "gamma_sq": gamma_sq,
+               "G_beta": cert.provenance["g_beta_sup"],
+               "gain_verdicts": verdicts, "gain_verdict": gain_verdict}
+    if "gamma_star" in cert.provenance:
+        search = cert.provenance["gamma_star"]
+        summary.update(gamma_star_sq=search["gamma_star_sq"],
+                       best_beta=search["beta"], best_p=search["params"])
+    if "law" in resolved:
+        law = library.law_from_config(resolved["law"]).spec()
+        if "u1_coef" in law:
+            summary["u1_coefficient"] = law["u1_coef"]
+    writer.write_json("summary.json", summary)
+    # a violated gain wins, then a diverged member, then the certificate
+    status = next(s for s in (gain_verdict, sim_status, cert.status)
+                  if s != "consistent")
     writer.finish(status)
     return status_exit_code(status)
 
 
-def _example2_defaults(seed, out_dir):
-    return {
-        "seed": seed,
-        "system": {"builtin": "example2"},
-        "storage": {"builtin": "example2"},
-        "law": {"builtin": "example2"},
-        "certificate": {
-            "kind": "controller",
-            "beta": library.EXAMPLE2_BETA,
-            "gamma": library.EXAMPLE2_GAMMA,
-            "domain": {"lo": [-2.0, -2.0, -2.0], "hi": [2.0, 2.0, 2.0], "grid": 7},
-            "scheme": {"mode": "monte-carlo", "samples": 100_000,
-                       "antithetic": False},
-        },
-        "ensemble": {"horizon": 300, "count": 200, "x0": [1.0, 1.0, 0.5],
-                     "disturbance": {"kind": "decaying-sine", "decay": 0.98,
-                                     "freqs": [0.3, 0.37], "phases": [0.0, 0.9],
-                                     "amp_range": [0.5, 1.5]}},
-        "output": {"dir": str(out_dir), "formats": ["csv", "svg"]},
+def _plot_member(writer, traj, gamma_sq):
+    ks, steps = list(range(traj.horizon)), list(range(traj.horizon + 1))
+    plots = {
+        "states.svg": ("states", [(f"x{i + 1}", steps, traj.states[:, i].tolist())
+                                  for i in range(traj.states.shape[1])]),
+        "energies.svg": ("output energy vs weighted disturbance energy", [
+            ("|z|^2", ks, traj.z_sq.tolist()),
+            ("gamma^2 |v|^2", ks, (gamma_sq * traj.v_sq).tolist()),
+            ("|v|^2", ks, traj.v_sq.tolist())]),
     }
-
-
-def cmd_example2(out_dir, seed, formats=None):
-    resolved = _example2_defaults(seed, out_dir)
-    if formats:
-        resolved["output"]["formats"] = formats
-    writer = RunWriter(out_dir, resolved)
-    plant = library.example2_plant()
-    V = library.example2_storage()
-    law = library.example2_law()
-    cert_block = resolved["certificate"]
-    domain = DomainBox.from_spec(cert_block["domain"])
-    scheme = _scheme_from(cert_block, seed)
-
-    gamma_sq = cert_block["gamma"] ** 2
-    t0 = time.perf_counter()
-    cert = synth.certify_controller(
-        plant, law, V, cert_block["beta"], gamma_sq, domain, scheme)
-    writer.timings["certify_s"] = time.perf_counter() - t0
-    writer.add_certificate(cert)
-    g_beta_sup = cert.provenance.get("g_beta_sup")
-
-    loop = synth.closed_loop(plant, law)
-    ens_block = resolved["ensemble"]
-    ensemble = library.ensemble_from_config(ens_block["disturbance"], 2)
-    t0 = time.perf_counter()
-    gain = certify.empirical_gain(
-        loop, ensemble, ens_block["horizon"], ens_block["count"], gamma_sq,
-        derive_seed(seed, 0x9A1))
-    writer.timings["gain_s"] = time.perf_counter() - t0
-    writer.add_gain_report(gain)
-
-    # closed-loop run from the benchmark's initial-condition convention
-    x0 = np.asarray(ens_block["x0"], dtype=float)
-    sub = derive_seed(seed, 0)
-    policy = ensemble.make_policy(derive_seed(sub, 2))
-    traj = simulate(loop, x0, policy, ens_block["horizon"], derive_seed(sub, 1))
-    us = law(traj.states[:-1])
-    ks = list(range(traj.horizon))
-    formats = resolved["output"]["formats"]
-    if "csv" in formats:
-        writer.write_csv(
-            "example2_controls.csv", ["k", "u_1", "u_2"],
-            [[k, repr(float(us[k, 0])), repr(float(us[k, 1]))] for k in ks])
-        writer.write_csv(
-            "example2_states.csv", ["k", "x_1", "x_2", "x_3"],
-            [[k] + [repr(float(s)) for s in traj.states[k]] for k in range(traj.horizon + 1)])
-        writer.write_csv(
-            "example2_energies.csv", ["k", "z_sq", "gamma_sq_v_sq"],
-            [[k, repr(float(traj.z_sq[k])), repr(float(gamma_sq * traj.v_sq[k]))]
-             for k in ks])
-    if "svg" in formats:
-        line_plot(writer.path("example2_controls.svg"),
-                  [("u1*", ks, us[:, 0].tolist()), ("u2*", ks, us[:, 1].tolist())],
-                  title="feedback law along the closed-loop run")
-        line_plot(writer.path("example2_states.svg"),
-                  [(f"x{i + 1}", list(range(traj.horizon + 1)),
-                    traj.states[:, i].tolist()) for i in range(3)],
-                  title="closed-loop states")
-        line_plot(writer.path("example2_energies.svg"),
-                  [("|z|^2", ks, traj.z_sq.tolist()),
-                   ("gamma^2 |v|^2", ks, (gamma_sq * traj.v_sq).tolist())],
-                  title="output energy vs weighted disturbance energy")
-        writer.files.extend(["example2_controls.svg", "example2_states.svg",
-                             "example2_energies.svg"])
-
-    writer.write_json("summary.json", {
-        "G_beta": g_beta_sup,
-        "gamma_sq": gamma_sq,
-        "certificate_status": cert.status,
-        "gain_verdict": gain.verdict,
-        "u1_coefficient": law.spec()["u1_coef"],
-    })
-    status = cert.status if gain.verdict == "consistent" else "violated"
-    writer.finish(status)
-    return status_exit_code(status)
-
-
-def cmd_example(which, out_dir, seed, formats=None):
-    if which == "1":
-        return cmd_example1(out_dir, seed, formats)
-    if which == "2":
-        return cmd_example2(out_dir, seed, formats)
-    print(f"error: unknown example {which!r} (choose 1 or 2)", file=sys.stderr)
-    return EXIT_INCONCLUSIVE
+    if traj.controls is not None:
+        plots["controls.svg"] = ("feedback law along the run", [
+            (f"u{i + 1}", ks, traj.controls[:, i].tolist())
+            for i in range(traj.controls.shape[1])])
+    for name, (title, series) in plots.items():
+        line_plot(writer.out / name, series, title=title)
+        writer.files.append(name)
 
 
 # ---------------------------------------------------------------- main
@@ -676,8 +594,8 @@ def build_parser():
     common(sub.add_parser("gain", help="empirical l2-gain ensemble"))
     common(sub.add_parser("simulate", help="write trajectory CSVs"))
     common(sub.add_parser("linear-brl", help="linear bounded-real check"))
-    pex = sub.add_parser("example", help="reproduce a built-in benchmark")
-    pex.add_argument("which", help="benchmark number: 1 or 2")
+    pex = sub.add_parser("example", help="run a shipped example config")
+    pex.add_argument("which", help="example number: 1 or 2")
     common(pex, needs_config=False)
     return parser
 
@@ -695,31 +613,30 @@ def _reuse_freed_memory():
         mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD: blocks under 32 MiB from the heap
 
 
+COMMANDS = {"certify": cmd_certify, "gain": cmd_gain, "simulate": cmd_simulate,
+            "linear-brl": cmd_certify, "example": cmd_example}
+
+
 def main(argv=None):
     _setup_logging()
     _reuse_freed_memory()
     args = build_parser().parse_args(argv)
-    formats = _FORMATS.get(args.format)
     try:
         if args.command == "example":
-            out = args.out or f"example{args.which}_out"
-            return cmd_example(args.which, out, args.seed or 0, formats)
-        cfg = load_config(args.config)
-        resolved = resolve_config(cfg, seed_override=args.seed,
+            if args.which not in ("1", "2"):
+                raise ConfigurationError(
+                    f"unknown example {args.which!r} (choose 1 or 2)")
+            args.config = Path(__file__).with_name(f"example{args.which}.json")
+            args.out = args.out or f"example{args.which}_out"
+        resolved = resolve_config(load_config(args.config),
+                                  seed_override=args.seed,
                                   out_override=args.out)
-        if formats:
-            resolved["output"]["formats"] = formats
-        if args.command == "certify":
-            return cmd_certify(resolved)
-        if args.command == "gain":
-            return cmd_gain(resolved)
-        if args.command == "simulate":
-            return cmd_simulate(resolved)
+        if args.format:
+            resolved["output"]["formats"] = _FORMATS[args.format]
         if args.command == "linear-brl":
-            cert = resolved.get("certificate", {})
-            cert["kind"] = "linear-brl"
-            resolved["certificate"] = cert
-            return cmd_certify(resolved)
+            resolved.setdefault("certificate", {})["kind"] = "linear-brl"
+        _require_valid(resolved)  # the overrides too, before any computation
+        return COMMANDS[args.command](resolved)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -730,7 +647,6 @@ def main(argv=None):
         print(" ".join(f"error: {type(exc).__name__}: {exc}".split()),
               file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

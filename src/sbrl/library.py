@@ -27,7 +27,6 @@ from .synth import FeedbackLaw
 
 EXAMPLE2_BETA = (8.0 / 5.0) ** (1.0 / 3.0)
 EXAMPLE2_P = 1.0 / 16.0
-EXAMPLE2_GAMMA = 0.75
 
 
 def example1_system(a=0.99, b=0.01, c=0.2, c1=0.2, noise=None) -> AffineSystem:

@@ -108,7 +108,7 @@ def test_gain_example1_consistent(tmp_path):
     reports = json.loads((tmp_path / "out" / "gain_reports.json").read_text())
     assert reports[0]["max_ratio"] < 0.08
     ratios = (tmp_path / "out" / "gain_ratios.csv").read_text().splitlines()
-    assert ratios[0] == "trajectory,energy_ratio"
+    assert ratios[0] == "disturbance,trajectory,energy_ratio"
     assert len(ratios) == 51
 
 
@@ -230,12 +230,12 @@ def test_example_one_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["gamma_star_sq"] - 0.08) < 1e-12
     assert summary["certificate_status"] == "certified"
-    assert (out / "example1_series.csv").exists()
-    assert (out / "example1_series.svg").exists()
+    assert (out / "trajectory_000.csv").exists()
+    assert (out / "energies.svg").exists()
     # total_s spans the whole command, search and external check included
     timings = json.loads((out / "report.json").read_text())["timings"]
-    assert timings["total_s"] >= (timings["gamma_star_s"] + timings["certify_s"]
-                                  + timings["gain_s"])
+    assert timings["total_s"] >= (timings["certify_s"] + timings["gain_s"]
+                                  + timings["simulate_s"])
 
 
 def test_example_two_summary(tmp_path):
@@ -247,12 +247,171 @@ def test_example_two_summary(tmp_path):
     assert abs(summary["G_beta"] - 0.430998734648594) < 1e-10
     assert summary["G_beta"] <= 0.5625
     assert summary["gain_verdict"] == "consistent"
-    assert (out / "example2_states.csv").exists()
-    assert not (out / "example2_states.svg").exists()  # csv-only run
+    assert (out / "trajectory_000.csv").exists()
+    assert not (out / "states.svg").exists()  # csv-only run
 
 
 def test_example_unknown_exit_two(tmp_path):
     assert run(["example", "3", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+def test_example_replays_through_the_generic_commands(tmp_path, which):
+    # the example is its resolved config run through certify, gain and
+    # simulate: each command rerun on the emitted config gives its bytes
+    out = tmp_path / "example"
+    assert run(["example", which, "--out", str(out), "--seed", "3"]) == 0
+    resolved = str(out / "resolved_config.json")
+    for command, names in (("certify", ["certificates.json"]),
+                           ("gain", ["gain_reports.json", "gain_ratios.csv"]),
+                           ("simulate", ["trajectory_000.csv"])):
+        replay = tmp_path / command
+        assert run([command, "--config", resolved, "--out", str(replay)]) == 0
+        for name in names:
+            assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_example_one_runs_gamma_star_and_two_disturbances(tmp_path):
+    out = tmp_path / "ex1"
+    assert run(["example", "1", "--out", str(out), "--seed", "3",
+                "--format", "svg"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gamma_sq"] == summary["gamma_star_sq"] == summary["G_beta"]
+    assert (summary["best_beta"], summary["best_p"]) == (1.0 / 0.99, 4.0)
+    assert summary["gain_verdicts"] == {"decaying-sine": "consistent",
+                                        "white": "consistent"}
+    assert summary["gain_verdict"] == "consistent"
+    cert, = json.loads((out / "certificates.json").read_text())
+    assert cert["provenance"]["gamma_star"]["gamma_star_sq"] \
+        == summary["gamma_star_sq"]
+    assert "gamma_star" not in json.loads((out / "report.json").read_text())
+    # svg only: no CSV, and no controls plot for a plant without controls
+    names = {p.name for p in out.iterdir()}
+    assert {"states.svg", "energies.svg"} <= names and "controls.svg" not in names
+    assert not any(name.endswith(".csv") for name in names)
+
+
+def gamma_star_config(out_dir):
+    return {
+        "seed": 2,
+        "system": {"builtin": "example1"},
+        "storage": {"quadratic": {"P": [[1.0]]}},
+        "certificate": {"kind": "gamma-star", "p_grid": [3.0, 4.0],
+                        "beta_grid": [1.0 / 0.99, 1.5],
+                        "domain": {"lo": [-10.0], "hi": [10.0], "grid": 21},
+                        "scheme": {"mode": "closed-form"}},
+        "ensemble": {"horizon": 20, "count": 4,
+                     "disturbance": [{"kind": "white", "std": 0.5},
+                                     {"kind": "decaying-sine"}]},
+        "output": {"dir": str(out_dir)},
+    }
+
+
+def test_gamma_star_candidates_scale_the_configured_storage(tmp_path):
+    cfg = gamma_star_config(tmp_path / "a")
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+    cfg["storage"] = {"quadratic": {"P": [[2.0]]}}
+    cfg["certificate"]["p_grid"] = [1.5, 2.0]
+    cfg["output"]["dir"] = str(tmp_path / "b")
+    assert run(["certify", "--config", write_config(tmp_path, cfg, "b.json")]) == 0
+    a, = json.loads((tmp_path / "a" / "certificates.json").read_text())
+    b, = json.loads((tmp_path / "b" / "certificates.json").read_text())
+    assert a["provenance"]["gamma_star"]["params"] == 4.0
+    assert b["provenance"]["gamma_star"]["params"] == 2.0
+    assert a["worst_margin"] == b["worst_margin"]
+
+
+def test_gain_judges_each_listed_disturbance(tmp_path):
+    cfg = gamma_star_config(tmp_path / "out")
+    assert run(["gain", "--config", write_config(tmp_path, cfg)]) == 0
+    reports = json.loads((tmp_path / "out" / "gain_reports.json").read_text())
+    assert [r["ensemble_spec"]["kind"] for r in reports] == ["white",
+                                                           "decaying-sine"]
+    assert [r["seed"] for r in reports] == [reports[0]["seed"]] * 2
+    rows = (tmp_path / "out" / "gain_ratios.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["white"] * 4 \
+        + ["decaying-sine"] * 4
+
+
+@pytest.mark.parametrize("name", ["kind-twice", "separable-storage",
+                                  "infeasible-search"])
+def test_gamma_star_and_disturbance_list_refusals_exit_two(tmp_path, capsys,
+                                                          name):
+    cfg = gamma_star_config(tmp_path / "out")
+    command = "certify"
+    if name == "kind-twice":
+        command = "gain"
+        cfg["ensemble"]["disturbance"].append({"kind": "white", "std": 1.0})
+    elif name == "separable-storage":
+        cfg["storage"] = {"separable": {"p": [1.0], "d": [2]}}
+    else:
+        cfg["certificate"]["beta_grid"] = [1.5]  # H1 fails everywhere
+    assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [["certify", "--config", "CONFIG"],
+                                  ["example", "1"]])
+def test_negative_seed_override_exits_two_before_computing(tmp_path, capsys,
+                                                          args):
+    config = write_config(tmp_path, example1_external_config(tmp_path / "x"))
+    out = tmp_path / "out"
+    args = [config if a == "CONFIG" else a for a in args]
+    assert run(args + ["--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config schema violations: seed: must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_form_keys_of_another_form_exit_two_before_computing(tmp_path, capsys):
+    cfg = {"system": {"builtin": "example2", "params": {"a": 5.0}},
+           "storage": {"quadratic": {"P": [[1.0]]}, "p": 9.0},
+           "certificate": {"kind": "external", "gamma": 0.5, "gamma_sq": 4.0}}
+    out = tmp_path / "out"
+    assert run(["certify", "--config", write_config(tmp_path, cfg),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config schema violations: system: ")
+    assert len(err.splitlines()) == 1
+    assert "; storage: " in err and "; certificate: " in err
+    assert not out.exists()
+
+
+def test_package_data_ships_every_config_file():
+    # an installed `sbrl example N` reads its config from the package
+    import fnmatch
+    import tomllib
+    root = Path(__file__).resolve().parents[1]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["sbrl"]
+    names = [p.name for p in (root / "src" / "sbrl").glob("*.json")]
+    assert {"config_schema.json", "example1.json", "example2.json"} <= set(names)
+    assert [n for n in names if not any(fnmatch.fnmatch(n, g) for g in globs)] == []
+
+
+def test_linear_brl_reports_g0_and_the_internal_test(tmp_path):
+    # the item-4 plant at gamma^2 = 30: G0 = lambda_max(B'PB + D'D)
+    cfg = {"system": {"linear": {"A": [[0.6, 0.2], [-0.1, 0.5]],
+                                 "A0": [[0.1, 0.0], [0.0, 0.1]],
+                                 "B": [[1.0], [0.5]], "C": [[1.0, 0.0]],
+                                 "D": [[0.1]]}},
+           "certificate": {"kind": "linear-brl", "search": True, "gamma_sq": 30.0},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert run(["linear-brl", "--config", write_config(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "out" / "linear_brl.json").read_text())
+    P, B, D = np.array(rep["P"]), np.array([[1.0], [0.5]]), np.array([[0.1]])
+    assert rep["g0"] == pytest.approx(np.linalg.eigvalsh(B.T @ P @ B + D.T @ D)[-1],
+                                      rel=1e-12)
+    assert rep["g0"] == pytest.approx(2.20092, abs=1e-5)
+    assert rep["internal"]["status"] == "certified"
+    assert rep["internal"]["margin"] == pytest.approx(-0.0234, abs=1e-4)
+    # an unstable plant gives no P: neither is known
+    cfg["system"]["linear"]["A"] = [[1.5, 0.0], [0.0, 0.5]]
+    cfg["output"]["dir"] = str(tmp_path / "none")
+    assert run(["linear-brl", "--config", write_config(tmp_path, cfg)]) == 2
+    rep = json.loads((tmp_path / "none" / "linear_brl.json").read_text())
+    assert rep["P"] is None and rep["g0"] is None and rep["internal"] is None
 
 
 def test_top_level_noise_block_overrides_example1(tmp_path):

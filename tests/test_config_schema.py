@@ -120,18 +120,49 @@ PROBES = {
     "output-extra-key": (edit("output.threads", 1), None),
     "unknown-section": (dict(BASE, extra={}), "extra"),
     "root-not-object": ([BASE], "<root>"),
+    # each form of a block refuses the keys of the other forms
+    "params-beside-example2": (edit("system", {"builtin": "example2",
+                                               "params": {"a": 5.0}}), "system"),
+    "system-extra-key": (edit("system.noise", 1), "system"),
+    "p-beside-quadratic": (edit("storage", {"quadratic": {"P": [[1.0]]},
+                                            "p": 9.0}), "storage"),
+    "law-extra-key": (dict(BASE, law={"zero": 2, "K": [[1.0]]}), "law"),
+    "gamma-and-gamma-sq": (edit("certificate.gamma", 0.5), "certificate"),
+    "gamma-only": (edit("certificate", {"kind": "external", "gamma": 0.5}), None),
+    "gamma-star-p-grid": (edit("certificate", {"kind": "gamma-star",
+                                               "p_grid": [1.0, 2.0]}), None),
+    "p-grid-zero": (edit("certificate.p_grid", [1.0, 0.0]),
+                    "certificate.p_grid[1]"),
+    "disturbance-list": (edit("ensemble.disturbance",
+                              [{"kind": "white"}, {"kind": "zero"}]), None),
+    "disturbance-list-empty": (edit("ensemble.disturbance", []),
+                               "ensemble.disturbance"),
+    "disturbance-list-unknown-kind": (
+        edit("ensemble.disturbance", [{"kind": "white"}, {"kind": "pink"}]),
+        "ensemble.disturbance[1].kind"),
+    "disturbance-list-impulse-without-step": (
+        edit("ensemble.disturbance", [{"kind": "impulse", "vector": [1.0]}]),
+        "ensemble.disturbance[0]"),
+}
+
+# a config that named a field of another form in each of three blocks
+PER_FORM_FOUND = {
+    "system": {"builtin": "example2", "params": {"a": 5.0}},
+    "storage": {"quadratic": {"P": [[1.0]]}, "p": 9.0},
+    "certificate": {"kind": "external", "gamma": 0.5, "gamma_sq": 4.0},
 }
 
 
 def example_resolved_configs():
-    # what `sbrl example 1|2` write as resolved_config.json: the defaults
-    # without output.dir, and example 1's gamma_sq filled by its search
-    ex1 = cli._example1_defaults(7, "out")
-    ex1["certificate"]["gamma_sq"] = 0.08
-    ex2 = cli._example2_defaults(7, "out")
-    for cfg in (ex1, ex2):
+    # what `sbrl example 1|2` write as resolved_config.json: the shipped
+    # config resolved, without output.dir
+    configs = {}
+    for n in (1, 2):
+        cfg = cli.resolve_config(
+            cli.load_config(ROOT / "src" / "sbrl" / f"example{n}.json"), 7)
         del cfg["output"]["dir"]
-    return {"example1-resolved": ex1, "example2-resolved": ex2}
+        configs[f"example{n}-resolved"] = cfg
+    return configs
 
 
 def bench_module(filename):
@@ -156,7 +187,8 @@ WORKLOAD_CONFIGS = bench_workload_configs()
 CORPUS = {**{name: cfg for name, (cfg, _) in PROBES.items()},
           **{f"{name}-resolved": cli.resolve_config(cfg)
              for name, (cfg, path) in PROBES.items() if path is None},
-          **example_resolved_configs(), **WORKLOAD_CONFIGS}
+          **example_resolved_configs(), **WORKLOAD_CONFIGS,
+          "per-form-found": PER_FORM_FOUND}
 
 
 def test_schema_is_valid_draft7():
@@ -195,6 +227,12 @@ def test_probe_violation_names_its_field(name):
     cfg, path = PROBES[name]
     errors = cli.validate_config(cfg)
     assert [e.split(": ", 1)[0] for e in errors] == ([] if path is None else [path])
+
+
+def test_each_block_names_its_other_form_keys():
+    errors = cli.validate_config(PER_FORM_FOUND)
+    assert [e.split(": ", 1)[0] for e in errors] == [
+        "system", "storage", "certificate"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
@@ -334,6 +372,23 @@ READ_RUNS = {
         "ensemble": {"horizon": 5, "count": 2, "disturbance": {
             "kind": "decaying-sine", "decay": 0.9, "freqs": [0.3, 0.4],
             "phases": [0.0, 0.1], "amp_range": [0.5, 1.0]}}}),
+    "certify-gamma-star": ("certify", {
+        "system": {"builtin": "example1"},
+        "storage": {"quadratic": {"P": [[1.0]]}},
+        "certificate": {"kind": "gamma-star", "p_grid": [3.0, 4.0],
+                        "beta_grid": [1.0 / 0.99, 1.5],
+                        "domain": {"lo": [-1.0], "hi": [1.0], "grid": 5},
+                        "scheme": {"mode": "closed-form"}}}),
+    "gain-disturbance-list": ("gain", {
+        "system": {"builtin": "example1"},
+        "storage": {"quadratic": {"P": [[1.0]]}},
+        "certificate": {"kind": "gamma-star", "p_grid": [4.0],
+                        "beta_grid": [1.0 / 0.99],
+                        "domain": {"lo": [-1.0], "hi": [1.0], "grid": 5},
+                        "scheme": {"mode": "closed-form"}},
+        "ensemble": {"horizon": 5, "count": 2, "disturbance": [
+            {"kind": "white", "std": 0.5},
+            {"kind": "recorded", "values": [[1.0]]}]}}),
     "gain-ensemble-gamma-sq": ("gain", {
         "system": {"linear": LINEAR},
         "ensemble": {"horizon": 5, "count": 2, "gamma_sq": 1.0,

@@ -36,11 +36,12 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # reached only through their own unit tests, kept on purpose:
 # CustomStorage, and check_convex that certifies it, are Python API (every
-# storage a config builds claims convexity); g0, linear_internal and
-# certify_controller_general state results of the paper and await a
-# config kind of their own
-UNREACHED_API = {"CustomStorage", "check_convex", "g0", "linear_internal",
-                 "certify_controller_general"}
+# storage a config builds claims convexity); certify_controller_general
+# states a result of the paper and awaits a config kind of its own;
+# simulate, one trajectory under one policy, is public API and a layer
+# boundary of bench/trace_cli.py
+UNREACHED_API = {"CustomStorage", "check_convex", "certify_controller_general",
+                 "simulate"}
 
 # defaulted parameters no call passes, kept on purpose
 UNPASSED_OPTIONS = {
