@@ -116,7 +116,8 @@ def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
     x = np.asarray(x, dtype=float)
     u_row = None if u is None else u[None]
     if scheme.mode != "closed-form":
-        return _split_block(V, system, x[None], u_row, beta, [scheme])[0]
+        return _split_block(V, system, x[None], u_row, beta,
+                            scheme.point_draws())[0]
 
     parts_fn = None
     if system.f_parts is not None:
@@ -129,15 +130,16 @@ def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
                          storage=vx, output_sq=m_sq)
 
 
-def _split_block(V, system, X, u_row, beta, schemes):
-    """``_split`` under Monte Carlo at each row of X, with ``u_row`` one
-    control row or None: one ``SplitEstimate`` per row.  A non-finite
-    sample raises as in ``expect``."""
+def _split_block(V, system, X, u_row, beta, points):
+    """``_split`` under Monte Carlo at each row of X, drawing from the
+    ``PointDraws`` ``points``, with ``u_row`` one control row or None: one
+    ``SplitEstimate`` per row.  A non-finite sample raises as in
+    ``expect``."""
     vals = sample_block(
-        system.noise, schemes, X,
+        system.noise, points, X,
         lambda rows, draws: V.evaluate_batch(
-            beta * system.drift(rows, u_row, draws)))
-    require_finite(system.noise, schemes, vals)
+            (beta * system.drift(rows, u_row, draws)).reshape(-1, system.n)))
+    require_finite(system.noise, points, vals)
     mean, se = mean_and_error(vals, 1)
     vx, m_sq = V.evaluate_batch(X), _m_sq(system, X, u_row)
     return [SplitEstimate(v, e, storage=s, output_sq=m)
@@ -197,14 +199,16 @@ def _gram_rows(G, P):
     return out
 
 
-def _gram_sup(system, X, P, c, schemes):
+def _gram_sup(system, X, P, c, points):
     """lambda_max(c E[g'Pg] + m1'm1) and c ||SE||_2, SE the entrywise
-    standard-error matrix of E[g'Pg], at each row of X under Monte Carlo:
-    the quadratic-storage supremum of ``_gain_sup`` as two arrays, from one
-    stacked eigvalsh and one stacked norm."""
+    standard-error matrix of E[g'Pg], at each row of X under Monte Carlo
+    with the ``PointDraws`` ``points``: the quadratic-storage supremum of
+    ``_gain_sup`` as two arrays, from one stacked eigvalsh and one stacked
+    norm."""
     grams = sample_block(
-        system.noise, schemes, X,
-        lambda rows, draws: _gram_rows(system.gain(rows, draws), P))
+        system.noise, points, X,
+        lambda rows, draws: _gram_rows(
+            system.gain(rows, draws).reshape(-1, system.n, system.n_v), P))
     mean, se = mean_and_error(grams, 1)
     M = c * mean + _m1_gram(system, X)
     if not (np.isfinite(M).all() and np.isfinite(se).all()):
@@ -259,7 +263,7 @@ def _gain_sup(V, system, x, c, scheme):
     """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2."""
     quadratic = isinstance(V, QuadraticStorage)
     if quadratic and scheme.mode != "closed-form":
-        sup, se = _gram_sup(system, x[None], V.P, c, [scheme])
+        sup, se = _gram_sup(system, x[None], V.P, c, scheme.point_draws())
         return Estimate(float(sup[0]), float(se[0]))
 
     m1m1 = _m1_gram(system, x[None]).reshape(system.n_v, system.n_v)
@@ -353,8 +357,8 @@ def _split_rows(name, V, system, beta, functional):
 
     return Batched(
         lambda x, s: row(functional(x, s)),
-        lambda X, schemes: [row(est) for est in _split_block(
-            V, system, X, None, beta, schemes)])
+        lambda X, points: [row(est) for est in _split_block(
+            V, system, X, None, beta, points)])
 
 
 def _h1_row(V, system, beta):
@@ -375,8 +379,8 @@ def _g_beta_row(V, system, beta, gamma_sq=0.0):
     if not isinstance(V, QuadraticStorage):
         return fn
 
-    def block(X, schemes):
-        sup, se = _gram_sup(system, X, V.P, beta / (beta - 1.0), schemes)
+    def block(X, points):
+        sup, se = _gram_sup(system, X, V.P, beta / (beta - 1.0), points)
         return [row(Estimate(v, e)) for v, e in zip(sup.tolist(), se.tolist())]
 
     return Batched(fn, block)

@@ -442,12 +442,12 @@ def cmd_gain(resolved):
         gamma_sq = _gamma_star(system, resolved)[0].gamma_star_sq
     else:
         gamma_sq = _gamma_sq_from(resolved["certificate"])
-    _, verdict = _gain(resolved, writer, system, gamma_sq, True)
+    _, verdict = _gain(resolved, writer, system, gamma_sq)
     writer.finish(verdict)
     return status_exit_code(verdict)
 
 
-def _gain(resolved, writer, system, gamma_sq, csv):
+def _gain(resolved, writer, system, gamma_sq):
     """Judge gamma_sq against each configured disturbance ensemble, all
     with the same member seeds; returns {kind: verdict} and the verdict of
     them all, 'consistent' only if every one is."""
@@ -466,7 +466,7 @@ def _gain(resolved, writer, system, gamma_sq, csv):
         log.info("empirical gain verdict (%s): %s (mean ratio %.6g)",
                  block["kind"], report.verdict, report.mean_energy_ratio)
     writer.timings["gain_s"] = time.perf_counter() - t0
-    if csv:
+    if "csv" in resolved["output"]["formats"]:
         writer.write_csv("gain_ratios.csv",
                          ["disturbance", "trajectory", "energy_ratio"], rows)
     consistent = all(v == "consistent" for v in verdicts.values())
@@ -478,12 +478,12 @@ def cmd_simulate(resolved):
     ens_block = resolved.get("ensemble")
     if ens_block is None:
         raise ConfigurationError("ensemble: required for 'simulate'")
-    status, _ = _simulate(resolved, writer, int(ens_block["count"]), True)
+    status, _ = _simulate(resolved, writer, int(ens_block["count"]))
     writer.finish(status)
     return EXIT_CERTIFIED if status == "consistent" else EXIT_INCONCLUSIVE
 
 
-def _simulate(resolved, writer, count, csv):
+def _simulate(resolved, writer, count):
     """Members 0..count-1 of the ensemble under its first disturbance, each
     CSV written as its member is released; returns the status and the last
     member's trajectory."""
@@ -495,6 +495,7 @@ def _simulate(resolved, writer, count, csv):
     x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
     ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
                                             system.n_v)
+    csv = "csv" in resolved["output"]["formats"]
     status = "consistent"
     t0 = time.perf_counter()
     results = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
@@ -520,12 +521,11 @@ def cmd_example(resolved):
     certificate's gamma^2, member 0 of its simulate ensemble, and last
     summary.json and the member's plots."""
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    csv = "csv" in resolved["output"]["formats"]
     cert = _certificate(resolved, writer)
     gamma_sq = cert.provenance["gamma_sq"]
     system = _closed_loop(*_resolved_system(resolved), resolved)
-    verdicts, gain_verdict = _gain(resolved, writer, system, gamma_sq, csv)
-    sim_status, traj = _simulate(resolved, writer, 1, csv)
+    verdicts, gain_verdict = _gain(resolved, writer, system, gamma_sq)
+    sim_status, traj = _simulate(resolved, writer, 1)
     if "svg" in resolved["output"]["formats"]:
         _plot_member(writer, traj, gamma_sq)
     summary = {"certificate_status": cert.status, "gamma_sq": gamma_sq,

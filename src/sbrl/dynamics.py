@@ -7,13 +7,19 @@ systems x+ = A x + A0 x w + B v with z = (C x; D v) are affine systems
 built from their matrices.  A general time-varying tier
 x+ = F(k,x,u,v,w), z = m(k,x,u,v) covers everything else.
 
-Every map takes rows: X is (N, n), U (N, n_u), V (N, n_v) and W (N, n_w),
-where any argument may carry one row against N of the others (one state
-against N noise draws, or one row per simulated member).  A map returns
-rows, or any value that broadcasts to them, so ``g=lambda X, W: B`` is a
-constant gain.  Each tier exposes ``transition(k, X, U, V, W)`` and
-``output(k, X, U, V)``; the disturbance tiers also give the two halves
-``drift`` and ``gain`` that the certificate functionals need.
+Every map takes arrays with leading dimensions; the last axis is the
+coordinate: X is (..., n), U (..., n_u), V (..., n_v) and W (..., n_w),
+and the leading shapes broadcast against each other.  A simulation passes
+(M, .) rows, one per member; a Monte Carlo block passes states (B, 1, n)
+against draws (B, N, n_w), so a factor of the state alone is formed once
+per point, not once per draw.  A map indexes coordinates as ``X[..., i]``
+and returns the broadcast leading shape, or any value that broadcasts to
+it, so ``g=lambda X, W: B`` is a constant gain.  The affine and controlled
+tiers check at construction that their drift and gain give on a small
+block the bits of the same rows called one by one.  Each tier exposes
+``transition(k, X, U, V, W)`` and ``output(k, X, U, V)``; the disturbance
+tiers also give the two halves ``drift`` and ``gain`` that the
+certificate functionals need.
 
 Systems may optionally declare structure used by the exact expectation
 paths, per point: ``f_parts(x) -> (F0, [F_d])`` meaning
@@ -39,16 +45,32 @@ def _as_vec(x, n, what):
     return x
 
 
-def _rows(value, rows, shape, what):
-    """A map's return value broadcast to ``rows`` rows of ``shape``.
+def leading_shape(*arrays):
+    """The broadcast of the arrays' leading shapes (all axes but the last);
+    None entries are skipped."""
+    lead = None
+    for a in arrays:
+        if a is None:
+            continue
+        shape = a.shape[:-1]
+        if lead is None:
+            lead = shape
+        elif shape != lead:
+            lead = np.broadcast_shapes(lead, shape)
+    return lead
 
-    The result is a fresh array unless the map already returned full rows;
-    either way numpy may reuse it in place as a temporary.
+
+def _rows(value, lead, shape, what):
+    """A map's return value broadcast to the leading shape ``lead`` of
+    ``shape`` entries.
+
+    The result is a fresh array unless the map already returned that
+    shape; either way numpy may reuse it in place as a temporary.
     """
     value = np.asarray(value, dtype=float)
-    if value.shape == (rows, *shape):
+    if value.shape == (*lead, *shape):
         return value
-    out = np.empty((rows, *shape))
+    out = np.empty((*lead, *shape))
     try:
         out[...] = value  # faster than np.broadcast_to for small maps
     except ValueError:
@@ -103,38 +125,69 @@ class GainChannelSystem:
         if np.any(np.abs(fx) > 1e-9):
             raise ConfigurationError(
                 f"f({origin},w) != 0 at a sampled noise point")
+        self._check_leading_dimensions()
+
+    def _check_leading_dimensions(self):
+        """Raise ``ConfigurationError`` unless the drift and the gain give,
+        on states (2, 1, n) against draws (2, 3, n_w), the bits of the six
+        rows called one at a time: a map written for (N, n) rows only, as
+        ``X[:, 0]``, can broadcast a block to wrong values without an
+        error."""
+        rng = np.random.default_rng(_EQ_CHECK_SEED)
+        X = rng.uniform(-1.0, 1.0, (2, 1, self.n))
+        U = rng.uniform(-1.0, 1.0, (2, 1, self.n_u)) if self.n_u else None
+        W = self.noise.sample(_EQ_CHECK_SEED, 6).reshape(2, 3, -1)
+        maps = {"f": lambda x, u, w: self.drift(x, u, w),
+                "g": lambda x, u, w: self.gain(x, w)}
+        for name, fn in maps.items():
+            with np.errstate(all="ignore"):
+                try:
+                    block = fn(X, U, W)
+                    rows = [fn(X[i], None if U is None else U[i], W[i, j:j + 1])
+                            for i in range(2) for j in range(3)]
+                    ok = np.concatenate(rows).tobytes() == block.tobytes()
+                except (ArithmeticError, LookupError, TypeError,
+                        ValueError) as exc:
+                    raise ConfigurationError(
+                        f"{name} fails on a (2, 1, n) state block: {exc}"
+                    ) from None
+            if not ok:
+                raise ConfigurationError(
+                    f"{name} on a (2, 1, n) state block differs from its rows "
+                    "one by one: index coordinates as X[..., i]")
 
     def _args(self, X, U):
         return (X, U) if self.n_u else (X,)
 
     def drift(self, X, U, W):
-        """f(X,[U,]W) as (N, n) rows."""
-        rows = max(len(X), len(W), 0 if U is None else len(U))
-        return _rows(self.f(*self._args(X, U), W), rows, (self.n,), "f")
+        """f(X,[U,]W) over the broadcast leading dimensions, as (..., n)."""
+        return _rows(self.f(*self._args(X, U), W), leading_shape(X, U, W),
+                     (self.n,), "f")
 
     def gain(self, X, W):
-        """g(X,W) as (N, n, n_v) rows."""
-        return _rows(self.g(X, W), max(len(X), len(W)), (self.n, self.n_v), "g")
+        """g(X,W) over the broadcast leading dimensions, as (..., n, n_v)."""
+        return _rows(self.g(X, W), leading_shape(X, W), (self.n, self.n_v),
+                     "g")
 
     def transition(self, k, X, U, V, W):
         """x+ = f(x,[u,]w) + g(x,w) v over rows; k is unused."""
         return self.drift(X, U, W) + (self.gain(X, W) @ V[..., None])[..., 0]
 
     def output_m(self, X, U=None):
-        """The undisturbed output block m(X[,U]) as (N, n_m) rows."""
-        rows = len(X) if U is None else max(len(X), len(U))
-        return _rows(self.m(*self._args(X, U)), rows, (self.n_m,), "m")
+        """The undisturbed output block m(X[,U]) as (..., n_m)."""
+        return _rows(self.m(*self._args(X, U)), leading_shape(X, U),
+                     (self.n_m,), "m")
 
     def output(self, k, X, U, V):
-        """z = (m(x[,u]); m1(x) v) over rows; k is unused."""
+        """z = (m(x[,u]); m1(x) v) as (..., n_z); k is unused."""
         z = self.output_m(X, U)
         if self.n_z == self.n_m:
             return z
         m1v = (np.asarray(self.m1(X), dtype=float) @ V[..., None])[..., 0]
-        rows = max(len(z), len(V))
-        return np.concatenate([_rows(z, rows, (self.n_m,), "m"),
-                               _rows(m1v, rows, (self.n_z - self.n_m,), "m1")],
-                              axis=1)
+        lead = leading_shape(z, V)
+        return np.concatenate([_rows(z, lead, (self.n_m,), "m"),
+                               _rows(m1v, lead, (self.n_z - self.n_m,), "m1")],
+                              axis=-1)
 
 
 class AffineSystem(GainChannelSystem):
@@ -168,12 +221,12 @@ class GeneralSystem:
         self.n_z = np.atleast_1d(np.asarray(m(0, zero, zu, zv), dtype=float)).shape[-1]
 
     def transition(self, k, X, U, V, W):
-        rows = max(len(X), len(U), len(V), len(W))
-        return _rows(self.F(k, X, U, V, W), rows, (self.n,), "F")
+        return _rows(self.F(k, X, U, V, W), leading_shape(X, U, V, W),
+                     (self.n,), "F")
 
     def output(self, k, X, U, V):
-        rows = max(len(X), len(U), len(V))
-        return _rows(self.m(k, X, U, V), rows, (self.n_z,), "m")
+        return _rows(self.m(k, X, U, V), leading_shape(X, U, V), (self.n_z,),
+                     "m")
 
 
 class LinearSystem(AffineSystem):
@@ -207,7 +260,7 @@ class LinearSystem(AffineSystem):
 
         def f(X, W):
             # stacked mat-vecs: bit-equal to A @ x row by row
-            return (A @ X[..., None])[..., 0] + (A0 @ X[..., None])[..., 0] * W[:, :1]
+            return (A @ X[..., None])[..., 0] + (A0 @ X[..., None])[..., 0] * W[..., :1]
 
         super().__init__(
             n, n_v,

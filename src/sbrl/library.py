@@ -11,15 +11,16 @@ Two nonlinear benchmarks ship with the toolkit:
   gain matrix feeding states 1 and 3, a mixed quadratic/quartic separable
   storage V = p1 x1^2 + p2 x2^4 + p3 x3^2 and an explicit stabilising law.
 
-Both write each map once over rows and declare their affine-in-noise
-structure, so the exact expectation paths apply.  The linear
+Both write each map once over leading dimensions (``X[..., i]``) and
+declare their affine-in-noise structure, so the exact expectation paths
+apply.  The linear
 tier is built directly from config matrices.
 """
 
 import numpy as np
 
 from .dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
-                       DisturbancePolicy, LinearSystem)
+                       DisturbancePolicy, LinearSystem, leading_shape)
 from .errors import ConfigurationError
 from .noise import NoiseModel, Uniform, gaussian_noise
 from .storage import QuadraticStorage, SeparableStorage
@@ -40,7 +41,7 @@ def example1_system(a=0.99, b=0.01, c=0.2, c1=0.2, noise=None) -> AffineSystem:
     noise = noise if noise is not None else gaussian_noise(0.0, 1.0, 1)
 
     def g(X, W):
-        return (b * np.cos(X[:, 0]) * W[:, 0])[:, None, None]
+        return (b * np.cos(X[..., 0]) * W[..., 0])[..., None, None]
 
     return AffineSystem(
         1, 1,
@@ -92,24 +93,25 @@ def example2_plant() -> ControlledSystem:
     """Three-state controlled benchmark driven by five uniform coefficients."""
 
     def f(X, U, W):
-        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-        # one column-major (N, 3) block, written in place column by column
-        # with one scratch column, in the operation order
-        # (W0 x1 + W1 x2^2) + u1, (W2 x2 + W3 sat(x3)) + u2, (W4 x3) cos(x2) + u1
-        n = max(len(X), len(U), len(W))
-        out = np.empty((n, 3), order="F")
-        c0, c1, c2 = out[:, 0], out[:, 1], out[:, 2]
-        tmp = np.empty(n)
-        np.multiply(W[:, 0], x1, out=c0)
-        c0 += np.multiply(W[:, 1], x2 ** 2, out=tmp)
-        c0 += U[:, 0]
-        np.multiply(W[:, 2], x2, out=c1)
-        c1 += np.multiply(W[:, 3], _saturation(x3), out=tmp)
-        c1 += U[:, 1]
-        np.multiply(W[:, 4], x3, out=c2)
+        x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
+        # three contiguous columns of one (3, ...) block, each written in
+        # place with one scratch array, in the operation order
+        # (W0 x1 + W1 x2^2) + u1, (W2 x2 + W3 sat(x3)) + u2, (W4 x3) cos(x2) + u1;
+        # x2^2, sat(x3) and cos(x2) are formed once per state row
+        lead = leading_shape(X, U, W)
+        out = np.empty((3, *lead))
+        c0, c1, c2 = out
+        tmp = np.empty(lead)
+        np.multiply(W[..., 0], x1, out=c0)
+        c0 += np.multiply(W[..., 1], x2 ** 2, out=tmp)
+        c0 += U[..., 0]
+        np.multiply(W[..., 2], x2, out=c1)
+        c1 += np.multiply(W[..., 3], _saturation(x3), out=tmp)
+        c1 += U[..., 1]
+        np.multiply(W[..., 4], x3, out=c2)
         c2 *= np.cos(x2)
-        c2 += U[:, 0]
-        return out
+        c2 += U[..., 0]
+        return np.moveaxis(out, 0, -1)
 
     def f_parts(x, u):
         s3 = _saturation(x[2])
@@ -123,12 +125,12 @@ def example2_plant() -> ControlledSystem:
         ]
 
     def m(X, U):
-        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-        return np.stack([
-            0.1 * x1 + 0.1 * x3 * np.cos(x2),
-            x2 ** 2 / 7.0,
-            U[:, 0],
-        ], axis=-1)
+        x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
+        out = np.empty((*leading_shape(X, U), 3))
+        out[..., 0] = 0.1 * x1 + 0.1 * x3 * np.cos(x2)
+        out[..., 1] = x2 ** 2 / 7.0
+        out[..., 2] = U[..., 0]
+        return out
 
     return ControlledSystem(
         3, 2, 2,
@@ -159,7 +161,7 @@ def example2_law() -> FeedbackLaw:
     coef = b3p / (4.0 * b3p + 2.0)
 
     def fn(X, k):
-        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
         return np.stack([
             -coef * (x1 + x3 * np.cos(x2)),
             -0.5 * (x2 + _saturation(x3)),

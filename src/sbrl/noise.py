@@ -9,6 +9,9 @@ polynomials in omega of total degree <= 4, exactly from raw moments.
 All randomness is reproducible: sampling is a pure function of
 (model, seed, count) and sub-streams are derived with a splitmix64 hash so
 that ensemble results do not depend on evaluation order or worker count.
+A seed's stream is that of ``np.random.default_rng(seed)``; a sweep seeds
+all its points from one table of numpy's SeedSequence hash, computed on
+all their seeds at once, instead of hashing each seed on its own.
 """
 
 import hashlib
@@ -22,8 +25,9 @@ from .errors import ConfigurationError, EvaluationError
 _MASK64 = (1 << 64) - 1
 
 
-def splitmix64(z: int) -> int:
-    """One splitmix64 mixing step (unsigned 64-bit)."""
+def splitmix64(z):
+    """One splitmix64 mixing step (unsigned 64-bit), on a Python int or
+    elementwise on a uint64 array."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -39,6 +43,88 @@ def hash_point(x) -> int:
     """Stable 64-bit hash of a float vector, for per-point sub-seeding."""
     buf = np.ascontiguousarray(np.asarray(x, dtype=float)).tobytes()
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "big")
+
+
+def point_seeds(seed, points):
+    """``derive_seed(seed, hash_point(x))`` for each point x, as a uint64
+    array: splitmix64 is pure 64-bit arithmetic, so it runs on all the
+    points' hashes at once."""
+    hashes = np.array([hash_point(x) for x in points], dtype=np.uint64)
+    return splitmix64(np.uint64(int(seed) & _MASK64) ^ splitmix64(hashes))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = (1 << 32) - 1
+
+
+def seed_table(seeds):
+    """``SeedSequence(s).generate_state(4, np.uint64)``, the four words
+    numpy seeds a PCG64 from, for each 64-bit seed s, as one C-order
+    (len(seeds), 4) uint64 table.
+
+    numpy's hash is uint32 arithmetic; here it runs masked in uint64
+    arrays on all the seeds at once.  A seed below 2**32 is one entropy
+    word; the pool then hashes a zero in place of the second word, which
+    is what a zero high word hashes to, so every seed is taken as its two
+    words."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(seeds & _MASK32), hashmix(seeds >> 32), hashmix(0),
+            hashmix(0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) \
+                    & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    return np.stack([words[2 * k] | words[2 * k + 1] << 32
+                     for k in range(4)], axis=1)
+
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def streams(seeds, table=None, rng=None):
+    """A generator at the start of the stream of ``np.random.default_rng(s)``
+    for each seed s in turn: the one seeding path of every draw.
+
+    Given the seeds' ``seed_table`` and an owned PCG64 ``Generator``
+    ``rng``, it sets ``rng`` to each seed's state, PCG64's srandom on the
+    table row (about 5 us), so each generator is valid until the next is
+    taken.  Without a table each seed is hashed by numpy (about 20 us),
+    quicker for a lone seed than the ~150 numpy calls of a one-row table
+    (about 240 us; a 256-row table takes about 320 us).
+    """
+    if table is None:
+        for s in seeds:
+            yield np.random.default_rng(int(s) & _MASK64)
+        return
+    for a, b, c, d in table.tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 class _Distribution:
@@ -160,17 +246,23 @@ class NoiseModel:
     def sample(self, seed: int, count: int):
         """Draw ``count`` i.i.d. vectors as a read-only (count, dim) matrix.
 
-        Deterministic in (model, seed, count); each coordinate is filled in
-        place as one column of a column-major matrix.
+        Deterministic in (model, seed, count): the stream of
+        ``np.random.default_rng(seed)``, each coordinate filled in place as
+        one column of a column-major matrix.
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        out = np.empty((count, self.dim), order="F")
-        rng = np.random.default_rng(int(seed) & _MASK64)
-        for j, c in enumerate(self.components):
-            c.fill(rng, out[:, j])
+        out = np.empty((self.dim, count))
+        self.fill(next(streams([seed])), out)
+        out = out.T
         out.flags.writeable = False
         return out
+
+    def fill(self, rng, rows):
+        """Draw into the (dim, count) array ``rows``, coordinate by
+        coordinate, each row in place."""
+        for c, row in zip(self.components, rows):
+            c.fill(rng, row)
 
     def mirror(self, draws):
         """Reflect draws about each coordinate's symmetry point (read-only)."""
@@ -204,8 +296,8 @@ class ExpectationScheme:
     samples: int = 10_000
     seed: int = 0
     antithetic: bool = False
-    _draws: dict | None = field(default=None, init=False, compare=False,
-                                repr=False)
+    _points: "PointDraws | None" = field(default=None, init=False,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("monte-carlo", "closed-form"):
@@ -218,13 +310,22 @@ class ExpectationScheme:
 
     def at(self, point) -> "ExpectationScheme":
         """The scheme at one sweep point: Monte Carlo gets a seed derived
-        from the point, so sweeps do not depend on their order, and keeps
-        its draws, so H1 and G_beta at a point draw once."""
+        from the point, so sweeps do not depend on their order."""
         if self.mode == "closed-form":
             return self
-        scheme = self.with_seed(derive_seed(self.seed, hash_point(point)))
-        object.__setattr__(scheme, "_draws", {})
-        return scheme
+        return self.draws_at([point]).at(0)
+
+    def draws_at(self, points) -> "PointDraws":
+        """The draws of a run of sweep points, each from its own seed."""
+        return PointDraws(self, point_seeds(self.seed, points))
+
+    def point_draws(self) -> "PointDraws":
+        """The draws this scheme samples: those of the block that made it
+        (``at`` or a sweep), shared by every functional at its point, else
+        a new one-point block of its own seed."""
+        if self._points is not None:
+            return self._points
+        return PointDraws(self, [self.seed])
 
     def draws_per_point(self) -> int:
         """Draw rows per point: ceil(samples / 2) pairs when antithetic."""
@@ -238,14 +339,6 @@ class ExpectationScheme:
             return 1
         return max(1, SWEEP_ROWS // self.draws_per_point())
 
-    def _draw(self, noise, count):
-        """``noise.sample(self.seed, count)``, kept if the scheme is a point's."""
-        if self._draws is None:
-            return noise.sample(self.seed, count)
-        if (noise, count) not in self._draws:
-            self._draws[noise, count] = noise.sample(self.seed, count)
-        return self._draws[noise, count]
-
     def spec(self):
         return {
             "mode": self.mode,
@@ -253,6 +346,62 @@ class ExpectationScheme:
             "seed": self.seed,
             "antithetic": self.antithetic,
         }
+
+
+class PointDraws:
+    """The Monte Carlo draws of consecutive sweep points under one scheme.
+
+    Point i draws the stream of ``np.random.default_rng(seeds[i])``.  Two
+    or more points are seeded from one ``seed_table`` and one owned
+    generator, which every ``block`` of them shares; ``draws`` fills a
+    noise model's draws of every point on first use, and every functional
+    at the block shares them until the block is dropped.
+    """
+
+    def __init__(self, scheme, seeds, table=None, rng=None):
+        self.scheme = scheme
+        self.seeds = seeds
+        if table is None and len(seeds) > 1:
+            table = seed_table(seeds)
+            rng = np.random.Generator(np.random.PCG64(0))
+        self._table, self._rng = table, rng
+        self._filled = {}
+
+    def __len__(self):
+        return len(self.seeds)
+
+    def block(self, start, stop) -> "PointDraws":
+        """Points start..stop-1, sharing the seeding and the draws filled
+        so far."""
+        if (start, stop) == (0, len(self)):
+            return self
+        part = PointDraws(self.scheme, self.seeds[start:stop],
+                          self._table[start:stop], self._rng)
+        part._filled = {noise: d[start:stop]
+                        for noise, d in self._filled.items()}
+        return part
+
+    def at(self, i) -> ExpectationScheme:
+        """Point i's scheme: its seed, sampling this block's draws."""
+        scheme = self.scheme.with_seed(int(self.seeds[i]))
+        object.__setattr__(scheme, "_points", self.block(i, i + 1))
+        return scheme
+
+    def draws(self, noise):
+        """The draws of every point as a read-only (points, N, dim) view of
+        one (points, dim, N) buffer: point i's coordinates are contiguous
+        rows, drawn in the order of ``NoiseModel.sample``, so point i's
+        (N, dim) matrix is ``noise.sample(seeds[i], N)`` bit for bit."""
+        out = self._filled.get(noise)
+        if out is None:
+            buf = np.empty((len(self), noise.dim,
+                            self.scheme.draws_per_point()))
+            for rows, rng in zip(buf, streams(self.seeds, self._table,
+                                              self._rng)):
+                noise.fill(rng, rows)
+            out = self._filled[noise] = buf.transpose(0, 2, 1)
+            out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -337,32 +486,36 @@ def expect(noise: NoiseModel, scheme: ExpectationScheme, integrand) -> Estimate:
 
     vals = sample_values(noise, scheme,
                          lambda draws: _eval_integrand(integrand, draws))
-    require_finite(noise, [scheme], vals[None])
+    require_finite(noise, scheme.point_draws(), vals[None])
     mean, se = mean_and_error(vals, 0)
     return Estimate(float(mean), float(se))
 
 
-def require_finite(noise, schemes, values):
+def require_finite(noise, points, values):
     """Raise ``EvaluationError`` at the first non-finite sample of the
-    (points, N) values that ``sample_block`` gave, in point order, with
-    that sample's draw as ``point``."""
+    (points, N) values that ``sample_block`` gave for the ``PointDraws``
+    ``points``, in point order, with that sample's draw as ``point``."""
     bad = ~np.isfinite(values)
     if bad.any():
         p, i = divmod(int(np.argmax(bad)), values.shape[1])
-        raise EvaluationError(
-            f"integrand non-finite at sample {i}",
-            point=schemes[p]._draw(noise, values.shape[1])[i].copy())
+        raise EvaluationError(f"integrand non-finite at sample {i}",
+                              point=points.draws(noise)[p, i].copy())
 
 
 def mean_and_error(values, axis):
     """Sample mean and standard error std(ddof=1) / sqrt(n) along ``axis``
-    (an error of 0 for one sample).  Reducing a row of a C-order block
-    along its last sample axis gives the bits of reducing that row alone."""
+    (an error of 0 for one sample), from one mean pass: the operations of
+    ``values.mean`` and ``values.std(ddof=1)``, so the same bits.  Reducing
+    a row of a C-order block along its last sample axis gives the bits of
+    reducing that row alone."""
     n = values.shape[axis]
-    mean = values.mean(axis=axis)
+    mean = np.add.reduce(values, axis, keepdims=True) / n
     if n < 2:
-        return mean, np.zeros_like(mean)
-    return mean, values.std(axis=axis, ddof=1) / math.sqrt(n)
+        return mean.squeeze(axis), np.zeros_like(mean.squeeze(axis))
+    dev = values - mean
+    dev *= dev
+    se = np.sqrt(np.add.reduce(dev, axis) / (n - 1)) / math.sqrt(n)
+    return mean.squeeze(axis), se
 
 
 # Draw rows per ``fn`` call in ``sample_block``: a block of sweep points
@@ -379,46 +532,43 @@ SWEEP_ROWS = 16384
 
 def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
     """One value of ``fn(draws)`` per independent sample: ``sample_block``
-    at one point."""
-    return sample_block(noise, [scheme], None, lambda _, draws: fn(draws))[0]
+    at one point, whose (N, dim) draws ``fn`` gets in row chunks."""
+    return sample_block(noise, scheme.point_draws(), None,
+                        lambda _, draws: fn(draws[0]))[0]
 
 
-def sample_block(noise: NoiseModel, schemes, states, fn):
+def sample_block(noise: NoiseModel, points, states, fn):
     """One value of ``fn`` per independent Monte Carlo sample of each point
     of a block, as a C-order (points, N, ...) array, so
     ``mean_and_error(values, 1)`` reduces each point as it would alone.
 
-    ``schemes[i]`` is point i's scheme (all alike but for their seeds) and
-    ``states[i]`` its row of per-point data.  ``fn`` maps (state rows, draw
-    rows) to one value of any shape per row; it must be row-wise, so the
-    split into calls changes no bit.  One point passes its draw matrix as
-    it is with its single state row to broadcast; two or more stack their
-    draws point-major with each state row repeated once per draw, and the
-    caller keeps them within SWEEP_ROWS rows.  The rows are split into
-    ceil(rows / SWEEP_ROWS) near-equal chunks, never a small remainder, and
-    one chunk is one call whose result is returned as is.  An antithetic
-    scheme draws ceil(samples/2) vectors per point and returns the mean of
-    each (draw, mirrored draw) pair: the pair means are the independent
-    samples, so their spread gives the standard error, and an integrand
-    that is odd bit for bit (a linear one; numpy's ``w ** 3`` is not)
-    averages to exactly zero.
+    ``points`` is the block's ``PointDraws`` and ``states[i]`` point i's
+    row of per-point data, or None.  ``fn`` maps the state rows as
+    (points, 1, ...) and the draws as (points, N', dim) to one value of any
+    shape per (point, draw) row, flattened point-major; it must be
+    row-wise, so the split into calls changes no bit.  A point's state row
+    broadcasts against its draws, so a state factor is formed once per
+    point.  The caller keeps a block of several points within SWEEP_ROWS
+    draw rows; the draws of one point are split into ceil(N / SWEEP_ROWS)
+    near-equal chunks, never a small remainder, and one chunk is one call
+    whose result is returned as is.  An antithetic scheme draws
+    ceil(samples/2) vectors per point and returns the mean of each (draw,
+    mirrored draw) pair: the pair means are the independent samples, so
+    their spread gives the standard error, and an integrand that is odd
+    bit for bit (a linear one; numpy's ``w ** 3`` is not) averages to
+    exactly zero.
     """
-    n = schemes[0].draws_per_point()
-    one = len(schemes) == 1
-    if one:
-        draws, rows = schemes[0]._draw(noise, n), states
-    else:
-        draws = np.stack([s._draw(noise, n) for s in schemes])
-        draws = draws.reshape(-1, noise.dim)
-        rows = np.repeat(states, n, axis=0)
-    chunks = -(-len(draws) // SWEEP_ROWS)
-    cuts = [len(draws) * c // chunks for c in range(chunks + 1)]
-    parts = [_paired(noise, schemes[0],
-                     lambda w: fn(rows if one else rows[lo:hi], w),
-                     draws[lo:hi])
-             for lo, hi in zip(cuts, cuts[1:])]
-    vals = parts[0] if chunks == 1 else np.concatenate(parts)
-    return vals.reshape(len(schemes), n, *vals.shape[1:])
+    draws = points.draws(noise)
+    count, n = draws.shape[:2]
+    rows = None if states is None else np.asarray(states)[:, None]
+    chunks = min(n, -(-count * n // SWEEP_ROWS))
+    cuts = [n * c // chunks for c in range(chunks + 1)]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = _paired(noise, points.scheme, lambda w: fn(rows, w),
+                       draws[:, lo:hi])
+        parts.append(part.reshape(count, hi - lo, *part.shape[1:]))
+    return parts[0] if chunks == 1 else np.concatenate(parts, axis=1)
 
 
 def _paired(noise, scheme, fn, draws):

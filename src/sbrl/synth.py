@@ -30,7 +30,8 @@ from .storage import DomainBox, StorageFunction
 class FeedbackLaw:
     """State-feedback map u = alpha(x, k); time invariant unless k is used.
 
-    ``law(X, k)`` maps (N, n) states to (N, n_u) controls.  The general
+    ``law(X, k)`` maps (..., n) states to (..., n_u) controls, over any
+    leading dimensions.  The general
     tier's worst-case disturbance map eta is one too, with n_u = n_v.
     """
 
@@ -43,7 +44,7 @@ class FeedbackLaw:
     def __call__(self, X, k=0):
         X = np.asarray(X, dtype=float)
         return np.broadcast_to(np.asarray(self._fn(X, k), dtype=float),
-                               (len(X), self.n_u))
+                               (*X.shape[:-1], self.n_u))
 
     def spec(self):
         return dict(self._spec)

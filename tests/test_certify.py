@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbrl import certify, library
+from sbrl import certify, library, noise
 from sbrl.dynamics import AffineSystem, DisturbanceEnsemble, LinearSystem
 from sbrl.errors import ConfigurationError, PreconditionError
-from sbrl.noise import (ExpectationScheme, NoiseModel, gaussian_noise,
-                        point_mass_noise)
+from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
 from sbrl.certificates import base_tolerance
 from sbrl.storage import (CustomStorage, DomainBox, QuadraticStorage,
                           SeparableStorage, quad_bound)
@@ -183,8 +182,8 @@ def test_tiny_gain_noise_part_is_not_the_exact_separable_path():
     sys_t = AffineSystem(
         2, 1,
         f=lambda X, W: 0.1 * X,
-        g=lambda X, W: G0 + G1 * W[:, 0, None, None],
-        m=lambda X: np.zeros((len(X), 1)),
+        g=lambda X, W: G0 + G1 * W[..., 0, None, None],
+        m=lambda X: np.zeros((*X.shape[:-1], 1)),
         m1=lambda X: np.zeros((0, 1)),
         noise=gaussian_noise(0.0, 1.0, 1),
         f_parts=lambda x: (0.1 * x, [np.zeros(2)]),
@@ -206,7 +205,7 @@ def test_g0_quadratic_against_sphere_oracle():
         3, 2,
         f=lambda X, W: 0.5 * X,
         g=lambda X, W: B,
-        m=lambda X: X[:, :1],
+        m=lambda X: X[..., :1],
         m1=lambda X: M1,
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x: (0.5 * x, [np.zeros(3)]),
@@ -369,7 +368,7 @@ def test_monte_carlo_gain_gram_overflow_is_inconclusive(bound):
     growing_gain = AffineSystem(
         1, 1,
         f=lambda X, W: 0.0 * X,
-        g=lambda X, W: X[:, :, None] * (1.0 + W[:, :, None]),
+        g=lambda X, W: X[..., None] * (1.0 + W[..., None]),
         m=lambda X: 0.0 * X,
         m1=lambda X: np.zeros((0, 1)),
         noise=gaussian_noise(),
@@ -396,7 +395,7 @@ def test_overflowed_storage_value_is_inconclusive(scheme):
     system = AffineSystem(
         1, 1,
         f=lambda X, W: 0.0 * X,
-        g=lambda X, W: np.full((len(X), 1, 1), 0.1),
+        g=lambda X, W: np.full((*X.shape[:-1], 1, 1), 0.1),
         m=lambda X: 0.0 * X,
         m1=lambda X: np.array([[0.1]]),
         noise=gaussian_noise(),
@@ -443,7 +442,7 @@ def test_vectorised_custom_storage_non_finite_state_is_inconclusive():
     contracting = AffineSystem(
         1, 1,
         f=lambda X, W: 0.1 * X,
-        g=lambda X, W: np.full((len(X), 1, 1), 0.1),
+        g=lambda X, W: np.full((*X.shape[:-1], 1, 1), 0.1),
         m=lambda X: 0.0 * X,
         m1=lambda X: np.array([[0.1]]),
         noise=gaussian_noise(),
@@ -710,13 +709,14 @@ def test_check_external_draws_once_per_point(monkeypatch):
     # H1 and the sampled gram of G_beta share the point's one draw matrix
     sys1, V = library.example1_system(), library.example1_storage(4.0)
     box = DomainBox((-10.0,), (10.0,), ("grid", 11))
-    seeds, sample = [], NoiseModel.sample
+    seeds, streams = [], noise.streams
 
-    def spy(self, seed, count):
-        seeds.append(seed)
-        return sample(self, seed, count)
+    def spy(seed_list, table=None, rng=None):
+        for s, gen in zip(seed_list, streams(seed_list, table, rng)):
+            seeds.append(int(s))
+            yield gen
 
-    monkeypatch.setattr(NoiseModel, "sample", spy)
+    monkeypatch.setattr(noise, "streams", spy)
     cert = certify.check_external(sys1, V, BETA1, 0.1, box, MC200)
     assert seeds == [MC200.at(x).seed for x in box.points()]
     assert cert.to_dict() == reference_external(

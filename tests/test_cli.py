@@ -112,6 +112,27 @@ def test_gain_example1_consistent(tmp_path):
     assert len(ratios) == 51
 
 
+@pytest.mark.parametrize("command,csv_name", [("gain", "gain_ratios.csv"),
+                                              ("simulate", "trajectory_000.csv")])
+def test_format_decides_the_csv_of_every_command(tmp_path, command, csv_name):
+    # one --format rule for gain and simulate, as for example: a CSV is
+    # written only when the formats list csv
+    cfg = {
+        "seed": 5,
+        "system": {"builtin": "example1"},
+        "ensemble": {"horizon": 20, "count": 3, "gamma_sq": 0.08,
+                     "disturbance": {"kind": "white"}},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run([command, "--config", path, "--format", "svg"]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / csv_name).exists()
+    assert run([command, "--config", path, "--format", "csv",
+                "--out", str(tmp_path / "csv")]) == 0
+    assert (tmp_path / "csv" / csv_name).exists()
+
+
 def test_gain_feedthrough_counterexample_exit_one(tmp_path):
     cfg = {
         "seed": 5,

@@ -10,7 +10,7 @@ from sbrl.dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
 from sbrl.errors import ConfigurationError, DivergenceError
 from sbrl.noise import (NoiseModel, PointMass, Uniform, derive_seed,
                         gaussian_noise, point_mass_noise)
-from sbrl.synth import closed_loop
+from sbrl.synth import FeedbackLaw, closed_loop
 
 
 def scalar_contraction(a=0.5, c=1.0):
@@ -177,6 +177,41 @@ def test_equilibrium_violation_rejected():
             m1=lambda X: np.zeros((0, 1)),
             noise=point_mass_noise(0.0, 1),
         )
+
+
+def test_maps_written_for_two_dimensional_rows_are_refused():
+    # on a (B, 1, n) state block against (B, N, n_w) draws, W[:, 0] picks
+    # the first draw of every point: the gain broadcasts to wrong values
+    # without an error, and the construction probe refuses it
+    with pytest.raises(ConfigurationError, match=r"X\[\.\.\., i\]"):
+        AffineSystem(
+            1, 1,
+            f=lambda X, W: 0.5 * X,
+            g=lambda X, W: (0.1 * np.cos(X[:, 0]) * W[:, 0])[:, None, None],
+            m=lambda X: X,
+            m1=lambda X: np.zeros((0, 1)),
+            noise=gaussian_noise(),
+        )
+    # the same map over leading dimensions is accepted
+    AffineSystem(
+        1, 1,
+        f=lambda X, W: 0.5 * X,
+        g=lambda X, W: (0.1 * np.cos(X[..., 0]) * W[..., 0])[..., None, None],
+        m=lambda X: X,
+        m1=lambda X: np.zeros((0, 1)),
+        noise=gaussian_noise(),
+    )
+
+
+@pytest.mark.parametrize("fn", [
+    # index 1 of a (2, 1, 3) block is out of bounds: the map raises
+    lambda X, k: np.stack([-0.1 * X[:, 0], -0.5 * X[:, 1]], axis=-1),
+    # a sum over axis 1 is a sum over the draws' axis on a block
+    lambda X, k: -0.1 * X.sum(axis=1, keepdims=True)[..., :2] * np.ones(2),
+], ids=["raises", "silent"])
+def test_feedback_law_for_rows_only_is_refused_through_closed_loop(fn):
+    with pytest.raises(ConfigurationError, match="state block"):
+        closed_loop(library.example2_plant(), FeedbackLaw(fn, 2))
 
 
 @pytest.mark.parametrize("build", [

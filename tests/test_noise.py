@@ -174,7 +174,8 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
     system = library.example1_system(noise=model)
     x = np.array([0.3])
     # the gram body's lambda_max(E[g'Pg] + m1'm1) at c = 1, scalar here
-    sup, se = certify._gram_sup(system, x[None], [[4.0]], 1.0, [scheme])
+    sup, se = certify._gram_sup(system, x[None], [[4.0]], 1.0,
+                                scheme.point_draws())
     m1m1 = certify._m1_gram(system, x[None]).item()
     pairs = sample_values(
         model, scheme,
@@ -339,6 +340,93 @@ def test_sample_and_mirror_match_reference_stream(model):
             assert not mirrored.flags.writeable
 
 
+# ------------------------------------------------ one seeding path
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+KINDS = [Uniform(-0.5, 2.0), Gaussian(0.3, 2.0), Rademacher(), PointMass(0.7)]
+
+
+def table_streams(seeds):
+    """The sweep's seeding: one table for all the seeds, one owned PCG64."""
+    return noise.streams(seeds, noise.seed_table(seeds),
+                         np.random.Generator(np.random.PCG64(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_table_seeding_starts_the_default_rng_stream(seeds):
+    seeds = seeds + EDGE_SEEDS
+    for seed, rng in zip(seeds, table_streams(seeds)):
+        ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for kind in KINDS:  # the first draws of each distribution kind
+            got, expected = np.empty(9), np.empty(9)
+            kind.fill(rng, got)
+            kind.fill(ref, expected)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", STREAM_MODELS,
+                         ids=[str(c) for c in STREAM_COMPONENTS])
+def test_block_draws_are_each_points_sample(model):
+    # a block fills one buffer from one table; point i's matrix is still
+    # model.sample(seed_i, N), and so is any part of the block
+    for antithetic in (False, True):
+        scheme = ExpectationScheme(samples=21, seed=9, antithetic=antithetic)
+        points = np.linspace(-1.0, 1.0, 7)[:, None]
+        block = scheme.draws_at(points)
+        draws = block.draws(model)
+        assert draws.shape == (7, scheme.draws_per_point(), model.dim)
+        assert not draws.flags.writeable
+        part = scheme.draws_at(points).block(2, 5)
+        for i, x in enumerate(points):
+            assert block.at(i).seed == scheme.at(x).seed
+            expected = model.sample(scheme.at(x).seed,
+                                    scheme.draws_per_point())
+            assert draws[i].tobytes() == expected.tobytes()
+            if 2 <= i < 5:
+                assert part.draws(model)[i - 2].tobytes() == expected.tobytes()
+
+
+def test_interleaved_sweeps_keep_their_own_streams():
+    # each sweep owns its generator: running two sweeps' blocks in turn
+    # gives each the rows it gives alone
+    from sbrl.certificates import _evaluated
+
+    sys1, V = library.example1_system(), library.example1_storage(4.0)
+    forms = {"H1": certify._h1_row(V, sys1, 1.0 / 0.99),
+             "G_beta": certify._g_beta_row(V, sys1, 1.0 / 0.99, 0.1)}
+    runs = [(DomainBox((-10.0,), (10.0,), ("grid", 41)).points(),
+             ExpectationScheme(samples=300, seed=3)),
+            (DomainBox((-2.0,), (5.0,), ("grid", 29)).points(),
+             ExpectationScheme(samples=501, seed=4, antithetic=True))]
+    alone = [list(_evaluated(points, scheme, forms))
+             for points, scheme in runs]
+    mixed = [[], []]
+    for pair in itertools.zip_longest(
+            *(_evaluated(points, scheme, forms) for points, scheme in runs)):
+        for out, item in zip(mixed, pair):
+            if item is not None:
+                out.append(item)
+    for got, expected in zip(mixed, alone):
+        assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("shape", [(8, 2000), (1, 100_000), (8, 2000, 1, 1),
+                                   (343, 7), (2000,), (3, 1)])
+def test_mean_and_error_has_the_bits_of_mean_and_std(shape):
+    # one mean pass forms the SE, with the operations of np.std(ddof=1)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    axis = 1 if len(shape) > 1 else 0
+    n = shape[axis]
+    mean, se = noise.mean_and_error(values, axis)
+    assert mean.tobytes() == values.mean(axis=axis).tobytes()
+    expected = (values.std(axis=axis, ddof=1) / math.sqrt(n) if n > 1
+                else np.zeros_like(values.mean(axis=axis)))
+    assert np.asarray(se).tobytes() == np.asarray(expected).tobytes()
+
+
 # ------------------------------------------- row blocks and per-point draws
 
 def block_cases():
@@ -417,38 +505,49 @@ def test_non_finite_sample_past_the_first_block_keeps_its_index(monkeypatch):
     assert np.array_equal(err.value.point, draws[9])
 
 
+def spy_on_streams(monkeypatch):
+    """The seeds every draw of the library starts a stream from, in order."""
+    seeds, streams = [], noise.streams
+
+    def spy(seed_list, table=None, rng=None):
+        for s, gen in zip(seed_list, streams(seed_list, table, rng)):
+            seeds.append(int(s))
+            yield gen
+
+    monkeypatch.setattr(noise, "streams", spy)
+    return seeds
+
+
 def test_interleaved_point_schemes_keep_their_own_draws(monkeypatch):
     model = NoiseModel((Gaussian(0.0, 1.0), Uniform(-1.0, 2.0)))
     base = ExpectationScheme(samples=50, seed=21)
     a, b = base.at([0.0]), base.at([1.0])
-    seeds, sample = [], NoiseModel.sample
-
-    def spy(self, seed, count):
-        seeds.append(seed)
-        return sample(self, seed, count)
-
-    monkeypatch.setattr(NoiseModel, "sample", spy)
+    expected = {s.seed: model.sample(s.seed, 50) for s in (a, b)}
+    seeds = spy_on_streams(monkeypatch)
     for s in (a, a, b, a, b, b):
         got = sample_values(model, s, lambda d: d.copy())
-        assert np.array_equal(got, sample(model, s.seed, 50))
+        assert np.array_equal(got, expected[s.seed])
     # each point draws once, however the two interleave
     assert seeds == [a.seed, b.seed]
 
 
 def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
     sys1, V = library.example1_system(), library.example1_storage(4.0)
-    draws, sample = [], NoiseModel.sample
+    buffers, draws = [], noise.PointDraws.draws
 
-    def spy(self, seed, count):
-        out = sample(self, seed, count)
-        draws.append(weakref.ref(out))
+    def spy(self, model):
+        out = draws(self, model)
+        buffers.append((id(out.base), weakref.ref(out.base)))
         return out
 
-    monkeypatch.setattr(NoiseModel, "sample", spy)
+    monkeypatch.setattr(noise.PointDraws, "draws", spy)
+    seeds = spy_on_streams(monkeypatch)
     box = DomainBox((-10.0,), (10.0,), ("grid", 5))
     scheme = ExpectationScheme(samples=300, seed=3)
     cert = certify.check_external(sys1, V, 1.0 / 0.99, 0.1, box, scheme)
     assert cert.certified
-    assert len(draws) == 5  # one draw per point
-    assert all(ref() is None for ref in draws)
-    assert scheme._draws is None
+    assert len(seeds) == 5  # one stream per point
+    # H1 and G_beta share the one buffer of the block
+    assert len(buffers) == 2 and len({key for key, _ in buffers}) == 1
+    assert all(ref() is None for _, ref in buffers)
+    assert scheme._points is None

@@ -1,13 +1,15 @@
 """Point blocks change no bit.
 
 A Monte Carlo sweep evaluates H0, H1 and the quadratic G_beta gram for a
-block of points in one call over the stacked draws, with each point's state
-row repeated once per draw.  That gives the per-point bits only if every
-storage kernel and every system map is row-split invariant (a row's value
-does not depend on the other rows of the call) and a single state row
-broadcast against N draws equals the same row repeated N times.  The first
-half checks those properties; the second runs the sweeps at several block
-sizes and compares the certificates byte for byte.
+block of points in one call, with the states as (B, 1, n) against the
+draws as (B, N, n_w), so each point's state row broadcasts against its own
+draws.  That gives the per-point bits only if every storage kernel and
+every system map is row-split invariant (a row's value does not depend on
+the other rows of the call) and a single state row broadcast against N
+draws equals the same row repeated N times.  The first part checks those
+properties and that every block row of the H and gram bodies is its point
+run alone; the second runs the sweeps at several block sizes and compares
+the certificates byte for byte.
 """
 
 import itertools
@@ -131,6 +133,45 @@ def test_builtin_maps_are_row_split_invariant(name, seed, rows, sizes):
     assert single.tobytes() == repeated.tobytes()
 
 
+# ------------------------------------------- leading-dimension invariance
+
+# (system, control row or None, storage for H, quadratic P for the gram)
+LEADING_CASES = {
+    "example1": (EXAMPLE_1, None, QuadraticStorage([[4.0]]), [[4.0]]),
+    "example2-plant": (PLANT_2, np.array([[0.4, -0.3]]),
+                       library.example2_storage(),
+                       STORAGES["quadratic-3"].P),
+    "example2-closed-loop": (LOOP_2, None, library.example2_storage(),
+                             STORAGES["quadratic-3"].P),
+    "linear-2": (LINEAR, None, STORAGES["quadratic-2"],
+                 STORAGES["quadratic-2"].P),
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("case", sorted(LEADING_CASES))
+def test_block_rows_are_each_point_run_alone(case, antithetic):
+    # a block passes states (B, 1, n) against draws (B, N, n_w), so each
+    # state factor is formed once per point; every row must still have
+    # the bits of its point run alone
+    system, u_row, V, P = LEADING_CASES[case]
+    scheme = ExpectationScheme(samples=64, seed=17, antithetic=antithetic)
+    X = random_rows(3, 5, system.n)
+    draws = scheme.draws_at(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        split = certify._split_block(V, system, X, u_row, 1.3, draws)
+        sup, se = certify._gram_sup(system, X, P, 2.0, draws)
+        for i, x in enumerate(X):
+            alone = scheme.at(x).point_draws()
+            est, = certify._split_block(V, system, x[None], u_row, 1.3, alone)
+            fields = ("value", "std_error", "storage", "output_sq")
+            assert [repr(getattr(est, f)) for f in fields] \
+                == [repr(getattr(split[i], f)) for f in fields]
+            sup1, se1 = certify._gram_sup(system, x[None], P, 2.0, alone)
+            assert (sup1.tobytes(), se1.tobytes()) \
+                == (sup[i:i + 1].tobytes(), se[i:i + 1].tobytes())
+
+
 # ------------------------------------------------------- block-size invariance
 
 BETA1 = 1.0 / 0.99
@@ -139,12 +180,12 @@ BETA1 = 1.0 / 0.99
 def spiked_system():
     """A scalar system whose drift and gain overflow at x = 1 only."""
     def spike(X):
-        return np.where(np.abs(X[:, :1] - 1.0) < 1e-9, 1e200, 1.0)
+        return np.where(np.abs(X[..., :1] - 1.0) < 1e-9, 1e200, 1.0)
 
     return AffineSystem(
         1, 1,
         f=lambda X, W: 0.5 * X * spike(X),
-        g=lambda X, W: (0.3 * X * (1.0 + W) * spike(X))[:, :, None],
+        g=lambda X, W: (0.3 * X * (1.0 + W) * spike(X))[..., None],
         m=lambda X: 0.2 * X,
         m1=lambda X: np.array([[0.1]]),
         noise=gaussian_noise(),

@@ -72,7 +72,7 @@ def test_linear_gain_composition():
         2, 1, 1,
         f=lambda X, U, W: X @ A.T + U @ Bu.T,
         g=lambda X, W: np.zeros((2, 1)),
-        m=lambda X, U: X[:, :1],
+        m=lambda X, U: X[..., :1],
         m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
     )
