@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certificates import Batched, Certificate, Row, sweep
+from .certificates import Batched, Certificate, Row, _jsonable, sweep
 from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
@@ -544,20 +544,7 @@ class LinearBRLReport:
         return self.status == "certified"
 
     def to_dict(self):
-        return {
-            "status": self.status,
-            "P": None if self.P is None else np.asarray(self.P).tolist(),
-            "beta": self.beta,
-            "gamma_sq": self.gamma_sq,
-            "eq_gain_margin": self.eq_gain_margin,
-            "eq_internal_margin": self.eq_internal_margin,
-            "sigma_bar": self.sigma_bar,
-            "sigma_min": self.sigma_min,
-            "beta0_interval": None if self.beta0_interval is None
-            else list(self.beta0_interval),
-            "p0": self.p0,
-            "notes": list(self.notes),
-        }
+        return _jsonable(asdict(self))
 
 
 def _structure_diagnostics(linsys):
@@ -757,9 +744,8 @@ def empirical_gain(system, ensemble, horizon, count, gamma_sq,
     for i, res in enumerate(results):
         if isinstance(res, DivergenceError):
             diverged += 1
-            traj = res.trajectory
-            z_energy[i] = traj.total_output_energy() if traj is not None else np.inf
-            v_energy[i] = traj.total_disturbance_energy() if traj is not None else 0.0
+            z_energy[i] = res.trajectory.total_output_energy()
+            v_energy[i] = res.trajectory.total_disturbance_energy()
             ratios.append(None)
             continue
         z_energy[i] = res.total_output_energy()

@@ -5,7 +5,6 @@ Commands:
   gain        empirical l2-gain ensemble against a claimed gamma^2
   simulate    write trajectory CSVs for the configured ensemble
   example     run a shipped example config through certify, gain and simulate
-  linear-brl  algebraic bounded-real verification / constructive search
 
 Exit codes: 0 certified/consistent, 1 falsified/violated, 2 inconclusive
 or error.  All result artifacts are byte-reproducible for a fixed resolved
@@ -91,9 +90,9 @@ def _violations(schema, value, path=""):
 
     Interprets the keywords config_schema.json uses; the rest annotate,
     but a failed ``oneOf`` quotes the ``description`` beside it.  A node
-    reports its ``oneOf`` only when its other keywords hold, so one fault
-    names one path; a ``oneOf`` whose alternatives all declare a ``type``
-    reports the violations of the one alternative the value's type picks.
+    reports its ``allOf`` and ``oneOf`` only when its other keywords hold,
+    so one fault names one path; a ``oneOf`` whose alternatives the value's
+    type or ``kind``/``mode`` picks reports that alternative's violations.
     """
     where = path or "<root>"
     schema = _deref(schema)
@@ -129,17 +128,42 @@ def _violations(schema, value, path=""):
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             errors.append(
                 f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
+    if not errors:
+        for sub in schema.get("allOf", ()):
+            errors += _violations(sub, value, path)
     if "oneOf" in schema and not errors:
         alts = [_deref(alt) for alt in schema["oneOf"]]
-        if all("type" in alt for alt in alts):
-            picked = [alt for alt in alts if _TYPES[alt["type"]](value)]
-            if len(picked) == 1:
-                return _violations(picked[0], value, path)
+        picked = _picked(alts, value)
+        if picked is not None:
+            return _violations(picked, value, path)
         matched = sum(not _violations(alt, value, path) for alt in alts)
         if matched != 1:
             expected = schema.get("description", "exactly one alternative")
             errors.append(f"{where}: expected {expected}, matched {matched}")
     return errors
+
+
+def _consts(alt):
+    return [(key, sub["const"]) for key, sub in alt.get("properties", {}).items()
+            if isinstance(sub, dict) and "const" in sub]
+
+
+def _picked(alts, value):
+    """The one alternative that the value's type picks, or, when every
+    alternative fixes a property by ``const``, the one whose fixed values
+    the value holds (an absent key fits where it is not required); None
+    when no one alternative is picked.  The others fail, so the picked
+    alternative's violations are the oneOf's."""
+    if all("type" in alt for alt in alts):
+        picked = [alt for alt in alts if _TYPES[alt["type"]](value)]
+    elif isinstance(value, dict) and all(_consts(alt) for alt in alts):
+        picked = [alt for alt in alts if all(
+            value[key] == const if key in value
+            else key not in alt.get("required", ())
+            for key, const in _consts(alt))]
+    else:
+        return None
+    return picked[0] if len(picked) == 1 else None
 
 
 def validate_config(cfg):
@@ -188,7 +212,7 @@ def resolve_config(cfg, seed_override=None, out_override=None):
         out["dir"] = str(out_override)
     out.setdefault("formats", ["csv", "svg"])
     cert = resolved.get("certificate")
-    if cert is not None:
+    if cert is not None and cert["kind"] != "linear-brl":  # reads no scheme
         scheme = cert.setdefault("scheme", {})
         scheme.setdefault("mode", ExpectationScheme.mode)
         if scheme["mode"] == "monte-carlo":
@@ -222,9 +246,7 @@ def _scheme_from(cert_block, seed):
 def _gamma_sq_from(block):
     if "gamma_sq" in block:
         return float(block["gamma_sq"])
-    if "gamma" in block:
-        return float(block["gamma"]) ** 2
-    raise ConfigurationError("certificate: needs 'gamma' or 'gamma_sq'")
+    return float(block["gamma"]) ** 2
 
 
 # ---------------------------------------------------------------- emission
@@ -284,44 +306,57 @@ class RunWriter:
         self.write_json("report.json", report)
 
 
-def _domain_from(cert_block):
-    if "domain" in cert_block:
-        return DomainBox.from_spec(cert_block["domain"])
-    raise ConfigurationError("certificate.domain: required")
+def _domain(cert_block, system):
+    domain = DomainBox.from_spec(cert_block["domain"])
+    if domain.dim != system.n:
+        raise ConfigurationError(f"certificate.domain: {domain.dim} axes for a "
+                                 f"{system.n}-state system")
+    return domain
 
 
 def _resolved_system(resolved):
-    if "system" not in resolved:
-        raise ConfigurationError("system: required")
     noise = None
     if "noise" in resolved:
         noise = library.noise_from_config(resolved["noise"])
     return library.system_from_config(resolved["system"], noise=noise)
 
 
+def _law(resolved, needed_by):
+    if "law" not in resolved:
+        raise ConfigurationError(f"law: required for {needed_by}")
+    return library.law_from_config(resolved["law"])
+
+
 def _closed_loop(system, tier, resolved):
     """``system``, closed by the configured law when it is controlled."""
     if tier != "controlled":
         return system
-    if "law" not in resolved:
-        raise ConfigurationError("law: required for a controlled system")
-    return synth.closed_loop(system, library.law_from_config(resolved["law"]))
+    return synth.closed_loop(system, _law(resolved, "a controlled system"))
+
+
+def _storage(resolved, kind):
+    if "storage" not in resolved:
+        raise ConfigurationError(f"storage: required for certificate kind {kind}")
+    return library.storage_from_config(resolved["storage"])
+
+
+def _quadratic_P(resolved, needed_by):
+    if "quadratic" not in resolved.get("storage", {}):
+        raise ConfigurationError(f"storage.quadratic: required for {needed_by}")
+    return resolved["storage"]["quadratic"]["P"]
 
 
 def _gamma_star(system, resolved):
     """gamma_star_search over p * P for p in certificate.p_grid, P the
     configured quadratic storage; returns the search and its chosen V."""
     cert_block = resolved["certificate"]
-    domain = _domain_from(cert_block)
-    scheme = _scheme_from(cert_block, resolved["seed"])
-    storage = library.storage_from_config(resolved["storage"])
-    if not isinstance(storage, QuadraticStorage):
-        raise ConfigurationError(
-            "certificate.kind gamma-star needs a quadratic storage")
+    storage = QuadraticStorage(
+        _quadratic_P(resolved, "certificate kind gamma-star"))
     candidates = [(p, QuadraticStorage(p * storage.P))
                   for p in cert_block["p_grid"]]
     search = certify.gamma_star_search(
-        system, candidates, cert_block["beta_grid"], domain, scheme)
+        system, candidates, cert_block["beta_grid"],
+        _domain(cert_block, system), _scheme_from(cert_block, resolved["seed"]))
     if search.status != "ok":
         raise ToolkitError(f"gamma-star search failed: {search.notes}")
     return search, QuadraticStorage(search.params * storage.P)
@@ -340,9 +375,9 @@ def _disturbances(ens_block):
 # ---------------------------------------------------------------- commands
 
 def cmd_certify(resolved):
-    writer = RunWriter(resolved["output"]["dir"], resolved)
     if "certificate" not in resolved:
         raise ConfigurationError("certificate: required for 'certify'")
+    writer = RunWriter(resolved["output"]["dir"], resolved)
     if resolved["certificate"]["kind"] == "linear-brl":
         status = _run_linear_brl(resolved, writer)
     else:
@@ -358,26 +393,22 @@ def _certificate(resolved, writer):
     scheme = _scheme_from(cert_block, resolved["seed"])
     t0 = time.perf_counter()
     system, tier = _resolved_system(resolved)
-    if "storage" not in resolved:
-        raise ConfigurationError(f"storage: required for certificate kind {kind}")
-    storage = library.storage_from_config(resolved["storage"])
-    domain = _domain_from(cert_block)
-
-    if kind == "internal":
-        cert = certify.check_internal(
-            system, storage, float(cert_block["c2"]), domain, scheme)
-    elif kind == "controller":
+    domain = _domain(cert_block, system)
+    if kind == "controller":
         if tier != "controlled":
             raise ConfigurationError("certificate.kind controller needs a controlled system")
-        law = library.law_from_config(resolved["law"])
         cert = synth.certify_controller(
-            system, law, storage, float(cert_block["beta"]),
+            system, _law(resolved, "certificate kind controller"),
+            _storage(resolved, kind), float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
+    elif kind == "internal":
+        cert = certify.check_internal(system, _storage(resolved, kind),
+                                      float(cert_block["c2"]), domain, scheme)
     else:
         system = _closed_loop(system, tier, resolved)
         if kind == "external":
             cert = certify.check_external(
-                system, storage, float(cert_block["beta"]),
+                system, _storage(resolved, kind), float(cert_block["beta"]),
                 _gamma_sq_from(cert_block), domain, scheme)
         else:  # gamma-star: the external check at the searched optimum
             search, V = _gamma_star(system, resolved)
@@ -402,18 +433,13 @@ def _run_linear_brl(resolved, writer):
         raise ConfigurationError("certificate.kind linear-brl needs a linear system")
     cert_block = resolved["certificate"]
     gamma_sq = _gamma_sq_from(cert_block)
-    if cert_block.get("search", False) or "beta" not in cert_block:
+    if "beta" in cert_block:
+        rep = certify.linear_brl(
+            linsys, _quadratic_P(resolved, "linear-brl verification"),
+            float(cert_block["beta"]), gamma_sq)
+    else:
         rep = certify.linear_brl_search(
             linsys, gamma_sq, beta_grid=cert_block.get("beta_grid"))
-    else:
-        if "P" in cert_block:
-            P = np.asarray(cert_block["P"], dtype=float)
-        elif "storage" in resolved and "quadratic" in resolved["storage"]:
-            P = np.asarray(resolved["storage"]["quadratic"]["P"], dtype=float)
-        else:
-            raise ConfigurationError(
-                "certificate.P: required for linear-brl verification")
-        rep = certify.linear_brl(linsys, P, float(cert_block["beta"]), gamma_sq)
     report = rep.to_dict()
     report["g0"] = report["internal"] = None
     if rep.P is not None:  # the necessity quantity and the internal test at P
@@ -428,20 +454,20 @@ def _run_linear_brl(resolved, writer):
 
 
 def cmd_gain(resolved):
-    writer = RunWriter(resolved["output"]["dir"], resolved)
-    ens_block = resolved.get("ensemble")
-    if ens_block is None:
+    if "ensemble" not in resolved:
         raise ConfigurationError("ensemble: required for 'gain'")
+    writer = RunWriter(resolved["output"]["dir"], resolved)
     system = _closed_loop(*_resolved_system(resolved), resolved)
-    if "gamma_sq" in ens_block:
-        gamma_sq = float(ens_block["gamma_sq"])
-    elif "certificate" not in resolved:
-        raise ConfigurationError(
-            "ensemble.gamma_sq: required for 'gain' without a certificate")
-    elif resolved["certificate"]["kind"] == "gamma-star":
+    cert_block = resolved.get("certificate", {})
+    if "gamma_sq" in resolved["ensemble"]:
+        gamma_sq = float(resolved["ensemble"]["gamma_sq"])
+    elif cert_block.get("kind") == "gamma-star":
         gamma_sq = _gamma_star(system, resolved)[0].gamma_star_sq
+    elif "gamma" in cert_block or "gamma_sq" in cert_block:
+        gamma_sq = _gamma_sq_from(cert_block)
     else:
-        gamma_sq = _gamma_sq_from(resolved["certificate"])
+        raise ConfigurationError("ensemble.gamma_sq: required for 'gain' "
+                                 "without a certificate gamma")
     _, verdict = _gain(resolved, writer, system, gamma_sq)
     writer.finish(verdict)
     return status_exit_code(verdict)
@@ -474,11 +500,10 @@ def _gain(resolved, writer, system, gamma_sq):
 
 
 def cmd_simulate(resolved):
-    writer = RunWriter(resolved["output"]["dir"], resolved)
-    ens_block = resolved.get("ensemble")
-    if ens_block is None:
+    if "ensemble" not in resolved:
         raise ConfigurationError("ensemble: required for 'simulate'")
-    status, _ = _simulate(resolved, writer, int(ens_block["count"]))
+    writer = RunWriter(resolved["output"]["dir"], resolved)
+    status, _ = _simulate(resolved, writer, int(resolved["ensemble"]["count"]))
     writer.finish(status)
     return EXIT_CERTIFIED if status == "consistent" else EXIT_INCONCLUSIVE
 
@@ -593,7 +618,6 @@ def build_parser():
     common(sub.add_parser("certify", help="run the configured certificate check"))
     common(sub.add_parser("gain", help="empirical l2-gain ensemble"))
     common(sub.add_parser("simulate", help="write trajectory CSVs"))
-    common(sub.add_parser("linear-brl", help="linear bounded-real check"))
     pex = sub.add_parser("example", help="run a shipped example config")
     pex.add_argument("which", help="example number: 1 or 2")
     common(pex, needs_config=False)
@@ -614,7 +638,7 @@ def _reuse_freed_memory():
 
 
 COMMANDS = {"certify": cmd_certify, "gain": cmd_gain, "simulate": cmd_simulate,
-            "linear-brl": cmd_certify, "example": cmd_example}
+            "example": cmd_example}
 
 
 def main(argv=None):
@@ -633,8 +657,6 @@ def main(argv=None):
                                   out_override=args.out)
         if args.format:
             resolved["output"]["formats"] = _FORMATS[args.format]
-        if args.command == "linear-brl":
-            resolved.setdefault("certificate", {})["kind"] = "linear-brl"
         _require_valid(resolved)  # the overrides too, before any computation
         return COMMANDS[args.command](resolved)
     except ToolkitError as exc:

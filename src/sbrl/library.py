@@ -180,14 +180,6 @@ def example2_ensemble():
         amp_range=(0.5, 1.5))
 
 
-def linear_from_config(block) -> LinearSystem:
-    noise = None
-    if "noise" in block:
-        noise = NoiseModel.from_spec(block["noise"])
-    return LinearSystem(block["A"], block["A0"], block["B"], block["C"],
-                        block["D"], noise=noise)
-
-
 def noise_from_config(block) -> NoiseModel:
     return NoiseModel.from_spec(block)
 
@@ -199,14 +191,9 @@ def system_from_config(block, noise=None):
     overrides the default driving noise where the benchmark leaves it open.
     """
     if "linear" in block:
-        if noise is not None and "noise" in block["linear"]:
-            raise ConfigurationError("noise: specified both at top level and "
-                                     "inside system.linear")
-        sys_lin = linear_from_config(block["linear"])
-        if noise is not None:
-            sys_lin = LinearSystem(sys_lin.A, sys_lin.A0, sys_lin.B,
-                                   sys_lin.C, sys_lin.D, noise=noise)
-        return sys_lin, "linear"
+        lin = block["linear"]
+        return LinearSystem(lin["A"], lin["A0"], lin["B"], lin["C"], lin["D"],
+                            noise=noise), "linear"
     if block["builtin"] == "example1":
         return example1_system(**block.get("params", {}), noise=noise), "affine"
     if noise is not None:

@@ -14,11 +14,11 @@ tail-mass diagnostic.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certificates import Certificate, Row, sweep
+from .certificates import Certificate, Row, _jsonable, sweep
 from .dynamics import DisturbancePolicy, rollout
 from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .noise import derive_seed, hash_point
@@ -339,12 +339,7 @@ class QuadBoundReport:
     exact: bool
 
     def to_dict(self):
-        return {
-            "c2": self.c2,
-            "witness": None if self.witness is None else list(self.witness),
-            "boundary_attained": self.boundary_attained,
-            "exact": self.exact,
-        }
+        return _jsonable(asdict(self))
 
 
 def quad_bound(V: StorageFunction, box: DomainBox) -> QuadBoundReport:

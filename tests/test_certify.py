@@ -869,6 +869,17 @@ def test_linear_brl_search_unstable_inconclusive():
     assert rep.sigma_bar == pytest.approx(1.21, rel=1e-12)
 
 
+def test_linear_brl_search_without_a_certificate_reports_closest_margins():
+    # no grid beta passes the gain inequality at gamma^2 = 2
+    sys_g = LinearSystem([[0.5]], [[0.1]], [[1.0]], [[1.0]], [[0.1]])
+    rep = certify.linear_brl_search(sys_g, 2.0)
+    assert rep.status == "inconclusive"
+    assert rep.beta == pytest.approx(1.5448, abs=1e-4)
+    assert rep.eq_gain_margin > 0.0
+    assert rep.notes[-1] == "no grid beta certified; closest margins reported"
+    assert rep.to_dict()["P"] == np.asarray(rep.P).tolist()
+
+
 def test_linear_brl_search_multistate():
     rng = np.random.default_rng(3)
     sys_r = random_stable_linear(rng, 3, n_v=2, n_m=2, target=0.6)
@@ -930,6 +941,15 @@ def test_empirical_gain_feedthrough_violated():
     rep = certify.empirical_gain(sys_d, ens, 50, 40, 0.5, seed=3)
     assert rep.verdict == "violated"
     assert rep.max_ratio == pytest.approx(1.0)
+
+
+def test_empirical_gain_diverged_members_violate_with_no_ratio():
+    sys_u = LinearSystem([[1.5]], [[0.1]], [[1.0]], [[1.0]], [[0.1]])
+    ens = DisturbanceEnsemble.white(1, std=0.5)
+    rep = certify.empirical_gain(sys_u, ens, 200, 5, 1.0, seed=7)
+    assert (rep.verdict, rep.diverged) == ("violated", 5)
+    report = rep.to_dict()
+    assert report["ratios"] == [None] * 5 and report["max_ratio"] is None
 
 
 def test_empirical_gain_zero_disturbance_rejected():

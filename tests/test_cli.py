@@ -222,16 +222,16 @@ def test_linear_brl_boundary_and_falsification(tmp_path):
     base = {
         "system": {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
                               "C": [[0.5]], "D": [[0.0]]}},
-        "certificate": {"kind": "linear-brl", "P": [[0.5]], "beta": 2.0,
-                        "gamma_sq": 2.0},
+        "storage": {"quadratic": {"P": [[0.5]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0},
         "output": {"dir": str(tmp_path / "out")},
     }
-    assert run(["linear-brl", "--config", write_config(tmp_path, base)]) == 0
+    assert run(["certify", "--config", write_config(tmp_path, base)]) == 0
     rep = json.loads((tmp_path / "out" / "linear_brl.json").read_text())
     assert abs(rep["eq_gain_margin"]) <= 1e-12
     base["certificate"]["gamma_sq"] = 1.9
     base["output"]["dir"] = str(tmp_path / "out2")
-    assert run(["linear-brl", "--config",
+    assert run(["certify", "--config",
                 write_config(tmp_path, base, "b.json")]) == 1
 
 
@@ -239,10 +239,10 @@ def test_linear_brl_search_via_cli(tmp_path):
     cfg = {
         "system": {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
                               "C": [[0.5]], "D": [[0.0]]}},
-        "certificate": {"kind": "linear-brl", "search": True, "gamma_sq": 1e6},
+        "certificate": {"kind": "linear-brl", "gamma_sq": 1e6},
         "output": {"dir": str(tmp_path / "out")},
     }
-    assert run(["linear-brl", "--config", write_config(tmp_path, cfg)]) == 0
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 0
 
 
 def test_example_one_summary(tmp_path):
@@ -388,7 +388,9 @@ def test_negative_seed_override_exits_two_before_computing(tmp_path, capsys,
 def test_form_keys_of_another_form_exit_two_before_computing(tmp_path, capsys):
     cfg = {"system": {"builtin": "example2", "params": {"a": 5.0}},
            "storage": {"quadratic": {"P": [[1.0]]}, "p": 9.0},
-           "certificate": {"kind": "external", "gamma": 0.5, "gamma_sq": 4.0}}
+           "certificate": {"kind": "external", "beta": 1.5, "gamma": 0.5,
+                           "gamma_sq": 4.0,
+                           "domain": {"lo": [-1.0] * 3, "hi": [1.0] * 3}}}
     out = tmp_path / "out"
     assert run(["certify", "--config", write_config(tmp_path, cfg),
                 "--out", str(out)]) == 2
@@ -417,9 +419,9 @@ def test_linear_brl_reports_g0_and_the_internal_test(tmp_path):
                                  "A0": [[0.1, 0.0], [0.0, 0.1]],
                                  "B": [[1.0], [0.5]], "C": [[1.0, 0.0]],
                                  "D": [[0.1]]}},
-           "certificate": {"kind": "linear-brl", "search": True, "gamma_sq": 30.0},
+           "certificate": {"kind": "linear-brl", "gamma_sq": 30.0},
            "output": {"dir": str(tmp_path / "out")}}
-    assert run(["linear-brl", "--config", write_config(tmp_path, cfg)]) == 0
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 0
     rep = json.loads((tmp_path / "out" / "linear_brl.json").read_text())
     P, B, D = np.array(rep["P"]), np.array([[1.0], [0.5]]), np.array([[0.1]])
     assert rep["g0"] == pytest.approx(np.linalg.eigvalsh(B.T @ P @ B + D.T @ D)[-1],
@@ -430,7 +432,7 @@ def test_linear_brl_reports_g0_and_the_internal_test(tmp_path):
     # an unstable plant gives no P: neither is known
     cfg["system"]["linear"]["A"] = [[1.5, 0.0], [0.0, 0.5]]
     cfg["output"]["dir"] = str(tmp_path / "none")
-    assert run(["linear-brl", "--config", write_config(tmp_path, cfg)]) == 2
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 2
     rep = json.loads((tmp_path / "none" / "linear_brl.json").read_text())
     assert rep["P"] is None and rep["g0"] is None and rep["internal"] is None
 
@@ -489,11 +491,11 @@ def test_rerun_with_emitted_resolved_config_reproduces(tmp_path):
 
 
 INTERNAL_FAILURES = {
-    "ragged-P": ("linear-brl", {
+    "ragged-P": ("certify", {
         "system": {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
                               "C": [[0.5]], "D": [[0.0]]}},
-        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 1.0,
-                        "P": [[1.0], [1.0, 2.0]]},
+        "storage": {"quadratic": {"P": [[1.0], [1.0, 2.0]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 1.0},
     }),
 }
 
@@ -644,10 +646,13 @@ SMALL_CONFIGS = {
     },
     "linear-brl": {
         "system": {"linear": SCALAR_LINEAR},
-        "certificate": {"kind": "linear-brl", "P": [[0.5]], "beta": 2.0,
-                        "gamma_sq": 2.0},
+        "storage": {"quadratic": {"P": [[0.5]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0},
     },
 }
+# the command each small config runs
+SMALL_COMMANDS = {"certify": "certify", "gain": "gain", "simulate": "simulate",
+                  "linear-brl": "certify"}
 DELETE = object()
 # small enough that no mutated size can allocate much memory
 SMALL_JSON = st.recursive(
@@ -690,7 +695,7 @@ REFUSED_CONFIGS = {
     "ensemble-gamma-only": (
         "gain", mutated(SMALL_CONFIGS["gain"], ("ensemble",),
                         {"gamma": 2.0, "disturbance": {"kind": "white"}}),
-        "ensemble.gamma_sq: required"),
+        "ensemble.gamma: not allowed"),
     "gamma-sq-nan": (
         "gain", mutated(SMALL_CONFIGS["gain"], ("ensemble", "gamma_sq"),
                         float("nan")), "NaN"),
@@ -706,6 +711,64 @@ REFUSED_CONFIGS = {
     "params-noise": (
         "certify", mutated(SMALL_CONFIGS["certify"], ("system", "params"),
                            {"noise": 1}), "system.params.noise: not allowed"),
+    # a misspelt key used to run on the defaults it meant to change
+    "misspelt-domain-and-scheme-keys": (
+        "certify", mutated(SMALL_CONFIGS["certify"], ("certificate",), {
+            "kind": "external", "beta": 1.0 / 0.99, "gamma_sq": 0.1,
+            "domain": {"lo": [-10.0], "hi": [10.0], "gird": 3},
+            "scheme": {"mode": "monte-carlo", "sampels": 50}}),
+        "certificate.domain.gird: not allowed; "
+        "certificate.scheme.sampels: not allowed"),
+    # a key of another kind used to be ignored
+    "gamma-star-gamma-sq": (
+        "certify", dict(mutated(SMALL_CONFIGS["certify"], ("certificate",), {
+            "kind": "gamma-star", "gamma_sq": 0.001, "p_grid": [4.0],
+            "beta_grid": [1.0 / 0.99],
+            "domain": {"lo": [-1.0], "hi": [1.0], "grid": 3}}),
+            storage={"quadratic": {"P": [[1.0]]}}),
+        "certificate.gamma_sq: not allowed"),
+    # the removed spellings
+    "linear-brl-search-flag": (
+        "certify", mutated(SMALL_CONFIGS["linear-brl"], ("certificate", "search"),
+                           True), "certificate.search: not allowed"),
+    "linear-brl-certificate-P": (
+        "certify", mutated(SMALL_CONFIGS["linear-brl"], ("certificate", "P"),
+                           [[0.5]]), "certificate.P: not allowed"),
+    "linear-noise": (
+        "simulate", mutated(SMALL_CONFIGS["simulate"], ("system", "linear", "noise"),
+                            {"components": ["rademacher"]}),
+        "system.linear.noise: not allowed"),
+    # a missing key used to end in a KeyError
+    "internal-without-c2": (
+        "certify", mutated(SMALL_CONFIGS["certify"], ("certificate",), {
+            "kind": "internal", "domain": {"lo": [-1.0], "hi": [1.0]}}),
+        "certificate.c2: required"),
+    "external-without-beta": (
+        "certify", mutated(SMALL_CONFIGS["certify"], ("certificate", "beta"),
+                           DELETE), "certificate.beta: required"),
+    "gamma-star-without-p-grid": (
+        "certify", dict(mutated(SMALL_CONFIGS["certify"], ("certificate",), {
+            "kind": "gamma-star", "beta_grid": [1.5],
+            "domain": {"lo": [-1.0], "hi": [1.0]}}),
+            storage={"quadratic": {"P": [[1.0]]}}),
+        "certificate.p_grid: required"),
+    "controller-without-law": (
+        "certify", {"system": {"builtin": "example2"},
+                    "storage": {"builtin": "example2"},
+                    "certificate": {"kind": "controller", "beta": 1.2,
+                                    "gamma": 0.75,
+                                    "domain": {"lo": [-1.0] * 3, "hi": [1.0] * 3,
+                                               "grid": 2}}},
+        "law: required for certificate kind controller"),
+    "gain-partial-certificate": (
+        "gain", mutated(mutated(SMALL_CONFIGS["gain"], ("ensemble", "gamma_sq"),
+                                DELETE),
+                        ("certificate",), {"kind": "external", "gamma": 0.75}),
+        "certificate.beta: required; certificate.domain: required"),
+    "domain-axes": (
+        "certify", mutated(SMALL_CONFIGS["certify"], ("certificate", "domain"),
+                           {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "grid": 3}),
+        "certificate.domain: 2 axes for a 1-state system"),
 }
 
 
@@ -718,13 +781,13 @@ def test_refused_config_exits_two_before_computing(tmp_path, capsys, name):
     assert run([command, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert fragment in err
+    assert fragment in err and "KeyError" not in err
     assert not (out / "report.json").exists()
 
 
 @st.composite
-def mutated_configs(draw, command):
-    base = SMALL_CONFIGS[command]
+def mutated_configs(draw, name):
+    base = SMALL_CONFIGS[name]
     path = draw(st.sampled_from(list(node_paths(base))))
     return mutated(base, path, draw(st.just(DELETE) | SMALL_JSON))
 
@@ -738,13 +801,14 @@ class _Records(logging.Handler):
         self.records.append(record)
 
 
-@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_any_config_exits_zero_one_or_two(command, data):
+def test_any_config_exits_zero_one_or_two(name, data):
     # exit 1 means falsified/violated, so it must never come from a bad
     # config; every failure is one stderr line and never a traceback
-    cfg = data.draw(mutated_configs(command))
+    cfg = data.draw(mutated_configs(name))
+    command = SMALL_COMMANDS[name]
     records = _Records()
     log = logging.getLogger("sbrl")
     log.addHandler(records)

@@ -24,7 +24,7 @@ SCHEMA = json.loads((ROOT / "src" / "sbrl" / "config_schema.json").read_text())
 
 INTERPRETED = {"type", "properties", "additionalProperties", "items", "$ref",
                "enum", "const", "required", "minimum", "exclusiveMinimum",
-               "minItems", "maxItems", "oneOf"}
+               "minItems", "maxItems", "oneOf", "allOf"}
 ANNOTATIONS = {"$schema", "title", "description", "definitions"}
 # keywords whose value is a map of names to subschemas, or a list of values
 NAMED_SUBSCHEMAS = {"properties", "definitions"}
@@ -47,6 +47,7 @@ BASE = {
 }
 LINEAR = {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]], "C": [[0.5]],
           "D": [[0.0]]}
+DOMAIN = BASE["certificate"]["domain"]
 
 
 def edit(path, value):
@@ -96,15 +97,15 @@ PROBES = {
                                  "ensemble.disturbance.kind"),
     "impulse-without-step": (
         edit("ensemble.disturbance", {"kind": "impulse", "vector": [1.0]}),
-        "ensemble.disturbance"),
+        "ensemble.disturbance.step"),
     "impulse-without-vector": (
         edit("ensemble.disturbance", {"kind": "impulse", "step": 2}),
-        "ensemble.disturbance"),
+        "ensemble.disturbance.vector"),
     "impulse-complete": (
         edit("ensemble.disturbance", {"kind": "impulse", "step": 2, "vector": [1.0]}),
         None),
     "recorded-without-values": (edit("ensemble.disturbance", {"kind": "recorded"}),
-                                "ensemble.disturbance"),
+                                "ensemble.disturbance.values"),
     "recorded-complete": (
         edit("ensemble.disturbance", {"kind": "recorded", "values": [[1.0]]}), None),
     "law-two-forms": (dict(BASE, law={"builtin": "example2", "zero": 2}), "law"),
@@ -117,7 +118,7 @@ PROBES = {
     "count-boolean": (edit("ensemble.count", True), "ensemble.count"),
     "horizon-zero": (edit("ensemble.horizon", 0), "ensemble.horizon"),
     "format-unknown": (edit("output.formats", ["pdf"]), "output.formats[0]"),
-    "output-extra-key": (edit("output.threads", 1), None),
+    "output-extra-key": (edit("output.threads", 1), "output.threads"),
     "unknown-section": (dict(BASE, extra={}), "extra"),
     "root-not-object": ([BASE], "<root>"),
     # each form of a block refuses the keys of the other forms
@@ -128,9 +129,11 @@ PROBES = {
                                             "p": 9.0}), "storage"),
     "law-extra-key": (dict(BASE, law={"zero": 2, "K": [[1.0]]}), "law"),
     "gamma-and-gamma-sq": (edit("certificate.gamma", 0.5), "certificate"),
-    "gamma-only": (edit("certificate", {"kind": "external", "gamma": 0.5}), None),
-    "gamma-star-p-grid": (edit("certificate", {"kind": "gamma-star",
-                                               "p_grid": [1.0, 2.0]}), None),
+    "gamma-only": (edit("certificate", {"kind": "external", "beta": 1.5,
+                                        "gamma": 0.5, "domain": DOMAIN}), None),
+    "gamma-star-p-grid": (edit("certificate", {
+        "kind": "gamma-star", "p_grid": [1.0, 2.0], "beta_grid": [1.5],
+        "domain": DOMAIN}), None),
     "p-grid-zero": (edit("certificate.p_grid", [1.0, 0.0]),
                     "certificate.p_grid[1]"),
     "disturbance-list": (edit("ensemble.disturbance",
@@ -142,14 +145,111 @@ PROBES = {
         "ensemble.disturbance[1].kind"),
     "disturbance-list-impulse-without-step": (
         edit("ensemble.disturbance", [{"kind": "impulse", "vector": [1.0]}]),
-        "ensemble.disturbance[0]"),
+        "ensemble.disturbance[0].step"),
+    # every block refuses the keys its form does not read
+    "no-system": (edit("system", ...), "system"),
+    "linear-noise": (edit("system", {"linear": dict(LINEAR, noise={
+        "components": ["rademacher"]})}), "system.linear.noise"),
+    "quadratic-extra-key": (edit("storage", {"quadratic": {"P": [[1.0]], "p": 2.0}}),
+                            "storage.quadratic.p"),
+    "separable-extra-key": (
+        edit("storage", {"separable": {"p": [1.0], "d": [2], "q": [1.0]}}),
+        "storage.separable.q"),
+    "linear-gain-extra-key": (
+        dict(BASE, law={"linear_gain": {"K": [[-0.5]], "L": [[1.0]]}}),
+        "law.linear_gain.L"),
+    "noise-extra-key": (dict(BASE, noise={"components": ["rademacher"], "dims": 1}),
+                        "noise.dims"),
+    "noise-component-extra-key": (
+        dict(BASE, noise={"components": [{"gaussian": [0.0, 1.0], "skew": 1}]}),
+        "noise.components[0]"),
+    "noise-component-two-forms": (
+        dict(BASE, noise={"components": [{"uniform": [0.0, 1.0],
+                                          "gaussian": [0.0, 1.0]}]}),
+        "noise.components[0]"),
+    "noise-component-empty": (dict(BASE, noise={"components": [{}]}),
+                              "noise.components[0]"),
+    "noise-component-not-number": (
+        dict(BASE, noise={"components": [{"gaussian": [0.0, "1"]}]}),
+        "noise.components[0]"),
+    "noise-point-mass": (dict(BASE, noise={"components": [{"point_mass": 0.0}]}),
+                         None),
+    "certificate-unknown-key": (edit("certificate.foo", 1), "certificate.foo"),
+    "certificate-search": (edit("certificate.search", True), "certificate.search"),
+    "certificate-P": (edit("certificate.P", [[1.0]]), "certificate.P"),
+    "external-without-beta": (edit("certificate.beta", ...), "certificate.beta"),
+    "external-without-domain": (edit("certificate.domain", ...),
+                                "certificate.domain"),
+    "external-without-gamma": (edit("certificate.gamma_sq", ...), "certificate"),
+    "external-c2": (edit("certificate.c2", 4.0), "certificate.c2"),
+    "internal-without-c2": (edit("certificate", {"kind": "internal",
+                                                 "domain": DOMAIN}),
+                            "certificate.c2"),
+    "internal-gamma": (edit("certificate", {"kind": "internal", "c2": 4.0,
+                                            "gamma": 0.5, "domain": DOMAIN}),
+                       "certificate.gamma"),
+    "controller-gamma-and-gamma-sq": (
+        edit("certificate", {"kind": "controller", "beta": 1.5, "gamma": 0.5,
+                             "gamma_sq": 0.25, "domain": DOMAIN}), "certificate"),
+    "gamma-star-gamma-sq": (edit("certificate", {
+        "kind": "gamma-star", "p_grid": [1.0], "beta_grid": [1.5],
+        "domain": DOMAIN, "gamma_sq": 0.001}), "certificate.gamma_sq"),
+    "gamma-star-beta": (edit("certificate", {
+        "kind": "gamma-star", "p_grid": [1.0], "beta_grid": [1.5],
+        "domain": DOMAIN, "beta": 1.5}), "certificate.beta"),
+    "gamma-star-without-p-grid": (edit("certificate", {
+        "kind": "gamma-star", "beta_grid": [1.5], "domain": DOMAIN}),
+        "certificate.p_grid"),
+    "linear-brl-verify": (edit("certificate", {"kind": "linear-brl", "beta": 1.5,
+                                               "gamma": 1.0}), None),
+    "linear-brl-search": (edit("certificate", {"kind": "linear-brl",
+                                               "gamma_sq": 1.0,
+                                               "beta_grid": [1.5]}), None),
+    "linear-brl-beta-and-grid": (edit("certificate", {
+        "kind": "linear-brl", "beta": 1.5, "beta_grid": [1.5], "gamma_sq": 1.0}),
+        "certificate"),
+    "linear-brl-domain": (edit("certificate", {"kind": "linear-brl",
+                                               "gamma_sq": 1.0,
+                                               "domain": DOMAIN}),
+                          "certificate.domain"),
+    "linear-brl-scheme": (edit("certificate", {
+        "kind": "linear-brl", "gamma_sq": 1.0, "scheme": {"mode": "closed-form"}}),
+        "certificate.scheme"),
+    "scheme-unknown-key": (edit("certificate.scheme.sampels", 50),
+                           "certificate.scheme.sampels"),
+    "closed-form-samples": (edit("certificate.scheme.samples", 50),
+                            "certificate.scheme.samples"),
+    "scheme-without-mode": (edit("certificate.scheme", {"samples": 50}), None),
+    "domain-unknown-key": (edit("certificate.domain.gird", 3),
+                           "certificate.domain.gird"),
+    "domain-grid-and-random": (edit("certificate.domain.random", {"count": 3}),
+                               "certificate.domain"),
+    "random-unknown-key": (
+        edit("certificate.domain", {"lo": [-1.0], "hi": [1.0],
+                                    "random": {"count": 3, "sede": 1}}),
+        "certificate.domain.random.sede"),
+    "ensemble-unknown-key": (edit("ensemble.gamma", 0.5), "ensemble.gamma"),
+    "output-unknown-key": (edit("output.fromats", ["csv"]), "output.fromats"),
+    "white-decay": (edit("ensemble.disturbance.decay", 0.9),
+                    "ensemble.disturbance.decay"),
+    "zero-std": (edit("ensemble.disturbance", {"kind": "zero", "std": 1.0}),
+                 "ensemble.disturbance.std"),
+    "recorded-step": (edit("ensemble.disturbance", {
+        "kind": "recorded", "values": [[1.0]], "step": 1}),
+        "ensemble.disturbance.step"),
+    "impulse-values": (edit("ensemble.disturbance", {
+        "kind": "impulse", "step": 1, "vector": [1.0], "values": [[1.0]]}),
+        "ensemble.disturbance.values"),
+    "decaying-sine-vector": (edit("ensemble.disturbance", {
+        "kind": "decaying-sine", "vector": [1.0]}), "ensemble.disturbance.vector"),
 }
 
 # a config that named a field of another form in each of three blocks
 PER_FORM_FOUND = {
     "system": {"builtin": "example2", "params": {"a": 5.0}},
     "storage": {"quadratic": {"P": [[1.0]]}, "p": 9.0},
-    "certificate": {"kind": "external", "gamma": 0.5, "gamma_sq": 4.0},
+    "certificate": {"kind": "external", "beta": 1.5, "gamma": 0.5,
+                    "gamma_sq": 4.0, "domain": DOMAIN},
 }
 
 
@@ -220,6 +320,14 @@ def test_interpreter_agrees_with_draft7(name):
     cfg = CORPUS[name]
     errors = cli.validate_config(cfg)
     assert (errors == []) == jsonschema.Draft7Validator(SCHEMA).is_valid(cfg), errors
+
+
+def test_resolving_keeps_a_config_valid():
+    # resolved_config.json is rerun as a config, so the defaults that
+    # resolve_config fills must obey the schema too
+    assert {name: cli.validate_config(cli.resolve_config(cfg))
+            for name, (cfg, path) in PROBES.items() if path is None} \
+        == {name: [] for name, (_, path) in PROBES.items() if path is None}
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
@@ -340,7 +448,8 @@ READ_RUNS = {
                                    "random": {"count": 3, "seed": 1}},
                         "scheme": FEW_DRAWS}}),
     "certify-external": ("certify", {
-        "system": {"linear": dict(LINEAR, noise={"components": ["rademacher"]})},
+        "system": {"linear": LINEAR},
+        "noise": {"components": ["rademacher"]},
         "storage": {"quadratic": {"P": [[1.0]]}},
         "certificate": {"kind": "external", "beta": 1.5, "gamma": 2.0,
                         "domain": {"lo": [-1.0], "hi": [1.0], "grid": 3}}}),
@@ -351,12 +460,12 @@ READ_RUNS = {
                         "domain": CUBE, "scheme": {"mode": "closed-form"}}}),
     "certify-controller": ("certify", {
         **EXAMPLE2,
-        "certificate": {"kind": "controller", "beta": 1.2, "gamma": 0.75,
+        "certificate": {"kind": "controller", "beta": 1.2, "gamma_sq": 0.5625,
                         "domain": CUBE, "scheme": FEW_DRAWS}}),
     "certify-linear-brl": ("certify", {
         "system": {"linear": LINEAR},
-        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0,
-                        "P": [[0.5]]}}),
+        "storage": {"quadratic": {"P": [[0.5]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma": 1.5}}),
     "certify-linear-brl-storage": ("certify", {
         "system": {"linear": LINEAR},
         "noise": {"components": [{"gaussian": [0.0, 1.0]}]},
@@ -364,11 +473,12 @@ READ_RUNS = {
         "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0}}),
     "certify-linear-brl-search": ("certify", {
         "system": {"linear": LINEAR},
-        "certificate": {"kind": "linear-brl", "gamma_sq": 2.0, "search": True,
+        "certificate": {"kind": "linear-brl", "gamma_sq": 2.0,
                         "beta_grid": [1.5, 2.0]}}),
     "gain-certificate-gamma": ("gain", {
         **EXAMPLE2,
-        "certificate": {"kind": "controller", "gamma": 0.75},
+        "certificate": {"kind": "controller", "beta": 1.2, "gamma": 0.75,
+                        "domain": CUBE},
         "ensemble": {"horizon": 5, "count": 2, "disturbance": {
             "kind": "decaying-sine", "decay": 0.9, "freqs": [0.3, 0.4],
             "phases": [0.0, 0.1], "amp_range": [0.5, 1.0]}}}),
@@ -414,14 +524,105 @@ COMMANDS = {"certify": cli.cmd_certify, "gain": cli.cmd_gain,
             "simulate": cli.cmd_simulate}
 
 
+@pytest.fixture(scope="module")
+def read_runs(tmp_path_factory):
+    """name -> (resolved config, exit code, output dir, key paths read) of
+    every READ_RUNS run, each traced through its command."""
+    runs = {}
+    for name, (command, cfg) in READ_RUNS.items():
+        out = tmp_path_factory.mktemp(name)
+        resolved = cli.resolve_config(cfg, out_override=out)
+        reads = set()
+        code = COMMANDS[command](traced(resolved, (), reads))
+        runs[name] = resolved, code, out, reads
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(READ_RUNS))
-def test_commands_read_only_declared_keys(tmp_path, name):
-    command, cfg = READ_RUNS[name]
-    assert cli.validate_config(cfg) == []
-    resolved = cli.resolve_config(cfg, out_override=tmp_path)
-    reads = set()
-    assert COMMANDS[command](traced(resolved, (), reads)) in (0, 1, 2)
-    assert (tmp_path / "report.json").exists() and reads
+def test_commands_read_only_declared_keys(read_runs, name):
+    assert cli.validate_config(READ_RUNS[name][1]) == []
+    _, code, out, reads = read_runs[name]
+    assert code in (0, 1, 2)
+    assert (out / "report.json").exists() and reads
     undeclared = sorted(dotted(path) for path in reads
                         if not declared(SCHEMA, path))
     assert undeclared == []
+
+
+# the blocks that take one form of several, and their schema nodes
+FORM_BLOCKS = {"certificate": SCHEMA["properties"]["certificate"],
+               "scheme": SCHEMA["definitions"]["scheme"],
+               "domain": SCHEMA["definitions"]["domain"],
+               "disturbance": SCHEMA["definitions"]["disturbance"]}
+
+
+def form_blocks(cfg):
+    """(block name, config path) of every form-taking block in ``cfg``."""
+    if "certificate" in cfg:
+        yield "certificate", ("certificate",)
+        for key in ("scheme", "domain"):
+            if key in cfg["certificate"]:
+                yield key, ("certificate", key)
+    if "ensemble" in cfg:
+        items = cfg["ensemble"]["disturbance"]
+        if isinstance(items, list):
+            for i in range(len(items)):
+                yield "disturbance", ("ensemble", "disturbance", i)
+        else:
+            yield "disturbance", ("ensemble", "disturbance")
+
+
+def node_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def present(cfg, path):
+    try:
+        node_at(cfg, path)
+    except (KeyError, IndexError, TypeError):
+        return False
+    return True
+
+
+def form_label(alt, index):
+    """An alternative's const value (its kind or mode), else its index."""
+    return next((sub["const"] for sub in alt.get("properties", {}).values()
+                 if isinstance(sub, dict) and "const" in sub), index)
+
+
+def accepted_keys(block, alt):
+    """The key paths, nested ones of inline objects included, that one
+    alternative of ``block`` accepts."""
+    outer = FORM_BLOCKS[block]["properties"]
+    props = alt.get("properties", {})
+    if alt.get("additionalProperties", True) is False:
+        keys = [key for key, sub in props.items() if sub is not False]
+    else:
+        keys = [key for key in outer if props.get(key, True) is not False]
+    return {(key,) + sub for key in keys
+            for sub in [()] + [(inner,) for inner in
+                               outer[key].get("properties", {})]}
+
+
+@pytest.mark.parametrize("block", sorted(FORM_BLOCKS))
+def test_every_accepted_key_has_a_reader(read_runs, block):
+    # the converse of test_commands_read_only_declared_keys: each key that
+    # a form of the block accepts is read by some run of that form
+    alts = FORM_BLOCKS[block]["oneOf"]
+    read = {i: set() for i in range(len(alts))}
+    for resolved, _, _, reads in read_runs.values():
+        for name, path in form_blocks(resolved):
+            if name != block:
+                continue
+            node = node_at(resolved, path)
+            form, = [i for i, alt in enumerate(alts)
+                     if not cli._violations(alt, node)]
+            read[form] |= {r[len(path):] for r in reads
+                           if r[:len(path)] == path and len(r) > len(path)
+                           and present(resolved, r)}
+    unread = sorted(f"{block}[{form_label(alt, i)}].{dotted(key)}"
+                    for i, alt in enumerate(alts)
+                    for key in accepted_keys(block, alt) - read[i])
+    assert unread == []
