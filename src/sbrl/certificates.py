@@ -2,9 +2,12 @@
 
 Every sampled check is a family of inequalities lhs <= rhs over a point
 set, and ``sweep`` is the only loop that runs one.  Each inequality is a
-function ``fn(point, scheme.at(point)) -> Row | [Row, ...]``, evaluated in
-the declared order under one ``np.errstate(over="ignore", invalid="ignore")``.
-The margins lhs - rhs decide one status:
+function ``fn(point, scheme at the point) -> Row | [Row, ...]`` or a block
+form ``Batched(block)``, ``block(X, draws) -> [Row]`` with one row per
+point of the (B, n) block X and its ``PointDraws`` (None in closed form),
+evaluated in the declared order under one
+``np.errstate(over="ignore", invalid="ignore")``.  The margins lhs - rhs
+decide one status:
 
   certified    every margin <= tol      (tol = 1e-9 + 1e-7 * scale + slack)
   falsified    some margin >  tol + 3 * std-error (wins over the rest)
@@ -20,17 +23,12 @@ Per inequality the engine records the largest lhs and its first point.
 Certificates speak only for the sampled domain, whose label they carry.
 
 The engine visits the points in blocks of ``scheme.points_per_block()``
-(one without a scheme or in closed form).  Under Monte Carlo each point's
-seed is derived once, a span of points is seeded from one table
+(one without a scheme).  Under Monte Carlo each point's seed is derived
+once, a span of points is seeded from one table
 (``ExpectationScheme.draws_at``), and each block's draws are filled once
-into one buffer that every inequality at the block shares.  An inequality
-given as ``Batched(fn, block)`` also has a block form
-``block(X, draws) -> [Row]``, one row per point of the (B, n) block X and
-its ``PointDraws``, that must give the bits of ``fn`` at each point and
-raise wherever ``fn`` would raise at some point of X (``fn`` under Monte
-Carlo is the block body at one point).  It is used for blocks of two or
-more points; a block form that raises has that block run through ``fn``
-point by point, so NaN rows, witnesses and messages stay those of ``fn``.
+into one buffer that every inequality at the block shares.  A block form
+must give each row the bits of its point alone; one that raises reruns
+its block on one-point slices, so NaN rows and messages stay per point.
 """
 
 import math
@@ -98,9 +96,8 @@ class Record:
 
 
 class Batched(NamedTuple):
-    """A per-point inequality ``fn(point, scheme)`` with its block form."""
+    """An inequality given by its block form ``block(X, draws) -> [Row]``."""
 
-    fn: object
     block: object
 
 
@@ -138,36 +135,42 @@ SEED_SPAN = 256
 
 def _evaluated(points, scheme, inequalities):
     """(point, its rows per inequality) in point order, block by block."""
-    forms = [(name, *fn) if isinstance(fn, Batched) else (name, fn, None)
-             for name, fn in inequalities.items()]
-    sampled = scheme is not None and scheme.mode != "closed-form"
-    size = scheme.points_per_block() if sampled else 1
+    size = 1 if scheme is None else scheme.points_per_block()
     span = size * -(-SEED_SPAN // size)
     for first in range(0, len(points), span):
         part = points[first:first + span]
-        draws = scheme.draws_at(part) if sampled else None
+        draws = None if scheme is None else scheme.draws_at(part)
         for start in range(0, len(part), size):
-            block = [part[i] for i in range(start, min(start + size, len(part)))]
+            block = part[start:start + size]
             at_block = None if draws is None else draws.block(
                 start, start + len(block))
-            found = [_block_rows(form, block, at_block, scheme)
-                     for form in forms]
+            found = [_block_rows(name, fn, block, at_block, scheme)
+                     for name, fn in inequalities.items()]
             yield from zip(block, zip(*found))
 
 
-def _block_rows(form, block, draws, scheme):
+def _block_rows(name, fn, block, draws, scheme):
     """One inequality's rows at each point of a block; ``draws`` is the
     block's ``PointDraws``, or None without Monte Carlo."""
-    name, fn, batch = form
-    if batch is not None and len(block) > 1:
-        try:
-            return batch(np.array(block), draws)
-        except (EvaluationError, FloatingPointError):
-            pass  # found point by point below
+    if isinstance(fn, Batched):
+        X = np.array(block)
+        if len(block) > 1:
+            try:
+                return fn.block(X, draws)
+            except (EvaluationError, FloatingPointError):
+                pass  # found point by point below
+
+        def at(i):
+            return fn.block(X[i:i + 1], None if draws is None
+                            else draws.block(i, i + 1))[0]
+    else:
+        def at(i):
+            return fn(block[i], scheme if draws is None
+                      else scheme.with_seed(int(draws.seeds[i])))
     rows = []
-    for i, pt in enumerate(block):
+    for i in range(len(block)):
         try:
-            rows.append(fn(pt, scheme if draws is None else draws.at(i)))
+            rows.append(at(i))
         except (EvaluationError, FloatingPointError) as exc:
             rows.append(Row(math.nan, std_error=math.nan,
                             info={"inequality": name, "error": str(exc)}))

@@ -26,8 +26,9 @@ from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      PreconditionError)
-from .noise import (Estimate, expect, expected_affine_power, expected_gram,
-                    mean_and_error, require_finite, sample_block)
+from .noise import (Estimate, _gram_rows, expected_affine_power,
+                    expected_gram, mean_and_error, require_finite,
+                    sample_block)
 from .storage import (DomainBox, QuadraticStorage, SeparableStorage,
                       quad_bound)
 
@@ -50,52 +51,38 @@ def _require(system, tier):
         )
 
 
-def _closed_form_expectation(V, noise, c0, cs, scale):
-    """Exact E[V(scale * (c0 + sum_d cs[d] w_d))] for quadratic/separable V."""
+def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
+    """E[V(scale * y_i(w))] at each point i of a block as (mean, SE) arrays:
+    under Monte Carlo from the block's ``PointDraws`` ``points``, with
+    ``batch_fn(draws) -> (points, N, n)`` giving y on the (points, N, dim)
+    draws (a non-finite sample raises as in ``require_finite``); in closed
+    form (``points`` None) from ``parts_fn() -> (C0, [C_d])``, the declared
+    y_i(w) = C0[i] + sum_d C_d[i] w_d as (points, n) rows, for quadratic or
+    separable V, with SE 0."""
+    if points is not None:
+        vals = sample_block(noise, points, lambda draws: V.evaluate_batch(
+            (scale * batch_fn(draws)).reshape(-1, V.dim)))
+        require_finite(noise, points, vals)
+        return mean_and_error(vals, 1)
+    c0, cs = parts_fn()
+    c0, cs = scale * c0, [scale * c for c in cs]
     if isinstance(V, QuadraticStorage):
         # E[y' P y] is the one-column case of E[g' P g]
-        return expected_gram(
-            V.P, scale * np.asarray(c0, dtype=float)[:, None],
-            [scale * np.asarray(c, dtype=float)[:, None] for c in cs], noise,
-        )[0, 0]
-    if isinstance(V, SeparableStorage):
+        mean = expected_gram(V.P, c0[..., None], [c[..., None] for c in cs],
+                             noise)[..., 0, 0]
+    elif isinstance(V, SeparableStorage):
         if max(V.d) > 4:
             raise ConfigurationError(
-                "closed-form path supports separable powers <= 4"
-            )
-        c0 = np.asarray(c0, dtype=float)
-        total = 0.0
+                "closed-form path supports separable powers <= 4")
+        mean = 0.0
         for i, (p, d) in enumerate(zip(V.p, V.d)):
-            total += p * expected_affine_power(
-                scale * c0[i], [scale * np.asarray(c, dtype=float)[i] for c in cs],
-                d, noise,
-            )
-        return total
-    raise ConfigurationError(
-        "closed-form expectation needs a quadratic or separable storage"
-    )
-
-
-def expected_value_of(V, noise, scheme, parts_fn, batch_fn, scale=1.0) -> Estimate:
-    """E[V(scale * y(w))] where y is given by structure and/or a batch map.
-
-    ``parts_fn() -> (c0, [c_d])`` declares y(w) = c0 + sum_d c_d w_d for the
-    exact path (may be None); ``batch_fn(draws) -> (N, n)`` evaluates y row
-    wise for the Monte Carlo path.
-    """
-    if scheme.mode == "closed-form":
-        if parts_fn is None:
-            raise ConfigurationError(
-                "closed-form expectation needs a declared affine-in-noise "
-                "structure; use a monte-carlo scheme instead"
-            )
-        c0, cs = parts_fn()
-        return Estimate(_closed_form_expectation(V, noise, c0, cs, scale))
-
-    def integrand(draws):
-        return V.evaluate_batch(scale * batch_fn(draws))
-
-    return expect(noise, scheme, integrand)
+            mean = mean + p * expected_affine_power(
+                c0[..., i], np.stack([c[..., i] for c in cs], axis=-1), d,
+                noise)
+    else:
+        raise ConfigurationError(
+            "closed-form expectation needs a quadratic or separable storage")
+    return mean, np.zeros_like(mean)
 
 
 @dataclass(frozen=True)
@@ -108,39 +95,20 @@ class SplitEstimate(Estimate):
 
 
 def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
-    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme.
-
-    ``u`` is the control row on the controlled tier and None on the affine
-    tier, as in ``drift``.  Monte Carlo is ``_split_block`` at one point.
-    """
+    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme, with
+    ``u`` the control row or None as in ``drift``: ``_split_block`` at x."""
     x = np.asarray(x, dtype=float)
-    u_row = None if u is None else u[None]
-    if scheme.mode != "closed-form":
-        return _split_block(V, system, x[None], u_row, beta,
-                            scheme.point_draws())[0]
-
-    parts_fn = None
-    if system.f_parts is not None:
-        def parts_fn():
-            return system.f_parts(x) if u is None else system.f_parts(x, u)
-
-    ev = expected_value_of(V, system.noise, scheme, parts_fn, None, beta)
-    vx, m_sq = V.evaluate(x), float(_m_sq(system, x[None], u_row)[0])
-    return SplitEstimate(ev.value / beta - vx + m_sq, ev.std_error / beta,
-                         storage=vx, output_sq=m_sq)
+    return _split_block(V, system, x[None], None if u is None else u[None],
+                        beta, scheme.point_draws())[0]
 
 
 def _split_block(V, system, X, u_row, beta, points):
-    """``_split`` under Monte Carlo at each row of X, drawing from the
-    ``PointDraws`` ``points``, with ``u_row`` one control row or None: one
-    ``SplitEstimate`` per row.  A non-finite sample raises as in
-    ``expect``."""
-    vals = sample_block(
-        system.noise, points, X,
-        lambda rows, draws: V.evaluate_batch(
-            (beta * system.drift(rows, u_row, draws)).reshape(-1, system.n)))
-    require_finite(system.noise, points, vals)
-    mean, se = mean_and_error(vals, 1)
+    """``_split`` at each row of X, ``u_row`` one control row or None: from
+    the ``PointDraws`` ``points``, or in closed form (None) from
+    ``f_parts``.  One ``SplitEstimate`` per row."""
+    mean, se = expected_value_of(
+        V, system.noise, points, lambda: system.drift_parts(X, u_row),
+        lambda draws: system.drift(X[:, None], u_row, draws), beta)
     vx, m_sq = V.evaluate_batch(X), _m_sq(system, X, u_row)
     return [SplitEstimate(v, e, storage=s, output_sq=m)
             for v, e, s, m in zip((mean / beta - vx + m_sq).tolist(),
@@ -184,36 +152,31 @@ def _m1_gram(system, X):
     return M1.swapaxes(-1, -2) @ M1
 
 
-def _gram_rows(G, P):
-    """g' P g for each (n, n_v) gain row of G, as the sum over (i, l) of
-    (g_i' P_il) g_l in column ufuncs: a row has the same bits in a call of
-    any size (an einsum does not)."""
-    out = None
-    for i, p_row in enumerate(P):
-        for l, p in enumerate(p_row):
-            term = (G[:, i, :, None] * p) * G[:, l, None, :]
-            if out is None:
-                out = term
-            else:
-                out += term
-    return out
+def _sup_eig(M):
+    """lambda_max of each symmetrised (n_v, n_v) matrix of M, in one
+    stacked eigvalsh; a non-finite M raises ``EvaluationError``."""
+    if not np.isfinite(M).all():
+        raise EvaluationError("gain gram non-finite")
+    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))[..., -1]
 
 
 def _gram_sup(system, X, P, c, points):
     """lambda_max(c E[g'Pg] + m1'm1) and c ||SE||_2, SE the entrywise
-    standard-error matrix of E[g'Pg], at each row of X under Monte Carlo
-    with the ``PointDraws`` ``points``: the quadratic-storage supremum of
-    ``_gain_sup`` as two arrays, from one stacked eigvalsh and one stacked
-    norm."""
-    grams = sample_block(
-        system.noise, points, X,
-        lambda rows, draws: _gram_rows(
-            system.gain(rows, draws).reshape(-1, system.n, system.n_v), P))
-    mean, se = mean_and_error(grams, 1)
-    M = c * mean + _m1_gram(system, X)
-    if not (np.isfinite(M).all() and np.isfinite(se).all()):
+    standard-error matrix of E[g'Pg], at each row of X, from the
+    ``PointDraws`` ``points`` or in closed form (None) from ``g_parts``:
+    the quadratic-storage supremum of ``_gain_sup`` as two arrays."""
+    if points is None:
+        mean = expected_gram(P, *system.gain_parts(X), system.noise)
+        se = np.zeros_like(mean)
+    else:
+        grams = sample_block(
+            system.noise, points,
+            lambda draws: _gram_rows(system.gain(X[:, None], draws).reshape(
+                -1, system.n, system.n_v), P))
+        mean, se = mean_and_error(grams, 1)
+    if not np.isfinite(se).all():
         raise EvaluationError("gain gram non-finite")
-    sup = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))[:, -1]
+    sup = _sup_eig(c * mean + _m1_gram(system, X))
     return sup, c * np.linalg.norm(se, 2, axis=(-2, -1))
 
 
@@ -246,8 +209,8 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
     # the channel (g, m1) is tier independent: controlled plants qualify
     _require(system, GainChannelSystem)
-    return _gain_sup(V, system, np.asarray(x, dtype=float), beta / (beta - 1.0),
-                     scheme)
+    return _gain_sup(V, system, np.asarray(x, dtype=float)[None],
+                     beta / (beta - 1.0), scheme.point_draws())[0]
 
 
 def g0(V, system, scheme) -> Estimate:
@@ -256,62 +219,64 @@ def g0(V, system, scheme) -> Estimate:
     The same supremum as G_beta, taken at x = 0 with scale 1.
     """
     _require(system, GainChannelSystem)
-    return _gain_sup(V, system, np.zeros(system.n), 1.0, scheme)
+    return _gain_sup(V, system, np.zeros((1, system.n)), 1.0,
+                     scheme.point_draws())[0]
 
 
-def _gain_sup(V, system, x, c, scheme):
-    """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2."""
-    quadratic = isinstance(V, QuadraticStorage)
-    if quadratic and scheme.mode != "closed-form":
-        sup, se = _gram_sup(system, x[None], V.P, c, scheme.point_draws())
-        return Estimate(float(sup[0]), float(se[0]))
+def _gain_sup(V, system, X, c, points):
+    """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2 at each
+    row x of X, one ``Estimate`` per row: under Monte Carlo from the
+    ``PointDraws`` ``points``, in closed form (None) from ``g_parts``."""
+    if isinstance(V, QuadraticStorage):
+        sup, se = _gram_sup(system, X, V.P, c, points)
+        return [Estimate(v, e) for v, e in zip(sup.tolist(), se.tolist())]
 
-    m1m1 = _m1_gram(system, x[None]).reshape(system.n_v, system.n_v)
-    if quadratic:
-        if system.g_parts is None:
-            raise ConfigurationError("closed-form gram needs g_parts")
-        G0, Gs = system.g_parts(x)
-        M = c * expected_gram(V.P, G0, Gs, system.noise) + m1m1
-        return Estimate(sym_eig_max(M), 0.0)
-
+    m1m1 = np.broadcast_to(_m1_gram(system, X),
+                           (len(X), system.n_v, system.n_v))
+    out = [None] * len(X)
     if isinstance(V, SeparableStorage) and system.g_parts is not None:
-        G0, Gs = system.g_parts(x)
-        G0 = np.atleast_2d(np.asarray(G0, dtype=float))
+        G0, Gs = system.gain_parts(X)
         # only exact zeros: a noise part of any size feeds the quartic rows
-        if not any(np.any(G) for G in Gs):
-            quad_rows = np.array([d == 2 for d in V.d])
-            if np.any(np.abs(G0[~quad_rows]) > 0.0):
-                # a power-4 coordinate is excited: V grows faster than |v|^2
-                return Estimate(np.inf, 0.0)
-            P2 = np.diag([p if d == 2 else 0.0 for p, d in zip(V.p, V.d)])
-            M = c * (G0.T @ P2 @ G0) + m1m1
-            return Estimate(sym_eig_max(M), 0.0)
+        exact = ~np.any([G.reshape(len(X), -1).any(axis=1) for G in Gs],
+                        axis=0)
+        quad_rows = np.array([d == 2 for d in V.d])
+        # a power-4 coordinate is excited: V grows faster than |v|^2
+        excited = (np.abs(G0[:, ~quad_rows]) > 0.0).any(axis=(1, 2))
+        for i in np.flatnonzero(exact & excited):
+            out[i] = Estimate(np.inf, 0.0)
+        rows = np.flatnonzero(exact & ~excited)
+        P2 = np.diag([p if d == 2 else 0.0 for p, d in zip(V.p, V.d)])
+        sup = _sup_eig(c * _gram_rows(G0[rows], P2) + m1m1[rows])
+        for i, v in zip(rows, sup.tolist()):
+            out[i] = Estimate(v, 0.0)
+
+    for i, x in enumerate(X):
+        if out[i] is None:
+            out[i] = _sphere_sup(V, system, x, m1m1[i], c,
+                                 None if points is None
+                                 else points.block(i, i + 1))
+    return out
+
+
+def _sphere_sup(V, system, x, m1m1, c, points):
+    """The sphere-sampled lower bound of ``_gain_sup`` at one point x."""
+    def parts(v):
+        G0, Gs = system.gain_parts(x[None])
+        return G0 @ v, [G @ v for G in Gs]
 
     best = Estimate(-np.inf, 0.0, lower_bound_only=True)
     for direction in _sphere_directions(system.n_v):
         for r in _SPHERE_RADII:
             vv = r * direction
-            ev = _expected_gain_term(V, system, x, vv, c, scheme)
-            obj = (ev.value / c + float(vv @ m1m1 @ vv)) / (r * r)
+            mean, se = expected_value_of(
+                V, system.noise, points, lambda: parts(vv),
+                lambda draws: (system.gain(x[None, None], draws)
+                               @ vv[:, None])[..., 0], c)
+            obj = (float(mean[0]) / c + float(vv @ m1m1 @ vv)) / (r * r)
             if obj > best.value:
-                best = Estimate(obj, ev.std_error / (c * r * r),
+                best = Estimate(obj, float(se[0]) / (c * r * r),
                                 lower_bound_only=True)
     return best
-
-
-def _expected_gain_term(V, system, x, v, scale, scheme) -> Estimate:
-    """E[V(scale * g(x,w) v)] for the sampled gain-supremum path."""
-    parts_fn = None
-    if system.g_parts is not None:
-        def parts_fn():
-            G0, Gs = system.g_parts(x)
-            return (np.asarray(G0, dtype=float) @ v,
-                    [np.asarray(G, dtype=float) @ v for G in Gs])
-
-    def batch_fn(draws):
-        return (system.gain(x[None], draws) @ v[:, None])[..., 0]
-
-    return expected_value_of(V, system.noise, scheme, parts_fn, batch_fn, scale)
 
 
 def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
@@ -338,52 +303,31 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
                      "the sampled domain")
     cert, _ = sweep(
         domain.points(), scheme,
-        {"growth": growth,
-         "H0": _split_rows("H0", V, system, 1.0,
-                           lambda x, s: h0(V, system, x, s))},
+        {"growth": growth, "H0": _split_rows("H0", V, system, 1.0)},
         "V(x) <= c2 |x|^2 and H0(V(x)) <= 0", domain.label(),
         {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
         notes, force_inconclusive=qb.boundary_attained)
     return cert
 
 
-def _split_rows(name, V, system, beta, functional):
-    """H0 (b = 1) or H1 <= 0, with tolerance scale |H| + V(x) + |m(x)|^2;
-    ``functional(x, scheme)`` is the public per-point H0 or H1."""
-    def row(est):
-        return Row(est.value, std_error=est.std_error,
-                   scale=abs(est.value) + est.storage + est.output_sq,
-                   info={"inequality": name})
-
-    return Batched(
-        lambda x, s: row(functional(x, s)),
-        lambda X, points: [row(est) for est in _split_block(
-            V, system, X, None, beta, points)])
-
-
-def _h1_row(V, system, beta):
-    return _split_rows("H1", V, system, beta,
-                       lambda x, s: h1(V, system, x, beta, s))
+def _split_rows(name, V, system, beta):
+    """H0 (b = 1) or H1 <= 0 as a block form, with tolerance scale
+    |H| + V(x) + |m(x)|^2."""
+    return Batched(lambda X, points: [
+        Row(est.value, std_error=est.std_error,
+            scale=abs(est.value) + est.storage + est.output_sq,
+            info={"inequality": name})
+        for est in _split_block(V, system, X, None, beta, points)])
 
 
 def _g_beta_row(V, system, beta, gamma_sq=0.0):
-    """The G_beta <= gamma^2 row; a sampled supremum is a lower bound."""
-    def row(est):
-        return Row(est.value, gamma_sq, est.std_error,
-                   max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
-                   lower_bound_only=est.lower_bound_only)
-
-    def fn(x, s):
-        return row(g_beta(V, system, x, beta, s))
-
-    if not isinstance(V, QuadraticStorage):
-        return fn
-
-    def block(X, points):
-        sup, se = _gram_sup(system, X, V.P, beta / (beta - 1.0), points)
-        return [row(Estimate(v, e)) for v, e in zip(sup.tolist(), se.tolist())]
-
-    return Batched(fn, block)
+    """The G_beta <= gamma^2 block form; a sampled supremum is a lower
+    bound."""
+    return Batched(lambda X, points: [
+        Row(est.value, gamma_sq, est.std_error,
+            max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
+            lower_bound_only=est.lower_bound_only)
+        for est in _gain_sup(V, system, X, beta / (beta - 1.0), points)])
 
 
 def check_external(system, V, beta, gamma_sq, domain: DomainBox,
@@ -411,7 +355,7 @@ def check_external(system, V, beta, gamma_sq, domain: DomainBox,
     _require(system, AffineSystem)
     cert, rec = sweep(
         domain.points(), scheme,
-        {"H1": _h1_row(V, system, beta),
+        {"H1": _split_rows("H1", V, system, beta),
          "G_beta": _g_beta_row(V, system, beta, gamma_sq)},
         "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2", domain.label(),
         {"scheme": scheme.spec(), "beta": beta, "gamma_sq": gamma_sq})
@@ -464,7 +408,8 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
             continue
         for params, V in candidates:
             checked += 1
-            h1_cert, _ = sweep(points, scheme, {"H1": _h1_row(V, system, beta)},
+            h1_cert, _ = sweep(points, scheme,
+                               {"H1": _split_rows("H1", V, system, beta)},
                                early_exit=True)
             if not h1_cert.certified:
                 continue

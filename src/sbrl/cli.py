@@ -315,23 +315,29 @@ def _domain(cert_block, system):
 
 
 def _resolved_system(resolved):
+    """The configured system, its tier and, on a controlled system, the
+    configured law or None: a run builds them once."""
     noise = None
     if "noise" in resolved:
         noise = library.noise_from_config(resolved["noise"])
-    return library.system_from_config(resolved["system"], noise=noise)
+    system, tier = library.system_from_config(resolved["system"], noise=noise)
+    law = None
+    if tier == "controlled" and "law" in resolved:
+        law = library.law_from_config(resolved["law"])
+    return system, tier, law
 
 
-def _law(resolved, needed_by):
-    if "law" not in resolved:
+def _law(law, needed_by):
+    if law is None:
         raise ConfigurationError(f"law: required for {needed_by}")
-    return library.law_from_config(resolved["law"])
+    return law
 
 
-def _closed_loop(system, tier, resolved):
+def _closed_loop(system, tier, law):
     """``system``, closed by the configured law when it is controlled."""
     if tier != "controlled":
         return system
-    return synth.closed_loop(system, _law(resolved, "a controlled system"))
+    return synth.closed_loop(system, _law(law, "a controlled system"))
 
 
 def _storage(resolved, kind):
@@ -381,31 +387,32 @@ def cmd_certify(resolved):
     if resolved["certificate"]["kind"] == "linear-brl":
         status = _run_linear_brl(resolved, writer)
     else:
-        status = _certificate(resolved, writer).status
+        status = _certificate(resolved, writer,
+                              *_resolved_system(resolved)).status
     writer.finish(status)
     return status_exit_code(status)
 
 
-def _certificate(resolved, writer):
-    """Run the configured sampled certificate into ``writer``; returns it."""
+def _certificate(resolved, writer, system, tier, law):
+    """Run the configured sampled certificate on ``system`` into
+    ``writer``; returns it."""
     cert_block = resolved["certificate"]
     kind = cert_block["kind"]
     scheme = _scheme_from(cert_block, resolved["seed"])
     t0 = time.perf_counter()
-    system, tier = _resolved_system(resolved)
     domain = _domain(cert_block, system)
     if kind == "controller":
         if tier != "controlled":
             raise ConfigurationError("certificate.kind controller needs a controlled system")
         cert = synth.certify_controller(
-            system, _law(resolved, "certificate kind controller"),
+            system, _law(law, "certificate kind controller"),
             _storage(resolved, kind), float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
     elif kind == "internal":
         cert = certify.check_internal(system, _storage(resolved, kind),
                                       float(cert_block["c2"]), domain, scheme)
     else:
-        system = _closed_loop(system, tier, resolved)
+        system = _closed_loop(system, tier, law)
         if kind == "external":
             cert = certify.check_external(
                 system, _storage(resolved, kind), float(cert_block["beta"]),
@@ -428,7 +435,7 @@ def _certificate(resolved, writer):
 
 def _run_linear_brl(resolved, writer):
     t0 = time.perf_counter()
-    linsys, tier = _resolved_system(resolved)
+    linsys, tier, _ = _resolved_system(resolved)
     if tier != "linear":
         raise ConfigurationError("certificate.kind linear-brl needs a linear system")
     cert_block = resolved["certificate"]
@@ -457,7 +464,7 @@ def cmd_gain(resolved):
     if "ensemble" not in resolved:
         raise ConfigurationError("ensemble: required for 'gain'")
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    system = _closed_loop(*_resolved_system(resolved), resolved)
+    system = _closed_loop(*_resolved_system(resolved))
     cert_block = resolved.get("certificate", {})
     if "gamma_sq" in resolved["ensemble"]:
         gamma_sq = float(resolved["ensemble"]["gamma_sq"])
@@ -503,20 +510,18 @@ def cmd_simulate(resolved):
     if "ensemble" not in resolved:
         raise ConfigurationError("ensemble: required for 'simulate'")
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    status, _ = _simulate(resolved, writer, int(resolved["ensemble"]["count"]))
+    system, _, law = _resolved_system(resolved)
+    status, _ = _simulate(resolved, writer, int(resolved["ensemble"]["count"]),
+                          system, law)
     writer.finish(status)
     return EXIT_CERTIFIED if status == "consistent" else EXIT_INCONCLUSIVE
 
 
-def _simulate(resolved, writer, count):
-    """Members 0..count-1 of the ensemble under its first disturbance, each
-    CSV written as its member is released; returns the status and the last
-    member's trajectory."""
+def _simulate(resolved, writer, count, system, law):
+    """Members 0..count-1 of the ensemble of ``system`` under its first
+    disturbance and the law (None: u = 0), each CSV written as its member
+    is released; returns the status and the last member's trajectory."""
     ens_block = resolved["ensemble"]
-    system, tier = _resolved_system(resolved)
-    policy_u = None
-    if tier == "controlled" and "law" in resolved:
-        policy_u = library.law_from_config(resolved["law"])
     x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
     ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
                                             system.n_v)
@@ -524,7 +529,7 @@ def _simulate(resolved, writer, count):
     status = "consistent"
     t0 = time.perf_counter()
     results = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
-                                count, resolved["seed"], policy_u=policy_u)
+                                count, resolved["seed"], policy_u=law)
     for i, traj in enumerate(results):
         results[i] = None  # each member is released once its CSV is written
         if isinstance(traj, DivergenceError):
@@ -546,11 +551,12 @@ def cmd_example(resolved):
     certificate's gamma^2, member 0 of its simulate ensemble, and last
     summary.json and the member's plots."""
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    cert = _certificate(resolved, writer)
+    system, tier, law = _resolved_system(resolved)
+    cert = _certificate(resolved, writer, system, tier, law)
     gamma_sq = cert.provenance["gamma_sq"]
-    system = _closed_loop(*_resolved_system(resolved), resolved)
-    verdicts, gain_verdict = _gain(resolved, writer, system, gamma_sq)
-    sim_status, traj = _simulate(resolved, writer, 1)
+    verdicts, gain_verdict = _gain(resolved, writer,
+                                   _closed_loop(system, tier, law), gamma_sq)
+    sim_status, traj = _simulate(resolved, writer, 1, system, law)
     if "svg" in resolved["output"]["formats"]:
         _plot_member(writer, traj, gamma_sq)
     summary = {"certificate_status": cert.status, "gamma_sq": gamma_sq,
@@ -560,10 +566,8 @@ def cmd_example(resolved):
         search = cert.provenance["gamma_star"]
         summary.update(gamma_star_sq=search["gamma_star_sq"],
                        best_beta=search["beta"], best_p=search["params"])
-    if "law" in resolved:
-        law = library.law_from_config(resolved["law"]).spec()
-        if "u1_coef" in law:
-            summary["u1_coefficient"] = law["u1_coef"]
+    if law is not None and "u1_coef" in law.spec():
+        summary["u1_coefficient"] = law.spec()["u1_coef"]
     writer.write_json("summary.json", summary)
     # a violated gain wins, then a diverged member, then the certificate
     status = next(s for s in (gain_verdict, sim_status, cert.status)

@@ -14,16 +14,16 @@ and the leading shapes broadcast against each other.  A simulation passes
 against draws (B, N, n_w), so a factor of the state alone is formed once
 per point, not once per draw.  A map indexes coordinates as ``X[..., i]``
 and returns the broadcast leading shape, or any value that broadcasts to
-it, so ``g=lambda X, W: B`` is a constant gain.  The affine and controlled
-tiers check at construction that their drift and gain give on a small
-block the bits of the same rows called one by one.  Each tier exposes
+it, so ``g=lambda X, W: B`` is a constant gain.  Each tier exposes
 ``transition(k, X, U, V, W)`` and ``output(k, X, U, V)``; the disturbance
 tiers also give the two halves ``drift`` and ``gain`` that the
 certificate functionals need.
 
-Systems may optionally declare structure used by the exact expectation
-paths, per point: ``f_parts(x) -> (F0, [F_d])`` meaning
-f(x,w) = F0 + sum_d F_d w_d, and similarly ``g_parts``.
+The disturbance tiers may declare, over the same leading dimensions, the
+affine-in-noise structure of the exact paths: ``f_parts(X[, U])`` gives
+(F0, [F_d]) with f(x,[u,]w) = F0 + sum_d F_d w_d at each row, and
+``g_parts(X)`` the same for g.  They check at construction that drift,
+gain and parts give on a small block the bits of its rows one by one.
 """
 
 from dataclasses import dataclass, field
@@ -80,6 +80,11 @@ def _rows(value, lead, shape, what):
     return out
 
 
+def _stacked(c0, cs):
+    """Declared parts (C0, [C_d]) as one array, the part index last."""
+    return np.stack([c0, *cs], axis=-1)
+
+
 class GainChannelSystem:
     """Core shared by the affine and controlled tiers.
 
@@ -130,30 +135,40 @@ class GainChannelSystem:
     def _check_leading_dimensions(self):
         """Raise ``ConfigurationError`` unless the drift and the gain give,
         on states (2, 1, n) against draws (2, 3, n_w), the bits of the six
-        rows called one at a time: a map written for (N, n) rows only, as
-        ``X[:, 0]``, can broadcast a block to wrong values without an
-        error."""
+        rows called one at a time, and the declared parts give on states
+        (2, n) the bits of each state alone: a map written for (N, n) rows
+        only, as ``X[:, 0]``, or for one point, as ``x[0]``, can broadcast
+        a block to wrong values without an error."""
         rng = np.random.default_rng(_EQ_CHECK_SEED)
         X = rng.uniform(-1.0, 1.0, (2, 1, self.n))
         U = rng.uniform(-1.0, 1.0, (2, 1, self.n_u)) if self.n_u else None
         W = self.noise.sample(_EQ_CHECK_SEED, 6).reshape(2, 3, -1)
-        maps = {"f": lambda x, u, w: self.drift(x, u, w),
-                "g": lambda x, u, w: self.gain(x, w)}
-        for name, fn in maps.items():
+        rows = [(X[i], None if U is None else U[i]) for i in range(2)]
+        each_draw = [(x, u, W[i, j:j + 1]) for i, (x, u) in enumerate(rows)
+                     for j in range(3)]
+        states = (X[:, 0], None if U is None else U[:, 0])
+        # name -> (map, block shape, its arguments on the block, on each row)
+        probes = {"f": (self.drift, "(2, 1, n)", (X, U, W), each_draw),
+                  "g": (lambda x, u, w: self.gain(x, w), "(2, 1, n)",
+                        (X, U, W), each_draw)}
+        for name, parts in (("f_parts", self.drift_parts),
+                            ("g_parts", lambda x, u: self.gain_parts(x))):
+            if getattr(self, name) is not None:
+                probes[name] = (lambda x, u, p=parts: _stacked(*p(x, u)),
+                                "(2, n)", states, rows)
+        for name, (fn, shape, args, rows) in probes.items():
             with np.errstate(all="ignore"):
                 try:
-                    block = fn(X, U, W)
-                    rows = [fn(X[i], None if U is None else U[i], W[i, j:j + 1])
-                            for i in range(2) for j in range(3)]
-                    ok = np.concatenate(rows).tobytes() == block.tobytes()
+                    ok = (fn(*args).tobytes()
+                          == np.concatenate([fn(*a) for a in rows]).tobytes())
                 except (ArithmeticError, LookupError, TypeError,
                         ValueError) as exc:
                     raise ConfigurationError(
-                        f"{name} fails on a (2, 1, n) state block: {exc}"
+                        f"{name} fails on a {shape} state block: {exc}"
                     ) from None
             if not ok:
                 raise ConfigurationError(
-                    f"{name} on a (2, 1, n) state block differs from its rows "
+                    f"{name} on a {shape} state block differs from its rows "
                     "one by one: index coordinates as X[..., i]")
 
     def _args(self, X, U):
@@ -168,6 +183,27 @@ class GainChannelSystem:
         """g(X,W) over the broadcast leading dimensions, as (..., n, n_v)."""
         return _rows(self.g(X, W), leading_shape(X, W), (self.n, self.n_v),
                      "g")
+
+    def drift_parts(self, X, U):
+        """The declared ``f_parts(X[,U])`` over the broadcast leading
+        dimensions: (F0, [F_d]), each (..., n)."""
+        return self._parts(self.f_parts, self._args(X, U),
+                           leading_shape(X, U), (self.n,), "f_parts")
+
+    def gain_parts(self, X):
+        """The declared ``g_parts(X)`` over the leading dimensions of X:
+        (G0, [G_d]), each (..., n, n_v)."""
+        return self._parts(self.g_parts, (X,), X.shape[:-1],
+                           (self.n, self.n_v), "g_parts")
+
+    def _parts(self, fn, args, lead, shape, what):
+        if fn is None:
+            raise ConfigurationError(
+                f"closed-form expectation needs a declared {what}; use a "
+                "monte-carlo scheme instead")
+        c0, cs = fn(*args)
+        return (_rows(c0, lead, shape, what),
+                [_rows(c, lead, shape, what) for c in cs])
 
     def transition(self, k, X, U, V, W):
         """x+ = f(x,[u,]w) + g(x,w) v over rows; k is unused."""
@@ -258,19 +294,19 @@ class LinearSystem(AffineSystem):
         if abs(noise.moment(0, 1)) > 1e-12 or abs(noise.moment(0, 2) - 1.0) > 1e-12:
             raise ConfigurationError("linear tier needs E[w]=0 and E[w^2]=1")
 
-        def f(X, W):
-            # stacked mat-vecs: bit-equal to A @ x row by row
-            return (A @ X[..., None])[..., 0] + (A0 @ X[..., None])[..., 0] * W[..., :1]
+        def times(M, X):
+            # stacked mat-vecs: bit-equal to M @ x row by row
+            return (M @ X[..., None])[..., 0]
 
         super().__init__(
             n, n_v,
-            f=f,
+            f=lambda X, W: times(A, X) + times(A0, X) * W[..., :1],
             g=lambda X, W: B,
-            m=lambda X: (C @ X[..., None])[..., 0],
+            m=lambda X: times(C, X),
             m1=lambda X: D,
             noise=noise,
-            f_parts=lambda x: (A @ x, [A0 @ x]),
-            g_parts=lambda x: (B, [np.zeros_like(B)]),
+            f_parts=lambda X: (times(A, X), [times(A0, X)]),
+            g_parts=lambda X: (B, [np.zeros_like(B)]),
             name="linear",
         )
 

@@ -11,10 +11,9 @@ Two nonlinear benchmarks ship with the toolkit:
   gain matrix feeding states 1 and 3, a mixed quadratic/quartic separable
   storage V = p1 x1^2 + p2 x2^4 + p3 x3^2 and an explicit stabilising law.
 
-Both write each map once over leading dimensions (``X[..., i]``) and
-declare their affine-in-noise structure, so the exact expectation paths
-apply.  The linear
-tier is built directly from config matrices.
+Both write each map, and the affine-in-noise structure they declare for
+the exact expectation paths, once over leading dimensions
+(``X[..., i]``).  The linear tier is built directly from config matrices.
 """
 
 import numpy as np
@@ -50,9 +49,9 @@ def example1_system(a=0.99, b=0.01, c=0.2, c1=0.2, noise=None) -> AffineSystem:
         m=lambda X: c * X,
         m1=lambda X: np.array([[c1]]),
         noise=noise,
-        f_parts=lambda x: (np.array([a * x[0]]), [np.zeros(1)]),
-        g_parts=lambda x: (np.zeros((1, 1)),
-                           [np.array([[b * np.cos(x[0])]])]),
+        f_parts=lambda X: (a * X, [np.zeros(1)]),
+        g_parts=lambda X: (np.zeros((1, 1)),
+                           [(b * np.cos(X[..., 0]))[..., None, None]]),
         name="example1",
     )
 
@@ -113,16 +112,13 @@ def example2_plant() -> ControlledSystem:
         c2 += U[..., 0]
         return np.moveaxis(out, 0, -1)
 
-    def f_parts(x, u):
-        s3 = _saturation(x[2])
-        F0 = np.array([u[0], u[1], u[0]])
-        return F0, [
-            np.array([x[0], 0.0, 0.0]),
-            np.array([x[1] * x[1], 0.0, 0.0]),
-            np.array([0.0, x[1], 0.0]),
-            np.array([0.0, s3, 0.0]),
-            np.array([0.0, 0.0, x[2] * np.cos(x[1])]),
-        ]
+    def f_parts(X, U):
+        x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
+        zero = np.zeros_like(x1)
+        return np.stack([U[..., 0], U[..., 1], U[..., 0]], axis=-1), [
+            np.stack(column, axis=-1) for column in (
+                (x1, zero, zero), (x2 * x2, zero, zero), (zero, x2, zero),
+                (zero, _saturation(x3), zero), (zero, zero, x3 * np.cos(x2)))]
 
     def m(X, U):
         x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
@@ -140,7 +136,7 @@ def example2_plant() -> ControlledSystem:
         m1=lambda X: np.zeros((0, 2)),
         noise=_E2_NOISE,
         f_parts=f_parts,
-        g_parts=lambda x: (_E2_G, [np.zeros((3, 2))] * 5),
+        g_parts=lambda X: (_E2_G, [np.zeros((3, 2))] * 5),
         name="example2",
     )
 

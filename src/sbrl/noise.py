@@ -4,7 +4,9 @@ The driving sequence is a d-dimensional i.i.d. process whose coordinates are
 mutually independent, each drawn from one of four elementary distributions
 (uniform, gaussian, point mass, rademacher).  Expectations E[phi(omega)] are
 evaluated either by seeded Monte Carlo or, for integrands declared as
-polynomials in omega of total degree <= 4, exactly from raw moments.
+polynomials in omega of total degree <= 4, exactly from raw moments.  Both
+take a block of sweep points, a ``PointDraws`` or one row per point, and
+give each point the bits of that point evaluated alone.
 
 All randomness is reproducible: sampling is a pure function of
 (model, seed, count) and sub-streams are derived with a splitmix64 hash so
@@ -16,7 +18,7 @@ all their seeds at once, instead of hashing each seed on its own.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,8 +298,6 @@ class ExpectationScheme:
     samples: int = 10_000
     seed: int = 0
     antithetic: bool = False
-    _points: "PointDraws | None" = field(default=None, init=False,
-                                         compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("monte-carlo", "closed-form"):
@@ -313,30 +313,31 @@ class ExpectationScheme:
         from the point, so sweeps do not depend on their order."""
         if self.mode == "closed-form":
             return self
-        return self.draws_at([point]).at(0)
+        return self.with_seed(int(point_seeds(self.seed, [point])[0]))
 
-    def draws_at(self, points) -> "PointDraws":
-        """The draws of a run of sweep points, each from its own seed."""
+    def draws_at(self, points) -> "PointDraws | None":
+        """The draws of sweep points, each from its own seed; None in
+        closed form."""
+        if self.mode == "closed-form":
+            return None
         return PointDraws(self, point_seeds(self.seed, points))
 
-    def point_draws(self) -> "PointDraws":
-        """The draws this scheme samples: those of the block that made it
-        (``at`` or a sweep), shared by every functional at its point, else
-        a new one-point block of its own seed."""
-        if self._points is not None:
-            return self._points
+    def point_draws(self) -> "PointDraws | None":
+        """The draws of this scheme's own seed; None in closed form."""
+        if self.mode == "closed-form":
+            return None
         return PointDraws(self, [self.seed])
 
     def draws_per_point(self) -> int:
-        """Draw rows per point: ceil(samples / 2) pairs when antithetic."""
+        """Rows per point: ceil(samples / 2) draw pairs when antithetic,
+        one in closed form."""
+        if self.mode == "closed-form":
+            return 1
         return (self.samples + 1) // 2 if self.antithetic else self.samples
 
     def points_per_block(self) -> int:
-        """Sweep points evaluated together: as many as SWEEP_ROWS draw rows
-        hold, at least one; a closed-form scheme draws nothing and takes
-        one point at a time."""
-        if self.mode == "closed-form":
-            return 1
+        """Sweep points evaluated together: as many as SWEEP_ROWS rows hold,
+        at least one."""
         return max(1, SWEEP_ROWS // self.draws_per_point())
 
     def spec(self):
@@ -380,12 +381,6 @@ class PointDraws:
         part._filled = {noise: d[start:stop]
                         for noise, d in self._filled.items()}
         return part
-
-    def at(self, i) -> ExpectationScheme:
-        """Point i's scheme: its seed, sampling this block's draws."""
-        scheme = self.scheme.with_seed(int(self.seeds[i]))
-        object.__setattr__(scheme, "_points", self.block(i, i + 1))
-        return scheme
 
     def draws(self, noise):
         """The draws of every point as a read-only (points, N, dim) view of
@@ -533,23 +528,22 @@ SWEEP_ROWS = 16384
 def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
     """One value of ``fn(draws)`` per independent sample: ``sample_block``
     at one point, whose (N, dim) draws ``fn`` gets in row chunks."""
-    return sample_block(noise, scheme.point_draws(), None,
-                        lambda _, draws: fn(draws[0]))[0]
+    return sample_block(noise, scheme.point_draws(),
+                        lambda draws: fn(draws[0]))[0]
 
 
-def sample_block(noise: NoiseModel, points, states, fn):
+def sample_block(noise: NoiseModel, points, fn):
     """One value of ``fn`` per independent Monte Carlo sample of each point
     of a block, as a C-order (points, N, ...) array, so
     ``mean_and_error(values, 1)`` reduces each point as it would alone.
 
-    ``points`` is the block's ``PointDraws`` and ``states[i]`` point i's
-    row of per-point data, or None.  ``fn`` maps the state rows as
-    (points, 1, ...) and the draws as (points, N', dim) to one value of any
-    shape per (point, draw) row, flattened point-major; it must be
-    row-wise, so the split into calls changes no bit.  A point's state row
-    broadcasts against its draws, so a state factor is formed once per
-    point.  The caller keeps a block of several points within SWEEP_ROWS
-    draw rows; the draws of one point are split into ceil(N / SWEEP_ROWS)
+    ``points`` is the block's ``PointDraws``.  ``fn`` maps the draws as
+    (points, N', dim) to one value of any shape per (point, draw) row,
+    flattened point-major; it must be row-wise, so the split into calls
+    changes no bit.  Its states are (points, 1, n) rows, which broadcast
+    against the draws, so a state factor is formed once per point.  The
+    caller keeps a block of several points within SWEEP_ROWS draw rows;
+    the draws of one point are split into ceil(N / SWEEP_ROWS)
     near-equal chunks, never a small remainder, and one chunk is one call
     whose result is returned as is.  An antithetic scheme draws
     ceil(samples/2) vectors per point and returns the mean of each (draw,
@@ -560,13 +554,11 @@ def sample_block(noise: NoiseModel, points, states, fn):
     """
     draws = points.draws(noise)
     count, n = draws.shape[:2]
-    rows = None if states is None else np.asarray(states)[:, None]
     chunks = min(n, -(-count * n // SWEEP_ROWS))
     cuts = [n * c // chunks for c in range(chunks + 1)]
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
-        part = _paired(noise, points.scheme, lambda w: fn(rows, w),
-                       draws[:, lo:hi])
+        part = _paired(noise, points.scheme, fn, draws[:, lo:hi])
         parts.append(part.reshape(count, hi - lo, *part.shape[1:]))
     return parts[0] if chunks == 1 else np.concatenate(parts, axis=1)
 
@@ -604,13 +596,15 @@ def _multinomial(k, exps):
     return num
 
 
-def expected_affine_power(c0: float, coeffs, power: int, noise: NoiseModel) -> float:
-    """Exact E[(c0 + sum_j coeffs[j] * omega_j)^power] for power <= 4."""
+def expected_affine_power(c0, coeffs, power: int, noise: NoiseModel):
+    """Exact E[(c0 + sum_j coeffs[..., j] * omega_j)^power] for power <= 4
+    at each row: c0 is (...) and coeffs (..., dim)."""
     if power > MAX_POLY_DEGREE:
         raise ConfigurationError(f"power {power} exceeds {MAX_POLY_DEGREE}")
+    c0 = np.asarray(c0, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     d = noise.dim
-    if coeffs.shape != (d,):
+    if coeffs.shape[-1:] != (d,):
         raise ConfigurationError(f"need {d} coefficients, got {coeffs.shape}")
     total = 0.0
     for exps in _compositions(power, d + 1):
@@ -618,26 +612,43 @@ def expected_affine_power(c0: float, coeffs, power: int, noise: NoiseModel) -> f
         term = _multinomial(power, exps) * c0 ** e0
         for j, e in enumerate(erest):
             if e:
-                term *= coeffs[j] ** e * noise.moment(j, e)
-        total += term
+                term = term * (coeffs[..., j] ** e * noise.moment(j, e))
+        total = total + term
     return total
 
 
+def _gram_rows(G, P, H=None):
+    """g' P h for each (n, n_v) gain row g of G and h of H (default G), as
+    the sum over (i, l) of (g_i' P_il) h_l in column ufuncs: a row has the
+    same bits in a call of any size (an einsum or a matmul does not)."""
+    H = G if H is None else H
+    out = None
+    for i, p_row in enumerate(P):
+        for l, p in enumerate(p_row):
+            term = (G[..., i, :, None] * p) * H[..., l, None, :]
+            if out is None:
+                out = term
+            else:
+                out += term
+    return out
+
+
 def expected_gram(P, G0, Gs, noise: NoiseModel):
-    """Exact E[g^T P g] for g = G0 + sum_j Gs[j] * omega_j (matrix valued)."""
+    """Exact E[g' P g] for g = G0 + sum_j Gs[j] * omega_j at each of the
+    (..., n, n_v) gain rows, each product a ``_gram_rows`` sum."""
     P = np.asarray(P, dtype=float)
     G0 = np.asarray(G0, dtype=float)
     d = noise.dim
     if len(Gs) != d:
         raise ConfigurationError(f"need {d} matrix parts, got {len(Gs)}")
+    Gs = [np.asarray(G, dtype=float) for G in Gs]
     m1 = [noise.moment(j, 1) for j in range(d)]
     m2 = [noise.moment(j, 2) for j in range(d)]
-    total = G0.T @ P @ G0
-    for j in range(d):
-        Gj = np.asarray(Gs[j], dtype=float)
-        total = total + m1[j] * (G0.T @ P @ Gj + Gj.T @ P @ G0)
-        total = total + m2[j] * (Gj.T @ P @ Gj)
+    total = _gram_rows(G0, P)
+    for j, Gj in enumerate(Gs):
+        total = total + m1[j] * (_gram_rows(G0, P, Gj) + _gram_rows(Gj, P, G0))
+        total = total + m2[j] * _gram_rows(Gj, P)
         for i in range(j):
-            Gi = np.asarray(Gs[i], dtype=float)
-            total = total + m1[i] * m1[j] * (Gi.T @ P @ Gj + Gj.T @ P @ Gi)
+            total = total + m1[i] * m1[j] * (_gram_rows(Gs[i], P, Gj)
+                                             + _gram_rows(Gj, P, Gs[i]))
     return total

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, Row, sweep
-from .certify import check_external, expected_value_of
+from .certify import check_external
 from .dynamics import AffineSystem, ControlledSystem, GeneralSystem
 from .errors import ConfigurationError, PreconditionError
-from .noise import Estimate, derive_seed
+from .noise import Estimate, derive_seed, expect
 from .storage import DomainBox, StorageFunction
 
 
@@ -73,8 +73,8 @@ def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
 
     f_parts = None
     if plant.f_parts is not None:
-        def f_parts(x):
-            return plant.f_parts(x, law(x[None])[0])
+        def f_parts(X):
+            return plant.f_parts(X, law(X))
 
     return AffineSystem(
         plant.n, plant.n_v,
@@ -121,12 +121,13 @@ def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
 
-    def batch_fn(draws):
-        return plant.transition(k, x[None], u[None], v[None], draws)
+    def integrand(draws):
+        return Vk1.evaluate_batch(
+            plant.transition(k, x[None], u[None], v[None], draws))
 
     # the general tier declares no noise structure: Monte Carlo only (a
     # point-mass noise model makes it exact)
-    ev = expected_value_of(Vk1, plant.noise, scheme, None, batch_fn)
+    ev = expect(plant.noise, scheme, integrand)
     z = plant.output(k, x[None], u[None], v[None])[0]
     return Estimate(ev.value - Vk.evaluate(x) + float(z @ z), ev.std_error)
 

@@ -25,7 +25,7 @@ def unstable_scalar(a=1.1, c=0.0):
         m=lambda X: c * X,
         m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
-        f_parts=lambda x: (np.array([a * x[0]]), [np.zeros(1)]),
+        f_parts=lambda X: (a * X, [np.zeros(1)]),
         g_parts=lambda x: (np.zeros((1, 1)), [np.zeros((1, 1))]),
     )
 
@@ -724,11 +724,13 @@ def test_check_external_draws_once_per_point(monkeypatch):
     assert len(seeds) == 2 * 11 + 11  # the reference draws twice per point
 
 
-def test_sweeps_call_public_functionals_through_module_lookup(monkeypatch):
-    # bench/trace_cli.py counts work by rebinding sbrl.certify.h1/g_beta;
-    # 2848 h1 calls are the early exits of example 1's gamma-star search
-    calls = {"h1": 0, "g_beta": 0}
-    for name in calls:
+def test_closed_form_sweeps_run_one_block_per_sweep(monkeypatch):
+    # a closed-form sweep of up to SWEEP_ROWS points is one block: each H1
+    # and each G_beta sweep of example 1's gamma-star search is one call of
+    # its block body, and no sweep calls the per-point h1 or g_beta
+    names = ("h1", "g_beta", "_split_block", "_gram_sup")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(certify, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -742,12 +744,14 @@ def test_sweeps_call_public_functionals_through_module_lookup(monkeypatch):
     betas = [1.002, 1.005, BETA1, 1.02, 1.05, 1.1, 1.5, 2.0]
     res = certify.gamma_star_search(library.example1_system(), candidates,
                                     betas, box, CF)
-    assert res.candidates_checked == 48
-    assert calls == {"h1": 2848, "g_beta": 2814}
+    assert (res.candidates_checked, res.feasible_count) == (48, 14)
+    assert calls == {"h1": 0, "g_beta": 0, "_split_block": 48,
+                     "_gram_sup": 14}
     certify.check_external(library.example1_system(),
                            library.example1_storage(4.0), BETA1,
                            0.08, EX1_BOX, CF)
-    assert calls == {"h1": 2848 + 41, "g_beta": 2814 + 41}
+    assert calls == {"h1": 0, "g_beta": 0, "_split_block": 49,
+                     "_gram_sup": 15}
 
 
 # ------------------------------------------------------------- gamma star

@@ -272,6 +272,27 @@ def test_example_two_summary(tmp_path):
     assert not (out / "states.svg").exists()  # csv-only run
 
 
+def test_example_builds_the_system_and_the_law_once(tmp_path, monkeypatch):
+    # certificate, gain and simulate share one system and one law, so the
+    # construction probes run once per plant; a small example 2 config
+    from sbrl import library
+    counts = dict.fromkeys(["system_from_config", "law_from_config"], 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(library, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(library, name, counted)
+    cfg = cli.load_config(Path(cli.__file__).with_name("example2.json"))
+    cfg["certificate"]["scheme"]["samples"] = 200
+    cfg["certificate"]["domain"]["grid"] = 2
+    cfg["ensemble"].update(count=3, horizon=20)
+    resolved = cli.resolve_config(cfg, out_override=tmp_path)
+    assert cli.cmd_example(resolved) in (0, 1, 2)
+    assert (tmp_path / "summary.json").exists()
+    assert counts == {"system_from_config": 1, "law_from_config": 1}
+
+
 def test_example_unknown_exit_two(tmp_path):
     assert run(["example", "3", "--out", str(tmp_path / "x")]) == 2
 

@@ -203,6 +203,39 @@ def test_maps_written_for_two_dimensional_rows_are_refused():
     )
 
 
+def example1_with_parts(f_parts, g_parts):
+    return AffineSystem(
+        1, 1,
+        f=lambda X, W: 0.99 * X,
+        g=lambda X, W: (0.01 * np.cos(X[..., 0]) * W[..., 0])[..., None, None],
+        m=lambda X: 0.2 * X,
+        m1=lambda X: np.array([[0.2]]),
+        noise=gaussian_noise(),
+        f_parts=f_parts,
+        g_parts=g_parts,
+    )
+
+
+ROW_F_PARTS = lambda X: (0.99 * X, [np.zeros(1)])  # noqa: E731
+ROW_G_PARTS = lambda X: (  # noqa: E731
+    np.zeros((1, 1)), [(0.01 * np.cos(X[..., 0]))[..., None, None]])
+
+
+@pytest.mark.parametrize("name,f_parts,g_parts", [
+    # x[0] of a (B, n) block is its first state: one row's parts would
+    # spread over the whole block of a closed-form sweep without an error
+    ("f_parts", lambda x: (np.array([0.99 * x[0]]), [np.zeros(1)]),
+     ROW_G_PARTS),
+    ("g_parts", ROW_F_PARTS,
+     lambda x: (np.zeros((1, 1)), [np.array([[0.01 * np.cos(x[0])]])])),
+], ids=["f_parts", "g_parts"])
+def test_parts_written_per_point_are_refused(name, f_parts, g_parts):
+    with pytest.raises(ConfigurationError, match=rf"^{name} .*X\[\.\.\., i\]"):
+        example1_with_parts(f_parts, g_parts)
+    # the same parts over leading dimensions are accepted
+    example1_with_parts(ROW_F_PARTS, ROW_G_PARTS)
+
+
 @pytest.mark.parametrize("fn", [
     # index 1 of a (2, 1, 3) block is out of bounds: the map raises
     lambda X, k: np.stack([-0.1 * X[:, 0], -0.5 * X[:, 1]], axis=-1),
@@ -342,29 +375,34 @@ def structure_cases():
     law = library.example2_law()
     lin = LinearSystem([[0.6, 0.2], [-0.1, 0.5]], [[0.1, 0.0], [0.0, 0.1]],
                        [[1.0], [0.5]], [[1.0, 0.0]], [[0.1]])
-    u = np.array([0.3, -0.7])
     return {
-        "example1": (library.example1_system(), ()),
-        "example2-plant": (plant, (u,)),
-        "example2-closed-loop": (closed_loop(plant, law), ()),
-        "linear": (lin, ()),
+        "example1": library.example1_system(),
+        "example2-plant": plant,
+        "example2-closed-loop": closed_loop(plant, law),
+        "linear": lin,
     }
 
 
 @pytest.mark.parametrize("case", ["example1", "example2-plant",
                                   "example2-closed-loop", "linear"])
 def test_declared_parts_agree_with_row_maps(case):
-    system, u = structure_cases()[case]
+    # the parts of a block of five states (and controls), each row against
+    # the maps at its state over 16 draws
+    system = structure_cases()[case]
     rng = np.random.default_rng(3)
     W = system.noise.sample(8, 16)
-    for x in rng.uniform(-2.0, 2.0, size=(5, system.n)):
-        rows = (x[None], *(c[None] for c in u))
-        F0, Fs = system.f_parts(x, *u)
-        parts = F0 + sum(w[:, None] * Fd for w, Fd in zip(W.T, Fs))
-        assert np.allclose(parts, system.f(*rows, W), rtol=0.0, atol=1e-12)
-        G0, Gs = system.g_parts(x)
-        gains = G0 + sum(w[:, None, None] * Gd for w, Gd in zip(W.T, Gs))
-        assert np.allclose(gains, system.gain(x[None], W), rtol=0.0, atol=1e-12)
+    X = rng.uniform(-2.0, 2.0, size=(5, system.n))
+    U = rng.uniform(-1.0, 1.0, size=(5, system.n_u)) if system.n_u else None
+    F0, Fs = system.drift_parts(X, U)
+    parts = F0[:, None] + sum(W[:, d, None] * Fd[:, None]
+                              for d, Fd in enumerate(Fs))
+    drift = system.drift(X[:, None], None if U is None else U[:, None], W)
+    assert np.allclose(parts, drift, rtol=0.0, atol=1e-12)
+    G0, Gs = system.gain_parts(X)
+    gains = G0[:, None] + sum(W[:, d, None, None] * Gd[:, None]
+                              for d, Gd in enumerate(Gs))
+    assert np.allclose(gains, system.gain(X[:, None], W), rtol=0.0,
+                       atol=1e-12)
 
 
 def test_example2_drift_keeps_its_operation_order():

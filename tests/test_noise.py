@@ -175,10 +175,10 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
     x = np.array([0.3])
     # the gram body's lambda_max(E[g'Pg] + m1'm1) at c = 1, scalar here
     sup, se = certify._gram_sup(system, x[None], [[4.0]], 1.0,
-                                scheme.point_draws())
+                                scheme.draws_at(x[None]))
     m1m1 = certify._m1_gram(system, x[None]).item()
     pairs = sample_values(
-        model, scheme,
+        model, scheme.at(x),
         lambda draws: 4.0 * system.gain(x[None], draws)[:, 0, 0] ** 2)
     assert pairs.shape == (51,)
     assert sup[0] - m1m1 == pytest.approx(pairs.mean(), rel=1e-12)
@@ -225,12 +225,15 @@ def test_quadratic_closed_form_against_monte_carlo():
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
     c0 = np.array([0.4, -1.0])
     cs = [np.array([1.0, 0.0]), np.array([-0.5, 2.0])]
-    exact = certify._closed_form_expectation(QuadraticStorage(P), model, c0, cs,
-                                             1.0)
+    # one row: the closed-form route of expected_value_of
+    exact, se = certify.expected_value_of(
+        QuadraticStorage(P), model, None,
+        lambda: (c0[None], [c[None] for c in cs]), None)
+    assert se.tolist() == [0.0]
     draws = model.sample(31, 400_000)
     ys = c0[None, :] + draws[:, [0]] * cs[0][None, :] + draws[:, [1]] * cs[1][None, :]
     mc = np.einsum("ni,ij,nj->n", ys, P, ys)
-    assert exact == pytest.approx(mc.mean(), abs=4 * mc.std(ddof=1) / math.sqrt(len(mc)))
+    assert exact[0] == pytest.approx(mc.mean(), abs=4 * mc.std(ddof=1) / math.sqrt(len(mc)))
 
 
 def test_expected_affine_power_against_enumeration():
@@ -380,7 +383,7 @@ def test_block_draws_are_each_points_sample(model):
         assert not draws.flags.writeable
         part = scheme.draws_at(points).block(2, 5)
         for i, x in enumerate(points):
-            assert block.at(i).seed == scheme.at(x).seed
+            assert int(block.seeds[i]) == scheme.at(x).seed
             expected = model.sample(scheme.at(x).seed,
                                     scheme.draws_per_point())
             assert draws[i].tobytes() == expected.tobytes()
@@ -394,7 +397,7 @@ def test_interleaved_sweeps_keep_their_own_streams():
     from sbrl.certificates import _evaluated
 
     sys1, V = library.example1_system(), library.example1_storage(4.0)
-    forms = {"H1": certify._h1_row(V, sys1, 1.0 / 0.99),
+    forms = {"H1": certify._split_rows("H1", V, sys1, 1.0 / 0.99),
              "G_beta": certify._g_beta_row(V, sys1, 1.0 / 0.99, 0.1)}
     runs = [(DomainBox((-10.0,), (10.0,), ("grid", 41)).points(),
              ExpectationScheme(samples=300, seed=3)),
@@ -519,16 +522,18 @@ def spy_on_streams(monkeypatch):
 
 
 def test_interleaved_point_schemes_keep_their_own_draws(monkeypatch):
+    # the one-point blocks of a sweep's block, sampled in turn
     model = NoiseModel((Gaussian(0.0, 1.0), Uniform(-1.0, 2.0)))
     base = ExpectationScheme(samples=50, seed=21)
-    a, b = base.at([0.0]), base.at([1.0])
-    expected = {s.seed: model.sample(s.seed, 50) for s in (a, b)}
+    block = base.draws_at([[0.0], [1.0]])
+    a, b = block.block(0, 1), block.block(1, 2)
+    expected = {id(p): model.sample(int(p.seeds[0]), 50) for p in (a, b)}
     seeds = spy_on_streams(monkeypatch)
-    for s in (a, a, b, a, b, b):
-        got = sample_values(model, s, lambda d: d.copy())
-        assert np.array_equal(got, expected[s.seed])
+    for p in (a, a, b, a, b, b):
+        got = noise.sample_block(model, p, lambda d: d[0].copy())[0]
+        assert np.array_equal(got, expected[id(p)])
     # each point draws once, however the two interleave
-    assert seeds == [a.seed, b.seed]
+    assert seeds == [int(a.seeds[0]), int(b.seeds[0])]
 
 
 def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
@@ -550,4 +555,3 @@ def test_sweep_holds_no_buffer_after_it_returns(monkeypatch):
     # H1 and G_beta share the one buffer of the block
     assert len(buffers) == 2 and len({key for key, _ in buffers}) == 1
     assert all(ref() is None for _, ref in buffers)
-    assert scheme._points is None

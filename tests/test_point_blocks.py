@@ -1,12 +1,13 @@
 """Point blocks change no bit.
 
-A Monte Carlo sweep evaluates H0, H1 and the quadratic G_beta gram for a
-block of points in one call, with the states as (B, 1, n) against the
-draws as (B, N, n_w), so each point's state row broadcasts against its own
-draws.  That gives the per-point bits only if every storage kernel and
-every system map is row-split invariant (a row's value does not depend on
-the other rows of the call) and a single state row broadcast against N
-draws equals the same row repeated N times.  The first part checks those
+A sweep evaluates H0, H1 and G_beta for a block of points in one call.
+Under Monte Carlo the states are (B, 1, n) against the draws as
+(B, N, n_w), so each point's state row broadcasts against its own draws;
+in closed form the declared parts of the B states are (B, ...) rows.
+That gives the per-point bits only if every storage kernel and every
+system map is row-split invariant (a row's value does not depend on the
+other rows of the call) and a single state row broadcast against N draws
+equals the same row repeated N times.  The first part checks those
 properties and that every block row of the H and gram bodies is its point
 run alone; the second runs the sweeps at several block sizes and compares
 the certificates byte for byte.
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from sbrl import certify, library, noise, synth
 from sbrl.dynamics import AffineSystem, LinearSystem
+from sbrl.errors import ConfigurationError
 from sbrl.noise import ExpectationScheme, gaussian_noise
 from sbrl.storage import (CustomStorage, DomainBox, EstimatedStorage,
                           QuadraticStorage, SeparableStorage)
@@ -148,14 +150,18 @@ LEADING_CASES = {
 }
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("antithetic", [False, True,
+                                        pytest.param(None, id="closed-form")])
 @pytest.mark.parametrize("case", sorted(LEADING_CASES))
 def test_block_rows_are_each_point_run_alone(case, antithetic):
-    # a block passes states (B, 1, n) against draws (B, N, n_w), so each
-    # state factor is formed once per point; every row must still have
-    # the bits of its point run alone
+    # a Monte Carlo block passes states (B, 1, n) against draws (B, N, n_w),
+    # so each state factor is formed once per point, and a closed-form
+    # block passes the declared parts of its states as (B, ...) rows;
+    # every row must still have the bits of its point run alone
     system, u_row, V, P = LEADING_CASES[case]
-    scheme = ExpectationScheme(samples=64, seed=17, antithetic=antithetic)
+    scheme = (ExpectationScheme(mode="closed-form") if antithetic is None
+              else ExpectationScheme(samples=64, seed=17,
+                                     antithetic=antithetic))
     X = random_rows(3, 5, system.n)
     draws = scheme.draws_at(X)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,6 +228,7 @@ SCHEMES = {
     "n2-antithetic": ExpectationScheme(samples=2, seed=5, antithetic=True),
     "n60-antithetic": ExpectationScheme(samples=60, seed=9, antithetic=True),
     "n200": ExpectationScheme(samples=200, seed=11),
+    "closed-form": ExpectationScheme(mode="closed-form"),
 }
 EX1_BOX = DomainBox((-10.0,), (10.0,), ("grid", 23))
 EX2_BOX = DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3))
@@ -266,6 +273,11 @@ def sweeps():
 def test_block_size_changes_no_bit(monkeypatch, case, scheme):
     scheme = SCHEMES[scheme]
     run = sweeps()[case]
+    if scheme.mode == "closed-form" and case.startswith("spike"):
+        # the spiked system declares no parts for the exact path
+        with pytest.raises(ConfigurationError, match="f_parts"):
+            run(scheme)
+        return
     results = at_block_sizes(monkeypatch, scheme, lambda: run(scheme))
     assert results[1:] == results[:1] * 3
 

@@ -463,7 +463,7 @@ def test_closed_loop_usable_by_linear_certifier():
         m=lambda X, U: 0.5 * X,
         m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
-        f_parts=lambda x, u: (A @ x + Bu @ u, [np.zeros(1)]),
+        f_parts=lambda X, U: (X @ A.T + U @ Bu.T, [np.zeros(1)]),
         g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
     )
     loop = synth.closed_loop(plant, synth.FeedbackLaw.linear_gain(K))
