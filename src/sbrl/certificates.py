@@ -44,8 +44,11 @@ REL_TOL = 1e-7
 
 
 def base_tolerance(scale: float) -> float:
-    """Absolute 1e-9 plus relative 1e-7 of the larger inequality side."""
-    return ABS_TOL + REL_TOL * abs(scale)
+    """Absolute 1e-9 plus relative 1e-7 of the larger inequality side; an
+    infinite side lies beyond every rounding error, so it adds nothing and
+    an infinite lhs exceeds its tolerance."""
+    scale = abs(scale)
+    return ABS_TOL + (0.0 if scale == math.inf else REL_TOL * scale)
 
 
 @dataclass

@@ -52,46 +52,52 @@ def _require(system, tier):
 
 
 def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
-    """E[V(scale * y_i(w))] at each point i of a block as (mean, SE) arrays:
-    under Monte Carlo from the block's ``PointDraws`` ``points``, with
-    ``batch_fn(draws) -> (points, N, n)`` giving y on the (points, N, dim)
-    draws (a non-finite sample raises as in ``require_finite``); in closed
-    form (``points`` None) from ``parts_fn() -> (C0, [C_d])``, the declared
-    y_i(w) = C0[i] + sum_d C_d[i] w_d as (points, n) rows, for quadratic or
-    separable V, with SE 0."""
+    """E[V(scale * y_i(w))] at each point i of a block as (mean, SE, size)
+    arrays: under Monte Carlo from the block's ``PointDraws`` ``points``,
+    with ``batch_fn(draws) -> (points, N, n)`` giving y on the (points, N,
+    dim) draws (a non-finite sample raises as in ``require_finite``); in
+    closed form (``points`` None) from ``parts_fn() -> (C0, [C_d])``, the
+    declared y_i(w) = C0[i] + sum_d C_d[i] w_d as (points, n) rows, for
+    quadratic or separable V, with SE 0.  ``size`` is the sum of the
+    absolute terms the mean adds up: those of the multinomial expansion of
+    a separable V in closed form, which cancel for a high power, and |mean|
+    for a sample mean or a quadratic form."""
     if points is not None:
         vals = sample_block(noise, points, lambda draws: V.evaluate_batch(
             (scale * batch_fn(draws)).reshape(-1, V.dim)))
         require_finite(noise, points, vals)
-        return mean_and_error(vals, 1)
+        mean, se = mean_and_error(vals, 1)
+        return mean, se, np.abs(mean)
     c0, cs = parts_fn()
     c0, cs = scale * c0, [scale * c for c in cs]
     if isinstance(V, QuadraticStorage):
         # E[y' P y] is the one-column case of E[g' P g]
         mean = expected_gram(V.P, c0[..., None], [c[..., None] for c in cs],
                              noise)[..., 0, 0]
+        size = np.abs(mean)
     elif isinstance(V, SeparableStorage):
-        if max(V.d) > 4:
-            raise ConfigurationError(
-                "closed-form path supports separable powers <= 4")
-        mean = 0.0
+        mean = size = 0.0
         for i, (p, d) in enumerate(zip(V.p, V.d)):
-            mean = mean + p * expected_affine_power(
+            term, term_size = expected_affine_power(
                 c0[..., i], np.stack([c[..., i] for c in cs], axis=-1), d,
                 noise)
+            mean, size = mean + p * term, size + p * term_size
     else:
         raise ConfigurationError(
             "closed-form expectation needs a quadratic or separable storage")
-    return mean, np.zeros_like(mean)
+    return mean, np.zeros_like(mean), size
 
 
 @dataclass(frozen=True)
 class SplitEstimate(Estimate):
-    """H0, H1 or H with the V(x) and |m(x[,u])|^2 it was formed from: with
-    |H| they make the tolerance scale of the inequality H <= 0."""
+    """H0, H1 or H with the V(x) and |m(x[,u])|^2 it was formed from and
+    ``cancelled``, the part of the absolute terms of E[V(b f)]/b that
+    cancelled in its sum: with |H| they make the tolerance scale of the
+    inequality H <= 0."""
 
     storage: float = 0.0
     output_sq: float = 0.0
+    cancelled: float = 0.0
 
 
 def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
@@ -106,14 +112,15 @@ def _split_block(V, system, X, u_row, beta, points):
     """``_split`` at each row of X, ``u_row`` one control row or None: from
     the ``PointDraws`` ``points``, or in closed form (None) from
     ``f_parts``.  One ``SplitEstimate`` per row."""
-    mean, se = expected_value_of(
+    mean, se, size = expected_value_of(
         V, system.noise, points, lambda: system.drift_parts(X, u_row),
         lambda draws: system.drift(X[:, None], u_row, draws), beta)
     vx, m_sq = V.evaluate_batch(X), _m_sq(system, X, u_row)
-    return [SplitEstimate(v, e, storage=s, output_sq=m)
-            for v, e, s, m in zip((mean / beta - vx + m_sq).tolist(),
-                                  (se / beta).tolist(), vx.tolist(),
-                                  m_sq.tolist())]
+    return [SplitEstimate(v, e, storage=s, output_sq=m, cancelled=c)
+            for v, e, s, m, c in zip((mean / beta - vx + m_sq).tolist(),
+                                     (se / beta).tolist(), vx.tolist(),
+                                     m_sq.tolist(),
+                                     ((size - np.abs(mean)) / beta).tolist())]
 
 
 def h0(V, system, x, scheme) -> SplitEstimate:
@@ -163,21 +170,53 @@ def _sup_eig(M):
 def _gram_sup(system, X, P, c, points):
     """lambda_max(c E[g'Pg] + m1'm1) and c ||SE||_2, SE the entrywise
     standard-error matrix of E[g'Pg], at each row of X, from the
-    ``PointDraws`` ``points`` or in closed form (None) from ``g_parts``:
-    the quadratic-storage supremum of ``_gain_sup`` as two arrays."""
+    ``PointDraws`` ``points`` or in closed form (None) from ``g_parts``
+    with SE 0: the quadratic-storage supremum of ``_gain_sup`` as two
+    arrays, and separable storage's over its power-2 coordinates."""
     if points is None:
-        mean = expected_gram(P, *system.gain_parts(X), system.noise)
-        se = np.zeros_like(mean)
-    else:
-        grams = sample_block(
-            system.noise, points,
-            lambda draws: _gram_rows(system.gain(X[:, None], draws).reshape(
-                -1, system.n, system.n_v), P))
-        mean, se = mean_and_error(grams, 1)
+        sup = _sup_eig(c * expected_gram(P, *system.gain_parts(X), system.noise)
+                       + _m1_gram(system, X))
+        return sup, np.zeros_like(sup)
+    grams = sample_block(
+        system.noise, points,
+        lambda draws: _gram_rows(system.gain(X[:, None], draws).reshape(
+            -1, system.n, system.n_v), P))
+    # each entry's samples contiguous, as H1's are: a reduction along the
+    # last axis takes one pass over them, where one along axis 1 of
+    # (points, N, n_v, n_v) loops over n_v^2 elements per sample (six times
+    # as long for n_v = 2; for n_v = 1 the two are the same bits)
+    mean, se = mean_and_error(
+        np.ascontiguousarray(grams.transpose(0, 2, 3, 1)), -1)
     if not np.isfinite(se).all():
         raise EvaluationError("gain gram non-finite")
     sup = _sup_eig(c * mean + _m1_gram(system, X))
     return sup, c * np.linalg.norm(se, 2, axis=(-2, -1))
+
+
+def _excited(system, X, rows, points):
+    """Whether a gain row g_i of the boolean mask ``rows`` is excited,
+    E[g_i'g_i] != 0, at each row of X: in closed form (``points`` None)
+    from the diagonal of E[g_r'g_r] over those rows r, from ``g_parts``
+    scaled to a largest entry of 1 at each point, so that a gain of 1e-170
+    does not square to zero; under Monte Carlo when some g_i sampled on
+    the ``PointDraws`` ``points`` is nonzero, read as the sum of its
+    absolute entries (nonnegative, so also under antithetic pairing)."""
+    if points is None:
+        G0, Gs = system.gain_parts(X)
+        parts = [G[..., rows, :] for G in [G0, *Gs]]
+        size = np.max([np.abs(G).max(axis=(-2, -1)) for G in parts], axis=0)
+        size = np.where(size > 0.0, size, 1.0)[..., None, None]
+        G0, *Gs = (G / size for G in parts)
+        gram = expected_gram(np.eye(rows.sum()), G0, Gs, system.noise)
+        found = np.diagonal(gram, axis1=-2, axis2=-1)
+    else:
+        idx = np.flatnonzero(rows)
+        found = sample_block(system.noise, points, lambda draws: np.abs(
+            np.take(system.gain(X[:, None], draws).reshape(
+                -1, system.n, system.n_v), idx, axis=1)).sum(axis=(1, 2)))
+    if not np.isfinite(found).all():
+        raise EvaluationError("gain gram non-finite")
+    return found.any(axis=-1)
 
 
 # the sampled v-supremum: the axes and _SPHERE_COUNT seeded unit
@@ -199,11 +238,13 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
     """Disturbance-channel gain functional G_beta(V(x)).
 
     Quadratic storage takes the exact Rayleigh-quotient path
-    lambda_max((b/(b-1)) E[g'Pg] + m1'm1).  Separable storage is exact when
-    the gain matrix is noise free and only feeds quadratic coordinates (the
-    supremum is infinite when a higher-power coordinate is excited).  All
-    other candidates fall back to sphere sampling, which yields a lower
-    bound on the supremum and is flagged as such.
+    lambda_max((b/(b-1)) E[g'Pg] + m1'm1).  Separable storage is exact for
+    any gain, noisy or not: +inf when a coordinate of power 4 or more is
+    excited (E[g_i'g_i] != 0), else the same path over its power-2
+    coordinates.  Both read E[g'Pg] from ``g_parts`` in closed form and
+    from the sampled gram under Monte Carlo.  Other candidates take sphere
+    sampling under Monte Carlo, which yields a lower bound on the supremum
+    and is flagged as such.
     """
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
@@ -229,47 +270,37 @@ def _gain_sup(V, system, X, c, points):
     ``PointDraws`` ``points``, in closed form (None) from ``g_parts``."""
     if isinstance(V, QuadraticStorage):
         sup, se = _gram_sup(system, X, V.P, c, points)
-        return [Estimate(v, e) for v, e in zip(sup.tolist(), se.tolist())]
-
-    m1m1 = np.broadcast_to(_m1_gram(system, X),
-                           (len(X), system.n_v, system.n_v))
-    out = [None] * len(X)
-    if isinstance(V, SeparableStorage) and system.g_parts is not None:
-        G0, Gs = system.gain_parts(X)
-        # only exact zeros: a noise part of any size feeds the quartic rows
-        exact = ~np.any([G.reshape(len(X), -1).any(axis=1) for G in Gs],
-                        axis=0)
-        quad_rows = np.array([d == 2 for d in V.d])
-        # a power-4 coordinate is excited: V grows faster than |v|^2
-        excited = (np.abs(G0[:, ~quad_rows]) > 0.0).any(axis=(1, 2))
-        for i in np.flatnonzero(exact & excited):
-            out[i] = Estimate(np.inf, 0.0)
-        rows = np.flatnonzero(exact & ~excited)
-        P2 = np.diag([p if d == 2 else 0.0 for p, d in zip(V.p, V.d)])
-        sup = _sup_eig(c * _gram_rows(G0[rows], P2) + m1m1[rows])
-        for i, v in zip(rows, sup.tolist()):
-            out[i] = Estimate(v, 0.0)
-
-    for i, x in enumerate(X):
-        if out[i] is None:
-            out[i] = _sphere_sup(V, system, x, m1m1[i], c,
-                                 None if points is None
-                                 else points.block(i, i + 1))
-    return out
+    elif isinstance(V, SeparableStorage):
+        # a coordinate of power d_i >= 4 makes E[(c g_i v)^d_i] / |v|^2 grow
+        # without bound along some v unless g_i v = 0 almost surely; then
+        # only the power-2 coordinates count
+        quad = np.array(V.d) == 2
+        sup, se = _gram_sup(system, X, np.diag(np.where(quad, V.p, 0.0)), c,
+                            points)
+        if not quad.all():
+            excited = _excited(system, X, ~quad, points)
+            sup[excited], se[excited] = np.inf, 0.0
+    elif points is None:
+        raise ConfigurationError(
+            "closed-form G_beta needs a quadratic or separable storage; use "
+            "a monte-carlo scheme instead")
+    else:
+        m1m1 = np.broadcast_to(_m1_gram(system, X),
+                               (len(X), system.n_v, system.n_v))
+        return [_sphere_sup(V, system, x, m1m1[i], c, points.block(i, i + 1))
+                for i, x in enumerate(X)]
+    return [Estimate(v, e) for v, e in zip(sup.tolist(), se.tolist())]
 
 
 def _sphere_sup(V, system, x, m1m1, c, points):
-    """The sphere-sampled lower bound of ``_gain_sup`` at one point x."""
-    def parts(v):
-        G0, Gs = system.gain_parts(x[None])
-        return G0 @ v, [G @ v for G in Gs]
-
+    """The sphere-sampled lower bound of ``_gain_sup`` at one point x from
+    its ``PointDraws`` ``points``."""
     best = Estimate(-np.inf, 0.0, lower_bound_only=True)
     for direction in _sphere_directions(system.n_v):
         for r in _SPHERE_RADII:
             vv = r * direction
-            mean, se = expected_value_of(
-                V, system.noise, points, lambda: parts(vv),
+            mean, se, _ = expected_value_of(
+                V, system.noise, points, None,
                 lambda draws: (system.gain(x[None, None], draws)
                                @ vv[:, None])[..., 0], c)
             obj = (float(mean[0]) / c + float(vv @ m1m1 @ vv)) / (r * r)
@@ -312,10 +343,11 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 
 def _split_rows(name, V, system, beta):
     """H0 (b = 1) or H1 <= 0 as a block form, with tolerance scale
-    |H| + V(x) + |m(x)|^2."""
+    |H| + V(x) + |m(x)|^2 plus the cancelled terms of E[V(b f)]/b."""
     return Batched(lambda X, points: [
         Row(est.value, std_error=est.std_error,
-            scale=abs(est.value) + est.storage + est.output_sq,
+            scale=abs(est.value) + est.storage + est.output_sq
+            + est.cancelled,
             info={"inequality": name})
         for est in _split_block(V, system, X, None, beta, points)])
 

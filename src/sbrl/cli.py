@@ -213,8 +213,9 @@ def resolve_config(cfg, seed_override=None, out_override=None):
     out.setdefault("formats", ["csv", "svg"])
     cert = resolved.get("certificate")
     if cert is not None and cert["kind"] != "linear-brl":  # reads no scheme
-        scheme = cert.setdefault("scheme", {})
-        scheme.setdefault("mode", ExpectationScheme.mode)
+        # exact wherever the system declares its parts: every config system
+        # does; monte-carlo is a stated choice
+        scheme = cert.setdefault("scheme", {"mode": "closed-form"})
         if scheme["mode"] == "monte-carlo":
             scheme.setdefault("samples", ExpectationScheme.samples)
             scheme.setdefault("antithetic", ExpectationScheme.antithetic)
@@ -235,12 +236,12 @@ def config_hash(resolved):
 
 
 def _scheme_from(cert_block, seed):
-    """The ExpectationScheme of a certificate block; absent keys default."""
-    block = cert_block.get("scheme", {})
+    """The ExpectationScheme of a resolved certificate block."""
+    block = cert_block["scheme"]
     given = {key: cast(block[key]) for key, cast in
-             (("mode", str), ("samples", int), ("antithetic", bool))
-             if key in block}
-    return ExpectationScheme(seed=derive_seed(seed, 0x5C0), **given)
+             (("samples", int), ("antithetic", bool)) if key in block}
+    return ExpectationScheme(block["mode"], seed=derive_seed(seed, 0x5C0),
+                             **given)
 
 
 def _gamma_sq_from(block):

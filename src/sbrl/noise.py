@@ -4,7 +4,7 @@ The driving sequence is a d-dimensional i.i.d. process whose coordinates are
 mutually independent, each drawn from one of four elementary distributions
 (uniform, gaussian, point mass, rademacher).  Expectations E[phi(omega)] are
 evaluated either by seeded Monte Carlo or, for integrands declared as
-polynomials in omega of total degree <= 4, exactly from raw moments.  Both
+polynomials in omega, exactly from raw moments of any order.  Both
 take a block of sweep points, a ``PointDraws`` or one row per point, and
 give each point the bits of that point evaluated alone.
 
@@ -171,18 +171,12 @@ class Gaussian(_Distribution):
         self.mirror_sum = 2.0 * self.mean
 
     def moment(self, k):
-        mu, s2 = self.mean, self.variance
-        if k == 0:
-            return 1.0
-        if k == 1:
-            return mu
-        if k == 2:
-            return mu * mu + s2
-        if k == 3:
-            return mu ** 3 + 3 * mu * s2
-        if k == 4:
-            return mu ** 4 + 6 * mu * mu * s2 + 3 * s2 * s2
-        raise ConfigurationError(f"gaussian raw moment of order {k} not supported")
+        """E[w^k] by m_k = mu m_{k-1} + (k-1) s^2 m_{k-2} from m_0 = 1 and
+        m_1 = mu (Winkelbauer, arXiv:1209.4340)."""
+        prev, m = 1.0, (self.mean if k else 1.0)
+        for j in range(2, k + 1):
+            prev, m = m, self.mean * m + (j - 1) * self.variance * prev
+        return m
 
     def fill(self, rng, out):
         rng.standard_normal(out=out)
@@ -341,6 +335,10 @@ class ExpectationScheme:
         return max(1, SWEEP_ROWS // self.draws_per_point())
 
     def spec(self):
+        """The provenance record: the mode alone in closed form, which reads
+        no draw."""
+        if self.mode == "closed-form":
+            return {"mode": self.mode}
         return {
             "mode": self.mode,
             "samples": self.samples,
@@ -413,9 +411,6 @@ class Estimate:
     lower_bound_only: bool = False
 
 
-MAX_POLY_DEGREE = 4
-
-
 class OmegaPolynomial:
     """Polynomial in the noise coordinates, as {exponent tuple: coefficient}.
 
@@ -433,10 +428,6 @@ class OmegaPolynomial:
             clean[exps] = clean.get(exps, 0.0) + float(coef)
         self.terms = clean
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __call__(self, draws):
         draws = np.asarray(draws, dtype=float)
         out = np.zeros(draws.shape[0])
@@ -450,11 +441,6 @@ class OmegaPolynomial:
         return out
 
     def expectation(self, noise: NoiseModel) -> float:
-        if self.degree > MAX_POLY_DEGREE:
-            raise ConfigurationError(
-                f"closed-form mode supports degree <= {MAX_POLY_DEGREE}, "
-                f"got {self.degree}"
-            )
         total = 0.0
         for exps, coef in self.terms.items():
             prod = coef
@@ -579,63 +565,78 @@ def _eval_integrand(integrand, draws):
     return vals
 
 
-def _compositions(total, parts):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multinomial(k, exps):
-    num = math.factorial(k)
-    for e in exps:
-        num //= math.factorial(e)
-    return num
-
-
 def expected_affine_power(c0, coeffs, power: int, noise: NoiseModel):
-    """Exact E[(c0 + sum_j coeffs[..., j] * omega_j)^power] for power <= 4
-    at each row: c0 is (...) and coeffs (..., dim)."""
-    if power > MAX_POLY_DEGREE:
-        raise ConfigurationError(f"power {power} exceeds {MAX_POLY_DEGREE}")
+    """Exact E[(c0 + sum_j coeffs[..., j] * omega_j)^power] at each row, c0
+    (...) and coeffs (..., dim), and the sum of the absolute terms of its
+    multinomial expansion: a high power can add up large terms of both
+    signs, so that sum, not the mean, sizes its rounding error.
+
+    The coordinates are independent, so bringing one more into y gives
+    E[(y + c w)^k] = sum_r C(k, r) E[y^(k-r)] c^r E[w^r]: one pass per
+    coordinate over the powers 0..power, dim * power^2 / 2 row products
+    where the expansion has C(power + dim, dim) terms.  The same passes on
+    absolute values give the sum of the absolute terms."""
     c0 = np.asarray(c0, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     d = noise.dim
     if coeffs.shape[-1:] != (d,):
         raise ConfigurationError(f"need {d} coefficients, got {coeffs.shape}")
-    total = 0.0
-    for exps in _compositions(power, d + 1):
-        e0, erest = exps[0], exps[1:]
-        term = _multinomial(power, exps) * c0 ** e0
-        for j, e in enumerate(erest):
-            if e:
-                term = term * (coeffs[..., j] ** e * noise.moment(j, e))
-        total = total + term
-    return total
+
+    def bring_in(sums, scaled):
+        # a float binomial: a Python int past 2**63 does not enter numpy
+        return [sum(float(math.comb(k, r)) * (sums[k - r] * scaled[r])
+                    for r in range(k + 1)) for k in range(power + 1)]
+
+    # E[y^k] and its absolute-term sum for k = 0..power, y = c0 to start
+    mean = [c0 ** k for k in range(power + 1)]
+    size = [np.abs(m) for m in mean]
+    for j in range(d):
+        # c^r E[w^r] for r = 0..power
+        scaled = [coeffs[..., j] ** r * noise.moment(j, r)
+                  for r in range(power + 1)]
+        mean = bring_in(mean, scaled)
+        size = bring_in(size, [np.abs(t) for t in scaled])
+    return mean[power], size[power]
 
 
 def _gram_rows(G, P, H=None):
     """g' P h for each (n, n_v) gain row g of G and h of H (default G), as
-    the sum over (i, l) of (g_i' P_il) h_l in column ufuncs: a row has the
-    same bits in a call of any size (an einsum or a matmul does not)."""
-    H = G if H is None else H
-    out = None
-    for i, p_row in enumerate(P):
-        for l, p in enumerate(p_row):
-            term = (G[..., i, :, None] * p) * H[..., l, None, :]
-            if out is None:
-                out = term
-            else:
-                out += term
+    a C-order (..., n_v, n_v) array: entry (a, b) is the sum over the
+    nonzero P_il, in (i, l) order, of (g_ia P_il) h_lb, taken on whole
+    columns of the rows, so a row has the same bits in a call of any size
+    (an einsum or a matmul does not).  The columns are made contiguous
+    first: the same products taken on (..., n_v, 1) by (..., 1, n_v)
+    slices run numpy's inner loop over n_v elements and take about five
+    times as long."""
+    def columns(A):
+        # (..., n, n_v) as C-order (n, n_v, ...)
+        k = A.ndim
+        return np.ascontiguousarray(A.transpose(k - 2, k - 1, *range(k - 2)))
+
+    weights = [(i, l, p) for i, p_row in enumerate(P)
+               for l, p in enumerate(p_row) if p != 0.0]
+    g = columns(G)
+    h = g if H is None else columns(H)
+    lead = g.shape[2:] if H is None else np.broadcast_shapes(g.shape[2:],
+                                                             h.shape[2:])
+    out = np.empty(lead + (g.shape[1], h.shape[1]))
+    for a in range(g.shape[1]):
+        for b in range(h.shape[1]):
+            entry = None
+            for i, l, p in weights:
+                term = (g[i, a] * p) * h[l, b]
+                if entry is None:
+                    entry = term
+                else:
+                    entry += term
+            out[..., a, b] = 0.0 if entry is None else entry
     return out
 
 
 def expected_gram(P, G0, Gs, noise: NoiseModel):
     """Exact E[g' P g] for g = G0 + sum_j Gs[j] * omega_j at each of the
-    (..., n, n_v) gain rows, each product a ``_gram_rows`` sum."""
+    (..., n, n_v) gain rows, each product a ``_gram_rows`` sum; a part
+    that is zero at every row adds only zero terms and is skipped."""
     P = np.asarray(P, dtype=float)
     G0 = np.asarray(G0, dtype=float)
     d = noise.dim
@@ -645,10 +646,12 @@ def expected_gram(P, G0, Gs, noise: NoiseModel):
     m1 = [noise.moment(j, 1) for j in range(d)]
     m2 = [noise.moment(j, 2) for j in range(d)]
     total = _gram_rows(G0, P)
-    for j, Gj in enumerate(Gs):
+    live = [j for j, G in enumerate(Gs) if G.any()]
+    for n, j in enumerate(live):
+        Gj = Gs[j]
         total = total + m1[j] * (_gram_rows(G0, P, Gj) + _gram_rows(Gj, P, G0))
         total = total + m2[j] * _gram_rows(Gj, P)
-        for i in range(j):
+        for i in live[:n]:
             total = total + m1[i] * m1[j] * (_gram_rows(Gs[i], P, Gj)
                                              + _gram_rows(Gj, P, Gs[i]))
     return total

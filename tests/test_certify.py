@@ -174,10 +174,10 @@ def test_g_beta_infinite_when_quartic_coordinate_excited():
     assert est.value == np.inf
 
 
-def test_tiny_gain_noise_part_is_not_the_exact_separable_path():
+def test_tiny_gain_noise_part_makes_g_beta_infinite():
     # g = G0 + G1 w with |G1| = 1e-9: the quartic coordinate sees
-    # (c 1e-9 w v)^4, so the supremum over v is +inf and no exact value
-    # may certify
+    # (c 1e-9 w v)^4, so the supremum over v is +inf, exactly, and the
+    # claim is falsified
     G0, G1 = np.array([[1.0], [0.0]]), np.array([[0.0], [1e-9]])
     sys_t = AffineSystem(
         2, 1,
@@ -190,11 +190,14 @@ def test_tiny_gain_noise_part_is_not_the_exact_separable_path():
         g_parts=lambda x: (G0, [G1]),
     )
     V = SeparableStorage((1.0, 1.0), (2, 4))
-    assert certify.g_beta(V, sys_t, [0.0, 0.0], 2.0, CF).lower_bound_only
     box = DomainBox((-1.0, -1.0), (1.0, 1.0), ("grid", 3))
-    cert = certify.check_external(sys_t, V, 2.0, 4.5, box, CF)
-    assert cert.status == "inconclusive"
-    assert any("lower bound" in note for note in cert.notes)
+    for scheme in (CF, ExpectationScheme(samples=50, seed=2)):
+        est = certify.g_beta(V, sys_t, [0.0, 0.0], 2.0, scheme)
+        assert (est.value, est.lower_bound_only) == (np.inf, False)
+        cert = certify.check_external(sys_t, V, 2.0, 4.5, box, scheme)
+        assert cert.status == "falsified"
+        assert cert.provenance["g_beta_sup"] == np.inf
+        assert not any("lower bound" in note for note in cert.notes)
 
 
 def test_g0_quadratic_against_sphere_oracle():
@@ -218,6 +221,135 @@ def test_g0_quadratic_against_sphere_oracle():
     oracle = sphere_scan_sup(
         lambda v: float((B @ v) @ P @ (B @ v) + (M1 @ v) @ (M1 @ v)), 2)
     assert est.value == pytest.approx(oracle, rel=1e-3)
+
+
+BOX_201 = DomainBox((-10.0,), (10.0,), ("grid", 201))
+
+
+@pytest.mark.parametrize("gamma_sq", [0.1, 0.08, 0.0799])
+def test_separable_square_storage_gives_the_quadratic_verdicts(gamma_sq):
+    # V = 4 x^2 as separable {p: [4], d: [2]}: the noisy gain b cos(x) w
+    # takes the exact gram path, as quadratic storage does, so both give
+    # the same verdict and the same G_beta bits
+    sys1 = library.example1_system()
+    quadratic, separable = (
+        certify.check_external(sys1, V, BETA1, gamma_sq, BOX_201, CF)
+        for V in (QuadraticStorage([[4.0]]), SeparableStorage((4.0,), (2,))))
+    assert separable.status == quadratic.status \
+        == ("falsified" if gamma_sq < 0.08 else "certified")
+    assert repr(separable.provenance["g_beta_sup"]) \
+        == repr(quadratic.provenance["g_beta_sup"])
+    assert not separable.provenance.get("lower_bound_only")
+    assert not any("lower bound" in note for note in separable.notes)
+
+
+@pytest.mark.parametrize("scheme", [CF, ExpectationScheme(samples=200, seed=3)],
+                         ids=["closed-form", "mc200"])
+@pytest.mark.parametrize("d", [4, 6])
+def test_quartic_storage_on_a_noisy_gain_is_falsified(scheme, d):
+    # example 1's gain b cos(x) w feeds its one coordinate: with power 4 or
+    # more, E[(c g v)^d] / |v|^2 grows without bound, so G_beta = +inf
+    cert = certify.check_external(library.example1_system(),
+                                  SeparableStorage((4.0,), (d,)), BETA1, 0.1,
+                                  BOX_201, scheme)
+    assert cert.status == "falsified"
+    assert cert.provenance["g_beta_sup"] == np.inf
+    assert cert.witness["info"] == {"inequality": "G_beta"}
+
+
+@pytest.mark.parametrize("scheme", [CF, ExpectationScheme(samples=20, seed=1)],
+                         ids=["closed-form", "mc20"])
+@pytest.mark.parametrize("gain", [1.0, 1e-170])
+def test_infinite_g_beta_falsifies_against_any_gamma(gain, scheme):
+    # a noise-free gain feeding x^4: G_beta = +inf exactly, and H1 <= 0;
+    # the tolerance of an infinite side must not grow to +inf with it, and
+    # a gain of 1e-170, whose square underflows, is still an excitation
+    s = AffineSystem(1, 1, f=lambda X, W: 0.5 * X,
+                     g=lambda X, W: np.full((1, 1), gain),
+                     m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 1)),
+                     noise=point_mass_noise(0.0, 1),
+                     f_parts=lambda X: (0.5 * X, [np.zeros(1)]),
+                     g_parts=lambda X: (np.full((1, 1), gain),
+                                        [np.zeros((1, 1))]))
+    cert = certify.check_external(s, SeparableStorage((1.0,), (4,)), 2.0,
+                                  1e6, DomainBox((-1.0,), (1.0,), ("grid", 5)),
+                                  scheme)
+    assert cert.status == "falsified"
+    assert cert.worst_margin == np.inf
+    assert cert.tolerance == base_tolerance(np.inf) == 1e-9
+    assert cert.provenance["h1_worst"] <= 0.0
+
+
+def noisy_drift_system():
+    """x+ = (0.6 + 0.3 w) x + 0.2 v, w ~ N(0.3, 0.5): the drift's noise
+    part makes E[V(b f)] a moment sum of every order up to the power."""
+    return AffineSystem(
+        1, 1,
+        f=lambda X, W: (0.6 + 0.3 * W) * X,
+        g=lambda X, W: np.full((*np.broadcast_shapes(X.shape[:-1],
+                                                     W.shape[:-1]), 1, 1),
+                               0.2),
+        m=lambda X: 0.5 * X,
+        m1=lambda X: np.array([[0.1]]),
+        noise=gaussian_noise(0.3, 0.5),
+        f_parts=lambda X: (0.6 * X, [0.3 * X]),
+        g_parts=lambda X: (np.array([[0.2]]), [np.zeros((1, 1))]),
+    )
+
+
+def test_separable_power_six_closed_form_agrees_with_monte_carlo():
+    system, V = noisy_drift_system(), SeparableStorage((0.7,), (6,))
+    mc = ExpectationScheme(samples=20_000, seed=5)
+    for x in ([0.4], [0.9], [-1.3]):
+        exact = certify.h1(V, system, x, 1.2, CF)
+        sampled = certify.h1(V, system, x, 1.2, mc.at(np.array(x)))
+        assert exact.std_error == 0.0 and sampled.std_error > 0.0
+        assert abs(exact.value - sampled.value) <= 4.0 * sampled.std_error
+        # the expansion's terms cancel against nothing here: all positive
+        assert exact.cancelled == 0.0
+
+
+def test_cancelling_expansion_widens_the_tolerance():
+    # f = x (w - 0.3) with w ~ N(0.3, 0.5): E[(b f)^6] is 15 (b x)^6 s^6
+    # of the centred moment, added up from raw-moment terms of both signs;
+    # their spread is the row's tolerance scale, not the small mean
+    system = AffineSystem(
+        1, 1, f=lambda X, W: X * (W - 0.3), g=lambda X, W: np.zeros((1, 1)),
+        m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 1)),
+        noise=gaussian_noise(0.3, 0.5),
+        f_parts=lambda X: (-0.3 * X, [X]),
+        g_parts=lambda X: (np.zeros((1, 1)), [np.zeros((1, 1))]))
+    V = SeparableStorage((1.0,), (6,))
+    est = certify.h1(V, system, [2.0], 1.5, CF)
+    b_x = 1.5 * 2.0
+    assert est.value == pytest.approx(15 * b_x ** 6 * 0.5 ** 3 / 1.5 - 64.0,
+                                      rel=1e-12)
+    assert est.cancelled > 0.0
+
+
+def test_closed_form_gain_parts_are_formed_once_per_block():
+    # a closed-form G_beta sweep forms g_parts once per block of points
+    # (twice for separable storage with a quartic coordinate: the gram and
+    # the excitation test), never once per point or per direction; the
+    # sphere-sampled bound is Monte Carlo only and forms no parts
+    sys1 = library.example1_system()
+    calls = []
+    parts = sys1.g_parts
+    sys1.g_parts = lambda X: calls.append(X.shape) or parts(X)
+    for V, expected in ((QuadraticStorage([[4.0]]), 1),
+                        (SeparableStorage((4.0,), (2,)), 1),
+                        (SeparableStorage((4.0,), (4,)), 2)):
+        calls.clear()
+        certify.check_external(sys1, V, BETA1, 0.1, BOX_201, CF)
+        assert calls == [(201, 1)] * expected
+    calls.clear()
+    custom = CustomStorage(lambda X: 4.0 * X[:, 0] ** 2, 1, claims_convex=True)
+    with pytest.raises(ConfigurationError, match="quadratic or separable"):
+        certify.g_beta(custom, sys1, [0.5], BETA1, CF)
+    est = certify.g_beta(custom, sys1, [0.5], BETA1,
+                         ExpectationScheme(samples=50, seed=1))
+    assert est.lower_bound_only
+    assert calls == []
 
 
 def test_g0_scalar_and_zero_storage():

@@ -284,13 +284,71 @@ def test_example_builds_the_system_and_the_law_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(library, name, counted)
     cfg = cli.load_config(Path(cli.__file__).with_name("example2.json"))
-    cfg["certificate"]["scheme"]["samples"] = 200
+    cfg["certificate"]["scheme"] = {"mode": "monte-carlo", "samples": 200}
     cfg["certificate"]["domain"]["grid"] = 2
     cfg["ensemble"].update(count=3, horizon=20)
     resolved = cli.resolve_config(cfg, out_override=tmp_path)
     assert cli.cmd_example(resolved) in (0, 1, 2)
     assert (tmp_path / "summary.json").exists()
     assert counts == {"system_from_config": 1, "law_from_config": 1}
+
+
+def test_example_two_under_monte_carlo_agrees_with_closed_form(tmp_path):
+    # example 2 ships in closed form; Monte Carlo stays a stated choice and
+    # samples the same separable G_beta gram
+    from sbrl import certify, library, synth
+    cfg = cli.load_config(Path(cli.__file__).with_name("example2.json"))
+    assert cfg["certificate"]["scheme"] == {"mode": "closed-form"}
+    cfg["certificate"]["domain"]["grid"] = 3
+    certs = {}
+    for mode, scheme in (("mc", {"mode": "monte-carlo", "samples": 2000}),
+                         ("cf", {"mode": "closed-form"})):
+        cfg["certificate"]["scheme"] = scheme
+        path = write_config(tmp_path, cfg, f"{mode}.json")
+        assert run(["certify", "--config", path,
+                    "--out", str(tmp_path / mode)]) == 0
+        certs[mode], = json.loads(
+            (tmp_path / mode / "certificates.json").read_text())
+        assert certs[mode]["status"] == "certified"
+    resolved = json.loads(
+        (tmp_path / "mc" / "resolved_config.json").read_text())
+    scheme = cli._scheme_from(resolved["certificate"], resolved["seed"])
+    loop = synth.closed_loop(library.example2_plant(), library.example2_law())
+    points = cli._domain(resolved["certificate"], loop).points()
+    sup = max((certify.g_beta(library.example2_storage(), loop, x,
+                              library.EXAMPLE2_BETA, scheme.at(x))
+               for x in points), key=lambda est: est.value)
+    mc, cf = (certs[m]["provenance"]["g_beta_sup"] for m in ("mc", "cf"))
+    assert mc == sup.value
+    assert abs(mc - cf) <= 3.0 * sup.std_error
+
+
+def test_certificate_without_scheme_is_closed_form(tmp_path):
+    # separable {p: [4], d: [2]} is example 1's quadratic p = 4 storage; a
+    # certificate that names no scheme resolves to closed form, whose
+    # provenance holds the mode alone
+    cfg = example1_external_config(tmp_path / "out", gamma_sq=0.1)
+    cfg["storage"] = {"separable": {"p": [4.0], "d": [2]}}
+    del cfg["certificate"]["scheme"]
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+    assert resolved["certificate"]["scheme"] == {"mode": "closed-form"}
+    cert, = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert cert["status"] == "certified"
+    assert cert["provenance"]["scheme"] == {"mode": "closed-form"}
+    assert cert["provenance"]["g_beta_sup"] == pytest.approx(0.08, rel=1e-12)
+
+
+def test_scheme_less_power_six_storage_reaches_a_verdict(tmp_path):
+    # closed form takes any even power: d = 6 on example 1's noisy gain is
+    # G_beta = +inf, falsified, not a refusal of the power
+    cfg = example1_external_config(tmp_path / "out", gamma_sq=0.1)
+    cfg["storage"] = {"separable": {"p": [4.0], "d": [6]}}
+    del cfg["certificate"]["scheme"]
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 1
+    cert, = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert cert["status"] == "falsified"
+    assert cert["provenance"]["g_beta_sup"] == float("inf")
 
 
 def test_example_unknown_exit_two(tmp_path):

@@ -219,7 +219,8 @@ PROBES = {
                            "certificate.scheme.sampels"),
     "closed-form-samples": (edit("certificate.scheme.samples", 50),
                             "certificate.scheme.samples"),
-    "scheme-without-mode": (edit("certificate.scheme", {"samples": 50}), None),
+    "scheme-without-mode": (edit("certificate.scheme", {"samples": 50}),
+                            "certificate.scheme.mode"),
     "domain-unknown-key": (edit("certificate.domain.gird", 3),
                            "certificate.domain.gird"),
     "domain-grid-and-random": (edit("certificate.domain.random", {"count": 3}),

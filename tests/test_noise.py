@@ -96,10 +96,31 @@ def test_uniform_moments_against_quadrature(dist, k):
 
 @pytest.mark.parametrize("mean,var,k", [
     (0.0, 1.0, 2), (0.0, 1.0, 4), (1.5, 0.25, 3), (-0.3, 2.0, 4),
+    (0.7, 1.3, 6), (-0.3, 2.0, 7), (1.5, 0.25, 10),
 ])
 def test_gaussian_moments_against_quadrature(mean, var, k):
     assert Gaussian(mean, var).moment(k) == pytest.approx(
         gaussian_moment_quadrature(mean, var, k), rel=1e-9)
+
+
+@pytest.mark.parametrize("mean,var", [(0.0, 1.0), (0.0, 2.5), (1.5, 0.25),
+                                      (-0.3, 2.0)])
+def test_gaussian_moment_recurrence_keeps_the_low_orders(mean, var):
+    # the closed forms of orders 0-4 that the recurrence replaced
+    mu, s2 = mean, var
+    old = [1.0, mu, mu * mu + s2, mu ** 3 + 3 * mu * s2,
+           mu ** 4 + 6 * mu * mu * s2 + 3 * s2 * s2]
+    new = [Gaussian(mean, var).moment(k) for k in range(5)]
+    assert new[:3] == old[:3]  # orders 0-2 bit for bit
+    assert new == pytest.approx(old, rel=1e-15, abs=1e-300)
+    if mean == 0.0:
+        assert new == old
+        # (k - 1)!! s^k: 15 s^6 and 105 s^8, and the odd orders vanish
+        assert Gaussian(mean, var).moment(6) == pytest.approx(
+            15.0 * var ** 3, rel=1e-15)
+        assert Gaussian(mean, var).moment(8) == pytest.approx(
+            105.0 * var ** 4, rel=1e-15)
+        assert Gaussian(mean, var).moment(7) == 0.0
 
 
 def test_closed_form_matches_rademacher_enumeration():
@@ -213,11 +234,16 @@ def test_closed_form_rejects_plain_callable():
                lambda draws: draws[:, 0])
 
 
-def test_closed_form_rejects_degree_over_four():
-    model = NoiseModel((Uniform(0.0, 1.0),))
+def test_closed_form_takes_a_polynomial_of_any_degree():
+    # E[w^5] = 1/6 for w uniform on [0, 1] and E[w^6] = 15 for w ~ N(0, 1)
     poly = OmegaPolynomial(1, {(5,): 1.0})
-    with pytest.raises(ConfigurationError):
-        expect(model, ExpectationScheme(mode="closed-form"), poly)
+    est = expect(NoiseModel((Uniform(0.0, 1.0),)),
+                 ExpectationScheme(mode="closed-form"), poly)
+    assert est.value == pytest.approx(1.0 / 6.0, rel=1e-15)
+    est = expect(NoiseModel((Gaussian(0.0, 1.0),)),
+                 ExpectationScheme(mode="closed-form"),
+                 OmegaPolynomial(1, {(6,): 1.0}))
+    assert est.value == 15.0
 
 
 def test_quadratic_closed_form_against_monte_carlo():
@@ -226,10 +252,11 @@ def test_quadratic_closed_form_against_monte_carlo():
     c0 = np.array([0.4, -1.0])
     cs = [np.array([1.0, 0.0]), np.array([-0.5, 2.0])]
     # one row: the closed-form route of expected_value_of
-    exact, se = certify.expected_value_of(
+    exact, se, size = certify.expected_value_of(
         QuadraticStorage(P), model, None,
         lambda: (c0[None], [c[None] for c in cs]), None)
     assert se.tolist() == [0.0]
+    assert size.tolist() == exact.tolist()  # one term: |E[y'Py]|
     draws = model.sample(31, 400_000)
     ys = c0[None, :] + draws[:, [0]] * cs[0][None, :] + draws[:, [1]] * cs[1][None, :]
     mc = np.einsum("ni,ij,nj->n", ys, P, ys)
@@ -239,12 +266,72 @@ def test_quadratic_closed_form_against_monte_carlo():
 def test_expected_affine_power_against_enumeration():
     model = NoiseModel((Rademacher(), Rademacher()))
     c0, coeffs, k = 0.3, [1.5, -0.7], 4
-    exact = expected_affine_power(c0, coeffs, k, model)
+    exact, size = expected_affine_power(c0, coeffs, k, model)
     brute = 0.0
     for s1 in (-1.0, 1.0):
         for s2 in (-1.0, 1.0):
             brute += (c0 + coeffs[0] * s1 + coeffs[1] * s2) ** k
     assert exact == pytest.approx(brute / 4.0, rel=1e-12)
+    # only even powers of a Rademacher coordinate survive, so no term of
+    # the expansion is negative
+    assert size == pytest.approx(exact, rel=1e-15)
+
+
+def broadcast_gram_rows(G, P, H=None):
+    """The reference gram body: each (i, l) term over (..., n_v, 1) by
+    (..., 1, n_v) slices, added in (i, l) order."""
+    H = G if H is None else H
+    out = None
+    for i, p_row in enumerate(P):
+        for l, p in enumerate(p_row):
+            term = (G[..., i, :, None] * p) * H[..., l, None, :]
+            out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7, 1, 1), (5, 3, 2), (2, 4, 3, 2)])
+def test_gram_rows_keeps_the_bits_of_the_broadcast_body(shape):
+    rng = np.random.default_rng(sum(shape))
+    G, H = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            for _ in range(2))
+    n = shape[-2]
+    dense = rng.normal(size=(n, n))
+    # zero weights add no term; with nonzero products that changes no bit
+    sparse = np.diag(rng.uniform(0.5, 2.0, n) * (np.arange(n) % 2 == 0))
+    for P in (dense, sparse):
+        for args in ((G, P), (G, P, H)):
+            got = noise._gram_rows(*args)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == broadcast_gram_rows(*args).tobytes()
+    # no weight at all: a zero gram
+    assert not noise._gram_rows(G, np.zeros((n, n))).any()
+
+
+def enumerated_affine_power(c0, coeffs, power, model):
+    """The multinomial expansion term by term: E[(c0 + sum_j c_j w_j)^k]
+    and the sum of its absolute terms."""
+    total = size = 0.0
+    for exps in itertools.product(range(power + 1), repeat=model.dim + 1):
+        if sum(exps) != power:
+            continue
+        term = math.factorial(power) * c0 ** exps[0] / math.prod(
+            math.factorial(e) for e in exps)
+        for j, e in enumerate(exps[1:]):
+            term = term * coeffs[..., j] ** e * model.moment(j, e)
+        total, size = total + term, size + np.abs(term)
+    return total, size
+
+
+@pytest.mark.parametrize("power", [2, 4, 6, 8])
+def test_expected_affine_power_against_the_expansion(power):
+    model = NoiseModel((Gaussian(0.3, 0.5), Uniform(-1.0, 2.0), Rademacher(),
+                        PointMass(0.7)))
+    rng = np.random.default_rng(power)
+    c0, coeffs = rng.normal(size=20), rng.normal(size=(20, 4))
+    mean, size = expected_affine_power(c0, coeffs, power, model)
+    ref_mean, ref_size = enumerated_affine_power(c0, coeffs, power, model)
+    assert np.all(np.abs(mean - ref_mean) <= 1e-13 * ref_size)
+    assert size == pytest.approx(ref_size, rel=1e-13)
 
 
 def test_expected_gram_against_monte_carlo():
