@@ -52,52 +52,43 @@ def _require(system, tier):
 
 
 def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
-    """E[V(scale * y_i(w))] at each point i of a block as (mean, SE, size)
-    arrays: under Monte Carlo from the block's ``PointDraws`` ``points``,
-    with ``batch_fn(draws) -> (points, N, n)`` giving y on the (points, N,
-    dim) draws (a non-finite sample raises as in ``require_finite``); in
-    closed form (``points`` None) from ``parts_fn() -> (C0, [C_d])``, the
-    declared y_i(w) = C0[i] + sum_d C_d[i] w_d as (points, n) rows, for
-    quadratic or separable V, with SE 0.  ``size`` is the sum of the
-    absolute terms the mean adds up: those of the multinomial expansion of
-    a separable V in closed form, which cancel for a high power, and |mean|
-    for a sample mean or a quadratic form."""
+    """E[V(scale * y_i(w))] at each point i of a block as (mean, SE) arrays:
+    under Monte Carlo from the block's ``PointDraws`` ``points``, with
+    ``batch_fn(draws) -> (points, N, n)`` giving y on the (points, N, dim)
+    draws (a non-finite sample raises as in ``require_finite``); in closed
+    form (``points`` None) from ``parts_fn() -> (C0, [C_d])``, the declared
+    y_i(w) = C0[i] + sum_d C_d[i] w_d as (points, n) rows, for quadratic or
+    separable V of any powers, with SE 0."""
     if points is not None:
         vals = sample_block(noise, points, lambda draws: V.evaluate_batch(
             (scale * batch_fn(draws)).reshape(-1, V.dim)))
         require_finite(noise, points, vals)
-        mean, se = mean_and_error(vals, 1)
-        return mean, se, np.abs(mean)
+        return mean_and_error(vals, 1)
     c0, cs = parts_fn()
     c0, cs = scale * c0, [scale * c for c in cs]
     if isinstance(V, QuadraticStorage):
         # E[y' P y] is the one-column case of E[g' P g]
         mean = expected_gram(V.P, c0[..., None], [c[..., None] for c in cs],
                              noise)[..., 0, 0]
-        size = np.abs(mean)
     elif isinstance(V, SeparableStorage):
-        mean = size = 0.0
+        mean = 0.0
         for i, (p, d) in enumerate(zip(V.p, V.d)):
-            term, term_size = expected_affine_power(
+            mean = mean + p * expected_affine_power(
                 c0[..., i], np.stack([c[..., i] for c in cs], axis=-1), d,
                 noise)
-            mean, size = mean + p * term, size + p * term_size
     else:
         raise ConfigurationError(
             "closed-form expectation needs a quadratic or separable storage")
-    return mean, np.zeros_like(mean), size
+    return mean, np.zeros_like(mean)
 
 
 @dataclass(frozen=True)
 class SplitEstimate(Estimate):
-    """H0, H1 or H with the V(x) and |m(x[,u])|^2 it was formed from and
-    ``cancelled``, the part of the absolute terms of E[V(b f)]/b that
-    cancelled in its sum: with |H| they make the tolerance scale of the
-    inequality H <= 0."""
+    """H0, H1 or H with the V(x) and |m(x[,u])|^2 it was formed from: with
+    |H| they make the tolerance scale of the inequality H <= 0."""
 
     storage: float = 0.0
     output_sq: float = 0.0
-    cancelled: float = 0.0
 
 
 def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
@@ -112,15 +103,14 @@ def _split_block(V, system, X, u_row, beta, points):
     """``_split`` at each row of X, ``u_row`` one control row or None: from
     the ``PointDraws`` ``points``, or in closed form (None) from
     ``f_parts``.  One ``SplitEstimate`` per row."""
-    mean, se, size = expected_value_of(
+    mean, se = expected_value_of(
         V, system.noise, points, lambda: system.drift_parts(X, u_row),
         lambda draws: system.drift(X[:, None], u_row, draws), beta)
     vx, m_sq = V.evaluate_batch(X), _m_sq(system, X, u_row)
-    return [SplitEstimate(v, e, storage=s, output_sq=m, cancelled=c)
-            for v, e, s, m, c in zip((mean / beta - vx + m_sq).tolist(),
-                                     (se / beta).tolist(), vx.tolist(),
-                                     m_sq.tolist(),
-                                     ((size - np.abs(mean)) / beta).tolist())]
+    return [SplitEstimate(v, e, storage=s, output_sq=m)
+            for v, e, s, m in zip((mean / beta - vx + m_sq).tolist(),
+                                  (se / beta).tolist(), vx.tolist(),
+                                  m_sq.tolist())]
 
 
 def h0(V, system, x, scheme) -> SplitEstimate:
@@ -167,56 +157,65 @@ def _sup_eig(M):
     return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))[..., -1]
 
 
-def _gram_sup(system, X, P, c, points):
+def _gram_sup(system, X, P, c, points, rows=None):
     """lambda_max(c E[g'Pg] + m1'm1) and c ||SE||_2, SE the entrywise
     standard-error matrix of E[g'Pg], at each row of X, from the
     ``PointDraws`` ``points`` or in closed form (None) from ``g_parts``
     with SE 0: the quadratic-storage supremum of ``_gain_sup`` as two
-    arrays, and separable storage's over its power-2 coordinates."""
+    arrays, and separable storage's over its power-2 coordinates.  The
+    supremum is +inf, with SE 0, at a row of X where a gain row g_i of
+    the boolean mask ``rows`` (none by default) is excited, E[g_i'g_i] !=
+    0, read from the same parts or the same samples of g: under Monte
+    Carlo when some sampled g_i is nonzero."""
     if points is None:
-        sup = _sup_eig(c * expected_gram(P, *system.gain_parts(X), system.noise)
+        G0, Gs = system.gain_parts(X)
+        sup = _sup_eig(c * expected_gram(P, G0, Gs, system.noise)
                        + _m1_gram(system, X))
+        if rows is not None:
+            sup[_excited(G0, Gs, rows, system.noise)] = np.inf
         return sup, np.zeros_like(sup)
-    grams = sample_block(
-        system.noise, points,
-        lambda draws: _gram_rows(system.gain(X[:, None], draws).reshape(
-            -1, system.n, system.n_v), P))
-    # each entry's samples contiguous, as H1's are: a reduction along the
-    # last axis takes one pass over them, where one along axis 1 of
-    # (points, N, n_v, n_v) loops over n_v^2 elements per sample (six times
-    # as long for n_v = 2; for n_v = 1 the two are the same bits)
-    mean, se = mean_and_error(
-        np.ascontiguousarray(grams.transpose(0, 2, 3, 1)), -1)
+    excited = np.zeros(len(X), dtype=bool)
+
+    def grams(draws):
+        G = system.gain(X[:, None], draws).reshape(-1, system.n, system.n_v)
+        if rows is not None:
+            # nonzero entries, not squares: (1e-170)^2 underflows to zero
+            excited[:] |= G[:, rows].reshape(len(X), -1).any(axis=1)
+        return _gram_rows(G, P)
+
+    mean, se = mean_and_error(sample_block(system.noise, points, grams), 1)
     if not np.isfinite(se).all():
         raise EvaluationError("gain gram non-finite")
     sup = _sup_eig(c * mean + _m1_gram(system, X))
-    return sup, c * np.linalg.norm(se, 2, axis=(-2, -1))
+    se = c * np.linalg.norm(se, 2, axis=(-2, -1))
+    sup[excited], se[excited] = np.inf, 0.0
+    return sup, se
 
 
-def _excited(system, X, rows, points):
+def _excited(G0, Gs, rows, noise):
     """Whether a gain row g_i of the boolean mask ``rows`` is excited,
-    E[g_i'g_i] != 0, at each row of X: in closed form (``points`` None)
-    from the diagonal of E[g_r'g_r] over those rows r, from ``g_parts``
-    scaled to a largest entry of 1 at each point, so that a gain of 1e-170
-    does not square to zero; under Monte Carlo when some g_i sampled on
-    the ``PointDraws`` ``points`` is nonzero, read as the sum of its
-    absolute entries (nonnegative, so also under antithetic pairing)."""
-    if points is None:
-        G0, Gs = system.gain_parts(X)
-        parts = [G[..., rows, :] for G in [G0, *Gs]]
-        size = np.max([np.abs(G).max(axis=(-2, -1)) for G in parts], axis=0)
-        size = np.where(size > 0.0, size, 1.0)[..., None, None]
-        G0, *Gs = (G / size for G in parts)
-        gram = expected_gram(np.eye(rows.sum()), G0, Gs, system.noise)
-        found = np.diagonal(gram, axis1=-2, axis2=-1)
-    else:
-        idx = np.flatnonzero(rows)
-        found = sample_block(system.noise, points, lambda draws: np.abs(
-            np.take(system.gain(X[:, None], draws).reshape(
-                -1, system.n, system.n_v), idx, axis=1)).sum(axis=(1, 2)))
+    E[g_i'g_i] != 0, at each point of the gain parts ``G0``, ``Gs``: from
+    the diagonal of E[g_r'g_r] over those rows r, the parts scaled to a
+    largest entry of 1 at each point, so that a gain of 1e-170 does not
+    square to zero."""
+    parts = [G[..., rows, :] for G in [G0, *Gs]]
+    size = np.max([np.abs(G).max(axis=(-2, -1)) for G in parts], axis=0)
+    size = np.where(size > 0.0, size, 1.0)[..., None, None]
+    G0, *Gs = (G / size for G in parts)
+    found = np.diagonal(expected_gram(np.eye(rows.sum()), G0, Gs, noise),
+                        axis1=-2, axis2=-1)
     if not np.isfinite(found).all():
         raise EvaluationError("gain gram non-finite")
     return found.any(axis=-1)
+
+
+def _noise_free_gain(system, X):
+    """Whether the declared ``g_parts`` have no noise part at each row of X,
+    only exact zeros counting; all False without them."""
+    if system.g_parts is None:
+        return np.zeros(len(X), dtype=bool)
+    _, Gs = system.gain_parts(X)
+    return ~np.any([G.reshape(len(X), -1).any(axis=1) for G in Gs], axis=0)
 
 
 # the sampled v-supremum: the axes and _SPHERE_COUNT seeded unit
@@ -242,9 +241,10 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
     any gain, noisy or not: +inf when a coordinate of power 4 or more is
     excited (E[g_i'g_i] != 0), else the same path over its power-2
     coordinates.  Both read E[g'Pg] from ``g_parts`` in closed form and
-    from the sampled gram under Monte Carlo.  Other candidates take sphere
-    sampling under Monte Carlo, which yields a lower bound on the supremum
-    and is flagged as such.
+    from the sampled gram under Monte Carlo, where separable storage is
+    exact at a point whose declared gain has no noise part.  Other
+    candidates take sphere sampling under Monte Carlo, which yields a
+    lower bound on the supremum and is flagged as such.
     """
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
@@ -275,11 +275,16 @@ def _gain_sup(V, system, X, c, points):
         # without bound along some v unless g_i v = 0 almost surely; then
         # only the power-2 coordinates count
         quad = np.array(V.d) == 2
-        sup, se = _gram_sup(system, X, np.diag(np.where(quad, V.p, 0.0)), c,
-                            points)
-        if not quad.all():
-            excited = _excited(system, X, ~quad, points)
-            sup[excited], se[excited] = np.inf, 0.0
+        args = (system, X, np.diag(np.where(quad, V.p, 0.0)), c)
+        rows = None if quad.all() else ~quad
+        # a row whose declared gain is noise free takes its exact value
+        # under Monte Carlo too, and a block of such rows draws nothing
+        exact = _noise_free_gain(system, X) if points is not None else None
+        if exact is not None and exact.all():
+            points = None
+        sup, se = _gram_sup(*args, points, rows)
+        if points is not None and exact.any():
+            sup[exact], se[exact] = _gram_sup(*args, None, rows)[0][exact], 0.0
     elif points is None:
         raise ConfigurationError(
             "closed-form G_beta needs a quadratic or separable storage; use "
@@ -299,7 +304,7 @@ def _sphere_sup(V, system, x, m1m1, c, points):
     for direction in _sphere_directions(system.n_v):
         for r in _SPHERE_RADII:
             vv = r * direction
-            mean, se, _ = expected_value_of(
+            mean, se = expected_value_of(
                 V, system.noise, points, None,
                 lambda draws: (system.gain(x[None, None], draws)
                                @ vv[:, None])[..., 0], c)
@@ -343,11 +348,10 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 
 def _split_rows(name, V, system, beta):
     """H0 (b = 1) or H1 <= 0 as a block form, with tolerance scale
-    |H| + V(x) + |m(x)|^2 plus the cancelled terms of E[V(b f)]/b."""
+    |H| + V(x) + |m(x)|^2."""
     return Batched(lambda X, points: [
         Row(est.value, std_error=est.std_error,
-            scale=abs(est.value) + est.storage + est.output_sq
-            + est.cancelled,
+            scale=abs(est.value) + est.storage + est.output_sq,
             info={"inequality": name})
         for est in _split_block(V, system, X, None, beta, points)])
 

@@ -567,15 +567,12 @@ def _eval_integrand(integrand, draws):
 
 def expected_affine_power(c0, coeffs, power: int, noise: NoiseModel):
     """Exact E[(c0 + sum_j coeffs[..., j] * omega_j)^power] at each row, c0
-    (...) and coeffs (..., dim), and the sum of the absolute terms of its
-    multinomial expansion: a high power can add up large terms of both
-    signs, so that sum, not the mean, sizes its rounding error.
+    (...) and coeffs (..., dim).
 
     The coordinates are independent, so bringing one more into y gives
     E[(y + c w)^k] = sum_r C(k, r) E[y^(k-r)] c^r E[w^r]: one pass per
     coordinate over the powers 0..power, dim * power^2 / 2 row products
-    where the expansion has C(power + dim, dim) terms.  The same passes on
-    absolute values give the sum of the absolute terms."""
+    where the expansion has C(power + dim, dim) terms."""
     c0 = np.asarray(c0, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     d = noise.dim
@@ -587,49 +584,28 @@ def expected_affine_power(c0, coeffs, power: int, noise: NoiseModel):
         return [sum(float(math.comb(k, r)) * (sums[k - r] * scaled[r])
                     for r in range(k + 1)) for k in range(power + 1)]
 
-    # E[y^k] and its absolute-term sum for k = 0..power, y = c0 to start
+    # E[y^k] for k = 0..power, y = c0 to start
     mean = [c0 ** k for k in range(power + 1)]
-    size = [np.abs(m) for m in mean]
     for j in range(d):
         # c^r E[w^r] for r = 0..power
-        scaled = [coeffs[..., j] ** r * noise.moment(j, r)
-                  for r in range(power + 1)]
-        mean = bring_in(mean, scaled)
-        size = bring_in(size, [np.abs(t) for t in scaled])
-    return mean[power], size[power]
+        mean = bring_in(mean, [coeffs[..., j] ** r * noise.moment(j, r)
+                               for r in range(power + 1)])
+    return mean[power]
 
 
 def _gram_rows(G, P, H=None):
     """g' P h for each (n, n_v) gain row g of G and h of H (default G), as
-    a C-order (..., n_v, n_v) array: entry (a, b) is the sum over the
-    nonzero P_il, in (i, l) order, of (g_ia P_il) h_lb, taken on whole
-    columns of the rows, so a row has the same bits in a call of any size
-    (an einsum or a matmul does not).  The columns are made contiguous
-    first: the same products taken on (..., n_v, 1) by (..., 1, n_v)
-    slices run numpy's inner loop over n_v elements and take about five
-    times as long."""
-    def columns(A):
-        # (..., n, n_v) as C-order (n, n_v, ...)
-        k = A.ndim
-        return np.ascontiguousarray(A.transpose(k - 2, k - 1, *range(k - 2)))
-
-    weights = [(i, l, p) for i, p_row in enumerate(P)
-               for l, p in enumerate(p_row) if p != 0.0]
-    g = columns(G)
-    h = g if H is None else columns(H)
-    lead = g.shape[2:] if H is None else np.broadcast_shapes(g.shape[2:],
-                                                             h.shape[2:])
-    out = np.empty(lead + (g.shape[1], h.shape[1]))
-    for a in range(g.shape[1]):
-        for b in range(h.shape[1]):
-            entry = None
-            for i, l, p in weights:
-                term = (g[i, a] * p) * h[l, b]
-                if entry is None:
-                    entry = term
-                else:
-                    entry += term
-            out[..., a, b] = 0.0 if entry is None else entry
+    the sum over (i, l) of (g_i' P_il) h_l in column ufuncs: a row has the
+    same bits in a call of any size (an einsum or a matmul does not)."""
+    H = G if H is None else H
+    out = None
+    for i, p_row in enumerate(P):
+        for l, p in enumerate(p_row):
+            term = (G[..., i, :, None] * p) * H[..., l, None, :]
+            if out is None:
+                out = term
+            else:
+                out += term
     return out
 
 

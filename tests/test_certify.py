@@ -305,43 +305,47 @@ def test_separable_power_six_closed_form_agrees_with_monte_carlo():
         sampled = certify.h1(V, system, x, 1.2, mc.at(np.array(x)))
         assert exact.std_error == 0.0 and sampled.std_error > 0.0
         assert abs(exact.value - sampled.value) <= 4.0 * sampled.std_error
-        # the expansion's terms cancel against nothing here: all positive
-        assert exact.cancelled == 0.0
 
 
-def test_cancelling_expansion_widens_the_tolerance():
-    # f = x (w - 0.3) with w ~ N(0.3, 0.5): E[(b f)^6] is 15 (b x)^6 s^6
-    # of the centred moment, added up from raw-moment terms of both signs;
-    # their spread is the row's tolerance scale, not the small mean
+def test_cancelling_expansion_keeps_a_positive_h1_falsified():
+    # f = 0.6 x (w - 30) with w ~ N(30, 1): E[(b f)^4] = 3 (0.6 b x)^4 is
+    # added up from raw-moment terms about 1e7 times as large, of both
+    # signs; H1 = 0.3888 b^3 x^4 - x^4 > 0 by a clear margin at x = +-1
+    # must falsify, whatever size the terms that cancelled had
     system = AffineSystem(
-        1, 1, f=lambda X, W: X * (W - 0.3), g=lambda X, W: np.zeros((1, 1)),
+        1, 1, f=lambda X, W: 0.6 * X * (W - 30.0),
+        g=lambda X, W: np.zeros((1, 1)),
         m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 1)),
-        noise=gaussian_noise(0.3, 0.5),
-        f_parts=lambda X: (-0.3 * X, [X]),
+        noise=gaussian_noise(30.0, 1.0),
+        f_parts=lambda X: (-18.0 * X, [0.6 * X]),
         g_parts=lambda X: (np.zeros((1, 1)), [np.zeros((1, 1))]))
-    V = SeparableStorage((1.0,), (6,))
-    est = certify.h1(V, system, [2.0], 1.5, CF)
-    b_x = 1.5 * 2.0
-    assert est.value == pytest.approx(15 * b_x ** 6 * 0.5 ** 3 / 1.5 - 64.0,
-                                      rel=1e-12)
-    assert est.cancelled > 0.0
+    V, beta = SeparableStorage((1.0,), (4,)), 1.57
+    h1 = 0.3888 * beta ** 3 - 1.0
+    assert certify.h1(V, system, [1.0], beta, CF).value == pytest.approx(
+        h1, rel=1e-8)
+    cert = certify.check_external(system, V, beta, 1.0,
+                                  DomainBox((-1.0,), (1.0,), ("grid", 3)), CF)
+    assert cert.status == "falsified"
+    assert cert.witness["info"] == {"inequality": "H1"}
+    assert cert.worst_margin == pytest.approx(h1, rel=1e-8)
+    assert cert.tolerance < 1e-6
 
 
 def test_closed_form_gain_parts_are_formed_once_per_block():
-    # a closed-form G_beta sweep forms g_parts once per block of points
-    # (twice for separable storage with a quartic coordinate: the gram and
-    # the excitation test), never once per point or per direction; the
-    # sphere-sampled bound is Monte Carlo only and forms no parts
+    # a closed-form G_beta sweep forms g_parts once per block of points,
+    # for separable storage with a quartic coordinate too (the gram and the
+    # excitation test read the same parts), never once per point or per
+    # direction; the sphere-sampled bound is Monte Carlo only and forms no
+    # parts
     sys1 = library.example1_system()
     calls = []
     parts = sys1.g_parts
     sys1.g_parts = lambda X: calls.append(X.shape) or parts(X)
-    for V, expected in ((QuadraticStorage([[4.0]]), 1),
-                        (SeparableStorage((4.0,), (2,)), 1),
-                        (SeparableStorage((4.0,), (4,)), 2)):
+    for V in (QuadraticStorage([[4.0]]), SeparableStorage((4.0,), (2,)),
+              SeparableStorage((4.0,), (4,))):
         calls.clear()
         certify.check_external(sys1, V, BETA1, 0.1, BOX_201, CF)
-        assert calls == [(201, 1)] * expected
+        assert calls == [(201, 1)]
     calls.clear()
     custom = CustomStorage(lambda X: 4.0 * X[:, 0] ** 2, 1, claims_convex=True)
     with pytest.raises(ConfigurationError, match="quadratic or separable"):
@@ -350,6 +354,69 @@ def test_closed_form_gain_parts_are_formed_once_per_block():
                          ExpectationScheme(samples=50, seed=1))
     assert est.lower_bound_only
     assert calls == []
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_monte_carlo_separable_g_beta_samples_the_gain_once(antithetic):
+    # the gram of the power-2 coordinates and the excitation test of the
+    # higher ones read the same samples of g: one gain evaluation per draw
+    # chunk, as quadratic storage takes
+    G0 = np.array([[1.0], [0.0]])
+    calls = []
+
+    def gain(X, W):
+        calls.append(W.shape)
+        return G0 + np.array([[0.0], [1e-170]]) * W[..., None, :1]
+
+    s = AffineSystem(2, 1, f=lambda X, W: 0.5 * X, g=gain,
+                     m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 2)),
+                     noise=gaussian_noise(0.0, 1.0))
+    scheme = ExpectationScheme(samples=400, seed=3, antithetic=antithetic)
+    X = np.array([[0.0, 0.0], [0.5, -1.0], [1.0, 2.0]])
+    counts = []
+    for V in (QuadraticStorage(np.diag([1.0, 1.0])),
+              SeparableStorage((1.0, 1.0), (2, 4))):
+        calls.clear()
+        est = certify._gain_sup(V, s, X, 2.0, scheme.draws_at(X))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == (2 if antithetic else 1)
+    # a noise part of 1e-170 excites the quartic row at every point
+    assert [e.value for e in est] == [np.inf] * 3
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_monte_carlo_separable_g_beta_is_exact_where_the_gain_is_noise_free(
+        antithetic):
+    # g = (1, 0)' + (0, x_1)' w: noise free at x_1 = 0 only.  Those points
+    # take the closed-form value with SE 0 under Monte Carlo, the others
+    # the sampled gram, and each point of a mixed block has the bits it
+    # has alone
+    s = AffineSystem(
+        2, 1, f=lambda X, W: 0.5 * X,
+        g=lambda X, W: np.stack([np.ones_like(X[..., :1] * W[..., :1]),
+                                 X[..., :1] * W[..., :1]], axis=-2),
+        m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 2)),
+        noise=gaussian_noise(0.0, 1.0),
+        g_parts=lambda X: (np.stack([np.ones_like(X[..., :1]),
+                                     np.zeros_like(X[..., :1])], axis=-2),
+                           [np.stack([np.zeros_like(X[..., :1]), X[..., :1]],
+                                     axis=-2)]))
+    V = SeparableStorage((1.5, 2.0), (2, 2))
+    scheme = ExpectationScheme(samples=300, seed=8, antithetic=antithetic)
+    X = np.array([[0.0, 1.0], [0.7, -1.0], [0.0, -2.0], [-1.2, 0.5]])
+    block = certify._gain_sup(V, s, X, 2.0, scheme.draws_at(X))
+    exact = certify._gain_sup(V, s, X, 2.0, None)
+    for i, x in enumerate(X):
+        alone = certify._gain_sup(V, s, x[None], 2.0, scheme.draws_at(x[None]))
+        assert (block[i].value, block[i].std_error) \
+            == (alone[0].value, alone[0].std_error)
+        if x[0] == 0.0:
+            assert (block[i].value, block[i].std_error) == (exact[i].value,
+                                                            0.0)
+        else:
+            assert block[i].std_error > 0.0
+            assert abs(block[i].value - exact[i].value) \
+                <= 4.0 * block[i].std_error
 
 
 def test_g0_scalar_and_zero_storage():

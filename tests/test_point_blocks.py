@@ -178,30 +178,6 @@ def test_block_rows_are_each_point_run_alone(case, antithetic):
                 == (sup[i:i + 1].tobytes(), se[i:i + 1].tobytes())
 
 
-@pytest.mark.parametrize("system", [EXAMPLE_1, LINEAR],
-                         ids=["n_v-1", "n_v-2"])
-def test_sampled_gram_reduction_against_the_sample_axis_one(system):
-    # the sampled gram reduces each entry along its contiguous sample axis:
-    # one input has the bits of the reduction along the sample axis of
-    # (points, N, n_v, n_v), two inputs agree with it to rounding
-    scheme = ExpectationScheme(samples=500, seed=4)
-    X = random_rows(9, 4, system.n)
-    P = np.eye(system.n) + 0.1
-    draws = scheme.draws_at(X)
-    sup, se = certify._gram_sup(system, X, P, 2.0, draws)
-    grams = noise.sample_block(system.noise, draws, lambda d: noise._gram_rows(
-        system.gain(X[:, None], d).reshape(-1, system.n, system.n_v), P))
-    mean, err = noise.mean_and_error(grams, 1)
-    ref_sup = certify._sup_eig(2.0 * mean + certify._m1_gram(system, X))
-    ref_se = 2.0 * np.linalg.norm(err, 2, axis=(-2, -1))
-    if system.n_v == 1:
-        assert (sup.tobytes(), se.tobytes()) \
-            == (ref_sup.tobytes(), ref_se.tobytes())
-    else:
-        assert sup == pytest.approx(ref_sup, rel=1e-13)
-        assert se == pytest.approx(ref_se, rel=1e-9)
-
-
 # ------------------------------------------------------- block-size invariance
 
 BETA1 = 1.0 / 0.99
