@@ -7,8 +7,7 @@ from .certificates import Certificate
 from .dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
                        DisturbancePolicy, GeneralSystem, LinearSystem,
                        Trajectory, energy_ratio, simulate, simulate_ensemble)
-from .noise import (Estimate, ExpectationScheme, NoiseModel, OmegaPolynomial,
-                    derive_seed, expect)
+from .noise import Estimate, ExpectationScheme, NoiseModel, derive_seed, expect
 from .storage import (CustomStorage, DomainBox, EstimatedStorage,
                       QuadraticStorage, SeparableStorage, StorageFunction,
                       check_convex, quad_bound)
@@ -17,7 +16,7 @@ __all__ = [
     "AffineSystem", "Certificate", "ControlledSystem", "CustomStorage",
     "DisturbanceEnsemble", "DisturbancePolicy", "DomainBox", "Estimate",
     "EstimatedStorage", "ExpectationScheme", "GeneralSystem", "LinearSystem",
-    "NoiseModel", "OmegaPolynomial", "QuadraticStorage", "SeparableStorage",
+    "NoiseModel", "QuadraticStorage", "SeparableStorage",
     "StorageFunction", "Trajectory", "check_convex", "derive_seed",
     "energy_ratio", "expect", "quad_bound", "simulate", "simulate_ensemble",
 ]

@@ -2,33 +2,34 @@
 
 Every sampled check is a family of inequalities lhs <= rhs over a point
 set, and ``sweep`` is the only loop that runs one.  Each inequality is a
-function ``fn(point, scheme at the point) -> Row | [Row, ...]`` or a block
-form ``Batched(block)``, ``block(X, draws) -> [Row]`` with one row per
-point of the (B, n) block X and its ``PointDraws`` (None in closed form),
-evaluated in the declared order under one
+block form ``fn(X, draws)`` that gives one ``Row``, or a list of them, per
+point of the (B, n) block X and its ``PointDraws`` (None in closed form or
+without a scheme), evaluated in the declared order under one
 ``np.errstate(over="ignore", invalid="ignore")``.  The margins lhs - rhs
 decide one status:
 
   certified    every margin <= tol      (tol = 1e-9 + 1e-7 * scale + slack)
   falsified    some margin >  tol + 3 * std-error (wins over the rest)
   inconclusive anything else: a margin above tol within 3 std-errors, a
-               NaN or -inf margin (an overflowed side), a NaN std-error, an
-               empty sweep, a lower-bound-only lhs (a sampled supremum) or a
-               scope the caller flags
+               NaN or -inf margin (an overflowed side), a NaN or infinite
+               std-error (an overflowed spread), an empty sweep, a
+               lower-bound-only lhs (a sampled supremum) or a scope the
+               caller flags
 
-A function raising ``EvaluationError`` (a non-finite Monte Carlo integrand)
-or ``FloatingPointError`` (numpy under a user map's own ``np.errstate``) at
-a point gives its inequality a NaN row there, with the message in its info.
-Per inequality the engine records the largest lhs and its first point.
-Certificates speak only for the sampled domain, whose label they carry.
+A block form raising ``EvaluationError`` (a non-finite Monte Carlo
+integrand) or ``FloatingPointError`` (numpy under a user map's own
+``np.errstate``) reruns its block on one-point slices, and a point that
+still raises gives its inequality a NaN row there, with the message in its
+info.  A block form must give each row the bits of its point alone, so the
+rerun moves no bit.  Per inequality the engine records the largest lhs and
+its first point.  Certificates speak only for the sampled domain, whose
+label they carry.
 
 The engine visits the points in blocks of ``scheme.points_per_block()``
 (one without a scheme).  Under Monte Carlo each point's seed is derived
 once, a span of points is seeded from one table
 (``ExpectationScheme.draws_at``), and each block's draws are filled once
-into one buffer that every inequality at the block shares.  A block form
-must give each row the bits of its point alone; one that raises reruns
-its block on one-point slices, so NaN rows and messages stay per point.
+into one buffer that every inequality at the block shares.
 """
 
 import math
@@ -98,16 +99,10 @@ class Record:
     nan: bool = False
 
 
-class Batched(NamedTuple):
-    """An inequality given by its block form ``block(X, draws) -> [Row]``."""
-
-    block: object
-
-
 def sweep(points, scheme, inequalities, statement="", domain="",
           provenance=None, notes=(), force_inconclusive=False,
           early_exit=False):
-    """Run ``inequalities`` ({name: fn or Batched}) over ``points``;
+    """Run ``inequalities`` ({name: block form}) over ``points``;
     ``scheme`` is None for checks without expectations.  ``early_exit``
     stops after the first point that rules out certification.  Returns
     (Certificate, {name: Record}).
@@ -147,33 +142,25 @@ def _evaluated(points, scheme, inequalities):
             block = part[start:start + size]
             at_block = None if draws is None else draws.block(
                 start, start + len(block))
-            found = [_block_rows(name, fn, block, at_block, scheme)
+            found = [_block_rows(name, fn, block, at_block)
                      for name, fn in inequalities.items()]
             yield from zip(block, zip(*found))
 
 
-def _block_rows(name, fn, block, draws, scheme):
+def _block_rows(name, fn, block, draws):
     """One inequality's rows at each point of a block; ``draws`` is the
     block's ``PointDraws``, or None without Monte Carlo."""
-    if isinstance(fn, Batched):
-        X = np.array(block)
-        if len(block) > 1:
-            try:
-                return fn.block(X, draws)
-            except (EvaluationError, FloatingPointError):
-                pass  # found point by point below
-
-        def at(i):
-            return fn.block(X[i:i + 1], None if draws is None
-                            else draws.block(i, i + 1))[0]
-    else:
-        def at(i):
-            return fn(block[i], scheme if draws is None
-                      else scheme.with_seed(int(draws.seeds[i])))
+    X = np.array(block)
+    if len(block) > 1:
+        try:
+            return fn(X, draws)
+        except (EvaluationError, FloatingPointError):
+            pass  # found point by point below
     rows = []
     for i in range(len(block)):
         try:
-            rows.append(at(i))
+            rows.append(fn(X[i:i + 1], None if draws is None
+                           else draws.block(i, i + 1))[0])
         except (EvaluationError, FloatingPointError) as exc:
             rows.append(Row(math.nan, std_error=math.nan,
                             info={"inequality": name, "error": str(exc)}))
@@ -199,10 +186,12 @@ class _MarginSweep:
             self.lower_bound = record.lower_bound_only = True
         if row.lhs > record.lhs:
             record.lhs, record.point = float(row.lhs), _jsonable(point)
-        if math.isnan(margin) or math.isnan(se) or margin == -math.inf:
+        if math.isnan(margin) or not math.isfinite(se) or margin == -math.inf:
             # every comparison with NaN is false, so it would pass as "within
             # tolerance", and so would a -inf margin, which only an overflowed
-            # side gives; the first such point becomes the witness
+            # side gives; an infinite std-error, which only an overflowed
+            # spread gives, would pass a margin below tol although the error
+            # bar holds no value; the first such point becomes the witness
             record.nan = True
             if self.nan is None:
                 self.nan = _witness(point, row, margin, se)

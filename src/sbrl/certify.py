@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certificates import Batched, Certificate, Row, _jsonable, sweep
+from .certificates import Certificate, Row, _jsonable, sweep
 from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
                        energy_ratio, simulate_ensemble)
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
@@ -58,12 +58,16 @@ def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
     draws (a non-finite sample raises as in ``require_finite``); in closed
     form (``points`` None) from ``parts_fn() -> (C0, [C_d])``, the declared
     y_i(w) = C0[i] + sum_d C_d[i] w_d as (points, n) rows, for quadratic or
-    separable V of any powers, with SE 0."""
+    separable V of any powers, with SE 0; without ``parts_fn`` it raises."""
     if points is not None:
         vals = sample_block(noise, points, lambda draws: V.evaluate_batch(
             (scale * batch_fn(draws)).reshape(-1, V.dim)))
         require_finite(noise, points, vals)
         return mean_and_error(vals, 1)
+    if parts_fn is None:
+        raise ConfigurationError(
+            "closed-form expectation needs declared noise structure; use a "
+            "monte-carlo scheme instead")
     c0, cs = parts_fn()
     c0, cs = scale * c0, [scale * c for c in cs]
     if isinstance(V, QuadraticStorage):
@@ -106,7 +110,7 @@ def _split_block(V, system, X, u_row, beta, points):
     mean, se = expected_value_of(
         V, system.noise, points, lambda: system.drift_parts(X, u_row),
         lambda draws: system.drift(X[:, None], u_row, draws), beta)
-    vx, m_sq = V.evaluate_batch(X), _m_sq(system, X, u_row)
+    vx, m_sq = V.evaluate_batch(X), _sq_norms(system.output_m(X, u_row))
     return [SplitEstimate(v, e, storage=s, output_sq=m)
             for v, e, s, m in zip((mean / beta - vx + m_sq).tolist(),
                                   (se / beta).tolist(), vx.tolist(),
@@ -133,10 +137,10 @@ def convexity_split(V, system, x, u, beta, scheme) -> SplitEstimate:
     return _split(V, system, x, u, beta, scheme)
 
 
-def _m_sq(system, X, U=None):
-    """|m(x[,u])|^2 at each row: one dot product per row, so a row has the
-    bits of ``m @ m`` at that state alone."""
-    M = np.ascontiguousarray(system.output_m(X, U))
+def _sq_norms(M):
+    """|m|^2 at each row m of M: one dot product per row, so a row has the
+    bits of ``m @ m`` alone."""
+    M = np.ascontiguousarray(M)
     return (M[:, None, :] @ M[:, :, None])[:, 0, 0]
 
 
@@ -327,10 +331,11 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     _require(system, AffineSystem)
     qb = quad_bound(V, domain)
 
-    def growth(x, s):
-        vx, bound = V.evaluate(x), c2 * float(x @ x)
-        return Row(vx, bound, scale=max(abs(vx), bound),
-                   info={"inequality": "growth"})
+    def growth(X, _):
+        return [Row(vx, bound, scale=max(abs(vx), bound),
+                    info={"inequality": "growth"})
+                for vx, bound in zip(V.evaluate_batch(X).tolist(),
+                                     (c2 * _sq_norms(X)).tolist())]
 
     notes = [f"certified only on {domain.label()}"]
     if qb.boundary_attained:
@@ -349,21 +354,21 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 def _split_rows(name, V, system, beta):
     """H0 (b = 1) or H1 <= 0 as a block form, with tolerance scale
     |H| + V(x) + |m(x)|^2."""
-    return Batched(lambda X, points: [
+    return lambda X, points: [
         Row(est.value, std_error=est.std_error,
             scale=abs(est.value) + est.storage + est.output_sq,
             info={"inequality": name})
-        for est in _split_block(V, system, X, None, beta, points)])
+        for est in _split_block(V, system, X, None, beta, points)]
 
 
 def _g_beta_row(V, system, beta, gamma_sq=0.0):
     """The G_beta <= gamma^2 block form; a sampled supremum is a lower
     bound."""
-    return Batched(lambda X, points: [
+    return lambda X, points: [
         Row(est.value, gamma_sq, est.std_error,
             max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
             lower_bound_only=est.lower_bound_only)
-        for est in _gain_sup(V, system, X, beta / (beta - 1.0), points)])
+        for est in _gain_sup(V, system, X, beta / (beta - 1.0), points)]
 
 
 def check_external(system, V, beta, gamma_sq, domain: DomainBox,

@@ -22,8 +22,9 @@ certificate functionals need.
 The disturbance tiers may declare, over the same leading dimensions, the
 affine-in-noise structure of the exact paths: ``f_parts(X[, U])`` gives
 (F0, [F_d]) with f(x,[u,]w) = F0 + sum_d F_d w_d at each row, and
-``g_parts(X)`` the same for g.  They check at construction that drift,
-gain and parts give on a small block the bits of its rows one by one.
+``g_parts(X)`` the same for g.  Every tier checks at construction that its
+maps (drift, gain and parts, or F and m) give on a small block the bits of
+its rows one by one.
 """
 
 from dataclasses import dataclass, field
@@ -80,6 +81,46 @@ def _rows(value, lead, shape, what):
     return out
 
 
+def _probe_blocks(noise, widths):
+    """The leading-dimension probe's arguments: a (2, 1, w) block of
+    random rows per width w (None for a width of None) and draws W
+    (2, 3, n_w), as (block arguments with W last, the six (row arguments,
+    draw) pairs one at a time, the (2, w) state arguments, their two rows
+    one at a time)."""
+    rng = np.random.default_rng(_EQ_CHECK_SEED)
+    blocks = [None if w is None else rng.uniform(-1.0, 1.0, (2, 1, w))
+              for w in widths]
+    W = noise.sample(_EQ_CHECK_SEED, 6).reshape(2, 3, -1)
+    each_state = [[None if b is None else b[i] for b in blocks]
+                  for i in range(2)]
+    each_draw = [(*each_state[i], W[i, j:j + 1])
+                 for i in range(2) for j in range(3)]
+    states = [None if b is None else b[:, 0] for b in blocks]
+    return (*blocks, W), each_draw, states, each_state
+
+
+def _check_leading_dimensions(probes):
+    """Raise ``ConfigurationError`` unless each map gives on its block the
+    bits of its rows called one at a time: a map written for (N, n) rows
+    only, as ``X[:, 0]``, or for one point, as ``x[0]``, can broadcast a
+    block to wrong values without an error.  ``probes`` maps a name to
+    (map, block shape, its arguments on the block, on each row)."""
+    for name, (fn, shape, args, rows) in probes.items():
+        with np.errstate(all="ignore"):
+            try:
+                ok = (fn(*args).tobytes()
+                      == np.concatenate([fn(*a) for a in rows]).tobytes())
+            except (ArithmeticError, LookupError, TypeError,
+                    ValueError) as exc:
+                raise ConfigurationError(
+                    f"{name} fails on a {shape} state block: {exc}"
+                ) from None
+        if not ok:
+            raise ConfigurationError(
+                f"{name} on a {shape} state block differs from its rows "
+                "one by one: index coordinates as X[..., i]")
+
+
 def _stacked(c0, cs):
     """Declared parts (C0, [C_d]) as one array, the part index last."""
     return np.stack([c0, *cs], axis=-1)
@@ -130,46 +171,19 @@ class GainChannelSystem:
         if np.any(np.abs(fx) > 1e-9):
             raise ConfigurationError(
                 f"f({origin},w) != 0 at a sampled noise point")
-        self._check_leading_dimensions()
-
-    def _check_leading_dimensions(self):
-        """Raise ``ConfigurationError`` unless the drift and the gain give,
-        on states (2, 1, n) against draws (2, 3, n_w), the bits of the six
-        rows called one at a time, and the declared parts give on states
-        (2, n) the bits of each state alone: a map written for (N, n) rows
-        only, as ``X[:, 0]``, or for one point, as ``x[0]``, can broadcast
-        a block to wrong values without an error."""
-        rng = np.random.default_rng(_EQ_CHECK_SEED)
-        X = rng.uniform(-1.0, 1.0, (2, 1, self.n))
-        U = rng.uniform(-1.0, 1.0, (2, 1, self.n_u)) if self.n_u else None
-        W = self.noise.sample(_EQ_CHECK_SEED, 6).reshape(2, 3, -1)
-        rows = [(X[i], None if U is None else U[i]) for i in range(2)]
-        each_draw = [(x, u, W[i, j:j + 1]) for i, (x, u) in enumerate(rows)
-                     for j in range(3)]
-        states = (X[:, 0], None if U is None else U[:, 0])
-        # name -> (map, block shape, its arguments on the block, on each row)
-        probes = {"f": (self.drift, "(2, 1, n)", (X, U, W), each_draw),
+        # the drift and the gain on states (2, 1, n) against draws
+        # (2, 3, n_w), the declared parts on states (2, n)
+        drawn, each_draw, states, each_state = _probe_blocks(
+            noise, [self.n, self.n_u or None])
+        probes = {"f": (self.drift, "(2, 1, n)", drawn, each_draw),
                   "g": (lambda x, u, w: self.gain(x, w), "(2, 1, n)",
-                        (X, U, W), each_draw)}
+                        drawn, each_draw)}
         for name, parts in (("f_parts", self.drift_parts),
                             ("g_parts", lambda x, u: self.gain_parts(x))):
             if getattr(self, name) is not None:
                 probes[name] = (lambda x, u, p=parts: _stacked(*p(x, u)),
-                                "(2, n)", states, rows)
-        for name, (fn, shape, args, rows) in probes.items():
-            with np.errstate(all="ignore"):
-                try:
-                    ok = (fn(*args).tobytes()
-                          == np.concatenate([fn(*a) for a in rows]).tobytes())
-                except (ArithmeticError, LookupError, TypeError,
-                        ValueError) as exc:
-                    raise ConfigurationError(
-                        f"{name} fails on a {shape} state block: {exc}"
-                    ) from None
-            if not ok:
-                raise ConfigurationError(
-                    f"{name} on a {shape} state block differs from its rows "
-                    "one by one: index coordinates as X[..., i]")
+                                "(2, n)", states, each_state)
+        _check_leading_dimensions(probes)
 
     def _args(self, X, U):
         return (X, U) if self.n_u else (X,)
@@ -239,7 +253,10 @@ class ControlledSystem(GainChannelSystem):
 
 
 class GeneralSystem:
-    """General tier: x+ = F(k,x,u,v,w), z = m(k,x,u,v); k explicit."""
+    """General tier: x+ = F(k,x,u,v,w), z = m(k,x,u,v); k explicit.
+
+    F takes (B, 1, .) rows against draws (B, N, n_w) and m takes (B, .)
+    rows; both are probed at construction, at k = 0."""
 
     def __init__(self, n, n_u, n_v, F, m, noise, *, name=""):
         self.n = int(n)
@@ -255,6 +272,13 @@ class GeneralSystem:
         if np.any(np.abs(fx) > 1e-9):
             raise ConfigurationError("F(k,0,0,0,w) != 0 at a sampled noise point")
         self.n_z = np.atleast_1d(np.asarray(m(0, zero, zu, zv), dtype=float)).shape[-1]
+        drawn, each_draw, states, each_state = _probe_blocks(
+            noise, [self.n, self.n_u, self.n_v])
+        _check_leading_dimensions({
+            "F": (lambda x, u, v, w: self.transition(0, x, u, v, w),
+                  "(2, 1, n)", drawn, each_draw),
+            "m": (lambda x, u, v: self.output(0, x, u, v), "(2, n)",
+                  states, each_state)})
 
     def transition(self, k, X, U, V, W):
         return _rows(self.F(k, X, U, V, W), leading_shape(X, U, V, W),

@@ -3,10 +3,11 @@
 The driving sequence is a d-dimensional i.i.d. process whose coordinates are
 mutually independent, each drawn from one of four elementary distributions
 (uniform, gaussian, point mass, rademacher).  Expectations E[phi(omega)] are
-evaluated either by seeded Monte Carlo or, for integrands declared as
-polynomials in omega, exactly from raw moments of any order.  Both
-take a block of sweep points, a ``PointDraws`` or one row per point, and
-give each point the bits of that point evaluated alone.
+evaluated either by seeded Monte Carlo (``sample_block``) or, for powers and
+grams of arguments declared affine in omega, exactly from raw moments of any
+order (``expected_affine_power``, ``expected_gram``).  Both take a block of
+sweep points, a ``PointDraws`` or one row per point, and give each point the
+bits of that point evaluated alone.
 
 All randomness is reproducible: sampling is a pure function of
 (model, seed, count) and sub-streams are derived with a splitmix64 hash so
@@ -302,13 +303,6 @@ class ExpectationScheme:
     def with_seed(self, seed: int) -> "ExpectationScheme":
         return ExpectationScheme(self.mode, self.samples, int(seed) & _MASK64, self.antithetic)
 
-    def at(self, point) -> "ExpectationScheme":
-        """The scheme at one sweep point: Monte Carlo gets a seed derived
-        from the point, so sweeps do not depend on their order."""
-        if self.mode == "closed-form":
-            return self
-        return self.with_seed(int(point_seeds(self.seed, [point])[0]))
-
     def draws_at(self, points) -> "PointDraws | None":
         """The draws of sweep points, each from its own seed; None in
         closed form."""
@@ -380,6 +374,11 @@ class PointDraws:
                         for noise, d in self._filled.items()}
         return part
 
+    def replica(self, r) -> "PointDraws":
+        """Replica r of these points: point i draws from the stream of
+        ``derive_seed(seeds[i], r)``."""
+        return PointDraws(self.scheme, [derive_seed(s, r) for s in self.seeds])
+
     def draws(self, noise):
         """The draws of every point as a read-only (points, N, dim) view of
         one (points, dim, N) buffer: point i's coordinates are contiguous
@@ -411,64 +410,30 @@ class Estimate:
     lower_bound_only: bool = False
 
 
-class OmegaPolynomial:
-    """Polynomial in the noise coordinates, as {exponent tuple: coefficient}.
-
-    Doubles as a vectorised Monte Carlo integrand, so the same object can be
-    pushed through both expectation routes.
-    """
-
-    def __init__(self, dim: int, terms):
-        self.dim = int(dim)
-        clean = {}
-        for exps, coef in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.dim or any(e < 0 for e in exps):
-                raise ConfigurationError(f"bad exponent tuple {exps}")
-            clean[exps] = clean.get(exps, 0.0) + float(coef)
-        self.terms = clean
-
-    def __call__(self, draws):
-        draws = np.asarray(draws, dtype=float)
-        out = np.zeros(draws.shape[0])
-        for exps, coef in self.terms.items():
-            term = np.full(draws.shape[0], coef)
-            for j, e in enumerate(exps):
-                # repeated products, so an odd power of -w is exactly -(w^e)
-                for _ in range(e):
-                    term = term * draws[:, j]
-            out += term
-        return out
-
-    def expectation(self, noise: NoiseModel) -> float:
-        total = 0.0
-        for exps, coef in self.terms.items():
-            prod = coef
-            for j, e in enumerate(exps):
-                if e:
-                    prod *= noise.moment(j, e)
-            total += prod
-        return total
-
-
 def expect(noise: NoiseModel, scheme: ExpectationScheme, integrand) -> Estimate:
-    """Evaluate E[integrand(omega)] under the given scheme.
+    """Monte Carlo E[integrand(omega)] from the scheme's own seed.
 
-    Monte Carlo integrands receive row blocks of the (N, dim) draw matrix
-    and must return one value per row.  Closed-form mode requires an
-    OmegaPolynomial.
+    The integrand receives row chunks of the (N, dim) draw matrix and must
+    return one value per row.  Closed form reads declared structure
+    instead (``certify.expected_value_of``), so a closed-form scheme
+    raises.
     """
-    if scheme.mode == "closed-form":
-        if not isinstance(integrand, OmegaPolynomial):
-            raise ConfigurationError(
-                "closed-form expectation needs a declared polynomial integrand"
-            )
-        return Estimate(integrand.expectation(noise), 0.0)
+    points = scheme.point_draws()
+    if points is None:
+        raise ConfigurationError(
+            "closed-form expectation needs declared noise structure; use a "
+            "monte-carlo scheme instead")
 
-    vals = sample_values(noise, scheme,
-                         lambda draws: _eval_integrand(integrand, draws))
-    require_finite(noise, scheme.point_draws(), vals[None])
-    mean, se = mean_and_error(vals, 0)
+    def values(draws):
+        vals = np.asarray(integrand(draws[0]), dtype=float)
+        if vals.shape != draws.shape[1:2]:
+            raise ConfigurationError(f"integrand returned shape {vals.shape}, "
+                                     f"expected ({draws.shape[1]},)")
+        return vals
+
+    vals = sample_block(noise, points, values)
+    require_finite(noise, points, vals)
+    mean, se = mean_and_error(vals[0], 0)
     return Estimate(float(mean), float(se))
 
 
@@ -511,13 +476,6 @@ def mean_and_error(values, axis):
 SWEEP_ROWS = 16384
 
 
-def sample_values(noise: NoiseModel, scheme: ExpectationScheme, fn):
-    """One value of ``fn(draws)`` per independent sample: ``sample_block``
-    at one point, whose (N, dim) draws ``fn`` gets in row chunks."""
-    return sample_block(noise, scheme.point_draws(),
-                        lambda draws: fn(draws[0]))[0]
-
-
 def sample_block(noise: NoiseModel, points, fn):
     """One value of ``fn`` per independent Monte Carlo sample of each point
     of a block, as a C-order (points, N, ...) array, so
@@ -554,15 +512,6 @@ def _paired(noise, scheme, fn, draws):
     if not scheme.antithetic:
         return fn(draws)
     return 0.5 * (fn(draws) + fn(noise.mirror(draws)))
-
-
-def _eval_integrand(integrand, draws):
-    vals = np.asarray(integrand(draws), dtype=float)
-    if vals.shape != (draws.shape[0],):
-        raise ConfigurationError(
-            f"integrand returned shape {vals.shape}, expected ({draws.shape[0]},)"
-        )
-    return vals
 
 
 def expected_affine_power(c0, coeffs, power: int, noise: NoiseModel):

@@ -304,7 +304,7 @@ def check_convex(V: StorageFunction, box: DomainBox, pairs: int,
         raise ConfigurationError("pairs must be >= 1")
     d = box.dim
 
-    def rows(pt, _):
+    def rows(pt):
         x, y = pt[:d], pt[d:]
         (fx, sx), (fy, sy) = V.evaluate_with_error(x), V.evaluate_with_error(y)
         out = []
@@ -324,7 +324,8 @@ def check_convex(V: StorageFunction, box: DomainBox, pairs: int,
                           box.random_points(pairs, derive_seed(seed, 1))])
     prov = {"check": "convexity", "storage": V.describe(), "pairs": pairs,
             "seed": seed, "alphas": list(_ALPHAS)}
-    cert, _ = sweep(pairs_xy, None, {"midpoint": rows},
+    cert, _ = sweep(pairs_xy, None,
+                    {"midpoint": lambda XY, _: [rows(pt) for pt in XY]},
                     "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", box.label(), prov)
     return cert
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, Row, sweep
-from .certify import check_external
+from .certify import _sq_norms, check_external, expected_value_of
 from .dynamics import AffineSystem, ControlledSystem, GeneralSystem
 from .errors import ConfigurationError, PreconditionError
-from .noise import Estimate, derive_seed, expect
+from .noise import Estimate
 from .storage import DomainBox, StorageFunction
 
 
@@ -111,25 +111,28 @@ def _storage_sequence(obj):
     raise ConfigurationError(f"cannot interpret {obj!r} as a storage sequence")
 
 
+def _h_k_block(V_of, plant, X, U, Vd, k, points):
+    """H_k at each row of the states X, controls U and disturbances Vd of
+    one time k, one ``Estimate`` per row, from the block's ``PointDraws``
+    ``points``: the tier declares no noise structure, so closed form (None)
+    raises, and a point-mass noise makes Monte Carlo exact."""
+    mean, se = expected_value_of(
+        V_of(k + 1), plant.noise, points, None,
+        lambda draws: plant.transition(k, X[:, None], U[:, None],
+                                       Vd[:, None], draws))
+    value = mean - V_of(k).evaluate_batch(X) + _sq_norms(
+        plant.output(k, X, U, Vd))
+    return [Estimate(v, e) for v, e in zip(value.tolist(), se.tolist())]
+
+
 def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
     """Time-varying functional H_k = E[V_{k+1}(F_k(x,u,v,w))] - V_k(x) + |m_k|^2."""
     if not isinstance(plant, GeneralSystem):
         raise ConfigurationError("h_k_general needs the general tier")
-    V_of = _storage_sequence(V_seq)
-    Vk, Vk1 = V_of(k), V_of(k + 1)
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-
-    def integrand(draws):
-        return Vk1.evaluate_batch(
-            plant.transition(k, x[None], u[None], v[None], draws))
-
-    # the general tier declares no noise structure: Monte Carlo only (a
-    # point-mass noise model makes it exact)
-    ev = expect(plant.noise, scheme, integrand)
-    z = plant.output(k, x[None], u[None], v[None])[0]
-    return Estimate(ev.value - Vk.evaluate(x) + float(z @ z), ev.std_error)
+    x, u, v = (np.atleast_1d(np.asarray(a, dtype=float))[None]
+               for a in (x, u, v))
+    return _h_k_block(_storage_sequence(V_seq), plant, x, u, v, k,
+                      scheme.point_draws())[0]
 
 
 def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
@@ -141,6 +144,9 @@ def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
     k < k_window.  Certification makes alpha an attenuating feedback on the
     sampled scope; internal stability is reported separately.
     """
+    if not isinstance(plant, GeneralSystem):
+        raise ConfigurationError(
+            "certify_controller_general needs the general tier")
     if gamma_sq <= 0:
         raise ConfigurationError("gamma_sq must be positive")
     V_of = _storage_sequence(V_seq)
@@ -149,17 +155,25 @@ def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
         if abs(v0) > 1e-12:
             raise PreconditionError(f"V_{k}(0) = {v0:g}, expected 0")
 
-    def row(pt, s):
-        x, v, k = pt[:plant.n], pt[plant.n:-1], int(pt[-1])
-        est = h_k_general(V_seq, plant, x, alpha(x[None], k)[0], v, k, s)
-        bound = gamma_sq * float(v @ v)
-        return Row(est.value, bound, est.std_error, abs(est.value) + bound,
-                   {"k": k})
+    def rows(P, points):
+        # the points are k-major, so a block is a few runs of one k each
+        out, ks = [], P[:, -1]
+        cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1), len(P)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            X, Vd, k = P[lo:hi, :plant.n], P[lo:hi, plant.n:-1], int(ks[lo])
+            ests = _h_k_block(V_of, plant, X, alpha(X, k), Vd, k,
+                              None if points is None
+                              else points.block(lo, hi))
+            bounds = (gamma_sq * _sq_norms(Vd)).tolist()
+            out += [Row(est.value, bound, est.std_error,
+                        abs(est.value) + bound, {"k": k})
+                    for est, bound in zip(ests, bounds)]
+        return out
 
     points = [np.concatenate([x, v, [k]]) for k in range(k_window)
               for x in domain.points() for v in v_box.points()]
     cert, _ = sweep(
-        points, scheme, {"H_k": row},
+        points, scheme, {"H_k": rows},
         "H_k(x, alpha_k(x), v) - gamma^2 |v|^2 <= 0",
         f"{domain.label()} x v:{v_box.label()} x k<{k_window}",
         {"scheme": scheme.spec(), "gamma_sq": gamma_sq},
@@ -273,50 +287,55 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
     """
     if not isinstance(plant, GeneralSystem):
         raise ConfigurationError("taylor_certify needs the general tier")
-    n_v = plant.n_v
+    n_u, n_v, V_of = plant.n_u, plant.n_v, _storage_sequence(V_seq)
     gap = saddle.gamma ** 2 * np.eye(n_v) - saddle.N
     cond = np.linalg.cond(gap)
     W = square_completion_matrix(saddle)
     blk = np.block([
-        [saddle.M, np.zeros((plant.n_u, n_v))],
-        [np.zeros((n_v, plant.n_u)), saddle.N],
+        [saddle.M, np.zeros((n_u, n_v))],
+        [np.zeros((n_v, n_u)), saddle.N],
     ])
 
-    def at(pt, s):
-        """x, k, (alpha_k(x), eta_k(x)) and H_k(uv) averaged over ``reps``."""
-        x, k = pt[:-1], int(pt[-1])
-        u, v = saddle.alpha(x[None], k)[0], saddle.eta(x[None], k)[0]
+    def per_point(check):
+        """``check(x, k, p0, h)`` at each point of a block, as a block form:
+        p0 = (alpha_k(x), eta_k(x)), and h(p, r) is the ``Estimate`` of
+        H_k(x, p), p = (u, v), from replica r of the point's draws."""
+        def rows(X, points):
+            out = []
+            for i, pt in enumerate(X):
+                x, k = pt[:-1], int(pt[-1])
+                one = None if points is None else points.block(i, i + 1)
 
-        def H(uv, reps=1):
-            return sum(h_k_general(
-                V_seq, plant, x, uv[: plant.n_u], uv[plant.n_u:], k,
-                s.with_seed(derive_seed(s.seed, r))).value
-                for r in range(reps)) / reps
+                def h(p, r):
+                    return _h_k_block(
+                        V_of, plant, x[None], p[None, :n_u], p[None, n_u:], k,
+                        None if one is None else one.replica(r))[0]
 
-        return x, k, np.concatenate([u, v]), H
+                p0 = np.concatenate([saddle.alpha(x[None], k)[0],
+                                     saddle.eta(x[None], k)[0]])
+                out.append(check(x, k, p0, h))
+            return out
+        return rows
 
-    def stationarity(pt, s):
-        x, k, p0, H = at(pt, s)
-        grad = central_gradient(H, p0, _GRAD_STEP)
-        norms = {"u": float(np.linalg.norm(grad[: plant.n_u])),
-                 "v": float(np.linalg.norm(grad[plant.n_u:]))}
+    def stationarity(x, k, p0, h):
+        grad = central_gradient(lambda p: h(p, 0).value, p0, _GRAD_STEP)
+        norms = {"u": float(np.linalg.norm(grad[:n_u])),
+                 "v": float(np.linalg.norm(grad[n_u:]))}
         return [Row(norm, _STATIONARITY_TOL, point=x,
                     info={"check": f"stationarity_{name}", "norm": norm, "k": k})
                 for name, norm in norms.items()]
 
-    def hessian(pt, s):
-        x, k, p0, H = at(pt, s)
-        hess = central_hessian(lambda p: H(p, reps=_HESS_REPS), p0, _HESS_STEP)
+    def hessian(x, k, p0, h):
+        hess = central_hessian(
+            lambda p: sum(h(p, r).value for r in range(_HESS_REPS)) / _HESS_REPS,
+            p0, _HESS_STEP)
         dom = np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1]
         return Row(dom, scale=float(np.linalg.norm(blk, 2)), point=x,
                    info={"check": "hessian_domination", "k": k,
                          "uv": p0.tolist()})
 
-    def completed_square(pt, s):
-        x, k, p0, _ = at(pt, s)
-        v_star = p0[plant.n_u:]
-        est = h_k_general(V_seq, plant, x, p0[: plant.n_u], v_star, k,
-                          s.with_seed(derive_seed(s.seed, 0)))
+    def completed_square(x, k, p0, h):
+        est, v_star = h(p0, 0), p0[n_u:]
         square = 0.5 * float(v_star @ W @ v_star)
         return Row(est.value + square, std_error=est.std_error,
                    scale=abs(est.value) + abs(square), point=x,
@@ -326,8 +345,9 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
               for x in domain.points()]
     cert, _ = sweep(
         points, scheme,
-        {"stationarity": stationarity, "hessian_domination": hessian,
-         "completed_square": completed_square},
+        {"stationarity": per_point(stationarity),
+         "hessian_domination": per_point(hessian),
+         "completed_square": per_point(completed_square)},
         "saddle stationarity, Hessian domination, completed-square <= 0",
         f"{domain.label()} x k<{k_window}",
         {"scheme": scheme.spec(), "gamma": saddle.gamma,

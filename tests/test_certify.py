@@ -17,6 +17,11 @@ CF = ExpectationScheme(mode="closed-form")
 BETA1 = 1.0 / 0.99
 
 
+def point_scheme(scheme, x):
+    """The scheme of sweep point x alone: the seed a sweep derives for it."""
+    return scheme.with_seed(int(noise.point_seeds(scheme.seed, [x])[0]))
+
+
 def unstable_scalar(a=1.1, c=0.0):
     return AffineSystem(
         1, 1,
@@ -302,7 +307,7 @@ def test_separable_power_six_closed_form_agrees_with_monte_carlo():
     mc = ExpectationScheme(samples=20_000, seed=5)
     for x in ([0.4], [0.9], [-1.3]):
         exact = certify.h1(V, system, x, 1.2, CF)
-        sampled = certify.h1(V, system, x, 1.2, mc.at(np.array(x)))
+        sampled = certify.h1(V, system, x, 1.2, point_scheme(mc, x))
         assert exact.std_error == 0.0 and sampled.std_error > 0.0
         assert abs(exact.value - sampled.value) <= 4.0 * sampled.std_error
 
@@ -723,7 +728,7 @@ def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
     worst_tol = 1e-9
     sups = {}
     for x in points:
-        for name, lhs, rhs, se, scale in rows_at(x, scheme.at(x)):
+        for name, lhs, rhs, se, scale in rows_at(x, point_scheme(scheme, x)):
             sups[name] = max(sups.get(name, -math.inf), lhs)
             margin, count = lhs - rhs, count + 1
             witness = {"point": x.tolist(), "margin": margin,
@@ -759,10 +764,12 @@ def _m_sq(system, x):
 
 def reference_external(system, V, beta, gamma_sq, domain, scheme,
                        fresh=False):
-    # fresh: each functional gets its own scheme.at(x), hence its own draw
+    # fresh: each functional gets its own point scheme, hence its own draw
     def rows_at(x, s):
-        e1 = certify.h1(V, system, x, beta, scheme.at(x) if fresh else s)
-        eg = certify.g_beta(V, system, x, beta, scheme.at(x) if fresh else s)
+        e1 = certify.h1(V, system, x, beta,
+                        point_scheme(scheme, x) if fresh else s)
+        eg = certify.g_beta(V, system, x, beta,
+                            point_scheme(scheme, x) if fresh else s)
         yield ("H1", e1.value, 0.0, e1.std_error,
                abs(e1.value) + V.evaluate(x) + _m_sq(system, x))
         yield ("G_beta", eg.value, gamma_sq, eg.std_error,
@@ -917,7 +924,7 @@ def test_check_external_draws_once_per_point(monkeypatch):
 
     monkeypatch.setattr(noise, "streams", spy)
     cert = certify.check_external(sys1, V, BETA1, 0.1, box, MC200)
-    assert seeds == [MC200.at(x).seed for x in box.points()]
+    assert seeds == [point_scheme(MC200, x).seed for x in box.points()]
     assert cert.to_dict() == reference_external(
         sys1, V, BETA1, 0.1, box, MC200, fresh=True)
     assert len(seeds) == 2 * 11 + 11  # the reference draws twice per point

@@ -235,6 +235,34 @@ def test_linear_brl_boundary_and_falsification(tmp_path):
                 write_config(tmp_path, base, "b.json")]) == 1
 
 
+@pytest.mark.parametrize("scheme,code,status", [
+    ({"mode": "monte-carlo", "samples": 200}, 2, "inconclusive"),
+    ({"mode": "closed-form"}, 0, "certified"),
+])
+def test_infinite_standard_error_does_not_certify(tmp_path, scheme, code,
+                                                  status):
+    # at |x| ~ 1e150 the squared deviations of the H1 samples overflow, so
+    # the Monte Carlo SE is +inf: the error bar holds no value, where the
+    # exact H1 = (0.6 - 0.99) x^2 certifies
+    cfg = {
+        "system": {"linear": {"A": [[0.5]], "A0": [[0.5]], "B": [[0.1]],
+                              "C": [[0.1]], "D": [[0.1]]}},
+        "storage": {"quadratic": {"P": [[1.0]]}},
+        "certificate": {"kind": "external", "beta": 1.2, "gamma_sq": 1.0,
+                        "domain": {"lo": [1e150], "hi": [2e150], "grid": 3},
+                        "scheme": scheme},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == code
+    cert, = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert cert["status"] == status
+    if code:
+        assert cert["witness"]["std_error"] == float("inf")
+        assert cert["witness"]["margin"] < 0.0
+        assert cert["witness"]["info"] == {"inequality": "H1"}
+        assert cert["provenance"]["h1_worst"] is None
+
+
 def test_linear_brl_search_via_cli(tmp_path):
     cfg = {
         "system": {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
@@ -315,9 +343,11 @@ def test_example_two_under_monte_carlo_agrees_with_closed_form(tmp_path):
     scheme = cli._scheme_from(resolved["certificate"], resolved["seed"])
     loop = synth.closed_loop(library.example2_plant(), library.example2_law())
     points = cli._domain(resolved["certificate"], loop).points()
+    seeds = noise.point_seeds(scheme.seed, points)
     sup = max((certify.g_beta(library.example2_storage(), loop, x,
-                              library.EXAMPLE2_BETA, scheme.at(x))
-               for x in points), key=lambda est: est.value)
+                              library.EXAMPLE2_BETA,
+                              scheme.with_seed(int(seed)))
+               for x, seed in zip(points, seeds)), key=lambda est: est.value)
     mc, cf = (certs[m]["provenance"]["g_beta_sup"] for m in ("mc", "cf"))
     assert mc == sup.value
     assert abs(mc - cf) <= 3.0 * sup.std_error

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from sbrl import certify, library, noise, synth
 from sbrl.dynamics import LinearSystem
 from sbrl.errors import ConfigurationError, EvaluationError
-from sbrl.noise import (ExpectationScheme, Gaussian, NoiseModel,
-                        OmegaPolynomial, PointMass, Rademacher, Uniform,
-                        derive_seed, expect, expected_affine_power,
-                        expected_gram, sample_values, splitmix64)
+from sbrl.noise import (ExpectationScheme, Gaussian, NoiseModel, PointMass,
+                        Rademacher, Uniform, derive_seed, expect,
+                        expected_affine_power, expected_gram, sample_block,
+                        splitmix64)
 from sbrl.storage import DomainBox, QuadraticStorage
 
 
@@ -35,12 +35,9 @@ def gaussian_moment_quadrature(mean, var, k):
     return float((weights @ xs ** k) / weights.sum())
 
 
-def rademacher_expectation(poly, dims):
-    # exact enumeration over the +-1 support
-    total = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=dims):
-        total += poly(np.array([signs]))[0]
-    return total / 2 ** dims
+def point_scheme(scheme, x):
+    """The scheme of sweep point x alone: the seed a sweep derives for it."""
+    return scheme.with_seed(int(noise.point_seeds(scheme.seed, [x])[0]))
 
 
 def test_point_mass_sample_rows_all_equal():
@@ -65,23 +62,20 @@ def test_rademacher_moments():
 
 def test_uniform_first_moment_closed_form():
     model = NoiseModel((Uniform(0.0, 1.0),))
-    poly = OmegaPolynomial(1, {(1,): 1.0})
-    est = expect(model, ExpectationScheme(mode="closed-form"), poly)
-    assert est.value == pytest.approx(0.5, abs=1e-15)
-    assert est.std_error == 0.0
+    assert expected_affine_power(0.0, [1.0], 1, model) \
+        == pytest.approx(0.5, abs=1e-15)
 
 
 def test_centered_uniform_second_moment():
     model = NoiseModel((Uniform(-0.5, 0.5),))
-    poly = OmegaPolynomial(1, {(2,): 1.0})
-    est = expect(model, ExpectationScheme(mode="closed-form"), poly)
-    assert est.value == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert expected_affine_power(0.0, [1.0], 2, model) \
+        == pytest.approx(1.0 / 12.0, abs=1e-15)
 
 
 def test_gaussian_second_moment_monte_carlo():
     model = NoiseModel((Gaussian(0.0, 1.0),))
-    poly = OmegaPolynomial(1, {(2,): math.cos(0.0) ** 2})
-    est = expect(model, ExpectationScheme(samples=100_000, seed=11), poly)
+    est = expect(model, ExpectationScheme(samples=100_000, seed=11),
+                 lambda draws: draws[:, 0] ** 2)
     assert abs(est.value - 1.0) <= 3.0 * est.std_error
 
 
@@ -124,14 +118,15 @@ def test_gaussian_moment_recurrence_keeps_the_low_orders(mean, var):
 
 
 def test_closed_form_matches_rademacher_enumeration():
+    # exact enumeration over the +-1 support, row by row
     model = NoiseModel((Rademacher(), Rademacher(), Rademacher()))
-    poly = OmegaPolynomial(3, {
-        (0, 0, 0): 1.25, (1, 1, 0): 2.0, (2, 0, 0): -0.5,
-        (1, 1, 2): 3.0, (0, 3, 1): 0.25,
-    })
-    exact = rademacher_expectation(poly, 3)
-    est = expect(model, ExpectationScheme(mode="closed-form"), poly)
-    assert est.value == pytest.approx(exact, abs=1e-12)
+    c0 = np.array([1.25, -0.5, 0.0])
+    coeffs = np.array([[2.0, -0.5, 3.0], [0.25, 1.0, -1.5], [0.7, 0.0, 0.3]])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    for power in range(1, 6):
+        brute = ((c0[:, None] + coeffs @ signs.T) ** power).mean(axis=1)
+        assert expected_affine_power(c0, coeffs, power, model) \
+            == pytest.approx(brute, abs=1e-12)
 
 
 @pytest.mark.parametrize("components", [
@@ -141,12 +136,12 @@ def test_closed_form_matches_rademacher_enumeration():
 ])
 def test_monte_carlo_within_four_std_errors_of_closed_form(components):
     model = NoiseModel(components)
-    poly = OmegaPolynomial(2, {
-        (0, 0): 0.5, (1, 0): 1.0, (0, 2): 2.0, (2, 1): -1.0, (1, 3): 0.25,
-    })
-    exact = poly.expectation(model)
-    est = expect(model, ExpectationScheme(samples=20_000, seed=123), poly)
-    assert abs(est.value - exact) <= 4.0 * max(est.std_error, 1e-12)
+    c0, coeffs = 0.5, np.array([1.0, -0.75])
+    for power in range(1, 5):
+        exact = expected_affine_power(c0, coeffs, power, model)
+        est = expect(model, ExpectationScheme(samples=20_000, seed=123),
+                     lambda draws: (c0 + draws @ coeffs) ** power)
+        assert abs(est.value - exact) <= 4.0 * max(est.std_error, 1e-12)
 
 
 def test_antithetic_mean_exact_zero_for_odd_integrand():
@@ -182,15 +177,23 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
     model = NoiseModel((Gaussian(0.0, 1.0),))
     scheme = ExpectationScheme(samples=101, seed=5, antithetic=True)
     base = model.sample(scheme.seed, 51)
-    odd = sample_values(model, scheme, lambda draws: draws[:, 0])
+
+    def pair_means(fn):
+        # fn's (1, N') values of the one point, flattened point-major
+        return sample_block(model, scheme.point_draws(),
+                            lambda draws: fn(draws).ravel())[0]
+
+    odd = pair_means(lambda draws: draws[..., 0])
     assert odd.shape == (51,)
     assert np.all(odd == 0.0)
-    even = sample_values(model, scheme, lambda draws: draws[:, 0] ** 2)
+    even = pair_means(lambda draws: draws[..., 0] ** 2)
     assert np.array_equal(even, 0.5 * (base[:, 0] ** 2 + (-base[:, 0]) ** 2))
-    # an odd monomial is odd bit for bit, so its pair means vanish exactly
-    cube = OmegaPolynomial(1, {(3,): 1.0})
-    assert np.all(sample_values(model, scheme, cube) == 0.0)
-    assert expect(model, scheme, cube).value == 0.0
+    # a cube by repeated products is odd bit for bit, so its pair means
+    # vanish exactly
+    assert np.all(pair_means(lambda d: d[..., 0] * d[..., 0] * d[..., 0])
+                  == 0.0)
+    assert expect(model, scheme,
+                  lambda d: d[:, 0] * d[:, 0] * d[:, 0]).value == 0.0
 
     system = library.example1_system(noise=model)
     x = np.array([0.3])
@@ -198,9 +201,9 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
     sup, se = certify._gram_sup(system, x[None], [[4.0]], 1.0,
                                 scheme.draws_at(x[None]))
     m1m1 = certify._m1_gram(system, x[None]).item()
-    pairs = sample_values(
-        model, scheme.at(x),
-        lambda draws: 4.0 * system.gain(x[None], draws)[:, 0, 0] ** 2)
+    pairs = sample_block(
+        model, scheme.draws_at(x[None]),
+        lambda draws: 4.0 * system.gain(x[None], draws[0])[:, 0, 0] ** 2)[0]
     assert pairs.shape == (51,)
     assert sup[0] - m1m1 == pytest.approx(pairs.mean(), rel=1e-12)
     assert se[0] == pytest.approx(pairs.std(ddof=1) / math.sqrt(51),
@@ -228,22 +231,28 @@ def test_non_finite_integrand_carries_point():
 
 
 def test_closed_form_rejects_plain_callable():
+    # closed form reads declared structure, never an integrand
     model = NoiseModel((Uniform(0.0, 1.0),))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="monte-carlo"):
         expect(model, ExpectationScheme(mode="closed-form"),
                lambda draws: draws[:, 0])
 
 
+def test_integrand_must_give_one_value_per_draw():
+    model = NoiseModel((Uniform(0.0, 1.0), Gaussian(0.0, 1.0)))
+    scheme = ExpectationScheme(samples=10, seed=1)
+    for bad in (lambda draws: draws, lambda draws: draws[:3, 0],
+                lambda draws: 1.0):
+        with pytest.raises(ConfigurationError, match=r"expected \(10,\)"):
+            expect(model, scheme, bad)
+
+
 def test_closed_form_takes_a_polynomial_of_any_degree():
     # E[w^5] = 1/6 for w uniform on [0, 1] and E[w^6] = 15 for w ~ N(0, 1)
-    poly = OmegaPolynomial(1, {(5,): 1.0})
-    est = expect(NoiseModel((Uniform(0.0, 1.0),)),
-                 ExpectationScheme(mode="closed-form"), poly)
-    assert est.value == pytest.approx(1.0 / 6.0, rel=1e-15)
-    est = expect(NoiseModel((Gaussian(0.0, 1.0),)),
-                 ExpectationScheme(mode="closed-form"),
-                 OmegaPolynomial(1, {(6,): 1.0}))
-    assert est.value == 15.0
+    assert expected_affine_power(0.0, [1.0], 5, NoiseModel((
+        Uniform(0.0, 1.0),))) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert expected_affine_power(0.0, [1.0], 6, NoiseModel((
+        Gaussian(0.0, 1.0),))) == 15.0
 
 
 def test_quadratic_closed_form_against_monte_carlo():
@@ -436,12 +445,27 @@ def test_block_draws_are_each_points_sample(model):
         assert not draws.flags.writeable
         part = scheme.draws_at(points).block(2, 5)
         for i, x in enumerate(points):
-            assert int(block.seeds[i]) == scheme.at(x).seed
-            expected = model.sample(scheme.at(x).seed,
-                                    scheme.draws_per_point())
+            seed = point_scheme(scheme, x).seed
+            assert int(block.seeds[i]) == seed
+            expected = model.sample(seed, scheme.draws_per_point())
             assert draws[i].tobytes() == expected.tobytes()
             if 2 <= i < 5:
                 assert part.draws(model)[i - 2].tobytes() == expected.tobytes()
+
+
+def test_replica_draws_each_points_derived_stream():
+    # replica r of point i draws the stream of derive_seed(seed_i, r), for
+    # a block of points as for one point alone
+    model = STREAM_MODELS[-2]
+    scheme = ExpectationScheme(samples=17, seed=9, antithetic=True)
+    block = scheme.draws_at(np.linspace(-1.0, 1.0, 5)[:, None])
+    for r in (0, 1, 15):
+        replica = block.replica(r)
+        for i, seed in enumerate(block.seeds):
+            expected = model.sample(derive_seed(int(seed), r), 9).tobytes()
+            assert replica.draws(model)[i].tobytes() == expected
+            assert block.block(i, i + 1).replica(r).draws(model)[0].tobytes() \
+                == expected
 
 
 def test_interleaved_sweeps_keep_their_own_streams():
@@ -516,9 +540,9 @@ def test_row_blocks_change_no_bit(monkeypatch, block, antithetic, case):
         scheme = ExpectationScheme(samples=2 * n if antithetic else n,
                                    seed=13, antithetic=antithetic)
         monkeypatch.setattr(noise, "SWEEP_ROWS", n)
-        whole = fn(x, scheme.at(x))
+        whole = fn(x, point_scheme(scheme, x))
         monkeypatch.setattr(noise, "SWEEP_ROWS", block)
-        blocked = fn(x, scheme.at(x))
+        blocked = fn(x, point_scheme(scheme, x))
         assert [(e.value, e.std_error) for e in blocked] \
             == [(e.value, e.std_error) for e in whole], n
 
@@ -534,22 +558,25 @@ def test_row_blocks_change_no_sample_value(monkeypatch, block, antithetic):
     x = np.array([3.7, -2.9])
 
     def integrand(draws):
-        return P.evaluate_batch(1.3 * lin.drift(x[None], None, draws))
+        return P.evaluate_batch(
+            (1.3 * lin.drift(x[None, None], None, draws)).reshape(-1, 2))
 
     for n in range(1, 6 * block):
-        scheme = ExpectationScheme(samples=2 * n if antithetic else n,
-                                   seed=n, antithetic=antithetic).at(x)
+        points = ExpectationScheme(samples=2 * n if antithetic else n,
+                                   seed=n, antithetic=antithetic
+                                   ).draws_at(x[None])
         monkeypatch.setattr(noise, "SWEEP_ROWS", n)
-        whole = sample_values(lin.noise, scheme, integrand).copy()
+        whole = sample_block(lin.noise, points, integrand).copy()
         monkeypatch.setattr(noise, "SWEEP_ROWS", block)
-        blocked = sample_values(lin.noise, scheme, integrand)
+        blocked = sample_block(lin.noise, points, integrand)
         assert blocked.tobytes() == whole.tobytes(), n
 
 
 def test_non_finite_sample_past_the_first_block_keeps_its_index(monkeypatch):
     monkeypatch.setattr(noise, "SWEEP_ROWS", 5)
     model = NoiseModel((Gaussian(0.0, 1.0), Uniform(0.0, 1.0)))
-    scheme = ExpectationScheme(samples=13, seed=4).at([0.5])  # blocks 4, 4, 5
+    # blocks 4, 4, 5
+    scheme = point_scheme(ExpectationScheme(samples=13, seed=4), [0.5])
     draws = model.sample(scheme.seed, 13)
     bad = draws[9, 0]
 

@@ -168,7 +168,8 @@ def test_block_rows_are_each_point_run_alone(case, antithetic):
         split = certify._split_block(V, system, X, u_row, 1.3, draws)
         sup, se = certify._gram_sup(system, X, P, 2.0, draws)
         for i, x in enumerate(X):
-            alone = scheme.at(x).point_draws()
+            seed = noise.point_seeds(scheme.seed, [x])[0]
+            alone = scheme.with_seed(int(seed)).point_draws()
             est, = certify._split_block(V, system, x[None], u_row, 1.3, alone)
             fields = ("value", "std_error", "storage", "output_sq")
             assert [repr(getattr(est, f)) for f in fields] \

@@ -10,9 +10,11 @@ fails this test, and so does a promotion or deletion that leaves the list
 stale.
 
 A public method of a top-level class (properties and static methods
-included) counts as reached when its name is used as code anywhere in the
-library or the acceptance suite outside its own definition.  Methods are
-matched by name, not by class, and none may be unreached.
+included) counts as reached when its name is used as an attribute
+(``obj.name``) anywhere in the library or the acceptance suite outside its
+own definition; a bare name, such as a local function of the same name,
+does not count.  Methods are matched by name, not by class, and none may be
+unreached.
 
 A defaulted parameter of a public function or method counts as passed when
 some call of that name in the library or the acceptance suite gives it by
@@ -38,10 +40,10 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # CustomStorage, and check_convex that certifies it, are Python API (every
 # storage a config builds claims convexity); certify_controller_general
 # states a result of the paper and awaits a config kind of its own;
-# simulate, one trajectory under one policy, is public API and a layer
-# boundary of bench/trace_cli.py
+# simulate, one trajectory under one policy, and expect, one Monte Carlo
+# expectation, are public API and layer boundaries of bench/trace_cli.py
 UNREACHED_API = {"CustomStorage", "check_convex", "certify_controller_general",
-                 "simulate"}
+                 "expect", "simulate"}
 
 # defaulted parameters no call passes, kept on purpose
 UNPASSED_OPTIONS = {
@@ -60,11 +62,13 @@ PUBLIC = re.compile(r"[A-Za-z]\w*\Z")
 
 
 class Index:
-    """One walk of a parsed tree: its name uses and its calls by name."""
+    """One walk of a parsed tree: its name uses (names and attributes),
+    its attribute uses alone and its calls by name."""
 
     def __init__(self, tree):
         self.tree = tree
         self.uses = Counter()
+        self.attributes = Counter()
         # name -> [(positional count, keyword names, has * or **)]
         self.calls = defaultdict(list)
         for node in ast.walk(tree):
@@ -72,6 +76,7 @@ class Index:
                 self.uses[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 self.uses[node.attr] += 1
+                self.attributes[node.attr] += 1
             elif isinstance(node, ast.Call):
                 fn = node.func
                 name = (fn.id if isinstance(fn, ast.Name)
@@ -110,11 +115,13 @@ def indexes():
     return library, Index(ast.parse(ACCEPTANCE.read_text()))
 
 
-def total_uses():
+def total_uses(kind="uses"):
+    """Uses of every name ("uses") or attribute ("attributes") in the
+    library and the acceptance suite."""
     library, acceptance = indexes()
-    total = Counter(acceptance.uses)
+    total = Counter(getattr(acceptance, kind))
     for index in library:
-        total.update(index.uses)
+        total.update(getattr(index, kind))
     return total
 
 
@@ -138,11 +145,11 @@ def test_only_the_kept_api_is_unreached():
 
 def unreached_methods():
     library, _ = indexes()
-    total = total_uses()
+    total = total_uses("attributes")
     return {f"{cls.name}.{node.name}"
             for index in library
             for cls, node in public_methods(index.tree)
-            if total[node.name] == uses_in(node)[node.name]}
+            if total[node.name] == Index(node).attributes[node.name]}
 
 
 def test_every_public_method_is_reached():

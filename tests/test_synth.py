@@ -8,7 +8,7 @@ from sbrl import certify, library, synth
 from sbrl.dynamics import (ControlledSystem, DisturbanceEnsemble,
                            GeneralSystem, LinearSystem)
 from sbrl.errors import ConfigurationError, PreconditionError
-from sbrl.noise import ExpectationScheme, point_mass_noise
+from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
 from sbrl.storage import CustomStorage, DomainBox, QuadraticStorage
 
 CF = ExpectationScheme(mode="closed-form")
@@ -229,6 +229,54 @@ def test_h_k_general_time_varying_storage():
     assert h1_val.value == pytest.approx(expect_1, abs=1e-12)
     assert h1_val.value - h0_val.value == pytest.approx(expect_1 - expect_0,
                                                         abs=1e-12)
+
+
+def example1_general(a=0.99, b=0.01, c=0.2, c1=0.2):
+    """Example 1 on the general tier, without control: F = a x + b cos(x)
+    w v and z = (c x; c1 v) under standard gaussian noise."""
+    return GeneralSystem(
+        1, 0, 1,
+        F=lambda k, X, U, V, W: a * X + b * np.cos(X) * W * V,
+        m=lambda k, X, U, V: np.concatenate(
+            np.broadcast_arrays(c * X, c1 * V), axis=-1),
+        noise=gaussian_noise(0.0, 1.0, 1),
+    )
+
+
+@pytest.mark.parametrize("b", [0.01, 0.5])
+@pytest.mark.parametrize("scheme", [
+    ExpectationScheme(samples=5000, seed=11),
+    ExpectationScheme(samples=4001, seed=29, antithetic=True)])
+def test_h_k_general_under_gaussian_noise(b, scheme):
+    # at v = 0 the general tier is H0 of the affine example 1, bit for bit;
+    # elsewhere its mean is p (a^2 x^2 + b^2 cos^2(x) v^2) - p x^2 + c^2 x^2
+    # + c1^2 v^2, as E[w] = 0 and E[w^2] = 1
+    p, a, c, c1 = 4.0, 0.99, 0.2, 0.2
+    plant, V = example1_general(b=b), library.example1_storage(p)
+    affine = library.example1_system(b=b)
+    for x in (-1.3, 0.4, 2.0):
+        at_zero = synth.h_k_general(V, plant, [x], [], [0.0], 0, scheme)
+        h0 = certify.h0(V, affine, [x], scheme)
+        assert (repr(at_zero.value), repr(at_zero.std_error)) \
+            == (repr(h0.value), repr(h0.std_error))
+        for v in (-2.0, 0.5, 3.0):
+            est = synth.h_k_general(V, plant, [x], [], [v], 0, scheme)
+            exact = (p * (a * a * x * x + b * b * math.cos(x) ** 2 * v * v)
+                     - p * x * x + c * c * x * x + c1 * c1 * v * v)
+            assert est.std_error > 0.0
+            assert abs(est.value - exact) <= 4.0 * est.std_error
+
+
+def test_general_tier_refuses_maps_that_ignore_leading_dimensions():
+    # W[:, :1] takes the first draw of a (B, N, n_w) block, not the first
+    # coordinate, and U[0] the first row: each gives a block the wrong
+    # values without an error, so the tier refuses it at construction
+    for F, m in ((lambda k, X, U, V, W: 0.5 * X + U + V + 0.3 * X * W[:, :1],
+                  lambda k, X, U, V: U),
+                 (lambda k, X, U, V, W: 0.5 * X + U + V,
+                  lambda k, X, U, V: U[0])):
+        with pytest.raises(ConfigurationError, match="differs from its rows"):
+            GeneralSystem(1, 1, 1, F=F, m=m, noise=gaussian_noise())
 
 
 def test_certify_controller_general_gamma3():
