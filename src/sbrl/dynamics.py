@@ -528,9 +528,9 @@ def rollout(system, x0, policies, seeds, horizon, policy_u=None,
         outputs[:, k] = system.output(k, X, U, vs[:, k])
         X = system.transition(k, X, U, vs[:, k], ws[:, k])
         states[:, k + 1] = X
-        with np.errstate(over="ignore"):
-            dead = live & (~np.isfinite(X).all(axis=1)
-                           | (np.linalg.norm(X, axis=1) > overflow))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a row holding inf or nan has a non-finite norm
+            dead = live & ~(np.linalg.norm(X, axis=1) <= overflow)
         if dead.any():
             ends[dead] = k + 1
             live &= ~dead
@@ -601,19 +601,14 @@ def trajectory_csv_rows(traj: Trajectory):
     The final row carries only the terminal state; the step-indexed columns
     are left blank there.
     """
-    n = traj.states.shape[1]
     n_u = traj.controls.shape[1] if traj.controls is not None else 0
-    n_v = traj.disturbances.shape[1]
-    K = traj.horizon
-    rows = []
-    for k in range(K + 1):
-        row = [k] + [repr(float(s)) for s in traj.states[k]]
-        if k < K:
-            row += [repr(float(u)) for u in traj.controls[k]] if n_u else []
-            row += [repr(float(v)) for v in traj.disturbances[k]]
-            row += [repr(float(traj.z_sq[k])), repr(float(traj.v_sq[k])),
-                    repr(float(traj.cum_z_sq[k])), repr(float(traj.cum_v_sq[k]))]
-        else:
-            row += [""] * (n_u + n_v + 4)
-        rows.append(row)
-    return trajectory_csv_header(n, n_u, n_v), rows
+    header = trajectory_csv_header(traj.states.shape[1], n_u,
+                                   traj.disturbances.shape[1])
+    rows = np.column_stack([
+        traj.states[:-1], *([traj.controls] if n_u else []), traj.disturbances,
+        traj.z_sq, traj.v_sq, traj.cum_z_sq, traj.cum_v_sq]).tolist()
+    for k, row in enumerate(rows):  # in place, freeing each row's floats
+        row[:] = [k, *map(repr, row)]
+    end = [len(rows), *map(repr, traj.states[-1].tolist())]
+    rows.append(end + [""] * (len(header) - len(end)))
+    return header, rows

@@ -503,6 +503,10 @@ def sample_block(noise: NoiseModel, points, fn):
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         part = _paired(noise, points.scheme, fn, draws[:, lo:hi])
+        if np.shape(part)[:1] != (count * (hi - lo),):
+            raise ConfigurationError(
+                f"sample_block: fn gave shape {np.shape(part)}, not {count} x "
+                f"{hi - lo} (point, draw) rows flattened point-major")
         parts.append(part.reshape(count, hi - lo, *part.shape[1:]))
     return parts[0] if chunks == 1 else np.concatenate(parts, axis=1)
 

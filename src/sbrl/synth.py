@@ -305,11 +305,13 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
             for i, pt in enumerate(X):
                 x, k = pt[:-1], int(pt[-1])
                 one = None if points is None else points.block(i, i + 1)
+                reps = [None if one is None else one.replica(r)
+                        for r in range(_HESS_REPS)]  # each filled once
 
                 def h(p, r):
                     return _h_k_block(
                         V_of, plant, x[None], p[None, :n_u], p[None, n_u:], k,
-                        None if one is None else one.replica(r))[0]
+                        reps[r])[0]
 
                 p0 = np.concatenate([saddle.alpha(x[None], k)[0],
                                      saddle.eta(x[None], k)[0]])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import logging
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbrl import cli, noise
+from sbrl import cli, library, noise
+from sbrl.dynamics import (DisturbancePolicy, GeneralSystem, Trajectory,
+                           rollout, simulate_ensemble, trajectory_csv_rows)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -216,6 +219,104 @@ def test_simulate_divergence_partial_csv_exit_two(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "divergence at step" in report["status"]
     assert (tmp_path / "out" / "trajectory_000.csv").exists()
+
+
+# ------------------------------------------------------------- CSV bytes
+
+def reference_csv(header, rows):
+    """The csv module's text for a header and rows, as ``csv.writer``
+    with a newline terminator writes them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue().encode()
+
+
+def reference_trajectory_rows(traj):
+    """The trajectory schema's rows, one ``repr(float(.))`` per cell."""
+    K, n_v = traj.horizon, traj.disturbances.shape[1]
+    n_u = 0 if traj.controls is None else traj.controls.shape[1]
+    rows = []
+    for k in range(K + 1):
+        row = [k] + [repr(float(s)) for s in traj.states[k]]
+        if k < K:
+            cells = [*(traj.controls[k] if n_u else []), *traj.disturbances[k],
+                     traj.z_sq[k], traj.v_sq[k], traj.cum_z_sq[k],
+                     traj.cum_v_sq[k]]
+            row += [repr(float(c)) for c in cells]
+        else:
+            row += [""] * (n_u + n_v + 4)
+        rows.append(row)
+    return rows
+
+
+def csv_trajectories():
+    """A closed-loop example 2 member (control columns), members that
+    overflow to inf and to nan (0 * inf), and hand-set values whose repr
+    takes the exponent form, with a -0.0."""
+    (member,) = simulate_ensemble(
+        library.example2_plant(), [1.0, 1.0, 0.5], library.example2_ensemble(),
+        40, 1, seed=7, policy_u=library.example2_law())
+    # x+ = x + v_1^2 v_2 with v_1 = 1e200 at step 2
+    plant = GeneralSystem(1, 0, 2, F=lambda k, X, U, V, W:
+                          X + V[..., :1] ** 2 * V[..., 1:],
+                          m=lambda k, X, U, V: X,
+                          noise=noise.point_mass_noise(0.0, 1))
+    kicks = [np.array([[0.3, 1.0], [0.0, 0.0], [1e200, v2]])
+             for v2 in (1.0, 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = rollout(plant, [0.5], [DisturbancePolicy.recorded(v)
+                                          for v in kicks], [0, 0], 5)
+    assert [d.step for d in diverged] == [3, 3]
+    exponent = Trajectory(
+        states=np.array([[1e-05, -0.0], [1e+16, 5e-324], [-2.5e-300, 1e300]]),
+        outputs=np.array([[1e+16], [-0.0]]),
+        disturbances=np.array([[1e-05], [-0.0]]),
+        controls=None, z_sq=np.array([1e+32, 0.0]),
+        v_sq=np.array([1e-10, 0.0]))
+    return [member, *(d.trajectory for d in diverged), exponent]
+
+
+def test_trajectory_csv_bytes_match_the_csv_module(tmp_path):
+    writer = cli.RunWriter(tmp_path, {})
+    texts = []
+    for i, traj in enumerate(csv_trajectories()):
+        header, rows = trajectory_csv_rows(traj)
+        writer.write_csv(f"trajectory_{i:03d}.csv", header, rows)
+        text = (tmp_path / f"trajectory_{i:03d}.csv").read_bytes()
+        assert text == reference_csv(header,
+                                     reference_trajectory_rows(traj))
+        # the tracer's emit.csv.rows: one row per data line
+        assert len(rows) == text.count(b"\n") - 1 == traj.horizon + 1
+        texts.append(text)
+    assert b"u_1" in texts[0].splitlines()[0]
+    assert texts[1].endswith(b"\n3,inf,,,,,,\n")
+    assert texts[2].endswith(b"\n3,nan,,,,,,\n")
+    for cell in (b"1e-05", b"1e+16", b"5e-324", b"-0.0", b"1e+32"):
+        assert cell in texts[3]
+
+
+def test_gain_ratios_csv_bytes_with_a_blank_ratio(tmp_path):
+    # x+ = (0.5 + 2 w) x + v: some members pass the overflow bound, whose
+    # ratio is None and whose cell is blank
+    cfg = {
+        "seed": 7,
+        "system": {"linear": {"A": [[0.5]], "A0": [[2.0]], "B": [[1.0]],
+                              "C": [[1.0]], "D": [[0.1]]}},
+        "ensemble": {"horizon": 200, "count": 6, "gamma_sq": 1.0,
+                     "disturbance": {"kind": "white", "std": 0.5}},
+        "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
+    }
+    assert run(["gain", "--config", write_config(tmp_path, cfg)]) == 1
+    out = tmp_path / "out"
+    (report,) = json.loads((out / "gain_reports.json").read_text())
+    ratios = report["ratios"]
+    assert None in ratios and any(r is not None for r in ratios)
+    rows = [["white", i, "" if r is None else repr(float(r))]
+            for i, r in enumerate(ratios)]
+    text = (out / "gain_ratios.csv").read_bytes()
+    assert text == reference_csv(["disturbance", "trajectory",
+                                  "energy_ratio"], rows)
+    assert text.count(b"\n") - 1 == len(ratios)
 
 
 def test_linear_brl_boundary_and_falsification(tmp_path):

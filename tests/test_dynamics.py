@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from sbrl import library
 from sbrl.dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
-                           DisturbancePolicy, LinearSystem, energy_ratio,
-                           simulate, simulate_ensemble, trajectory_csv_rows)
+                           DisturbancePolicy, GeneralSystem, LinearSystem,
+                           energy_ratio, rollout, simulate, simulate_ensemble,
+                           trajectory_csv_rows)
 from sbrl.errors import ConfigurationError, DivergenceError
 from sbrl.noise import (NoiseModel, PointMass, Uniform, derive_seed,
                         gaussian_noise, point_mass_noise)
@@ -366,6 +367,48 @@ def test_diverging_member_matches_its_single_run_and_spares_the_rest():
             assert res.step == alone.step
             res, alone = res.trajectory, alone.trajectory
         assert same_trajectory(res, alone)
+
+
+def test_members_overflowing_to_inf_nan_or_past_the_bound_stop_alike():
+    # x+ = x + v_1^2 v_2: a v_1 of 1e200 makes the state inf (v_2 = 1) or
+    # nan (v_2 = 0, as 0 * inf); 1e7 passes the bound with a finite state
+    plant = GeneralSystem(1, 0, 2, F=lambda k, X, U, V, W:
+                          X + V[..., :1] ** 2 * V[..., 1:],
+                          m=lambda k, X, U, V: X,
+                          noise=point_mass_noise(0.0, 1))
+    K, x0, overflow = 6, np.array([0.5]), 1e12
+    kicks = {"inf": (2, [1e200, 1.0]), "nan": (1, [1e200, 0.0]),
+             "past-bound": (3, [1e7, 1.0]), "finite": (0, [1.0, 1.0])}
+    vs = {}
+    for name, (at, v) in kicks.items():
+        vs[name] = np.zeros((K, 2))
+        vs[name][at] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = rollout(plant, x0, [DisturbancePolicy.recorded(v)
+                                   for v in vs.values()],
+                       [0] * len(vs), K, overflow=overflow)
+        for name, res in zip(vs, runs):
+            # one member alone, under the former test: any non-finite
+            # coordinate, or a norm past the bound
+            X, states, end = x0[None], [x0], None
+            for k in range(K):
+                X = plant.transition(k, X, np.zeros((1, 0)), vs[name][k:k + 1],
+                                     np.zeros((1, 1)))
+                states.append(X[0])
+                if (not np.isfinite(X).all()
+                        or np.linalg.norm(X) > overflow):
+                    end = k + 1
+                    break
+            if name == "finite":
+                assert end is None and not isinstance(res, DivergenceError)
+                continue
+            assert res.step == end == kicks[name][0] + 1
+            traj = res.trajectory
+            assert traj.states.tobytes() == np.array(states).tobytes()
+            assert traj.disturbances.tobytes() == vs[name][:end].tobytes()
+    assert np.isposinf(runs[0].trajectory.states[-1, 0])
+    assert np.isnan(runs[1].trajectory.states[-1, 0])
+    assert np.isfinite(runs[2].trajectory.states[-1, 0])
 
 
 # ------------------------------------------------- declared structure

@@ -210,6 +210,16 @@ def test_antithetic_pair_means_on_scalar_and_gram_paths():
                                   rel=1e-12)
 
 
+def test_sample_block_refuses_values_not_flattened_point_major():
+    # the natural (points, N') array of one point is not one row per draw
+    model = NoiseModel((Gaussian(0.0, 1.0),))
+    for antithetic in (False, True):
+        scheme = ExpectationScheme(samples=51, seed=5, antithetic=antithetic)
+        with pytest.raises(ConfigurationError, match="flattened point-major"):
+            sample_block(model, scheme.point_draws(),
+                         lambda draws: draws[..., 0])
+
+
 def test_invalid_parameters_raise():
     with pytest.raises(ConfigurationError):
         Uniform(1.0, 1.0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sbrl import certify, library, synth
+from sbrl import certify, library, noise, synth
 from sbrl.dynamics import (ControlledSystem, DisturbanceEnsemble,
                            GeneralSystem, LinearSystem)
 from sbrl.errors import ConfigurationError, PreconditionError
@@ -396,6 +396,26 @@ def test_taylor_certify_falsifies_small_gamma():
     box = DomainBox((-2.0,), (2.0,), ("grid", 9))
     cert = synth.taylor_certify(plant, worked_saddle(2.1), V, box, MC8)
     assert cert.status == "falsified"
+
+
+def test_taylor_certify_fills_each_replica_once_per_check(monkeypatch):
+    # one grid point of criterion 11's plant at N = 8: stationarity and the
+    # completed square read replica 0, the Hessian stencil replicas 0..15,
+    # so at most 1 + 16 + 1 fills, however many stencil values each feeds
+    plant, started, streams = deterministic_general_plant(), [], noise.streams
+
+    def counted(seeds, *args):
+        started.extend(seeds)
+        return streams(seeds, *args)
+
+    monkeypatch.setattr(noise, "streams", counted)
+    box = DomainBox((-2.0,), (2.0,), ("grid", 1))
+    cert = synth.taylor_certify(plant, worked_saddle(3.0),
+                                QuadraticStorage([[1.0]]), box,
+                                ExpectationScheme(samples=8, seed=20_240_817))
+    assert cert.status == "certified"
+    assert len(started) <= 18
+    assert len(set(started)) == synth._HESS_REPS
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
