@@ -22,8 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .certificates import Certificate, Row, _jsonable, sweep
-from .dynamics import (AffineSystem, GainChannelSystem, LinearSystem,
-                       energy_ratio, simulate_ensemble)
+from .dynamics import LinearSystem, energy_ratio, simulate_ensemble
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      PreconditionError)
 from .noise import (Estimate, _gram_rows, expected_affine_power,
@@ -44,11 +43,11 @@ def sym_eig_max(X) -> float:
     return float(np.linalg.eigvalsh(0.5 * (X + X.T))[-1])
 
 
-def _require(system, tier):
-    if not isinstance(system, tier):
+def _require_uncontrolled(system, routine):
+    if system.n_u:
         raise ConfigurationError(
-            f"expected {tier.__name__}, got {type(system).__name__}"
-        )
+            f"{routine} takes a system without control input, got n_u = "
+            f"{system.n_u}: close the loop with synth.closed_loop first")
 
 
 def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
@@ -119,13 +118,13 @@ def _split_block(V, system, X, u_row, beta, points):
 
 def h0(V, system, x, scheme) -> SplitEstimate:
     """Internal-stability functional E[V(f(x,w))] - V(x) + |m(x)|^2."""
-    _require(system, AffineSystem)
+    _require_uncontrolled(system, "h0")
     return _split(V, system, x, None, 1.0, scheme)
 
 
 def h1(V, system, x, beta, scheme) -> SplitEstimate:
     """Convexity-split internal functional (1/b) E[V(b f)] - V + |m|^2."""
-    _require(system, AffineSystem)
+    _require_uncontrolled(system, "h1")
     return convexity_split(V, system, x, None, beta, scheme)
 
 
@@ -248,12 +247,11 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
     from the sampled gram under Monte Carlo, where separable storage is
     exact at a point whose declared gain has no noise part.  Other
     candidates take sphere sampling under Monte Carlo, which yields a
-    lower bound on the supremum and is flagged as such.
+    lower bound on the supremum and is flagged as such.  The channel
+    (g, m1) takes no control, so a plant with n_u > 0 qualifies as it is.
     """
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    # the channel (g, m1) is tier independent: controlled plants qualify
-    _require(system, GainChannelSystem)
     return _gain_sup(V, system, np.asarray(x, dtype=float)[None],
                      beta / (beta - 1.0), scheme.point_draws())[0]
 
@@ -263,7 +261,6 @@ def g0(V, system, scheme) -> Estimate:
 
     The same supremum as G_beta, taken at x = 0 with scale 1.
     """
-    _require(system, GainChannelSystem)
     return _gain_sup(V, system, np.zeros((1, system.n)), 1.0,
                      scheme.point_draws())[0]
 
@@ -328,7 +325,7 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     """
     if c2 <= 0:
         raise ConfigurationError("c2 must be positive")
-    _require(system, AffineSystem)
+    _require_uncontrolled(system, "check_internal")
     qb = quad_bound(V, domain)
 
     def growth(X, _):
@@ -393,7 +390,7 @@ def check_external(system, V, beta, gamma_sq, domain: DomainBox,
     v0 = V.evaluate(np.zeros(V.dim))
     if abs(v0) > 1e-12:
         raise PreconditionError(f"V(0) = {v0:g}, expected 0")
-    _require(system, AffineSystem)
+    _require_uncontrolled(system, "check_external")
     cert, rec = sweep(
         domain.points(), scheme,
         {"H1": _split_rows("H1", V, system, beta),
@@ -439,7 +436,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     are broken towards the smallest beta.  The returned value is an upper
     bound on the squared gain, scoped to the sampled domain.
     """
-    _require(system, AffineSystem)
+    _require_uncontrolled(system, "gamma_star_search")
     points = domain.points()
     best = None
     checked = feasible = 0

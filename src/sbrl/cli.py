@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, certify, library, synth
-from .dynamics import simulate_ensemble, trajectory_csv_rows
+from .dynamics import LinearSystem, simulate_ensemble, trajectory_csv_rows
 from .errors import ConfigurationError, DivergenceError, ToolkitError
 from .noise import ExpectationScheme, derive_seed
 from .storage import DomainBox, QuadraticStorage
@@ -315,16 +315,16 @@ def _domain(cert_block, system):
 
 
 def _resolved_system(resolved):
-    """The configured system, its tier and, on a controlled system, the
-    configured law or None: a run builds them once."""
+    """The configured system and, on a plant with a control input
+    (n_u > 0), the configured law or None: a run builds them once."""
     noise = None
     if "noise" in resolved:
         noise = library.noise_from_config(resolved["noise"])
-    system, tier = library.system_from_config(resolved["system"], noise=noise)
+    system, _ = library.system_from_config(resolved["system"], noise=noise)
     law = None
-    if tier == "controlled" and "law" in resolved:
+    if system.n_u and "law" in resolved:
         law = library.law_from_config(resolved["law"])
-    return system, tier, law
+    return system, law
 
 
 def _law(law, needed_by):
@@ -333,9 +333,9 @@ def _law(law, needed_by):
     return law
 
 
-def _closed_loop(system, tier, law):
-    """``system``, closed by the configured law when it is controlled."""
-    if tier != "controlled":
+def _closed_loop(system, law):
+    """``system``, closed by the configured law when it takes a control."""
+    if not system.n_u:
         return system
     return synth.closed_loop(system, _law(law, "a controlled system"))
 
@@ -393,7 +393,7 @@ def cmd_certify(resolved):
     return status_exit_code(status)
 
 
-def _certificate(resolved, writer, system, tier, law):
+def _certificate(resolved, writer, system, law):
     """Run the configured sampled certificate on ``system`` into
     ``writer``; returns it."""
     cert_block = resolved["certificate"]
@@ -402,7 +402,7 @@ def _certificate(resolved, writer, system, tier, law):
     t0 = time.perf_counter()
     domain = _domain(cert_block, system)
     if kind == "controller":
-        if tier != "controlled":
+        if not system.n_u:
             raise ConfigurationError("certificate.kind controller needs a controlled system")
         cert = synth.certify_controller(
             system, _law(law, "certificate kind controller"),
@@ -412,7 +412,7 @@ def _certificate(resolved, writer, system, tier, law):
         cert = certify.check_internal(system, _storage(resolved, kind),
                                       float(cert_block["c2"]), domain, scheme)
     else:
-        system = _closed_loop(system, tier, law)
+        system = _closed_loop(system, law)
         if kind == "external":
             cert = certify.check_external(
                 system, _storage(resolved, kind), float(cert_block["beta"]),
@@ -435,8 +435,8 @@ def _certificate(resolved, writer, system, tier, law):
 
 def _run_linear_brl(resolved, writer):
     t0 = time.perf_counter()
-    linsys, tier, _ = _resolved_system(resolved)
-    if tier != "linear":
+    linsys, _ = _resolved_system(resolved)
+    if not isinstance(linsys, LinearSystem):
         raise ConfigurationError("certificate.kind linear-brl needs a linear system")
     cert_block = resolved["certificate"]
     gamma_sq = _gamma_sq_from(cert_block)
@@ -510,11 +510,11 @@ def cmd_simulate(resolved):
     if "ensemble" not in resolved:
         raise ConfigurationError("ensemble: required for 'simulate'")
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    system, _, law = _resolved_system(resolved)
+    system, law = _resolved_system(resolved)
     status, _ = _simulate(resolved, writer, int(resolved["ensemble"]["count"]),
                           system, law)
     writer.finish(status)
-    return EXIT_CERTIFIED if status == "consistent" else EXIT_INCONCLUSIVE
+    return status_exit_code(status)
 
 
 def _simulate(resolved, writer, count, system, law):
@@ -551,11 +551,11 @@ def cmd_example(resolved):
     certificate's gamma^2, member 0 of its simulate ensemble, and last
     summary.json and the member's plots."""
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    system, tier, law = _resolved_system(resolved)
-    cert = _certificate(resolved, writer, system, tier, law)
+    system, law = _resolved_system(resolved)
+    cert = _certificate(resolved, writer, system, law)
     gamma_sq = cert.provenance["gamma_sq"]
     verdicts, gain_verdict = _gain(resolved, writer,
-                                   _closed_loop(system, tier, law), gamma_sq)
+                                   _closed_loop(system, law), gamma_sq)
     sim_status, traj = _simulate(resolved, writer, 1, system, law)
     if "svg" in resolved["output"]["formats"]:
         _plot_member(writer, traj, gamma_sq)

@@ -1,11 +1,11 @@
 """System tiers, trajectory simulation and energy bookkeeping.
 
-Two tiers share one disturbance-channel core: affine-in-disturbance
-systems x+ = f(x,w) + g(x,w) v with output z = (m(x); m1(x) v), and
-controlled systems x+ = f(x,u,w) + g(x,w) v.  Linear multiplicative-noise
-systems x+ = A x + A0 x w + B v with z = (C x; D v) are affine systems
-built from their matrices.  A general time-varying tier
-x+ = F(k,x,u,v,w), z = m(k,x,u,v) covers everything else.
+The affine tier ``AffineSystem`` is x+ = f(x,[u,]w) + g(x,w) v with
+output z = (m(x[,u]); m1(x) v), its control width ``n_u`` 0 for a
+disturbance-driven system and positive for a plant that a feedback law
+closes.  Linear multiplicative-noise systems x+ = A x + A0 x w + B v with
+z = (C x; D v) are affine systems built from their matrices.  The general
+time-varying tier x+ = F(k,x,u,v,w), z = m(k,x,u,v) covers everything else.
 
 Every map takes arrays with leading dimensions; the last axis is the
 coordinate: X is (..., n), U (..., n_u), V (..., n_v) and W (..., n_w),
@@ -14,17 +14,17 @@ and the leading shapes broadcast against each other.  A simulation passes
 against draws (B, N, n_w), so a factor of the state alone is formed once
 per point, not once per draw.  A map indexes coordinates as ``X[..., i]``
 and returns the broadcast leading shape, or any value that broadcasts to
-it, so ``g=lambda X, W: B`` is a constant gain.  Each tier exposes
-``transition(k, X, U, V, W)`` and ``output(k, X, U, V)``; the disturbance
-tiers also give the two halves ``drift`` and ``gain`` that the
-certificate functionals need.
+it, so ``g=lambda X, W: B`` is a constant gain.  Both tiers expose
+``transition(k, X, U, V, W)`` and ``output(k, X, U, V)``, so a routine
+that needs only those takes either; the affine tier also gives the two
+halves ``drift`` and ``gain`` that the certificate functionals need.
 
-The disturbance tiers may declare, over the same leading dimensions, the
+The affine tier may declare, over the same leading dimensions, the
 affine-in-noise structure of the exact paths: ``f_parts(X[, U])`` gives
 (F0, [F_d]) with f(x,[u,]w) = F0 + sum_d F_d w_d at each row, and
-``g_parts(X)`` the same for g.  Every tier checks at construction that its
-maps (drift, gain and parts, or F and m) give on a small block the bits of
-its rows one by one.
+``g_parts(X)`` the same for g.  Both tiers check at construction that
+their maps (drift, gain and parts, or F and m) give on a small block the
+bits of their rows one by one.
 """
 
 from dataclasses import dataclass, field
@@ -126,20 +126,19 @@ def _stacked(c0, cs):
     return np.stack([c0, *cs], axis=-1)
 
 
-class GainChannelSystem:
-    """Core shared by the affine and controlled tiers.
+class AffineSystem:
+    """Affine-in-disturbance tier: x+ = f(x,[u,]w) + g(x,w) v with
+    z = (m(x[,u]); m1(x) v).
 
-    Both are x+ = f(x,[u,]w) + g(x,w) v with z = (m(x[,u]); m1(x) v); this
-    class owns the maps, the declared structure, the output block and the
-    equilibrium spot check.  ``n_u`` is 0 on the affine tier, whose maps
-    take no control argument.
+    ``n_u`` is the control width; with the default 0 the maps take no
+    control argument.  The class owns the maps, the declared structure,
+    the output block and the equilibrium spot check.
     """
 
-    n_u = 0
-
     def __init__(self, n, n_v, f, g, m, m1, noise, *, f_parts=None,
-                 g_parts=None, name=""):
+                 g_parts=None, name="", n_u=0):
         self.n = int(n)
+        self.n_u = int(n_u)
         self.n_v = int(n_v)
         self.f = f
         self.g = g
@@ -238,18 +237,6 @@ class GainChannelSystem:
         return np.concatenate([_rows(z, lead, (self.n_m,), "m"),
                                _rows(m1v, lead, (self.n_z - self.n_m,), "m1")],
                               axis=-1)
-
-
-class AffineSystem(GainChannelSystem):
-    """Disturbance-driven tier: x+ = f(x,w) + g(x,w) v, z = (m(x); m1(x) v)."""
-
-
-class ControlledSystem(GainChannelSystem):
-    """Controlled tier: x+ = f(x,u,w) + g(x,w) v, z = (m(x,u); m1(x) v)."""
-
-    def __init__(self, n, n_u, n_v, f, g, m, m1, noise, **parts):
-        self.n_u = int(n_u)
-        super().__init__(n, n_v, f, g, m, m1, noise, **parts)
 
 
 class GeneralSystem:
@@ -407,10 +394,16 @@ class DisturbanceEnsemble:
         """v_k[j] = A * decay^k * sin(freq_j * k + phase_j), A ~ U[amp_range]."""
         freqs = np.asarray(freqs if freqs is not None else [0.3] * n_v, dtype=float)
         phases = np.asarray(phases if phases is not None else [0.0] * n_v, dtype=float)
+        for key, values in (("freqs", freqs), ("phases", phases)):
+            if values.shape != (n_v,):
+                raise ConfigurationError(f"{key}: {values.size} values for n_v = {n_v}")
+        lo, hi = amp_range
+        if lo > hi:
+            raise ConfigurationError(f"amp_range: low {lo!r} exceeds high {hi!r}")
 
         def factory(sub_seed):
             rng = np.random.default_rng(int(sub_seed))
-            amp = rng.uniform(*amp_range)
+            amp = rng.uniform(lo, hi)
 
             def sequence(K):
                 # decay ** k stays a Python float (libm pow): numpy's
@@ -495,7 +488,7 @@ def rollout(system, x0, policies, seeds, horizon, policy_u=None,
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     if not system.n_u and policy_u is not None:
-        raise ConfigurationError("this tier takes no control input")
+        raise ConfigurationError("this system takes no control input (n_u = 0)")
     n, n_u, K, M = system.n, system.n_u, horizon, len(seeds)
     x0 = _as_vec(x0, n, "x0")
     if not M:
@@ -559,8 +552,8 @@ def rollout(system, x0, policies, seeds, horizon, policy_u=None,
 def simulate(system, x0, policy_v, horizon, seed, overflow=OVERFLOW_BOUND):
     """Roll the system forward ``horizon`` steps under seeded noise.
 
-    ``policy_v`` is a DisturbancePolicy, zero when None.  A controlled tier
-    runs at u = 0; simulate a feedback law as ``closed_loop(plant, law)``.
+    ``policy_v`` is a DisturbancePolicy, zero when None.  A plant with
+    n_u > 0 runs at u = 0; simulate a feedback law as ``closed_loop(plant, law)``.
     Raises DivergenceError with the partial trajectory when |x_k| exceeds
     ``overflow``.
     """

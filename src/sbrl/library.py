@@ -6,10 +6,11 @@ Two nonlinear benchmarks ship with the toolkit:
   (c x; c1 v).  The drift ignores the noise, which multiplies the
   disturbance channel only; the storage family is V = p x^2.
 
-* ``example2`` -- a three-state controlled system driven by five
-  independent uniform coefficients, with a two-channel control, a constant
-  gain matrix feeding states 1 and 3, a mixed quadratic/quartic separable
-  storage V = p1 x1^2 + p2 x2^4 + p3 x3^2 and an explicit stabilising law.
+* ``example2`` -- a three-state plant, an affine system with a
+  two-channel control (n_u = 2), driven by five independent uniform
+  coefficients, with a constant gain matrix feeding states 1 and 3, a
+  mixed quadratic/quartic separable storage V = p1 x1^2 + p2 x2^4 +
+  p3 x3^2 and an explicit stabilising law.
 
 Both write each map, and the affine-in-noise structure they declare for
 the exact expectation paths, once over leading dimensions
@@ -18,8 +19,8 @@ the exact expectation paths, once over leading dimensions
 
 import numpy as np
 
-from .dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
-                       DisturbancePolicy, LinearSystem, leading_shape)
+from .dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
+                       LinearSystem, leading_shape)
 from .errors import ConfigurationError
 from .noise import NoiseModel, Uniform, gaussian_noise
 from .storage import QuadraticStorage, SeparableStorage
@@ -88,7 +89,7 @@ def _saturation(t):
     return t / (1.0 + np.abs(t))
 
 
-def example2_plant() -> ControlledSystem:
+def example2_plant() -> AffineSystem:
     """Three-state controlled benchmark driven by five uniform coefficients."""
 
     def f(X, U, W):
@@ -128,8 +129,8 @@ def example2_plant() -> ControlledSystem:
         out[..., 2] = U[..., 0]
         return out
 
-    return ControlledSystem(
-        3, 2, 2,
+    return AffineSystem(
+        3, 2,
         f=f,
         g=lambda X, W: _E2_G,
         m=m,
@@ -138,6 +139,7 @@ def example2_plant() -> ControlledSystem:
         f_parts=f_parts,
         g_parts=lambda X: (_E2_G, [np.zeros((3, 2))] * 5),
         name="example2",
+        n_u=2,
     )
 
 
@@ -181,10 +183,12 @@ def noise_from_config(block) -> NoiseModel:
 
 
 def system_from_config(block, noise=None):
-    """Resolve a schema-valid config system block to (system, tier_name).
+    """Resolve a schema-valid config system block to (system, tier name).
 
     ``noise`` is an optional NoiseModel from the top-level noise block; it
     overrides the default driving noise where the benchmark leaves it open.
+    Callers read the tier as ``n_u`` and ``LinearSystem``; the name stays
+    only because bench/setup_probe.py unpacks a pair.
     """
     if "linear" in block:
         lin = block["linear"]
@@ -222,13 +226,16 @@ def ensemble_from_config(block, n_v) -> DisturbanceEnsemble:
     """The ensemble of a schema-valid config disturbance block."""
     kind = block["kind"]
     if kind == "decaying-sine":
-        return DisturbanceEnsemble.decaying_sine(
-            n_v,
-            decay=float(block.get("decay", 0.98)),
-            freqs=block.get("freqs"),
-            phases=block.get("phases"),
-            amp_range=tuple(block.get("amp_range", (0.5, 1.5))),
-        )
+        try:
+            return DisturbanceEnsemble.decaying_sine(
+                n_v,
+                decay=float(block.get("decay", 0.98)),
+                freqs=block.get("freqs"),
+                phases=block.get("phases"),
+                amp_range=tuple(block.get("amp_range", (0.5, 1.5))),
+            )
+        except ConfigurationError as exc:  # the message names the key
+            raise ConfigurationError(f"ensemble.disturbance.{exc}") from None
     if kind == "white":
         return DisturbanceEnsemble.white(n_v, std=float(block.get("std", 0.5)))
     if kind == "zero":

@@ -1,8 +1,8 @@
 """State-feedback laws, closed loops and controller certificates.
 
-Substituting a feedback law into the controlled tier yields a first-class
-disturbance-driven system, so every stability check applies unchanged to
-the closed loop.  The time-invariant design functional
+Substituting a feedback law into a plant, an affine system with n_u > 0,
+yields a disturbance-driven one (n_u = 0), so every stability check
+applies unchanged to the closed loop.  The time-invariant design functional
 
   H(V(x), u, b) = (1/b) E[V(b f(x,u,w))] - V(x) + |m(x,u)|^2
 
@@ -12,7 +12,8 @@ The general time-varying certificate checks
 H_k(x, alpha_k(x), v) - gamma^2 |v|^2 <= 0 jointly over (x, v, k), and the
 second-order route verifies supplied saddle data (alpha, eta, M, N) by
 finite-difference stationarity, Hessian domination and the completed
-square functional.
+square functional.  Both read a plant only through ``transition`` and
+``output``, so they take the general and the affine tier alike.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .certificates import Certificate, Row, sweep
 from .certify import _sq_norms, check_external, expected_value_of
-from .dynamics import AffineSystem, ControlledSystem, GeneralSystem
+from .dynamics import AffineSystem
 from .errors import ConfigurationError, PreconditionError
 from .noise import Estimate
 from .storage import DomainBox, StorageFunction
@@ -62,10 +63,11 @@ class FeedbackLaw:
                            spec={"kind": "linear-gain", "K": K.tolist()})
 
 
-def closed_loop(plant: ControlledSystem, law: FeedbackLaw) -> AffineSystem:
+def closed_loop(plant: AffineSystem, law: FeedbackLaw) -> AffineSystem:
     """Fold u = alpha(x) into the plant, yielding the disturbance-driven loop."""
-    if not isinstance(plant, ControlledSystem):
-        raise ConfigurationError("closed_loop needs a controlled-tier plant")
+    if not plant.n_u:
+        raise ConfigurationError(
+            "closed_loop needs a plant with a control input, got n_u = 0")
     if law.n_u != plant.n_u:
         raise ConfigurationError(
             f"law returns {law.n_u} controls, plant expects {plant.n_u}"
@@ -114,8 +116,8 @@ def _storage_sequence(obj):
 def _h_k_block(V_of, plant, X, U, Vd, k, points):
     """H_k at each row of the states X, controls U and disturbances Vd of
     one time k, one ``Estimate`` per row, from the block's ``PointDraws``
-    ``points``: the tier declares no noise structure, so closed form (None)
-    raises, and a point-mass noise makes Monte Carlo exact."""
+    ``points``: H_k reads no declared noise structure, so closed form
+    (None) raises, and a point-mass noise makes Monte Carlo exact."""
     mean, se = expected_value_of(
         V_of(k + 1), plant.noise, points, None,
         lambda draws: plant.transition(k, X[:, None], U[:, None],
@@ -125,10 +127,8 @@ def _h_k_block(V_of, plant, X, U, Vd, k, points):
     return [Estimate(v, e) for v, e in zip(value.tolist(), se.tolist())]
 
 
-def h_k_general(V_seq, plant: GeneralSystem, x, u, v, k, scheme) -> Estimate:
+def h_k_general(V_seq, plant, x, u, v, k, scheme) -> Estimate:
     """Time-varying functional H_k = E[V_{k+1}(F_k(x,u,v,w))] - V_k(x) + |m_k|^2."""
-    if not isinstance(plant, GeneralSystem):
-        raise ConfigurationError("h_k_general needs the general tier")
     x, u, v = (np.atleast_1d(np.asarray(a, dtype=float))[None]
                for a in (x, u, v))
     return _h_k_block(_storage_sequence(V_seq), plant, x, u, v, k,
@@ -144,9 +144,6 @@ def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
     k < k_window.  Certification makes alpha an attenuating feedback on the
     sampled scope; internal stability is reported separately.
     """
-    if not isinstance(plant, GeneralSystem):
-        raise ConfigurationError(
-            "certify_controller_general needs the general tier")
     if gamma_sq <= 0:
         raise ConfigurationError("gamma_sq must be positive")
     V_of = _storage_sequence(V_seq)
@@ -282,11 +279,9 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
 
     Stochastic plants average each Hessian stencil value over _HESS_REPS
     derived Monte Carlo replications with common random numbers across
-    stencil points.  A functional that cannot be evaluated at a point makes
-    that sub-check's margin NaN there (inconclusive).
+    stencil points and sub-checks.  A functional that cannot be evaluated
+    at a point makes that sub-check's margin NaN there (inconclusive).
     """
-    if not isinstance(plant, GeneralSystem):
-        raise ConfigurationError("taylor_certify needs the general tier")
     n_u, n_v, V_of = plant.n_u, plant.n_v, _storage_sequence(V_seq)
     gap = saddle.gamma ** 2 * np.eye(n_v) - saddle.N
     cond = np.linalg.cond(gap)
@@ -296,17 +291,24 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         [np.zeros((n_v, n_u)), saddle.N],
     ])
 
+    replicas = {}  # point seed -> its replicas, for the current block only
+
     def per_point(check):
         """``check(x, k, p0, h)`` at each point of a block, as a block form:
         p0 = (alpha_k(x), eta_k(x)), and h(p, r) is the ``Estimate`` of
         H_k(x, p), p = (u, v), from replica r of the point's draws."""
         def rows(X, points):
+            seeds = [None] * len(X) if points is None else points.seeds
+            for seed in replicas.keys() - set(seeds):  # the last block's
+                del replicas[seed]
             out = []
-            for i, pt in enumerate(X):
+            for i, (pt, seed) in enumerate(zip(X, seeds)):
                 x, k = pt[:-1], int(pt[-1])
-                one = None if points is None else points.block(i, i + 1)
-                reps = [None if one is None else one.replica(r)
-                        for r in range(_HESS_REPS)]  # each filled once
+                if seed not in replicas:  # the three checks share them
+                    one = None if points is None else points.block(i, i + 1)
+                    replicas[seed] = [None if one is None else one.replica(r)
+                                      for r in range(_HESS_REPS)]
+                reps = replicas[seed]
 
                 def h(p, r):
                     return _h_k_block(

@@ -99,6 +99,27 @@ def test_schema_violation_exits_two_with_one_line(tmp_path, capsys, name):
     assert f"{field}: " in err
 
 
+@pytest.mark.parametrize("keys, field", [
+    ({"amp_range": []}, "amp_range"),
+    ({"amp_range": [2.0]}, "amp_range"),
+    ({"amp_range": [0.5, 1.5, 3]}, "amp_range"),
+    ({"amp_range": [1.5, 0.5]}, "amp_range"),
+    ({"freqs": [0.3, 0.4]}, "freqs"),
+    ({"phases": []}, "phases"),
+], ids=["empty", "one", "three", "reversed", "freqs", "phases"])
+def test_malformed_decaying_sine_exits_two_naming_the_key(tmp_path, capsys,
+                                                          keys, field):
+    # example 1 has one disturbance channel: freqs and phases take one entry
+    cfg = {"system": {"builtin": "example1"},
+           "ensemble": {"horizon": 5, "count": 2, "gamma_sq": 0.1,
+                        "disturbance": {"kind": "decaying-sine", **keys}},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert run(["gain", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"ensemble.disturbance.{field}: " in err
+
+
 def test_gain_example1_consistent(tmp_path):
     cfg = {
         "seed": 5,

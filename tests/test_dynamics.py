@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbrl import library
-from sbrl.dynamics import (AffineSystem, ControlledSystem, DisturbanceEnsemble,
-                           DisturbancePolicy, GeneralSystem, LinearSystem,
-                           energy_ratio, rollout, simulate, simulate_ensemble,
-                           trajectory_csv_rows)
+from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
+                           GeneralSystem, LinearSystem, energy_ratio, rollout,
+                           simulate, simulate_ensemble, trajectory_csv_rows)
 from sbrl.errors import ConfigurationError, DivergenceError
 from sbrl.noise import (NoiseModel, PointMass, Uniform, derive_seed,
                         gaussian_noise, point_mass_noise)
@@ -252,10 +251,10 @@ def test_feedback_law_for_rows_only_is_refused_through_closed_loop(fn):
     lambda m1: AffineSystem(
         1, 2, f=lambda X, W: np.zeros(1), g=lambda X, W: np.zeros((1, 2)),
         m=lambda X: np.zeros(1), m1=m1, noise=point_mass_noise(0.0, 1)),
-    lambda m1: ControlledSystem(
-        1, 1, 2, f=lambda X, U, W: np.zeros(1),
+    lambda m1: AffineSystem(
+        1, 2, f=lambda X, U, W: np.zeros(1),
         g=lambda X, W: np.zeros((1, 2)), m=lambda X, U: np.zeros(1), m1=m1,
-        noise=point_mass_noise(0.0, 1)),
+        noise=point_mass_noise(0.0, 1), n_u=1),
 ], ids=["affine", "controlled"])
 def test_m1_column_count_must_match_n_v(build):
     build(lambda X: np.eye(2))

@@ -220,3 +220,17 @@ def unread_constants():
 
 def test_every_module_constant_is_read_by_the_library():
     assert unread_constants() == set()
+
+
+def test_all_lists_every_public_import_and_each_resolves():
+    # a stale or missing entry fails here, not at ``from sbrl import *``
+    import sbrl
+    tree = ast.parse((LIBRARY / "__init__.py").read_text())
+    imported = sorted(alias.asname or alias.name for node in tree.body
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names
+                      if PUBLIC.match(alias.asname or alias.name))
+    assert sorted(sbrl.__all__) == imported
+    namespace = {}
+    exec("from sbrl import *", namespace)
+    assert set(sbrl.__all__) <= namespace.keys()

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from sbrl import certify, library, noise, synth
-from sbrl.dynamics import (ControlledSystem, DisturbanceEnsemble,
-                           GeneralSystem, LinearSystem)
+from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, GeneralSystem,
+                           LinearSystem)
 from sbrl.errors import ConfigurationError, PreconditionError
 from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
 from sbrl.storage import CustomStorage, DomainBox, QuadraticStorage
@@ -22,6 +23,19 @@ def deterministic_general_plant():
         F=lambda k, X, U, V, W: 0.5 * X + U + V,
         m=lambda k, X, U, V: U,
         noise=point_mass_noise(0.0, 1),
+    )
+
+
+def deterministic_affine_plant():
+    """The same plant on the affine tier, with n_u = 1."""
+    return AffineSystem(
+        1, 1,
+        f=lambda X, U, W: 0.5 * X + U,
+        g=lambda X, W: np.ones((1, 1)),
+        m=lambda X, U: U,
+        m1=lambda X: np.zeros((0, 1)),
+        noise=point_mass_noise(0.0, 1),
+        n_u=1,
     )
 
 
@@ -68,13 +82,14 @@ def test_builtin_law_values():
 def test_linear_gain_composition():
     A = np.array([[0.9, 0.2], [0.0, 0.7]])
     Bu = np.array([[0.0], [1.0]])
-    plant = ControlledSystem(
-        2, 1, 1,
+    plant = AffineSystem(
+        2, 1,
         f=lambda X, U, W: X @ A.T + U @ Bu.T,
         g=lambda X, W: np.zeros((2, 1)),
         m=lambda X, U: X[..., :1],
         m1=lambda X: np.zeros((0, 1)),
         noise=point_mass_noise(0.0, 1),
+        n_u=1,
     )
     K = np.array([[-0.3, -0.5]])
     loop = synth.closed_loop(plant, synth.FeedbackLaw.linear_gain(K))
@@ -87,6 +102,28 @@ def test_closed_loop_dimension_mismatch():
     plant = library.example2_plant()
     with pytest.raises(ConfigurationError):
         synth.closed_loop(plant, synth.FeedbackLaw.zero(3))
+
+
+def test_closed_loop_refuses_a_system_without_control():
+    with pytest.raises(ConfigurationError, match="n_u = 0"):
+        synth.closed_loop(library.example1_system(), synth.FeedbackLaw.zero(1))
+
+
+@pytest.mark.parametrize("routine", [
+    lambda plant, V, box: certify.h0(V, plant, np.zeros(3), CF),
+    lambda plant, V, box: certify.h1(V, plant, np.zeros(3), 1.5, CF),
+    lambda plant, V, box: certify.check_internal(plant, V, 1.0, box, CF),
+    lambda plant, V, box: certify.check_external(plant, V, 1.5, 1.0, box, CF),
+    lambda plant, V, box: certify.gamma_star_search(plant, [(1.0, V)], [1.5],
+                                                    box, CF),
+], ids=["h0", "h1", "check_internal", "check_external", "gamma_star_search"])
+def test_routines_without_control_refuse_a_plant(routine):
+    V = library.example2_storage()
+    V.claims_convex = True
+    box = DomainBox((-1.0,) * 3, (1.0,) * 3, ("grid", 2))
+    with pytest.raises(ConfigurationError, match="synth.closed_loop") as exc:
+        routine(library.example2_plant(), V, box)
+    assert len(str(exc.value).splitlines()) == 1
 
 
 # -------------------------------------------------------- design functional
@@ -163,8 +200,8 @@ def test_certify_controller_tight_gamma_falsified():
 
 
 def test_certify_controller_zero_plant_any_gamma():
-    plant = ControlledSystem(
-        1, 1, 1,
+    plant = AffineSystem(
+        1, 1,
         f=lambda X, U, W: np.zeros(1),
         g=lambda X, W: np.zeros((1, 1)),
         m=lambda X, U: np.zeros(1),
@@ -172,6 +209,7 @@ def test_certify_controller_zero_plant_any_gamma():
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda x, u: (np.zeros(1), [np.zeros(1)]),
         g_parts=lambda x: (np.zeros((1, 1)), [np.zeros((1, 1))]),
+        n_u=1,
     )
     for gamma in (0.05, 1.0, 50.0):
         cert = synth.certify_controller(
@@ -277,6 +315,58 @@ def test_general_tier_refuses_maps_that_ignore_leading_dimensions():
                   lambda k, X, U, V: U[0])):
         with pytest.raises(ConfigurationError, match="differs from its rows"):
             GeneralSystem(1, 1, 1, F=F, m=m, noise=gaussian_noise())
+
+
+def test_h_k_general_on_a_plant_is_h0_of_its_closed_loop():
+    # the general tier takes an affine plant as it is: at v = 0 and
+    # u = alpha(x), H_k is H0 of the loop that alpha closes, bit for bit
+    plant, law = library.example2_plant(), library.example2_law()
+    loop, V = synth.closed_loop(plant, law), library.example2_storage()
+    scheme = ExpectationScheme(samples=2000, seed=17)
+    for x in np.random.default_rng(5).uniform(-2.0, 2.0, (20, 3)):
+        est = synth.h_k_general(V, plant, x, law(x), [0.0, 0.0], 0, scheme)
+        h0 = certify.h0(V, loop, x, scheme)
+        assert (repr(est.value), repr(est.std_error)) \
+            == (repr(h0.value), repr(h0.std_error))
+
+
+def test_h_k_general_on_a_linear_system_is_its_h0():
+    lin = LinearSystem([[0.5, 0.1], [0.0, 0.4]], [[0.1, 0.0], [0.0, 0.2]],
+                       [[1.0], [0.5]], [[1.0, 0.0]], [[0.3]])
+    V = QuadraticStorage([[2.0, 0.3], [0.3, 1.0]])
+    scheme = ExpectationScheme(samples=2000, seed=23)
+    for x in np.random.default_rng(6).uniform(-2.0, 2.0, (10, 2)):
+        est = synth.h_k_general(V, lin, x, [], [0.0], 0, scheme)
+        h0 = certify.h0(V, lin, x, scheme)
+        assert (repr(est.value), repr(est.std_error)) \
+            == (repr(h0.value), repr(h0.std_error))
+
+
+@pytest.mark.parametrize("gamma, status", [(3.0, "certified"),
+                                           (2.1, "falsified")])
+def test_taylor_certify_takes_the_affine_form_of_its_plant(gamma, status):
+    V = QuadraticStorage([[1.0]])
+    box = DomainBox((-2.0,), (2.0,), ("grid", 9))
+    scheme = ExpectationScheme(samples=8, seed=20_240_817)
+    general, affine = (
+        json.dumps(synth.taylor_certify(plant, worked_saddle(gamma), V, box,
+                                        scheme).to_dict())
+        for plant in (deterministic_general_plant(),
+                      deterministic_affine_plant()))
+    assert json.loads(general)["status"] == status
+    assert affine == general
+
+
+def test_certify_controller_general_takes_the_affine_form_of_its_plant():
+    V = QuadraticStorage([[1.0]])
+    box = DomainBox((-3.0,), (3.0,), ("grid", 7))
+    general, affine = (
+        json.dumps(synth.certify_controller_general(
+            plant, synth.FeedbackLaw.zero(1), V, 9.0, box, box, MC8).to_dict())
+        for plant in (deterministic_general_plant(),
+                      deterministic_affine_plant()))
+    assert json.loads(general)["status"] == "certified"
+    assert affine == general
 
 
 def test_certify_controller_general_gamma3():
@@ -401,7 +491,8 @@ def test_taylor_certify_falsifies_small_gamma():
 def test_taylor_certify_fills_each_replica_once_per_check(monkeypatch):
     # one grid point of criterion 11's plant at N = 8: stationarity and the
     # completed square read replica 0, the Hessian stencil replicas 0..15,
-    # so at most 1 + 16 + 1 fills, however many stencil values each feeds
+    # and the three checks share them: one fill per replica, however many
+    # stencil values or checks each feeds
     plant, started, streams = deterministic_general_plant(), [], noise.streams
 
     def counted(seeds, *args):
@@ -414,7 +505,7 @@ def test_taylor_certify_fills_each_replica_once_per_check(monkeypatch):
                                 QuadraticStorage([[1.0]]), box,
                                 ExpectationScheme(samples=8, seed=20_240_817))
     assert cert.status == "certified"
-    assert len(started) <= 18
+    assert len(started) == 16
     assert len(set(started)) == synth._HESS_REPS
 
 
@@ -493,7 +584,6 @@ def test_taylor_gain_consistency_on_worked_instance():
     box = DomainBox((-2.0,), (2.0,), ("grid", 5))
     cert = synth.taylor_certify(plant, worked_saddle(3.0), V, box, MC8)
     assert cert.certified
-    from sbrl.dynamics import AffineSystem
     loop = AffineSystem(
         1, 1,
         f=lambda X, W: 0.5 * X,
@@ -524,8 +614,8 @@ def test_closed_loop_usable_by_linear_certifier():
     A = np.array([[0.9]])
     Bu = np.array([[1.0]])
     K = np.array([[-0.5]])
-    plant = ControlledSystem(
-        1, 1, 1,
+    plant = AffineSystem(
+        1, 1,
         f=lambda X, U, W: X @ A.T + U @ Bu.T,
         g=lambda X, W: np.array([[1.0]]),
         m=lambda X, U: 0.5 * X,
@@ -533,6 +623,7 @@ def test_closed_loop_usable_by_linear_certifier():
         noise=point_mass_noise(0.0, 1),
         f_parts=lambda X, U: (X @ A.T + U @ Bu.T, [np.zeros(1)]),
         g_parts=lambda x: (np.array([[1.0]]), [np.zeros((1, 1))]),
+        n_u=1,
     )
     loop = synth.closed_loop(plant, synth.FeedbackLaw.linear_gain(K))
     V = QuadraticStorage([[1.0]])
