@@ -2,11 +2,16 @@
 
 Every sampled check is a family of inequalities lhs <= rhs over a point
 set, and ``sweep`` is the only loop that runs one.  Each inequality is a
-block form ``fn(X, draws)`` that gives one ``Row``, or a list of them, per
-point of the (B, n) block X and its ``PointDraws`` (None in closed form or
-without a scheme), evaluated in the declared order under one
-``np.errstate(over="ignore", invalid="ignore")``.  The margins lhs - rhs
-decide one status:
+block form ``fn(X, draws)`` at the (B, n) block X and its ``PointDraws``
+(None in closed form or without a scheme), evaluated in the declared order
+under one ``np.errstate(over="ignore", invalid="ignore")``.  It returns
+one ``Rows``: arrays ``lhs``, and ``rhs``, ``std_error``, ``scale`` and
+``slack`` that broadcast against it; ``index``, the block point of each
+row where a point has several rows (else row i is point i), the rows in
+point order and a point's rows in row order; ``point``, a witness point
+per row in place of the block point; ``info``, one dict for every row or a callable ``info(i)``
+that builds row i's dict for a witness alone; and ``lower_bound_only``.
+The margins lhs - rhs decide one status:
 
   certified    every margin <= tol      (tol = 1e-9 + 1e-7 * scale + slack)
   falsified    some margin >  tol + 3 * std-error (wins over the rest)
@@ -15,6 +20,11 @@ decide one status:
                std-error (an overflowed spread), an empty sweep, a
                lower-bound-only lhs (a sampled supremum) or a scope the
                caller flags
+
+Each block is folded with numpy as a scan of its rows would fold them:
+where rows tie on the worst margin, the largest excess, the first NaN row
+or an inequality's largest lhs, the row that comes first in point order,
+then declaration order, then row order, is the witness.
 
 A block form raising ``EvaluationError`` (a non-finite Monte Carlo
 integrand) or ``FloatingPointError`` (numpy under a user map's own
@@ -33,7 +43,9 @@ into one buffer that every inequality at the block shares.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -44,12 +56,12 @@ ABS_TOL = 1e-9
 REL_TOL = 1e-7
 
 
-def base_tolerance(scale: float) -> float:
-    """Absolute 1e-9 plus relative 1e-7 of the larger inequality side; an
-    infinite side lies beyond every rounding error, so it adds nothing and
-    an infinite lhs exceeds its tolerance."""
-    scale = abs(scale)
-    return ABS_TOL + (0.0 if scale == math.inf else REL_TOL * scale)
+def base_tolerance(scale):
+    """Absolute 1e-9 plus relative 1e-7 of the larger inequality side, at
+    each entry of ``scale``; an infinite side lies beyond every rounding
+    error, so it adds nothing and an infinite lhs exceeds its tolerance."""
+    scale = np.abs(scale)
+    return ABS_TOL + np.where(scale == np.inf, 0.0, REL_TOL * scale)
 
 
 @dataclass
@@ -74,17 +86,17 @@ class Certificate:
         return asdict(self)
 
 
-class Row(NamedTuple):
-    """One sampled ``lhs <= rhs``; ``point`` overrides the sweep point as
-    witness, and a ``lower_bound_only`` lhs can falsify but never certify."""
+class Rows(NamedTuple):
+    """One inequality's rows at a block, as the module docstring states."""
 
-    lhs: float
-    rhs: float = 0.0
-    std_error: float = 0.0
-    scale: float = 1.0
-    info: object = None
-    slack: float = 0.0
-    point: object = None
+    lhs: np.ndarray
+    info: object
+    rhs: object = 0.0
+    std_error: object = 0.0
+    scale: object = 1.0
+    slack: object = 0.0
+    index: np.ndarray | None = None
+    point: np.ndarray | None = None
     lower_bound_only: bool = False
 
 
@@ -104,17 +116,14 @@ def sweep(points, scheme, inequalities, statement="", domain="",
           early_exit=False):
     """Run ``inequalities`` ({name: block form}) over ``points``;
     ``scheme`` is None for checks without expectations.  ``early_exit``
-    stops after the first point that rules out certification.  Returns
+    stops after the first block that rules out certification.  Returns
     (Certificate, {name: Record}).
     """
     acc = _MarginSweep()
     records = {name: Record() for name in inequalities}
     with np.errstate(over="ignore", invalid="ignore"):
-        for pt, rows_by_name in _evaluated(points, scheme, inequalities):
-            for name, rows in zip(inequalities, rows_by_name):
-                for row in [rows] if isinstance(rows, Row) else rows:
-                    acc.add(row, pt if row.point is None else row.point,
-                            records[name])
+        for X, found in _evaluated(points, scheme, inequalities):
+            acc.fold(X, found, records.values())
             if early_exit and not acc.may_certify:
                 break
     return acc.finalize(statement, domain, provenance or {}, notes,
@@ -132,43 +141,52 @@ SEED_SPAN = 256
 
 
 def _evaluated(points, scheme, inequalities):
-    """(point, its rows per inequality) in point order, block by block."""
+    """Each block X with, per inequality, its ``Rows`` pieces."""
     size = 1 if scheme is None else scheme.points_per_block()
     span = size * -(-SEED_SPAN // size)
     for first in range(0, len(points), span):
         part = points[first:first + span]
         draws = None if scheme is None else scheme.draws_at(part)
         for start in range(0, len(part), size):
-            block = part[start:start + size]
+            X = np.array(part[start:start + size])
             at_block = None if draws is None else draws.block(
-                start, start + len(block))
-            found = [_block_rows(name, fn, block, at_block)
-                     for name, fn in inequalities.items()]
-            yield from zip(block, zip(*found))
+                start, start + len(X))
+            yield X, [_block_rows(name, fn, X, at_block)
+                      for name, fn in inequalities.items()]
 
 
-def _block_rows(name, fn, block, draws):
-    """One inequality's rows at each point of a block; ``draws`` is the
-    block's ``PointDraws``, or None without Monte Carlo."""
-    X = np.array(block)
-    if len(block) > 1:
+def _block_rows(name, fn, X, draws):
+    """One inequality's ``Rows`` at a block, as one piece or one per
+    point; ``draws`` is the block's ``PointDraws``, or None without Monte
+    Carlo."""
+    if len(X) > 1:
         try:
-            return fn(X, draws)
+            return [fn(X, draws)]
         except (EvaluationError, FloatingPointError):
             pass  # found point by point below
-    rows = []
-    for i in range(len(block)):
+    pieces = []
+    for i in range(len(X)):
         try:
-            rows.append(fn(X[i:i + 1], None if draws is None
-                           else draws.block(i, i + 1))[0])
+            rows = fn(X[i:i + 1], None if draws is None
+                      else draws.block(i, i + 1))
         except (EvaluationError, FloatingPointError) as exc:
-            rows.append(Row(math.nan, std_error=math.nan,
-                            info={"inequality": name, "error": str(exc)}))
-    return rows
+            rows = Rows(np.full(1, np.nan), {"inequality": name,
+                                             "error": str(exc)},
+                        std_error=np.nan)
+        pieces.append(rows._replace(index=np.full(len(rows.lhs), i)))
+    return pieces
+
+
+def _first(values, i, at):
+    """Of the rows whose value ties with row i's, the one a scan of the
+    block meets first: the lowest block point ``at``, then the first in
+    declaration and row order, which is the order of the rows here."""
+    tied = np.flatnonzero(values == values[i])
+    return tied[np.argmin(at[tied])]
 
 
 class _MarginSweep:
-    """Accumulates rows and applies the status rule above."""
+    """Folds blocks of rows and applies the status rule above."""
 
     def __init__(self):
         self.worst, self.worst_info, self.worst_tol = -np.inf, None, ABS_TOL
@@ -179,33 +197,75 @@ class _MarginSweep:
     def may_certify(self):
         return self.ok and self.nan is None and not self.lower_bound
 
-    def add(self, row, point, record):
-        margin, se = float(row.lhs - row.rhs), float(row.std_error)
-        self.count += 1
-        if row.lower_bound_only:
-            self.lower_bound = record.lower_bound_only = True
-        if row.lhs > record.lhs:
-            record.lhs, record.point = float(row.lhs), _jsonable(point)
-        if math.isnan(margin) or not math.isfinite(se) or margin == -math.inf:
-            # every comparison with NaN is false, so it would pass as "within
-            # tolerance", and so would a -inf margin, which only an overflowed
-            # side gives; an infinite std-error, which only an overflowed
-            # spread gives, would pass a margin below tol although the error
-            # bar holds no value; the first such point becomes the witness
-            record.nan = True
-            if self.nan is None:
-                self.nan = _witness(point, row, margin, se)
-            return
-        tol = base_tolerance(row.scale) + float(row.slack)
-        if margin > self.worst:
-            self.worst, self.worst_tol = margin, tol
-            self.worst_info = {"point": _jsonable(point),
-                               "info": _jsonable(row.info)}
-        excess = margin - (tol + 3.0 * se)
-        if excess > 0.0 and (self.violation is None
-                             or excess > self.violation[0]):
-            self.violation = (excess, _witness(point, row, margin, se))
-        self.ok = self.ok and margin <= tol
+    def fold(self, X, found, records):
+        """Fold the block X: ``found`` holds, per inequality in declaration
+        order, its ``Rows`` pieces in point order."""
+        pieces = [(rows, record) for record, parts in zip(records, found)
+                  for rows in parts]
+        starts = list(accumulate((len(rows.lhs) for rows, _ in pieces),
+                                 initial=0))
+        margin, se, scale, slack = (np.empty(starts[-1]) for _ in range(4))
+        at = np.empty(starts[-1], dtype=int)
+        for (rows, record), lo, hi in zip(pieces, starts, starts[1:]):
+            margin[lo:hi] = rows.lhs - rows.rhs
+            se[lo:hi], scale[lo:hi], slack[lo:hi] = (
+                rows.std_error, rows.scale, rows.slack)
+            at[lo:hi] = (np.arange(hi - lo) if rows.index is None
+                         else rows.index)
+            i = np.argmax(rows.lhs)  # the first NaN, if there is one
+            if np.isnan(rows.lhs[i]):
+                i = np.argmax(np.where(np.isnan(rows.lhs), -np.inf, rows.lhs))
+            if rows.lhs[i] > record.lhs:
+                record.lhs = float(rows.lhs[i])
+                record.point = self._point(X, rows, at[lo + i], i)
+            if rows.lower_bound_only:
+                self.lower_bound = record.lower_bound_only = True
+        tol = base_tolerance(scale) + slack
+        # every comparison with NaN is false, so a NaN margin would pass as
+        # "within tolerance", and so would a -inf margin, which only an
+        # overflowed side gives; an infinite std-error, which only an
+        # overflowed spread gives, would pass a margin below tol although
+        # the error bar holds no value
+        known = (margin > -np.inf) & np.isfinite(se)
+        for (_, record), all_known in zip(pieces, np.logical_and.reduceat(
+                known, starts[:-1])):
+            record.nan |= not all_known
+
+        def witness(i):
+            k = bisect_right(starts, i) - 1
+            rows, r = pieces[k][0], i - starts[k]
+            info = rows.info(r) if callable(rows.info) else rows.info
+            return {"point": self._point(X, rows, at[i], r),
+                    "margin": float(margin[i]), "std_error": float(se[i]),
+                    "info": _jsonable(info)}
+
+        self.count += len(margin)
+        if self.nan is None and not known.all():
+            self.nan = witness(_first(known, np.argmin(known), at))
+        kept = np.where(known, margin, -np.inf)
+        i = np.argmax(kept)
+        if kept[i] > self.worst:
+            i = _first(kept, i, at)
+            self.worst, self.worst_tol = float(margin[i]), float(tol[i])
+            found = witness(i)
+            self.worst_info = {"point": found["point"], "info": found["info"]}
+        within = bool(np.all(~known | (margin <= tol)))
+        self.ok = self.ok and within
+        # a std-error is never negative, so only a block with a margin
+        # above tol can hold one above tol + 3 std-errors
+        if not within:
+            excess = margin - (tol + 3.0 * se)
+            excess = np.where(known & (excess > 0.0), excess, -np.inf)
+            i = np.argmax(excess)
+            if excess[i] > 0.0 and (self.violation is None
+                                    or excess[i] > self.violation[0]):
+                i = _first(excess, i, at)
+                self.violation = (float(excess[i]), witness(i))
+
+    @staticmethod
+    def _point(X, rows, at, r):
+        """The witness point of row r of ``rows`` at block point ``at``."""
+        return (X[at] if rows.point is None else rows.point[r]).tolist()
 
     def finalize(self, statement, domain, provenance, notes,
                  force_inconclusive) -> Certificate:
@@ -222,11 +282,6 @@ class _MarginSweep:
             float(self.worst) if self.count else 0.0, witness,
             dict(provenance, samples_checked=self.count, slack=0.0),
             self.worst_tol, list(notes))
-
-
-def _witness(point, row, margin, std_error):
-    return {"point": _jsonable(point), "margin": margin,
-            "std_error": std_error, "info": _jsonable(row.info)}
 
 
 def _jsonable(obj):

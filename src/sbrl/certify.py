@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, Row, _jsonable, sweep
-from .dynamics import LinearSystem, energy_ratio, simulate_ensemble
+from .certificates import Certificate, Rows, _jsonable, sweep
+from .dynamics import (AffineSystem, LinearSystem, energy_ratio,
+                       simulate_ensemble)
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      PreconditionError)
 from .noise import (Estimate, _gram_rows, expected_affine_power,
@@ -43,8 +44,15 @@ def sym_eig_max(X) -> float:
     return float(np.linalg.eigvalsh(0.5 * (X + X.T))[-1])
 
 
-def _require_uncontrolled(system, routine):
-    if system.n_u:
+def _require_affine(system, routine, plants=False):
+    """Refuse the general tier, and a plant with a control input unless
+    the routine takes ``plants``."""
+    if not isinstance(system, AffineSystem):
+        raise ConfigurationError(
+            f"{routine} takes an affine system (AffineSystem), got the "
+            f"general tier ({type(system).__name__}): use synth.h_k_general "
+            "or synth.certify_controller_general")
+    if system.n_u and not plants:
         raise ConfigurationError(
             f"{routine} takes a system without control input, got n_u = "
             f"{system.n_u}: close the loop with synth.closed_loop first")
@@ -98,33 +106,33 @@ def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme, with
     ``u`` the control row or None as in ``drift``: ``_split_block`` at x."""
     x = np.asarray(x, dtype=float)
-    return _split_block(V, system, x[None], None if u is None else u[None],
-                        beta, scheme.point_draws())[0]
+    value, se, vx, m_sq = _split_block(
+        V, system, x[None], None if u is None else u[None], beta,
+        scheme.point_draws())
+    return SplitEstimate(float(value[0]), float(se[0]), storage=float(vx[0]),
+                         output_sq=float(m_sq[0]))
 
 
 def _split_block(V, system, X, u_row, beta, points):
     """``_split`` at each row of X, ``u_row`` one control row or None: from
     the ``PointDraws`` ``points``, or in closed form (None) from
-    ``f_parts``.  One ``SplitEstimate`` per row."""
+    ``f_parts``.  Arrays of the value, its SE, V(x) and |m|^2 per row."""
     mean, se = expected_value_of(
         V, system.noise, points, lambda: system.drift_parts(X, u_row),
         lambda draws: system.drift(X[:, None], u_row, draws), beta)
     vx, m_sq = V.evaluate_batch(X), _sq_norms(system.output_m(X, u_row))
-    return [SplitEstimate(v, e, storage=s, output_sq=m)
-            for v, e, s, m in zip((mean / beta - vx + m_sq).tolist(),
-                                  (se / beta).tolist(), vx.tolist(),
-                                  m_sq.tolist())]
+    return mean / beta - vx + m_sq, se / beta, vx, m_sq
 
 
 def h0(V, system, x, scheme) -> SplitEstimate:
     """Internal-stability functional E[V(f(x,w))] - V(x) + |m(x)|^2."""
-    _require_uncontrolled(system, "h0")
+    _require_affine(system, "h0")
     return _split(V, system, x, None, 1.0, scheme)
 
 
 def h1(V, system, x, beta, scheme) -> SplitEstimate:
     """Convexity-split internal functional (1/b) E[V(b f)] - V + |m|^2."""
-    _require_uncontrolled(system, "h1")
+    _require_affine(system, "h1")
     return convexity_split(V, system, x, None, beta, scheme)
 
 
@@ -252,8 +260,10 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
     """
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    return _gain_sup(V, system, np.asarray(x, dtype=float)[None],
-                     beta / (beta - 1.0), scheme.point_draws())[0]
+    _require_affine(system, "g_beta", plants=True)
+    sup, se, lower = _gain_sup(V, system, np.asarray(x, dtype=float)[None],
+                               beta / (beta - 1.0), scheme.point_draws())
+    return Estimate(float(sup[0]), float(se[0]), lower)
 
 
 def g0(V, system, scheme) -> Estimate:
@@ -261,14 +271,17 @@ def g0(V, system, scheme) -> Estimate:
 
     The same supremum as G_beta, taken at x = 0 with scale 1.
     """
-    return _gain_sup(V, system, np.zeros((1, system.n)), 1.0,
-                     scheme.point_draws())[0]
+    _require_affine(system, "g0", plants=True)
+    sup, se, lower = _gain_sup(V, system, np.zeros((1, system.n)), 1.0,
+                               scheme.point_draws())
+    return Estimate(float(sup[0]), float(se[0]), lower)
 
 
 def _gain_sup(V, system, X, c, points):
     """sup_{v != 0} ((1/c) E[V(c g(x,w) v)] + |m1(x) v|^2) / |v|^2 at each
-    row x of X, one ``Estimate`` per row: under Monte Carlo from the
-    ``PointDraws`` ``points``, in closed form (None) from ``g_parts``."""
+    row x of X, as arrays of the value and its SE, and whether the values
+    are sampled lower bounds: under Monte Carlo from the ``PointDraws``
+    ``points``, in closed form (None) from ``g_parts``."""
     if isinstance(V, QuadraticStorage):
         sup, se = _gram_sup(system, X, V.P, c, points)
     elif isinstance(V, SeparableStorage):
@@ -291,29 +304,27 @@ def _gain_sup(V, system, X, c, points):
             "closed-form G_beta needs a quadratic or separable storage; use "
             "a monte-carlo scheme instead")
     else:
-        m1m1 = np.broadcast_to(_m1_gram(system, X),
-                               (len(X), system.n_v, system.n_v))
-        return [_sphere_sup(V, system, x, m1m1[i], c, points.block(i, i + 1))
-                for i, x in enumerate(X)]
-    return [Estimate(v, e) for v, e in zip(sup.tolist(), se.tolist())]
+        return (*_sphere_sup(V, system, X, c, points), True)
+    return sup, se, False
 
 
-def _sphere_sup(V, system, x, m1m1, c, points):
-    """The sphere-sampled lower bound of ``_gain_sup`` at one point x from
-    its ``PointDraws`` ``points``."""
-    best = Estimate(-np.inf, 0.0, lower_bound_only=True)
+def _sphere_sup(V, system, X, c, points):
+    """The sphere-sampled lower bound of ``_gain_sup`` at each row of X
+    from the block's ``PointDraws`` ``points``, and its SE."""
+    m1m1 = np.broadcast_to(_m1_gram(system, X),
+                           (len(X), system.n_v, system.n_v))
+    sup, se = np.full(len(X), -np.inf), np.zeros(len(X))
     for direction in _sphere_directions(system.n_v):
         for r in _SPHERE_RADII:
             vv = r * direction
-            mean, se = expected_value_of(
+            mean, err = expected_value_of(
                 V, system.noise, points, None,
-                lambda draws: (system.gain(x[None, None], draws)
+                lambda draws: (system.gain(X[:, None], draws)
                                @ vv[:, None])[..., 0], c)
-            obj = (float(mean[0]) / c + float(vv @ m1m1 @ vv)) / (r * r)
-            if obj > best.value:
-                best = Estimate(obj, float(se[0]) / (c * r * r),
-                                lower_bound_only=True)
-    return best
+            obj = (mean / c + [float(vv @ M @ vv) for M in m1m1]) / (r * r)
+            better = obj > sup
+            sup[better], se[better] = obj[better], err[better] / (c * r * r)
+    return sup, se
 
 
 def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
@@ -325,14 +336,13 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     """
     if c2 <= 0:
         raise ConfigurationError("c2 must be positive")
-    _require_uncontrolled(system, "check_internal")
+    _require_affine(system, "check_internal")
     qb = quad_bound(V, domain)
 
     def growth(X, _):
-        return [Row(vx, bound, scale=max(abs(vx), bound),
-                    info={"inequality": "growth"})
-                for vx, bound in zip(V.evaluate_batch(X).tolist(),
-                                     (c2 * _sq_norms(X)).tolist())]
+        vx, bound = V.evaluate_batch(X), c2 * _sq_norms(X)
+        return Rows(vx, {"inequality": "growth"}, bound,
+                    scale=np.maximum(np.abs(vx), bound))
 
     notes = [f"certified only on {domain.label()}"]
     if qb.boundary_attained:
@@ -351,21 +361,21 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 def _split_rows(name, V, system, beta):
     """H0 (b = 1) or H1 <= 0 as a block form, with tolerance scale
     |H| + V(x) + |m(x)|^2."""
-    return lambda X, points: [
-        Row(est.value, std_error=est.std_error,
-            scale=abs(est.value) + est.storage + est.output_sq,
-            info={"inequality": name})
-        for est in _split_block(V, system, X, None, beta, points)]
+    def rows(X, points):
+        value, se, vx, m_sq = _split_block(V, system, X, None, beta, points)
+        return Rows(value, {"inequality": name}, std_error=se,
+                    scale=np.abs(value) + vx + m_sq)
+    return rows
 
 
-def _g_beta_row(V, system, beta, gamma_sq=0.0):
+def _g_beta_rows(V, system, beta, gamma_sq=0.0):
     """The G_beta <= gamma^2 block form; a sampled supremum is a lower
     bound."""
-    return lambda X, points: [
-        Row(est.value, gamma_sq, est.std_error,
-            max(abs(est.value), gamma_sq), {"inequality": "G_beta"},
-            lower_bound_only=est.lower_bound_only)
-        for est in _gain_sup(V, system, X, beta / (beta - 1.0), points)]
+    def rows(X, points):
+        sup, se, lower = _gain_sup(V, system, X, beta / (beta - 1.0), points)
+        return Rows(sup, {"inequality": "G_beta"}, gamma_sq, se,
+                    np.maximum(np.abs(sup), gamma_sq), lower_bound_only=lower)
+    return rows
 
 
 def check_external(system, V, beta, gamma_sq, domain: DomainBox,
@@ -390,11 +400,11 @@ def check_external(system, V, beta, gamma_sq, domain: DomainBox,
     v0 = V.evaluate(np.zeros(V.dim))
     if abs(v0) > 1e-12:
         raise PreconditionError(f"V(0) = {v0:g}, expected 0")
-    _require_uncontrolled(system, "check_external")
+    _require_affine(system, "check_external")
     cert, rec = sweep(
         domain.points(), scheme,
         {"H1": _split_rows("H1", V, system, beta),
-         "G_beta": _g_beta_row(V, system, beta, gamma_sq)},
+         "G_beta": _g_beta_rows(V, system, beta, gamma_sq)},
         "H1(V(x),beta) <= 0 and G_beta(V(x)) <= gamma^2", domain.label(),
         {"scheme": scheme.spec(), "beta": beta, "gamma_sq": gamma_sq})
     cert.notes.append(f"certified only on {domain.label()}")
@@ -431,12 +441,12 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     """Minimise the sampled sup of G_beta over (beta, V) with H1 feasible.
 
     ``candidates`` is a finite family of (params, StorageFunction) pairs.
-    Feasibility means the sampled H1 sweep certifies (it stops at the first
-    point that rules that out) and G_beta is known at every point.  Ties
+    Feasibility means the sampled H1 sweep certifies (it stops after the
+    first block that rules that out) and G_beta is known at every point.  Ties
     are broken towards the smallest beta.  The returned value is an upper
     bound on the squared gain, scoped to the sampled domain.
     """
-    _require_uncontrolled(system, "gamma_star_search")
+    _require_affine(system, "gamma_star_search")
     points = domain.points()
     best = None
     checked = feasible = 0
@@ -452,7 +462,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
             if not h1_cert.certified:
                 continue
             _, rec = sweep(points, scheme,
-                           {"G_beta": _g_beta_row(V, system, beta)})
+                           {"G_beta": _g_beta_rows(V, system, beta)})
             sup = rec["G_beta"]
             if sup.nan:
                 continue

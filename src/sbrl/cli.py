@@ -315,16 +315,19 @@ def _domain(cert_block, system):
 
 
 def _resolved_system(resolved):
-    """The configured system and, on a plant with a control input
-    (n_u > 0), the configured law or None: a run builds them once."""
+    """The configured system and the configured law or None: a run builds
+    them once.  Only a plant with a control input (n_u > 0) takes a law."""
     noise = None
     if "noise" in resolved:
         noise = library.noise_from_config(resolved["noise"])
     system, _ = library.system_from_config(resolved["system"], noise=noise)
-    law = None
-    if system.n_u and "law" in resolved:
-        law = library.law_from_config(resolved["law"])
-    return system, law
+    if "law" not in resolved:
+        return system, None
+    if not system.n_u:
+        raise ConfigurationError(
+            "law: given for a system without control input (n_u = 0), "
+            "which no law acts on")
+    return system, library.law_from_config(resolved["law"])
 
 
 def _law(law, needed_by):
@@ -333,11 +336,11 @@ def _law(law, needed_by):
     return law
 
 
-def _closed_loop(system, law):
+def _closed_loop(system, law, needed_by="a controlled system"):
     """``system``, closed by the configured law when it takes a control."""
     if not system.n_u:
         return system
-    return synth.closed_loop(system, _law(law, "a controlled system"))
+    return synth.closed_loop(system, _law(law, needed_by))
 
 
 def _storage(resolved, kind):
@@ -403,17 +406,19 @@ def _certificate(resolved, writer, system, law):
     domain = _domain(cert_block, system)
     if kind == "controller":
         if not system.n_u:
-            raise ConfigurationError("certificate.kind controller needs a controlled system")
+            raise ConfigurationError(
+                "certificate.kind: controller needs a system with control input")
         cert = synth.certify_controller(
             system, _law(law, "certificate kind controller"),
             _storage(resolved, kind), float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
-    elif kind == "internal":
-        cert = certify.check_internal(system, _storage(resolved, kind),
-                                      float(cert_block["c2"]), domain, scheme)
-    else:
-        system = _closed_loop(system, law)
-        if kind == "external":
+    else:  # every other sampled kind runs on the loop that the law closes
+        system = _closed_loop(system, law, f"certificate kind {kind}")
+        if kind == "internal":
+            cert = certify.check_internal(
+                system, _storage(resolved, kind), float(cert_block["c2"]),
+                domain, scheme)
+        elif kind == "external":
             cert = certify.check_external(
                 system, _storage(resolved, kind), float(cert_block["beta"]),
                 _gamma_sq_from(cert_block), domain, scheme)

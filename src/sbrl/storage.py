@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certificates import Certificate, Row, _jsonable, sweep
+from .certificates import Certificate, Rows, _jsonable, sweep
 from .dynamics import DisturbancePolicy, rollout
 from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .noise import derive_seed, hash_point
@@ -304,28 +304,31 @@ def check_convex(V: StorageFunction, box: DomainBox, pairs: int,
         raise ConfigurationError("pairs must be >= 1")
     d = box.dim
 
-    def rows(pt):
-        x, y = pt[:d], pt[d:]
-        (fx, sx), (fy, sy) = V.evaluate_with_error(x), V.evaluate_with_error(y)
-        out = []
-        for a in _ALPHAS:
-            mid = a * x + (1.0 - a) * y
-            fm, sm = V.evaluate_with_error(mid)
-            rhs = a * fx + (1.0 - a) * fy
-            se = sm + a * sx + (1.0 - a) * sy
-            out.append(Row(
-                fm, rhs, se, max(abs(fm), abs(rhs)),
-                {"x": x, "y": y, "alpha": a, "lhs": fm, "rhs": rhs},
-                slack=3.0 * se,
-                point=mid))
-        return out
+    def with_error(Z):
+        return np.array([V.evaluate_with_error(z) for z in Z]).reshape(-1, 2).T
+
+    def midpoints(XY, _):
+        # three rows per pair, in the order of _ALPHAS
+        a = np.tile(_ALPHAS, len(XY))
+        X, Y = np.repeat(XY[:, :d], 3, axis=0), np.repeat(XY[:, d:], 3, axis=0)
+        mid = a[:, None] * X + (1.0 - a[:, None]) * Y
+        (fx, sx), (fy, sy) = (np.repeat(c, 3, axis=1)
+                              for c in (with_error(X[::3]), with_error(Y[::3])))
+        fm, sm = with_error(mid)
+        rhs = a * fx + (1.0 - a) * fy
+        se = sm + a * sx + (1.0 - a) * sy
+        return Rows(fm, lambda i: {"x": X[i], "y": Y[i], "alpha": a[i],
+                                   "lhs": fm[i], "rhs": rhs[i]},
+                    rhs, se, np.maximum(np.abs(fm), np.abs(rhs)),
+                    slack=3.0 * se, index=np.repeat(np.arange(len(XY)), 3),
+                    point=mid)
 
     pairs_xy = np.hstack([box.random_points(pairs, seed),
                           box.random_points(pairs, derive_seed(seed, 1))])
     prov = {"check": "convexity", "storage": V.describe(), "pairs": pairs,
             "seed": seed, "alphas": list(_ALPHAS)}
     cert, _ = sweep(pairs_xy, None,
-                    {"midpoint": lambda XY, _: [rows(pt) for pt in XY]},
+                    {"midpoint": midpoints},
                     "V(ax+(1-a)y) <= a V(x) + (1-a) V(y)", box.label(), prov)
     return cert
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, Row, sweep
+from .certificates import Certificate, Rows, sweep
 from .certify import _sq_norms, check_external, expected_value_of
 from .dynamics import AffineSystem
 from .errors import ConfigurationError, PreconditionError
@@ -115,24 +115,25 @@ def _storage_sequence(obj):
 
 def _h_k_block(V_of, plant, X, U, Vd, k, points):
     """H_k at each row of the states X, controls U and disturbances Vd of
-    one time k, one ``Estimate`` per row, from the block's ``PointDraws``
-    ``points``: H_k reads no declared noise structure, so closed form
-    (None) raises, and a point-mass noise makes Monte Carlo exact."""
+    one time k, as arrays of the value and its SE, from the block's
+    ``PointDraws`` ``points``: H_k reads no declared noise structure, so
+    closed form (None) raises, and a point-mass noise makes Monte Carlo
+    exact."""
     mean, se = expected_value_of(
         V_of(k + 1), plant.noise, points, None,
         lambda draws: plant.transition(k, X[:, None], U[:, None],
                                        Vd[:, None], draws))
-    value = mean - V_of(k).evaluate_batch(X) + _sq_norms(
-        plant.output(k, X, U, Vd))
-    return [Estimate(v, e) for v, e in zip(value.tolist(), se.tolist())]
+    return mean - V_of(k).evaluate_batch(X) + _sq_norms(
+        plant.output(k, X, U, Vd)), se
 
 
 def h_k_general(V_seq, plant, x, u, v, k, scheme) -> Estimate:
     """Time-varying functional H_k = E[V_{k+1}(F_k(x,u,v,w))] - V_k(x) + |m_k|^2."""
     x, u, v = (np.atleast_1d(np.asarray(a, dtype=float))[None]
                for a in (x, u, v))
-    return _h_k_block(_storage_sequence(V_seq), plant, x, u, v, k,
-                      scheme.point_draws())[0]
+    value, se = _h_k_block(_storage_sequence(V_seq), plant, x, u, v, k,
+                           scheme.point_draws())
+    return Estimate(float(value[0]), float(se[0]))
 
 
 def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
@@ -154,18 +155,16 @@ def certify_controller_general(plant, alpha: FeedbackLaw, V_seq, gamma_sq,
 
     def rows(P, points):
         # the points are k-major, so a block is a few runs of one k each
-        out, ks = [], P[:, -1]
+        ks, value, se = P[:, -1], np.empty(len(P)), np.empty(len(P))
         cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1), len(P)]
         for lo, hi in zip(cuts, cuts[1:]):
             X, Vd, k = P[lo:hi, :plant.n], P[lo:hi, plant.n:-1], int(ks[lo])
-            ests = _h_k_block(V_of, plant, X, alpha(X, k), Vd, k,
-                              None if points is None
-                              else points.block(lo, hi))
-            bounds = (gamma_sq * _sq_norms(Vd)).tolist()
-            out += [Row(est.value, bound, est.std_error,
-                        abs(est.value) + bound, {"k": k})
-                    for est, bound in zip(ests, bounds)]
-        return out
+            value[lo:hi], se[lo:hi] = _h_k_block(
+                V_of, plant, X, alpha(X, k), Vd, k,
+                None if points is None else points.block(lo, hi))
+        bound = gamma_sq * _sq_norms(P[:, plant.n:-1])
+        return Rows(value, lambda i: {"k": int(ks[i])}, bound, se,
+                    np.abs(value) + bound)
 
     points = [np.concatenate([x, v, [k]]) for k in range(k_window)
               for x in domain.points() for v in v_box.points()]
@@ -293,65 +292,73 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
 
     replicas = {}  # point seed -> its replicas, for the current block only
 
-    def per_point(check):
-        """``check(x, k, p0, h)`` at each point of a block, as a block form:
-        p0 = (alpha_k(x), eta_k(x)), and h(p, r) is the ``Estimate`` of
-        H_k(x, p), p = (u, v), from replica r of the point's draws."""
-        def rows(X, points):
-            seeds = [None] * len(X) if points is None else points.seeds
-            for seed in replicas.keys() - set(seeds):  # the last block's
-                del replicas[seed]
-            out = []
-            for i, (pt, seed) in enumerate(zip(X, seeds)):
-                x, k = pt[:-1], int(pt[-1])
-                if seed not in replicas:  # the three checks share them
-                    one = None if points is None else points.block(i, i + 1)
-                    replicas[seed] = [None if one is None else one.replica(r)
-                                      for r in range(_HESS_REPS)]
-                reps = replicas[seed]
+    def at_block(P, points):
+        """The block's states X, times ks, points p0 = (alpha_k(x),
+        eta_k(x)) and H(i, p, r), the (value, SE) of H_k(x_i, p),
+        p = (u, v), from replica r of point i's draws, which the three
+        checks share."""
+        seeds = [None] * len(P) if points is None else points.seeds
+        for seed in replicas.keys() - set(seeds):  # the last block's
+            del replicas[seed]
+        for i, seed in enumerate(seeds):
+            if seed not in replicas:
+                one = None if points is None else points.block(i, i + 1)
+                replicas[seed] = [None if one is None else one.replica(r)
+                                  for r in range(_HESS_REPS)]
+        X, ks = P[:, :-1], [int(k) for k in P[:, -1]]
+        P0 = np.array([np.concatenate([saddle.alpha(x[None], k)[0],
+                                       saddle.eta(x[None], k)[0]])
+                       for x, k in zip(X, ks)])
 
-                def h(p, r):
-                    return _h_k_block(
-                        V_of, plant, x[None], p[None, :n_u], p[None, n_u:], k,
-                        reps[r])[0]
+        def H(i, p, r):
+            value, se = _h_k_block(V_of, plant, X[i:i + 1], p[None, :n_u],
+                                   p[None, n_u:], ks[i],
+                                   replicas[seeds[i]][r])
+            return value[0], se[0]
+        return X, ks, P0, H
 
-                p0 = np.concatenate([saddle.alpha(x[None], k)[0],
-                                     saddle.eta(x[None], k)[0]])
-                out.append(check(x, k, p0, h))
-            return out
-        return rows
+    def stationarity(P, points):
+        X, ks, P0, H = at_block(P, points)
+        norms = []  # u then v at each point
+        for i, p0 in enumerate(P0):
+            grad = central_gradient(lambda p: H(i, p, 0)[0], p0, _GRAD_STEP)
+            norms += [np.linalg.norm(grad[:n_u]), np.linalg.norm(grad[n_u:])]
+        return Rows(np.array(norms),
+                    lambda i: {"check": ("stationarity_u",
+                                         "stationarity_v")[i % 2],
+                               "norm": norms[i], "k": ks[i // 2]},
+                    _STATIONARITY_TOL, index=np.repeat(np.arange(len(X)), 2),
+                    point=np.repeat(X, 2, axis=0))
 
-    def stationarity(x, k, p0, h):
-        grad = central_gradient(lambda p: h(p, 0).value, p0, _GRAD_STEP)
-        norms = {"u": float(np.linalg.norm(grad[:n_u])),
-                 "v": float(np.linalg.norm(grad[n_u:]))}
-        return [Row(norm, _STATIONARITY_TOL, point=x,
-                    info={"check": f"stationarity_{name}", "norm": norm, "k": k})
-                for name, norm in norms.items()]
+    def hessian_domination(P, points):
+        X, ks, P0, H = at_block(P, points)
+        dom = []
+        for i, p0 in enumerate(P0):
+            hess = central_hessian(lambda p: sum(
+                H(i, p, r)[0] for r in range(_HESS_REPS)) / _HESS_REPS,
+                p0, _HESS_STEP)
+            dom.append(np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1])
+        return Rows(np.array(dom), lambda i: {"check": "hessian_domination",
+                                              "k": ks[i],
+                                              "uv": P0[i].tolist()},
+                    scale=float(np.linalg.norm(blk, 2)), point=X)
 
-    def hessian(x, k, p0, h):
-        hess = central_hessian(
-            lambda p: sum(h(p, r).value for r in range(_HESS_REPS)) / _HESS_REPS,
-            p0, _HESS_STEP)
-        dom = np.linalg.eigvalsh(0.5 * (hess + hess.T) - blk)[-1]
-        return Row(dom, scale=float(np.linalg.norm(blk, 2)), point=x,
-                   info={"check": "hessian_domination", "k": k,
-                         "uv": p0.tolist()})
-
-    def completed_square(x, k, p0, h):
-        est, v_star = h(p0, 0), p0[n_u:]
-        square = 0.5 * float(v_star @ W @ v_star)
-        return Row(est.value + square, std_error=est.std_error,
-                   scale=abs(est.value) + abs(square), point=x,
-                   info={"check": "completed_square", "k": k})
+    def completed_square(P, points):
+        X, ks, P0, H = at_block(P, points)
+        value, se = np.array([H(i, p0, 0) for i, p0 in enumerate(P0)]).T
+        square = np.array([0.5 * float(v @ W @ v) for v in P0[:, n_u:]])
+        return Rows(value + square, lambda i: {"check": "completed_square",
+                                               "k": ks[i]},
+                    std_error=se, scale=np.abs(value) + np.abs(square),
+                    point=X)
 
     points = [np.concatenate([x, [k]]) for k in range(k_window)
               for x in domain.points()]
     cert, _ = sweep(
         points, scheme,
-        {"stationarity": per_point(stationarity),
-         "hessian_domination": per_point(hessian),
-         "completed_square": per_point(completed_square)},
+        {"stationarity": stationarity,
+         "hessian_domination": hessian_domination,
+         "completed_square": completed_square},
         "saddle stationarity, Hessian domination, completed-square <= 0",
         f"{domain.label()} x k<{k_window}",
         {"scheme": scheme.spec(), "gamma": saddle.gamma,

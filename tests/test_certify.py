@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbrl import certify, library, noise
-from sbrl.dynamics import AffineSystem, DisturbanceEnsemble, LinearSystem
+from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, GeneralSystem,
+                           LinearSystem)
 from sbrl.errors import ConfigurationError, PreconditionError
 from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
 from sbrl.certificates import base_tolerance
@@ -382,11 +383,12 @@ def test_monte_carlo_separable_g_beta_samples_the_gain_once(antithetic):
     for V in (QuadraticStorage(np.diag([1.0, 1.0])),
               SeparableStorage((1.0, 1.0), (2, 4))):
         calls.clear()
-        est = certify._gain_sup(V, s, X, 2.0, scheme.draws_at(X))
+        sup, se, lower = certify._gain_sup(V, s, X, 2.0, scheme.draws_at(X))
         counts.append(len(calls))
     assert counts[0] == counts[1] == (2 if antithetic else 1)
     # a noise part of 1e-170 excites the quartic row at every point
-    assert [e.value for e in est] == [np.inf] * 3
+    assert sup.tolist() == [np.inf] * 3 and se.tolist() == [0.0] * 3
+    assert not lower
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -409,19 +411,18 @@ def test_monte_carlo_separable_g_beta_is_exact_where_the_gain_is_noise_free(
     V = SeparableStorage((1.5, 2.0), (2, 2))
     scheme = ExpectationScheme(samples=300, seed=8, antithetic=antithetic)
     X = np.array([[0.0, 1.0], [0.7, -1.0], [0.0, -2.0], [-1.2, 0.5]])
-    block = certify._gain_sup(V, s, X, 2.0, scheme.draws_at(X))
-    exact = certify._gain_sup(V, s, X, 2.0, None)
+    sup, se, _ = certify._gain_sup(V, s, X, 2.0, scheme.draws_at(X))
+    exact, exact_se, _ = certify._gain_sup(V, s, X, 2.0, None)
+    assert exact_se.tolist() == [0.0] * len(X)
     for i, x in enumerate(X):
         alone = certify._gain_sup(V, s, x[None], 2.0, scheme.draws_at(x[None]))
-        assert (block[i].value, block[i].std_error) \
-            == (alone[0].value, alone[0].std_error)
+        assert (sup[i:i + 1].tobytes(), se[i:i + 1].tobytes()) \
+            == (alone[0].tobytes(), alone[1].tobytes())
         if x[0] == 0.0:
-            assert (block[i].value, block[i].std_error) == (exact[i].value,
-                                                            0.0)
+            assert (sup[i], se[i]) == (exact[i], 0.0)
         else:
-            assert block[i].std_error > 0.0
-            assert abs(block[i].value - exact[i].value) \
-                <= 4.0 * block[i].std_error
+            assert se[i] > 0.0
+            assert abs(sup[i] - exact[i]) <= 4.0 * se[i]
 
 
 def test_g0_scalar_and_zero_storage():
@@ -453,6 +454,37 @@ def test_linear_system_is_an_affine_system():
     assert certify.h1(V, sys_l, x, beta, CF).value == pytest.approx(
         h1_exact, abs=1e-12)
     assert certify.g0(V, sys_l, CF).value == pytest.approx(2.04, abs=1e-12)
+
+
+GENERAL_ROUTINES = {
+    "h0": lambda s, V, scheme: certify.h0(V, s, [0.5], scheme),
+    "h1": lambda s, V, scheme: certify.h1(V, s, [0.5], BETA1, scheme),
+    "g_beta": lambda s, V, scheme: certify.g_beta(V, s, [0.5], BETA1, scheme),
+    "g0": lambda s, V, scheme: certify.g0(V, s, scheme),
+    "check_internal": lambda s, V, scheme: certify.check_internal(
+        s, V, 4.0, DomainBox((-1.0,), (1.0,), ("grid", 3)), scheme),
+    "check_external": lambda s, V, scheme: certify.check_external(
+        s, V, BETA1, 0.1, DomainBox((-1.0,), (1.0,), ("grid", 3)), scheme),
+    "gamma_star_search": lambda s, V, scheme: certify.gamma_star_search(
+        s, [(1.0, V)], [BETA1], DomainBox((-1.0,), (1.0,), ("grid", 3)),
+        scheme),
+}
+
+
+@pytest.mark.parametrize("scheme", [CF, ExpectationScheme(samples=20, seed=1)],
+                         ids=["closed-form", "monte-carlo"])
+@pytest.mark.parametrize("routine", sorted(GENERAL_ROUTINES))
+def test_affine_routines_refuse_the_general_tier_in_one_line(routine, scheme):
+    # the affine functionals read drift and gain parts that the general
+    # tier does not have: one ConfigurationError naming the tier, never an
+    # AttributeError
+    system = GeneralSystem(1, 0, 1, F=lambda k, X, U, V, W: 0.5 * X + V,
+                           m=lambda k, X, U, V: 0.2 * X,
+                           noise=gaussian_noise())
+    with pytest.raises(ConfigurationError,
+                       match=f"^{routine} takes an affine system .* general "
+                             "tier"):
+        GENERAL_ROUTINES[routine](system, QuadraticStorage([[4.0]]), scheme)
 
 
 # ----------------------------------------------------------------- checks

@@ -1066,3 +1066,70 @@ def test_any_config_exits_zero_one_or_two(name, data):
     assert len(lines) <= 1, lines
     if code == 1:
         assert status in ("falsified", "violated")
+
+
+# ------------------------------------------------- routing: system x kind x law
+
+ROUTED_SYSTEMS = {
+    # system, storage, law and the certificate parameters of each kind
+    "example1": ({"builtin": "example1"}, {"quadratic": {"P": [[4.0]]}},
+                 {"linear_gain": {"K": [[-5.0]]}},
+                 {"c2": 4.0, "beta": 1.0 / 0.99, "gamma_sq": 0.1,
+                  "p_grid": [0.5, 1.0], "beta_grid": [1.0 / 0.99, 1.5]}),
+    "example2": ({"builtin": "example2"}, {"builtin": "example2"},
+                 {"builtin": "example2"},
+                 {"c2": 0.1, "beta": library.EXAMPLE2_BETA, "gamma_sq": 0.5625,
+                  "p_grid": [1.0], "beta_grid": [library.EXAMPLE2_BETA]}),
+}
+ROUTED_KINDS = {"internal": ("c2",), "external": ("beta", "gamma_sq"),
+                "gamma-star": ("p_grid", "beta_grid"),
+                "controller": ("beta", "gamma_sq")}
+# (system, kind, with law) -> the exit code and status, or exit 2 and the
+# config key its one stderr line names
+ROUTES = {
+    ("example1", "internal", False): (0, "certified"),
+    ("example1", "external", False): (0, "certified"),
+    ("example1", "gamma-star", False): (0, "certified"),
+    ("example1", "controller", False): (2, "certificate.kind"),
+    # a law on a system without control input is refused, whatever the kind
+    **{("example1", kind, True): (2, "law") for kind in ROUTED_KINDS},
+    # a plant needs its law, whatever the kind
+    **{("example2", kind, False): (2, "law") for kind in ROUTED_KINDS},
+    # the closed loop: the quartic coordinate breaks V <= 0.1 |x|^2
+    ("example2", "internal", True): (1, "falsified"),
+    ("example2", "external", True): (0, "certified"),
+    ("example2", "gamma-star", True): (2, "storage.quadratic"),
+    ("example2", "controller", True): (0, "certified"),
+}
+
+
+@pytest.mark.parametrize("with_law", [False, True], ids=["no-law", "law"])
+@pytest.mark.parametrize("kind", sorted(ROUTED_KINDS))
+@pytest.mark.parametrize("system", sorted(ROUTED_SYSTEMS))
+def test_routing_table(tmp_path, system, kind, with_law):
+    # every sampled kind runs on the loop that the law closes: each cell
+    # runs to a verdict, or exits 2 with one line naming the config key
+    spec, storage, law, params = ROUTED_SYSTEMS[system]
+    n = 1 if system == "example1" else 3
+    cfg = {"seed": 7, "system": spec, "storage": storage,
+           "certificate": {"kind": kind,
+                           **{k: params[k] for k in ROUTED_KINDS[kind]},
+                           "domain": {"lo": [-2.0] * n, "hi": [2.0] * n,
+                                      "grid": 3},
+                           "scheme": {"mode": "closed-form"}}}
+    if with_law:
+        cfg["law"] = law
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(["certify", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")])
+    err = stderr.getvalue().splitlines()
+    expected_code, expected = ROUTES[system, kind, with_law]
+    assert code == expected_code
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith(f"error: {expected}: ")
+        assert not (tmp_path / "out" / "report.json").exists()
+    else:
+        assert err == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == expected

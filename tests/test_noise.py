@@ -478,28 +478,45 @@ def test_replica_draws_each_points_derived_stream():
                 == expected
 
 
-def test_interleaved_sweeps_keep_their_own_streams():
+def block_bytes(block):
+    """A sweep block, its points and each inequality's ``Rows`` pieces, as
+    bytes and plain values."""
+    X, found = block
+    return X.tobytes(), [
+        [([np.asarray(f).tobytes() for f in (
+            rows.lhs, rows.rhs, rows.std_error, rows.scale, rows.slack,
+            rows.index)], rows.info, rows.lower_bound_only)
+         for rows in pieces]
+        for pieces in found]
+
+
+def test_interleaved_sweeps_keep_their_own_streams(monkeypatch):
     # each sweep owns its generator: running two sweeps' blocks in turn
     # gives each the rows it gives alone
     from sbrl.certificates import _evaluated
 
+    monkeypatch.setattr(noise, "SWEEP_ROWS", 2000)
+
     sys1, V = library.example1_system(), library.example1_storage(4.0)
     forms = {"H1": certify._split_rows("H1", V, sys1, 1.0 / 0.99),
-             "G_beta": certify._g_beta_row(V, sys1, 1.0 / 0.99, 0.1)}
+             "G_beta": certify._g_beta_rows(V, sys1, 1.0 / 0.99, 0.1)}
     runs = [(DomainBox((-10.0,), (10.0,), ("grid", 41)).points(),
              ExpectationScheme(samples=300, seed=3)),
             (DomainBox((-2.0,), (5.0,), ("grid", 29)).points(),
              ExpectationScheme(samples=501, seed=4, antithetic=True))]
-    alone = [list(_evaluated(points, scheme, forms))
+    # several blocks per sweep to interleave
+    assert [scheme.points_per_block() for _, scheme in runs] == [6, 7]
+    alone = [[block_bytes(b) for b in _evaluated(points, scheme, forms)]
              for points, scheme in runs]
     mixed = [[], []]
     for pair in itertools.zip_longest(
             *(_evaluated(points, scheme, forms) for points, scheme in runs)):
         for out, item in zip(mixed, pair):
             if item is not None:
-                out.append(item)
+                out.append(block_bytes(item))
+    assert [len(blocks) for blocks in alone] == [7, 5]
     for got, expected in zip(mixed, alone):
-        assert repr(got) == repr(expected)
+        assert got == expected
 
 
 @pytest.mark.parametrize("shape", [(8, 2000), (1, 100_000), (8, 2000, 1, 1),
