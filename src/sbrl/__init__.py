@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .certificates import Certificate
 from .dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
-                       GeneralSystem, LinearSystem, Trajectory, energy_ratio,
-                       simulate, simulate_ensemble)
+                       GeneralSystem, LinearSystem, Trajectory, simulate,
+                       simulate_ensemble)
 from .noise import Estimate, ExpectationScheme, NoiseModel, derive_seed, expect
 from .storage import (CustomStorage, DomainBox, EstimatedStorage,
                       QuadraticStorage, SeparableStorage, StorageFunction,
@@ -17,6 +17,6 @@ __all__ = [
     "DisturbancePolicy", "DomainBox", "Estimate", "EstimatedStorage",
     "ExpectationScheme", "GeneralSystem", "LinearSystem", "NoiseModel",
     "QuadraticStorage", "SeparableStorage", "StorageFunction", "Trajectory",
-    "check_convex", "derive_seed", "energy_ratio", "expect", "quad_bound",
+    "check_convex", "derive_seed", "expect", "quad_bound",
     "simulate", "simulate_ensemble",
 ]

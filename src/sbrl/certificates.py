@@ -19,7 +19,7 @@ The margins lhs - rhs decide one status:
                NaN or -inf margin (an overflowed side), a NaN or infinite
                std-error (an overflowed spread), an empty sweep, a
                lower-bound-only lhs (a sampled supremum) or a scope the
-               caller flags
+               caller flags with its own witness
 
 Each block is folded with numpy as a scan of its rows would fold them:
 where rows tie on the worst margin, the largest excess, the first NaN row
@@ -112,12 +112,12 @@ class Record:
 
 
 def sweep(points, scheme, inequalities, statement="", domain="",
-          provenance=None, notes=(), force_inconclusive=False,
-          early_exit=False):
+          provenance=None, notes=(), flagged=None, early_exit=False):
     """Run ``inequalities`` ({name: block form}) over ``points``;
-    ``scheme`` is None for checks without expectations.  ``early_exit``
-    stops after the first block that rules out certification.  Returns
-    (Certificate, {name: Record}).
+    ``scheme`` is None for checks without expectations; ``flagged`` is
+    the witness of a flagged scope.  ``early_exit`` stops after the first
+    block that rules out certification.  Returns (Certificate, {name:
+    Record}).
     """
     acc = _MarginSweep()
     records = {name: Record() for name in inequalities}
@@ -127,7 +127,7 @@ def sweep(points, scheme, inequalities, statement="", domain="",
             if early_exit and not acc.may_certify:
                 break
     return acc.finalize(statement, domain, provenance or {}, notes,
-                        force_inconclusive), records
+                        flagged), records
 
 
 # Sweep points whose seeds are hashed and tabulated together: one table
@@ -268,15 +268,15 @@ class _MarginSweep:
         return (X[at] if rows.point is None else rows.point[r]).tolist()
 
     def finalize(self, statement, domain, provenance, notes,
-                 force_inconclusive) -> Certificate:
+                 flagged) -> Certificate:
         if self.violation is not None:
             status, witness = "falsified", self.violation[1]
         elif self.nan is not None:
             status, witness = "inconclusive", self.nan
-        elif self.may_certify and self.count and not force_inconclusive:
+        elif self.may_certify and self.count and flagged is None:
             status, witness = "certified", None
         else:
-            status, witness = "inconclusive", self.worst_info
+            status, witness = "inconclusive", flagged or self.worst_info
         return Certificate(
             status, statement, domain,
             float(self.worst) if self.count else 0.0, witness,

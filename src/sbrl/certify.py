@@ -22,10 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .certificates import Certificate, Rows, _jsonable, sweep
-from .dynamics import (AffineSystem, LinearSystem, energy_ratio,
-                       simulate_ensemble)
-from .errors import (ConfigurationError, DivergenceError, EvaluationError,
-                     PreconditionError)
+from .dynamics import AffineSystem, LinearSystem, simulate_ensemble
+from .errors import ConfigurationError, EvaluationError, PreconditionError
 from .noise import (Estimate, _gram_rows, expected_affine_power,
                     expected_gram, mean_and_error, require_finite,
                     sample_block)
@@ -93,24 +91,14 @@ def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
     return mean, np.zeros_like(mean)
 
 
-@dataclass(frozen=True)
-class SplitEstimate(Estimate):
-    """H0, H1 or H with the V(x) and |m(x[,u])|^2 it was formed from: with
-    |H| they make the tolerance scale of the inequality H <= 0."""
-
-    storage: float = 0.0
-    output_sq: float = 0.0
-
-
-def _split(V, system, x, u, beta, scheme) -> SplitEstimate:
+def _split(V, system, x, u, beta, scheme) -> Estimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme, with
     ``u`` the control row or None as in ``drift``: ``_split_block`` at x."""
     x = np.asarray(x, dtype=float)
-    value, se, vx, m_sq = _split_block(
+    value, se, _, _ = _split_block(
         V, system, x[None], None if u is None else u[None], beta,
         scheme.point_draws())
-    return SplitEstimate(float(value[0]), float(se[0]), storage=float(vx[0]),
-                         output_sq=float(m_sq[0]))
+    return Estimate(float(value[0]), float(se[0]))
 
 
 def _split_block(V, system, X, u_row, beta, points):
@@ -124,19 +112,19 @@ def _split_block(V, system, X, u_row, beta, points):
     return mean / beta - vx + m_sq, se / beta, vx, m_sq
 
 
-def h0(V, system, x, scheme) -> SplitEstimate:
+def h0(V, system, x, scheme) -> Estimate:
     """Internal-stability functional E[V(f(x,w))] - V(x) + |m(x)|^2."""
     _require_affine(system, "h0")
     return _split(V, system, x, None, 1.0, scheme)
 
 
-def h1(V, system, x, beta, scheme) -> SplitEstimate:
+def h1(V, system, x, beta, scheme) -> Estimate:
     """Convexity-split internal functional (1/b) E[V(b f)] - V + |m|^2."""
     _require_affine(system, "h1")
     return convexity_split(V, system, x, None, beta, scheme)
 
 
-def convexity_split(V, system, x, u, beta, scheme) -> SplitEstimate:
+def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2: H1, and at a fixed
     control row ``u`` the design functional H."""
     if beta <= 1.0:
@@ -332,7 +320,8 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 
     Goes inconclusive instead of certifying when the growth-bound ratio is
     still rising at the box boundary, since the claim cannot be
-    extrapolated outside the sampled domain.
+    extrapolated outside the sampled domain; the witness is then that
+    boundary point.
     """
     if c2 <= 0:
         raise ConfigurationError("c2 must be positive")
@@ -344,17 +333,20 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
         return Rows(vx, {"inequality": "growth"}, bound,
                     scale=np.maximum(np.abs(vx), bound))
 
-    notes = [f"certified only on {domain.label()}"]
+    notes, flagged = [f"certified only on {domain.label()}"], None
     if qb.boundary_attained:
         notes.insert(0, "growth-bound ratio attains its maximum on the box "
                      "boundary; the c2 claim does not extrapolate beyond "
                      "the sampled domain")
+        flagged = {"point": qb.witness.tolist(),
+                   "info": {"inequality": "growth",
+                            "boundary_max_ratio": qb.c2}}
     cert, _ = sweep(
         domain.points(), scheme,
         {"growth": growth, "H0": _split_rows("H0", V, system, 1.0)},
         "V(x) <= c2 |x|^2 and H0(V(x)) <= 0", domain.label(),
         {"scheme": scheme.spec(), "c2": c2, "quad_bound": qb.to_dict()},
-        notes, force_inconclusive=qb.boundary_attained)
+        notes, flagged)
     return cert
 
 
@@ -728,22 +720,12 @@ def empirical_gain(system, ensemble, horizon, count, gamma_sq,
     """
     if horizon < 1 or count < 1:
         raise ConfigurationError("horizon and count must be >= 1")
-    x0 = np.zeros(system.n)
-    results = simulate_ensemble(system, x0, ensemble, horizon, count, seed)
-    z_energy = np.zeros(count)
-    v_energy = np.zeros(count)
-    diverged = 0
-    ratios = []
-    for i, res in enumerate(results):
-        if isinstance(res, DivergenceError):
-            diverged += 1
-            z_energy[i] = res.trajectory.total_output_energy()
-            v_energy[i] = res.trajectory.total_disturbance_energy()
-            ratios.append(None)
-            continue
-        z_energy[i] = res.total_output_energy()
-        v_energy[i] = res.total_disturbance_energy()
-        ratios.append(energy_ratio(res))
+    run = simulate_ensemble(system, np.zeros(system.n), ensemble, horizon,
+                            count, seed)
+    z_energy, v_energy = run.energies()
+    diverged = int(run.diverged.sum())
+    ratios = [None if gone or v == 0.0 else z / v for z, v, gone in zip(
+        z_energy.tolist(), v_energy.tolist(), run.diverged.tolist())]
     if np.all(v_energy == 0.0):
         raise ConfigurationError("disturbance ensemble has zero energy everywhere")
     mean_ratio = float(z_energy.sum() / v_energy.sum())
@@ -752,8 +734,7 @@ def empirical_gain(system, ensemble, horizon, count, gamma_sq,
     se = 0.0
     if count >= 2:
         se = float(resid.std(ddof=1) / (v_energy.mean() * math.sqrt(count)))
-    finite_ratios = [r for r in ratios if r is not None]
-    max_ratio = max(finite_ratios) if finite_ratios else None
+    max_ratio = max((r for r in ratios if r is not None), default=None)
     violated = diverged > 0 or mean_ratio > gamma_sq + 4.0 * se
     return GainReport(
         count=count,
@@ -777,14 +758,12 @@ def dissipation_profile(system, V, gamma_sq, ensemble, horizon, count, seed):
     every step's mean nonpositive up to Monte Carlo error.  Returns
     (means, standard_errors), each of length ``horizon``.
     """
-    x0 = np.zeros(system.n)
-    results = simulate_ensemble(system, x0, ensemble, horizon, count, seed)
-    D = np.empty((count, horizon))
-    for i, res in enumerate(results):
-        if isinstance(res, DivergenceError):
-            raise res
-        vals = V.evaluate_batch(res.states)
-        D[i] = np.diff(vals) + res.z_sq - gamma_sq * res.v_sq
+    run = simulate_ensemble(system, np.zeros(system.n), ensemble, horizon,
+                            count, seed)
+    run.raise_divergence()
+    vals = V.evaluate_batch(run.states.reshape(-1, system.n))
+    D = (np.diff(vals.reshape(count, horizon + 1), axis=1) + run.z_sq
+         - gamma_sq * run.v_sq)
     means = D.mean(axis=0)
     ses = D.std(axis=0, ddof=1) / math.sqrt(count) if count >= 2 \
         else np.zeros(horizon)

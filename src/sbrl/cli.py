@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, certify, library, synth
 from .dynamics import LinearSystem, simulate_ensemble, trajectory_csv_rows
-from .errors import ConfigurationError, DivergenceError, ToolkitError
+from .errors import ConfigurationError, ToolkitError
 from .noise import ExpectationScheme, derive_seed
 from .storage import DomainBox, QuadraticStorage
 from .svg import line_plot
@@ -442,7 +442,7 @@ def _run_linear_brl(resolved, writer):
     t0 = time.perf_counter()
     linsys, _ = _resolved_system(resolved)
     if not isinstance(linsys, LinearSystem):
-        raise ConfigurationError("certificate.kind linear-brl needs a linear system")
+        raise ConfigurationError("certificate.kind: linear-brl needs a linear system")
     cert_block = resolved["certificate"]
     gamma_sq = _gamma_sq_from(cert_block)
     if "beta" in cert_block:
@@ -524,8 +524,8 @@ def cmd_simulate(resolved):
 
 def _simulate(resolved, writer, count, system, law):
     """Members 0..count-1 of the ensemble of ``system`` under its first
-    disturbance and the law (None: u = 0), each CSV written as its member
-    is released; returns the status and the last member's trajectory."""
+    disturbance and the law (None: u = 0), one CSV each up to the first
+    diverged member; returns the status and the last member's trajectory."""
     ens_block = resolved["ensemble"]
     x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
     ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
@@ -533,14 +533,13 @@ def _simulate(resolved, writer, count, system, law):
     csv = "csv" in resolved["output"]["formats"]
     status = "consistent"
     t0 = time.perf_counter()
-    results = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
-                                count, resolved["seed"], policy_u=law)
-    for i, traj in enumerate(results):
-        results[i] = None  # each member is released once its CSV is written
-        if isinstance(traj, DivergenceError):
-            status = f"divergence at step {traj.step}"
-            log.warning("trajectory %d diverged at step %d", i, traj.step)
-            traj = traj.trajectory
+    run = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
+                            count, resolved["seed"], policy_u=law)
+    for i in range(count):
+        traj = run.member(i)
+        if run.diverged[i]:
+            status = f"divergence at step {traj.horizon}"
+            log.warning("trajectory %d diverged at step %d", i, traj.horizon)
         if csv:
             header, rows = trajectory_csv_rows(traj)
             writer.write_csv(f"trajectory_{i:03d}.csv", header, rows)

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certificates import Certificate, Rows, _jsonable, sweep
-from .dynamics import DisturbancePolicy, rollout
-from .errors import ConfigurationError, DivergenceError, EvaluationError
+from .dynamics import rollout
+from .errors import ConfigurationError, EvaluationError
 from .noise import derive_seed, hash_point
 
 NEAR_ZERO_RADIUS = 1e-9
@@ -259,14 +259,11 @@ class EstimatedStorage(StorageFunction):
         x = np.asarray(x, dtype=float)
         sub = derive_seed(self.seed, hash_point(x))
         K = self.horizon
-        zero_v = DisturbancePolicy.zero(self.system.n_v)
-        runs = rollout(self.system, x, [zero_v] * self.ensemble,
-                       [derive_seed(sub, i) for i in range(self.ensemble)], K)
-        for run in runs:
-            if isinstance(run, DivergenceError):
-                raise run
-        states = np.stack([run.states for run in runs])
-        m = self.system.output_m(states.reshape(-1, self.system.n))
+        run = rollout(self.system, x, np.zeros((self.ensemble, K,
+                                                self.system.n_v)),
+                      [derive_seed(sub, i) for i in range(self.ensemble)])
+        run.raise_divergence()
+        m = self.system.output_m(run.states.reshape(-1, self.system.n))
         m_sq = np.sum(m * m, axis=1).reshape(self.ensemble, K + 1)
         totals = m_sq.sum(axis=1)
         profile = m_sq.sum(axis=0) / self.ensemble

@@ -751,10 +751,11 @@ def test_certified_worst_margin_is_within_the_recorded_tolerance(
 
 # ------------------------------------------------ sweep engine guards
 
-def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
+def reference_sweep(points, scheme, rows_at, flagged=None):
     """The per-point loop as written before the sweep engine: margins against
     1e-9 + 1e-7 * scale, falsified beyond 3 standard errors, NaN witness;
-    the worst margin keeps the tolerance it was judged against."""
+    the worst margin keeps the tolerance it was judged against, and an
+    inconclusive flagged scope is witnessed by its own point."""
     worst, worst_info, violation, nan_witness, ok, count = (
         -math.inf, None, None, None, True, 0)
     worst_tol = 1e-9
@@ -782,8 +783,10 @@ def reference_sweep(points, scheme, rows_at, force_inconclusive=False):
         status, witness = "falsified", violation[1]
     elif nan_witness is not None:
         status, witness = "inconclusive", nan_witness
-    elif ok and count and not force_inconclusive:
+    elif ok and count and flagged is None:
         status, witness = "certified", None
+    elif flagged is not None:
+        status, witness = "inconclusive", flagged
     else:
         status, witness = "inconclusive", worst_info
     return status, witness, worst, worst_tol, count, sups
@@ -835,7 +838,10 @@ def reference_internal(system, V, c2, domain, scheme):
 
     qb = quad_bound(V, domain)
     status, witness, worst, tol, count, _ = reference_sweep(
-        domain.points(), scheme, rows_at, qb.boundary_attained)
+        domain.points(), scheme, rows_at,
+        {"point": qb.witness.tolist(),
+         "info": {"inequality": "growth", "boundary_max_ratio": qb.c2}}
+        if qb.boundary_attained else None)
     notes = [f"certified only on {domain.label()}"]
     if qb.boundary_attained:
         notes.insert(0, "growth-bound ratio attains its maximum on the box "

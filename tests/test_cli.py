@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbrl import cli, library, noise
-from sbrl.dynamics import (DisturbancePolicy, GeneralSystem, Trajectory,
+from sbrl.dynamics import (GeneralSystem, Trajectory,
                            rollout, simulate_ensemble, trajectory_csv_rows)
 
 
@@ -274,27 +274,26 @@ def csv_trajectories():
     """A closed-loop example 2 member (control columns), members that
     overflow to inf and to nan (0 * inf), and hand-set values whose repr
     takes the exponent form, with a -0.0."""
-    (member,) = simulate_ensemble(
+    member = simulate_ensemble(
         library.example2_plant(), [1.0, 1.0, 0.5], library.example2_ensemble(),
-        40, 1, seed=7, policy_u=library.example2_law())
+        40, 1, seed=7, policy_u=library.example2_law()).member(0)
     # x+ = x + v_1^2 v_2 with v_1 = 1e200 at step 2
     plant = GeneralSystem(1, 0, 2, F=lambda k, X, U, V, W:
                           X + V[..., :1] ** 2 * V[..., 1:],
                           m=lambda k, X, U, V: X,
                           noise=noise.point_mass_noise(0.0, 1))
-    kicks = [np.array([[0.3, 1.0], [0.0, 0.0], [1e200, v2]])
-             for v2 in (1.0, 0.0)]
+    kicks = np.zeros((2, 5, 2))
+    kicks[:, :3] = [[[0.3, 1.0], [0.0, 0.0], [1e200, v2]] for v2 in (1.0, 0.0)]
     with np.errstate(over="ignore", invalid="ignore"):
-        diverged = rollout(plant, [0.5], [DisturbancePolicy.recorded(v)
-                                          for v in kicks], [0, 0], 5)
-    assert [d.step for d in diverged] == [3, 3]
+        diverged = rollout(plant, [0.5], kicks, [0, 0])
+    assert diverged.diverged.all() and diverged.ends.tolist() == [3, 3]
     exponent = Trajectory(
         states=np.array([[1e-05, -0.0], [1e+16, 5e-324], [-2.5e-300, 1e300]]),
         outputs=np.array([[1e+16], [-0.0]]),
         disturbances=np.array([[1e-05], [-0.0]]),
         controls=None, z_sq=np.array([1e+32, 0.0]),
         v_sq=np.array([1e-10, 0.0]))
-    return [member, *(d.trajectory for d in diverged), exponent]
+    return [member, diverged.member(0), diverged.member(1), exponent]
 
 
 def test_trajectory_csv_bytes_match_the_csv_module(tmp_path):
@@ -1080,10 +1079,21 @@ ROUTED_SYSTEMS = {
                  {"builtin": "example2"},
                  {"c2": 0.1, "beta": library.EXAMPLE2_BETA, "gamma_sq": 0.5625,
                   "p_grid": [1.0], "beta_grid": [library.EXAMPLE2_BETA]}),
+    # the simulate-white benchmark plant
+    "linear": ({"linear": {"A": [[0.6, 0.2], [-0.1, 0.5]],
+                           "A0": [[0.1, 0.0], [0.0, 0.1]],
+                           "B": [[1.0], [0.5]], "C": [[1.0, 0.0]],
+                           "D": [[0.1]]}},
+               {"quadratic": {"P": [[10.0, 0.0], [0.0, 10.0]]}},
+               {"linear_gain": {"K": [[-0.1, 0.0]]}},
+               {"c2": 15.0, "beta": 1.5, "gamma_sq": 40.0, "p_grid": [1.0],
+                "beta_grid": [1.5]}),
 }
 ROUTED_KINDS = {"internal": ("c2",), "external": ("beta", "gamma_sq"),
                 "gamma-star": ("p_grid", "beta_grid"),
-                "controller": ("beta", "gamma_sq")}
+                "controller": ("beta", "gamma_sq"),
+                # the exact bounded real lemma takes no domain or scheme
+                "linear-brl": ("gamma_sq",)}
 # (system, kind, with law) -> the exit code and status, or exit 2 and the
 # config key its one stderr line names
 ROUTES = {
@@ -1091,15 +1101,26 @@ ROUTES = {
     ("example1", "external", False): (0, "certified"),
     ("example1", "gamma-star", False): (0, "certified"),
     ("example1", "controller", False): (2, "certificate.kind"),
+    ("example1", "linear-brl", False): (2, "certificate.kind"),
     # a law on a system without control input is refused, whatever the kind
-    **{("example1", kind, True): (2, "law") for kind in ROUTED_KINDS},
-    # a plant needs its law, whatever the kind
-    **{("example2", kind, False): (2, "law") for kind in ROUTED_KINDS},
+    **{(system, kind, True): (2, "law") for kind in ROUTED_KINDS
+       for system in ("example1", "linear")},
+    # a plant needs its law, whatever sampled kind; linear-brl refuses
+    # every system but a linear one first
+    **{("example2", kind, False): (2, "law") for kind in ROUTED_KINDS
+       if kind != "linear-brl"},
+    ("example2", "linear-brl", False): (2, "certificate.kind"),
     # the closed loop: the quartic coordinate breaks V <= 0.1 |x|^2
     ("example2", "internal", True): (1, "falsified"),
     ("example2", "external", True): (0, "certified"),
     ("example2", "gamma-star", True): (2, "storage.quadratic"),
     ("example2", "controller", True): (0, "certified"),
+    ("example2", "linear-brl", True): (2, "certificate.kind"),
+    ("linear", "internal", False): (0, "certified"),
+    ("linear", "external", False): (0, "certified"),
+    ("linear", "gamma-star", False): (0, "certified"),
+    ("linear", "controller", False): (2, "certificate.kind"),
+    ("linear", "linear-brl", False): (0, "certified"),
 }
 
 
@@ -1110,13 +1131,12 @@ def test_routing_table(tmp_path, system, kind, with_law):
     # every sampled kind runs on the loop that the law closes: each cell
     # runs to a verdict, or exits 2 with one line naming the config key
     spec, storage, law, params = ROUTED_SYSTEMS[system]
-    n = 1 if system == "example1" else 3
-    cfg = {"seed": 7, "system": spec, "storage": storage,
-           "certificate": {"kind": kind,
-                           **{k: params[k] for k in ROUTED_KINDS[kind]},
-                           "domain": {"lo": [-2.0] * n, "hi": [2.0] * n,
-                                      "grid": 3},
-                           "scheme": {"mode": "closed-form"}}}
+    n = {"example1": 1, "example2": 3, "linear": 2}[system]
+    cert = {"kind": kind, **{k: params[k] for k in ROUTED_KINDS[kind]}}
+    if kind != "linear-brl":
+        cert.update(domain={"lo": [-2.0] * n, "hi": [2.0] * n, "grid": 3},
+                    scheme={"mode": "closed-form"})
+    cfg = {"seed": 7, "system": spec, "storage": storage, "certificate": cert}
     if with_law:
         cfg["law"] = law
     stderr = io.StringIO()
@@ -1133,3 +1153,23 @@ def test_routing_table(tmp_path, system, kind, with_law):
         assert err == []
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["status"] == expected
+
+
+def test_a_boundary_growth_bound_names_its_boundary_point(tmp_path):
+    # example 2's quartic x2 puts the largest V(x)/|x|^2 on the box
+    # boundary, so the internal certificate that every row would pass is
+    # inconclusive, and its witness is that boundary point
+    cfg = {"seed": 7, "system": {"builtin": "example2"},
+           "storage": {"builtin": "example2"}, "law": {"builtin": "example2"},
+           "certificate": {"kind": "internal", "c2": 1.0,
+                           "domain": {"lo": [-2.0] * 3, "hi": [2.0] * 3,
+                                      "grid": 3}}}
+    assert run(["certify", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path / "out")]) == 2
+    (cert,) = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert cert["status"] == "inconclusive" and cert["worst_margin"] == 0.0
+    bound = cert["provenance"]["quad_bound"]
+    assert bound["boundary_attained"] and bound["witness"] == [0.0, -2.0, 0.0]
+    assert cert["witness"] == {
+        "point": [0.0, -2.0, 0.0],
+        "info": {"inequality": "growth", "boundary_max_ratio": bound["c2"]}}

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from sbrl import library
 from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
-                           GeneralSystem, LinearSystem, energy_ratio, rollout,
-                           simulate, simulate_ensemble, trajectory_csv_rows)
+                           GeneralSystem, LinearSystem, rollout, simulate,
+                           simulate_ensemble, trajectory_csv_rows)
 from sbrl.errors import ConfigurationError, DivergenceError
 from sbrl.noise import (NoiseModel, PointMass, Uniform, derive_seed,
                         gaussian_noise, point_mass_noise)
@@ -84,15 +84,16 @@ def test_zero_initial_state_invariance():
 
 
 def test_energy_ratio_cases():
+    # a rollout's energies: output energy 1 (z_0 = x_0 = 1), and a zero
+    # disturbance energy, where a ratio is undefined
     sys_c = scalar_contraction(0.0, 1.0)
-    traj = simulate(sys_c, np.array([1.0]), DisturbancePolicy.zero(1), 5, seed=1)
-    # zero disturbance: ratio undefined
-    assert energy_ratio(traj) is None
+    z, v = rollout(sys_c, [1.0], np.zeros((1, 5, 1)), [1]).energies()
+    assert z.tolist() == [1.0] and v.tolist() == [0.0]
 
     ft = memoryless_feedthrough()
-    policy = DisturbancePolicy.recorded(np.array([[1.0], [0.5], [-2.0]]))
-    traj = simulate(ft, np.zeros(1), policy, 3, seed=1)
-    assert energy_ratio(traj) == pytest.approx(1.0, abs=1e-15)
+    run = rollout(ft, np.zeros(1), np.array([[[1.0], [0.5], [-2.0]]]), [1])
+    z, v = run.energies()
+    assert z[0] / v[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_unit_energy_ratio():
@@ -107,15 +108,20 @@ def test_unit_energy_ratio():
     )
     policy = DisturbancePolicy.impulse(0, [1.0])
     traj = simulate(sys_u, np.array([1.0]), policy, 4, seed=0)
-    assert energy_ratio(traj) == pytest.approx(1.0)
+    assert traj.cum_z_sq[-1] / traj.cum_v_sq[-1] == pytest.approx(1.0)
 
 
 def test_cumulative_energy_is_prefix_sum():
     sys1 = library.example1_system()
     ens = library.example1_ensembles()["decaying-sine"]
-    traj = simulate(sys1, np.zeros(1), ens.make_policy(3), 40, seed=12)
+    run = rollout(sys1, np.zeros(1), ens.draw([3], 40), [12])
+    traj = run.member(0)
     assert np.array_equal(traj.cum_z_sq, np.cumsum(traj.z_sq))
     assert np.array_equal(traj.cum_v_sq, np.cumsum(traj.v_sq))
+    # the rollout's energies are the last running sums, bit for bit
+    z, v = run.energies()
+    assert z.tobytes() == traj.cum_z_sq[-1:].tobytes()
+    assert v.tobytes() == traj.cum_v_sq[-1:].tobytes()
 
 
 def test_divergence_error_carries_step_and_partial():
@@ -137,11 +143,38 @@ def test_divergence_error_carries_step_and_partial():
 def test_seed_determinism_and_thread_independence():
     sys1 = library.example1_system()
     ens = library.example1_ensembles()["white"]
-    runs = [simulate_ensemble(sys1, np.zeros(1), ens, 30, 8, seed=99)
-            for _ in range(2)]
-    for a, b in zip(*runs):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.outputs, b.outputs)
+    a, b = (simulate_ensemble(sys1, np.zeros(1), ens, 30, 8, seed=99)
+            for _ in range(2))
+    assert a.states.shape == (8, 31, 1)
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.outputs.tobytes() == b.outputs.tobytes()
+
+
+@pytest.mark.parametrize("system,n_u", [
+    (library.example1_system(), 0),
+    (closed_loop(library.example2_plant(), library.example2_law()), 0),
+    (library.example2_plant(), 2),
+], ids=["example1", "example2-closed-loop", "example2-plant"])
+def test_rollout_checks_its_disturbance_array_once(system, n_u):
+    n, n_v = system.n, system.n_v
+    law = library.example2_law() if n_u else None
+    with pytest.raises(ConfigurationError,
+                       match=rf"^v has shape \({n_v + 1},\), expected \({n_v},\)$"):
+        rollout(system, np.zeros(n), np.zeros((2, 5, n_v + 1)), [1, 2], law)
+    with pytest.raises(ConfigurationError, match="^1 seeds for 2 members$"):
+        rollout(system, np.zeros(n), np.zeros((2, 5, n_v)), [1], law)
+    # no member: an empty rollout, whose members' columns are empty
+    run = rollout(system, np.zeros(n), np.zeros((0, 5, n_v)), [], law)
+    assert run.states.shape == (0, 6, n) and run.z_sq.shape == (0, 5)
+    assert [e.shape for e in run.energies()] == [(0,), (0,)]
+    run.raise_divergence()
+    for call in (lambda: simulate(system, np.zeros(n), None, 0, 1),
+                 lambda: simulate_ensemble(system, np.zeros(n),
+                                           DisturbanceEnsemble.white(n_v), 0,
+                                           2, 1, law)):
+        with pytest.raises(ConfigurationError,
+                           match="^horizon must be >= 1, got 0$"):
+            call()
 
 
 def test_linear_deterministic_matches_matrix_iteration_exactly():
@@ -264,12 +297,16 @@ def test_m1_column_count_must_match_n_v(build):
 
 def test_white_ensemble_draws_one_stream_in_step_order():
     ens = DisturbanceEnsemble.white(2, std=0.5)
-    policy = ens.make_policy(17)
-    late_first = [policy.value(k) for k in (5, 0, 3, 6)]
+    V = ens.draw([4, 17], 7)
+    assert V.shape == (2, 7, 2)
+    # member 17's steps are its own stream's draws, in step order
     rng = np.random.default_rng(17)
     stream = [0.5 * rng.standard_normal(2) for _ in range(7)]
-    for got, k in zip(late_first, (5, 0, 3, 6)):
-        assert np.array_equal(got, stream[k])
+    for k in (5, 0, 3, 6):
+        assert np.array_equal(V[1, k], stream[k])
+    # a shorter horizon is a prefix, and a member is the same alone
+    assert ens.draw([4, 17], 4).tobytes() == V[:, :4].tobytes()
+    assert ens.draw([17], 7).tobytes() == V[1:].tobytes()
 
 
 def test_trajectory_csv_schema():
@@ -284,9 +321,9 @@ def test_trajectory_csv_schema():
 
 def test_decaying_sine_amplitude_is_member_specific():
     ens = DisturbanceEnsemble.decaying_sine(1)
-    a = ens.make_policy(1).value(1)
-    b = ens.make_policy(2).value(1)
-    assert a[0] != b[0]
+    V = ens.draw([1, 2], 2)
+    assert V[0, 1, 0] != V[1, 1, 0]
+    assert ens.draw([2], 2).tobytes() == V[1:].tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -307,13 +344,20 @@ def same_trajectory(a, b):
 
 
 def one_member(system, x0, ensemble, horizon, seed, i, **kwargs):
-    """Member i of simulate_ensemble, simulated on its own."""
+    """Member i of simulate_ensemble, drawn and simulated on its own."""
     sub = derive_seed(seed, i)
+    (v,) = ensemble.draw([derive_seed(sub, 2)], horizon)
     try:
-        return simulate(system, x0, ensemble.make_policy(derive_seed(sub, 2)),
-                        horizon, derive_seed(sub, 1), **kwargs)
+        return simulate(system, x0, DisturbancePolicy.recorded(v), horizon,
+                        derive_seed(sub, 1), **kwargs)
     except DivergenceError as err:
         return err
+
+
+def same_energies(run, i, traj):
+    z, v = run.energies()
+    return (z[i].tobytes() == traj.cum_z_sq[-1].tobytes()
+            and v[i].tobytes() == traj.cum_v_sq[-1].tobytes())
 
 
 ENSEMBLE_CASES = {
@@ -337,11 +381,14 @@ ENSEMBLE_CASES = {
 def test_ensemble_members_equal_single_member_runs(case):
     system, x0, ens = ENSEMBLE_CASES[case]()
     batch = simulate_ensemble(system, x0, ens, 60, 6, seed=31)
-    for i, traj in enumerate(batch):
-        assert same_trajectory(traj, one_member(system, x0, ens, 60, 31, i))
+    assert not batch.diverged.any() and batch.ends.tolist() == [60] * 6
+    for i in range(6):
+        alone = one_member(system, x0, ens, 60, 31, i)
+        assert same_trajectory(batch.member(i), alone)
+        assert same_energies(batch, i, alone)
     fewer = simulate_ensemble(system, x0, ens, 60, 2, seed=31)
-    for a, b in zip(fewer, batch):
-        assert same_trajectory(a, b)
+    for i in range(2):
+        assert same_trajectory(fewer.member(i), batch.member(i))
 
 
 def test_diverging_member_matches_its_single_run_and_spares_the_rest():
@@ -358,14 +405,21 @@ def test_diverging_member_matches_its_single_run_and_spares_the_rest():
     ens = DisturbanceEnsemble.fixed(DisturbancePolicy.zero(1))
     x0 = np.array([1.0])
     batch = simulate_ensemble(sys_w, x0, ens, 150, 12, seed=4, overflow=1e3)
-    assert sum(isinstance(r, DivergenceError) for r in batch) == 1
-    for i, res in enumerate(batch):
+    assert np.flatnonzero(batch.diverged).tolist() == [5]
+    for i in range(12):
         alone = one_member(sys_w, x0, ens, 150, 4, i, overflow=1e3)
-        assert type(alone) is type(res)
-        if isinstance(res, DivergenceError):
-            assert res.step == alone.step
-            res, alone = res.trajectory, alone.trajectory
-        assert same_trajectory(res, alone)
+        assert isinstance(alone, DivergenceError) == batch.diverged[i]
+        if batch.diverged[i]:
+            assert alone.step == batch.ends[i] == 65
+            alone = alone.trajectory
+        assert same_trajectory(batch.member(i), alone)
+        assert same_energies(batch, i, alone)
+    # the batch raises its first diverged member's error
+    with pytest.raises(DivergenceError, match="^state overflow at step 65$") \
+            as err:
+        batch.raise_divergence()
+    assert err.value.step == 65
+    assert same_trajectory(err.value.trajectory, batch.member(5))
 
 
 def test_members_overflowing_to_inf_nan_or_past_the_bound_stop_alike():
@@ -377,16 +431,16 @@ def test_members_overflowing_to_inf_nan_or_past_the_bound_stop_alike():
                           noise=point_mass_noise(0.0, 1))
     K, x0, overflow = 6, np.array([0.5]), 1e12
     kicks = {"inf": (2, [1e200, 1.0]), "nan": (1, [1e200, 0.0]),
-             "past-bound": (3, [1e7, 1.0]), "finite": (0, [1.0, 1.0])}
+             "past-bound": (3, [1e7, 1.0]), "finite": (0, [1.0, 1.0]),
+             "past-bound-at-K": (K - 1, [1e7, 1.0])}
     vs = {}
     for name, (at, v) in kicks.items():
         vs[name] = np.zeros((K, 2))
         vs[name][at] = v
     with np.errstate(over="ignore", invalid="ignore"):
-        runs = rollout(plant, x0, [DisturbancePolicy.recorded(v)
-                                   for v in vs.values()],
-                       [0] * len(vs), K, overflow=overflow)
-        for name, res in zip(vs, runs):
+        run = rollout(plant, x0, np.stack(list(vs.values())), [0] * len(vs),
+                      overflow=overflow)
+        for i, name in enumerate(vs):
             # one member alone, under the former test: any non-finite
             # coordinate, or a norm past the bound
             X, states, end = x0[None], [x0], None
@@ -399,15 +453,20 @@ def test_members_overflowing_to_inf_nan_or_past_the_bound_stop_alike():
                     end = k + 1
                     break
             if name == "finite":
-                assert end is None and not isinstance(res, DivergenceError)
+                assert end is None and not run.diverged[i]
+                assert run.ends[i] == K
                 continue
-            assert res.step == end == kicks[name][0] + 1
-            traj = res.trajectory
+            # a member past the bound at the last step ends at K, as a
+            # member that never diverged does: only ``diverged`` tells them
+            # apart
+            assert run.diverged[i]
+            assert run.ends[i] == end == kicks[name][0] + 1
+            traj = run.member(i)
             assert traj.states.tobytes() == np.array(states).tobytes()
             assert traj.disturbances.tobytes() == vs[name][:end].tobytes()
-    assert np.isposinf(runs[0].trajectory.states[-1, 0])
-    assert np.isnan(runs[1].trajectory.states[-1, 0])
-    assert np.isfinite(runs[2].trajectory.states[-1, 0])
+    assert np.isposinf(run.member(0).states[-1, 0])
+    assert np.isnan(run.member(1).states[-1, 0])
+    assert np.isfinite(run.member(2).states[-1, 0])
 
 
 # ------------------------------------------------- declared structure

@@ -78,14 +78,16 @@ class ReferenceScan:
         return {"point": _jsonable(point), "margin": margin,
                 "std_error": std_error, "info": _jsonable(row.info)}
 
-    def finalize(self, force_inconclusive):
+    def finalize(self, flagged):
         may_certify = self.ok and self.nan is None and not self.lower_bound
         if self.violation is not None:
             status, witness = "falsified", self.violation[1]
         elif self.nan is not None:
             status, witness = "inconclusive", self.nan
-        elif may_certify and self.count and not force_inconclusive:
+        elif may_certify and self.count and flagged is None:
             status, witness = "certified", None
+        elif flagged is not None:  # a flagged scope names its own witness
+            status, witness = "inconclusive", flagged
         else:
             status, witness = "inconclusive", self.worst_info
         return Certificate(
@@ -94,7 +96,7 @@ class ReferenceScan:
             self.worst_tol, [])
 
 
-def reference_sweep(points, rows_at, names, force_inconclusive):
+def reference_sweep(points, rows_at, names, flagged):
     """The per-point loop: ``rows_at(i, name)`` lists point i's rows."""
     acc = ReferenceScan()
     records = {name: Record() for name in names}
@@ -103,7 +105,7 @@ def reference_sweep(points, rows_at, names, force_inconclusive):
             for row in rows_at(i, name):
                 acc.add(row, pt if row.point is None else row.point,
                         records[name])
-    return acc.finalize(force_inconclusive), records
+    return acc.finalize(flagged), records
 
 
 class Blocks:
@@ -205,14 +207,15 @@ def as_bytes(cert, records):
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 def test_the_fold_gives_the_per_row_scan_bit_for_bit(case):
-    n_points, size, specs, force_inconclusive = case
+    n_points, size, specs, flag = case
+    flagged = {"point": [-1.0], "info": {"flagged": True}} if flag else None
     points = np.arange(n_points, dtype=float)[:, None]
     got = sweep(points, Blocks(size),
                 {name: block_form(name, spec) for name, spec in specs.items()},
-                provenance={}, force_inconclusive=force_inconclusive)
+                provenance={}, flagged=flagged)
     forms = {name: reference_rows(name, spec) for name, spec in specs.items()}
     expected = reference_sweep(points, lambda i, name: forms[name](i, name),
-                               list(specs), force_inconclusive)
+                               list(specs), flagged)
     assert as_bytes(*got) == as_bytes(*expected)
 
 
