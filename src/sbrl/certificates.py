@@ -177,14 +177,6 @@ def _block_rows(name, fn, X, draws):
     return pieces
 
 
-def _first(values, i, at):
-    """Of the rows whose value ties with row i's, the one a scan of the
-    block meets first: the lowest block point ``at``, then the first in
-    declaration and row order, which is the order of the rows here."""
-    tied = np.flatnonzero(values == values[i])
-    return tied[np.argmin(at[tied])]
-
-
 class _MarginSweep:
     """Folds blocks of rows and applies the status rule above."""
 
@@ -212,15 +204,16 @@ class _MarginSweep:
                 rows.std_error, rows.scale, rows.slack)
             at[lo:hi] = (np.arange(hi - lo) if rows.index is None
                          else rows.index)
-            i = np.argmax(rows.lhs)  # the first NaN, if there is one
-            if np.isnan(rows.lhs[i]):
-                i = np.argmax(np.where(np.isnan(rows.lhs), -np.inf, rows.lhs))
+            i = np.argmax(np.where(np.isnan(rows.lhs), -np.inf, rows.lhs))
             if rows.lhs[i] > record.lhs:
                 record.lhs = float(rows.lhs[i])
                 record.point = self._point(X, rows, at[lo + i], i)
             if rows.lower_bound_only:
                 self.lower_bound = record.lower_bound_only = True
         tol = base_tolerance(scale) + slack
+        # scan order (point, then declaration, then row): an argmax over
+        # rows in this order takes the one a scan meets first
+        scan = np.argsort(at, kind="stable")
         # every comparison with NaN is false, so a NaN margin would pass as
         # "within tolerance", and so would a -inf margin, which only an
         # overflowed side gives; an infinite std-error, which only an
@@ -241,11 +234,11 @@ class _MarginSweep:
 
         self.count += len(margin)
         if self.nan is None and not known.all():
-            self.nan = witness(_first(known, np.argmin(known), at))
-        kept = np.where(known, margin, -np.inf)
+            self.nan = witness(scan[np.argmin(known[scan])])
+        kept = np.where(known, margin, -np.inf)[scan]
         i = np.argmax(kept)
         if kept[i] > self.worst:
-            i = _first(kept, i, at)
+            i = scan[i]
             self.worst, self.worst_tol = float(margin[i]), float(tol[i])
             found = witness(i)
             self.worst_info = {"point": found["point"], "info": found["info"]}
@@ -255,12 +248,11 @@ class _MarginSweep:
         # above tol can hold one above tol + 3 std-errors
         if not within:
             excess = margin - (tol + 3.0 * se)
-            excess = np.where(known & (excess > 0.0), excess, -np.inf)
+            excess = np.where(known & (excess > 0.0), excess, -np.inf)[scan]
             i = np.argmax(excess)
             if excess[i] > 0.0 and (self.violation is None
                                     or excess[i] > self.violation[0]):
-                i = _first(excess, i, at)
-                self.violation = (float(excess[i]), witness(i))
+                self.violation = (float(excess[i]), witness(scan[i]))
 
     @staticmethod
     def _point(X, rows, at, r):

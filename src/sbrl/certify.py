@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .certificates import Certificate, Rows, _jsonable, sweep
-from .dynamics import AffineSystem, LinearSystem, simulate_ensemble
+from .dynamics import (AffineSystem, LinearSystem, require_uncontrolled,
+                       simulate_ensemble)
 from .errors import ConfigurationError, EvaluationError, PreconditionError
 from .noise import (Estimate, _gram_rows, expected_affine_power,
                     expected_gram, mean_and_error, require_finite,
@@ -50,10 +51,8 @@ def _require_affine(system, routine, plants=False):
             f"{routine} takes an affine system (AffineSystem), got the "
             f"general tier ({type(system).__name__}): use synth.h_k_general "
             "or synth.certify_controller_general")
-    if system.n_u and not plants:
-        raise ConfigurationError(
-            f"{routine} takes a system without control input, got n_u = "
-            f"{system.n_u}: close the loop with synth.closed_loop first")
+    if not plants:
+        require_uncontrolled(system, routine)
 
 
 def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):

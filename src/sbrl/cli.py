@@ -516,27 +516,31 @@ def cmd_simulate(resolved):
         raise ConfigurationError("ensemble: required for 'simulate'")
     writer = RunWriter(resolved["output"]["dir"], resolved)
     system, law = _resolved_system(resolved)
+    if system.n_u and law is None:  # the open-loop run of a plant
+        law = synth.FeedbackLaw.zero(system.n_u)
     status, _ = _simulate(resolved, writer, int(resolved["ensemble"]["count"]),
-                          system, law)
+                          _closed_loop(system, law), law)
     writer.finish(status)
     return status_exit_code(status)
 
 
-def _simulate(resolved, writer, count, system, law):
-    """Members 0..count-1 of the ensemble of ``system`` under its first
-    disturbance and the law (None: u = 0), one CSV each up to the first
-    diverged member; returns the status and the last member's trajectory."""
+def _simulate(resolved, writer, count, loop, law):
+    """Members 0..count-1 of the ensemble of ``loop`` under its first
+    disturbance, with the controls of ``law`` (None: none), one CSV each up
+    to the first diverged member; returns the status and the last member."""
     ens_block = resolved["ensemble"]
-    x0 = np.asarray(ens_block.get("x0", [0.0] * system.n), dtype=float)
+    x0 = np.asarray(ens_block.get("x0", [0.0] * loop.n), dtype=float)
     ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
-                                            system.n_v)
+                                            loop.n_v)
     csv = "csv" in resolved["output"]["formats"]
     status = "consistent"
     t0 = time.perf_counter()
-    run = simulate_ensemble(system, x0, ensemble, int(ens_block["horizon"]),
-                            count, resolved["seed"], policy_u=law)
+    run = simulate_ensemble(loop, x0, ensemble, int(ens_block["horizon"]),
+                            count, resolved["seed"])
     for i in range(count):
         traj = run.member(i)
+        if law is not None:
+            traj.controls = law(traj.states[:-1])
         if run.diverged[i]:
             status = f"divergence at step {traj.horizon}"
             log.warning("trajectory %d diverged at step %d", i, traj.horizon)
@@ -558,9 +562,9 @@ def cmd_example(resolved):
     system, law = _resolved_system(resolved)
     cert = _certificate(resolved, writer, system, law)
     gamma_sq = cert.provenance["gamma_sq"]
-    verdicts, gain_verdict = _gain(resolved, writer,
-                                   _closed_loop(system, law), gamma_sq)
-    sim_status, traj = _simulate(resolved, writer, 1, system, law)
+    loop = _closed_loop(system, law)
+    verdicts, gain_verdict = _gain(resolved, writer, loop, gamma_sq)
+    sim_status, traj = _simulate(resolved, writer, 1, loop, law)
     if "svg" in resolved["output"]["formats"]:
         _plot_member(writer, traj, gamma_sq)
     summary = {"certificate_status": cert.status, "gamma_sq": gamma_sq,

@@ -46,6 +46,15 @@ def _as_vec(x, n, what):
     return x
 
 
+def require_uncontrolled(system, routine):
+    """Refuse a plant (n_u > 0): a law acts on a system only through
+    ``synth.closed_loop``."""
+    if system.n_u:
+        raise ConfigurationError(
+            f"{routine} takes a system without control input, got n_u = "
+            f"{system.n_u}: close the loop with synth.closed_loop first")
+
+
 def leading_shape(*arrays):
     """The broadcast of the arrays' leading shapes (all axes but the last);
     None entries are skipped."""
@@ -441,12 +450,11 @@ class Trajectory:
     states: np.ndarray        # (K+1, n)
     outputs: np.ndarray       # (K, n_z)
     disturbances: np.ndarray  # (K, n_v)
-    controls: np.ndarray | None
     z_sq: np.ndarray
     v_sq: np.ndarray
+    controls: np.ndarray | None = None  # (K, n_u), set by a law's caller
     cum_z_sq: np.ndarray = field(init=False)
     cum_v_sq: np.ndarray = field(init=False)
-    seed: int = 0
 
     def __post_init__(self):
         self.cum_z_sq = np.cumsum(self.z_sq)
@@ -462,22 +470,19 @@ class Rollout:
     """M members stepped together over K steps, as arrays.
 
     Member i is ``states[i, :ends[i] + 1]`` and the first ``ends[i]``
-    steps of ``outputs``, ``disturbances``, ``controls`` (None without
-    control), ``z_sq`` = |z_k|^2 and ``v_sq`` = |v_k|^2; the later rows
-    are no part of it.  A member stops at the step whose state passed the
-    overflow bound, and ``diverged[i]`` says so: one that passed it at
-    step K has ``ends[i]`` = K too.
+    steps of ``outputs``, ``disturbances``, ``z_sq`` = |z_k|^2 and
+    ``v_sq`` = |v_k|^2; the later rows are no part of it.  A member stops
+    at the step whose state passed the overflow bound, and ``diverged[i]``
+    says so: one that passed it at step K has ``ends[i]`` = K too.
     """
 
     states: np.ndarray         # (M, K+1, n)
     outputs: np.ndarray        # (M, K, n_z)
     disturbances: np.ndarray   # (M, K, n_v)
-    controls: np.ndarray | None  # (M, K, n_u)
     z_sq: np.ndarray           # (M, K)
     v_sq: np.ndarray           # (M, K)
     ends: np.ndarray           # (M,)
     diverged: np.ndarray       # (M,) bool
-    seeds: list
 
     def member(self, i) -> Trajectory:
         """Member i's path as a Trajectory."""
@@ -486,10 +491,8 @@ class Rollout:
             states=self.states[i, :end + 1],
             outputs=self.outputs[i, :end],
             disturbances=self.disturbances[i, :end],
-            controls=None if self.controls is None else self.controls[i, :end],
             z_sq=self.z_sq[i, :end],
             v_sq=self.v_sq[i, :end],
-            seed=int(self.seeds[i]),
         )
 
     def raise_divergence(self):
@@ -514,20 +517,18 @@ class Rollout:
         return z, v
 
 
-def rollout(system, x0, V, seeds, policy_u=None, overflow=OVERFLOW_BOUND):
-    """Step M members together over K steps, V being the (M, K, n_v)
-    disturbance array.
+def rollout(system, x0, V, seeds, overflow=OVERFLOW_BOUND):
+    """Step M members of a system without control input together over K
+    steps, V being the (M, K, n_v) disturbance array.
 
     Member i starts at x0 and is driven by ``V[i]`` and the noise drawn
     from ``seeds[i]``; rows never mix, so member i is the same for any
-    member count.  ``policy_u(X, k)`` must return one (n_u,) control row
-    per member.  A member whose |x_k| exceeds ``overflow`` stops being
-    stepped.  Returns the ``Rollout``.
+    member count.  A member whose |x_k| exceeds ``overflow`` stops being
+    stepped, and the rollout stops once every member has.  Returns the
+    ``Rollout``.
     """
-    if not system.n_u and policy_u is not None:
-        raise ConfigurationError("this system takes no control input (n_u = 0)")
-    n, n_u = system.n, system.n_u
-    x0 = _as_vec(x0, n, "x0")
+    require_uncontrolled(system, "rollout")
+    x0 = _as_vec(x0, system.n, "x0")
     V = np.asarray(V, dtype=float)
     if V.shape[2:] != (system.n_v,):
         raise ConfigurationError(
@@ -538,22 +539,15 @@ def rollout(system, x0, V, seeds, policy_u=None, overflow=OVERFLOW_BOUND):
     ws = np.empty((M, K, system.noise.dim))
     for i, s in enumerate(seeds):
         ws[i] = system.noise.sample(s, K)
-    states = np.empty((M, K + 1, n))
-    outputs = np.empty((M, K, system.n_z))
-    us = np.empty((M, K, n_u)) if n_u else None
+    # zeros: the rows after an early stop are read by the energy einsums
+    states = np.zeros((M, K + 1, system.n))
+    outputs = np.zeros((M, K, system.n_z))
     states[:, 0] = x0
     X = states[:, 0].copy()
-    U = np.zeros((M, n_u))
+    U = np.zeros((M, 0))
     live = np.ones(M, dtype=bool)
     ends = np.full(M, K)
     for k in range(K):
-        if policy_u is not None:
-            U = np.asarray(policy_u(X, k), dtype=float)
-            if U.shape != (M, n_u):  # no broadcasting: u must match the plant
-                raise ConfigurationError(
-                    f"u has shape {U.shape[1:]}, expected ({n_u},)")
-        if n_u:
-            us[:, k] = U
         outputs[:, k] = system.output(k, X, U, V[:, k])
         X = system.transition(k, X, U, V[:, k], ws[:, k])
         states[:, k + 1] = X
@@ -563,18 +557,20 @@ def rollout(system, x0, V, seeds, policy_u=None, overflow=OVERFLOW_BOUND):
         if dead.any():
             ends[dead] = k + 1
             live &= ~dead
+            if not live.any():
+                break
             X = np.where(live[:, None], X, 0.0)  # keep dead rows finite
     del ws  # spent: the energy arrays below take its place in memory
-    return Rollout(states, outputs, V, us,
+    return Rollout(states, outputs, V,
                    np.einsum("mkj,mkj->mk", outputs, outputs),
-                   np.einsum("mkj,mkj->mk", V, V), ends, ~live, list(seeds))
+                   np.einsum("mkj,mkj->mk", V, V), ends, ~live)
 
 
 def simulate(system, x0, policy_v, horizon, seed, overflow=OVERFLOW_BOUND):
     """Roll the system forward ``horizon`` steps under seeded noise.
 
     ``policy_v`` is a DisturbancePolicy, zero when None.  A plant with
-    n_u > 0 runs at u = 0; simulate a feedback law as ``closed_loop(plant, law)``.
+    n_u > 0 is refused: simulate a feedback law as ``closed_loop(plant, law)``.
     Raises DivergenceError with the partial trajectory when |x_k| exceeds
     ``overflow``.
     """
@@ -589,7 +585,7 @@ def simulate(system, x0, policy_v, horizon, seed, overflow=OVERFLOW_BOUND):
 
 
 def simulate_ensemble(system, x0, ensemble, horizon, count, seed,
-                      policy_u=None, overflow=OVERFLOW_BOUND):
+                      overflow=OVERFLOW_BOUND):
     """Simulate ``count`` members with derived per-member sub-seeds and
     return their ``Rollout``; member i depends only on (seed, i)."""
     if horizon < 1:
@@ -597,7 +593,7 @@ def simulate_ensemble(system, x0, ensemble, horizon, count, seed,
     subs = [derive_seed(seed, i) for i in range(count)]
     V = ensemble.draw([derive_seed(sub, 2) for sub in subs], horizon)
     return rollout(system, x0, V, [derive_seed(sub, 1) for sub in subs],
-                   policy_u, overflow)
+                   overflow)
 
 
 def trajectory_csv_header(n, n_u, n_v):

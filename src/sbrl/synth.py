@@ -32,7 +32,9 @@ class FeedbackLaw:
     """State-feedback map u = alpha(x, k); time invariant unless k is used.
 
     ``law(X, k)`` maps (..., n) states to (..., n_u) controls, over any
-    leading dimensions.  The general
+    leading dimensions; ``fn`` may return fewer leading dimensions, which
+    broadcast, but never a control of another width.  ``closed_loop``
+    takes time-invariant laws: it calls ``law(X)``, at k = 0.  The general
     tier's worst-case disturbance map eta is one too, with n_u = n_v.
     """
 
@@ -44,8 +46,12 @@ class FeedbackLaw:
 
     def __call__(self, X, k=0):
         X = np.asarray(X, dtype=float)
-        return np.broadcast_to(np.asarray(self._fn(X, k), dtype=float),
-                               (*X.shape[:-1], self.n_u))
+        U = np.asarray(self._fn(X, k), dtype=float)
+        if U.shape[-1:] != (self.n_u,):
+            raise ConfigurationError(
+                f"law {self.kind} returned shape {U.shape}, expected rows "
+                f"of ({self.n_u},)")
+        return np.broadcast_to(U, (*X.shape[:-1], self.n_u))
 
     def spec(self):
         return dict(self._spec)
@@ -64,7 +70,8 @@ class FeedbackLaw:
 
 
 def closed_loop(plant: AffineSystem, law: FeedbackLaw) -> AffineSystem:
-    """Fold u = alpha(x) into the plant, yielding the disturbance-driven loop."""
+    """Fold u = alpha(x) into the plant, yielding the disturbance-driven
+    loop; the law is called at k = 0, so it must be time invariant."""
     if not plant.n_u:
         raise ConfigurationError(
             "closed_loop needs a plant with a control input, got n_u = 0")

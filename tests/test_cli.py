@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from sbrl import cli, library, noise
 from sbrl.dynamics import (GeneralSystem, Trajectory,
                            rollout, simulate_ensemble, trajectory_csv_rows)
+from sbrl.synth import closed_loop
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -223,7 +224,7 @@ def test_simulate_law_with_wrong_control_count_exits_two(tmp_path, capsys,
     }
     assert run(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "u " in err[0]
+    assert err == ["error: law returns 1 controls, plant expects 2"]
     assert not list((tmp_path / "out").glob("trajectory_*.csv"))
 
 
@@ -274,9 +275,11 @@ def csv_trajectories():
     """A closed-loop example 2 member (control columns), members that
     overflow to inf and to nan (0 * inf), and hand-set values whose repr
     takes the exponent form, with a -0.0."""
+    law = library.example2_law()
     member = simulate_ensemble(
-        library.example2_plant(), [1.0, 1.0, 0.5], library.example2_ensemble(),
-        40, 1, seed=7, policy_u=library.example2_law()).member(0)
+        closed_loop(library.example2_plant(), law), [1.0, 1.0, 0.5],
+        library.example2_ensemble(), 40, 1, seed=7).member(0)
+    member.controls = law(member.states[:-1])
     # x+ = x + v_1^2 v_2 with v_1 = 1e200 at step 2
     plant = GeneralSystem(1, 0, 2, F=lambda k, X, U, V, W:
                           X + V[..., :1] ** 2 * V[..., 1:],

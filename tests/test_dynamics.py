@@ -150,28 +150,26 @@ def test_seed_determinism_and_thread_independence():
     assert a.outputs.tobytes() == b.outputs.tobytes()
 
 
-@pytest.mark.parametrize("system,n_u", [
-    (library.example1_system(), 0),
-    (closed_loop(library.example2_plant(), library.example2_law()), 0),
-    (library.example2_plant(), 2),
-], ids=["example1", "example2-closed-loop", "example2-plant"])
-def test_rollout_checks_its_disturbance_array_once(system, n_u):
+@pytest.mark.parametrize("system", [
+    library.example1_system(),
+    closed_loop(library.example2_plant(), library.example2_law()),
+], ids=["example1", "example2-closed-loop"])
+def test_rollout_checks_its_disturbance_array_once(system):
     n, n_v = system.n, system.n_v
-    law = library.example2_law() if n_u else None
     with pytest.raises(ConfigurationError,
                        match=rf"^v has shape \({n_v + 1},\), expected \({n_v},\)$"):
-        rollout(system, np.zeros(n), np.zeros((2, 5, n_v + 1)), [1, 2], law)
+        rollout(system, np.zeros(n), np.zeros((2, 5, n_v + 1)), [1, 2])
     with pytest.raises(ConfigurationError, match="^1 seeds for 2 members$"):
-        rollout(system, np.zeros(n), np.zeros((2, 5, n_v)), [1], law)
+        rollout(system, np.zeros(n), np.zeros((2, 5, n_v)), [1])
     # no member: an empty rollout, whose members' columns are empty
-    run = rollout(system, np.zeros(n), np.zeros((0, 5, n_v)), [], law)
+    run = rollout(system, np.zeros(n), np.zeros((0, 5, n_v)), [])
     assert run.states.shape == (0, 6, n) and run.z_sq.shape == (0, 5)
     assert [e.shape for e in run.energies()] == [(0,), (0,)]
     run.raise_divergence()
     for call in (lambda: simulate(system, np.zeros(n), None, 0, 1),
                  lambda: simulate_ensemble(system, np.zeros(n),
                                            DisturbanceEnsemble.white(n_v), 0,
-                                           2, 1, law)):
+                                           2, 1)):
         with pytest.raises(ConfigurationError,
                            match="^horizon must be >= 1, got 0$"):
             call()
@@ -278,6 +276,17 @@ def test_parts_written_per_point_are_refused(name, f_parts, g_parts):
 def test_feedback_law_for_rows_only_is_refused_through_closed_loop(fn):
     with pytest.raises(ConfigurationError, match="state block"):
         closed_loop(library.example2_plant(), FeedbackLaw(fn, 2))
+
+
+def test_feedback_law_refuses_a_control_of_another_width():
+    narrow = FeedbackLaw(lambda X, k: -0.1 * X[..., :1], 2)
+    with pytest.raises(ConfigurationError, match=r"^law custom returned "
+                       r"shape \(4, 1\), expected rows of \(2,\)$"):
+        narrow(np.ones((4, 3)))
+    with pytest.raises(ConfigurationError, match=r"expected rows of \(2,\)"):
+        closed_loop(library.example2_plant(), narrow)
+    # leading dimensions still broadcast: the zero law gives one (n_u,) row
+    assert FeedbackLaw.zero(2)(np.ones((4, 3))).tolist() == [[0.0, 0.0]] * 4
 
 
 @pytest.mark.parametrize("build", [
@@ -420,6 +429,25 @@ def test_diverging_member_matches_its_single_run_and_spares_the_rest():
         batch.raise_divergence()
     assert err.value.step == 65
     assert same_trajectory(err.value.trajectory, batch.member(5))
+
+
+def test_rollout_stops_after_its_last_member_diverges():
+    # x+ = 1.5 x from x0 = 1 passes the overflow bound 1e12 at step 69
+    system = LinearSystem([[1.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]])
+    steps, transition = [], system.transition
+    system.transition = lambda k, *args: steps.append(k) or transition(k, *args)
+    run = rollout(system, [1.0], np.zeros((3, 100, 1)), [1, 2, 3])
+    assert steps == list(range(69))
+    assert run.ends.tolist() == [69] * 3 and run.diverged.all()
+    x = [1.0]
+    for _ in range(69):
+        x.append(1.5 * x[-1])
+    for i in range(3):
+        traj = run.member(i)
+        assert traj.states[:, 0].tolist() == x
+        assert traj.z_sq.tolist() == [s * s for s in x[:-1]]
+    # the rows after the stop hold zeros, which the energies read
+    assert not run.states[:, 70:].any() and not run.z_sq[:, 69:].any()
 
 
 def test_members_overflowing_to_inf_nan_or_past_the_bound_stop_alike():

@@ -7,10 +7,11 @@ import pytest
 
 from sbrl import certify, library, noise, synth
 from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, GeneralSystem,
-                           LinearSystem)
+                           LinearSystem, rollout, simulate, simulate_ensemble)
 from sbrl.errors import ConfigurationError, PreconditionError
 from sbrl.noise import ExpectationScheme, gaussian_noise, point_mass_noise
-from sbrl.storage import CustomStorage, DomainBox, QuadraticStorage
+from sbrl.storage import (CustomStorage, DomainBox, EstimatedStorage,
+                          QuadraticStorage)
 
 CF = ExpectationScheme(mode="closed-form")
 MC8 = ExpectationScheme(samples=8, seed=3)
@@ -116,7 +117,20 @@ def test_closed_loop_refuses_a_system_without_control():
     lambda plant, V, box: certify.check_external(plant, V, 1.5, 1.0, box, CF),
     lambda plant, V, box: certify.gamma_star_search(plant, [(1.0, V)], [1.5],
                                                     box, CF),
-], ids=["h0", "h1", "check_internal", "check_external", "gamma_star_search"])
+    lambda plant, V, box: rollout(plant, np.zeros(3), np.zeros((2, 5, 2)),
+                                  [1, 2]),
+    lambda plant, V, box: simulate(plant, np.zeros(3), None, 5, 1),
+    lambda plant, V, box: simulate_ensemble(
+        plant, np.zeros(3), library.example2_ensemble(), 5, 2, 1),
+    lambda plant, V, box: certify.empirical_gain(
+        plant, library.example2_ensemble(), 5, 2, 1.0, 1),
+    lambda plant, V, box: certify.dissipation_profile(
+        plant, V, 1.0, library.example2_ensemble(), 5, 2, 1),
+    lambda plant, V, box: EstimatedStorage(plant, 20, 2, 1).evaluate(
+        [0.1] * 3),
+], ids=["h0", "h1", "check_internal", "check_external", "gamma_star_search",
+        "rollout", "simulate", "simulate_ensemble", "empirical_gain",
+        "dissipation_profile", "EstimatedStorage"])
 def test_routines_without_control_refuse_a_plant(routine):
     V = library.example2_storage()
     V.claims_convex = True
