@@ -23,7 +23,17 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose a count, set before numpy loads
+# (and only then, when it can act): no sbrl matrix is large enough for a
+# second thread, and an idle OpenBLAS worker spins for about 0.13 CPU-s
+# per process.  Results do not depend on it.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if "numpy" not in sys.modules and not any(
+        name in os.environ for name in BLAS_THREAD_ENV):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
+
+import numpy as np  # noqa: E402  (after the BLAS pin)
 
 from . import __version__, certify, library, synth
 from .dynamics import LinearSystem, simulate_ensemble, trajectory_csv_rows
@@ -330,17 +340,13 @@ def _resolved_system(resolved):
     return system, library.law_from_config(resolved["law"])
 
 
-def _law(law, needed_by):
-    if law is None:
-        raise ConfigurationError(f"law: required for {needed_by}")
-    return law
-
-
 def _closed_loop(system, law, needed_by="a controlled system"):
     """``system``, closed by the configured law when it takes a control."""
     if not system.n_u:
         return system
-    return synth.closed_loop(system, _law(law, needed_by))
+    if law is None:
+        raise ConfigurationError(f"law: required for {needed_by}")
+    return synth.closed_loop(system, law)
 
 
 def _storage(resolved, kind):
@@ -390,43 +396,43 @@ def cmd_certify(resolved):
     if resolved["certificate"]["kind"] == "linear-brl":
         status = _run_linear_brl(resolved, writer)
     else:
-        status = _certificate(resolved, writer,
-                              *_resolved_system(resolved)).status
+        cert, _ = _certificate(resolved, writer, *_resolved_system(resolved))
+        status = cert.status
     writer.finish(status)
     return status_exit_code(status)
 
 
 def _certificate(resolved, writer, system, law):
     """Run the configured sampled certificate on ``system`` into
-    ``writer``; returns it."""
+    ``writer``; returns it and the loop that ``law`` closes (``system``
+    itself without a control input), built once: every sampled kind runs
+    on that loop."""
     cert_block = resolved["certificate"]
     kind = cert_block["kind"]
     scheme = _scheme_from(cert_block, resolved["seed"])
     t0 = time.perf_counter()
     domain = _domain(cert_block, system)
+    loop = _closed_loop(system, law, f"certificate kind {kind}")
     if kind == "controller":
         if not system.n_u:
             raise ConfigurationError(
                 "certificate.kind: controller needs a system with control input")
         cert = synth.certify_controller(
-            system, _law(law, "certificate kind controller"),
-            _storage(resolved, kind), float(cert_block["beta"]),
+            loop, law, _storage(resolved, kind), float(cert_block["beta"]),
             _gamma_sq_from(cert_block), domain, scheme)
-    else:  # every other sampled kind runs on the loop that the law closes
-        system = _closed_loop(system, law, f"certificate kind {kind}")
-        if kind == "internal":
-            cert = certify.check_internal(
-                system, _storage(resolved, kind), float(cert_block["c2"]),
-                domain, scheme)
-        elif kind == "external":
-            cert = certify.check_external(
-                system, _storage(resolved, kind), float(cert_block["beta"]),
-                _gamma_sq_from(cert_block), domain, scheme)
-        else:  # gamma-star: the external check at the searched optimum
-            search, V = _gamma_star(system, resolved)
-            cert = certify.check_external(
-                system, V, search.beta, search.gamma_star_sq, domain, scheme)
-            cert.provenance["gamma_star"] = search.to_dict()
+    elif kind == "internal":
+        cert = certify.check_internal(
+            loop, _storage(resolved, kind), float(cert_block["c2"]),
+            domain, scheme)
+    elif kind == "external":
+        cert = certify.check_external(
+            loop, _storage(resolved, kind), float(cert_block["beta"]),
+            _gamma_sq_from(cert_block), domain, scheme)
+    else:  # gamma-star: the external check at the searched optimum
+        search, V = _gamma_star(loop, resolved)
+        cert = certify.check_external(
+            loop, V, search.beta, search.gamma_star_sq, domain, scheme)
+        cert.provenance["gamma_star"] = search.to_dict()
 
     writer.add_certificate(cert)
     writer.timings["certify_s"] = time.perf_counter() - t0
@@ -435,7 +441,7 @@ def _certificate(resolved, writer, system, law):
                "h1_worst": cert.provenance.get("h1_worst")}
     writer.write_json("margins.json", margins)
     log.info("certificate %s: %s", kind, cert.status)
-    return cert
+    return cert, loop
 
 
 def _run_linear_brl(resolved, writer):
@@ -560,9 +566,8 @@ def cmd_example(resolved):
     summary.json and the member's plots."""
     writer = RunWriter(resolved["output"]["dir"], resolved)
     system, law = _resolved_system(resolved)
-    cert = _certificate(resolved, writer, system, law)
+    cert, loop = _certificate(resolved, writer, system, law)
     gamma_sq = cert.provenance["gamma_sq"]
-    loop = _closed_loop(system, law)
     verdicts, gain_verdict = _gain(resolved, writer, loop, gamma_sq)
     sim_status, traj = _simulate(resolved, writer, 1, loop, law)
     if "svg" in resolved["output"]["formats"]:

@@ -98,14 +98,12 @@ def closed_loop(plant: AffineSystem, law: FeedbackLaw) -> AffineSystem:
     )
 
 
-def certify_controller(plant, law, V, beta, gamma_sq, domain: DomainBox,
+def certify_controller(loop, law, V, beta, gamma_sq, domain: DomainBox,
                        scheme) -> Certificate:
-    """Certify a law via the closed loop's external-stability check.
-
-    By construction this returns exactly the statuses and margins of
-    check_external on closed_loop(plant, law) with the same seeds.
+    """Certify a law via the external-stability check of its closed loop
+    ``loop`` = closed_loop(plant, law): check_external's statuses and
+    margins with the same seeds, plus a note naming the law.
     """
-    loop = closed_loop(plant, law)
     cert = check_external(loop, V, beta, gamma_sq, domain, scheme)
     cert.notes.append(f"controller certificate for law '{law.kind}'")
     return cert

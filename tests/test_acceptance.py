@@ -75,14 +75,14 @@ def test_criterion_03_example1_h1_boundary():
 
 
 def test_criterion_04_example2_controller_certificate():
-    plant = library.example2_plant()
+    law = library.example2_law()
     beta = library.EXAMPLE2_BETA
     scheme = ExpectationScheme(samples=100_000, seed=SEED)
     box = DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 7))
     t0 = time.perf_counter()
     cert = synth.certify_controller(
-        plant, library.example2_law(), library.example2_storage(),
-        beta, 0.5625, box, scheme)
+        synth.closed_loop(library.example2_plant(), law), law,
+        library.example2_storage(), beta, 0.5625, box, scheme)
     elapsed = time.perf_counter() - t0
     g_sup = cert.provenance["g_beta_sup"]
     expected = beta / (beta - 1.0) / 16.0  # = 0.430998734648594
@@ -232,10 +232,11 @@ def test_criterion_12_determinism():
         for _ in range(2)
     ]
     plant = library.example2_plant()
+    law = library.example2_law()
     scheme = ExpectationScheme(samples=10_000, seed=SEED)
     certs = [
         synth.certify_controller(
-            plant, library.example2_law(), library.example2_storage(),
+            synth.closed_loop(plant, law), law, library.example2_storage(),
             library.EXAMPLE2_BETA, 0.5625,
             DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3)), scheme).to_dict()
         for _ in range(2)

@@ -445,6 +445,25 @@ def test_example_builds_the_system_and_the_law_once(tmp_path, monkeypatch):
     assert counts == {"system_from_config": 1, "law_from_config": 1}
 
 
+def test_example_two_builds_its_closed_loop_once(tmp_path, monkeypatch):
+    # the controller certificate, the gain ensembles and the simulated
+    # member all run on one loop; a small example 2 config
+    from sbrl import synth
+    calls = []
+
+    def counted(*args, _fn=synth.closed_loop):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(synth, "closed_loop", counted)
+    cfg = cli.load_config(Path(cli.__file__).with_name("example2.json"))
+    cfg["certificate"]["domain"]["grid"] = 2
+    cfg["ensemble"].update(count=3, horizon=20)
+    resolved = cli.resolve_config(cfg, out_override=tmp_path)
+    assert cli.cmd_example(resolved) == 0
+    assert len(calls) == 1
+
+
 def test_example_two_under_monte_carlo_agrees_with_closed_form(tmp_path):
     # example 2 ships in closed form; Monte Carlo stays a stated choice and
     # samples the same separable G_beta gram
@@ -754,6 +773,81 @@ def run_process(args, log_level):
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "sbrl.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def blas_env(**given):
+    """The environment of a fresh interpreter that imports sbrl from src,
+    with none of the BLAS thread variables but those ``given``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return dict(env, **given)
+
+
+def run_python(code, env):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts threads in /proc/self/task")
+def test_cli_pins_blas_to_one_thread_before_numpy_loads():
+    # an OpenBLAS worker per further core would spin idle after loading
+    threads, pinned = run_python(
+        "import json, os, sbrl.cli; print(json.dumps("
+        "[len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS')]))", blas_env())
+    assert (threads, pinned) == (1, "1")
+
+
+def test_cli_keeps_the_callers_blas_thread_count():
+    values = run_python(
+        "import json, os, sbrl.cli; print(json.dumps({k: os.environ.get(k) "
+        "for k in sbrl.cli.BLAS_THREAD_ENV}))", blas_env(OMP_NUM_THREADS="2"))
+    assert values == dict.fromkeys(cli.BLAS_THREAD_ENV) | {"OMP_NUM_THREADS": "2"}
+
+
+def test_importing_the_package_leaves_the_environment_alone():
+    assert run_python(
+        "import json, os; before = dict(os.environ); import sbrl; "
+        "from sbrl import AffineSystem; "
+        "print(json.dumps(dict(os.environ) == before))", blas_env())
+
+
+def test_package_attributes_load_their_submodules():
+    # the lazy exports still bind each submodule as an attribute on use
+    assert run_python(
+        "import json, sbrl; print(json.dumps([sbrl.certify.__name__, "
+        "sbrl.dynamics.__name__, hasattr(sbrl, 'no_such_module')]))",
+        blas_env()) == ["sbrl.certify", "sbrl.dynamics", False]
+
+
+def test_cli_sets_nothing_once_numpy_has_loaded():
+    # the pin cannot act on a loaded BLAS, so it leaves children alone
+    assert run_python(
+        "import json, os, numpy, sbrl.cli; print(json.dumps("
+        "[os.environ.get(k) for k in sbrl.cli.BLAS_THREAD_ENV]))",
+        blas_env()) == [None] * 5
+
+
+def test_example_one_bytes_do_not_depend_on_blas_threads(tmp_path):
+    outs = {}
+    for name, env in (("pinned", blas_env()),
+                      ("two", blas_env(OPENBLAS_NUM_THREADS="2"))):
+        outs[name] = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "sbrl.cli", "example", "1",
+             "--out", str(outs[name])],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    artifacts = {name: {p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "report.json"}
+                 for name, out in outs.items()}
+    assert len(artifacts["pinned"]) > 1
+    assert artifacts["pinned"] == artifacts["two"]
 
 
 def test_internal_failure_traceback_under_debug_log(tmp_path):

@@ -255,7 +255,7 @@ def sweeps():
         "linear-internal": lambda s: certify.check_internal(
             LINEAR, VL, 3.0, LINEAR_BOX, s),
         "example2-controller": lambda s: synth.certify_controller(
-            PLANT_2, library.example2_law(), V2, beta2,
+            LOOP_2, library.example2_law(), V2, beta2,
             0.75 ** 2, EX2_BOX, s),
         "example2-internal": lambda s: certify.check_internal(
             LOOP_2, V2, 1.0, EX2_BOX, s),

@@ -192,10 +192,10 @@ def test_design_functional_under_law_is_h1_of_closed_loop():
 # -------------------------------------------------------------- controller
 
 def test_certify_controller_example2():
-    plant = library.example2_plant()
+    law = library.example2_law()
     cert = synth.certify_controller(
-        plant, library.example2_law(), library.example2_storage(),
-        library.EXAMPLE2_BETA, 0.5625,
+        synth.closed_loop(library.example2_plant(), law), law,
+        library.example2_storage(), library.EXAMPLE2_BETA, 0.5625,
         DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 5)),
         ExpectationScheme(samples=20_000, seed=6))
     assert cert.status == "certified"
@@ -204,10 +204,10 @@ def test_certify_controller_example2():
 
 
 def test_certify_controller_tight_gamma_falsified():
-    plant = library.example2_plant()
+    law = library.example2_law()
     cert = synth.certify_controller(
-        plant, library.example2_law(), library.example2_storage(),
-        library.EXAMPLE2_BETA, 0.40,
+        synth.closed_loop(library.example2_plant(), law), law,
+        library.example2_storage(), library.EXAMPLE2_BETA, 0.40,
         DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3)),
         ExpectationScheme(samples=5_000, seed=6))
     assert cert.status == "falsified"
@@ -225,9 +225,10 @@ def test_certify_controller_zero_plant_any_gamma():
         g_parts=lambda x: (np.zeros((1, 1)), [np.zeros((1, 1))]),
         n_u=1,
     )
+    law = synth.FeedbackLaw.zero(1)
     for gamma in (0.05, 1.0, 50.0):
         cert = synth.certify_controller(
-            plant, synth.FeedbackLaw.zero(1), QuadraticStorage([[1.0]]),
+            synth.closed_loop(plant, law), law, QuadraticStorage([[1.0]]),
             2.0, gamma ** 2, DomainBox((-3.0,), (3.0,), ("grid", 11)), CF)
         assert cert.status == "certified"
 
@@ -239,7 +240,8 @@ def test_controller_certificate_matches_external_check_on_loop():
     box = DomainBox((-2.0,) * 3, (2.0,) * 3, ("grid", 3))
     scheme = ExpectationScheme(samples=4_000, seed=9)
     via_controller = synth.certify_controller(
-        plant, law, V, library.EXAMPLE2_BETA, 0.5625, box, scheme)
+        synth.closed_loop(plant, law), law, V, library.EXAMPLE2_BETA, 0.5625,
+        box, scheme)
     via_loop = certify.check_external(
         synth.closed_loop(plant, law), V, library.EXAMPLE2_BETA, 0.5625,
         box, scheme)
