@@ -13,7 +13,10 @@ on top of which sit the internal/external stability checks, the gamma-star
 upper-bound search, the algebraic linear-case checks, and the empirical
 gain falsifier.  All quantities come back as Estimate(value, std_error);
 expectations follow the caller's ExpectationScheme, so a Monte Carlo and a
-closed-form route through the same functional stay genuinely independent.
+closed-form route through the same functional are independent, except
+that a Monte Carlo separable G_beta reads the declared ``g_parts`` and takes
+the closed-form value at each row whose gain has no noise part: a block of
+such rows, as in the shipped example 2, draws nothing.
 """
 
 import math

@@ -340,7 +340,7 @@ def _resolved_system(resolved):
     return system, library.law_from_config(resolved["law"])
 
 
-def _closed_loop(system, law, needed_by="a controlled system"):
+def _closed_loop(system, law, needed_by):
     """``system``, closed by the configured law when it takes a control."""
     if not system.n_u:
         return system
@@ -475,7 +475,7 @@ def cmd_gain(resolved):
     if "ensemble" not in resolved:
         raise ConfigurationError("ensemble: required for 'gain'")
     writer = RunWriter(resolved["output"]["dir"], resolved)
-    system = _closed_loop(*_resolved_system(resolved))
+    system = _closed_loop(*_resolved_system(resolved), "'gain'")
     cert_block = resolved.get("certificate", {})
     if "gamma_sq" in resolved["ensemble"]:
         gamma_sq = float(resolved["ensemble"]["gamma_sq"])
@@ -525,7 +525,7 @@ def cmd_simulate(resolved):
     if system.n_u and law is None:  # the open-loop run of a plant
         law = synth.FeedbackLaw.zero(system.n_u)
     status, _ = _simulate(resolved, writer, int(resolved["ensemble"]["count"]),
-                          _closed_loop(system, law), law)
+                          _closed_loop(system, law, "'simulate'"), law)
     writer.finish(status)
     return status_exit_code(status)
 
@@ -536,6 +536,9 @@ def _simulate(resolved, writer, count, loop, law):
     to the first diverged member; returns the status and the last member."""
     ens_block = resolved["ensemble"]
     x0 = np.asarray(ens_block.get("x0", [0.0] * loop.n), dtype=float)
+    if x0.shape != (loop.n,):
+        raise ConfigurationError(
+            f"ensemble.x0: {x0.size} values for a {loop.n}-state system")
     ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
                                             loop.n_v)
     csv = "csv" in resolved["output"]["formats"]

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import noise as _noise
 from .errors import ConfigurationError, DivergenceError
 from .noise import derive_seed, gaussian_noise
 
@@ -381,8 +382,8 @@ class DisturbanceEnsemble:
     """Family of disturbance sequences, one per member, seeded per member.
 
     ``draw(sub_seeds, K)`` is the (M, K, n_v) array of the first K values
-    of each member's sequence, member i drawn from ``sub_seeds[i]`` alone;
-    ``spec()`` names the kind and its parameters.
+    of each member's sequence, member i drawn from ``sub_seeds[i]`` alone,
+    by a generator of one ``noise.streams``; ``spec()`` names the kind.
     """
 
     def __init__(self, draw, spec):
@@ -418,9 +419,9 @@ class DisturbanceEnsemble:
             powers = np.array([decay ** k for k in range(K)])
             sine = np.sin(freqs * np.arange(K, dtype=float)[:, None] + phases)
             out = np.empty((len(subs), K, n_v))
-            for i, sub in enumerate(subs):
-                amp = np.random.default_rng(int(sub)).uniform(lo, hi)
-                np.multiply((amp * powers)[:, None], sine, out=out[i])
+            for rows, rng in zip(out, _noise.streams(subs)):
+                np.multiply((rng.uniform(lo, hi) * powers)[:, None], sine,
+                            out=rows)
             return out
 
         return DisturbanceEnsemble(draw, {
@@ -435,9 +436,9 @@ class DisturbanceEnsemble:
             # one stream per member in step order: a longer horizon extends
             # a shorter one
             out = np.empty((len(subs), K, n_v))
-            for i, sub in enumerate(subs):
-                out[i] = std * np.random.default_rng(int(sub)).standard_normal(
-                    (K, n_v))
+            for rows, rng in zip(out, _noise.streams(subs)):
+                rng.standard_normal(out=rows)
+            out *= std
             return out
 
         return DisturbanceEnsemble(draw, {"kind": "white", "std": std})
@@ -522,8 +523,9 @@ def rollout(system, x0, V, seeds, overflow=OVERFLOW_BOUND):
     steps, V being the (M, K, n_v) disturbance array.
 
     Member i starts at x0 and is driven by ``V[i]`` and the noise drawn
-    from ``seeds[i]``; rows never mix, so member i is the same for any
-    member count.  A member whose |x_k| exceeds ``overflow`` stops being
+    from ``seeds[i]``, every member's noise filled at once by
+    ``noise.sample_streams``; rows never mix, so member i is the same for
+    any member count.  A member whose |x_k| exceeds ``overflow`` stops being
     stepped, and the rollout stops once every member has.  Returns the
     ``Rollout``.
     """
@@ -536,9 +538,7 @@ def rollout(system, x0, V, seeds, overflow=OVERFLOW_BOUND):
     M, K = V.shape[:2]
     if len(seeds) != M:
         raise ConfigurationError(f"{len(seeds)} seeds for {M} members")
-    ws = np.empty((M, K, system.noise.dim))
-    for i, s in enumerate(seeds):
-        ws[i] = system.noise.sample(s, K)
+    ws = system.noise.sample_streams(seeds, K)
     # zeros: the rows after an early stop are read by the energy einsums
     states = np.zeros((M, K + 1, system.n))
     outputs = np.zeros((M, K, system.n_z))

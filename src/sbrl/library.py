@@ -20,7 +20,7 @@ the exact expectation paths, once over leading dimensions
 import numpy as np
 
 from .dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
-                       LinearSystem, leading_shape)
+                       LinearSystem)
 from .errors import ConfigurationError
 from .noise import NoiseModel, Uniform, gaussian_noise
 from .storage import QuadraticStorage, SeparableStorage
@@ -94,24 +94,10 @@ def example2_plant() -> AffineSystem:
 
     def f(X, U, W):
         x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
-        # three contiguous columns of one (3, ...) block, each written in
-        # place with one scratch array, in the operation order
-        # (W0 x1 + W1 x2^2) + u1, (W2 x2 + W3 sat(x3)) + u2, (W4 x3) cos(x2) + u1;
-        # x2^2, sat(x3) and cos(x2) are formed once per state row
-        lead = leading_shape(X, U, W)
-        out = np.empty((3, *lead))
-        c0, c1, c2 = out
-        tmp = np.empty(lead)
-        np.multiply(W[..., 0], x1, out=c0)
-        c0 += np.multiply(W[..., 1], x2 ** 2, out=tmp)
-        c0 += U[..., 0]
-        np.multiply(W[..., 2], x2, out=c1)
-        c1 += np.multiply(W[..., 3], _saturation(x3), out=tmp)
-        c1 += U[..., 1]
-        np.multiply(W[..., 4], x3, out=c2)
-        c2 *= np.cos(x2)
-        c2 += U[..., 0]
-        return np.moveaxis(out, 0, -1)
+        return np.stack([W[..., 0] * x1 + W[..., 1] * x2 ** 2 + U[..., 0],
+                         W[..., 2] * x2 + W[..., 3] * _saturation(x3)
+                         + U[..., 1],
+                         W[..., 4] * x3 * np.cos(x2) + U[..., 0]], axis=-1)
 
     def f_parts(X, U):
         x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
@@ -123,11 +109,10 @@ def example2_plant() -> AffineSystem:
 
     def m(X, U):
         x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
-        out = np.empty((*leading_shape(X, U), 3))
-        out[..., 0] = 0.1 * x1 + 0.1 * x3 * np.cos(x2)
-        out[..., 1] = x2 ** 2 / 7.0
-        out[..., 2] = U[..., 0]
-        return out
+        # a fixed control (1, n_u) broadcasts against a block of states
+        return np.stack(np.broadcast_arrays(
+            0.1 * x1 + 0.1 * x3 * np.cos(x2), x2 ** 2 / 7.0, U[..., 0]),
+            axis=-1)
 
     return AffineSystem(
         3, 2,
@@ -241,7 +226,11 @@ def ensemble_from_config(block, n_v) -> DisturbanceEnsemble:
     if kind == "zero":
         return DisturbanceEnsemble.fixed(DisturbancePolicy.zero(n_v))
     if kind == "recorded":
-        return DisturbanceEnsemble.fixed(
-            DisturbancePolicy.recorded(block["values"]))
-    return DisturbanceEnsemble.fixed(
-        DisturbancePolicy.impulse(int(block["step"]), block["vector"]))
+        key, policy = "values", DisturbancePolicy.recorded(block["values"])
+    else:
+        key, policy = "vector", DisturbancePolicy.impulse(int(block["step"]),
+                                                          block["vector"])
+    if policy.n_v != n_v:
+        raise ConfigurationError(f"ensemble.disturbance.{key}: {policy.n_v} "
+                                 f"values per step for n_v = {n_v}")
+    return DisturbanceEnsemble.fixed(policy)

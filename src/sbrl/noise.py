@@ -12,9 +12,10 @@ bits of that point evaluated alone.
 All randomness is reproducible: sampling is a pure function of
 (model, seed, count) and sub-streams are derived with a splitmix64 hash so
 that ensemble results do not depend on evaluation order or worker count.
-A seed's stream is that of ``np.random.default_rng(seed)``; a sweep seeds
-all its points from one table of numpy's SeedSequence hash, computed on
-all their seeds at once, instead of hashing each seed on its own.
+A seed's stream is that of ``np.random.default_rng(seed)``: every draw
+takes its generators from ``streams``, which seeds many seeds from one
+table of numpy's SeedSequence hash, computed on all of them at once, and
+every noise draw is filled by ``NoiseModel.sample_streams``.
 """
 
 import hashlib
@@ -106,21 +107,31 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
+def _owned_seeding(seeds):
+    """Two or more seeds' ``seed_table`` and a PCG64 ``Generator`` to set
+    to each row; (None, None) for a lone seed, which numpy hashes quicker."""
+    if len(seeds) < 2:
+        return None, None
+    return seed_table(seeds), np.random.Generator(np.random.PCG64(0))
+
+
 def streams(seeds, table=None, rng=None):
     """A generator at the start of the stream of ``np.random.default_rng(s)``
-    for each seed s in turn: the one seeding path of every draw.
+    for each seed s in turn, masked to 64 bits: the one seeding path of
+    every draw.
 
-    Given the seeds' ``seed_table`` and an owned PCG64 ``Generator``
-    ``rng``, it sets ``rng`` to each seed's state, PCG64's srandom on the
-    table row (about 5 us), so each generator is valid until the next is
-    taken.  Without a table each seed is hashed by numpy (about 20 us),
-    quicker for a lone seed than the ~150 numpy calls of a one-row table
-    (about 240 us; a 256-row table takes about 320 us).
+    Two or more seeds are hashed together into their ``seed_table`` (or
+    the caller's ``table``), and one owned generator (or ``rng``) is set to
+    each seed's state, PCG64's srandom on the table row (about 5 us), valid
+    until the next is taken.  A lone seed is hashed by numpy (about 20 us),
+    quicker than a one-row table (about 240 us; 256 rows take 320 us).
     """
     if table is None:
-        for s in seeds:
-            yield np.random.default_rng(int(s) & _MASK64)
-        return
+        seeds = [int(s) & _MASK64 for s in seeds]
+        table, rng = _owned_seeding(seeds)
+        if table is None:
+            yield from map(np.random.default_rng, seeds)
+            return
     for a, b, c, d in table.tolist():
         inc = ((c << 64 | d) << 1 | 1) & _MASK128
         state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
@@ -241,25 +252,23 @@ class NoiseModel:
         return self.components[coord].moment(k)
 
     def sample(self, seed: int, count: int):
-        """Draw ``count`` i.i.d. vectors as a read-only (count, dim) matrix.
+        """One seed's ``sample_streams``: a read-only (count, dim) matrix."""
+        return self.sample_streams([seed], count)[0]
 
-        Deterministic in (model, seed, count): the stream of
-        ``np.random.default_rng(seed)``, each coordinate filled in place as
-        one column of a column-major matrix.
-        """
+    def sample_streams(self, seeds, count, table=None, rng=None):
+        """The first ``count`` draws of each seed's ``streams`` stream (with
+        its ``table`` and ``rng``) as one read-only (len(seeds), count, dim)
+        view of a (len(seeds), dim, count) buffer, each coordinate filled in
+        place as one row: the one fill body of every draw."""
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        out = np.empty((self.dim, count))
-        self.fill(next(streams([seed])), out)
-        out = out.T
+        buf = np.empty((len(seeds), self.dim, count))
+        for rows, gen in zip(buf, streams(seeds, table, rng)):
+            for c, row in zip(self.components, rows):
+                c.fill(gen, row)
+        out = buf.transpose(0, 2, 1)
         out.flags.writeable = False
         return out
-
-    def fill(self, rng, rows):
-        """Draw into the (dim, count) array ``rows``, coordinate by
-        coordinate, each row in place."""
-        for c, row in zip(self.components, rows):
-            c.fill(rng, row)
 
     def mirror(self, draws):
         """Reflect draws about each coordinate's symmetry point (read-only)."""
@@ -346,19 +355,19 @@ class PointDraws:
 
     Point i draws the stream of ``np.random.default_rng(seeds[i])``.  Two
     or more points are seeded from one ``seed_table`` and one owned
-    generator, which every ``block`` of them shares; ``draws`` fills a
-    noise model's draws of every point on first use, and every functional
-    at the block shares them until the block is dropped.
+    generator, which every ``block`` of them shares; ``draws`` and
+    ``replica`` fill every point on first use, and every functional at the
+    block shares them until the block is dropped.
     """
 
     def __init__(self, scheme, seeds, table=None, rng=None):
         self.scheme = scheme
         self.seeds = seeds
-        if table is None and len(seeds) > 1:
-            table = seed_table(seeds)
-            rng = np.random.Generator(np.random.PCG64(0))
+        if table is None:
+            table, rng = _owned_seeding(seeds)
         self._table, self._rng = table, rng
         self._filled = {}
+        self._replicas = {}
 
     def __len__(self):
         return len(self.seeds)
@@ -375,24 +384,23 @@ class PointDraws:
         return part
 
     def replica(self, r) -> "PointDraws":
-        """Replica r of these points: point i draws from the stream of
-        ``derive_seed(seeds[i], r)``."""
-        return PointDraws(self.scheme, [derive_seed(s, r) for s in self.seeds])
+        """Replica r of these points, kept with them: point i draws from
+        the stream of ``derive_seed(seeds[i], r)``."""
+        out = self._replicas.get(r)
+        if out is None:
+            out = self._replicas[r] = PointDraws(
+                self.scheme, [derive_seed(s, r) for s in self.seeds])
+        return out
 
     def draws(self, noise):
-        """The draws of every point as a read-only (points, N, dim) view of
-        one (points, dim, N) buffer: point i's coordinates are contiguous
-        rows, drawn in the order of ``NoiseModel.sample``, so point i's
-        (N, dim) matrix is ``noise.sample(seeds[i], N)`` bit for bit."""
+        """The draws of every point, ``noise.sample_streams`` of the seeds
+        at ``draws_per_point`` rows, filled on first use and kept: point
+        i's (N, dim) matrix is ``noise.sample(seeds[i], N)`` bit for bit."""
         out = self._filled.get(noise)
         if out is None:
-            buf = np.empty((len(self), noise.dim,
-                            self.scheme.draws_per_point()))
-            for rows, rng in zip(buf, streams(self.seeds, self._table,
-                                              self._rng)):
-                noise.fill(rng, rows)
-            out = self._filled[noise] = buf.transpose(0, 2, 1)
-            out.flags.writeable = False
+            out = self._filled[noise] = noise.sample_streams(
+                self.seeds, self.scheme.draws_per_point(), self._table,
+                self._rng)
         return out
 
 

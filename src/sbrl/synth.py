@@ -283,7 +283,9 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
 
     Stochastic plants average each Hessian stencil value over _HESS_REPS
     derived Monte Carlo replications with common random numbers across
-    stencil points and sub-checks.  A functional that cannot be evaluated
+    stencil points and sub-checks: replica r is ``PointDraws.replica(r)``
+    of the sweep block, filled once for all its points, and each check
+    reads point i's slice of it.  A functional that cannot be evaluated
     at a point makes that sub-check's margin NaN there (inconclusive).
     """
     n_u, n_v, V_of = plant.n_u, plant.n_v, _storage_sequence(V_seq)
@@ -295,21 +297,15 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         [np.zeros((n_v, n_u)), saddle.N],
     ])
 
-    replicas = {}  # point seed -> its replicas, for the current block only
-
     def at_block(P, points):
         """The block's states X, times ks, points p0 = (alpha_k(x),
-        eta_k(x)) and H(i, p, r), the (value, SE) of H_k(x_i, p),
-        p = (u, v), from replica r of point i's draws, which the three
-        checks share."""
-        seeds = [None] * len(P) if points is None else points.seeds
-        for seed in replicas.keys() - set(seeds):  # the last block's
-            del replicas[seed]
-        for i, seed in enumerate(seeds):
-            if seed not in replicas:
-                one = None if points is None else points.block(i, i + 1)
-                replicas[seed] = [None if one is None else one.replica(r)
-                                  for r in range(_HESS_REPS)]
+        eta_k(x)) and H(i, p, r), the (value, SE) of H_k(x_i, p) at
+        p = (u, v) from point i of the block's replica r, which is filled
+        once for all its points and shared by the three checks."""
+        reps = [] if points is None else [points.replica(r)
+                                          for r in range(_HESS_REPS)]
+        for rep in reps:
+            rep.draws(plant.noise)
         X, ks = P[:, :-1], [int(k) for k in P[:, -1]]
         P0 = np.array([np.concatenate([saddle.alpha(x[None], k)[0],
                                        saddle.eta(x[None], k)[0]])
@@ -318,7 +314,7 @@ def taylor_certify(plant, saddle: SaddleData, V_seq, domain: DomainBox,
         def H(i, p, r):
             value, se = _h_k_block(V_of, plant, X[i:i + 1], p[None, :n_u],
                                    p[None, n_u:], ks[i],
-                                   replicas[seeds[i]][r])
+                                   reps[r].block(i, i + 1) if reps else None)
             return value[0], se[0]
         return X, ks, P0, H
 

@@ -121,6 +121,30 @@ def test_malformed_decaying_sine_exits_two_naming_the_key(tmp_path, capsys,
     assert f"ensemble.disturbance.{field}: " in err
 
 
+@pytest.mark.parametrize("command, system, ensemble, expected", [
+    ("gain", "example1",
+     {"disturbance": {"kind": "recorded", "values": [[1.0, 2.0]]}},
+     "ensemble.disturbance.values: 2 values per step for n_v = 1"),
+    ("gain", "example1",
+     {"disturbance": {"kind": "impulse", "step": 0,
+                      "vector": [1.0, 2.0, 3.0]}},
+     "ensemble.disturbance.vector: 3 values per step for n_v = 1"),
+    ("simulate", "example1",
+     {"x0": [1.0, 2.0], "disturbance": {"kind": "white"}},
+     "ensemble.x0: 2 values for a 1-state system"),
+    ("gain", "example2", {"disturbance": {"kind": "white"}},
+     "law: required for 'gain'"),
+], ids=["recorded-values", "impulse-vector", "x0", "gain-without-law"])
+def test_ensemble_or_law_mismatch_exits_two_naming_the_key(
+        tmp_path, capsys, command, system, ensemble, expected):
+    cfg = {"system": {"builtin": system},
+           "ensemble": {"horizon": 5, "count": 2, "gamma_sq": 0.1,
+                        **ensemble},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+
+
 def test_gain_example1_consistent(tmp_path):
     cfg = {
         "seed": 5,

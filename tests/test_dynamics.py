@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbrl import library
+from sbrl import library, noise
 from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
                            GeneralSystem, LinearSystem, rollout, simulate,
                            simulate_ensemble, trajectory_csv_rows)
@@ -335,6 +335,50 @@ def test_decaying_sine_amplitude_is_member_specific():
     assert ens.draw([2], 2).tobytes() == V[1:].tobytes()
 
 
+def count_streams(monkeypatch):
+    """The seed lists that enter ``noise.streams``, one per call."""
+    calls, streams = [], noise.streams
+
+    def counted(seeds, *args):
+        calls.append(list(seeds))
+        return streams(seeds, *args)
+
+    monkeypatch.setattr(noise, "streams", counted)
+    return calls
+
+
+@pytest.mark.parametrize("draw", ["rollout", "decaying-sine", "white"])
+def test_two_hundred_members_enter_the_streams_once(monkeypatch, draw):
+    # one table seeds every member, and each member's draws are those of
+    # its seed alone
+    subs = [derive_seed(3, i) for i in range(200)]
+    ensembles = library.example1_ensembles()
+    if draw == "rollout":
+        system = library.example1_system()
+
+        def run(seeds):
+            return rollout(system, [0.1], np.ones((len(seeds), 4, 1)),
+                           seeds).states
+    else:
+        def run(seeds):
+            return ensembles[draw].draw(seeds, 4)
+    calls = count_streams(monkeypatch)
+    together = run(subs)
+    assert calls == [subs]
+    for i in (0, 117, 199):
+        assert run(subs[i:i + 1]).tobytes() == together[i:i + 1].tobytes()
+
+
+def test_rollout_members_keep_their_bits_at_any_seed():
+    # a negative seed is masked to 64 bits, as a lone seed always was
+    system = library.example1_system()
+    V = np.ones((2, 6, 1))
+    both = rollout(system, [0.3], V, [-1, 5])
+    for i, seed in enumerate((-1, 5)):
+        alone = rollout(system, [0.3], V[i:i + 1], [seed])
+        assert same_trajectory(both.member(i), alone.member(0))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32), K=st.integers(2, 25))
 def test_simulation_pure_in_seed(seed, K):
@@ -535,8 +579,8 @@ def test_declared_parts_agree_with_row_maps(case):
 
 
 def test_example2_drift_keeps_its_operation_order():
-    # the in-place drift against the expression it replaced, bit for bit,
-    # on one state against many draws and on one row per member
+    # the drift against its expression written out, bit for bit, on one
+    # state against many draws and on one row per member
     plant = library.example2_plant()
     rng = np.random.default_rng(5)
     W = plant.noise.sample(3, 257)

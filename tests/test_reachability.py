@@ -24,6 +24,11 @@ parameters that are never passed are exactly the pinned set below.
 A module-level UPPER_CASE constant (leading underscore or not) counts as
 read when library code loads it outside its own assignment; a constant
 only a test sets or monkeypatches is a knob with no effect, and fails.
+
+Every draw takes its generators from ``noise.streams``: the routines that
+use ``np.random.default_rng`` themselves are exactly the pinned lone-seed
+sites below, so a loop that seeds a generator per member or per point
+fails.
 """
 
 import ast
@@ -58,6 +63,13 @@ UNPASSED_OPTIONS = {
     "certify_controller_general.k_window",
     "taylor_certify.k_window",
 }
+
+# the routines that seed a generator themselves, each from one seed:
+# ``streams`` (the one seeding path, for a lone seed), the random domain,
+# the sphere directions of the sampled v-supremum and the leading-dimension
+# probe
+SEEDING_SITES = {"noise.streams", "storage.DomainBox.random_points",
+                 "certify._sphere_directions", "dynamics._probe_blocks"}
 
 PUBLIC = re.compile(r"[A-Za-z]\w*\Z")
 
@@ -221,6 +233,30 @@ def unread_constants():
 
 def test_every_module_constant_is_read_by_the_library():
     assert unread_constants() == set()
+
+
+def seeding_sites():
+    """The qualified names of the routines that use ``default_rng``."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            # a call or a reference, as in map(np.random.default_rng, ...)
+            if "default_rng" in (getattr(child, "attr", None),
+                                 getattr(child, "id", None)):
+                sites.add(scope)
+            visit(child, scope)
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_only_the_lone_seed_sites_seed_a_generator():
+    assert seeding_sites() == SEEDING_SITES
 
 
 def test_all_lists_every_public_import_and_each_resolves():
