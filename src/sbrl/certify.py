@@ -93,20 +93,17 @@ def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
     return mean, np.zeros_like(mean)
 
 
-def _split(V, system, x, u, beta, scheme) -> Estimate:
-    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2 under the scheme, with
-    ``u`` the control row or None as in ``drift``: ``_split_block`` at x."""
-    x = np.asarray(x, dtype=float)
-    value, se, _, _ = _split_block(
-        V, system, x[None], None if u is None else u[None], beta,
-        scheme.point_draws())
-    return Estimate(float(value[0]), float(se[0]))
+def _at_row(rows, x, scheme) -> Estimate:
+    """The block form ``rows`` at the one row x from the scheme's draws."""
+    found = rows(np.asarray(x, dtype=float)[None], scheme.point_draws())
+    return Estimate(float(found.lhs[0]), float(found.std_error[0]),
+                    found.lower_bound_only)
 
 
 def _split_block(V, system, X, u_row, beta, points):
-    """``_split`` at each row of X, ``u_row`` one control row or None: from
-    the ``PointDraws`` ``points``, or in closed form (None) from
-    ``f_parts``.  Arrays of the value, its SE, V(x) and |m|^2 per row."""
+    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2, its SE, V(x) and |m|^2
+    as arrays over the rows of X, at the control row ``u_row`` or None: from
+    the ``PointDraws`` ``points``, in closed form (None) from ``f_parts``."""
     mean, se = expected_value_of(
         V, system.noise, points, lambda: system.drift_parts(X, u_row),
         lambda draws: system.drift(X[:, None], u_row, draws), beta)
@@ -117,7 +114,7 @@ def _split_block(V, system, X, u_row, beta, points):
 def h0(V, system, x, scheme) -> Estimate:
     """Internal-stability functional E[V(f(x,w))] - V(x) + |m(x)|^2."""
     _require_affine(system, "h0")
-    return _split(V, system, x, None, 1.0, scheme)
+    return _at_row(_split_rows("H0", V, system, 1.0), x, scheme)
 
 
 def h1(V, system, x, beta, scheme) -> Estimate:
@@ -127,11 +124,13 @@ def h1(V, system, x, beta, scheme) -> Estimate:
 
 
 def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
-    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2: H1, and at a fixed
-    control row ``u`` the design functional H."""
+    """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2: H1, and at a control
+    row ``u`` (any sequence) of an affine plant the design functional H."""
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
-    return _split(V, system, x, u, beta, scheme)
+    _require_affine(system, "convexity_split", plants=True)
+    u_row = None if u is None else np.asarray(u, dtype=float)[None]
+    return _at_row(_split_rows("H1", V, system, beta, u_row), x, scheme)
 
 
 def _sq_norms(M):
@@ -251,20 +250,17 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
     if beta <= 1.0:
         raise ConfigurationError(f"beta must exceed 1, got {beta}")
     _require_affine(system, "g_beta", plants=True)
-    sup, se, lower = _gain_sup(V, system, np.asarray(x, dtype=float)[None],
-                               beta / (beta - 1.0), scheme.point_draws())
-    return Estimate(float(sup[0]), float(se[0]), lower)
+    return _at_row(_g_beta_rows(V, system, beta), x, scheme)
 
 
 def g0(V, system, scheme) -> Estimate:
     """Origin gain functional G0(V) from the necessity direction.
 
-    The same supremum as G_beta, taken at x = 0 with scale 1.
+    The G_beta block form at x = 0 with scale 1, its beta -> inf limit.
     """
     _require_affine(system, "g0", plants=True)
-    sup, se, lower = _gain_sup(V, system, np.zeros((1, system.n)), 1.0,
-                               scheme.point_draws())
-    return Estimate(float(sup[0]), float(se[0]), lower)
+    return _at_row(_g_beta_rows(V, system, math.inf), np.zeros(system.n),
+                   scheme)
 
 
 def _gain_sup(V, system, X, c, points):
@@ -352,11 +348,11 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     return cert
 
 
-def _split_rows(name, V, system, beta):
-    """H0 (b = 1) or H1 <= 0 as a block form, with tolerance scale
-    |H| + V(x) + |m(x)|^2."""
+def _split_rows(name, V, system, beta, u_row=None):
+    """H0 (b = 1) or H1 <= 0 as a block form, at the control row ``u_row``
+    of a plant, with tolerance scale |H| + V(x) + |m(x)|^2."""
     def rows(X, points):
-        value, se, vx, m_sq = _split_block(V, system, X, None, beta, points)
+        value, se, vx, m_sq = _split_block(V, system, X, u_row, beta, points)
         return Rows(value, {"inequality": name}, std_error=se,
                     scale=np.abs(value) + vx + m_sq)
     return rows
@@ -364,9 +360,11 @@ def _split_rows(name, V, system, beta):
 
 def _g_beta_rows(V, system, beta, gamma_sq=0.0):
     """The G_beta <= gamma^2 block form; a sampled supremum is a lower
-    bound."""
+    bound.  At beta = inf its scale b/(b-1) is its limit 1, G0's."""
+    c = 1.0 if beta == math.inf else beta / (beta - 1.0)
+
     def rows(X, points):
-        sup, se, lower = _gain_sup(V, system, X, beta / (beta - 1.0), points)
+        sup, se, lower = _gain_sup(V, system, X, c, points)
         return Rows(sup, {"inequality": "G_beta"}, gamma_sq, se,
                     np.maximum(np.abs(sup), gamma_sq), lower_bound_only=lower)
     return rows
@@ -438,7 +436,8 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     Feasibility means the sampled H1 sweep certifies (it stops after the
     first block that rules that out) and G_beta is known at every point.  Ties
     are broken towards the smallest beta.  The returned value is an upper
-    bound on the squared gain, scoped to the sampled domain.
+    bound on the squared gain, scoped to the sampled domain.  Every grid
+    beta must exceed 1.
     """
     _require_affine(system, "gamma_star_search")
     points = domain.points()
@@ -447,7 +446,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     lower_bound_used = False
     for beta in sorted(float(b) for b in beta_grid):
         if beta <= 1.0:
-            continue
+            raise ConfigurationError(f"beta must exceed 1, got {beta}")
         for params, V in candidates:
             checked += 1
             h1_cert, _ = sweep(points, scheme,
@@ -475,20 +474,10 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     return GammaStarResult("ok", *best, checked, feasible, notes)
 
 
-def _require_spd(P, what="P"):
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[0] != P.shape[1] or np.max(np.abs(P - P.T)) > 1e-10 * (1 + np.max(np.abs(P))):
-        raise PreconditionError(f"{what} must be symmetric")
-    if np.linalg.eigvalsh(P)[0] <= 0:
-        raise PreconditionError(f"{what} must be positive definite")
-    return 0.5 * (P + P.T)
-
-
 def linear_internal(linsys: LinearSystem, P) -> Certificate:
-    """Exact linear internal-stability test A'PA + A0'PA0 - P + C'C <= 0."""
-    if isinstance(P, QuadraticStorage):
-        P = P.P
-    P = _require_spd(P)
+    """Exact linear internal-stability test A'PA + A0'PA0 - P + C'C <= 0 at
+    the ``QuadraticStorage`` P, or the one a matrix P builds (and checks)."""
+    P = (P if isinstance(P, QuadraticStorage) else QuadraticStorage(P)).P
     A, A0, C = linsys.A, linsys.A0, linsys.C
     L = A.T @ P @ A + A0.T @ P @ A0 - P + C.T @ C
     margin = sym_eig_max(L)
@@ -549,14 +538,13 @@ def _construction_p0(beta, sigma_bar, sigma_min):
 
 
 def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
-    """Verify the two linear bounded-real inequalities by eigenvalue margins.
+    """Verify the two linear bounded-real inequalities by eigenvalue margins
+    at P, taken as in ``linear_internal``.
 
     Gain inequality:     (b^2/(b-1)) B'PB + D'D <= gamma^2 I
     Internal inequality: b (A'PA + A0'PA0) - P + C'C <= 0
     """
-    if isinstance(P, QuadraticStorage):
-        P = P.P
-    P = _require_spd(P)
+    P = (P if isinstance(P, QuadraticStorage) else QuadraticStorage(P)).P
     if beta <= 1.0:
         raise ConfigurationError("beta must exceed 1")
     A, A0, B, C, D = linsys.A, linsys.A0, linsys.B, linsys.C, linsys.D

@@ -377,6 +377,16 @@ def _gamma_star(system, resolved):
     return search, QuadraticStorage(search.params * storage.P)
 
 
+def _x0(ens_block, n):
+    """ensemble.x0 (the zero state if absent), checked by every command that
+    reads the ensemble, though the gain ensemble starts at the zero state."""
+    x0 = np.asarray(ens_block.get("x0", [0.0] * n), dtype=float)
+    if x0.shape != (n,):
+        raise ConfigurationError(
+            f"ensemble.x0: {x0.size} values for a {n}-state system")
+    return x0
+
+
 def _disturbances(ens_block):
     """ensemble.disturbance as a list of blocks, no kind given twice."""
     blocks = ens_block["disturbance"]
@@ -496,6 +506,7 @@ def _gain(resolved, writer, system, gamma_sq):
     with the same member seeds; returns {kind: verdict} and the verdict of
     them all, 'consistent' only if every one is."""
     ens_block = resolved["ensemble"]
+    _x0(ens_block, system.n)
     t0 = time.perf_counter()
     verdicts, rows = {}, []
     for block in _disturbances(ens_block):
@@ -535,10 +546,7 @@ def _simulate(resolved, writer, count, loop, law):
     disturbance, with the controls of ``law`` (None: none), one CSV each up
     to the first diverged member; returns the status and the last member."""
     ens_block = resolved["ensemble"]
-    x0 = np.asarray(ens_block.get("x0", [0.0] * loop.n), dtype=float)
-    if x0.shape != (loop.n,):
-        raise ConfigurationError(
-            f"ensemble.x0: {x0.size} values for a {loop.n}-state system")
+    x0 = _x0(ens_block, loop.n)
     ensemble = library.ensemble_from_config(_disturbances(ens_block)[0],
                                             loop.n_v)
     csv = "csv" in resolved["output"]["formats"]

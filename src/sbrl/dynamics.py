@@ -23,8 +23,8 @@ The affine tier may declare, over the same leading dimensions, the
 affine-in-noise structure of the exact paths: ``f_parts(X[, U])`` gives
 (F0, [F_d]) with f(x,[u,]w) = F0 + sum_d F_d w_d at each row, and
 ``g_parts(X)`` the same for g.  Both tiers check at construction that
-their maps (drift, gain and parts, or F and m) give on a small block the
-bits of their rows one by one.
+their maps (f, g, m and the parts, but not m1; or F and m) give on a
+small block the bits of their rows one by one.
 """
 
 from dataclasses import dataclass, field
@@ -181,12 +181,13 @@ class AffineSystem:
             raise ConfigurationError(
                 f"f({origin},w) != 0 at a sampled noise point")
         # the drift and the gain on states (2, 1, n) against draws
-        # (2, 3, n_w), the declared parts on states (2, n)
+        # (2, 3, n_w), the output m and the declared parts on states (2, n)
         drawn, each_draw, states, each_state = _probe_blocks(
             noise, [self.n, self.n_u or None])
         probes = {"f": (self.drift, "(2, 1, n)", drawn, each_draw),
                   "g": (lambda x, u, w: self.gain(x, w), "(2, 1, n)",
-                        drawn, each_draw)}
+                        drawn, each_draw),
+                  "m": (self.output_m, "(2, n)", states, each_state)}
         for name, parts in (("f_parts", self.drift_parts),
                             ("g_parts", lambda x, u: self.gain_parts(x))):
             if getattr(self, name) is not None:
@@ -353,9 +354,11 @@ class DisturbancePolicy:
 
     @staticmethod
     def recorded(values):
+        if len({np.shape(row) for row in values}) > 1:
+            raise ConfigurationError("values: rows of unequal length")
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if not np.all(np.isfinite(values)):
-            raise ConfigurationError("recorded disturbance must have finite energy")
+            raise ConfigurationError("values: must be finite")
         n_v = values.shape[1]
 
         def sequence(K):

@@ -210,8 +210,12 @@ def law_from_config(block) -> FeedbackLaw:
 def ensemble_from_config(block, n_v) -> DisturbanceEnsemble:
     """The ensemble of a schema-valid config disturbance block."""
     kind = block["kind"]
-    if kind == "decaying-sine":
-        try:
+    if kind == "white":
+        return DisturbanceEnsemble.white(n_v, std=float(block.get("std", 0.5)))
+    if kind == "zero":
+        return DisturbanceEnsemble.fixed(DisturbancePolicy.zero(n_v))
+    try:
+        if kind == "decaying-sine":
             return DisturbanceEnsemble.decaying_sine(
                 n_v,
                 decay=float(block.get("decay", 0.98)),
@@ -219,17 +223,13 @@ def ensemble_from_config(block, n_v) -> DisturbanceEnsemble:
                 phases=block.get("phases"),
                 amp_range=tuple(block.get("amp_range", (0.5, 1.5))),
             )
-        except ConfigurationError as exc:  # the message names the key
-            raise ConfigurationError(f"ensemble.disturbance.{exc}") from None
-    if kind == "white":
-        return DisturbanceEnsemble.white(n_v, std=float(block.get("std", 0.5)))
-    if kind == "zero":
-        return DisturbanceEnsemble.fixed(DisturbancePolicy.zero(n_v))
-    if kind == "recorded":
-        key, policy = "values", DisturbancePolicy.recorded(block["values"])
-    else:
-        key, policy = "vector", DisturbancePolicy.impulse(int(block["step"]),
-                                                          block["vector"])
+        if kind == "recorded":
+            key, policy = "values", DisturbancePolicy.recorded(block["values"])
+        else:
+            key, policy = "vector", DisturbancePolicy.impulse(
+                int(block["step"]), block["vector"])
+    except ConfigurationError as exc:  # the message names the key
+        raise ConfigurationError(f"ensemble.disturbance.{exc}") from None
     if policy.n_v != n_v:
         raise ConfigurationError(f"ensemble.disturbance.{key}: {policy.n_v} "
                                  f"values per step for n_v = {n_v}")

@@ -444,6 +444,63 @@ def test_g0_scalar_and_zero_storage():
     assert est0.lower_bound_only
 
 
+PER_POINT_SCHEMES = {
+    "closed-form": CF,
+    "monte-carlo": ExpectationScheme(samples=64, seed=9),
+    "antithetic": ExpectationScheme(samples=64, seed=9, antithetic=True),
+}
+
+
+def per_point_cases():
+    """name -> (block form, its per-point functional at (x, scheme)) on
+    example 1 and, for the design functional H, the example-2 plant at a
+    control row given as a list."""
+    sys1, V1 = library.example1_system(), library.example1_storage(4.0)
+    plant, V2 = library.example2_plant(), library.example2_storage()
+    u = [0.1, -0.2]
+    return {
+        "h0": (certify._split_rows("H0", V1, sys1, 1.0),
+               lambda x, s: certify.h0(V1, sys1, x, s), 1),
+        "h1": (certify._split_rows("H1", V1, sys1, BETA1),
+               lambda x, s: certify.h1(V1, sys1, x, BETA1, s), 1),
+        "convexity_split": (
+            certify._split_rows("H1", V2, plant, 1.3, np.array([u])),
+            lambda x, s: certify.convexity_split(V2, plant, x, u, 1.3, s), 3),
+        "g_beta": (certify._g_beta_rows(V1, sys1, BETA1),
+                   lambda x, s: certify.g_beta(V1, sys1, x, BETA1, s), 1),
+        "g0": (certify._g_beta_rows(V1, sys1, math.inf),
+               lambda x, s: certify.g0(V1, sys1, s), 1),
+    }
+
+
+@pytest.mark.parametrize("scheme", sorted(PER_POINT_SCHEMES))
+@pytest.mark.parametrize("name", sorted(per_point_cases()))
+def test_per_point_functional_is_its_block_forms_row(name, scheme):
+    # a per-point functional is the block form the sweeps run, on one row:
+    # at a block of points and the sweep's draws, each row has the bits of
+    # the functional at that point under the point's own seed (G0 at the
+    # origin, the block's first point)
+    rows_of, at_point, n = per_point_cases()[name]
+    scheme = PER_POINT_SCHEMES[scheme]
+    X = np.array([[0.0] * n, [0.5] * n, [-1.3, 0.7, 0.2][:n]])
+    rows = rows_of(X, scheme.draws_at(X))
+    for i, x in enumerate(X[:1] if name == "g0" else X):
+        est = at_point(x, point_scheme(scheme, x))
+        assert est.value == rows.lhs[i]
+        assert est.std_error == rows.std_error[i]
+        assert est.lower_bound_only == rows.lower_bound_only
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_gamma_star_search_refuses_a_grid_beta_at_most_one(beta):
+    # a grid beta of at most 1 is an input fault, never a skipped value
+    with pytest.raises(ConfigurationError,
+                       match=f"^beta must exceed 1, got {beta}$"):
+        certify.gamma_star_search(
+            library.example1_system(), [(4.0, library.example1_storage(4.0))],
+            [BETA1, beta], DomainBox((-1.0,), (1.0,), ("grid", 3)), CF)
+
+
 def test_linear_system_is_an_affine_system():
     sys_l = LinearSystem([[0.5]], [[0.3]], [[1.0]], [[0.5]], [[0.2]])
     assert isinstance(sys_l, AffineSystem)
@@ -461,6 +518,8 @@ GENERAL_ROUTINES = {
     "h1": lambda s, V, scheme: certify.h1(V, s, [0.5], BETA1, scheme),
     "g_beta": lambda s, V, scheme: certify.g_beta(V, s, [0.5], BETA1, scheme),
     "g0": lambda s, V, scheme: certify.g0(V, s, scheme),
+    "convexity_split": lambda s, V, scheme: certify.convexity_split(
+        V, s, [0.5], None, BETA1, scheme),
     "check_internal": lambda s, V, scheme: certify.check_internal(
         s, V, 4.0, DomainBox((-1.0,), (1.0,), ("grid", 3)), scheme),
     "check_external": lambda s, V, scheme: certify.check_external(
@@ -1073,7 +1132,9 @@ def test_linear_internal_trivial_certified():
 
 
 def test_linear_internal_requires_spd():
-    with pytest.raises(PreconditionError):
+    # a matrix P is checked by the QuadraticStorage it builds
+    with pytest.raises(ConfigurationError,
+                       match="^P must be positive definite"):
         certify.linear_internal(scalar_brl_system(), [[-1.0]])
 
 

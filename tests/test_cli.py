@@ -134,7 +134,14 @@ def test_malformed_decaying_sine_exits_two_naming_the_key(tmp_path, capsys,
      "ensemble.x0: 2 values for a 1-state system"),
     ("gain", "example2", {"disturbance": {"kind": "white"}},
      "law: required for 'gain'"),
-], ids=["recorded-values", "impulse-vector", "x0", "gain-without-law"])
+    ("gain", "example1",
+     {"x0": [1.0, 2.0], "disturbance": {"kind": "white"}},
+     "ensemble.x0: 2 values for a 1-state system"),
+    ("gain", "example1",
+     {"disturbance": {"kind": "recorded", "values": [[1.0], [1.0, 2.0]]}},
+     "ensemble.disturbance.values: rows of unequal length"),
+], ids=["recorded-values", "impulse-vector", "x0", "gain-without-law",
+        "gain-x0", "recorded-ragged"])
 def test_ensemble_or_law_mismatch_exits_two_naming_the_key(
         tmp_path, capsys, command, system, ensemble, expected):
     cfg = {"system": {"builtin": system},
@@ -646,6 +653,21 @@ def test_gamma_star_and_disturbance_list_refusals_exit_two(tmp_path, capsys,
     assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("beta_grid", [[0.5, 1.0], [0.5, 1.0 / 0.99]],
+                         ids=["none-above-one", "one-above-one"])
+def test_grid_beta_at_most_one_exits_two_naming_it(tmp_path, capsys,
+                                                   beta_grid):
+    # a grid beta of at most 1 is refused at load: neither skipped, so
+    # that the search runs on the rest, nor read as an infeasible search
+    cfg = gamma_star_config(tmp_path / "out")
+    cfg["certificate"]["beta_grid"] = beta_grid
+    assert run(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "certificate.beta_grid[0]: must be > 1, got 0.5" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [["certify", "--config", "CONFIG"],

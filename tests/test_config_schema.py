@@ -197,6 +197,12 @@ PROBES = {
     "gamma-star-beta": (edit("certificate", {
         "kind": "gamma-star", "p_grid": [1.0], "beta_grid": [1.5],
         "domain": DOMAIN, "beta": 1.5}), "certificate.beta"),
+    "gamma-star-beta-grid-at-one": (edit("certificate", {
+        "kind": "gamma-star", "p_grid": [1.0], "beta_grid": [1.5, 1.0],
+        "domain": DOMAIN}), "certificate.beta_grid[1]"),
+    "linear-brl-beta-grid-below-one": (edit("certificate", {
+        "kind": "linear-brl", "gamma_sq": 1.0, "beta_grid": [0.5]}),
+        "certificate.beta_grid[0]"),
     "gamma-star-without-p-grid": (edit("certificate", {
         "kind": "gamma-star", "beta_grid": [1.5], "domain": DOMAIN}),
         "certificate.p_grid"),

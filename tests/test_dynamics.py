@@ -267,6 +267,24 @@ def test_parts_written_per_point_are_refused(name, f_parts, g_parts):
     example1_with_parts(ROW_F_PARTS, ROW_G_PARTS)
 
 
+def test_output_map_written_per_point_is_refused():
+    # 5 x[0] on a (B, n) block is its first state's output at every row:
+    # unprobed, it let a closed-form external check certify a claim that
+    # the row-wise map falsifies
+    def with_m(m):
+        return AffineSystem(
+            1, 1, f=lambda X, W: 0.99 * X,
+            g=lambda X, W: (0.01 * np.cos(X[..., 0])
+                            * W[..., 0])[..., None, None],
+            m=m, m1=lambda X: np.array([[0.2]]), noise=gaussian_noise(),
+            f_parts=ROW_F_PARTS, g_parts=ROW_G_PARTS)
+
+    with pytest.raises(ConfigurationError,
+                       match=r"^m on a \(2, n\) state block .*X\[\.\.\., i\]"):
+        with_m(lambda X: 5.0 * X[0])
+    with_m(lambda X: 5.0 * X)
+
+
 @pytest.mark.parametrize("fn", [
     # index 1 of a (2, 1, 3) block is out of bounds: the map raises
     lambda X, k: np.stack([-0.1 * X[:, 0], -0.5 * X[:, 1]], axis=-1),
