@@ -58,6 +58,12 @@ def _require_affine(system, routine, plants=False):
         require_uncontrolled(system, routine)
 
 
+def _require_beta(beta):
+    """Refuse a convexity weight beta that does not exceed 1 (NaN too)."""
+    if not beta > 1.0:
+        raise ConfigurationError(f"beta must exceed 1, got {beta}")
+
+
 def expected_value_of(V, noise, points, parts_fn, batch_fn, scale=1.0):
     """E[V(scale * y_i(w))] at each point i of a block as (mean, SE) arrays:
     under Monte Carlo from the block's ``PointDraws`` ``points``, with
@@ -126,8 +132,7 @@ def h1(V, system, x, beta, scheme) -> Estimate:
 def convexity_split(V, system, x, u, beta, scheme) -> Estimate:
     """(1/b) E[V(b f(x,[u,]w))] - V(x) + |m(x[,u])|^2: H1, and at a control
     row ``u`` (any sequence) of an affine plant the design functional H."""
-    if beta <= 1.0:
-        raise ConfigurationError(f"beta must exceed 1, got {beta}")
+    _require_beta(beta)
     _require_affine(system, "convexity_split", plants=True)
     u_row = None if u is None else np.asarray(u, dtype=float)[None]
     return _at_row(_split_rows("H1", V, system, beta, u_row), x, scheme)
@@ -141,11 +146,8 @@ def _sq_norms(M):
 
 
 def _m1_gram(system, X):
-    """m1(x)' m1(x) at the rows of X: (rows, n_v, n_v), or one (n_v, n_v)
-    product for a constant m1, which broadcasts against the rows."""
-    M1 = np.atleast_2d(np.asarray(system.m1(X), dtype=float))
-    if not M1.size:
-        M1 = np.zeros((0, system.n_v))
+    """m1(x)' m1(x) at the rows of X: (rows, n_v, n_v)."""
+    M1 = system.output_m1(X)
     return M1.swapaxes(-1, -2) @ M1
 
 
@@ -247,8 +249,7 @@ def g_beta(V, system, x, beta, scheme) -> Estimate:
     lower bound on the supremum and is flagged as such.  The channel
     (g, m1) takes no control, so a plant with n_u > 0 qualifies as it is.
     """
-    if beta <= 1.0:
-        raise ConfigurationError(f"beta must exceed 1, got {beta}")
+    _require_beta(beta)
     _require_affine(system, "g_beta", plants=True)
     return _at_row(_g_beta_rows(V, system, beta), x, scheme)
 
@@ -297,8 +298,7 @@ def _gain_sup(V, system, X, c, points):
 def _sphere_sup(V, system, X, c, points):
     """The sphere-sampled lower bound of ``_gain_sup`` at each row of X
     from the block's ``PointDraws`` ``points``, and its SE."""
-    m1m1 = np.broadcast_to(_m1_gram(system, X),
-                           (len(X), system.n_v, system.n_v))
+    m1m1 = _m1_gram(system, X)
     sup, se = np.full(len(X), -np.inf), np.zeros(len(X))
     for direction in _sphere_directions(system.n_v):
         for r in _SPHERE_RADII:
@@ -380,8 +380,7 @@ def check_external(system, V, beta, gamma_sq, domain: DomainBox,
     a quadratic growth bound, internal stability follows as well and a note
     records that.
     """
-    if beta <= 1.0:
-        raise ConfigurationError("beta must exceed 1")
+    _require_beta(beta)
     if gamma_sq <= 0.0:
         raise ConfigurationError("gamma_sq must be positive")
     if not V.claims_convex:
@@ -445,8 +444,7 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     checked = feasible = 0
     lower_bound_used = False
     for beta in sorted(float(b) for b in beta_grid):
-        if beta <= 1.0:
-            raise ConfigurationError(f"beta must exceed 1, got {beta}")
+        _require_beta(beta)
         for params, V in candidates:
             checked += 1
             h1_cert, _ = sweep(points, scheme,
@@ -524,17 +522,15 @@ class LinearBRLReport:
 
 
 def _structure_diagnostics(linsys):
+    """sigma_bar and sigma_min, the extreme eigenvalues of A'A + A0'A0, and
+    the envelope construction's beta0_interval (1, 1/sigma_bar), None for
+    sigma_bar >= 1, as ``LinearBRLReport`` fields."""
     S = linsys.A.T @ linsys.A + linsys.A0.T @ linsys.A0
     eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(eigs[-1]), float(eigs[0])
-
-
-def _construction_p0(beta, sigma_bar, sigma_min):
-    """Storage scaling from the envelope construction, C_i(b) = sigma_i b^2."""
-    denom = beta - sigma_bar * beta * beta
-    if denom <= 0.0:
-        return None
-    return beta * (1.0 - sigma_min) / denom
+    sigma_bar = float(eigs[-1])
+    return {"sigma_bar": sigma_bar, "sigma_min": float(eigs[0]),
+            "beta0_interval": (1.0, 1.0 / sigma_bar) if sigma_bar < 1.0
+            else None}
 
 
 def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
@@ -543,10 +539,12 @@ def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
 
     Gain inequality:     (b^2/(b-1)) B'PB + D'D <= gamma^2 I
     Internal inequality: b (A'PA + A0'PA0) - P + C'C <= 0
+
+    ``p0`` is the envelope construction's storage scaling at beta,
+    C_i(b) = sigma_i b^2, where beta lies in its interval.
     """
     P = (P if isinstance(P, QuadraticStorage) else QuadraticStorage(P)).P
-    if beta <= 1.0:
-        raise ConfigurationError("beta must exceed 1")
+    _require_beta(beta)
     A, A0, B, C, D = linsys.A, linsys.A0, linsys.B, linsys.C, linsys.D
     eq35 = (beta ** 2 / (beta - 1.0)) * (B.T @ P @ B) + D.T @ D \
         - gamma_sq * np.eye(linsys.n_v)
@@ -554,128 +552,93 @@ def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
     m35 = sym_eig_max(eq35)
     m36 = sym_eig_max(eq36)
     ok = m35 <= eig_tolerance(eq35) and m36 <= eig_tolerance(eq36)
-    sigma_bar, sigma_min = _structure_diagnostics(linsys)
-    interval = (1.0, 1.0 / sigma_bar) if sigma_bar < 1.0 else None
-    p0 = None
+    diag = _structure_diagnostics(linsys)
+    interval, p0 = diag["beta0_interval"], None
     if interval is not None and interval[0] < beta < interval[1]:
-        p0 = _construction_p0(beta, sigma_bar, sigma_min)
-    return LinearBRLReport(
-        status="certified" if ok else "falsified",
-        P=P, beta=float(beta), gamma_sq=float(gamma_sq),
-        eq_gain_margin=m35, eq_internal_margin=m36,
-        sigma_bar=sigma_bar, sigma_min=sigma_min,
-        beta0_interval=interval, p0=p0,
-        notes=[],
-    )
-
-
-_SERIES_TOL = 1e-14
-_SERIES_TERMS = 100_000
-
-
-def series_storage_matrix(linsys: LinearSystem, rhs=None):
-    """Truncated series solution of A'XA + A0'XA0 - X + rhs = 0.
-
-    This is the linear instance of the constructive storage function: the
-    sum of iterated adjoint applications of the noise-averaged transition
-    to rhs (default C'C).  Requires sigma_bar(A'A + A0'A0) < 1 for
-    convergence.
-    """
-    sigma_bar, _ = _structure_diagnostics(linsys)
-    if sigma_bar >= 1.0:
-        raise ConfigurationError(
-            f"series diverges: sigma_bar(A'A + A0'A0) = {sigma_bar:g} >= 1"
-        )
-    A, A0, C = linsys.A, linsys.A0, linsys.C
-    term = C.T @ C if rhs is None else np.asarray(rhs, dtype=float)
-    total = term.copy()
-    for _ in range(_SERIES_TERMS):
-        term = A.T @ term @ A + A0.T @ term @ A0
-        total += term
-        if (np.linalg.norm(term, 2)
-                <= _SERIES_TOL * (1.0 + np.linalg.norm(total, 2))):
-            break
-    return 0.5 * (total + total.T)
-
-
-def _pencil_max(numerator, denominator):
-    """lambda_max of the symmetric pencil (numerator, denominator > 0)."""
-    L = np.linalg.cholesky(denominator)
-    M = np.linalg.solve(L, np.linalg.solve(L, numerator.T).T)
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+        denom = beta - diag["sigma_bar"] * beta * beta
+        if denom > 0.0:
+            p0 = beta * (1.0 - diag["sigma_min"]) / denom
+    return LinearBRLReport("certified" if ok else "falsified", P, float(beta),
+                           float(gamma_sq), m35, m36, p0=p0, **diag)
 
 
 _BETA_GRID_POINTS = 40
-_BRL_SLACK = 1e-2
+_BRL_SLACK = 1e-10
+
+
+def _transition(linsys):
+    """T(P) = A'PA + A0'PA0 on the row-major vec of P: n^2 x n^2."""
+    A, A0 = linsys.A, linsys.A0
+    return np.kron(A.T, A.T) + np.kron(A0.T, A0.T)
+
+
+def _least_storage(linsys: LinearSystem, rhs, beta):
+    """The least P with beta T(P) - P + rhs <= 0 (beta rho(T) < 1), which
+    solves it at equality: one solve of its vec form, n^4 entries."""
+    n = linsys.n
+    P = np.linalg.solve(np.eye(n * n) - beta * _transition(linsys),
+                        np.ravel(rhs)).reshape(n, n)
+    return 0.5 * (P + P.T)
+
+
+def _radius(linsys):
+    """rho(T): below 1 exactly when the system is mean-square stable."""
+    return float(np.abs(np.linalg.eigvals(_transition(linsys))).max())
+
+
+def series_storage_matrix(linsys: LinearSystem, rhs=None):
+    """The solution of A'XA + A0'XA0 - X + rhs = 0 (rhs C'C by default), the
+    sum of the iterated noise-averaged transition applied to rhs: the
+    linear constructive storage, and the least storage at beta = 1.  One
+    solve of n^4 entries; requires rho(T) < 1, T(P) = A'PA + A0'PA0.
+    """
+    if (rho := _radius(linsys)) >= 1.0:
+        raise ConfigurationError(f"series diverges: rho(T) = {rho:g} >= 1")
+    CtC = linsys.C.T @ linsys.C
+    return _least_storage(linsys, CtC if rhs is None else rhs, 1.0)
 
 
 def linear_brl_search(linsys: LinearSystem, gamma_sq,
                       beta_grid=None) -> LinearBRLReport:
-    """Constructive bounded-real search: series storage scaled per beta.
+    """Bounded-real search over beta at the least storage.
 
-    Builds the series matrix for C'C + slack*I (the slack keeps the
-    internal inequality strictly feasible so a scaling exists even when
-    C'C is rank deficient), then for each beta in a log-spaced grid inside
-    the admissible interval picks the smallest scaling p with
-    p (Pbar - beta T(Pbar)) >= C'C, which is the exact feasibility
-    threshold of the internal inequality, and returns the first (P, beta)
-    that also passes the gain inequality.  Betas are tried in order of
-    increasing gain factor beta^2/(beta-1), so the least demanding
-    candidate goes first.
+    For beta in (1, 1/rho(T)), T(P) = A'PA + A0'PA0, the least P meeting
+    the internal inequality with C'C + slack*I (the slack only keeps P
+    positive definite) solves it at equality, one solve of n^4 entries;
+    the gain inequality grows with P, so some P passes both at that beta
+    exactly when this one does.  Betas of the grid (log-spaced inside the
+    interval by default) go in order of increasing gain factor
+    beta^2/(beta-1): the first pair ``linear_brl`` certifies is returned,
+    else the one with the closest margins, inconclusive.
     """
-    sigma_bar, sigma_min = _structure_diagnostics(linsys)
-    base = LinearBRLReport(
-        status="inconclusive", P=None, beta=None, gamma_sq=float(gamma_sq),
-        eq_gain_margin=None, eq_internal_margin=None,
-        sigma_bar=sigma_bar, sigma_min=sigma_min,
-        beta0_interval=(1.0, 1.0 / sigma_bar) if sigma_bar < 1.0 else None,
-        p0=None, notes=[],
-    )
-    if sigma_bar >= 1.0:
-        base.notes.append(
-            f"structural contraction fails: sigma_bar = {sigma_bar:g} >= 1"
-        )
+    base = LinearBRLReport("inconclusive", None, None, float(gamma_sq), None,
+                           None, p0=None, **_structure_diagnostics(linsys))
+    if (rho := _radius(linsys)) >= 1.0:
+        base.notes.append(f"not mean-square stable: rho(T) = {rho:g} >= 1")
         return base
-    CtC = linsys.C.T @ linsys.C
-    eps = _BRL_SLACK * (1.0 + np.linalg.norm(CtC, 2))
-    Pbar = series_storage_matrix(linsys, rhs=CtC + eps * np.eye(linsys.n))
-    T = linsys.A.T @ Pbar @ linsys.A + linsys.A0.T @ Pbar @ linsys.A0
-    rho_max = _pencil_max(T, Pbar)
-    if rho_max >= 1.0:
-        base.notes.append(f"ratio envelope rho_max = {rho_max:g} >= 1")
-        return base
-    cap = 1.0 / rho_max
+    cap = 1.0 / rho if rho else math.inf
     if beta_grid is None:
         beta_grid = 1.0 + (cap - 1.0) * np.geomspace(1e-4, 0.9999,
                                                      _BETA_GRID_POINTS)
-    best = None
-    ordered = sorted((float(b) for b in beta_grid),
-                     key=lambda b: b * b / (b - 1.0) if b > 1.0 else np.inf)
-    for beta in ordered:
-        if not 1.0 < beta < cap:
-            continue
-        S = Pbar - beta * T
-        if np.linalg.eigvalsh(S)[0] <= 0.0:
-            continue
-        p0 = max(_pencil_max(CtC, S), 1e-12)
-        rep = linear_brl(linsys, p0 * Pbar, beta, gamma_sq)
-        rep.p0 = p0
-        rep.notes.append(
-            "P = p0 * (series storage of C'C + slack I); p0 is the minimal "
-            "scaling satisfying the internal inequality at this beta"
-        )
+    CtC = linsys.C.T @ linsys.C
+    rhs = CtC + _BRL_SLACK * (1.0 + np.linalg.norm(CtC, 2)) * np.eye(linsys.n)
+    tried = []
+    for beta in sorted((b for b in map(float, beta_grid) if 1.0 < b < cap),
+                       key=lambda b: b * b / (b - 1.0)):
+        rep = linear_brl(linsys, _least_storage(linsys, rhs, beta), beta,
+                         gamma_sq)
+        rep.notes.append("P is the least storage at this beta: beta (A'PA + "
+                         "A0'PA0) - P + C'C + slack I = 0")
         if rep.certified:
             return rep
-        key = max(rep.eq_gain_margin, rep.eq_internal_margin)
-        if best is None or key < best[0]:
-            best = (key, rep)
-    if best is not None:
-        rep = best[1]
-        rep.status = "inconclusive"
-        rep.notes.append("no grid beta certified; closest margins reported")
-        return rep
-    base.notes.append("no admissible beta in the grid")
-    return base
+        tried.append(rep)
+    if not tried:
+        base.notes.append("no admissible beta in the grid")
+        return base
+    rep = min(tried, key=lambda r: max(r.eq_gain_margin, r.eq_internal_margin))
+    rep.status = "inconclusive"
+    rep.notes.append("no grid beta certified; closest margins reported")
+    return rep
 
 
 @dataclass

@@ -23,8 +23,8 @@ The affine tier may declare, over the same leading dimensions, the
 affine-in-noise structure of the exact paths: ``f_parts(X[, U])`` gives
 (F0, [F_d]) with f(x,[u,]w) = F0 + sum_d F_d w_d at each row, and
 ``g_parts(X)`` the same for g.  Both tiers check at construction that
-their maps (f, g, m and the parts, but not m1; or F and m) give on a
-small block the bits of their rows one by one.
+their maps (f, g, m, m1 and the parts; or F and m) give on a small block
+the bits of their rows one by one.
 """
 
 from dataclasses import dataclass, field
@@ -164,8 +164,6 @@ class AffineSystem:
         m0 = np.atleast_1d(np.asarray(m(*self._args(zero, u0)), dtype=float))
         self.n_m = m0.shape[-1]
         m10 = np.atleast_2d(np.asarray(m1(zero), dtype=float))
-        if m10.size == 0:
-            m10 = m10.reshape(0, self.n_v)
         if m10.shape[-1] != self.n_v:
             raise ConfigurationError(
                 f"m1(0) has {m10.shape[-1]} columns, expected n_v={self.n_v}"
@@ -187,7 +185,9 @@ class AffineSystem:
         probes = {"f": (self.drift, "(2, 1, n)", drawn, each_draw),
                   "g": (lambda x, u, w: self.gain(x, w), "(2, 1, n)",
                         drawn, each_draw),
-                  "m": (self.output_m, "(2, n)", states, each_state)}
+                  "m": (self.output_m, "(2, n)", states, each_state),
+                  "m1": (lambda x, u: self.output_m1(x), "(2, n)", states,
+                         each_state)}
         for name, parts in (("f_parts", self.drift_parts),
                             ("g_parts", lambda x, u: self.gain_parts(x))):
             if getattr(self, name) is not None:
@@ -238,12 +238,18 @@ class AffineSystem:
         return _rows(self.m(*self._args(X, U)), leading_shape(X, U),
                      (self.n_m,), "m")
 
+    def output_m1(self, X):
+        """The disturbance feedthrough m1(X) over the leading dimensions of
+        X, as (..., n_z - n_m, n_v)."""
+        return _rows(self.m1(X), X.shape[:-1], (self.n_z - self.n_m, self.n_v),
+                     "m1")
+
     def output(self, k, X, U, V):
         """z = (m(x[,u]); m1(x) v) as (..., n_z); k is unused."""
         z = self.output_m(X, U)
         if self.n_z == self.n_m:
             return z
-        m1v = (np.asarray(self.m1(X), dtype=float) @ V[..., None])[..., 0]
+        m1v = (self.output_m1(X) @ V[..., None])[..., 0]
         lead = leading_shape(z, V)
         return np.concatenate([_rows(z, lead, (self.n_m,), "m"),
                                _rows(m1v, lead, (self.n_z - self.n_m,), "m1")],

@@ -23,6 +23,10 @@ CLOSED_FORM = {"mode": "closed-form"}
 LINEAR = {"linear": {"A": [[0.5, 0.1], [0.0, 0.4]],
                      "A0": [[0.1, 0.0], [0.05, 0.1]],
                      "B": [[1.0], [0.5]], "C": [[1.0, 0.0]], "D": [[0.1]]}}
+# the plant whose least certified gamma^2 is 12.28, against an exact 7.63
+PLANT = {"linear": {"A": [[0.6, 0.2], [-0.1, 0.5]],
+                    "A0": [[0.1, 0.0], [0.0, 0.1]],
+                    "B": [[1.0], [0.5]], "C": [[1.0, 0.0]], "D": [[0.1]]}}
 SCALAR = {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
                      "C": [[0.5]], "D": [[0.0]]}}
 
@@ -65,6 +69,9 @@ RUNS = {
     "linear-brl-search": ({
         "system": LINEAR,
         "certificate": {"kind": "linear-brl", "gamma_sq": 10.0}}, 0),
+    "linear-brl-search-plant": ({
+        "system": PLANT,
+        "certificate": {"kind": "linear-brl", "gamma_sq": 12.3}}, 0),
 }
 
 DIGESTS = {
@@ -81,7 +88,9 @@ DIGESTS = {
     "linear-brl-verify":
         "bec195a4ce35672a087c74c1f9ce5f879365058a09c8d550426472aa7448ddab",
     "linear-brl-search":
-        "15dc776bebac525530237db2a3f30113647d6c88ad59e61b4fb92d870d9de959",
+        "48c0ec65b08594aa3f7599274669180478faa774cad68c007056db8e31fc3174",
+    "linear-brl-search-plant":
+        "385b19af2582f0b68c022bd5f0d626088767a541715a53493ea7c777934b7bc9",
 }
 
 PINNED = ("certificates.json", "margins.json", "linear_brl.json")

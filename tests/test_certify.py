@@ -375,7 +375,7 @@ def test_monte_carlo_separable_g_beta_samples_the_gain_once(antithetic):
         return G0 + np.array([[0.0], [1e-170]]) * W[..., None, :1]
 
     s = AffineSystem(2, 1, f=lambda X, W: 0.5 * X, g=gain,
-                     m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 2)),
+                     m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 1)),
                      noise=gaussian_noise(0.0, 1.0))
     scheme = ExpectationScheme(samples=400, seed=3, antithetic=antithetic)
     X = np.array([[0.0, 0.0], [0.5, -1.0], [1.0, 2.0]])
@@ -402,7 +402,7 @@ def test_monte_carlo_separable_g_beta_is_exact_where_the_gain_is_noise_free(
         2, 1, f=lambda X, W: 0.5 * X,
         g=lambda X, W: np.stack([np.ones_like(X[..., :1] * W[..., :1]),
                                  X[..., :1] * W[..., :1]], axis=-2),
-        m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 2)),
+        m=lambda X: 0.0 * X, m1=lambda X: np.zeros((0, 1)),
         noise=gaussian_noise(0.0, 1.0),
         g_parts=lambda X: (np.stack([np.ones_like(X[..., :1]),
                                      np.zeros_like(X[..., :1])], axis=-2),
@@ -499,6 +499,31 @@ def test_gamma_star_search_refuses_a_grid_beta_at_most_one(beta):
         certify.gamma_star_search(
             library.example1_system(), [(4.0, library.example1_storage(4.0))],
             [BETA1, beta], DomainBox((-1.0,), (1.0,), ("grid", 3)), CF)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, math.nan])
+@pytest.mark.parametrize("routine", ["h1", "convexity_split", "g_beta",
+                                     "check_external", "gamma_star_search",
+                                     "linear_brl"])
+def test_beta_at_most_one_is_refused_in_one_message(routine, beta):
+    system, V = library.example1_system(), library.example1_storage(4.0)
+    box = DomainBox((-1.0,), (1.0,), ("grid", 3))
+    calls = {
+        "h1": lambda: certify.h1(V, system, [0.5], beta, CF),
+        "convexity_split": lambda: certify.convexity_split(
+            V, system, [0.5], None, beta, CF),
+        "g_beta": lambda: certify.g_beta(V, system, [0.5], beta, CF),
+        "check_external": lambda: certify.check_external(
+            system, V, beta, 0.1, box, CF),
+        "gamma_star_search": lambda: certify.gamma_star_search(
+            system, [(4.0, V)], [beta], box, CF),
+        "linear_brl": lambda: certify.linear_brl(
+            LinearSystem([[0.5]], [[0.0]], [[1.0]], [[0.5]], [[0.0]]),
+            [[0.5]], beta, 2.0),
+    }
+    with pytest.raises(ConfigurationError,
+                       match=f"^beta must exceed 1, got {beta}$"):
+        calls[routine]()
 
 
 def test_linear_system_is_an_affine_system():
@@ -1163,6 +1188,9 @@ def test_linear_brl_feedthrough_dominates():
 def test_series_storage_matches_geometric_sum():
     Pbar = certify.series_storage_matrix(scalar_brl_system())
     assert Pbar[0, 0] == pytest.approx(0.25 / 0.75, rel=1e-12)
+    with pytest.raises(ConfigurationError, match="^series diverges"):
+        certify.series_storage_matrix(
+            LinearSystem([[0.9]], [[0.5]], [[1.0]], [[1.0]], [[0.0]]))
 
 
 def test_linear_brl_search_certifies_generous_gamma():
@@ -1197,6 +1225,70 @@ def test_linear_brl_search_multistate():
     # the constructed pair must pass the independent verifier unchanged
     recheck = certify.linear_brl(sys_r, rep.P, rep.beta, rep.gamma_sq)
     assert recheck.certified
+
+
+def item4_plant():
+    return LinearSystem([[0.6, 0.2], [-0.1, 0.5]], 0.1 * np.eye(2),
+                        [[1.0], [0.5]], [[1.0, 0.0]], [[0.1]])
+
+
+def test_linear_brl_search_certifies_what_a_larger_storage_certifies():
+    # the least storage at a beta is below every P that satisfies the
+    # internal inequality there, and the gain inequality grows with P: a
+    # pair (P', beta) that linear_brl certifies leaves the search certified
+    rng = np.random.default_rng(5)
+    certified = 0
+    for case in range(30):
+        n = int(rng.integers(1, 4))
+        sys_r = random_stable_linear(rng, n, n_v=int(rng.integers(1, 3)),
+                                     n_m=int(rng.integers(1, 3)), target=0.9)
+        grid = 1.0 + ((1.0 / certify._radius(sys_r) - 1.0)
+                      * np.array([0.05, 0.3, 0.6, 0.9]))
+        beta = float(rng.choice(grid))
+        CtC = sys_r.C.T @ sys_r.C
+        least = certify._least_storage(
+            sys_r, CtC + certify._BRL_SLACK * (1.0 + np.linalg.norm(CtC, 2))
+            * np.eye(n), beta)
+        # a PSD term that keeps the internal inequality, and one that need
+        # not, each from 1e-8 to 1 times its size
+        for extra in (certify._least_storage(sys_r, random_spd(rng, n), beta),
+                      random_spd(rng, n)):
+            P = least + 10.0 ** rng.uniform(-8.0, 0.0) * extra
+            c = beta * beta / (beta - 1.0)
+            gain = c * sys_r.B.T @ P @ sys_r.B + sys_r.D.T @ sys_r.D
+            gamma_sq = float(np.linalg.eigvalsh(gain)[-1])
+            if certify.linear_brl(sys_r, P, beta, gamma_sq).certified:
+                certified += 1
+                assert certify.linear_brl_search(sys_r, gamma_sq,
+                                                 beta_grid=grid).certified
+    assert certified >= 30
+
+
+@pytest.mark.parametrize("gamma_sq,status", [(12.3, "certified"),
+                                             (12.2, "inconclusive")])
+def test_linear_brl_search_at_the_least_storage(gamma_sq, status):
+    # on this plant the paper's route certifies 12.28, the exact squared gain
+    # being 7.63; the returned pair meets the internal inequality at equality
+    plant = item4_plant()
+    rep = certify.linear_brl_search(plant, gamma_sq)
+    assert rep.status == status
+    P, beta = rep.P, rep.beta
+    internal = (beta * (plant.A.T @ P @ plant.A + plant.A0.T @ P @ plant.A0)
+                - P + plant.C.T @ plant.C)
+    assert abs(rep.eq_internal_margin) <= certify.eig_tolerance(internal)
+
+
+def test_linear_brl_search_gates_on_rho_not_sigma_bar():
+    # sigma_bar(A'A + A0'A0) = 1.22 but rho(T) = 0.01: mean-square stable
+    sys_s = LinearSystem([[0.1, 1.1], [0.0, 0.0]], np.zeros((2, 2)),
+                         [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    rep = certify.linear_brl_search(sys_s, 1e3)
+    assert rep.sigma_bar > 1.0 and rep.beta0_interval is None
+    assert rep.certified and rep.p0 is None
+    # a nilpotent transition, rho(T) = 0, admits every beta > 1
+    sys_n = LinearSystem([[0.0, 0.5], [0.0, 0.0]], np.zeros((2, 2)),
+                         [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    assert certify.linear_brl_search(sys_n, 1e3, beta_grid=[2.0]).certified
 
 
 # ------------------------------------------------------------- oracle agreement

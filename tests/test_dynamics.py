@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbrl import library, noise
+from sbrl import certify, library, noise
 from sbrl.dynamics import (AffineSystem, DisturbanceEnsemble, DisturbancePolicy,
                            GeneralSystem, LinearSystem, rollout, simulate,
                            simulate_ensemble, trajectory_csv_rows)
 from sbrl.errors import ConfigurationError, DivergenceError
 from sbrl.noise import (NoiseModel, PointMass, Uniform, derive_seed,
                         gaussian_noise, point_mass_noise)
+from sbrl.storage import DomainBox, QuadraticStorage
 from sbrl.synth import FeedbackLaw, closed_loop
 
 
@@ -285,6 +286,30 @@ def test_output_map_written_per_point_is_refused():
     with_m(lambda X: 5.0 * X)
 
 
+def test_feedthrough_map_written_per_point_is_refused():
+    # 0.1 |x[0]| on a (B, n) block is its first state's feedthrough at every
+    # row: unprobed, it let a closed-form external check over a grid from 0
+    # certify with G_beta sup 0.04 a claim that the row-wise map falsifies
+    def with_m1(m1):
+        return AffineSystem(
+            1, 1, f=lambda X, W: 0.99 * X,
+            g=lambda X, W: (0.01 * np.cos(X[..., 0])
+                            * W[..., 0])[..., None, None],
+            m=lambda X: 0.2 * X, m1=m1, noise=gaussian_noise(),
+            f_parts=ROW_F_PARTS, g_parts=ROW_G_PARTS)
+
+    with pytest.raises(ConfigurationError,
+                       match=r"^m1 on a \(2, n\) state block .*X\[\.\.\., i\]"):
+        with_m1(lambda X: np.array([[0.1 * abs(X[0][0])]]))
+    system = with_m1(lambda X: (0.1 * np.abs(X[..., 0]))[..., None, None])
+    cert = certify.check_external(
+        system, QuadraticStorage([[4.0]]), 1.0 / 0.99, 0.08,
+        DomainBox((0.0,), (10.0,), ("grid", 101)),
+        noise.ExpectationScheme(mode="closed-form"))
+    assert cert.status == "falsified"
+    assert cert.provenance["g_beta_sup"] == pytest.approx(1.028, abs=5e-4)
+
+
 @pytest.mark.parametrize("fn", [
     # index 1 of a (2, 1, 3) block is out of bounds: the map raises
     lambda X, k: np.stack([-0.1 * X[:, 0], -0.5 * X[:, 1]], axis=-1),
@@ -320,6 +345,11 @@ def test_m1_column_count_must_match_n_v(build):
     build(lambda X: np.eye(2))
     with pytest.raises(ConfigurationError):
         build(lambda X: np.eye(3))
+    # an empty feedthrough states its n_v columns too
+    build(lambda X: np.zeros((0, 2)))
+    for m1 in (np.zeros((0, 3)), np.zeros(0)):
+        with pytest.raises(ConfigurationError, match=r"^m1\(0\) has \d columns"):
+            build(lambda X, m1=m1: m1)
 
 
 def test_white_ensemble_draws_one_stream_in_step_order():
