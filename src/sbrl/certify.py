@@ -564,6 +564,7 @@ def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
 
 _BETA_GRID_POINTS = 40
 _BRL_SLACK = 1e-10
+_SEARCH_MAX_STATES = 30  # a whole grid at 30 states: ~2 s on one x86-64 core
 
 
 def _transition(linsys):
@@ -586,31 +587,26 @@ def _radius(linsys):
     return float(np.abs(np.linalg.eigvals(_transition(linsys))).max())
 
 
-def series_storage_matrix(linsys: LinearSystem, rhs=None):
-    """The solution of A'XA + A0'XA0 - X + rhs = 0 (rhs C'C by default), the
-    sum of the iterated noise-averaged transition applied to rhs: the
-    linear constructive storage, and the least storage at beta = 1.  One
-    solve of n^4 entries; requires rho(T) < 1, T(P) = A'PA + A0'PA0.
-    """
-    if (rho := _radius(linsys)) >= 1.0:
-        raise ConfigurationError(f"series diverges: rho(T) = {rho:g} >= 1")
-    CtC = linsys.C.T @ linsys.C
-    return _least_storage(linsys, CtC if rhs is None else rhs, 1.0)
-
-
 def linear_brl_search(linsys: LinearSystem, gamma_sq,
                       beta_grid=None) -> LinearBRLReport:
     """Bounded-real search over beta at the least storage.
 
     For beta in (1, 1/rho(T)), T(P) = A'PA + A0'PA0, the least P meeting
     the internal inequality with C'C + slack*I (the slack only keeps P
-    positive definite) solves it at equality, one solve of n^4 entries;
-    the gain inequality grows with P, so some P passes both at that beta
-    exactly when this one does.  Betas of the grid (log-spaced inside the
-    interval by default) go in order of increasing gain factor
-    beta^2/(beta-1): the first pair ``linear_brl`` certifies is returned,
-    else the one with the closest margins, inconclusive.
+    positive definite) solves it at equality, one solve of n^4 entries,
+    so at most ``_SEARCH_MAX_STATES`` states; the gain inequality grows
+    with P, so some P passes both at that beta exactly when this one does,
+    and a beta where rounding leaves P indefinite certifies nothing.  The
+    default grid is log-spaced inside (1, 1/rho(T)), its points above 2
+    moved to 2 (and 2 added below 1/rho(T)): P and beta^2/(beta-1) grow
+    with beta above 2.  Betas go in order of increasing beta^2/(beta-1):
+    the first pair ``linear_brl`` certifies is returned, else the one with
+    the closest margins, inconclusive.
     """
+    if linsys.n > _SEARCH_MAX_STATES:
+        raise ConfigurationError(
+            f"the linear-brl search takes at most {_SEARCH_MAX_STATES} states "
+            f"(its solve holds n^4 entries), got {linsys.n}")
     base = LinearBRLReport("inconclusive", None, None, float(gamma_sq), None,
                            None, p0=None, **_structure_diagnostics(linsys))
     if (rho := _radius(linsys)) >= 1.0:
@@ -618,15 +614,19 @@ def linear_brl_search(linsys: LinearSystem, gamma_sq,
         return base
     cap = 1.0 / rho if rho else math.inf
     if beta_grid is None:
-        beta_grid = 1.0 + (cap - 1.0) * np.geomspace(1e-4, 0.9999,
-                                                     _BETA_GRID_POINTS)
+        grid = 1.0 + (cap - 1.0) * np.geomspace(1e-4, 0.9999, _BETA_GRID_POINTS)
+        beta_grid = np.unique(np.minimum(2.0, np.append(grid, 2.0)))
     CtC = linsys.C.T @ linsys.C
     rhs = CtC + _BRL_SLACK * (1.0 + np.linalg.norm(CtC, 2)) * np.eye(linsys.n)
     tried = []
     for beta in sorted((b for b in map(float, beta_grid) if 1.0 < b < cap),
                        key=lambda b: b * b / (b - 1.0)):
-        rep = linear_brl(linsys, _least_storage(linsys, rhs, beta), beta,
-                         gamma_sq)
+        P = _least_storage(linsys, rhs, beta)
+        if np.linalg.eigvalsh(P)[0] <= 0.0:  # rounding outweighed the slack
+            base.notes.append(f"beta {beta:g} skipped: rounding left the "
+                              "least storage indefinite")
+            continue
+        rep = linear_brl(linsys, P, beta, gamma_sq)
         rep.notes.append("P is the least storage at this beta: beta (A'PA + "
                          "A0'PA0) - P + C'C + slack I = 0")
         if rep.certified:
@@ -637,6 +637,7 @@ def linear_brl_search(linsys: LinearSystem, gamma_sq,
         return base
     rep = min(tried, key=lambda r: max(r.eq_gain_margin, r.eq_internal_margin))
     rep.status = "inconclusive"
+    rep.notes += base.notes
     rep.notes.append("no grid beta certified; closest margins reported")
     return rep
 

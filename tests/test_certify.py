@@ -1186,11 +1186,15 @@ def test_linear_brl_feedthrough_dominates():
 
 
 def test_series_storage_matches_geometric_sum():
-    Pbar = certify.series_storage_matrix(scalar_brl_system())
+    # the least storage at beta = 1 is the series sum of T^k(C'C)
+    sys_s = scalar_brl_system()
+    Pbar = certify._least_storage(sys_s, sys_s.C.T @ sys_s.C, 1.0)
     assert Pbar[0, 0] == pytest.approx(0.25 / 0.75, rel=1e-12)
-    with pytest.raises(ConfigurationError, match="^series diverges"):
-        certify.series_storage_matrix(
-            LinearSystem([[0.9]], [[0.5]], [[1.0]], [[1.0]], [[0.0]]))
+    # rho(T) = 0.81 + 0.25 >= 1: the series diverges and the search stops
+    rep = certify.linear_brl_search(
+        LinearSystem([[0.9]], [[0.5]], [[1.0]], [[1.0]], [[0.0]]), 1e6)
+    assert rep.status == "inconclusive" and rep.P is None
+    assert rep.notes == ["not mean-square stable: rho(T) = 1.06 >= 1"]
 
 
 def test_linear_brl_search_certifies_generous_gamma():
@@ -1288,7 +1292,58 @@ def test_linear_brl_search_gates_on_rho_not_sigma_bar():
     # a nilpotent transition, rho(T) = 0, admits every beta > 1
     sys_n = LinearSystem([[0.0, 0.5], [0.0, 0.0]], np.zeros((2, 2)),
                          [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-    assert certify.linear_brl_search(sys_n, 1e3, beta_grid=[2.0]).certified
+    rep = certify.linear_brl_search(sys_n, 1e3)
+    assert rep.certified and rep.beta == 2.0
+
+
+def test_beta_two_certifies_what_a_larger_beta_certifies():
+    # the least storage grows with beta, and so does beta^2/(beta-1) above
+    # 2: the default grid moves its points above 2 to 2
+    rng = np.random.default_rng(8)
+    for case in range(20):
+        sys_r = random_stable_linear(rng, int(rng.integers(1, 4)),
+                                     n_v=int(rng.integers(1, 3)), target=0.4)
+        beta = float(rng.uniform(2.0, 1.0 / certify._radius(sys_r)))
+        P = certify.linear_brl_search(sys_r, 1e12, beta_grid=[beta]).P
+        gain = (beta * beta / (beta - 1.0) * sys_r.B.T @ P @ sys_r.B
+                + sys_r.D.T @ sys_r.D)
+        gamma_sq = float(np.linalg.eigvalsh(gain)[-1]) * (1.0 + 1e-9)
+        assert certify.linear_brl_search(sys_r, gamma_sq,
+                                         beta_grid=[beta]).certified
+        assert certify.linear_brl_search(sys_r, gamma_sq,
+                                         beta_grid=[2.0]).certified
+
+
+def test_linear_brl_search_skips_a_beta_where_rounding_leaves_p_indefinite():
+    # one observed mode with rho(T) = 0.9999 and two unobserved slow ones in
+    # rotated coordinates: near 1/rho(T) the solve's rounding error exceeds
+    # the slack in the unobserved directions, and such a beta certifies
+    # nothing instead of ending the search
+    rng = np.random.default_rng(11)
+    skipped = 0
+    for case in range(12):
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = Q @ np.diag([math.sqrt(0.9999 / 1.01), 0.2, 0.1]) @ Q.T
+        sys_r = LinearSystem(A, 0.1 * A, rng.normal(size=(3, 1)),
+                             10.0 * Q[:, :1].T, [[0.1]])
+        rep = certify.linear_brl_search(sys_r, 1e14)
+        assert rep.certified
+        assert certify.linear_brl(sys_r, rep.P, rep.beta, 1e14).certified
+        rep = certify.linear_brl_search(sys_r, 1e6)
+        assert rep.status == "inconclusive"
+        skipped += any("rounding left the least storage indefinite" in note
+                       for note in rep.notes)
+    assert skipped >= 1
+
+
+def test_linear_brl_search_refuses_more_states_than_it_can_hold():
+    n = certify._SEARCH_MAX_STATES + 1
+    sys_big = LinearSystem(0.1 * np.eye(n), np.zeros((n, n)),
+                           np.ones((n, 1)), np.ones((1, n)), [[0.0]])
+    with pytest.raises(ConfigurationError,
+                       match=f"^the linear-brl search takes at most {n - 1} "
+                             fr"states \(its solve holds n\^4 entries\), got {n}$"):
+        certify.linear_brl_search(sys_big, 1.0)
 
 
 # ------------------------------------------------------------- oracle agreement

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sbrl import cli, library
+from sbrl import certify, cli, library
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -633,3 +633,13 @@ def test_every_accepted_key_has_a_reader(read_runs, block):
                     for i, alt in enumerate(alts)
                     for key in accepted_keys(block, alt) - read[i])
     assert unread == []
+
+
+def test_schema_states_the_linear_brl_search_bound():
+    # a search's solve holds n^4 entries; the schema states the bound the
+    # search refuses beyond
+    kinds = SCHEMA["properties"]["certificate"]["oneOf"]
+    (alt,) = [k for k in kinds
+              if k["properties"]["kind"].get("const") == "linear-brl"]
+    assert alt["description"].endswith(
+        f"at most {certify._SEARCH_MAX_STATES} states")

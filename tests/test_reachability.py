@@ -47,11 +47,9 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # storage a config builds claims convexity); certify_controller_general
 # states a result of the paper and awaits a config kind of its own;
 # simulate, one trajectory under one policy, and expect, one Monte Carlo
-# expectation, are public API and layer boundaries of bench/trace_cli.py;
-# series_storage_matrix, the linear tier's constructive storage of any
-# right-hand side, is the beta = 1 case of the search's least storage
+# expectation, are public API and layer boundaries of bench/trace_cli.py
 UNREACHED_API = {"CustomStorage", "check_convex", "certify_controller_general",
-                 "expect", "series_storage_matrix", "simulate"}
+                 "expect", "simulate"}
 
 # defaulted parameters no call passes, kept on purpose
 UNPASSED_OPTIONS = {
@@ -64,8 +62,6 @@ UNPASSED_OPTIONS = {
     # that theorem gets a config kind of its own or is deleted
     "certify_controller_general.k_window",
     "taylor_certify.k_window",
-    # the right-hand side of the series storage, C'C unless a caller gives one
-    "series_storage_matrix.rhs",
 }
 
 # the routines that seed a generator themselves, each from one seed:
