@@ -40,10 +40,12 @@ def eig_tolerance(X) -> float:
     return 1e-9 * (1.0 + float(np.linalg.norm(X, 2)))
 
 
-def sym_eig_max(X) -> float:
-    """Largest eigenvalue of the symmetrised matrix (X + X') / 2."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return float(np.linalg.eigvalsh(0.5 * (X + X.T))[-1])
+def _eig_verdict(X):
+    """The largest eigenvalue of the symmetrised matrix (X + X') / 2, its
+    tolerance ``eig_tolerance(X)`` and whether it lies within it."""
+    margin = float(np.linalg.eigvalsh(0.5 * (X + X.T))[-1])
+    tol = eig_tolerance(X)
+    return margin, tol, margin <= tol
 
 
 def _require_affine(system, routine, plants=False):
@@ -56,6 +58,13 @@ def _require_affine(system, routine, plants=False):
             "or synth.certify_controller_general")
     if not plants:
         require_uncontrolled(system, routine)
+
+
+def _require_storage_dim(V, system):
+    """Refuse a storage whose dimension differs from the system's."""
+    if V.dim != system.n:
+        raise ConfigurationError(
+            f"storage: dimension {V.dim} for a {system.n}-state system")
 
 
 def _require_beta(beta):
@@ -324,6 +333,7 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
     if c2 <= 0:
         raise ConfigurationError("c2 must be positive")
     _require_affine(system, "check_internal")
+    _require_storage_dim(V, system)
     qb = quad_bound(V, domain)
 
     def growth(X, _):
@@ -351,6 +361,8 @@ def check_internal(system, V, c2, domain: DomainBox, scheme) -> Certificate:
 def _split_rows(name, V, system, beta, u_row=None):
     """H0 (b = 1) or H1 <= 0 as a block form, at the control row ``u_row``
     of a plant, with tolerance scale |H| + V(x) + |m(x)|^2."""
+    _require_storage_dim(V, system)
+
     def rows(X, points):
         value, se, vx, m_sq = _split_block(V, system, X, u_row, beta, points)
         return Rows(value, {"inequality": name}, std_error=se,
@@ -361,6 +373,7 @@ def _split_rows(name, V, system, beta, u_row=None):
 def _g_beta_rows(V, system, beta, gamma_sq=0.0):
     """The G_beta <= gamma^2 block form; a sampled supremum is a lower
     bound.  At beta = inf its scale b/(b-1) is its limit 1, G0's."""
+    _require_storage_dim(V, system)
     c = 1.0 if beta == math.inf else beta / (beta - 1.0)
 
     def rows(X, points):
@@ -472,21 +485,32 @@ def gamma_star_search(system, candidates, beta_grid, domain: DomainBox,
     return GammaStarResult("ok", *best, checked, feasible, notes)
 
 
+def _storage_matrix(linsys: LinearSystem, P):
+    """P of the ``QuadraticStorage`` P, or of the one a matrix P builds (and
+    checks), refused unless it is n x n."""
+    V = P if isinstance(P, QuadraticStorage) else QuadraticStorage(P)
+    _require_storage_dim(V, linsys)
+    return V.P
+
+
+def _internal_matrix(linsys: LinearSystem, P, beta=1.0):
+    """b (A'PA + A0'PA0) - P + C'C."""
+    A, A0, C = linsys.A, linsys.A0, linsys.C
+    return beta * (A.T @ P @ A + A0.T @ P @ A0) - P + C.T @ C
+
+
 def linear_internal(linsys: LinearSystem, P) -> Certificate:
     """Exact linear internal-stability test A'PA + A0'PA0 - P + C'C <= 0 at
-    the ``QuadraticStorage`` P, or the one a matrix P builds (and checks)."""
-    P = (P if isinstance(P, QuadraticStorage) else QuadraticStorage(P)).P
-    A, A0, C = linsys.A, linsys.A0, linsys.C
-    L = A.T @ P @ A + A0.T @ P @ A0 - P + C.T @ C
-    margin = sym_eig_max(L)
-    tol = eig_tolerance(L)
-    status = "certified" if margin <= tol else "falsified"
+    P, taken as in ``_storage_matrix``."""
+    P = _storage_matrix(linsys, P)
+    L = _internal_matrix(linsys, P)
+    margin, tol, ok = _eig_verdict(L)
     witness = None
-    if status == "falsified":
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (L + L.T))
+    if not ok:
+        eigvecs = np.linalg.eigh(0.5 * (L + L.T))[1]
         witness = {"direction": eigvecs[:, -1].tolist(), "margin": margin}
     return Certificate(
-        status=status,
+        status="certified" if ok else "falsified",
         inequality="A'PA + A0'PA0 - P + C'C <= 0",
         domain="matrix inequality (exact eigenvalue check)",
         worst_margin=margin,
@@ -507,10 +531,6 @@ class LinearBRLReport:
     gamma_sq: float
     eq_gain_margin: float | None       # (b^2/(b-1)) B'PB + D'D - gamma^2 I
     eq_internal_margin: float | None   # b (A'PA + A0'PA0) - P + C'C
-    sigma_bar: float
-    sigma_min: float
-    beta0_interval: tuple | None
-    p0: float | None
     notes: list = field(default_factory=list)
 
     @property
@@ -521,45 +541,22 @@ class LinearBRLReport:
         return _jsonable(asdict(self))
 
 
-def _structure_diagnostics(linsys):
-    """sigma_bar and sigma_min, the extreme eigenvalues of A'A + A0'A0, and
-    the envelope construction's beta0_interval (1, 1/sigma_bar), None for
-    sigma_bar >= 1, as ``LinearBRLReport`` fields."""
-    S = linsys.A.T @ linsys.A + linsys.A0.T @ linsys.A0
-    eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
-    sigma_bar = float(eigs[-1])
-    return {"sigma_bar": sigma_bar, "sigma_min": float(eigs[0]),
-            "beta0_interval": (1.0, 1.0 / sigma_bar) if sigma_bar < 1.0
-            else None}
-
-
 def linear_brl(linsys: LinearSystem, P, beta, gamma_sq) -> LinearBRLReport:
     """Verify the two linear bounded-real inequalities by eigenvalue margins
-    at P, taken as in ``linear_internal``.
+    at P, taken as in ``_storage_matrix``.
 
     Gain inequality:     (b^2/(b-1)) B'PB + D'D <= gamma^2 I
     Internal inequality: b (A'PA + A0'PA0) - P + C'C <= 0
-
-    ``p0`` is the envelope construction's storage scaling at beta,
-    C_i(b) = sigma_i b^2, where beta lies in its interval.
     """
-    P = (P if isinstance(P, QuadraticStorage) else QuadraticStorage(P)).P
+    P = _storage_matrix(linsys, P)
     _require_beta(beta)
-    A, A0, B, C, D = linsys.A, linsys.A0, linsys.B, linsys.C, linsys.D
-    eq35 = (beta ** 2 / (beta - 1.0)) * (B.T @ P @ B) + D.T @ D \
-        - gamma_sq * np.eye(linsys.n_v)
-    eq36 = beta * (A.T @ P @ A + A0.T @ P @ A0) - P + C.T @ C
-    m35 = sym_eig_max(eq35)
-    m36 = sym_eig_max(eq36)
-    ok = m35 <= eig_tolerance(eq35) and m36 <= eig_tolerance(eq36)
-    diag = _structure_diagnostics(linsys)
-    interval, p0 = diag["beta0_interval"], None
-    if interval is not None and interval[0] < beta < interval[1]:
-        denom = beta - diag["sigma_bar"] * beta * beta
-        if denom > 0.0:
-            p0 = beta * (1.0 - diag["sigma_min"]) / denom
-    return LinearBRLReport("certified" if ok else "falsified", P, float(beta),
-                           float(gamma_sq), m35, m36, p0=p0, **diag)
+    B, D = linsys.B, linsys.D
+    m35, _, gain_ok = _eig_verdict((beta ** 2 / (beta - 1.0)) * (B.T @ P @ B)
+                                   + D.T @ D - gamma_sq * np.eye(linsys.n_v))
+    m36, _, internal_ok = _eig_verdict(_internal_matrix(linsys, P, beta))
+    return LinearBRLReport("certified" if gain_ok and internal_ok
+                           else "falsified", P, float(beta), float(gamma_sq),
+                           m35, m36)
 
 
 _BETA_GRID_POINTS = 40
@@ -608,7 +605,7 @@ def linear_brl_search(linsys: LinearSystem, gamma_sq,
             f"the linear-brl search takes at most {_SEARCH_MAX_STATES} states "
             f"(its solve holds n^4 entries), got {linsys.n}")
     base = LinearBRLReport("inconclusive", None, None, float(gamma_sq), None,
-                           None, p0=None, **_structure_diagnostics(linsys))
+                           None)
     if (rho := _radius(linsys)) >= 1.0:
         base.notes.append(f"not mean-square stable: rho(T) = {rho:g} >= 1")
         return base

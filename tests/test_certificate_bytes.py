@@ -29,6 +29,9 @@ PLANT = {"linear": {"A": [[0.6, 0.2], [-0.1, 0.5]],
                     "B": [[1.0], [0.5]], "C": [[1.0, 0.0]], "D": [[0.1]]}}
 SCALAR = {"linear": {"A": [[0.5]], "A0": [[0.0]], "B": [[1.0]],
                      "C": [[0.5]], "D": [[0.0]]}}
+# A = A0 = 0: rho(T) = 0 admits every beta > 1
+STATIC = {"linear": {"A": [[0.0]], "A0": [[0.0]], "B": [[1.0]],
+                     "C": [[1.0]], "D": [[0.1]]}}
 
 
 def monte_carlo(antithetic):
@@ -72,6 +75,13 @@ RUNS = {
     "linear-brl-search-plant": ({
         "system": PLANT,
         "certificate": {"kind": "linear-brl", "gamma_sq": 12.3}}, 0),
+    "linear-brl-search-static": ({
+        "system": STATIC,
+        "certificate": {"kind": "linear-brl", "gamma_sq": 10.0}}, 0),
+    "linear-brl-verify-static": ({
+        "system": STATIC, "storage": {"quadratic": {"P": [[1.0]]}},
+        "certificate": {"kind": "linear-brl", "beta": 2.0,
+                        "gamma_sq": 10.0}}, 0),
 }
 
 DIGESTS = {
@@ -86,11 +96,15 @@ DIGESTS = {
     "example2-internal":
         "814bb84cfec7cd654c37690323794f92969421a88bbf2aa6dfca497951f064cc",
     "linear-brl-verify":
-        "bec195a4ce35672a087c74c1f9ce5f879365058a09c8d550426472aa7448ddab",
+        "826278b6c9e21b7862f60b82878f5857188c6a3608b814959eb3d870c9774e9c",
     "linear-brl-search":
-        "48c0ec65b08594aa3f7599274669180478faa774cad68c007056db8e31fc3174",
+        "4c19369cff64f37f5db6b9b42f9a59143adfd91082e2bbb65c95647bcba4e17e",
     "linear-brl-search-plant":
-        "385b19af2582f0b68c022bd5f0d626088767a541715a53493ea7c777934b7bc9",
+        "cd3304645b9b1d3b72842240a247b678f7b640b82d2e1aa334d7c12216e4fc23",
+    "linear-brl-search-static":
+        "80b1a308b1fb3904f32a27db17ec96995ea892723e01e71edd183b8f6a6387c2",
+    "linear-brl-verify-static":
+        "3bcbea3a69c5aead8651a871f63152b35a7bcf7897e4c4bd1fbfbd270a6a041c",
 }
 
 PINNED = ("certificates.json", "margins.json", "linear_brl.json")

@@ -1022,10 +1022,14 @@ SMALL_CONFIGS = {
         "storage": {"quadratic": {"P": [[0.5]]}},
         "certificate": {"kind": "linear-brl", "beta": 2.0, "gamma_sq": 2.0},
     },
+    "linear-brl-search": {
+        "system": {"linear": SCALAR_LINEAR},
+        "certificate": {"kind": "linear-brl", "gamma_sq": 2.0},
+    },
 }
 # the command each small config runs
 SMALL_COMMANDS = {"certify": "certify", "gain": "gain", "simulate": "simulate",
-                  "linear-brl": "certify"}
+                  "linear-brl": "certify", "linear-brl-search": "certify"}
 DELETE = object()
 # small enough that no mutated size can allocate much memory
 SMALL_JSON = st.recursive(
@@ -1142,6 +1146,36 @@ REFUSED_CONFIGS = {
         "certify", mutated(SMALL_CONFIGS["certify"], ("certificate", "domain"),
                            {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "grid": 3}),
         "certificate.domain: 2 axes for a 1-state system"),
+    # a storage of another size used to read some of the state, or crash:
+    # a 1-state V certified this plant, unstable in x2, as internally stable
+    "storage-size-internal": (
+        "certify", {"system": {"linear": {
+            "A": [[0.5, 0.0], [0.0, 1.5]], "A0": [[0.0, 0.0], [0.0, 0.0]],
+            "B": [[1.0], [0.0]], "C": [[0.5, 0.0]], "D": [[0.0]]}},
+            "storage": {"quadratic": {"P": [[1.0]]}},
+            "certificate": {"kind": "internal", "c2": 2.0,
+                            "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0],
+                                       "grid": 3}}},
+        "storage: dimension 1 for a 2-state system"),
+    "storage-size-controller": (
+        "certify", {"system": {"builtin": "example2"},
+                    "storage": {"builtin": "example1"},
+                    "law": {"builtin": "example2"},
+                    "certificate": {"kind": "controller", "beta": 1.2,
+                                    "gamma": 0.75,
+                                    "domain": {"lo": [-1.0] * 3, "hi": [1.0] * 3,
+                                               "grid": 2},
+                                    "scheme": {"mode": "closed-form"}}},
+        "storage: dimension 1 for a 3-state system"),
+    "storage-size-separable": (
+        "certify", dict(SMALL_CONFIGS["certify"], storage={
+            "separable": {"p": [1.0, 1.0], "d": [2, 2]}}),
+        "storage: dimension 2 for a 1-state system"),
+    "storage-size-linear-brl": (
+        "certify", mutated(SMALL_CONFIGS["linear-brl"], ("system", "linear"), {
+            "A": [[0.5, 0.0], [0.0, 0.4]], "A0": [[0.0, 0.0], [0.0, 0.0]],
+            "B": [[1.0], [0.0]], "C": [[0.5, 0.0]], "D": [[0.0]]}),
+        "storage: dimension 1 for a 2-state system"),
 }
 
 
